@@ -244,3 +244,34 @@ def test_bench_kernel_species_interp(kernel_bench, kernel_records):
     vec = kernel_records["species_interp_vectorized"]["median_s"]
     kernel_records["species_interp_vectorized"]["speedup_vs_loop"] = (
         round(lo / vec, 2))
+
+
+def test_bench_kernel_boundary_layer(kernel_bench, monkeypatch):
+    """One real-gas stagnation BL solve: float shooting kernel + profile.
+
+    Recorded under its trace span name, so kernel time x calls
+    reconciles with that span's time in a traced figure run.
+    """
+    from repro.solvers import boundary_layer
+    from repro.solvers.boundary_layer import StagnationSimilarityBL
+
+    # fixed, kinked closure shaped like the VSL's equilibrium-air table:
+    # rho*mu falls with h, with a dissociation shoulder mid-range
+    h = np.geomspace(1.5e5, 1.2e7, 48)
+    rho_mu = 3e-6 * (h / 1e7) ** -0.3 * (1.0 + 0.2 / (1.0 + (h / 4e6) ** 4))
+    bl = StagnationSimilarityBL(h0e=1e7, p_e=3e4, rho_e=0.01, mu_e=1e-4,
+                                rho_mu_table=(h, rho_mu))
+    hw = 3.5e5                                  # gw = 0.035, as in fig 2
+
+    integrations = []
+    kernel = boundary_layer._dopri45_end
+    monkeypatch.setattr(boundary_layer, "_dopri45_end",
+                        lambda *a: integrations.append(1) or kernel(*a))
+    bl.solve(hw)
+    monkeypatch.undo()
+
+    sol = kernel_bench(bl.solve, hw, label="solvers.boundary_layer.solve",
+                       meta={"knots": h.size, "gw": hw / bl.h0e,
+                             "integrations": len(integrations)})
+    assert sol.fp[-1] == pytest.approx(1.0, abs=1e-4)
+    assert sol.gp0 > 0.0

@@ -296,7 +296,10 @@ class SnapshotStore:
             os.close(fd)
 
     def _atomic_write(self, path: str, data: bytes):
-        tmp = os.path.join(self.dir, f".tmp-{os.path.basename(path)}")
+        # per-process temp name: writers racing one seq must not rename
+        # each other's temp file away
+        tmp = os.path.join(self.dir,
+                           f".tmp-{os.getpid()}-{os.path.basename(path)}")
         with open(tmp, "wb") as f:
             f.write(data)
             f.flush()

@@ -18,12 +18,20 @@ Two levels of fidelity:
 
 Self-similar incompressible limits (Blasius for the flat plate via
 beta = 0, Homann-like stagnation values) validate the implementation.
+
+The closure C(g) is data, not a callable: a knot table ``(g, C)``,
+linear between knots and constant beyond the end knots (``np.interp``
+semantics).  The shooting iterations integrate over Python floats with
+:func:`_dopri45_end`, a Dormand–Prince 5(4) integrator that copies
+scipy's ``RK45`` step control and returns only the end state; scipy
+integrates once more on the converged slopes for the returned profile.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -31,6 +39,36 @@ from scipy.integrate import solve_ivp
 from repro.errors import ConvergenceError, InputError
 
 __all__ = ["StagnationSimilarityBL", "BLSolution", "solve_falkner_skan"]
+
+#: Tolerances of every BL integration (shooting and profile).
+_RTOL, _ATOL = 1e-9, 1e-11
+
+#: State clips of the right-hand side, in state order (f, f', f'', g,
+#: g'): runaway trial trajectories return a large-but-finite residual
+#: instead of overflowing the integrator.
+_CLIP_LO = (-50.0, -10.0, -100.0, 0.02, -100.0)
+_CLIP_HI = (50.0, 10.0, 100.0, 10.0, 100.0)
+#: Floors on the density ratio rho_e/rho and on the closure C.
+_RHO_RATIO_FLOOR = 0.05
+_C_FLOOR = 1e-3
+
+#: C = 1 (ideal Chapman closure) as a one-knot table.
+_UNIT_TABLE = ((1.0,), (1.0,))
+
+# Dormand–Prince 5(4) tableau and step control of scipy.integrate.RK45.
+_A21 = 1 / 5
+_A31, _A32 = 3 / 40, 9 / 40
+_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
+_A51, _A52, _A53, _A54 = (19372 / 6561, -25360 / 2187, 64448 / 6561,
+                          -212 / 729)
+_A61, _A62, _A63, _A64, _A65 = (9017 / 3168, -355 / 33, 46732 / 5247,
+                                49 / 176, -5103 / 18656)
+_B1, _B3, _B4, _B5, _B6 = (35 / 384, 500 / 1113, 125 / 192, -2187 / 6784,
+                           11 / 84)           # B2 = 0
+_E1, _E3, _E4, _E5, _E6, _E7 = (-71 / 57600, 71 / 16695, -71 / 1920,
+                                17253 / 339200, -22 / 525, 1 / 40)  # E2 = 0
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
+_ERROR_EXPONENT = -1 / 5        # -1 / (error estimator order + 1)
 
 
 @dataclass
@@ -43,114 +81,233 @@ class BLSolution:
     g: np.ndarray          #: total-enthalpy ratio h0/h0e
     fpp0: float            #: wall shear parameter f''(0)
     gp0: float             #: wall heat parameter g'(0)
+    #: profile samples at which a state clip or the rho_e/rho or C floor
+    #: of the right-hand side is active
+    safeguard_samples: int
 
 
-def _integrate(beta, C_of_g, Pr, gw, fpp0, gp0, eta_max, n_eval=201):
-    """Integrate the similarity system from the wall with given slopes."""
+def _knot_table(g, C):
+    """Bisect lookup lists for the piecewise-linear closure ``(g, C)``.
 
-    def rhs(eta, z):
+    Returns ``(knots, base, value, slope)``: for ``j = bisect_right(knots,
+    x)``, C(x) = value[j] + slope[j] * (x - base[j]), constant beyond the
+    end knots as with ``np.interp``.
+    """
+    g = [float(x) for x in g]
+    C = [float(x) for x in C]
+    if not g or len(g) != len(C):
+        raise InputError("closure table needs matching, non-empty knot "
+                         "and value columns")
+    if any(b <= a for a, b in zip(g, g[1:])):
+        raise InputError("closure table knots must be strictly increasing")
+    # catlint: disable=CAT003 -- knots checked strictly increasing above
+    slopes = [(c1 - c0) / (g1 - g0)
+              for g0, g1, c0, c1 in zip(g, g[1:], C, C[1:])]
+    return g, [g[0]] + g, [C[0]] + C, [0.0] + slopes + [0.0]
+
+
+def _make_rhs(beta, Pr, table):
+    """Float right-hand side ``z -> z'`` of the similarity system for the
+    closure knot table ``(g, C)``."""
+    knots, base, value, slope = _knot_table(*table)
+    f_lo, fp_lo, fpp_lo, g_lo, gp_lo = _CLIP_LO
+    f_hi, fp_hi, fpp_hi, g_hi, gp_hi = _CLIP_HI
+    rho_floor, c_floor = _RHO_RATIO_FLOOR, _C_FLOOR
+
+    def rhs(z):
         f, fp, fpp, g, gp = z
-        # clip runaway trial trajectories so bad shooting guesses return a
-        # large-but-finite residual instead of overflowing the integrator
-        f = np.clip(f, -50.0, 50.0)
-        fp = np.clip(fp, -10.0, 10.0)
-        fpp = np.clip(fpp, -100.0, 100.0)
-        g = np.clip(g, 0.02, 10.0)
-        gp = np.clip(gp, -100.0, 100.0)
-        C = C_of_g(g)
-        # (C f'')' = C' f'' + C f''' => f''' = [ -f f'' - beta(rho_e/rho
-        #   - fp^2) - C' f'' ] / C ; with C treated locally constant per
-        # step (C' folded via finite differences of g would need dC/deta;
-        # use the standard approximation C' ~ dC/dg * gp)
-        dC = (C_of_g(g + 1e-6) - C) / 1e-6
+        f = f_lo if f < f_lo else (f_hi if f > f_hi else f)
+        fp = fp_lo if fp < fp_lo else (fp_hi if fp > fp_hi else fp)
+        fpp = fpp_lo if fpp < fpp_lo else (fpp_hi if fpp > fpp_hi else fpp)
+        g = g_lo if g < g_lo else (g_hi if g > g_hi else g)
+        gp = gp_lo if gp < gp_lo else (gp_hi if gp > gp_hi else gp)
+        j = bisect_right(knots, g)
+        dC = slope[j]
+        C = value[j] + dC * (g - base[j])
+        if C < c_floor:
+            C, dC = c_floor, 0.0
+        # (C f'')' = C' f'' + C f''' with C' = dC/dg g'
         Cp = dC * gp
-        rho_ratio = _rho_e_over_rho(g, gw)
+        # constant-pressure layer: rho_e/rho = h/h_e ~ g at a stagnation
+        # point (u ~ 0 there, so static ~ total enthalpy)
+        rho_ratio = rho_floor if g < rho_floor else g
         fppp = (-f * fpp - beta * (rho_ratio - fp * fp) - Cp * fpp) / C
         gpp = (-f * gp * Pr / C) - (Cp / C) * gp
-        return [fp, fpp, fppp, gp, gpp]
+        return (fp, fpp, fppp, gp, gpp)
 
-    sol = solve_ivp(rhs, (0.0, eta_max), [0.0, 0.0, fpp0, gw, gp0],
-                    method="RK45", rtol=1e-9, atol=1e-11,
-                    t_eval=np.linspace(0.0, eta_max, n_eval))
-    return sol
+    return rhs
 
 
-def _rho_e_over_rho(g, gw):
-    """Density ratio across the layer.
-
-    For a constant-pressure layer of a thermally perfect gas the density
-    is inversely proportional to the static enthalpy; using the total-
-    enthalpy ratio g is the standard low-speed-at-the-wall approximation
-    at a stagnation point (u ~ 0 there, so static ~ total).
-    """
-    return np.maximum(g, 0.05)
+def _rms_scaled(v, y0, y1):
+    """scipy's RMS error norm of ``v`` scaled by atol + rtol max(|y0|, |y1|)."""
+    s = 0.0
+    for vi, a, b in zip(v, y0, y1):
+        e = vi / (_ATOL + max(abs(a), abs(b)) * _RTOL)
+        s += e * e
+    return math.sqrt(s) / 5 ** 0.5  # catlint: disable=CAT002 -- sum of squares
 
 
-def solve_falkner_skan(beta, *, Pr=0.71, gw=1.0, C_of_g=None,
+def _initial_step(rhs, y0, f0, t_end):
+    """scipy's ``select_initial_step`` for RK45 (error order 4)."""
+    d0 = _rms_scaled(y0, y0, y0)
+    d1 = _rms_scaled(f0, y0, y0)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, t_end)
+    f1 = rhs([y + h0 * f for y, f in zip(y0, f0)])
+    d2 = _rms_scaled([b - a for a, b in zip(f0, f1)], y0, y0) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+    return min(100 * h0, h1, t_end)
+
+
+def _dopri45_end(rhs, y, t_end):
+    """State at ``t_end`` of ``y' = rhs(y)``, ``y(0) = y``, integrated with
+    scipy's ``RK45`` rules (Dormand–Prince tableau, RMS error norm, 0.9
+    safety with 0.2–10 step factors, initial-step rule) over Python
+    floats.  Raises :class:`ConvergenceError` where ``solve_ivp`` would
+    report failure (step size below ten ulps of t)."""
+    y = list(y)
+    f = rhs(y)
+    h_abs = _initial_step(rhs, y, f, t_end)
+    t = 0.0
+    while t < t_end:
+        # catlint: disable=PERF003 -- scalar by design, one ulp query per
+        # accepted step: the six stagnation-figs BL solves take 2.5 s as
+        # floats, 11.9 s as numpy (B, 5) rows, 23.4 s through solve_ivp
+        min_step = 10 * (math.nextafter(t, math.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                raise ConvergenceError("BL integration failed")
+            t_new = min(t + h_abs, t_end)
+            h = t_new - t
+            h_abs = h
+            k2 = rhs([yi + (_A21 * a) * h for yi, a in zip(y, f)])
+            k3 = rhs([yi + (_A31 * a + _A32 * b) * h
+                      for yi, a, b in zip(y, f, k2)])
+            k4 = rhs([yi + (_A41 * a + _A42 * b + _A43 * c) * h
+                      for yi, a, b, c in zip(y, f, k2, k3)])
+            k5 = rhs([yi + (_A51 * a + _A52 * b + _A53 * c + _A54 * d) * h
+                      for yi, a, b, c, d in zip(y, f, k2, k3, k4)])
+            k6 = rhs([yi + (_A61 * a + _A62 * b + _A63 * c + _A64 * d
+                            + _A65 * e) * h
+                      for yi, a, b, c, d, e in zip(y, f, k2, k3, k4, k5)])
+            y_new = [yi + h * (_B1 * a + _B3 * c + _B4 * d + _B5 * e
+                               + _B6 * k)
+                     for yi, a, c, d, e, k in zip(y, f, k3, k4, k5, k6)]
+            f_new = rhs(y_new)
+            err = [(_E1 * a + _E3 * c + _E4 * d + _E5 * e + _E6 * k
+                    + _E7 * n) * h
+                   for a, c, d, e, k, n in zip(f, k3, k4, k5, k6, f_new)]
+            error_norm = _rms_scaled(err, y, y_new)
+            if error_norm < 1.0:
+                # catlint: disable=CAT010 -- scipy's exact-zero branch: an
+                # exactly vanishing error estimate takes the largest step
+                if error_norm == 0.0:
+                    factor = _MAX_FACTOR
+                else:
+                    factor = min(_MAX_FACTOR,
+                                 _SAFETY * error_norm ** _ERROR_EXPONENT)
+                if rejected:
+                    factor = min(1.0, factor)
+                h_abs *= factor
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
+            rejected = True
+        t, y, f = t_new, y_new, f_new
+    return y
+
+
+def _safeguard_samples(y, table):
+    """Samples of the profile ``y`` (5, n) at which a state clip or the
+    rho_e/rho or C floor of the right-hand side is active."""
+    lo = np.array(_CLIP_LO, dtype=np.float64)[:, None]
+    hi = np.array(_CLIP_HI, dtype=np.float64)[:, None]
+    g = np.clip(y[3], lo[3], hi[3])
+    C = np.interp(g, np.asarray(table[0], dtype=np.float64),
+                  np.asarray(table[1], dtype=np.float64))
+    active = (((y < lo) | (y > hi)).any(axis=0) | (g < _RHO_RATIO_FLOOR)
+              | (C < _C_FLOOR))
+    return int(np.count_nonzero(active))
+
+
+def _profile(rhs, table, gw, fpp0, gp0, eta_max, n_eval=201):
+    """The returned profile: one scipy integration on converged slopes."""
+    sol = solve_ivp(lambda t, z: rhs(z.tolist()), (0.0, eta_max),
+                    [0.0, 0.0, fpp0, gw, gp0], method="RK45", rtol=_RTOL,
+                    atol=_ATOL, t_eval=np.linspace(0.0, eta_max, n_eval))
+    if not sol.success:
+        raise ConvergenceError("BL integration failed")
+    return BLSolution(eta=sol.t, f=sol.y[0], fp=sol.y[1], g=sol.y[3],
+                      fpp0=fpp0, gp0=gp0,
+                      safeguard_samples=_safeguard_samples(sol.y, table))
+
+
+def solve_falkner_skan(beta, *, Pr=0.71, gw=1.0, C_table=None,
                        eta_max=8.0, tol=1e-6, max_iter=60, _guess=None):
     """Shooting solution of the similarity system.
 
     ``beta = 0`` with C = 1, g = 1 reduces to Blasius; ``beta = 1/2`` is
-    the axisymmetric stagnation point.  Strongly cooled real-gas walls
-    (gw << 1, C far from 1) are reached by parameter continuation from an
-    easy nearby problem when the direct Newton fails.
+    the axisymmetric stagnation point.  ``C_table = (g, C)`` gives the
+    closure at strictly increasing knots g (linear between knots,
+    constant beyond them); omitted, C = 1.  Strongly cooled real-gas
+    walls (gw << 1, C far from 1) are reached by parameter continuation
+    from an easy nearby problem when the direct Newton fails.
 
     Returns a :class:`BLSolution`.
     """
-    if C_of_g is None:
-        C_of_g = lambda g: np.ones_like(np.asarray(g, float))  # noqa: E731
+    table = _UNIT_TABLE if C_table is None else C_table
     try:
-        return _shoot(beta, Pr, gw, C_of_g, eta_max, tol, max_iter,
-                      _guess)
+        return _shoot(beta, Pr, gw, table, eta_max, tol, max_iter, _guess)
     except ConvergenceError:
         # continuation: blend from (gw=0.8, C=1) toward the target
-        ident = lambda g: np.ones_like(np.asarray(g, float))  # noqa: E731
+        g_k, C_k = np.asarray(table, dtype=np.float64)
         guess = None
         for w in (0.0, 0.3, 0.6, 0.85, 1.0):
             gw_k = 0.8 + w * (gw - 0.8)
-
-            def C_k(g, w=w):
-                return (1.0 - w) * ident(g) + w * np.asarray(C_of_g(g),
-                                                             float)
-
-            sol = _shoot(beta, Pr, gw_k, C_k, eta_max, tol, max_iter,
-                         guess)
+            sol = _shoot(beta, Pr, gw_k, (g_k, (1.0 - w) + w * C_k),
+                         eta_max, tol, max_iter, guess)
             guess = (sol.fpp0, sol.gp0)
         return sol
 
 
-def _shoot(beta, Pr, gw, C_of_g, eta_max, tol, max_iter, guess=None):
+def _shoot(beta, Pr, gw, table, eta_max, tol, max_iter, guess=None):
     """One direct Newton shooting solve."""
+    # Python floats throughout: numpy float64 scalars run the kernel ~2x
+    # slower
+    beta, Pr, gw, eta_max = float(beta), float(Pr), float(gw), float(eta_max)
+    rhs = _make_rhs(beta, Pr, table)
+
+    def residual(fpp0, gp0):
+        y = _dopri45_end(rhs, (0.0, 0.0, fpp0, gw, gp0), eta_max)
+        return y[1] - 1.0, y[3] - 1.0      # f'(inf) = 1, g(inf) = 1
+
     if guess is not None:
-        fpp0, gp0 = guess
+        fpp0, gp0 = (float(v) for v in guess)
     else:
         # empirical starting guesses across the beta/cooling range
         fpp0 = 0.47 + 0.62 * beta
         gp0 = max(0.35 * (1.0 - gw), 1e-4)
     for it in range(max_iter):
-        sol = _integrate(beta, C_of_g, Pr, gw, fpp0, gp0, eta_max)
-        if not sol.success:
-            raise ConvergenceError("BL integration failed")
-        r1 = sol.y[1, -1] - 1.0      # f'(inf) = 1
-        r2 = sol.y[3, -1] - 1.0      # g(inf) = 1
+        r1, r2 = residual(fpp0, gp0)
         if abs(r1) < tol and abs(r2) < tol:
-            return BLSolution(eta=sol.t, f=sol.y[0], fp=sol.y[1],
-                              g=sol.y[3], fpp0=fpp0, gp0=gp0)
+            return _profile(rhs, table, gw, fpp0, gp0, eta_max)
         # numerical Jacobian on the two shooting parameters
         d1, d2 = max(1e-6, 1e-4 * abs(fpp0)), max(1e-7, 1e-4 * abs(gp0))
-        s1 = _integrate(beta, C_of_g, Pr, gw, fpp0 + d1, gp0, eta_max)
-        s2 = _integrate(beta, C_of_g, Pr, gw, fpp0, gp0 + d2, eta_max)
-        J = np.array([[(s1.y[1, -1] - 1.0 - r1) / d1,
-                       (s2.y[1, -1] - 1.0 - r1) / d2],
-                      [(s1.y[3, -1] - 1.0 - r2) / d1,
-                       (s2.y[3, -1] - 1.0 - r2) / d2]])
+        a1, a2 = residual(fpp0 + d1, gp0)
+        b1, b2 = residual(fpp0, gp0 + d2)
+        J = np.array([[(a1 - r1) / d1, (b1 - r1) / d2],
+                      [(a2 - r2) / d1, (b2 - r2) / d2]])
         try:
-            step = np.linalg.solve(J, -np.array([r1, r2]))
+            s1, s2 = np.linalg.solve(J, -np.array([r1, r2])).tolist()
         except np.linalg.LinAlgError:
             raise ConvergenceError("singular shooting Jacobian") from None
         lim = 0.5 * max(abs(fpp0), 0.2)
-        fpp0 += float(np.clip(step[0], -lim, lim))
-        gp0 += float(np.clip(step[1], -lim, lim))
+        fpp0 += min(max(s1, -lim), lim)
+        gp0 += min(max(s2, -lim), lim)
     raise ConvergenceError("BL shooting failed to converge",
                            iterations=max_iter)
 
@@ -166,8 +323,9 @@ class StagnationSimilarityBL:
         Edge (stagnation) pressure [Pa].
     rho_e, mu_e:
         Edge density and viscosity.
-    rho_mu_of_h:
-        Callable (rho*mu)(h) at constant p_e; if omitted, the ideal
+    rho_mu_table:
+        ``(h, rho*mu)`` knots at constant p_e, h strictly increasing
+        [J/kg]; rho*mu is linear between knots.  If omitted, the ideal
         Chapman C = 1 closure is used.
     Pr:
         Prandtl number.
@@ -175,7 +333,7 @@ class StagnationSimilarityBL:
 
     BETA = 0.5
 
-    def __init__(self, *, h0e, p_e, rho_e, mu_e, rho_mu_of_h=None,
+    def __init__(self, *, h0e, p_e, rho_e, mu_e, rho_mu_table=None,
                  Pr=0.71):
         if h0e <= 0 or p_e <= 0:
             raise InputError("h0e and p_e must be positive")
@@ -184,16 +342,12 @@ class StagnationSimilarityBL:
         self.rho_e = rho_e
         self.mu_e = mu_e
         self.Pr = Pr
-        if rho_mu_of_h is None:
-            self._C_of_g = None
-        else:
-            rme = rho_mu_of_h(h0e)
-
-            def C_of_g(g):
-                h = np.maximum(np.asarray(g, float), 0.02) * h0e
-                return np.maximum(rho_mu_of_h(h) / rme, 1e-3)
-
-            self._C_of_g = C_of_g
+        self._C_table = _UNIT_TABLE
+        if rho_mu_table is not None:
+            h, rm = (np.asarray(col, dtype=np.float64)
+                     for col in rho_mu_table)
+            rme = float(np.interp(h0e, h, rm))
+            self._C_table = (h / h0e, rm / rme)
 
     def solve(self, hw, *, eta_max=8.0) -> BLSolution:
         """Solve for a wall enthalpy hw [J/kg]."""
@@ -202,7 +356,7 @@ class StagnationSimilarityBL:
             raise InputError("wall enthalpy must be below edge total "
                              "enthalpy")
         return solve_falkner_skan(self.BETA, Pr=self.Pr, gw=gw,
-                                  C_of_g=self._C_of_g, eta_max=eta_max)
+                                  C_table=self._C_table, eta_max=eta_max)
 
     def heat_flux(self, hw, due_dx, *, solution: BLSolution | None = None):
         """Dimensional stagnation heat flux [W/m^2].
@@ -211,7 +365,8 @@ class StagnationSimilarityBL:
         """
         sol = solution if solution is not None else self.solve(hw)
         gw = hw / self.h0e
-        Cw = 1.0 if self._C_of_g is None else float(self._C_of_g(gw))
+        Cw = max(float(np.interp(max(gw, _CLIP_LO[3]), *self._C_table)),
+                 _C_FLOOR)
         # catlint: disable=CAT002 -- rho_e, mu_e are a positive edge
         # state and due_dx a physical stagnation velocity gradient
         return (Cw / self.Pr) * sol.gp0 * self.h0e \

@@ -187,8 +187,6 @@ class WindwardHeatingPNS:
         h_tab = gas.mix.h_mass(T_tab, y_tab)
         rm_tab = rho_tab * self.transport.viscosity(T_tab, y_tab)
         idx = np.argsort(h_tab)
-        h_s, rm_s = h_tab[idx], rm_tab[idx]
-        rho_mu = lambda h: np.interp(h, h_s, rm_s)  # noqa: E731
         y_w, _ = gas.composition_T_p(np.array(float(T_wall)),
                                      np.array(float(p_stag)))
         hw = float(gas.mix.h_mass(np.array(float(T_wall)), y_w))
@@ -197,7 +195,8 @@ class WindwardHeatingPNS:
         K = newtonian_velocity_gradient(self.body.nose_radius, p_stag,
                                         p_inf, rho0)
         bl = StagnationSimilarityBL(h0e=h0, p_e=p_stag, rho_e=rho0,
-                                    mu_e=mu0, rho_mu_of_h=rho_mu,
+                                    mu_e=mu0,
+                                    rho_mu_table=(h_tab[idx], rm_tab[idx]),
                                     Pr=self.prandtl)
         q_stag = float(bl.heat_flux(hw, K))
         s_stag = float(gas.mix.s_mass(np.array(T0), np.array(p_stag),

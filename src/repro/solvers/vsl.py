@@ -147,13 +147,10 @@ class StagnationVSL:
         order = np.argsort(h_tab)
         h_tab, rm_tab = h_tab[order], rm_tab[order]
 
-        def rho_mu_of_h(h):
-            return np.interp(np.asarray(h, dtype=float), h_tab, rm_tab)
-
         K = newtonian_velocity_gradient(self.rn, p_stag, 0.0, rho_e)
         bl = StagnationSimilarityBL(h0e=h0, p_e=p_stag, rho_e=rho_e,
                                     mu_e=mu_e,
-                                    rho_mu_of_h=rho_mu_of_h,
+                                    rho_mu_table=(h_tab, rm_tab),
                                     Pr=self.prandtl)
         sol = bl.solve(h_w)
         q_conv = float(bl.heat_flux(h_w, K, solution=sol))
