@@ -1,309 +1,50 @@
-"""Command-line entry point.
+"""Command-line entry point: ``python -m repro [COMMAND] [options]``.
 
-``python -m repro``                 — overview and quick sanity numbers
-``python -m repro figures``         — regenerate every paper figure
-``python -m repro stagnation V H RN`` — stagnation environment at
-                                        (V [m/s], h [m], R_n [m])
-``python -m repro degrade-smoke``   — degradation-cascade smoke run
-``python -m repro chaos``           — randomized fault campaign under
-                                      process isolation
-``python -m repro batch``           — batch evaluation service
-                                      (JSON-lines requests in,
-                                      envelopes out)
-``python -m repro campaign``        — run a job campaign on the solve
-                                      farm to completion
-``python -m repro serve``           — long-running farm worker pool on
-                                      a durable queue
-``python -m repro jobs``            — asynchronous jobs: submit returns
-                                      an id immediately; status/watch/
-                                      result/cancel/gc later
+One argparse parser covers every command.  ``python -m repro`` alone
+prints its help plus quick sanity numbers, and ``python -m repro
+COMMAND --help`` describes each flag of a command.
 
 Exit codes: 0 success, 1 solver/invariant failure, 2 usage error.
 """
 
 from __future__ import annotations
 
+import argparse
 import sys
 
-_USAGE = """\
-usage: python -m repro [command] [options]
-
-commands:
-  (none)                 overview and quick sanity numbers
-  figures [--full] [--checkpoint-dir D] [--resume] [--isolate]
-          [--farm] [-j N] [--queue-dir D]
-          [--deadline S] [--stall-timeout S] [--memory-mb M]
-                         regenerate every paper figure
-                           --full            full-resolution runs
-                           --checkpoint-dir D
-                                             durable suite: done markers +
-                                             solver snapshots under D
-                           --resume          replay completed figures and
-                                             continue interrupted marches
-                                             from their latest snapshot
-                           --isolate         run each figure in a sandboxed
-                                             child process (kill + retry on
-                                             hang, memory balloon, crash)
-                           --farm            shard the suite across farm
-                                             workers (implies isolation;
-                                             excludes --isolate/--resume/
-                                             --checkpoint-dir)
-                           -j N              farm worker count (default 4)
-                           --queue-dir D     durable farm queue under D
-                                             (re-run with the same D to
-                                             resume a campaign)
-                           --deadline S      per-figure wall-clock budget
-                           --stall-timeout S declare a hang after S seconds
-                                             without a heartbeat
-                           --memory-mb M     per-figure RSS budget [MiB]
-                                             (the three budget flags
-                                             require --isolate or --farm)
-  stagnation V H RN      stagnation environment at (V [m/s], h [m],
-                         R_n [m])
-  degrade-smoke [--out FILE]
-                         fault-injected reacting march that must abort
-                         without the degradation cascade and complete
-                         with it; writes the degradation ledger JSON
-                         to FILE (default degradation_ledger.json)
-  batch [FILE] [--out FILE] [--ledger FILE] [--bench FILE]
-        [--deadline S] [--request-deadline S] [--shed-above N]
-        [--isolate auto|always|never] [--allow-faults] [--no-dedup]
-        [--farm] [-j N] [--queue-dir D] [--chunk-size N]
-                         batch evaluation service: JSON-lines requests
-                         (FILE or stdin), one outcome envelope per line
-                         on stdout (or --out); exits 0 only when every
-                         request came back ok/degraded
-                           --deadline S      whole-batch wall budget
-                           --request-deadline S
-                                             per-request wall budget
-                                             (sandboxed rungs are
-                                             killed at S, not waited)
-                           --shed-above N    reject batches larger
-                                             than N (typed overload)
-                           --isolate MODE    sandboxing: auto (heavy
-                                             rungs + faults), always,
-                                             never
-                           --allow-faults    honor chaos "fault"
-                                             fields in requests
-                           --no-dedup        execute duplicate request
-                                             keys instead of copying
-                           --farm            shard into chunk jobs on
-                                             the solve farm
-                           -j N              farm worker count
-                           --queue-dir D     durable farm queue
-                           --chunk-size N    requests per chunk job
-                           --ledger FILE     write the batch ledger
-                           --bench FILE      write BENCH_batch.json
-                                             (req/s, p50/p99 latency)
-  chaos [--rounds N] [--seed S] [--out D] [--deadline S]
-        [--farm] [-j N] [--kill-workers K] [--queue-dir D]
-        [--hosts N] [--skew[=S]] [--partition]
-        [--batch [--requests N] [--faulted M]]
-        [--jobs [--steps N]]
-                         randomized fault campaign: every round runs a
-                         solver with sampled faults (hangs, memory
-                         balloons, crashes, snapshot corruption, NaN
-                         upsets) under process isolation and asserts
-                         termination, bitwise resume and kill
-                         accounting; per-round reports land in D
-                         (default chaos-reports)
-                           --farm            run rounds as farm jobs and
-                                             SIGKILL the workers too
-                           -j N              farm worker count (default 2)
-                           --kill-workers K  scheduled worker SIGKILLs
-                                             (default 2; 0 disables)
-                           --queue-dir D     farm queue directory
-                                             (default <out>/farm-queue)
-                           --hosts N         distributed mode (with
-                                             --farm): N supervisor
-                                             "hosts" share one queue;
-                                             one host is SIGKILLed and
-                                             the survivors' results are
-                                             bitwise-verified; --rounds
-                                             counts solver jobs and
-                                             --deadline bounds the whole
-                                             campaign (default 240 s)
-                           --skew[=S]        inject alternating +/-S s
-                                             wall-clock skew per host
-                                             (bare --skew: 5 s)
-                           --partition       SIGSTOP the surviving host
-                                             past its lease ttl (frozen
-                                             beacon included), then heal
-                                             it: stale commits must be
-                                             fenced, jobs done once
-                           --batch           batch-service campaign:
-                                             fault-injected requests
-                                             mixed into a good batch;
-                                             good results must be
-                                             bitwise-identical to a
-                                             fault-free reference and
-                                             breaker transitions
-                                             deterministic
-                           --requests N      batch campaign size
-                                             (default 200)
-                           --faulted M       fault-injected requests
-                                             in it (default 20)
-                           --jobs            async-job campaign: submit
-                                             a long march as a durable
-                                             job, SIGKILL the serving
-                                             supervisor mid-march,
-                                             resume on a second host
-                                             and assert bitwise parity,
-                                             exactly-once completion, a
-                                             legal state-machine
-                                             history, cooperative
-                                             cancellation and a clean
-                                             gc; writes the job ledger
-                                             and BENCH_jobs.json to D
-                           --steps N         march length of the chaos
-                                             job (default 40)
-  campaign (--figures | --jobs FILE | --retry-dead-letters
-            | --merge-ledgers L1,L2,...)
-           [-j N] [--full] [--queue-dir D]
-           [--ledger FILE] [--bench FILE] [--compare-serial]
-           [--kill-workers K] [--seed S] [--deadline S]
-           [--host-id H] [--max-skew S]
-                         enqueue a job set and drive the farm until every
-                         job is done or dead-lettered
-                           --figures         the nine-figure suite as jobs
-                           --jobs FILE       JSON list of job specs
-                                             ({"id","kind","payload",...})
-                           -j N              worker count (default 4)
-                           --queue-dir D     durable queue (default: fresh
-                                             temp dir; reuse D to resume)
-                           --ledger FILE     write the campaign ledger JSON
-                           --bench FILE      write a BENCH_farm.json
-                                             throughput record
-                           --compare-serial  also run the suite serially
-                                             and record the speedup
-                                             (--figures only)
-                           --kill-workers K  chaos: SIGKILL K workers at
-                                             seeded random times
-                           --seed S          kill-schedule seed (default 0)
-                           --deadline S      per-job wall-clock budget
-                           --host-id H       this host's identity in a
-                                             shared (multi-host) queue
-                           --max-skew S      cross-host clock-skew bound
-                                             for lease reaping (default 2)
-                           --retry-dead-letters
-                                             requeue the queue's dead-
-                                             lettered jobs with a fresh
-                                             attempt budget (prior
-                                             failure reports preserved)
-                                             and re-run the farm; needs
-                                             --queue-dir, excludes
-                                             --figures/--jobs
-                           --merge-ledgers L1,L2,...
-                                             merge per-host campaign
-                                             ledgers into --ledger FILE;
-                                             with --queue-dir also runs
-                                             the exactly-once journal
-                                             audit over the shared queue
-  jobs ACTION [...]      asynchronous jobs on a durable queue (all
-                         actions print one JSON object; a serving farm
-                         — ``serve --queue-dir D`` — executes them)
-                           submit --queue-dir D KIND [JSON]
-                                             enqueue KIND with payload
-                                             JSON (inline or @FILE);
-                                             prints the job id
-                                             immediately; --id sets an
-                                             explicit id (default:
-                                             content-addressed, so
-                                             resubmits are idempotent);
-                                             --max-attempts/--deadline/
-                                             --memory-mb/--stall-timeout
-                                             set the attempt budget
-                           status --queue-dir D ID
-                                             reconciled state, live
-                                             progress (step/t/residual
-                                             via the heartbeat channel),
-                                             snapshot generations
-                           watch --queue-dir D ID [--timeout S]
-                                             poll status until terminal,
-                                             one JSON line per change
-                           result --queue-dir D ID [--wait S]
-                                             terminal outcome (exit 1
-                                             when failed; with --wait
-                                             blocks up to S for it)
-                           cancel --queue-dir D ID [--escalate-after S]
-                                  [--wait S]
-                                             cooperative cancel flag,
-                                             then SIGTERM -> SIGKILL of
-                                             the advertised child after
-                                             S seconds
-                           gc --queue-dir D [--ttl S] [--keep-last N]
-                              [--include-failed]
-                                             remove artifacts of jobs
-                                             terminal for > S seconds
-                                             (failed ones only with
-                                             --include-failed)
-                           ledger --queue-dir D
-                                             all jobs + exactly-once and
-                                             transition-legality audits
-  serve --queue-dir D [-j N] [--lease-ttl S] [--poll S]
-        [--host-id H] [--max-skew S] [--clock-offset S] [--ledger FILE]
-                         long-running worker pool on a durable queue:
-                         drains jobs as they are enqueued (by campaign
-                         or other processes) until SIGTERM/SIGINT, then
-                         finishes-or-checkpoints and exits
-                           --host-id H       identity under which leases,
-                                             journal lines and workers
-                                             (host:pid) are written —
-                                             several hosts may serve one
-                                             shared/NFS queue directory
-                           --max-skew S      cross-host clock-skew bound
-                                             for lease reaping (default 2)
-                           --clock-offset S  inject S seconds of wall-
-                                             clock skew (chaos/testing;
-                                             may be negative)
-                           --ledger FILE     write this host's campaign
-                                             ledger JSON after the drain
-                                             (for --merge-ledgers)
-  -h, --help             show this message
-
-exit codes: 0 success, 1 solver/invariant failure, 2 usage error\
-"""
+from repro.errors import CatError
 
 
-class _UsageError(Exception):
-    """Bad command line; message is printed and the process exits 2."""
+def _bounded(cast, *, strict: bool = True):
+    """``type=`` callable for a number flag: ``cast`` the text and require
+    it above zero (at least zero when not ``strict``)."""
+    def parse(text: str):
+        value = cast(text)
+        if value < 0 or (strict and value == 0):
+            raise argparse.ArgumentTypeError(
+                f"must be {'positive' if strict else '>= 0'}, got {text}")
+        return value
+    parse.__name__ = cast.__name__  # argparse says "invalid int value"
+    return parse
 
 
-def _usage_error(prefix: str, msg: str) -> None:
-    """Route every usage problem through one door so each misuse prints
-    a ``command: reason`` line plus the usage text and exits 2."""
-    raise _UsageError(f"{prefix}: {msg}")
+_POS_INT, _POS_FLOAT = _bounded(int), _bounded(float)
+_NONNEG_INT = _bounded(int, strict=False)
+_NONNEG_FLOAT = _bounded(float, strict=False)
 
 
-def _positive_float(prefix: str, flag: str, value: str | None) -> float:
-    if value is None:
-        _usage_error(prefix, f"{flag} needs a value")
-    try:
-        out = float(value)
-    except ValueError:
-        _usage_error(prefix, f"{flag} needs a number, got {value!r}")
-    if out <= 0.0:
-        _usage_error(prefix, f"{flag} must be positive, got {value}")
-    return out
-
-
-def _positive_int(prefix: str, flag: str, value: str | None) -> int:
-    if value is None:
-        _usage_error(prefix, f"{flag} needs a value")
-    try:
-        out = int(value)
-    except ValueError:
-        _usage_error(prefix, f"{flag} needs an integer, got {value!r}")
-    if out <= 0:
-        _usage_error(prefix, f"{flag} must be positive, got {value}")
-    return out
+def _given(args: argparse.Namespace, *names: str) -> dict:
+    """The named flags that were set on the command line, as kwargs; the
+    callee keeps its own defaults for the rest."""
+    return {n: getattr(args, n) for n in names
+            if getattr(args, n) is not None}
 
 
 def _overview() -> None:
     import numpy as np
 
     from repro.core import make_gas
-    print(__doc__)
+    print(_build_parser().format_help())
     gas = make_gas("equilibrium-air")
     y, _ = gas.composition_T_p(np.array(8000.0), np.array(101325.0))
     x = gas.db.mass_to_mole(np.atleast_2d(y))[0]
@@ -312,104 +53,44 @@ def _overview() -> None:
           f"x_O = {x[gas.db.index['O']]:.3f} (mostly dissociated)")
 
 
-def _parse_figures(args: list[str]) -> dict:
-    """Parse ``figures`` flags into :func:`run_all` /
-    :func:`run_all_farm` kwargs (farm mode flagged as ``"farm"``)."""
-    kwargs: dict = {"quick": True, "checkpoint_dir": None,
-                    "resume": False}
-    budgets: dict = {}
-    isolate = False
-    farm, n_workers, queue_dir = False, 4, None
-    it = iter(args)
-    for a in it:
-        if a == "--full":
-            kwargs["quick"] = False
-        elif a == "--resume":
-            kwargs["resume"] = True
-        elif a == "--isolate":
-            isolate = True
-        elif a == "--farm":
-            farm = True
-        elif a == "-j":
-            n_workers = _positive_int("figures", a, next(it, None))
-        elif a.startswith("-j="):
-            n_workers = _positive_int("figures", "-j", a.split("=", 1)[1])
-        elif a == "--queue-dir":
-            queue_dir = next(it, None)
-            if queue_dir is None:
-                _usage_error("figures", "--queue-dir needs a directory")
-        elif a.startswith("--queue-dir="):
-            queue_dir = a.split("=", 1)[1]
-        elif a == "--checkpoint-dir":
-            kwargs["checkpoint_dir"] = next(it, None)
-            if kwargs["checkpoint_dir"] is None:
-                _usage_error("figures",
-                             "--checkpoint-dir needs a directory")
-        elif a.startswith("--checkpoint-dir="):
-            kwargs["checkpoint_dir"] = a.split("=", 1)[1]
-        elif a in ("--deadline", "--stall-timeout", "--memory-mb"):
-            key = {"--deadline": "deadline",
-                   "--stall-timeout": "stall_timeout",
-                   "--memory-mb": "memory_mb"}[a]
-            budgets[key] = _positive_float("figures", a, next(it, None))
-        elif (a.startswith("--deadline=")
-              or a.startswith("--stall-timeout=")
-              or a.startswith("--memory-mb=")):
-            flag, value = a.split("=", 1)
-            key = {"--deadline": "deadline",
-                   "--stall-timeout": "stall_timeout",
-                   "--memory-mb": "memory_mb"}[flag]
-            budgets[key] = _positive_float("figures", flag, value)
-        else:
-            _usage_error("figures", f"unknown option {a!r}")
-    if farm:
+def _cmd_figures(args: argparse.Namespace) -> int:
+    error = args.parser.error
+    budgets = _given(args, "deadline", "stall_timeout", "memory_mb")
+    if args.farm:
         conflicts = [f for f, on in
-                     (("--isolate", isolate),
-                      ("--resume", kwargs["resume"]),
+                     (("--isolate", args.isolate),
+                      ("--resume", args.resume),
                       ("--checkpoint-dir",
-                       kwargs["checkpoint_dir"] is not None)) if on]
+                       args.checkpoint_dir is not None)) if on]
         if conflicts:
-            _usage_error("figures", f"--farm conflicts with "
-                         f"{', '.join(conflicts)} (farm workers are "
-                         f"already sandboxed; reuse --queue-dir to "
-                         f"resume a campaign)")
-        return {"farm": True, "quick": kwargs["quick"],
-                "n_workers": n_workers, "queue_dir": queue_dir,
-                **budgets}
-    if queue_dir is not None or n_workers != 4:
-        _usage_error("figures", "-j/--queue-dir require --farm")
-    if kwargs["resume"] and kwargs["checkpoint_dir"] is None:
-        _usage_error("figures", "--resume requires --checkpoint-dir")
-    if budgets and not isolate:
-        flags = ", ".join("--" + k.replace("_", "-") for k in budgets)
-        _usage_error("figures", f"{flags} require(s) --isolate or "
-                     f"--farm")
-    if isolate:
-        from repro.resilience import IsolationPolicy
-        kwargs["isolate"] = IsolationPolicy(**budgets)
-    return kwargs
-
-
-def _cmd_figures(args: list[str]) -> int:
-    kwargs = _parse_figures(args)
-    if kwargs.pop("farm", False):
+            error(f"--farm conflicts with {', '.join(conflicts)} (farm "
+                  f"workers are already sandboxed; reuse --queue-dir to "
+                  f"resume a campaign)")
         from repro.experiments.runner import run_all_farm
-        res = run_all_farm(**kwargs)
-    else:
-        from repro.experiments.runner import run_all
-        res = run_all(**kwargs)
+        res = run_all_farm(quick=not args.full,
+                           n_workers=args.n_workers or 4,
+                           queue_dir=args.queue_dir, **budgets)
+        return 1 if res["failures"] else 0
+    if args.n_workers is not None or args.queue_dir is not None:
+        error("-j/--queue-dir require --farm")
+    if args.resume and args.checkpoint_dir is None:
+        error("--resume requires --checkpoint-dir")
+    if budgets and not args.isolate:
+        flags = ", ".join("--" + k.replace("_", "-") for k in budgets)
+        error(f"{flags} require(s) --isolate or --farm")
+    isolate = None
+    if args.isolate:
+        from repro.resilience import IsolationPolicy
+        isolate = IsolationPolicy(**budgets)
+    from repro.experiments.runner import run_all
+    res = run_all(quick=not args.full, checkpoint_dir=args.checkpoint_dir,
+                  resume=args.resume, isolate=isolate)
     return 1 if res["failures"] else 0
 
 
-def _cmd_stagnation(args: list[str]) -> int:
-    if len(args) != 3:
-        _usage_error("stagnation", "expects V[m/s] h[m] Rn[m]")
-    try:
-        V, h, rn = map(float, args)
-    except ValueError:
-        _usage_error("stagnation",
-                     f"arguments must be numbers, got {args!r}")
+def _cmd_stagnation(args: argparse.Namespace) -> int:
     from repro.core import stagnation_environment
+    V, h, rn = args.V, args.H, args.RN
     env = stagnation_environment(V=V, h=h, nose_radius=rn)
     print(f"V = {V:.0f} m/s, h = {h / 1e3:.1f} km, R_n = {rn} m:")
     print(f"  q_conv   = {env['q_conv'] / 1e4:10.2f} W/cm^2")
@@ -420,166 +101,64 @@ def _cmd_stagnation(args: list[str]) -> int:
     return 0
 
 
-def _cmd_chaos(args: list[str]) -> int:
-    rounds, seed, out, deadline = 5, 0, "chaos-reports", None
-    farm, n_workers, kill_workers, queue_dir = False, 2, 2, None
-    hosts, skew, partition = 0, 0.0, False
-    batch_mode, b_requests, b_faulted = False, 200, 20
-    jobs_mode, j_steps = False, 40
-    it = iter(args)
-    for a in it:
-        if a == "--batch":
-            batch_mode = True
-        elif a == "--jobs":
-            jobs_mode = True
-        elif a == "--steps":
-            j_steps = _positive_int("chaos", a, next(it, None))
-        elif a.startswith("--steps="):
-            j_steps = _positive_int("chaos", "--steps",
-                                    a.split("=", 1)[1])
-        elif a == "--requests":
-            b_requests = _positive_int("chaos", a, next(it, None))
-        elif a.startswith("--requests="):
-            b_requests = _positive_int("chaos", "--requests",
-                                       a.split("=", 1)[1])
-        elif a == "--faulted":
-            b_faulted = _positive_int("chaos", a, next(it, None))
-        elif a.startswith("--faulted="):
-            b_faulted = _positive_int("chaos", "--faulted",
-                                      a.split("=", 1)[1])
-        elif a == "--farm":
-            farm = True
-        elif a == "--partition":
-            partition = True
-        elif a == "--hosts":
-            hosts = _positive_int("chaos", a, next(it, None))
-        elif a.startswith("--hosts="):
-            hosts = _positive_int("chaos", "--hosts",
-                                  a.split("=", 1)[1])
-        elif a == "--skew":
-            # bare --skew injects the default ±5 s; --skew=S tunes it
-            skew = 5.0
-        elif a.startswith("--skew="):
-            skew = _positive_float("chaos", "--skew",
-                                   a.split("=", 1)[1])
-        elif a == "-j":
-            n_workers = _positive_int("chaos", a, next(it, None))
-        elif a.startswith("-j="):
-            n_workers = _positive_int("chaos", "-j", a.split("=", 1)[1])
-        elif a == "--kill-workers":
-            value = next(it, None)
-            if value is None:
-                _usage_error("chaos", "--kill-workers needs a count")
-            try:
-                kill_workers = int(value)
-            except ValueError:
-                _usage_error("chaos", f"--kill-workers needs an "
-                             f"integer, got {value!r}")
-            if kill_workers < 0:
-                _usage_error("chaos", "--kill-workers must be >= 0")
-        elif a.startswith("--kill-workers="):
-            try:
-                kill_workers = int(a.split("=", 1)[1])
-            except ValueError:
-                _usage_error("chaos", f"--kill-workers needs an "
-                             f"integer, got {a.split('=', 1)[1]!r}")
-            if kill_workers < 0:
-                _usage_error("chaos", "--kill-workers must be >= 0")
-        elif a == "--queue-dir":
-            queue_dir = next(it, None)
-            if queue_dir is None:
-                _usage_error("chaos", "--queue-dir needs a directory")
-        elif a.startswith("--queue-dir="):
-            queue_dir = a.split("=", 1)[1]
-        elif a == "--rounds":
-            rounds = _positive_int("chaos", a, next(it, None))
-        elif a.startswith("--rounds="):
-            rounds = _positive_int("chaos", "--rounds",
-                                   a.split("=", 1)[1])
-        elif a == "--seed":
-            value = next(it, None)
-            if value is None:
-                _usage_error("chaos", "--seed needs a value")
-            try:
-                seed = int(value)
-            except ValueError:
-                _usage_error("chaos",
-                             f"--seed needs an integer, got {value!r}")
-        elif a.startswith("--seed="):
-            try:
-                seed = int(a.split("=", 1)[1])
-            except ValueError:
-                _usage_error("chaos", f"--seed needs an integer, "
-                             f"got {a.split('=', 1)[1]!r}")
-        elif a == "--out":
-            out = next(it, None)
-            if out is None:
-                _usage_error("chaos", "--out needs a directory")
-        elif a.startswith("--out="):
-            out = a.split("=", 1)[1]
-        elif a == "--deadline":
-            deadline = _positive_float("chaos", a, next(it, None))
-        elif a.startswith("--deadline="):
-            deadline = _positive_float("chaos", "--deadline",
-                                       a.split("=", 1)[1])
-        else:
-            _usage_error("chaos", f"unknown option {a!r}")
-    if jobs_mode:
-        if batch_mode or farm or hosts:
-            _usage_error("chaos", "--jobs excludes --batch/--farm/"
-                         "--hosts (it drives its own supervisors)")
+def _cmd_chaos(args: argparse.Namespace) -> int:
+    error = args.parser.error
+    deadline = args.deadline
+    if args.jobs:
+        if args.batch or args.farm or args.hosts:
+            error("--jobs excludes --batch/--farm/--hosts (it drives its "
+                  "own supervisors)")
         from repro.service.jobs import run_chaos_jobs
-        return run_chaos_jobs(n_steps=j_steps, out=out,
-                              queue_dir=queue_dir,
-                              deadline=(240.0 if deadline is None
-                                        else deadline))
-    if j_steps != 40:
-        _usage_error("chaos", "--steps requires --jobs")
-    if batch_mode:
-        if farm or hosts or queue_dir is not None:
-            _usage_error("chaos", "--batch excludes --farm/--hosts/"
-                         "--queue-dir (use 'batch --farm' for the "
-                         "farm-sharded service path)")
-        if b_faulted >= b_requests:
-            _usage_error("chaos", f"--faulted {b_faulted} must be "
-                         f"below --requests {b_requests}")
+        return run_chaos_jobs(n_steps=args.steps or 40, out=args.out,
+                              queue_dir=args.queue_dir,
+                              deadline=deadline or 240.0)
+    if args.steps is not None:
+        error("--steps requires --jobs")
+    if args.batch:
+        if args.farm or args.hosts or args.queue_dir is not None:
+            error("--batch excludes --farm/--hosts/--queue-dir (use "
+                  "'batch --farm' for the farm-sharded service path)")
+        requests, faulted = args.requests or 200, args.faulted or 20
+        if faulted >= requests:
+            error(f"--faulted {faulted} must be below --requests "
+                  f"{requests}")
         from repro.service.chaos import run_chaos_batch
-        return run_chaos_batch(requests=b_requests, faulted=b_faulted,
-                               seed=seed, out=out,
-                               deadline=(120.0 if deadline is None
-                                         else deadline))
-    if b_requests != 200 or b_faulted != 20:
-        _usage_error("chaos", "--requests/--faulted require --batch")
-    if hosts and not farm:
-        _usage_error("chaos", "--hosts requires --farm")
-    if (skew or partition) and not hosts:
-        _usage_error("chaos", "--skew/--partition require --hosts N")
-    if hosts:
+        return run_chaos_batch(requests=requests, faulted=faulted,
+                               seed=args.seed, out=args.out,
+                               deadline=deadline or 120.0)
+    if args.requests is not None or args.faulted is not None:
+        error("--requests/--faulted require --batch")
+    if args.hosts and not args.farm:
+        error("--hosts requires --farm")
+    if (args.skew or args.partition) and not args.hosts:
+        error("--skew/--partition require --hosts N")
+    n_workers = args.n_workers or 2
+    if args.hosts:
         # distributed mode: --rounds counts bitwise-verified solver
         # jobs and --deadline bounds the whole campaign
         from repro.resilience.chaos import run_chaos_hosts
         return run_chaos_hosts(
-            hosts=hosts, rounds=rounds, seed=seed, out=out,
-            n_workers=n_workers, skew=skew, partition=partition,
-            deadline=240.0 if deadline is None else deadline,
-            queue_dir=queue_dir)
-    if deadline is None:
-        deadline = 30.0
-    if farm:
+            hosts=args.hosts, rounds=args.rounds, seed=args.seed,
+            out=args.out, n_workers=n_workers, skew=args.skew,
+            partition=args.partition, deadline=deadline or 240.0,
+            queue_dir=args.queue_dir)
+    if args.farm:
         from repro.resilience.chaos import run_chaos_farm
-        return run_chaos_farm(rounds=rounds, seed=seed, out=out,
-                              deadline=deadline, n_workers=n_workers,
-                              kill_workers=kill_workers,
-                              queue_dir=queue_dir)
-    if n_workers != 2 or kill_workers != 2 or queue_dir is not None:
-        _usage_error("chaos",
-                     "-j/--kill-workers/--queue-dir require --farm")
+        return run_chaos_farm(
+            rounds=args.rounds, seed=args.seed, out=args.out,
+            deadline=deadline or 30.0, n_workers=n_workers,
+            kill_workers=(2 if args.kill_workers is None
+                          else args.kill_workers),
+            queue_dir=args.queue_dir)
+    if (args.n_workers is not None or args.kill_workers is not None
+            or args.queue_dir is not None):
+        error("-j/--kill-workers/--queue-dir require --farm")
     from repro.resilience.chaos import run_chaos
-    return run_chaos(rounds=rounds, seed=seed, out=out,
-                     deadline=deadline)
+    return run_chaos(rounds=args.rounds, seed=args.seed, out=args.out,
+                     deadline=deadline or 30.0)
 
 
-def _degrade_smoke(out: str) -> int:
+def _cmd_degrade_smoke(args: argparse.Namespace) -> int:
     """Degradation-cascade smoke: a persistent density fault that kills
     the plain rollback ladder must complete once the cascade is armed.
 
@@ -593,7 +172,6 @@ def _degrade_smoke(out: str) -> int:
 
     import numpy as np
 
-    from repro.errors import CatError
     from repro.geometry import Hemisphere
     from repro.grid import blunt_body_grid
     from repro.resilience import (DegradationPolicy, FaultInjector,
@@ -650,12 +228,12 @@ def _degrade_smoke(out: str) -> int:
           f"{ledger['n_promotions']} re-promotion(s), "
           f"{n_q} cell(s) quarantined, "
           f"{len(s.watchdog_events)} watchdog event(s)")
-    with open(out, "w") as f:
+    with open(args.out, "w") as f:
         json.dump({"ledger": ledger,
                    "quarantined_cells": n_q,
                    "n_watchdog_events": len(s.watchdog_events),
                    "steps": int(s.steps)}, f, indent=2)
-    print(f"  ledger written to {out}")
+    print(f"  ledger written to {args.out}")
     if not ledger["n_demotions"]:
         print("  ERROR: completed without any demotion — the fault no "
               "longer exercises the cascade", file=sys.stderr)
@@ -663,24 +241,7 @@ def _degrade_smoke(out: str) -> int:
     return 0
 
 
-def _cmd_degrade_smoke(args: list[str]) -> int:
-    out = "degradation_ledger.json"
-    rest = list(args)
-    if rest and rest[0] == "--out":
-        if len(rest) < 2:
-            _usage_error("degrade-smoke", "--out needs a path")
-        out = rest[1]
-        rest = rest[2:]
-    elif rest and rest[0].startswith("--out="):
-        out = rest[0].split("=", 1)[1]
-        rest = rest[1:]
-    if rest:
-        _usage_error("degrade-smoke", f"unknown option {rest[0]!r}")
-    return _degrade_smoke(out)
-
-
-def _merge_ledgers_cmd(paths: list[str], ledger_file: str | None,
-                       queue_dir: str | None) -> int:
+def _merge_ledgers_cmd(args: argparse.Namespace, paths: list[str]) -> int:
     """``campaign --merge-ledgers``: fold per-host campaign ledgers
     into one view; with ``--queue-dir`` also run the exactly-once
     journal audit over the shared queue."""
@@ -693,25 +254,24 @@ def _merge_ledgers_cmd(paths: list[str], ledger_file: str | None,
             with open(path) as f:
                 ledgers.append(json.load(f))
         except (OSError, ValueError) as exc:
-            _usage_error("campaign",
-                         f"cannot read ledger {path!r}: {exc}")
+            args.parser.error(f"cannot read ledger {path!r}: {exc}")
     merged = merge_ledgers(ledgers)
     ok = bool(merged.get("ok"))
-    if queue_dir is not None:
+    if args.queue_dir is not None:
         from repro.resilience.queue import WorkQueue
-        audit = audit_exactly_once(WorkQueue(queue_dir))
+        audit = audit_exactly_once(WorkQueue(args.queue_dir))
         merged["exactly_once_audit"] = audit
         ok = ok and audit["ok"]
-        print(f"campaign: exactly-once audit over {queue_dir}: "
+        print(f"campaign: exactly-once audit over {args.queue_dir}: "
               f"{'ok' if audit['ok'] else 'VIOLATED'} "
               f"({audit['jobs_completed']} completion(s), "
               f"{len(audit['double_completions'])} double, "
               f"{len(audit['done_without_complete'])} unaccounted)")
-    if ledger_file is not None:
-        with open(ledger_file, "w") as f:
+    if args.ledger is not None:
+        with open(args.ledger, "w") as f:
             json.dump(merged, f, indent=1, default=str)
         print(f"campaign: merged ledger ({len(ledgers)} host ledger(s))"
-              f" written to {ledger_file}")
+              f" written to {args.ledger}")
     else:
         print(json.dumps(merged, indent=1, default=str))
     print(f"campaign: merged view — jobs {merged.get('jobs')}, hosts "
@@ -721,116 +281,29 @@ def _merge_ledgers_cmd(paths: list[str], ledger_file: str | None,
     return 0 if ok else 1
 
 
-def _cmd_campaign(args: list[str]) -> int:
-    figures, jobs_file, n_workers, full = False, None, 4, False
-    queue_dir, ledger_file, bench_file = None, None, None
-    compare_serial, kill_workers, seed, deadline = False, 0, 0, None
-    merge_paths: list[str] = []
-    retry_dead, host_id, max_skew = False, None, 2.0
-    it = iter(args)
-    for a in it:
-        if a == "--figures":
-            figures = True
-        elif a == "--full":
-            full = True
-        elif a == "--compare-serial":
-            compare_serial = True
-        elif a == "--retry-dead-letters":
-            retry_dead = True
-        elif a == "--merge-ledgers":
-            value = next(it, None)
-            if value is None:
-                _usage_error("campaign", "--merge-ledgers needs ledger "
-                             "path(s), comma-separated or repeated")
-            merge_paths.extend(p for p in value.split(",") if p)
-        elif a.startswith("--merge-ledgers="):
-            merge_paths.extend(p for p in
-                               a.split("=", 1)[1].split(",") if p)
-        elif a == "--host-id":
-            host_id = next(it, None)
-            if host_id is None:
-                _usage_error("campaign", "--host-id needs a name")
-        elif a.startswith("--host-id="):
-            host_id = a.split("=", 1)[1]
-        elif a == "--max-skew":
-            max_skew = _positive_float("campaign", a, next(it, None))
-        elif a.startswith("--max-skew="):
-            max_skew = _positive_float("campaign", "--max-skew",
-                                       a.split("=", 1)[1])
-        elif a == "-j":
-            n_workers = _positive_int("campaign", a, next(it, None))
-        elif a.startswith("-j="):
-            n_workers = _positive_int("campaign", "-j",
-                                      a.split("=", 1)[1])
-        elif a == "--kill-workers":
-            kill_workers = _positive_int("campaign", a, next(it, None))
-        elif a.startswith("--kill-workers="):
-            kill_workers = _positive_int("campaign", "--kill-workers",
-                                         a.split("=", 1)[1])
-        elif a == "--seed":
-            value = next(it, None)
-            if value is None:
-                _usage_error("campaign", "--seed needs a value")
-            try:
-                seed = int(value)
-            except ValueError:
-                _usage_error("campaign",
-                             f"--seed needs an integer, got {value!r}")
-        elif a.startswith("--seed="):
-            try:
-                seed = int(a.split("=", 1)[1])
-            except ValueError:
-                _usage_error("campaign", f"--seed needs an integer, "
-                             f"got {a.split('=', 1)[1]!r}")
-        elif a == "--deadline":
-            deadline = _positive_float("campaign", a, next(it, None))
-        elif a.startswith("--deadline="):
-            deadline = _positive_float("campaign", "--deadline",
-                                       a.split("=", 1)[1])
-        elif a in ("--jobs", "--queue-dir", "--ledger", "--bench"):
-            value = next(it, None)
-            if value is None:
-                _usage_error("campaign", f"{a} needs a path")
-            if a == "--jobs":
-                jobs_file = value
-            elif a == "--queue-dir":
-                queue_dir = value
-            elif a == "--ledger":
-                ledger_file = value
-            else:
-                bench_file = value
-        elif (a.startswith("--jobs=") or a.startswith("--queue-dir=")
-              or a.startswith("--ledger=") or a.startswith("--bench=")):
-            flag, value = a.split("=", 1)
-            if flag == "--jobs":
-                jobs_file = value
-            elif flag == "--queue-dir":
-                queue_dir = value
-            elif flag == "--ledger":
-                ledger_file = value
-            else:
-                bench_file = value
-        else:
-            _usage_error("campaign", f"unknown option {a!r}")
+def _cmd_campaign(args: argparse.Namespace) -> int:
+    error = args.parser.error
+    figures, jobs_file, full = args.figures, args.jobs, args.full
+    merge_paths = [p for value in args.merge_ledgers or ()
+                   for p in value.split(",") if p]
     if merge_paths:
-        if figures or jobs_file or retry_dead or compare_serial:
-            _usage_error("campaign", "--merge-ledgers merges existing "
-                         "per-host ledgers; it excludes --figures/"
-                         "--jobs/--retry-dead-letters/--compare-serial")
-        return _merge_ledgers_cmd(merge_paths, ledger_file, queue_dir)
-    if retry_dead:
-        if queue_dir is None:
-            _usage_error("campaign", "--retry-dead-letters needs "
-                         "--queue-dir (the queue holding the dead "
-                         "letters)")
+        if (figures or jobs_file or args.retry_dead_letters
+                or args.compare_serial):
+            error("--merge-ledgers merges existing per-host ledgers; it "
+                  "excludes --figures/--jobs/--retry-dead-letters/"
+                  "--compare-serial")
+        return _merge_ledgers_cmd(args, merge_paths)
+    if args.retry_dead_letters:
+        if args.queue_dir is None:
+            error("--retry-dead-letters needs --queue-dir (the queue "
+                  "holding the dead letters)")
         if figures or jobs_file is not None:
-            _usage_error("campaign", "--retry-dead-letters re-runs the "
-                         "existing queue; it excludes --figures/--jobs")
+            error("--retry-dead-letters re-runs the existing queue; it "
+                  "excludes --figures/--jobs")
     elif figures == (jobs_file is not None):
-        _usage_error("campaign",
-                     "exactly one of --figures / --jobs FILE required")
-    if compare_serial and not figures:
-        _usage_error("campaign", "--compare-serial requires --figures")
+        error("exactly one of --figures / --jobs FILE required")
+    if args.compare_serial and not figures:
+        error("--compare-serial requires --figures")
 
     import io
     import json
@@ -843,7 +316,7 @@ def _cmd_campaign(args: list[str]) -> int:
     from repro.resilience.queue import Job, WorkQueue
 
     serial_wall = None
-    if compare_serial:
+    if args.compare_serial:
         from repro.experiments.runner import run_all
         print(f"campaign: serial reference suite "
               f"({'full' if full else 'quick'}) ...")
@@ -853,14 +326,14 @@ def _cmd_campaign(args: list[str]) -> int:
         print(f"campaign: serial suite took {serial_wall:.1f} s "
               f"({len(serial_res['failures'])} failure(s))")
 
-    if queue_dir is None:
-        queue_dir = tempfile.mkdtemp(prefix="repro-campaign-")
-    policy = FarmPolicy(n_workers=n_workers, deadline=deadline,
-                        host_id=host_id, max_skew=max_skew)
+    queue_dir = args.queue_dir or tempfile.mkdtemp(prefix="repro-campaign-")
+    policy = FarmPolicy(n_workers=args.n_workers, deadline=args.deadline,
+                        host_id=args.host_id, max_skew=args.max_skew)
     queue = WorkQueue(queue_dir, lease_ttl=policy.lease_ttl,
-                      backoff=policy.backoff, host_id=host_id,
-                      max_skew=max_skew)
-    if retry_dead:
+                      backoff=policy.backoff, host_id=args.host_id,
+                      max_skew=args.max_skew)
+    jobs = []
+    if args.retry_dead_letters:
         requeued = queue.retry_dead_letters()
         if not requeued:
             print(f"campaign: no dead-lettered jobs in {queue_dir}")
@@ -874,24 +347,21 @@ def _cmd_campaign(args: list[str]) -> int:
                     payload={"module": mod.__name__.rsplit(".", 1)[1],
                              "quick": not full})
                 for name, mod in _MODULES]
-        for job in jobs:
-            queue.enqueue(job)
     else:
         try:
             with open(jobs_file) as f:
                 specs = json.load(f)
         except (OSError, ValueError) as exc:
-            _usage_error("campaign",
-                         f"cannot read --jobs {jobs_file!r}: {exc}")
+            error(f"cannot read --jobs {jobs_file!r}: {exc}")
         if not isinstance(specs, list):
-            _usage_error("campaign", "--jobs FILE must hold a JSON "
-                         "list of job specs")
+            error("--jobs FILE must hold a JSON list of job specs")
         jobs = [Job.from_dict(s) for s in specs]
-        for job in jobs:
-            queue.enqueue(job)
+    for job in jobs:
+        queue.enqueue(job)
     plan = None
-    if kill_workers:
-        plan = WorkerKillPlan(seed=seed + 1000, kills=kill_workers,
+    if args.kill_workers:
+        plan = WorkerKillPlan(seed=args.seed + 1000,
+                              kills=args.kill_workers,
                               min_interval=1.0, max_interval=8.0)
     farm = Farm(queue, policy, label="campaign", kill_plan=plan)
     t0 = time.monotonic()
@@ -901,18 +371,18 @@ def _cmd_campaign(args: list[str]) -> int:
         ledger["serial_wall_time"] = serial_wall
         ledger["speedup_vs_serial"] = (round(serial_wall / wall, 3)
                                        if wall > 0 else None)
-    if ledger_file is not None:
-        with open(ledger_file, "w") as f:
+    if args.ledger is not None:
+        with open(args.ledger, "w") as f:
             json.dump(ledger, f, indent=1, default=str)
-        print(f"campaign: ledger written to {ledger_file}")
-    if bench_file is not None:
+        print(f"campaign: ledger written to {args.ledger}")
+    if args.bench is not None:
         bench = bench_from_journal(queue, wall_time=wall,
-                                   n_workers=n_workers)
+                                   n_workers=args.n_workers)
         if serial_wall is not None:
             bench["serial_wall_s"] = serial_wall
             bench["speedup_vs_serial"] = ledger["speedup_vs_serial"]
-        write_bench_json(bench_file, bench)
-        print(f"campaign: bench record written to {bench_file}")
+        write_bench_json(args.bench, bench)
+        print(f"campaign: bench record written to {args.bench}")
     n_dead = len(ledger["dead_letter"])
     print(f"campaign: {ledger['jobs']} in {ledger['wall_time']:.1f} s "
           f"({ledger['attempts']} attempt(s), "
@@ -924,86 +394,22 @@ def _cmd_campaign(args: list[str]) -> int:
     return 0 if ledger["ok"] and not n_dead else 1
 
 
-def _float_any(prefix: str, flag: str, value: str | None) -> float:
-    """A float flag that may legitimately be negative (clock offsets,
-    skews injected in either direction)."""
-    if value is None:
-        _usage_error(prefix, f"{flag} needs a value")
-    try:
-        return float(value)
-    except ValueError:
-        _usage_error(prefix, f"{flag} needs a number, got {value!r}")
-
-
-def _cmd_serve(args: list[str]) -> int:
-    queue_dir, n_workers, lease_ttl, poll = None, 2, 15.0, 0.25
-    host_id, max_skew, clock_offset = None, 2.0, 0.0
-    ledger_file = None
-    it = iter(args)
-    for a in it:
-        if a == "--queue-dir":
-            queue_dir = next(it, None)
-            if queue_dir is None:
-                _usage_error("serve", "--queue-dir needs a directory")
-        elif a.startswith("--queue-dir="):
-            queue_dir = a.split("=", 1)[1]
-        elif a == "--host-id":
-            host_id = next(it, None)
-            if host_id is None:
-                _usage_error("serve", "--host-id needs a name")
-        elif a.startswith("--host-id="):
-            host_id = a.split("=", 1)[1]
-        elif a == "-j":
-            n_workers = _positive_int("serve", a, next(it, None))
-        elif a.startswith("-j="):
-            n_workers = _positive_int("serve", "-j", a.split("=", 1)[1])
-        elif a == "--lease-ttl":
-            lease_ttl = _positive_float("serve", a, next(it, None))
-        elif a.startswith("--lease-ttl="):
-            lease_ttl = _positive_float("serve", "--lease-ttl",
-                                        a.split("=", 1)[1])
-        elif a == "--max-skew":
-            max_skew = _positive_float("serve", a, next(it, None))
-        elif a.startswith("--max-skew="):
-            max_skew = _positive_float("serve", "--max-skew",
-                                       a.split("=", 1)[1])
-        elif a == "--clock-offset":
-            # chaos/testing knob: inject wall-clock skew (either sign)
-            clock_offset = _float_any("serve", a, next(it, None))
-        elif a.startswith("--clock-offset="):
-            clock_offset = _float_any("serve", "--clock-offset",
-                                      a.split("=", 1)[1])
-        elif a == "--poll":
-            poll = _positive_float("serve", a, next(it, None))
-        elif a.startswith("--poll="):
-            poll = _positive_float("serve", "--poll",
-                                   a.split("=", 1)[1])
-        elif a == "--ledger":
-            ledger_file = next(it, None)
-            if ledger_file is None:
-                _usage_error("serve", "--ledger needs a path")
-        elif a.startswith("--ledger="):
-            ledger_file = a.split("=", 1)[1]
-        else:
-            _usage_error("serve", f"unknown option {a!r}")
-    if queue_dir is None:
-        _usage_error("serve", "--queue-dir is required (the durable "
-                     "queue other processes enqueue into)")
+def _cmd_serve(args: argparse.Namespace) -> int:
     import json
 
     from repro.resilience.farm import Farm, FarmPolicy
-    policy = FarmPolicy(n_workers=n_workers, lease_ttl=lease_ttl,
-                        poll_interval=poll, drain_when_idle=False,
-                        host_id=host_id, max_skew=max_skew,
-                        clock_offset=clock_offset)
-    farm = Farm(queue_dir, policy, label="serve")
-    print(f"serve: {n_workers} worker(s) on {queue_dir} as host "
-          f"{farm.host} (SIGTERM to drain)")
+    policy = FarmPolicy(n_workers=args.n_workers, lease_ttl=args.lease_ttl,
+                        poll_interval=args.poll, drain_when_idle=False,
+                        host_id=args.host_id, max_skew=args.max_skew,
+                        clock_offset=args.clock_offset)
+    farm = Farm(args.queue_dir, policy, label="serve")
+    print(f"serve: {args.n_workers} worker(s) on {args.queue_dir} as "
+          f"host {farm.host} (SIGTERM to drain)")
     code = farm.serve()
-    if ledger_file and farm.last_ledger is not None:
-        with open(ledger_file, "w") as f:
+    if args.ledger and farm.last_ledger is not None:
+        with open(args.ledger, "w") as f:
             json.dump(farm.last_ledger, f, indent=1)
-        print(f"serve: ledger written to {ledger_file}")
+        print(f"serve: ledger written to {args.ledger}")
     return code
 
 
@@ -1015,11 +421,8 @@ def _read_jsonl_requests(path: str | None) -> list:
     if path is None or path == "-":
         lines = sys.stdin.read().splitlines()
     else:
-        try:
-            with open(path) as f:
-                lines = f.read().splitlines()
-        except OSError as err:
-            _usage_error("batch", f"cannot read {path!r}: {err}")
+        with open(path) as f:
+            lines = f.read().splitlines()
     requests = []
     for line in lines:
         line = line.strip()
@@ -1032,134 +435,58 @@ def _read_jsonl_requests(path: str | None) -> list:
     return requests
 
 
-def _cmd_batch(args: list[str]) -> int:
+def _cmd_batch(args: argparse.Namespace) -> int:
     import json
 
-    infile, out, ledger_file, bench_file = None, None, None, None
-    farm, n_workers, queue_dir, chunk_size = False, None, None, None
-    deadline, request_deadline, shed_above = None, None, None
-    isolate, allow_faults, dedup = "auto", False, True
-    it = iter(args)
-    for a in it:
-        if a == "--farm":
-            farm = True
-        elif a == "--allow-faults":
-            allow_faults = True
-        elif a == "--no-dedup":
-            dedup = False
-        elif a == "-j":
-            n_workers = _positive_int("batch", a, next(it, None))
-        elif a.startswith("-j="):
-            n_workers = _positive_int("batch", "-j", a.split("=", 1)[1])
-        elif a == "--queue-dir":
-            queue_dir = next(it, None)
-            if queue_dir is None:
-                _usage_error("batch", "--queue-dir needs a directory")
-        elif a.startswith("--queue-dir="):
-            queue_dir = a.split("=", 1)[1]
-        elif a == "--chunk-size":
-            chunk_size = _positive_int("batch", a, next(it, None))
-        elif a.startswith("--chunk-size="):
-            chunk_size = _positive_int("batch", "--chunk-size",
-                                       a.split("=", 1)[1])
-        elif a == "--deadline":
-            deadline = _positive_float("batch", a, next(it, None))
-        elif a.startswith("--deadline="):
-            deadline = _positive_float("batch", "--deadline",
-                                       a.split("=", 1)[1])
-        elif a == "--request-deadline":
-            request_deadline = _positive_float("batch", a,
-                                               next(it, None))
-        elif a.startswith("--request-deadline="):
-            request_deadline = _positive_float(
-                "batch", "--request-deadline", a.split("=", 1)[1])
-        elif a == "--shed-above":
-            shed_above = _positive_int("batch", a, next(it, None))
-        elif a.startswith("--shed-above="):
-            shed_above = _positive_int("batch", "--shed-above",
-                                       a.split("=", 1)[1])
-        elif a == "--isolate":
-            isolate = next(it, None)
-            if isolate not in ("auto", "always", "never"):
-                _usage_error("batch", f"--isolate needs auto/always/"
-                             f"never, got {isolate!r}")
-        elif a.startswith("--isolate="):
-            isolate = a.split("=", 1)[1]
-            if isolate not in ("auto", "always", "never"):
-                _usage_error("batch", f"--isolate needs auto/always/"
-                             f"never, got {isolate!r}")
-        elif a == "--out":
-            out = next(it, None)
-            if out is None:
-                _usage_error("batch", "--out needs a path")
-        elif a.startswith("--out="):
-            out = a.split("=", 1)[1]
-        elif a == "--ledger":
-            ledger_file = next(it, None)
-            if ledger_file is None:
-                _usage_error("batch", "--ledger needs a path")
-        elif a.startswith("--ledger="):
-            ledger_file = a.split("=", 1)[1]
-        elif a == "--bench":
-            bench_file = next(it, None)
-            if bench_file is None:
-                _usage_error("batch", "--bench needs a path")
-        elif a.startswith("--bench="):
-            bench_file = a.split("=", 1)[1]
-        elif a.startswith("-"):
-            _usage_error("batch", f"unknown option {a!r}")
-        elif infile is None:
-            infile = a
-        else:
-            _usage_error("batch", f"unexpected argument {a!r}")
-    if not farm and (queue_dir is not None or chunk_size is not None
-                     or n_workers is not None):
-        _usage_error("batch", "-j/--queue-dir/--chunk-size require "
-                     "--farm")
-
-    requests = _read_jsonl_requests(infile)
+    error = args.parser.error
+    farm = args.farm
+    if not farm and (args.queue_dir is not None
+                     or args.chunk_size is not None
+                     or args.n_workers is not None):
+        error("-j/--queue-dir/--chunk-size require --farm")
+    n_workers = (args.n_workers or 2) if farm else 1
+    try:
+        requests = _read_jsonl_requests(args.file)
+    except OSError as err:
+        error(f"cannot read {args.file!r}: {err}")
     if not requests:
-        _usage_error("batch", "no requests (JSON-lines on stdin or in "
-                     "FILE, one request object per line)")
+        error("no requests (JSON-lines on stdin or in FILE, one request "
+              "object per line)")
 
     from repro.service.batch import (BatchPolicy, batch_bench_record,
                                      evaluate_batch,
                                      evaluate_batch_farm)
-    kwargs = {"deadline": deadline, "shed_above": shed_above,
-              "isolate": isolate, "allow_faults": allow_faults,
-              "dedup": dedup}
-    if request_deadline is not None:
-        kwargs["request_deadline"] = request_deadline
-    if chunk_size is not None:
-        kwargs["chunk_size"] = chunk_size
-    policy = BatchPolicy(**kwargs)
-
+    policy = BatchPolicy(deadline=args.deadline,
+                         shed_above=args.shed_above,
+                         isolate=args.isolate,
+                         allow_faults=args.allow_faults,
+                         dedup=not args.no_dedup,
+                         **_given(args, "request_deadline", "chunk_size"))
     if farm:
         import tempfile
-        qdir = queue_dir or tempfile.mkdtemp(prefix="batch-queue-")
+        qdir = args.queue_dir or tempfile.mkdtemp(prefix="batch-queue-")
         result = evaluate_batch_farm(requests, policy, queue_dir=qdir,
-                                     n_workers=n_workers or 2,
-                                     chunk_size=chunk_size,
+                                     n_workers=n_workers,
+                                     chunk_size=args.chunk_size,
                                      stream=sys.stderr)
     else:
         result = evaluate_batch(requests, policy)
 
     lines = "\n".join(json.dumps(e.to_dict(), default=str)
                       for e in result.envelopes)
-    if out:
-        with open(out, "w") as f:
+    if args.out:
+        with open(args.out, "w") as f:
             f.write(lines + "\n")
     else:
         print(lines)
-    if ledger_file:
-        with open(ledger_file, "w") as f:
+    if args.ledger:
+        with open(args.ledger, "w") as f:
             json.dump(result.ledger, f, indent=1, default=str)
-    if bench_file:
+    if args.bench:
         from repro.resilience.farm import write_bench_json
-        write_bench_json(bench_file,
-                         batch_bench_record(
-                             result, mode="farm" if farm else "local",
-                             n_workers=n_workers if farm else 1))
+        write_bench_json(args.bench, batch_bench_record(
+            result, mode="farm" if farm else "local",
+            n_workers=n_workers))
     led = result.ledger
     counts = led.get("counts", {})
     n_failed = counts.get("failed", 0)
@@ -1170,134 +497,67 @@ def _cmd_batch(args: list[str]) -> int:
     return 0 if led.get("ok") and n_failed == 0 else 1
 
 
-def _cmd_jobs(args: list[str]) -> int:
+def _cmd_jobs(args: argparse.Namespace) -> int:
     """``jobs ACTION`` — the async-job client surface.  Every action
     prints one JSON object (or one per change, for ``watch``) so the
     output is scriptable; exit 0 on success, 1 when the job itself
     failed or an audit is violated, 2 on usage errors."""
     import json
-    if not args:
-        _usage_error("jobs", "expects an action: submit, status, "
-                     "watch, result, cancel, gc, ledger")
-    action, rest = args[0], args[1:]
-    if action not in ("submit", "status", "watch", "result", "cancel",
-                      "gc", "ledger"):
-        _usage_error("jobs", f"unknown action {action!r}")
-    prefix = f"jobs {action}"
-    queue_dir, job_id, payload_arg, kind = None, None, None, None
-    opts: dict = {}
-    flags_num = {"--max-attempts": ("max_attempts", int),
-                 "--priority": ("priority", int),
-                 "--keep-last": ("keep_last", int),
-                 "--deadline": ("deadline", float),
-                 "--memory-mb": ("memory_mb", float),
-                 "--stall-timeout": ("stall_timeout", float),
-                 "--timeout": ("timeout", float),
-                 "--wait": ("wait", float),
-                 "--poll": ("poll", float),
-                 "--escalate-after": ("escalate_after", float),
-                 "--ttl": ("ttl", float)}
-    it = iter(rest)
-    for a in it:
-        if a == "--queue-dir":
-            queue_dir = next(it, None)
-            if queue_dir is None:
-                _usage_error(prefix, "--queue-dir needs a directory")
-        elif a.startswith("--queue-dir="):
-            queue_dir = a.split("=", 1)[1]
-        elif a == "--id":
-            job_id = next(it, None)
-            if job_id is None:
-                _usage_error(prefix, "--id needs a job id")
-        elif a.startswith("--id="):
-            job_id = a.split("=", 1)[1]
-        elif a == "--reason":
-            opts["reason"] = next(it, None)
-            if opts["reason"] is None:
-                _usage_error(prefix, "--reason needs text")
-        elif a.startswith("--reason="):
-            opts["reason"] = a.split("=", 1)[1]
-        elif a == "--include-failed":
-            opts["include_failed"] = True
-        elif a in flags_num or a.split("=", 1)[0] in flags_num:
-            flag, _, inline = a.partition("=")
-            key, cast = flags_num[flag]
-            value = inline if inline else next(it, None)
-            if value is None:
-                _usage_error(prefix, f"{flag} needs a value")
-            try:
-                opts[key] = cast(value)
-            except ValueError:
-                _usage_error(prefix, f"{flag} needs a number, "
-                             f"got {value!r}")
-        elif a.startswith("-"):
-            _usage_error(prefix, f"unknown option {a!r}")
-        elif action == "submit" and kind is None:
-            kind = a
-        elif action == "submit" and payload_arg is None:
-            payload_arg = a
-        elif action in ("status", "watch", "result", "cancel") \
-                and job_id is None:
-            job_id = a
-        else:
-            _usage_error(prefix, f"unexpected argument {a!r}")
-    if queue_dir is None:
-        _usage_error(prefix, "--queue-dir is required (the durable "
-                     "queue a 'serve' farm drains)")
-    needs_id = action in ("status", "watch", "result", "cancel")
-    if needs_id and job_id is None:
-        _usage_error(prefix, "expects a job id")
-    if action == "submit" and kind is None:
-        _usage_error(prefix, "expects a job KIND (and optional "
-                     "payload JSON, inline or @FILE)")
 
-    from repro.service.jobs import JOB_TERMINAL, FAILED, JobManager
-    manager = JobManager(queue_dir)
+    from repro.service.jobs import FAILED, JOB_TERMINAL, JobManager
+    error, action = args.parser.error, args.action
+    job_id = getattr(args, "job_id", None)
+    if action in ("status", "watch", "result", "cancel"):
+        job_id = job_id if job_id is not None else args.job
+        if job_id is None:
+            error("expects a job id")
+    manager = JobManager(args.queue_dir)
+    if action == "watch":
+        out = manager.watch(job_id, stream=sys.stdout,
+                            **_given(args, "timeout", "poll"))
+        return 0 if (out["state"] in JOB_TERMINAL
+                     and out["state"] != FAILED) else 1
     if action == "submit":
         payload = {}
-        if payload_arg is not None:
-            raw = payload_arg
+        if args.payload is not None:
+            raw = args.payload
             if raw.startswith("@"):
                 try:
                     with open(raw[1:]) as f:
                         raw = f.read()
                 except OSError as exc:
-                    _usage_error(prefix, f"cannot read payload file "
-                                 f"{raw[1:]!r}: {exc}")
+                    error(f"cannot read payload file {raw[1:]!r}: {exc}")
             try:
                 payload = json.loads(raw)
             except json.JSONDecodeError as exc:
-                _usage_error(prefix, f"payload is not valid JSON: "
-                             f"{exc}")
+                error(f"payload is not valid JSON: {exc}")
             if not isinstance(payload, dict):
-                _usage_error(prefix, "payload must be a JSON object")
-        out = manager.submit(kind, payload, job_id=job_id, **opts)
-        print(json.dumps(out, indent=1, default=str))
-        return 0
-    if action == "status":
+                error("payload must be a JSON object")
+        out = manager.submit(args.kind, payload, job_id=job_id,
+                             **_given(args, "priority", "max_attempts",
+                                      "deadline", "memory_mb",
+                                      "stall_timeout"))
+    elif action == "status":
         out = manager.status(job_id)
-        print(json.dumps(out, indent=1, default=str))
-        return 0 if out["state"] != FAILED else 1
-    if action == "watch":
-        out = manager.watch(job_id, stream=sys.stdout, **opts)
-        return 0 if (out["state"] in JOB_TERMINAL
-                     and out["state"] != FAILED) else 1
-    if action == "result":
-        out = manager.result(job_id, **opts)
-        print(json.dumps(out, indent=1, default=str))
-        return 0 if out.get("ready") and out["state"] != FAILED else 1
-    if action == "cancel":
-        out = manager.cancel(job_id, **opts)
-        print(json.dumps(out, indent=1, default=str))
-        return 0
-    if action == "gc":
-        out = manager.gc(**opts)
-        print(json.dumps(out, indent=1, default=str))
-        return 0
-    out = manager.ledger()
+    elif action == "result":
+        out = manager.result(job_id, **_given(args, "wait", "poll"))
+    elif action == "cancel":
+        out = manager.cancel(job_id, **_given(
+            args, "reason", "escalate_after", "wait", "poll"))
+    elif action == "gc":
+        out = manager.gc(include_failed=args.include_failed,
+                         **_given(args, "ttl", "keep_last"))
+    else:
+        out = manager.ledger()
     print(json.dumps(out, indent=1, default=str))
-    return 0 if (out["audit"]["ok"]
-                 and out["transitions_audit"]["ok"]) else 1
+    if action == "status":
+        return 0 if out["state"] != FAILED else 1
+    if action == "result":
+        return 0 if out.get("ready") and out["state"] != FAILED else 1
+    if action == "ledger":
+        return 0 if (out["audit"]["ok"]
+                     and out["transitions_audit"]["ok"]) else 1
+    return 0
 
 
 _COMMANDS = {
@@ -1312,34 +572,226 @@ _COMMANDS = {
 }
 
 
+def _build_parser() -> argparse.ArgumentParser:
+    """The whole ``python -m repro`` command line: one subparser per
+    command and per ``jobs`` action.  A flag that only counts in one
+    mode defaults to None, so the command can tell "given" from "left
+    at the default" and fills the real default in after its checks."""
+    farm = argparse.ArgumentParser(add_help=False)
+    farm.add_argument("--farm", action="store_true",
+                      help="run on the solve farm (sandboxed workers)")
+    farm.add_argument("-j", dest="n_workers", type=_POS_INT, metavar="N",
+                      help="farm worker count")
+    farm.add_argument("--queue-dir", metavar="D",
+                      help="durable farm queue (reuse D to resume)")
+    budgets = argparse.ArgumentParser(add_help=False)
+    budgets.add_argument("--deadline", type=_POS_FLOAT, metavar="S",
+                         help="wall-clock budget [s]")
+    budgets.add_argument("--stall-timeout", type=_POS_FLOAT, metavar="S",
+                         help="declare a hang after S s without heartbeat")
+    budgets.add_argument("--memory-mb", type=_POS_FLOAT, metavar="M",
+                         help="RSS budget [MiB]")
+    hosts = argparse.ArgumentParser(add_help=False)
+    hosts.add_argument("--host-id", metavar="H",
+                       help="this host's name in a shared queue")
+    hosts.add_argument("--max-skew", type=_POS_FLOAT, default=2.0,
+                       metavar="S", help="clock-skew bound across hosts "
+                       "(default %(default)s)")
+    ledger = argparse.ArgumentParser(add_help=False)
+    ledger.add_argument("--ledger", metavar="FILE",
+                        help="write the ledger JSON to FILE")
+    queue = argparse.ArgumentParser(add_help=False)
+    queue.add_argument("--queue-dir", required=True, metavar="D",
+                       help="the durable queue")
+
+    parser = argparse.ArgumentParser(
+        prog="python -m repro", allow_abbrev=False,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+        description="Computational aerothermodynamics toolkit.  With no "
+                    "command: this overview and quick sanity numbers.  "
+                    "Exit codes: 0 success, 1 solver/invariant failure, "
+                    "2 usage error.")
+    sub = parser.add_subparsers(dest="command", metavar="COMMAND")
+
+    def command(subs, name, text, parents=(), **kwargs):
+        p = subs.add_parser(name, help=text, description=text,
+                            parents=parents, allow_abbrev=False, **kwargs)
+        p.set_defaults(parser=p)
+        return p
+
+    p = command(sub, "figures", "regenerate every paper figure",
+                [farm, budgets], epilog="-j defaults to 4.  The budgets "
+                "apply per figure and need --isolate or --farm; --farm "
+                "excludes --isolate, --resume and --checkpoint-dir.")
+    p.add_argument("--full", action="store_true", help="paper resolution")
+    p.add_argument("--checkpoint-dir", metavar="D",
+                   help="durable suite: done markers + snapshots under D")
+    p.add_argument("--resume", action="store_true",
+                   help="replay done figures, resume interrupted marches")
+    p.add_argument("--isolate", action="store_true",
+                   help="one sandboxed child per figure (kill + retry)")
+
+    p = command(sub, "stagnation", "stagnation environment")
+    p.add_argument("V", type=float, help="flight speed [m/s]")
+    p.add_argument("H", type=float, help="altitude [m]")
+    p.add_argument("RN", type=float, help="nose radius [m]")
+
+    p = command(sub, "degrade-smoke", "fault-injected reacting march: "
+                "must abort without the degradation cascade and complete "
+                "with it")
+    p.add_argument("--out", default="degradation_ledger.json",
+                   metavar="FILE", help="ledger JSON (default %(default)s)")
+
+    p = command(sub, "chaos", "randomized fault campaign under process "
+                "isolation", [farm], epilog="With --farm, -j and "
+                "--kill-workers default to 2.  --deadline: 30 s per "
+                "round, or 240 s (--hosts, --jobs) or 120 s (--batch) "
+                "for the whole campaign.")
+    p.add_argument("--rounds", type=_POS_INT, default=5, metavar="N",
+                   help="rounds (solver jobs with --hosts)")
+    p.add_argument("--seed", type=int, default=0, metavar="S")
+    p.add_argument("--out", default="chaos-reports", metavar="D",
+                   help="report directory")
+    p.add_argument("--deadline", type=_POS_FLOAT, metavar="S")
+    p.add_argument("--kill-workers", type=_NONNEG_INT, metavar="K",
+                   help="scheduled worker SIGKILLs (0 disables)")
+    p.add_argument("--hosts", type=_POS_INT, metavar="N",
+                   help="N supervisor hosts on one queue; one is killed")
+    p.add_argument("--skew", type=_POS_FLOAT, nargs="?", const=5.0,
+                   default=0.0, metavar="S",
+                   help="+/-S s clock skew per host (bare --skew: 5 s)")
+    p.add_argument("--partition", action="store_true",
+                   help="SIGSTOP a host past its lease ttl, then heal it")
+    p.add_argument("--batch", action="store_true",
+                   help="campaign against the batch service")
+    p.add_argument("--requests", type=_POS_INT, metavar="N",
+                   help="batch size (default 200)")
+    p.add_argument("--faulted", type=_POS_INT, metavar="M",
+                   help="faulted requests in it (default 20)")
+    p.add_argument("--jobs", action="store_true",
+                   help="kill-and-resume campaign against async jobs")
+    p.add_argument("--steps", type=_POS_INT, metavar="N",
+                   help="march length of the chaos job (default 40)")
+
+    p = command(sub, "batch", "batch evaluation service: JSON-lines "
+                "requests in, one envelope per line out", [farm, ledger],
+                epilog="-j defaults to 2.")
+    p.add_argument("file", nargs="?", metavar="FILE",
+                   help="requests (default: stdin)")
+    p.add_argument("--out", metavar="FILE", help="envelopes (or stdout)")
+    p.add_argument("--bench", metavar="FILE", help="BENCH_batch.json")
+    p.add_argument("--deadline", type=_POS_FLOAT, metavar="S",
+                   help="whole-batch wall budget")
+    p.add_argument("--request-deadline", type=_POS_FLOAT, metavar="S",
+                   help="per-request wall budget")
+    p.add_argument("--shed-above", type=_POS_INT, metavar="N",
+                   help="reject batches larger than N")
+    p.add_argument("--isolate", choices=("auto", "always", "never"),
+                   default="auto", help="sandboxing (default auto)")
+    p.add_argument("--allow-faults", action="store_true",
+                   help='honor chaos "fault" fields in requests')
+    p.add_argument("--no-dedup", action="store_true",
+                   help="re-execute duplicate request keys")
+    p.add_argument("--chunk-size", type=_POS_INT, metavar="N",
+                   help="requests per farm chunk job")
+
+    p = command(sub, "campaign", "enqueue a job set and drive the farm "
+                "until every job is done or dead-lettered",
+                [hosts, ledger])
+    p.add_argument("--figures", action="store_true",
+                   help="the nine-figure suite as jobs")
+    p.add_argument("--jobs", metavar="FILE", help="JSON list of job specs")
+    p.add_argument("--retry-dead-letters", action="store_true",
+                   help="requeue --queue-dir's dead letters and re-run")
+    p.add_argument("--merge-ledgers", action="append", metavar="L1,L2",
+                   help="merge per-host ledgers (and audit --queue-dir)")
+    p.add_argument("-j", dest="n_workers", type=_POS_INT, default=4,
+                   metavar="N", help="worker count (default 4)")
+    p.add_argument("--full", action="store_true", help="paper resolution")
+    p.add_argument("--queue-dir", metavar="D",
+                   help="durable queue (default: a fresh temp dir)")
+    p.add_argument("--bench", metavar="FILE", help="BENCH_farm.json")
+    p.add_argument("--compare-serial", action="store_true",
+                   help="also time the serial suite (--figures only)")
+    p.add_argument("--kill-workers", type=_NONNEG_INT, default=0,
+                   metavar="K", help="SIGKILL K workers at seeded times")
+    p.add_argument("--seed", type=int, default=0, metavar="S")
+    p.add_argument("--deadline", type=_POS_FLOAT, metavar="S",
+                   help="per-job wall-clock budget")
+
+    p = command(sub, "serve", "long-running worker pool: drains the "
+                "queue until SIGTERM/SIGINT", [queue, hosts, ledger],
+                epilog="Defaults: -j 2, --lease-ttl 15 s, --poll 0.25 s.")
+    p.add_argument("-j", dest="n_workers", type=_POS_INT, default=2,
+                   metavar="N", help="worker count (default 2)")
+    p.add_argument("--lease-ttl", type=_POS_FLOAT, default=15.0,
+                   metavar="S")
+    p.add_argument("--poll", type=_POS_FLOAT, default=0.25, metavar="S")
+    p.add_argument("--clock-offset", type=float, default=0.0,
+                   metavar="S", help="injected clock skew, either sign")
+
+    jobs = command(sub, "jobs", "asynchronous jobs on a durable queue "
+                   "that serve drains; every action prints JSON")
+    acts = jobs.add_subparsers(dest="action", metavar="ACTION",
+                               required=True)
+    p = command(acts, "submit", "enqueue KIND and print its id at once",
+                [queue, budgets])
+    p.add_argument("kind", metavar="KIND")
+    p.add_argument("payload", nargs="?", metavar="JSON",
+                   help="payload object, inline or @FILE")
+    p.add_argument("--id", dest="job_id", metavar="ID",
+                   help="explicit id (default: content-addressed)")
+    p.add_argument("--priority", type=int)
+    p.add_argument("--max-attempts", type=_POS_INT, metavar="N")
+    job_flags = {"--timeout": _NONNEG_FLOAT, "--wait": _NONNEG_FLOAT,
+                 "--poll": _POS_FLOAT, "--reason": str,
+                 "--escalate-after": _NONNEG_FLOAT}
+    for name, text, flags in (
+            ("status", "state, live progress and snapshots", ()),
+            ("watch", "one JSON line per change until terminal",
+             ("--timeout", "--poll")),
+            ("result", "terminal outcome", ("--wait", "--poll")),
+            ("cancel", "cancel flag, then SIGTERM -> SIGKILL",
+             ("--reason", "--escalate-after", "--wait", "--poll"))):
+        p = command(acts, name, text, [queue])
+        p.add_argument("job", nargs="?", metavar="ID")
+        p.add_argument("--id", dest="job_id", metavar="ID",
+                       help="same as ID")
+        for flag in flags:
+            p.add_argument(flag, type=job_flags[flag])
+    p = command(acts, "gc", "remove jobs terminal for over --ttl S",
+                [queue])
+    p.add_argument("--ttl", type=_NONNEG_FLOAT, metavar="S")
+    p.add_argument("--keep-last", type=_NONNEG_INT, metavar="N")
+    p.add_argument("--include-failed", action="store_true")
+    command(acts, "ledger", "all jobs plus their audits", [queue])
+
+    usages = [*sub.choices.values(), *acts.choices.values()]
+    parser.epilog = "commands:\n" + "".join(
+        p.format_usage().replace("usage: ", "  ", 1) for p in usages)
+    return parser
+
+
 def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
+    argv = sys.argv[1:] if argv is None else list(argv)
     if not argv:
         _overview()
         return 0
-    cmd = argv[0]
-    if cmd in ("-h", "--help", "help"):
-        print(_USAGE)
-        return 0
-    handler = _COMMANDS.get(cmd)
+    parser = _build_parser()
+    cmd = "--help" if argv[0] == "help" else argv[0]
     try:
-        if handler is None:
-            _usage_error("repro", f"unknown command {cmd!r}")
-        return handler(argv[1:])
-    except _UsageError as err:
-        print(err, file=sys.stderr)
-        print(_USAGE, file=sys.stderr)
-        return 2
-    except Exception as err:
-        from repro.errors import CatError
-        if not isinstance(err, CatError):
-            raise
+        if cmd not in _COMMANDS and cmd not in ("-h", "--help"):
+            parser.error(f"unknown command {cmd!r}")
+        args = parser.parse_args([cmd, *argv[1:]])
+        return _COMMANDS[args.command](args)
+    except SystemExit as exc:  # argparse: 0 after --help, 2 on misuse
+        return exc.code
+    except CatError as err:
         # typed solver failure: summarise (with the attached report
         # when present) and exit 1 instead of tracebacking
         print(f"{cmd}: {type(err).__name__}: {err}", file=sys.stderr)
-        report = getattr(err, "report", None)
-        if report is not None:
-            print(report.summary(), file=sys.stderr)
+        if err.report is not None:
+            print(err.report.summary(), file=sys.stderr)
         return 1
 
 

@@ -1,6 +1,7 @@
 """Run every figure experiment and print a combined report.
 
-``python -m repro.experiments.runner [--full]``
+``python -m repro.experiments.runner [--full]`` — the same as
+``python -m repro figures`` and takes the same flags.
 
 The runner is resilient two ways:
 
@@ -281,5 +282,5 @@ def run_all_farm(quick: bool = True, *, n_workers: int = 4,
 
 
 if __name__ == "__main__":
-    res = run_all(quick="--full" not in sys.argv)
-    raise SystemExit(1 if res["failures"] else 0)
+    from repro.__main__ import main
+    raise SystemExit(main(["figures", *sys.argv[1:]]))

@@ -632,6 +632,27 @@ class TestRetryDeadLetters:
         assert q.state("dead2")["status"] == "pending"
         assert q.state("ok")["status"] == "pending"  # untouched
 
+    def test_campaign_cli_jobs_retry_and_merge(self, tmp_path):
+        from repro.__main__ import main
+        specs, qd = tmp_path / "jobs.json", str(tmp_path / "q")
+        led, merged = tmp_path / "led.json", tmp_path / "merged.json"
+        specs.write_text(json.dumps([
+            {"id": "f1", "kind": "flaky", "payload": {"fail_first": 99},
+             "max_attempts": 1},
+            {"id": "s1", "kind": "sleep", "payload": {"duration": 0.01}}]))
+        assert main(["campaign", "--jobs", str(specs), "--queue-dir", qd,
+                     "-j", "1", "--ledger", str(led)]) == 1  # f1 dies
+        assert main(["campaign", "--retry-dead-letters", "--queue-dir",
+                     qd, "-j", "1"]) == 1                   # and again
+        q = WorkQueue(qd)
+        assert q.state("f1")["status"] == "dead"
+        assert q.state("s1")["status"] == "done"
+        assert [r["job"] for r in q.read_journal()
+                if r["event"] == "retry-dead-letter"] == ["f1"]
+        assert main(["campaign", "--merge-ledgers", str(led),
+                     "--queue-dir", qd, "--ledger", str(merged)]) == 0
+        assert json.loads(merged.read_text())["exactly_once_audit"]["ok"]
+
     def test_jitter_unit_is_pure_and_job_seeded(self):
         """Satellite: backoff jitter is a pure hash of (job id,
         attempt) — identical on every host, no shared RNG state."""

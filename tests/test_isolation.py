@@ -337,6 +337,13 @@ class TestCLIExitCodes:
             ["chaos", "--rounds", "x"],
             ["chaos", "--seed"],
             ["chaos", "--deadline", "-1"],
+            # mode-only flags are rejected even at their default values
+            ["figures", "-j", "4"],                   # needs --farm
+            ["chaos", "-j", "2"],                     # needs --farm
+            ["chaos", "--kill-workers", "2"],         # needs --farm
+            ["chaos", "--steps", "40"],               # needs --jobs
+            ["chaos", "--requests", "200"],           # needs --batch
+            ["chaos", "--faulted", "20"],             # needs --batch
         ]
         for argv in bad:
             assert main(argv) == 2, argv

@@ -447,7 +447,31 @@ class TestJobsCLI:
         assert self._run("jobs", "submit", "--queue-dir", qd, "sleep",
                          "not json") == 2
         assert self._run("jobs", "submit", "sleep") == 2  # no queue
+        # each action takes only its JobManager method's keywords
+        assert self._run("jobs", "gc", "--queue-dir", qd, "--wait",
+                         "5") == 2
+        assert self._run("jobs", "result", "--queue-dir", qd, "j1",
+                         "--ttl", "3") == 2
+        assert self._run("jobs", "status", "--queue-dir", qd, "j1",
+                         "--ttl", "3") == 2
+        assert self._run("jobs", "ledger", "--queue-dir", qd, "--ttl",
+                         "5") == 2
+        # ... with ranges
+        assert self._run("jobs", "gc", "--queue-dir", qd, "--ttl",
+                         "-5") == 2
+        assert self._run("jobs", "gc", "--queue-dir", qd, "--keep-last",
+                         "-1") == 2
+        assert self._run("jobs", "submit", "--queue-dir", qd, "sleep",
+                         "--max-attempts", "0") == 2
+        assert self._run("campaign", "--figures", "--kill-workers",
+                         "-1") == 2
         capsys.readouterr()
+        # zero kills is the default and stays legal (parse only: no
+        # campaign runs)
+        from repro.__main__ import _build_parser
+        for argv in (["campaign", "--kill-workers", "0", "--figures"],
+                     ["chaos", "--farm", "--kill-workers", "0"]):
+            assert _build_parser().parse_args(argv).kill_workers == 0
 
     def test_api_submit_async_handle(self, tmp_path):
         from repro.core import submit_async

@@ -434,6 +434,16 @@ class TestBatchCLI:
         assert main(["chaos", "--batch", "--requests", "5",
                      "--faulted", "5"]) == 2
 
+    def test_farm_bench_records_default_workers(self, tmp_path):
+        from repro.__main__ import main
+        path = self._write(tmp_path, [_good(i) for i in range(3)])
+        bench = tmp_path / "bench.json"
+        assert main(["batch", path, "--farm", "--queue-dir",
+                     str(tmp_path / "q"), "--out",
+                     str(tmp_path / "o.jsonl"), "--bench", str(bench)]) == 0
+        record = json.loads(bench.read_text())
+        assert record["mode"] == "farm" and record["n_workers"] == 2
+
     def test_bench_and_ledger_written(self, tmp_path):
         from repro.__main__ import main
         path = self._write(tmp_path, [_good(i) for i in range(4)])
