@@ -10,8 +10,9 @@ The ``test_bench_kernel_*`` family additionally records its timings
 through the ``kernel_bench`` fixture (no pytest-benchmark needed) into
 the ``BENCH_kernels.json`` CI artifact — the ROADMAP item-2 per-kernel
 perf trajectory: Gibbs equilibrium solve, kinetics source terms,
-MUSCL+flux sweep, tangent-slab radiation, NASA-7 evaluation, and the
-species-profile interpolation (loop vs vectorized ablation).
+MUSCL+flux sweep, tangent-slab radiation, NASA-7 evaluation, the
+species-profile interpolation and the standard Gibbs function g0/RT
+(loop vs vectorized ablations), and one boundary-layer solve.
 """
 
 import numpy as np
@@ -244,6 +245,36 @@ def test_bench_kernel_species_interp(kernel_bench, kernel_records):
     vec = kernel_records["species_interp_vectorized"]["median_s"]
     kernel_records["species_interp_vectorized"]["speedup_vs_loop"] = (
         round(lo / vec, 2))
+
+
+def test_bench_kernel_thermo_g0(kernel_bench, kernel_records):
+    """Standard Gibbs g0/RT of air11: SpeciesThermo loop vs ThermoSet.
+
+    One state is the size of a VSL/PNS Gibbs call (stagnation-figs
+    averages ~2.5 states per ``rho_T`` solve); 3,456 is one batch of the
+    48 x 72 EOS-table build.  The loop is the per-species stack the
+    batched ``ThermoSet`` replaced; ``speedup_vs_loop`` is loop/batched.
+    """
+    from repro.constants import R_UNIVERSAL
+    from repro.thermo.statmech import ThermoSet
+    ts = ThermoSet(species_set("air11"))
+    for n in (1, 3456):
+        T = np.linspace(500.0, 12000.0, n)
+
+        def loop():
+            return (np.stack([st.g0(T) for st in ts.each], axis=-1)
+                    / (R_UNIVERSAL * T[:, None]))
+
+        meta = {"states": n, "species": len(ts.each)}
+        ref = kernel_bench(loop, label=f"thermo_g0_loop_{n}", meta=meta)
+        out = kernel_bench(ts.g0_over_RT, T, label=f"thermo_g0_{n}",
+                           meta=meta)
+        np.testing.assert_array_equal(out, ref)
+
+        lo = kernel_records[f"thermo_g0_loop_{n}"]["median_s"]
+        vec = kernel_records[f"thermo_g0_{n}"]["median_s"]
+        kernel_records[f"thermo_g0_{n}"]["speedup_vs_loop"] = round(
+            lo / vec, 2)
 
 
 def test_bench_kernel_boundary_layer(kernel_bench, monkeypatch):

@@ -68,7 +68,7 @@ PURE_KERNELS = frozenset({
     "cp_mass", "cv_mass", "h_mass", "e_mass", "s_mass",
     "gas_constant", "molar_mass", "viscosity", "conductivity",
     "e_vib_el", "cv_vib_el", "h_tr_rot", "cp_tr_rot",
-    "_cp_tr_rot_mass", "sound_speed_frozen", "gamma_frozen",
+    "cp_tr_rot_mass", "sound_speed_frozen", "gamma_frozen",
 })
 
 _NP_ALLOC = frozenset({

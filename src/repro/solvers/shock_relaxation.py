@@ -95,17 +95,15 @@ class ShockRelaxationSolver:
 
         Subsonic (post-shock) branch Newton iteration on u.
         """
-        thermo = self.tt.thermo
         R_mix = R_UNIVERSAL * float(np.sum(y / self.db.molar_mass))
+        # h_tr_rot is linear in T: h = sum y (hf + c T), with the
+        # T-independent tr-rot cp c [J/kg/K]
+        hf = float(np.sum(y * self.db.hf0_mass))
+        c = float(np.sum(y * self.tt.thermo.cp_tr_rot_mass()))
 
         def T_of_u(u):
             # h = h_tr_rot(T, y) + ev_pool; energy: h = H0 - u^2/2
             h_tr_target = H0 - 0.5 * u * u - ev
-            # h_tr_rot is linear in T: h = sum y (hf + c T)
-            y_arr = np.asarray(y)
-            hf = float(np.sum(y_arr * self.db.hf0_mass))
-            # per-species tr-rot cp coefficient [J/kg/K]
-            c = float(np.sum(y_arr * self._cp_tr_rot_mass()))
             return (h_tr_target - hf) / c
 
         u = float(u_guess)
@@ -118,7 +116,6 @@ class ShockRelaxationSolver:
             p = rho * R_mix * T
             F = p + m0 * u - P0
             # dF/du = d(rho R T)/du + m0; rho=m0/u, dT/du = -u/c
-            c = float(np.sum(np.asarray(y) * self._cp_tr_rot_mass()))
             dT_du = -u / c
             dF = (-m0 / u**2) * R_mix * T + (m0 / u) * R_mix * dT_du + m0
             du = -F / dF
@@ -130,13 +127,6 @@ class ShockRelaxationSolver:
         T = T_of_u(u)
         rho = m0 / u
         return u, rho, T, rho * R_mix * T
-
-    def _cp_tr_rot_mass(self):
-        """Per-species translational-rotational cp [J/kg/K] (T-independent)."""
-        out = np.empty(self.db.n, dtype=np.float64)
-        for j, st in enumerate(self.tt.thermo.each):
-            out[j] = float(st.cp_tr_rot(300.0)) / self.db.molar_mass[j]
-        return out
 
     # ------------------------------------------------------------------
 
@@ -171,7 +161,7 @@ class ShockRelaxationSolver:
         R1 = R_UNIVERSAL * float(np.sum(y1 / db.molar_mass))
         rho1 = p1 / (R1 * T1)
         # frozen jump with tr-rot caloric gamma (vibration frozen)
-        cp_tr = float(np.sum(y1 * self._cp_tr_rot_mass()))
+        cp_tr = float(np.sum(y1 * self.tt.thermo.cp_tr_rot_mass()))
         # catlint: disable=CAT003 -- cp_tr = cv + R1 > R1 for any
         # species set (translational cv >= 1.5 R)
         gamma_fr = cp_tr / (cp_tr - R1)

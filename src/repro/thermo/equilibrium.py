@@ -20,9 +20,10 @@ extra row) and ``lam_k`` are the element potentials — the Newton unknowns.
 The constraints are ``sum_j a_kj c_j = rho * b_k`` with ``b_k`` the moles of
 element ``k`` per kilogram of mixture.
 
-Fixed-(T, p) states append ``ln rho`` as one extra unknown with the ideal-
-mixture pressure equation as the extra constraint; fixed-(rho, e) states run
-an outer temperature iteration around the (rho, T) kernel.
+Fixed-(T, p) states run an outer fixed-point iteration on density around
+the (rho, T) kernel (``rho <- rho * p / p(rho, T)``, each pass a full
+warm-started (rho, T) solve); fixed-(rho, e) states run an outer bracketed
+Newton iteration on temperature around the same kernel.
 """
 
 from __future__ import annotations
@@ -458,7 +459,10 @@ class EquilibriumSolver:
             T_new = T - f / cv_eq
             outside = (T_new <= T_lo) | (T_new >= T_hi)
             T = np.where(outside, 0.5 * (T_lo + T_hi), T_new)
-        f = np.abs(self.mix.e_mass(T, y) - e_f)
+        # out of iterations: T moved after the last solve, so re-solve the
+        # composition at the final T before judging (and returning) it
+        e_cur, y, lam = e_of(T, lam)
+        f = np.abs(e_cur - e_f)
         bad = f > 1e-5 * scale
         if np.any(bad):
             idx = np.nonzero(bad.reshape(-1))[0]

@@ -228,6 +228,22 @@ class SpeciesThermo:
         return self.cv_vib_el(Tv) / self.M
 
 
+def _padded_columns(rows):
+    """Ragged per-species ``(θ, g)`` rows as a tuple of ``(θ, g)`` columns.
+
+    Each column holds one mode/level slot across all species, shape (n,);
+    species with fewer slots are padded with ``θ = 0, g = 0``, whose term
+    is an exact zero in every sum (DESIGN §11).
+    """
+    width = max((len(r) for r in rows), default=0)
+    th = np.zeros((width, len(rows)), dtype=np.float64)
+    g = np.zeros_like(th)
+    for j, row in enumerate(rows):
+        if row:
+            th[:len(row), j], g[:len(row), j] = zip(*row)
+    return tuple(zip(th, g))
+
+
 class ThermoSet:
     """Batch evaluator over a whole :class:`~repro.thermo.species.SpeciesDB`.
 
@@ -235,37 +251,135 @@ class ThermoSet:
     ``S`` produces output of shape ``S + (n_species,)``.  This is the layout
     the equilibrium solver and kinetics use (cells × species, C-contiguous in
     species — the short, vectorised axis).
+
+    Each property is one array pass over the whole set: the per-species
+    constants of :class:`SpeciesThermo` are gathered into (n,) columns, the
+    vibrational modes and electronic levels padded with degeneracy 0, and
+    every method accumulates (..., n) arrays column by column with the same
+    expressions in the same order — so results are bitwise equal to looping
+    ``SpeciesThermo`` over :attr:`each` (DESIGN §11).
     """
 
     def __init__(self, db: SpeciesDB):
         self.db = db
         self.each = tuple(SpeciesThermo(sp) for sp in db.species)
+        rot = np.array([st._rot_dof for st in self.each], dtype=np.float64)
+        # ln q_rot = ln_qrot + a ln T and s_rot = R (ln q_rot + a), with
+        # a = rot_dof / 2 (an atom's zero a and ln_qrot give s_rot = 0)
+        self._a_rot = 0.5 * rot
+        self._ln_qrot = np.array([st._ln_qrot_pref if st._rot_dof else 0.0
+                                  for st in self.each])
+        self._ln_qtr = np.array([st._ln_qtr_pref for st in self.each])
+        self._c_rot = self._a_rot * _R
+        self._c_tr_rot = (2.5 + self._a_rot) * _R
+        self._vib = _padded_columns([st._vib for st in self.each])
+        self._elec = _padded_columns([tuple(zip(st._th_el, st._g_el))
+                                      for st in self.each])
+        cp_tr_rot = self._c_tr_rot / db.molar_mass
+        cp_tr_rot.flags.writeable = False
+        self._cp_tr_rot_mass = cp_tr_rot
 
-    def _stack(self, fn_name: str, T):
-        T = np.asarray(T, dtype=float)
-        out = np.empty(T.shape + (self.db.n,), dtype=float)
-        for j, st in enumerate(self.each):
-            out[..., j] = getattr(st, fn_name)(T)
-        return out
+    # -- column passes over (..., 1) temperatures ----------------------------
+
+    def _vib_energy(self, T1):
+        """Vibrational energy above the zero point [J/mol], (..., n)."""
+        e = 0.0
+        for th, g in self._vib:
+            x = th / T1
+            e += g * _R * th / np.expm1(np.clip(x, 1e-12, 500.0))
+        return e
+
+    def _vib_energy_lnq(self, T1):
+        """Vibrational energy [J/mol] and ln q_vib from one pass."""
+        e = lnq = 0.0
+        for th, g in self._vib:
+            x = np.clip(th / T1, 1e-12, 500.0)
+            e += g * _R * th / np.expm1(x)
+            # -expm1(-x) >= 1e-12 (x >= 1e-12), so the floor never binds
+            lnq += -g * np.log(np.maximum(-np.expm1(-x), 1e-300))
+        return e, lnq
+
+    def _vib_heat_capacity(self, T1):
+        """Vibrational cv [J/(mol K)], (..., n)."""
+        cv = 0.0
+        for th, g in self._vib:
+            x = np.clip(th / T1, 1e-12, 250.0)
+            ex = np.exp(x)
+            cv += g * _R * x * x * ex / (ex - 1.0) ** 2
+        return cv
+
+    def _elec_weights(self, T1):
+        """Boltzmann weight g exp(-θ/T) of each level column, in order."""
+        for th, g in self._elec:
+            yield th, g * np.exp(-np.clip(th / T1, 0.0, 500.0))
+
+    def _elec_q_m1(self, T1):
+        """Electronic (q_el, <θ>) per species, (..., n).
+
+        Levels are summed in order, as ``np.sum`` reduces the level axis
+        of :meth:`SpeciesThermo._elec_moments`.
+        """
+        q = s1 = 0.0
+        for th, w in self._elec_weights(T1):
+            q += w
+            s1 += w * th
+        return q, s1 / q
+
+    def _elec_heat_capacity(self, T1):
+        """Electronic cv = R (<θ²> - <θ>²) / T² [J/(mol K)], (..., n)."""
+        q = s1 = s2 = 0.0
+        for th, w in self._elec_weights(T1):
+            q += w
+            s1 += w * th
+            s2 += w * th * th
+        m1 = s1 / q
+        return _R * (s2 / q - m1 * m1) / T1**2
+
+    def _h_molar(self, T1, e_vib, m1):
+        return (self.db.hf0_molar + 2.5 * _R * T1 + self._c_rot * T1
+                + e_vib + _R * m1)
+
+    def _h_s0(self, T):
+        """(T1, h, s0) from one vibrational and one electronic pass."""
+        T1 = _as_T(np.asarray(T)[..., None])
+        e_vib, lnq = self._vib_energy_lnq(T1)
+        q, m1 = self._elec_q_m1(T1)
+        ln_T = np.log(T1)
+        ln_qtr = (self._ln_qtr + 1.5 * ln_T
+                  + np.log(K_BOLTZMANN * T1 / P_STANDARD))
+        s_tr = _R * (ln_qtr + 2.5)
+        s_rot = _R * (self._ln_qrot + self._a_rot * ln_T + self._a_rot)
+        s_vib = _R * lnq + e_vib / T1
+        # q >= g_ground exp(-500) > 1e-300, so the floor never binds
+        s_el = _R * np.log(np.maximum(q, 1e-300)) + _R * m1 / T1
+        return (T1, self._h_molar(T1, e_vib, m1),
+                s_tr + s_rot + s_vib + s_el)
+
+    # -- public API -----------------------------------------------------------
 
     def cp(self, T):
         """Molar cp per species, shape (..., n)."""
-        return self._stack("cp", T)
+        T1 = _as_T(np.asarray(T)[..., None])
+        return (2.5 * _R + self._c_rot + self._vib_heat_capacity(T1)
+                + self._elec_heat_capacity(T1))
 
     def h(self, T):
         """Molar enthalpy per species (incl. formation), shape (..., n)."""
-        return self._stack("h", T)
+        T1 = _as_T(np.asarray(T)[..., None])
+        return self._h_molar(T1, self._vib_energy(T1),
+                             self._elec_q_m1(T1)[1])
 
     def e(self, T):
-        return self._stack("e", T)
+        return self.h(T) - _R * _as_T(np.asarray(T)[..., None])
 
     def s0(self, T):
         """Standard-state entropy per species, shape (..., n)."""
-        return self._stack("s", T)
+        return self._h_s0(T)[2]
 
     def g0(self, T):
         """Standard-state Gibbs per species, shape (..., n)."""
-        return self._stack("g0", T)
+        T1, h, s = self._h_s0(T)
+        return h - T1 * s
 
     def g0_over_RT(self, T):
         """Dimensionless standard Gibbs g0/(R T), shape (..., n)."""
@@ -286,10 +400,23 @@ class ThermoSet:
         return (self.cp(T) - _R) / self.db.molar_mass
 
     def e_vib_el_mass(self, Tv):
-        return self._stack("e_vib_el", Tv) / self.db.molar_mass
+        T1 = _as_T(np.asarray(Tv)[..., None])
+        e = self._vib_energy(T1) + _R * self._elec_q_m1(T1)[1]
+        return e / self.db.molar_mass
 
     def cv_vib_el_mass(self, Tv):
-        return self._stack("cv_vib_el", Tv) / self.db.molar_mass
+        T1 = _as_T(np.asarray(Tv)[..., None])
+        cv = self._vib_heat_capacity(T1) + self._elec_heat_capacity(T1)
+        return cv / self.db.molar_mass
 
     def h_tr_rot_mass(self, T):
-        return self._stack("h_tr_rot", T) / self.db.molar_mass
+        T1 = _as_T(np.asarray(T)[..., None])
+        return (self.db.hf0_molar + self._c_tr_rot * T1) / self.db.molar_mass
+
+    def cp_tr_rot_mass(self):
+        """Translational-rotational cp per species [J/(kg K)], shape (n,).
+
+        Independent of temperature (classical translation and rotation),
+        so it takes no T; the returned array is read-only.
+        """
+        return self._cp_tr_rot_mass

@@ -64,11 +64,14 @@ class TwoTemperatureGas:
         return h_tr - R_mix * np.asarray(T, dtype=float)
 
     def cv_tr_rot(self, T, y):
-        """Translational-rotational specific heat at constant volume."""
+        """Translational-rotational specific heat at constant volume.
+
+        Independent of ``T`` (classical translation and rotation): the
+        result has the batch shape of ``y``.
+        """
         y = np.asarray(y, dtype=float)
         from repro.constants import R_UNIVERSAL
-        cp_tr = np.sum(y * self.thermo._stack("cp_tr_rot", np.asarray(
-            T, dtype=float)) / self.db.molar_mass, axis=-1)
+        cp_tr = np.sum(y * self.thermo.cp_tr_rot_mass(), axis=-1)
         R_mix = R_UNIVERSAL * np.sum(y / self.db.molar_mass, axis=-1)
         return cp_tr - R_mix
 

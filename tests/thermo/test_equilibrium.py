@@ -193,6 +193,16 @@ class TestSolveRhoE:
                                           air_gas.b, T_guess=6900.0)
         assert T[0] == pytest.approx(7000.0, rel=1e-6)
 
+    def test_out_of_iterations_composition_matches_returned_T(self,
+                                                             air_gas):
+        # six iterations stop short of convergence (the residual check
+        # still passes); y must be the composition at the returned T,
+        # not at the previous iterate
+        solver = air_gas.solver
+        y, T = solver.solve_rho_e(1e-2, 1e7, air_gas.b, max_iter=6)
+        y_at_T = solver.solve_rho_T(1e-2, T, air_gas.b)
+        assert np.max(np.abs(y - y_at_T)) <= 1e-10
+
 
 class TestEquilibriumGasFacade:
     def test_state_dict_keys(self, air_gas):

@@ -15,6 +15,36 @@ from repro.thermo.statmech import P_STANDARD, SpeciesThermo, ThermoSet
 TEMPS = st.floats(min_value=150.0, max_value=2.0e4)
 ALL_NAMES = sorted(SPECIES)
 
+#: The named species sets plus one holding every species.
+SETS = {name: name for name in ("air5", "air7", "air9", "air11", "titan9",
+                                "jupiter2", "jupiter3")}
+SETS["all"] = ALL_NAMES
+
+#: A 0-d temperature, a sweep through the 1e-3 K clamp up to 1e5 K, and
+#: a 2-D batch.
+T_CASES = {
+    "0d": np.asarray(1234.5),
+    "sweep": np.geomspace(1.0e-4, 1.0e5, 404),
+    "2x3": np.array([[300.0, 1500.0, 7000.0], [1.0e-3, 2.0e4, 55.0]]),
+}
+
+#: ThermoSet method -> the same property from one SpeciesThermo.
+PER_SPECIES = {
+    "cp": lambda st_, T: st_.cp(T),
+    "h": lambda st_, T: st_.h(T),
+    "e": lambda st_, T: st_.e(T),
+    "s0": lambda st_, T: st_.s(T),
+    "g0": lambda st_, T: st_.g0(T),
+    "g0_over_RT": lambda st_, T: st_.g0(T) / (R * T),
+    "h_mass": lambda st_, T: st_.h_mass(T),
+    "e_mass": lambda st_, T: st_.e_mass(T),
+    "cp_mass": lambda st_, T: st_.cp_mass(T),
+    "cv_mass": lambda st_, T: st_.cv(T) / st_.M,
+    "e_vib_el_mass": lambda st_, T: st_.e_vib_el_mass(T),
+    "cv_vib_el_mass": lambda st_, T: st_.cv_vib_el_mass(T),
+    "h_tr_rot_mass": lambda st_, T: st_.h_tr_rot(T) / st_.M,
+}
+
 
 class TestAgainstJANAF:
     """Spot checks against standard-table values at 298.15 K / 1 bar."""
@@ -150,13 +180,27 @@ class TestThermoSet:
         assert ts.cp(T).shape == (7, 11)
         assert ts.h(np.ones((2, 3))).shape == (2, 3, 11)
 
-    def test_matches_per_species(self, air11):
-        ts = ThermoSet(air11)
-        T = np.array([1234.5])
-        batch = ts.h(T)[0]
-        for j, sp in enumerate(air11.species):
-            single = float(SpeciesThermo(sp).h(1234.5))
-            assert batch[j] == pytest.approx(single, rel=1e-12)
+    def test_reference_covers_every_method(self):
+        public = {name for name in vars(ThermoSet)
+                  if not name.startswith("_")}
+        assert public == set(PER_SPECIES) | {"cp_tr_rot_mass"}
+
+    @pytest.mark.parametrize("T", T_CASES.values(), ids=T_CASES.keys())
+    @pytest.mark.parametrize("which", SETS.values(), ids=SETS.keys())
+    @pytest.mark.parametrize("method", PER_SPECIES)
+    def test_matches_per_species(self, method, which, T):
+        # the batched set is bitwise equal to the SpeciesThermo loop
+        ts = ThermoSet(species_set(which))
+        expected = np.stack([PER_SPECIES[method](st_, T) for st_ in ts.each],
+                            axis=-1)
+        np.testing.assert_array_equal(getattr(ts, method)(T), expected)
+
+    @pytest.mark.parametrize("which", SETS.values(), ids=SETS.keys())
+    def test_cp_tr_rot_mass_matches_per_species(self, which):
+        ts = ThermoSet(species_set(which))
+        expected = [st_.cp_tr_rot(300.0) / st_.M for st_ in ts.each]
+        np.testing.assert_array_equal(ts.cp_tr_rot_mass(), expected)
+        assert not ts.cp_tr_rot_mass().flags.writeable
 
     def test_mass_units(self, air11):
         ts = ThermoSet(air11)
