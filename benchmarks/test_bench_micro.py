@@ -12,7 +12,8 @@ the ``BENCH_kernels.json`` CI artifact — the ROADMAP item-2 per-kernel
 perf trajectory: Gibbs equilibrium solve, kinetics source terms,
 MUSCL+flux sweep, tangent-slab radiation, NASA-7 evaluation, the
 species-profile interpolation and the standard Gibbs function g0/RT
-(loop vs vectorized ablations), and one boundary-layer solve.
+(loop vs vectorized ablations), one boundary-layer solve and one
+equilibrium normal shock.
 """
 
 import numpy as np
@@ -306,3 +307,28 @@ def test_bench_kernel_boundary_layer(kernel_bench, monkeypatch):
                              "integrations": len(integrations)})
     assert sol.fp[-1] == pytest.approx(1.0, abs=1e-4)
     assert sol.gp0 > 0.0
+
+
+def test_bench_kernel_equilibrium_shock(kernel_bench, monkeypatch, air_gas):
+    """One air11 equilibrium normal shock at fig 6's STS-3 freestream.
+
+    Recorded under its trace span name, like the boundary-layer kernel;
+    ``rho_T_calls`` is the number of Gibbs (rho, T) solves one shock
+    makes.
+    """
+    from repro.solvers.shock import equilibrium_normal_shock
+    from repro.thermo.equilibrium import EquilibriumSolver
+
+    rho1, T1, u1 = 6.895e-5, 216.0, 6740.0
+    calls = []
+    solve = EquilibriumSolver.solve_rho_T
+    monkeypatch.setattr(EquilibriumSolver, "solve_rho_T",
+                        lambda self, *a, **kw: (calls.append(1)
+                                                or solve(self, *a, **kw)))
+    equilibrium_normal_shock(air_gas, rho1, T1, u1)
+    monkeypatch.undo()
+
+    res = kernel_bench(equilibrium_normal_shock, air_gas, rho1, T1, u1,
+                       label="solvers.shock.equilibrium",
+                       meta={"rho_T_calls": len(calls)})
+    assert 1.0 / res["eps"] > 10.0

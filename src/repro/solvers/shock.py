@@ -1,8 +1,8 @@
 """Shock-wave and isentropic-flow relations, ideal and equilibrium gas.
 
 The frozen (calorically perfect) relations are closed-form; the equilibrium
-real-gas normal shock iterates the Rankine–Hugoniot system against the
-Gibbs equilibrium solver — the density ratio no longer saturates at
+real-gas normal shock solves the Rankine–Hugoniot jumps by Newton iteration
+over the Gibbs equilibrium solver — the density ratio no longer saturates at
 (gamma+1)/(gamma-1) ~ 6 but climbs toward 15+ as dissociation absorbs the
 shock heating, which is exactly the standoff-distance physics of Fig. 4.
 """
@@ -130,50 +130,134 @@ def frozen_post_shock_state(rho1, T1, u1, *, gamma=1.4, R=287.0528):
             "u2": u1 / ns["rho_ratio"]}
 
 
+#: Forward-difference step in ln rho2 and ln T2 for the jump Jacobian.
+#: The Gibbs solve stops at a scaled residual of 1e-11, so solver noise
+#: moves a derivative by at most ~1e-5 relative; truncation adds ~1e-6.
+_FD_STEP = 1.0e-6
+
+#: Multipliers of (rho2, T2) for the three states one Newton evaluation
+#: solves together: the point, rho2 perturbed, T2 perturbed.
+_FD_RHO = np.array([1.0, 1.0 + _FD_STEP, 1.0])
+_FD_T = np.array([1.0, 1.0, 1.0 + _FD_STEP])
+
+#: Largest change of ln rho2 or ln T2 in one Newton step.
+_MAX_LOG_STEP = 1.0
+
+#: Step halvings per Newton iteration while the residual does not fall.
+_MAX_HALVINGS = 8
+
+#: Downstream temperature bracket [K], as in :func:`_solve_T_of_h_p`.
+_T_MIN, _T_MAX = 50.0, 1.0e5
+
+
 def equilibrium_normal_shock(gas: EquilibriumGas, rho1, T1, u1, *,
                              tol=1e-10, max_iter=100):
     """Normal shock with equilibrium real-gas downstream state.
 
     Upstream is taken as the (frozen) reference mixture at (rho1, T1)
-    moving at u1 in the shock frame.  Solves Rankine–Hugoniot by fixed-
-    point iteration on the inverse density ratio::
+    moving at u1 in the shock frame.  The downstream state (rho2, T2)
+    with its equilibrium composition y2 solves the Rankine–Hugoniot
+    momentum and energy jumps, mass conservation giving
+    u2 = rho1 u1 / rho2::
 
-        eps = rho1/rho2
-        u2  = eps u1
-        p2  = p1 + rho1 u1^2 (1 - eps)
-        h2  = h1 + u1^2 (1 - eps^2) / 2
-        T2 from h_eq(T2, p2) = h2; rho2 from the equilibrium state.
+        (p2 + rho2 u2^2 - P) / P              = 0,  P = p1 + rho1 u1^2
+        (h2 + u2^2 / 2 - H) / max(|H|, 1e4)   = 0,  H = h1 + u1^2 / 2
+
+    with p2, h2 from y2 = equilibrium at (rho2, T2).  One damped Newton
+    iteration on (ln rho2, ln T2) drives both residuals below ``tol``,
+    in at most ``max_iter`` iterations.  Each evaluation is one 3-state
+    Gibbs solve, the point and its two forward-difference perturbations,
+    warm-started from the last element potentials; a step is capped in
+    log space and halved while the residual does not fall.  The
+    iteration starts from the strong-shock guess rho2 = 10 rho1 and the
+    frozen temperature at H.  No shock at all (eps = 1) solves the same
+    equations, so only a root with subsonic outflow is returned
+    (DESIGN §12).
 
     Returns dict with rho2, T2, p2, u2, y2 (equilibrium composition),
-    eps, and the upstream p1/h1.
+    eps = rho1/rho2, and the upstream p1/h1.
+
+    Raises
+    ------
+    InputError
+        rho1 or T1 not finite and positive, u1 not finite, or u1 not
+        above the upstream frozen sound speed.
+    ConvergenceError
+        No root within ``max_iter`` iterations, or the no-shock root;
+        ``residual`` is the last scaled residual and ``worst`` the last
+        (rho2, T2) and eps.
     """
     rho1 = float(rho1)
     T1 = float(T1)
     u1 = float(u1)
+    if not (0.0 < rho1 < np.inf and 0.0 < T1 < np.inf and np.isfinite(u1)):
+        raise InputError("equilibrium shock requires finite rho1 > 0, "
+                         f"T1 > 0 and u1; got rho1={rho1!r}, T1={T1!r}, "
+                         f"u1={u1!r}")
     y1 = gas.y_ref
     p1 = float(gas.mix.pressure(np.array(rho1), np.array(T1), y1))
     h1 = float(gas.mix.h_mass(np.array(T1), y1))
     a1 = float(gas.mix.sound_speed_frozen(np.array(T1), y1))
     if u1 <= a1:
         raise InputError("equilibrium shock requires supersonic upstream")
-    eps = 0.1  # strong-shock starting guess
-    T2 = max(4.0 * T1, 1000.0)
-    for it in range(max_iter):
-        u2 = eps * u1
-        p2 = p1 + rho1 * u1**2 * (1.0 - eps)
-        h2 = h1 + 0.5 * u1**2 * (1.0 - eps**2)
-        # find T2 with h_eq(T2, p2) = h2 (secant, warm start)
-        T2 = _solve_T_of_h_p(gas, h2, p2, T2)
-        y2, rho2 = gas.composition_T_p(np.array(T2), np.array(p2))
-        rho2 = float(rho2)
-        eps_new = rho1 / rho2
-        if abs(eps_new - eps) < tol:
-            return {"rho2": rho2, "T2": T2, "p2": p2, "u2": eps_new * u1,
-                    "y2": y2, "eps": eps_new, "p1": p1, "h1": h1}
-        # damped update (the map is a contraction for strong shocks)
-        eps = 0.7 * eps_new + 0.3 * eps
-    raise ConvergenceError("equilibrium shock iteration failed",
-                           iterations=max_iter)
+    m = rho1 * u1
+    P = p1 + m * u1
+    H = h1 + 0.5 * u1 * u1
+    H_scale = max(abs(H), 1.0e4)
+
+    def jump(rho2, T2, lam0):
+        """Scaled residuals (3, 2) of the point and its perturbations."""
+        rho = rho2 * _FD_RHO
+        T = T2 * _FD_T
+        y, lam = gas.solver.solve_rho_T(rho, T, gas.b, lam0=lam0,
+                                        return_lambda=True)
+        u = m / rho
+        R = np.stack([(gas.mix.pressure(rho, T, y) + m * u - P) / P,
+                      (gas.mix.h_mass(T, y) + 0.5 * u * u - H) / H_scale],
+                     axis=-1)
+        return R, y[0], lam[0]
+
+    def failure(why, it, R, rho2, T2):
+        return ConvergenceError(
+            f"equilibrium shock {why}", iterations=it,
+            residual=float(np.max(np.abs(R[0]))),
+            worst={"rho2": float(rho2), "T2": float(T2),
+                   "eps": rho1 / float(rho2)})
+
+    rho2 = 10.0 * rho1                     # eps = 0.1, the strong-shock guess
+    T2 = min(max(float(gas.mix.T_from_h(H, y1)), _T_MIN), _T_MAX)
+    R, y2, lam = jump(rho2, T2, None)
+    it = 0
+    while not np.all(np.abs(R[0]) <= tol):
+        if it == max_iter:
+            raise failure("iteration failed", it, R, rho2, T2)
+        it += 1
+        J = (R[1:] - R[0]).T / _FD_STEP    # d(R)/d(ln rho2, ln T2)
+        try:
+            dx = np.linalg.solve(J, -R[0])
+        except np.linalg.LinAlgError:
+            raise failure("Jacobian is singular", it, R, rho2, T2) from None
+        f0 = R[0] @ R[0]
+        s = 1.0
+        for _ in range(_MAX_HALVINGS + 1):
+            rho_t, T_t = (rho2, T2) * np.exp(
+                np.clip(s * dx, -_MAX_LOG_STEP, _MAX_LOG_STEP))
+            T_t = min(max(T_t, _T_MIN), _T_MAX)
+            R_t, y_t, lam_t = jump(rho_t, T_t, lam)
+            if R_t[0] @ R_t[0] < f0:
+                break
+            s *= 0.5
+        rho2, T2, R, y2, lam = rho_t, T_t, R_t, y_t, lam_t
+    eps = rho1 / float(rho2)
+    u2 = eps * u1
+    # the no-shock root lands on eps = 1 only to rounding, either side,
+    # so it is told apart by its supersonic outflow
+    if u2 >= float(gas.mix.sound_speed_frozen(T2, y2)):
+        raise failure("converged to the trivial no-shock root", it, R,
+                      rho2, T2)
+    p2 = float(gas.mix.pressure(rho2, T2, y2))
+    return {"rho2": float(rho2), "T2": float(T2), "p2": p2, "u2": u2,
+            "y2": y2, "eps": eps, "p1": p1, "h1": h1}
 
 
 def _solve_T_of_h_p(gas: EquilibriumGas, h_target, p, T_guess, *,

@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.baseline import DEFAULT_PERF_BASELINE_PATH
-from repro.analysis.cli import main
+from repro.analysis.cli import DEFAULT_PERF_PATHS, main
+from repro.analysis.hotpath import build_index
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -148,10 +149,13 @@ class TestSelfCheck:
         paths = [e["path"] for e in doc["worklist"]]
         assert any("thermo/equilibrium.py" in p for p in paths)
         assert any("solvers/shock_relaxation.py" in p for p in paths)
-        # vsl's own PERF002 was vectorized away: it must survive as a
-        # hot-path *via* (its solve chain makes downstream loops hot)
-        vias = [v for e in doc["worklist"] for v in e["hot_via"]]
-        assert any("solvers/vsl.py" in v for v in vias)
+        # vsl's own PERF002 was vectorized away, and so was the shock
+        # loop whose findings it led to: it must survive as a hot-path
+        # *via* (its solve chain makes downstream scopes hot)
+        idx = build_index(DEFAULT_PERF_PATHS)
+        assert any("solvers/vsl.py" not in path
+                   and any("solvers/vsl.py" in v for v in hot.via)
+                   for (path, _), hot in idx.info.items())
 
     def test_vectorized_sites_no_longer_fire(self, monkeypatch, capsys):
         monkeypatch.chdir(REPO_ROOT)

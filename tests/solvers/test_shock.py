@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import InputError
+from repro.errors import ConvergenceError, InputError
 from repro.solvers.shock import (equilibrium_normal_shock,
                                  frozen_post_shock_state, isentropic_ratios,
                                  normal_shock_ideal, oblique_shock_beta,
                                  pitot_pressure_ideal)
+from repro.thermo.mixture import MixtureThermo
 
 
 class TestNormalShockIdeal:
@@ -124,3 +125,76 @@ class TestEquilibriumShock:
     def test_subsonic_rejected(self, air_gas):
         with pytest.raises(InputError):
             equilibrium_normal_shock(air_gas, 1.0, 300.0, 100.0)
+
+    @pytest.mark.parametrize("rho1, T1, u1", [
+        (0.0, 250.0, 5000.0), (-1e-3, 250.0, 5000.0),
+        (np.nan, 250.0, 5000.0), (np.inf, 250.0, 5000.0),
+        (1e-3, 0.0, 5000.0), (1e-3, -250.0, 5000.0),
+        (1e-3, np.nan, 5000.0), (1e-3, np.inf, 5000.0),
+        (1e-3, 250.0, np.nan), (1e-3, 250.0, np.inf),
+        (1e-3, 250.0, -np.inf)])
+    def test_bad_upstream_rejected(self, air_gas, rho1, T1, u1):
+        with pytest.raises(InputError):
+            equilibrium_normal_shock(air_gas, rho1, T1, u1)
+
+    # (rho2, T2, p2, eps) recorded from the former solver, a damped eps
+    # fixed point around an h(T, p) secant over (T, p) Gibbs solves
+    @pytest.mark.parametrize("gas_name, rho1, T1, u1, ref", [
+        pytest.param("air_gas", 1.56e-4, 233.0, 6700.0,
+                     (0.002507468781294427, 5896.771020064785,
+                      6577.639496252849, 0.06221413449441566),
+                     id="air11-fig4"),
+        pytest.param("air_gas", 1e-3, 250.0, 5000.0,
+                     (0.011724007533073665, 5324.266588743212,
+                      22939.67081406369, 0.08529506631405512),
+                     id="air11-dense"),
+        pytest.param("air_gas", 1e-5, 250.0, 7000.0,
+                     (0.00018474891499419517, 5351.887061477488,
+                      464.1979914783089, 0.05412751679929596),
+                     id="air11-thin"),
+        # the full Newton step overshoots here: only the step halving
+        # converges
+        pytest.param("air_gas", 1e-3, 250.0, 15000.0,
+                     (0.015836910337953154, 15629.873699580805,
+                      210864.7308098075, 0.0631436295754924),
+                     id="air11-15kms"),
+        pytest.param("air5_gas", 1e-4, 250.0, 12000.0,
+                     (0.0009393934486957711, 23777.56997989695,
+                      12874.30072156554, 0.10645166850890576),
+                     id="air5-12kms"),
+        pytest.param("titan_gas", 1e-4, 170.0, 10000.0,
+                     (0.0017760802228260078, 8197.715286952822,
+                      9442.118179923047, 0.05630376303660717),
+                     id="titan9-10kms")])
+    def test_pinned_answers(self, request, gas_name, rho1, T1, u1, ref):
+        gas = request.getfixturevalue(gas_name)
+        res = equilibrium_normal_shock(gas, rho1, T1, u1)
+        np.testing.assert_allclose(
+            [res["rho2"], res["T2"], res["p2"], res["eps"]], ref, rtol=1e-8)
+        P = res["p1"] + rho1 * u1**2
+        H = res["h1"] + 0.5 * u1**2
+        h2 = float(gas.mix.h_mass(np.array(res["T2"]), res["y2"]))
+        assert abs(res["p2"] + res["rho2"] * res["u2"] ** 2 - P) <= 1e-10 * P
+        assert (abs(h2 + 0.5 * res["u2"] ** 2 - H)
+                <= 1e-10 * max(abs(H), 1e4))
+
+    @pytest.mark.parametrize("rho1, u1", [(1e-3, 5000.0), (1e-4, 4000.0)])
+    def test_trivial_root_is_refused(self, air_gas, monkeypatch, rho1, u1):
+        # from a cold start, T2 = max(4 T1, 1000 K), these cases converge
+        # to the no-shock root eps = 1 rather than the compressive one;
+        # the second has landed a rounding below eps = 1, where a test on
+        # eps >= 1 would pass it as a shock
+        monkeypatch.setattr(MixtureThermo, "T_from_h",
+                            lambda self, h, y, **kw: np.asarray(1000.0))
+        with pytest.raises(ConvergenceError, match="trivial") as err:
+            equilibrium_normal_shock(air_gas, rho1, 250.0, u1)
+        assert err.value.worst["eps"] == pytest.approx(1.0, abs=1e-9)
+        assert err.value.residual <= 1e-10
+
+    def test_out_of_iterations_carries_last_state(self, air_gas):
+        with pytest.raises(ConvergenceError) as err:
+            equilibrium_normal_shock(air_gas, 1.56e-4, 233.0, 6700.0,
+                                     max_iter=1)
+        assert err.value.iterations == 1
+        assert err.value.residual > 1e-10
+        assert set(err.value.worst) == {"rho2", "T2", "eps"}
