@@ -221,7 +221,7 @@ def test_bench_kernel_species_interp(kernel_bench, kernel_records):
     """Species-profile interpolation: per-j listcomp vs interp_columns.
 
     The vectorized form is what `solvers/vsl.py` and
-    `solvers/shock_relaxation.py` now use (PERF002 fix); the recorded
+    `solvers/shock_relaxation.py` now use; the recorded
     ``speedup`` is the measured loop/vectorized ratio.
     """
     from repro.numerics.interp import interp_columns

@@ -25,18 +25,9 @@ units checker (:mod:`repro.analysis.units`)
     incompatible additions, inconsistent reassignments and call-site
     unit mismatches.
 
-perf linter (:mod:`repro.analysis.callgraph`,
-:mod:`repro.analysis.hotpath`, :mod:`repro.analysis.perf_rules`)
-    A hot-path performance lint: a loop-depth-weighted call graph,
-    anchored-reachability hot-path inference (solver entry points,
-    numerics sweeps, thermo/transport/radiation kernels, benchmark
-    callees), and the PERF001–PERF008 rule family that inventories
-    scalar-per-cell Python patterns on hot paths into a ranked
-    vectorization worklist (``python -m repro.analysis perf``).
-
-All are exposed through ``python -m repro.analysis`` (see
+Both are exposed through ``python -m repro.analysis`` (see
 :mod:`repro.analysis.cli`) with text/JSON output, per-rule pragmas
-(``# catlint: disable=RULE -- reason``) and checked-in baselines so
+(``# catlint: disable=RULE -- reason``) and a checked-in baseline so
 CI fails only on *new* findings.
 """
 
@@ -53,20 +44,12 @@ from repro.analysis.engine import (
 )
 from repro.analysis.baseline import (
     DEFAULT_BASELINE_PATH,
-    DEFAULT_PERF_BASELINE_PATH,
     diff_against_baseline,
     load_baseline,
     write_baseline,
 )
 from repro.analysis.units import check_units_paths, check_units_source
 from repro.analysis.dimensions import Dim, UnitParseError, parse_unit
-from repro.analysis.callgraph import CallGraph
-from repro.analysis.hotpath import HotPathIndex, build_index
-from repro.analysis.perf_rules import (
-    PerfFinding,
-    perf_lint_paths,
-    rank_worklist,
-)
 
 __all__ = [
     "Finding",
@@ -78,13 +61,6 @@ __all__ = [
     "lint_paths",
     "lint_source",
     "DEFAULT_BASELINE_PATH",
-    "DEFAULT_PERF_BASELINE_PATH",
-    "CallGraph",
-    "HotPathIndex",
-    "build_index",
-    "PerfFinding",
-    "perf_lint_paths",
-    "rank_worklist",
     "load_baseline",
     "write_baseline",
     "diff_against_baseline",

@@ -23,12 +23,6 @@ from repro.analysis.findings import Finding
 #: Default baseline location, relative to the repo root / CWD.
 DEFAULT_BASELINE_PATH = ".catlint-baseline.json"
 
-#: Baseline for the PERF rule family (``repro.analysis perf``) — kept
-#: separate from the catlint baseline: perf findings are a ranked
-#: worklist to burn down, not correctness hazards, and the two files
-#: regenerate on different cadences.
-DEFAULT_PERF_BASELINE_PATH = ".perflint-baseline.json"
-
 _FORMAT_VERSION = 1
 
 
@@ -56,14 +50,21 @@ def write_baseline(findings: Iterable[Finding], path: str) -> dict:
 
 
 def load_baseline(path: str) -> collections.Counter:
-    """Key -> accepted multiplicity.  Missing file = empty baseline."""
+    """Key -> accepted multiplicity.  Missing file = empty baseline.
+
+    Raises :class:`ValueError` unless the file is a JSON object whose
+    ``entries`` is a list of objects, each with a string ``key``.
+    """
     if not os.path.exists(path):
         return collections.Counter()
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    if not isinstance(doc, dict) or "entries" in doc is None:
+    entries = doc.get("entries") if isinstance(doc, dict) else None
+    if not (isinstance(entries, list)
+            and all(isinstance(e, dict) and isinstance(e.get("key"), str)
+                    for e in entries)):
         raise ValueError(f"not a catlint baseline: {path}")
-    return collections.Counter(e["key"] for e in doc.get("entries", []))
+    return collections.Counter(e["key"] for e in entries)
 
 
 def diff_against_baseline(findings: list[Finding],

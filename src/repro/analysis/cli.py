@@ -12,32 +12,41 @@ import json
 import sys
 
 from repro.analysis import rules as _rules  # noqa: F401 - registers rules
-from repro.analysis import perf_rules as _perf  # noqa: F401 - registers rules
 from repro.analysis.baseline import (
     DEFAULT_BASELINE_PATH,
-    DEFAULT_PERF_BASELINE_PATH,
     diff_against_baseline,
     load_baseline,
     write_baseline,
 )
 from repro.analysis.engine import RULES, lint_paths
 from repro.analysis.findings import Severity
-from repro.analysis.perf_rules import perf_lint_paths, rank_worklist
 from repro.analysis.units import check_units_paths
 
-#: Default sweep set: the package, its tests, and the benchmark suite
-#: (benchmarks are hot-path definitions — they must stay lint-clean).
+#: Default sweep set: the package, its tests, and the benchmark suite.
 DEFAULT_LINT_PATHS = ["src", "tests", "benchmarks"]
 
-#: Default perf sweep: package + benchmarks (benchmarks anchor the hot
-#: region; PERF findings themselves only fire on non-test sources).
-DEFAULT_PERF_PATHS = ["src", "benchmarks"]
+#: Codes the engine emits itself, beside the registered rules: pragma
+#: without a reason, unreadable file, syntax error.
+_ENGINE_CODES = {"CAT090", "CAT998", "CAT999"}
 
 _UNIT_RULES = {
     "UNIT001": "incompatible dimensions in +/-/comparison",
     "UNIT002": "declared unit contradicted (parameter rebound / return)",
     "UNIT003": "call argument unit mismatch",
 }
+
+
+def _rule_codes(text: str) -> list[str]:
+    """``--select`` value -> codes; rejects codes ``lint`` cannot emit,
+    so a typo or a stale code in a CI step fails instead of passing."""
+    codes = [s.strip() for s in text.split(",") if s.strip()]
+    if not codes:
+        raise argparse.ArgumentTypeError("no rule code given")
+    unknown = sorted(set(codes) - set(RULES) - _ENGINE_CODES)
+    if unknown:
+        raise argparse.ArgumentTypeError(
+            f"unknown rule code(s): {', '.join(unknown)}")
+    return codes
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -59,7 +68,8 @@ def _build_parser() -> argparse.ArgumentParser:
                       const=DEFAULT_BASELINE_PATH, default=None,
                       metavar="FILE",
                       help="accept all current findings into FILE")
-    lint.add_argument("--select", default=None, metavar="RULES",
+    lint.add_argument("--select", type=_rule_codes, default=None,
+                      metavar="RULES",
                       help="comma-separated rule codes to run")
     lint.add_argument("--min-severity", choices=("info", "warning", "error"),
                       default="info", help="drop findings below this level")
@@ -67,31 +77,6 @@ def _build_parser() -> argparse.ArgumentParser:
     units = sub.add_parser("units", help="run the units/dimension checker")
     units.add_argument("paths", nargs="*", default=["src"])
     units.add_argument("--format", choices=("text", "json"), default="text")
-
-    perf = sub.add_parser(
-        "perf", help="hot-path performance lint (ranked worklist)")
-    perf.add_argument("paths", nargs="*", default=DEFAULT_PERF_PATHS,
-                      help="files or directories "
-                           f"(default: {' '.join(DEFAULT_PERF_PATHS)})")
-    perf.add_argument("--format", choices=("text", "json"), default="text")
-    perf.add_argument("--json", action="store_const", const="json",
-                      dest="format", help="shorthand for --format json")
-    perf.add_argument("--baseline", nargs="?",
-                      const=DEFAULT_PERF_BASELINE_PATH,
-                      default=None, metavar="FILE",
-                      help="fail only on findings not in FILE "
-                           f"(default {DEFAULT_PERF_BASELINE_PATH})")
-    perf.add_argument("--write-baseline", nargs="?",
-                      const=DEFAULT_PERF_BASELINE_PATH, default=None,
-                      metavar="FILE",
-                      help="accept all current findings into FILE")
-    perf.add_argument("--select", default=None, metavar="RULES",
-                      help="comma-separated PERF rule codes to run")
-    perf.add_argument("--worklist", default=None, metavar="FILE",
-                      help="also write the ranked worklist JSON to FILE")
-    perf.add_argument("--top", type=int, default=15, metavar="N",
-                      help="ranked entries to show in text mode "
-                           "(default 15; 0 = all)")
 
     sub.add_parser("list-rules", help="print the rule catalog")
     return p
@@ -124,9 +109,7 @@ def _emit(findings, new, stale, fmt: str, baseline_path: str | None) -> None:
 
 
 def _cmd_lint(args) -> int:
-    select = ([s.strip() for s in args.select.split(",") if s.strip()]
-              if args.select else None)
-    findings = lint_paths(args.paths, select=select)
+    findings = lint_paths(args.paths, select=args.select)
     floor = Severity.rank(args.min_severity)
     findings = [f for f in findings if Severity.rank(f.severity) >= floor]
     if args.write_baseline is not None:
@@ -135,87 +118,16 @@ def _cmd_lint(args) -> int:
               file=sys.stderr)
         return 0
     if args.baseline is not None:
-        baseline = load_baseline(args.baseline)
+        try:
+            baseline = load_baseline(args.baseline)
+        except ValueError as err:
+            print(f"lint: {err}", file=sys.stderr)
+            return 2
         new, stale = diff_against_baseline(findings, baseline)
         _emit(findings, new, stale, args.format, args.baseline)
         return 1 if new else 0
     _emit(findings, findings, 0, args.format, None)
     return 1 if findings else 0
-
-
-def _perf_doc(ranked, new_keys, stale, baseline_path):
-    return {
-        "tool": "perflint",
-        "baseline": baseline_path,
-        "scoring": "score = (hot_depth + local_depth) * trip_estimate"
-                   " * multiplicity  (/100 on rescue paths)",
-        "counts": {
-            "total": len(ranked),
-            "new": len(new_keys),
-            "stale_baseline_entries": stale,
-        },
-        "worklist": [
-            dict(pf.to_dict(), rank=i + 1,
-                 new=(id(pf.finding) in new_keys))
-            for i, pf in enumerate(ranked)
-        ],
-    }
-
-
-def _emit_perf(ranked, new_keys, stale, args, baseline_path) -> None:
-    doc = _perf_doc(ranked, new_keys, stale, baseline_path)
-    if args.worklist:
-        with open(args.worklist, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
-    if args.format == "json":
-        json.dump(doc, sys.stdout, indent=2)
-        sys.stdout.write("\n")
-        return
-    shown = ranked if args.top == 0 else ranked[:args.top]
-    for i, pf in enumerate(shown):
-        f = pf.finding
-        tag = ""
-        if baseline_path is not None:
-            tag = " NEW" if id(f) in new_keys else " (baseline)"
-        print(f"#{i + 1:<3} score={pf.score:<10g} {f.rule} "
-              f"{f.path}:{f.line} [{pf.function}]{tag}")
-        print(f"     {f.message}")
-        print(f"     depth={pf.hot_depth}+{pf.local_depth} "
-              f"trips~{pf.trips} ({pf.trip_basis}) "
-              f"x{pf.multiplicity} site(s)"
-              + (" [rescue path]" if pf.rescue_path else ""))
-        if pf.via:
-            print(f"     via {' -> '.join(pf.via)}")
-    if len(ranked) > len(shown):
-        print(f"... {len(ranked) - len(shown)} more "
-              "(--top 0 for the full list)")
-    if baseline_path is not None:
-        print(f"{len(ranked)} finding(s); {len(new_keys)} new vs "
-              f"baseline {baseline_path!r}; {stale} stale entr(y/ies)")
-    else:
-        print(f"{len(ranked)} finding(s)")
-
-
-def _cmd_perf(args) -> int:
-    select = ([s.strip() for s in args.select.split(",") if s.strip()]
-              if args.select else None)
-    findings = perf_lint_paths(args.paths, select=select)
-    ranked = rank_worklist(findings)
-    plain = [pf.finding for pf in ranked]
-    if args.write_baseline is not None:
-        write_baseline(plain, args.write_baseline)
-        print(f"wrote {len(plain)} finding(s) to {args.write_baseline}",
-              file=sys.stderr)
-        return 0
-    if args.baseline is not None:
-        baseline = load_baseline(args.baseline)
-        new, stale = diff_against_baseline(plain, baseline)
-        new_keys = {id(f) for f in new}
-        _emit_perf(ranked, new_keys, stale, args, args.baseline)
-        return 1 if new else 0
-    _emit_perf(ranked, {id(f) for f in plain}, 0, args, None)
-    return 1 if ranked else 0
 
 
 def _cmd_units(args) -> int:
@@ -244,8 +156,6 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_lint(args)
     if args.command == "units":
         return _cmd_units(args)
-    if args.command == "perf":
-        return _cmd_perf(args)
     if args.command == "list-rules":
         return _cmd_list_rules()
     parser.print_help()

@@ -1,8 +1,7 @@
 """Vectorized multi-column linear interpolation.
 
 ``np.interp`` handles one column at a time, which pushes callers into
-per-species list comprehensions on hot paths (the PERF002 pattern the
-performance linter flags)::
+per-species list comprehensions on hot paths::
 
     np.stack([np.interp(xq, x, Y[:, j]) for j in range(ns)], axis=-1)
 

@@ -732,7 +732,6 @@ def evaluate_batch_farm(requests, policy: BatchPolicy | None = None, *,
             rec = queue.result(job.id)
             res = rec.get("result") if isinstance(rec, dict) else None
             if not isinstance(res, dict) or "envelopes" not in res:
-                # catlint: disable=PERF001 -- per-chunk envelope-object synthesis, not array math
                 for i in range(offset, offset + len(chunk)):
                     envelopes[i] = Envelope(
                         index=i, key=None, method=None,

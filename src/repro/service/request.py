@@ -239,7 +239,6 @@ def validate_request(raw, *, index: int,
                             f"{type(v).__name__}")
             continue
         v = float(v)
-        # catlint: disable=PERF003 -- per-field scalar validation of one request dict
         if not math.isfinite(v):
             problems.append(f"field {name!r} must be finite, got {v!r}")
             continue

@@ -1,5 +1,9 @@
 """Baseline round-trip and regression diffing."""
 
+import json
+
+import pytest
+
 from repro.analysis.baseline import (
     diff_against_baseline,
     load_baseline,
@@ -42,6 +46,19 @@ class TestRoundTrip:
         p = tmp_path / "baseline.json"
         write_baseline([mk(line=10), mk(line=20)], str(p))
         assert load_baseline(str(p))[mk().key()] == 2
+
+    @pytest.mark.parametrize("doc", [
+        {},
+        {"entries": 5},
+        {"entries": [{"rule": "CAT001"}]},
+        [1],
+    ], ids=["no-entries", "entries-not-list", "entry-without-key",
+            "not-an-object"])
+    def test_malformed_document_rejected(self, tmp_path, doc):
+        p = tmp_path / "baseline.json"
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="not a catlint baseline"):
+            load_baseline(str(p))
 
 
 class TestDiff:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.cli import main
+from repro.analysis.cli import DEFAULT_LINT_PATHS, main
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -66,6 +66,19 @@ class TestLintCommand:
         assert main(["lint", str(bad_file), "--select", "CAT015"]) == 0
         assert main(["lint", str(bad_file), "--select", "CAT001"]) == 1
 
+    @pytest.mark.parametrize("codes, named", [
+        ("NOPE999", "NOPE999"),   # no such rule
+        ("UNIT001", "UNIT001"),   # the units checker's code, not lint's
+        ("PERF001", "PERF001"),   # no such rule family
+        (",", "no rule code"),
+    ])
+    def test_select_rejects_codes_lint_cannot_emit(self, bad_file, codes,
+                                                   named, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["lint", str(bad_file), "--select", codes])
+        assert exc.value.code == 2
+        assert named in capsys.readouterr().err
+
 
 class TestBaselineFlow:
     def test_write_then_pass_then_regress(self, bad_file, tmp_path, capsys):
@@ -94,6 +107,14 @@ class TestBaselineFlow:
         assert main(["lint", str(bad_file), "--baseline",
                      str(baseline)]) == 0
         assert "stale" in capsys.readouterr().out
+
+    def test_malformed_baseline_is_usage_error(self, bad_file, tmp_path,
+                                               capsys):
+        baseline = tmp_path / "baseline.json"
+        baseline.write_text('{"entries": 5}')
+        assert main(["lint", str(bad_file), "--baseline",
+                     str(baseline)]) == 2
+        assert "not a catlint baseline" in capsys.readouterr().err
 
 
 class TestUnitsCommand:
@@ -126,13 +147,13 @@ class TestUnitsCommand:
 class TestSelfCheck:
     """The repo's own tree is the permanent integration fixture."""
 
-    def test_src_tree_is_catlint_clean(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("tree", ["src/repro", "tests", "benchmarks"])
+    def test_tree_is_catlint_clean(self, tree, capsys, monkeypatch):
         monkeypatch.chdir(REPO_ROOT)
-        assert main(["lint", "src/repro", "--baseline"]) == 0
+        assert main(["lint", tree, "--baseline"]) == 0
 
-    def test_tests_tree_is_catlint_clean(self, capsys, monkeypatch):
-        monkeypatch.chdir(REPO_ROOT)
-        assert main(["lint", "tests", "--baseline"]) == 0
+    def test_default_lint_paths_cover_every_tree(self):
+        assert DEFAULT_LINT_PATHS == ["src", "tests", "benchmarks"]
 
     def test_src_tree_units_clean(self, capsys, monkeypatch):
         monkeypatch.chdir(REPO_ROOT)
@@ -157,6 +178,7 @@ class TestEntryPoint:
         rule_lines = [ln for ln in out.splitlines()
                       if ln.startswith(("CAT", "UNIT"))]
         assert len(rule_lines) >= 10
+        assert not [ln for ln in out.splitlines() if ln.startswith("PERF")]
 
     def test_no_command_is_usage_error(self, capsys):
         assert main([]) == 2

@@ -463,5 +463,5 @@ class TestEngineBasics:
     def test_rule_catalog_has_ten_plus_rules(self):
         from repro.analysis.engine import RULES
         assert len(RULES) >= 10
-        assert all(code.startswith(("CAT", "PERF")) for code in RULES)
+        assert all(code.startswith("CAT") for code in RULES)
         assert sum(1 for code in RULES if code.startswith("CAT")) >= 10

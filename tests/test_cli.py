@@ -3,7 +3,9 @@
 Every ``$ python -m repro ...`` line in README.md and every
 ``python -m repro ...`` command in the CI workflow goes through the
 CLI's own argparse parser, without running, so a flag that is renamed or
-dropped fails here before a reader or a CI job trips over it.
+dropped fails here before a reader or a CI job trips over it.  The
+``python -m repro.analysis ...`` commands of both files go through the
+static-analysis CLI's parser the same way.
 """
 
 import re
@@ -13,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from repro.__main__ import _COMMANDS, _build_parser, main
+from repro.analysis import cli as analysis_cli
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -39,10 +42,13 @@ def _invocations(path: Path, marker: str) -> list[list[str]]:
 README = _invocations(ROOT / "README.md", "$ python -m repro ")
 CI = _invocations(ROOT / ".github" / "workflows" / "ci.yml",
                   "python -m repro ")
+ANALYSIS = [argv for path in (ROOT / "README.md",
+                              ROOT / ".github" / "workflows" / "ci.yml")
+            for argv in _invocations(path, "python -m repro.analysis ")]
 
 
 def test_both_sources_document_commands():
-    assert README and CI
+    assert README and CI and ANALYSIS
 
 
 @pytest.mark.parametrize("argv", README + CI, ids=" ".join)
@@ -52,6 +58,16 @@ def test_documented_invocation_parses(argv):
     except SystemExit:
         pytest.fail(f"does not parse: python -m repro {shlex.join(argv)}")
     assert args.command in _COMMANDS
+
+
+@pytest.mark.parametrize("argv", ANALYSIS, ids=" ".join)
+def test_documented_analysis_invocation_parses(argv):
+    try:
+        args = analysis_cli._build_parser().parse_args(argv)
+    except SystemExit:
+        pytest.fail("does not parse: python -m repro.analysis "
+                    f"{shlex.join(argv)}")
+    assert args.command is not None
 
 
 @pytest.mark.parametrize(
