@@ -12,8 +12,8 @@ the ``BENCH_kernels.json`` CI artifact — the ROADMAP item-2 per-kernel
 perf trajectory: Gibbs equilibrium solve, kinetics source terms,
 MUSCL+flux sweep, tangent-slab radiation, NASA-7 evaluation, the
 species-profile interpolation and the standard Gibbs function g0/RT
-(loop vs vectorized ablations), one boundary-layer solve and one
-equilibrium normal shock.
+(loop vs vectorized ablations), one boundary-layer solve, one
+equilibrium normal shock and one cold 48 x 72 EOS-table build.
 """
 
 import numpy as np
@@ -332,3 +332,33 @@ def test_bench_kernel_equilibrium_shock(kernel_bench, monkeypatch, air_gas):
                        label="solvers.shock.equilibrium",
                        meta={"rho_T_calls": len(calls)})
     assert 1.0 / res["eps"] > 10.0
+
+
+def test_bench_kernel_eos_table_build(kernel_bench, monkeypatch, air_gas):
+    """Cold 48 x 72 equilibrium-air EOS table: 3,456 batched Gibbs solves.
+
+    ``EquilibriumEOSTable.build`` bypasses the disk cache, so every round
+    is a cold build, the whole of marching-figs' set-up.  Recorded under
+    its trace span name; ``jacobian_rows`` counts the rows the Gibbs
+    Newton hands to ``numpy.linalg.solve`` over one build.
+    """
+    from repro.thermo.eos_table import EquilibriumEOSTable
+    from repro.thermo.equilibrium import EquilibriumSolver
+
+    calls, rows = [], []
+    solve_rho_T, solve = EquilibriumSolver.solve_rho_T, np.linalg.solve
+    monkeypatch.setattr(EquilibriumSolver, "solve_rho_T",
+                        lambda self, *a, **kw: (calls.append(1)
+                                                or solve_rho_T(self, *a,
+                                                               **kw)))
+    monkeypatch.setattr(np.linalg, "solve",
+                        lambda a, b: rows.append(a.shape[0]) or solve(a, b))
+    EquilibriumEOSTable.build(air_gas, n_rho=48, n_e=72)
+    monkeypatch.undo()
+
+    tab = kernel_bench(EquilibriumEOSTable.build, air_gas, n_rho=48, n_e=72,
+                       label="thermo.eos_table.build",
+                       meta={"states": 48 * 72, "rho_T_calls": len(calls),
+                             "jacobian_rows": sum(rows)})
+    assert tab.gamma.shape == (48, 72)
+    assert np.all((tab.gamma > 1.0) & (tab.gamma < 1.7))

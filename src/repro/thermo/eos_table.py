@@ -37,15 +37,25 @@ class EquilibriumEOSTable:
 
     def __init__(self, log_rho: np.ndarray, log_e: np.ndarray,
                  gamma: np.ndarray, T: np.ndarray, *, clamp: bool = True):
-        if gamma.shape != (log_rho.size, log_e.size):
-            raise InputError("table shape mismatch")
         self.log_rho = np.asarray(log_rho, dtype=float)
         self.log_e = np.asarray(log_e, dtype=float)
         self.gamma = np.asarray(gamma, dtype=float)
         self.T = np.asarray(T, dtype=float)
+        shape = (self.log_rho.size, self.log_e.size)
+        if self.gamma.shape != shape or self.T.shape != shape:
+            raise InputError("table shape mismatch")
+        if min(shape) < 2:
+            raise InputError("table grids need at least 2 points per axis")
+        if not all(np.all(np.isfinite(a)) for a in
+                   (self.log_rho, self.log_e, self.gamma, self.T)):
+            raise InputError("table holds non-finite values")
         self.clamp = clamp
         self._dlr = self.log_rho[1] - self.log_rho[0]
         self._dle = self.log_e[1] - self.log_e[0]
+        if self._dlr <= 0.0 or self._dle <= 0.0:
+            # _locate clips into [axis[0], axis[-1]]: a descending axis
+            # would pin every lookup to one edge
+            raise InputError("table grids must be ascending")
         if (not np.allclose(np.diff(self.log_rho), self._dlr)
                 or not np.allclose(np.diff(self.log_e), self._dle)):
             raise InputError("table grids must be uniform in log space")
@@ -69,6 +79,10 @@ class EquilibriumEOSTable:
         """
         if min(rho_range) <= 0.0 or min(e_range) <= 0.0:
             raise InputError("table ranges must be positive (log-spaced)")
+        if rho_range[0] >= rho_range[1] or e_range[0] >= e_range[1]:
+            raise InputError("table ranges must be ascending (lo, hi)")
+        if n_rho < 2 or n_e < 2:
+            raise InputError("table grids need at least 2 points per axis")
         # catlint: disable=CAT001 -- ranges validated positive above
         log_rho = np.linspace(np.log(rho_range[0]), np.log(rho_range[1]),
                               n_rho)

@@ -6,7 +6,9 @@ only.  This module computes that state for arbitrary mixtures by minimising
 Gibbs free energy subject to element (and charge) conservation — the
 element-potential / STANJAN formulation, solved with a damped Newton
 iteration that is **batched** over many thermodynamic states at once (the
-solvers hand in whole grids of cells).
+solvers hand in whole grids of cells).  Converged states leave the batch:
+each iteration runs only on the states still above tolerance, so one slow
+state does not hold the others in the Jacobian solve.
 
 Formulation
 -----------
@@ -175,14 +177,15 @@ class EquilibriumSolver:
 
         Returns ``(c, lam, fnorm)`` where ``fnorm`` is the per-state
         scaled residual norm; states above ``tol`` simply did not
-        converge (no raise — per-cell triage is the caller's job).  With
-        ``record`` (a list), the per-iteration ``fnorm`` vectors are
-        appended — the residual trajectories the failure diagnostics
-        ship.
+        converge (no raise — per-cell triage is the caller's job).
+        Converged states leave the batch: each iteration runs on the
+        rows still above ``tol`` only.  With ``record`` (a list), the
+        per-iteration full-batch ``fnorm`` vectors are appended — the
+        residual trajectories the failure diagnostics ship.
         """
         A = self._A
-        B = lam.shape[0]
 
+        # both closures read the current working set's gt, c_ref, target
         def concentrations(lam):
             expo = -gt + lam @ A                   # (B, n)
             return c_ref[:, None] * np.exp(np.clip(expo, -_EXP_CLIP,
@@ -191,14 +194,23 @@ class EquilibriumSolver:
         def residual(c):
             return c @ A.T - target                # (B, K)
 
+        lam = np.array(lam, dtype=float)           # never the caller's array
         c = concentrations(lam)
         F = residual(c)
         fnorm = np.max(np.abs(F) / scale, axis=1)
         if record is not None:
             record.append(fnorm.copy())
-        active = fnorm > tol
+        c_out, lam_out, fnorm_out = c, lam, fnorm  # full-batch results
+        idx = np.arange(lam.shape[0])              # working set: batch rows
         for _ in range(max_iter):
-            if not np.any(active):
+            keep = fnorm > tol
+            if not keep.all():
+                c_out[idx], lam_out[idx], fnorm_out[idx] = c, lam, fnorm
+                idx = idx[keep]
+                lam, c, F, fnorm, gt, c_ref, target, scale = (
+                    a[keep] for a in (lam, c, F, fnorm, gt, c_ref, target,
+                                      scale))
+            if not idx.size:
                 break
             # Jacobian J_km = sum_j a_kj a_mj c_j  (symmetric PSD)
             Jc = c[:, None, :] * A[None, :, :]       # (B, K, n)
@@ -212,17 +224,16 @@ class EquilibriumSolver:
                 dlam = np.linalg.solve(J, -F[:, :, None])[:, :, 0]
             except np.linalg.LinAlgError:
                 dlam = np.stack([np.linalg.lstsq(J[i], -F[i], rcond=None)[0]
-                                 for i in range(B)])
+                                 for i in range(idx.size)])
             # trust region on the potentials
             mx = np.max(np.abs(dlam), axis=1, keepdims=True)
             dlam *= np.minimum(1.0, 4.0 / np.maximum(mx, 1e-30))
-            dlam[~active] = 0.0
             # backtracking line search (vectorised)
-            step = np.ones((B, 1), dtype=np.float64)
+            step = np.ones((idx.size, 1), dtype=np.float64)
             for _ls in range(8):
                 c_new = concentrations(lam + step * dlam)
                 f_new = np.max(np.abs(residual(c_new)) / scale, axis=1)
-                worse = active & (f_new > fnorm * (1.0 - 1e-4 * step[:, 0]))
+                worse = f_new > fnorm * (1.0 - 1e-4 * step[:, 0])
                 if not np.any(worse):
                     break
                 step[worse] *= 0.5
@@ -231,9 +242,10 @@ class EquilibriumSolver:
             F = residual(c)
             fnorm = np.max(np.abs(F) / scale, axis=1)
             if record is not None:
-                record.append(fnorm.copy())
-            active = fnorm > tol
-        return c, lam, fnorm
+                fnorm_out[idx] = fnorm
+                record.append(fnorm_out.copy())
+        c_out[idx], lam_out[idx], fnorm_out[idx] = c, lam, fnorm
+        return c_out, lam_out, fnorm_out
 
     def _recover_cells(self, idx, rho_f, T_f, b_f, gt, c_ref, target,
                        scale, tol, max_iter, c, lam, fnorm):

@@ -11,6 +11,20 @@ from repro.thermo.equilibrium import (EquilibriumGas,
 from repro.thermo.species import species_set
 
 
+@pytest.fixture(scope="session", autouse=True)
+def _cold_eos_cache(tmp_path_factory):
+    """Point HOME at an empty directory for the whole session.
+
+    The equilibrium-air EOS tables are cached under ``~/.cache/repro``
+    (``build_air_table``, the only reader of HOME).  With a developer's
+    warm cache the suite would never build one; with an empty HOME every
+    session builds them cold, as a fresh CI machine does.
+    """
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("HOME", str(tmp_path_factory.mktemp("home")))
+        yield
+
+
 @pytest.fixture(scope="session")
 def air11():
     return species_set("air11")

@@ -66,7 +66,7 @@ class TestTabulatedEOS:
         assert e_back == pytest.approx(e, rel=1e-6)
 
     def test_default_table_builds(self):
-        # uses the cached standard table
+        # the standard 48x72 table, built cold: conftest empties HOME
         eos = TabulatedEOS()
         assert float(eos.pressure(0.1, 1e6)) > 0
 

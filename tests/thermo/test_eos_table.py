@@ -35,6 +35,39 @@ class TestConstruction:
         with pytest.raises(InputError):
             EquilibriumEOSTable(lr, le, np.ones((3, 4)), np.ones((3, 4)))
 
+    @staticmethod
+    def _table(lr=np.linspace(0, 1, 4), le=np.linspace(0, 1, 5),
+               gamma=None, T=None):
+        gamma = np.full((lr.size, le.size), 1.3) if gamma is None else gamma
+        T = np.full((lr.size, le.size), 300.0) if T is None else T
+        return EquilibriumEOSTable(lr, le, gamma, T)
+
+    @pytest.mark.parametrize("kwargs", [
+        # a descending axis passes the spacing check, then _locate's clip
+        # pins every lookup to one edge
+        {"lr": np.linspace(1, 0, 4)},
+        {"le": np.linspace(1, 0, 5)},
+        {"T": np.full((5, 4), 300.0)},
+        {"gamma": np.where(np.eye(4, 5) > 0, np.nan, 1.3)},
+        {"T": np.where(np.eye(4, 5) > 0, np.inf, 300.0)},
+        {"lr": np.zeros(1)},
+    ], ids=["descending_rho", "descending_e", "T_shape", "nan_gamma",
+            "inf_T", "one_point"])
+    def test_malformed_table_rejected(self, kwargs):
+        with pytest.raises(InputError):
+            self._table(**kwargs)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"rho_range": (10.0, 1e-7)},
+        {"e_range": (1.5e8, 5e4)},
+        {"n_rho": 1},
+        {"n_e": 1},
+    ], ids=["reversed_rho", "reversed_e", "one_rho", "one_e"])
+    def test_build_rejects_grid_before_solving(self, kwargs):
+        # the gas is never touched: validation precedes every solve
+        with pytest.raises(InputError):
+            EquilibriumEOSTable.build(object(), **kwargs)
+
 
 class TestAccuracy:
     def test_pressure_against_direct_solve(self, small_table,
@@ -99,3 +132,16 @@ class TestPersistence:
         g1, t1 = loaded.lookup(0.01, 3e6)
         g2, t2 = small_table.lookup(0.01, 3e6)
         assert float(g1) == float(g2) and float(t1) == float(t2)
+
+    def test_corrupt_cache_file_is_rebuilt(self, tmp_path, monkeypatch):
+        from repro.thermo import eos_table
+        monkeypatch.setattr(eos_table, "_AIR_TABLE_CACHE", {})
+        path = tmp_path / "air_eos_6x8.npz"
+        np.savez(path, log_rho=np.linspace(-16.0, 2.0, 6),
+                 log_e=np.linspace(11.0, 19.0, 8),
+                 gamma=np.full((6, 8), np.nan), T=np.full((6, 8), 300.0))
+        tab = eos_table.build_air_table(n_rho=6, n_e=8,
+                                        cache_dir=str(tmp_path))
+        assert np.all(np.isfinite(tab.gamma)) and np.all(np.isfinite(tab.T))
+        with np.load(path) as z:
+            np.testing.assert_array_equal(z["gamma"], tab.gamma)

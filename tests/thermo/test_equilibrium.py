@@ -148,6 +148,94 @@ def _mixture_helmholtz(gas, y, rho, T):
     return float(np.sum(n * (_chemical_potentials(gas, y, rho, T) - R * T)))
 
 
+class TestActiveSetNewton:
+    """`_newton` runs each iteration on the states still above ``tol``."""
+
+    TOL = 1.0e-11
+
+    @pytest.fixture(scope="class")
+    def batch(self, air_gas):
+        # test_failure_modes' corrupted warm start: every 10th of 200
+        # converged states re-seeded with exp(150)-overflowing potentials
+        r = np.random.default_rng(20260706)
+        rho, T = 10 ** r.uniform(-4, 0, 200), r.uniform(1500.0, 12000.0, 200)
+        _, lam = air_gas.solver.solve_rho_T(rho, T, air_gas.b,
+                                            return_lambda=True)
+        lam0 = lam.copy()
+        lam0[::10] = 150.0
+        return rho, T, lam0
+
+    @staticmethod
+    def _kernel_args(solver, rho, T, b):
+        """(gt, c_ref, target, scale) exactly as solve_rho_T builds them."""
+        from repro.constants import R_UNIVERSAL
+        from repro.thermo.statmech import P_STANDARD
+        target = rho[:, None] * np.broadcast_to(b, (rho.size, solver.K))
+        scale = np.maximum(np.max(np.abs(target), axis=1, keepdims=True),
+                           1e-30)
+        return (solver.thermo.g0_over_RT(T), P_STANDARD / (R_UNIVERSAL * T),
+                target, scale)
+
+    def test_solves_only_unconverged_rows(self, air_gas, batch,
+                                          monkeypatch):
+        rho, T, lam0 = batch
+        solver = air_gas.solver
+        solve_rows, solve = [], np.linalg.solve    # rows of each solve call
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: (
+            solve_rows.append(a.shape[0]) or solve(a, b)))
+        lam_in = lam0.copy()
+        rec = []
+        solver._newton(lam_in, *self._kernel_args(solver, rho, T, air_gas.b),
+                       self.TOL, 250, record=rec)
+        assert all(r.shape == (200,) for r in rec)
+        assert solve_rows == [int(np.count_nonzero(r > self.TOL))
+                              for r in rec[:-1]]
+        # the clean warm starts are converged on entry; the corrupted
+        # rows stall to max_iter and are all the late solves see
+        assert len(solve_rows) == 250
+        late = np.nonzero(rec[-2] > self.TOL)[0]
+        assert late.size and set(late) <= set(range(0, 200, 10))
+        assert solve_rows[-1] == late.size
+        np.testing.assert_array_equal(lam_in, lam0)
+
+    def test_batch_split_does_not_change_rows(self, air_gas, batch):
+        rho, T, _ = batch
+        solver = air_gas.solver
+        y = solver.solve_rho_T(rho, T, air_gas.b)
+        for half in (slice(0, 100), slice(100, 200)):
+            # bitwise on x86-64 OpenBLAS; another BLAS may pick a
+            # different kernel for a different row count
+            np.testing.assert_allclose(
+                solver.solve_rho_T(rho[half], T[half], air_gas.b), y[half],
+                rtol=1e-12, atol=0.0)
+
+    def test_lstsq_fallback_covers_active_rows(self, air_gas, batch,
+                                               monkeypatch):
+        rho, T, _ = batch
+        solver = air_gas.solver
+        y = solver.solve_rho_T(rho, T, air_gas.b)
+        raised, lstsq_calls = [], []
+        solve, lstsq = np.linalg.solve, np.linalg.lstsq
+
+        def failing_solve(a, b):
+            # fail once, on the first iteration some rows have left
+            if not raised and a.shape[0] < rho.size:
+                raised.append(a.shape[0])
+                raise np.linalg.LinAlgError("singular matrix")
+            return solve(a, b)
+
+        def counted_lstsq(a, b, rcond=None):
+            lstsq_calls.append(a.shape)
+            return lstsq(a, b, rcond=rcond)
+
+        monkeypatch.setattr(np.linalg, "solve", failing_solve)
+        monkeypatch.setattr(np.linalg, "lstsq", counted_lstsq)
+        y_fb = solver.solve_rho_T(rho, T, air_gas.b)
+        assert raised and 0 < raised[0] < rho.size
+        assert len(lstsq_calls) == raised[0]
+        np.testing.assert_allclose(y_fb, y, rtol=0.0, atol=1e-9)
+
+
 class TestSolveTP:
     def test_density_matches_state(self, air_gas):
         y, rho = air_gas.composition_T_p(np.array([6000.0]),
