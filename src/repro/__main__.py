@@ -170,24 +170,11 @@ def _cmd_degrade_smoke(args: argparse.Namespace) -> int:
     """
     import json
 
-    import numpy as np
-
-    from repro.geometry import Hemisphere
-    from repro.grid import blunt_body_grid
     from repro.resilience import (DegradationPolicy, FaultInjector,
                                   RetryPolicy)
-    from repro.solvers.reacting_euler2d import ReactingEulerSolver
-    from repro.thermo.species import species_set
+    from repro.resilience.chaos import CASES
 
-    def make_solver():
-        grid = blunt_body_grid(Hemisphere(0.05), n_s=9, n_normal=13,
-                               density_ratio=0.12, margin=2.5)
-        db = species_set("air5")
-        s = ReactingEulerSolver(grid, db)
-        y = np.zeros(db.n)
-        y[db.index["N2"]] = 0.767
-        y[db.index["O2"]] = 0.233
-        return s.set_freestream(1e-3, 5000.0, 250.0, y)
+    make_solver = CASES["reacting_euler2d"][0]
 
     def make_faults():
         fi = FaultInjector()

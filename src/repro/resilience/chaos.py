@@ -67,7 +67,8 @@ __all__ = ["CASES", "run_chaos", "run_chaos_farm", "run_chaos_hosts",
 
 
 # ----------------------------------------------------------------------
-# solver case matrix (small, fast, persist-protocol instances)
+# solver case matrix (small, fast, persist-protocol instances): the one
+# definition of these four marches, reused by degrade-smoke and the tests
 # ----------------------------------------------------------------------
 
 def _make_euler1d():

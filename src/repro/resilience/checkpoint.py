@@ -3,8 +3,8 @@
 A checkpoint is a deep copy of everything a marching solver needs to
 resume from a known-good step: the conserved field, clocks/counters and
 any warm-start caches.  Solvers advertise what to save via
-``get_state()`` / ``set_state()``; solvers without those methods fall
-back to a conventional attribute list.
+``get_state()`` / ``set_state()``, the same protocol durable
+persistence requires.
 """
 
 from __future__ import annotations
@@ -14,9 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = ["Checkpoint"]
-
-#: Fallback attributes snapshotted for solvers without ``get_state``.
-_DEFAULT_ATTRS = ("U", "t", "steps", "residual_history", "T")
 
 
 def _copy_value(v):
@@ -44,25 +41,14 @@ class Checkpoint:
     @classmethod
     def capture(cls, solver) -> "Checkpoint":
         """Deep-copy the solver's marching state."""
-        if hasattr(solver, "get_state"):
-            # re-copy defensively: a get_state() that hands back a live
-            # container (warm-start cache dict, history list) would
-            # otherwise alias the checkpoint to the marching state
-            payload = {k: _copy_value(v)
-                       for k, v in solver.get_state().items()}
-        else:
-            payload = {name: _copy_value(getattr(solver, name))
-                       for name in _DEFAULT_ATTRS
-                       if getattr(solver, name, None) is not None}
+        # re-copy defensively: a get_state() that hands back a live
+        # container (warm-start cache dict, history list) would
+        # otherwise alias the checkpoint to the marching state
+        payload = {k: _copy_value(v) for k, v in solver.get_state().items()}
         return cls(step=int(getattr(solver, "steps", 0) or 0),
                    payload=payload)
 
     def restore(self, solver) -> None:
         """Restore the solver to this snapshot (copies again, so the
         checkpoint stays valid for further rollbacks)."""
-        if hasattr(solver, "set_state"):
-            solver.set_state({k: _copy_value(v)
-                              for k, v in self.payload.items()})
-        else:
-            for name, v in self.payload.items():
-                setattr(solver, name, _copy_value(v))
+        solver.set_state({k: _copy_value(v) for k, v in self.payload.items()})

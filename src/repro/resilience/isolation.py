@@ -12,7 +12,7 @@ this module brings that operational layer to `repro` with nothing
 beyond the standard library and ``/proc``:
 
 * :class:`Heartbeat` — a tiny file-based liveness channel the child
-  touches every supervised marching step (throttled, atomic writes);
+  touches every marching step (throttled, atomic writes);
 * :class:`IsolationPolicy` — the budgets: wall-clock **deadline**, RSS
   **memory budget** (polled from ``/proc/<pid>/status``, falling back
   to the child's self-reported ``getrusage`` numbers), heartbeat
@@ -49,7 +49,7 @@ import sys
 import tempfile
 import time
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import multiprocessing as mp
 
@@ -100,7 +100,7 @@ class Heartbeat:
     """File-based liveness channel between a supervised child and its
     parent.
 
-    The child calls :meth:`beat` every supervised marching step (the
+    The child calls :meth:`beat` every marching step (the
     supervisor does it automatically); the write is throttled to
     ``min_interval`` and atomic (temp file + rename) so the parent
     never reads a torn payload.  The parent does not compare clocks —
@@ -156,8 +156,9 @@ class Heartbeat:
 
 
 #: Process-global heartbeat: set inside an isolated child so every
-#: supervised march (and supervised_call ladder) in that process beats
-#: without each call site having to thread the object through.
+#: march (bare or supervised) and every supervised_call ladder in that
+#: process beats without each call site having to thread the object
+#: through.
 _PROCESS_HEARTBEAT: Heartbeat | None = None
 
 
@@ -256,7 +257,7 @@ class IsolationPolicy:
         Heartbeat silence [s] after which the child is declared hung.
         None disables hang detection (the right default for callables
         that never beat); marching solves under
-        :meth:`IsolatedRunner.run_solver` beat every supervised step.
+        :meth:`IsolatedRunner.run_solver` beat every step.
     max_restarts:
         Fresh children spawned after kills before the runner gives up
         and raises with a report.  0 = one attempt, no resume.
@@ -337,9 +338,8 @@ def _enter_sandbox(hb_path, heartbeat_interval):
         os.setpgid(0, 0)   # so the parent can kill the whole group
     except OSError:
         pass
-    hb = Heartbeat(hb_path, min_interval=heartbeat_interval)
-    set_process_heartbeat(hb)
-    return hb
+    set_process_heartbeat(Heartbeat(hb_path,
+                                    min_interval=heartbeat_interval))
 
 
 def _write_error(err_path, exc):
@@ -355,13 +355,13 @@ def _solver_child(factory, run_kwargs, ckpt_dir, hb_path, err_path,
                   heartbeat_interval, every_n_steps):
     """Build the solver and march it durably inside the sandbox."""
     from repro.resilience.persistence import PersistencePolicy
-    hb = _enter_sandbox(hb_path, heartbeat_interval)
+    _enter_sandbox(hb_path, heartbeat_interval)
     try:
         solver = factory()
         policy = PersistencePolicy(dir=ckpt_dir,
                                    every_n_steps=int(every_n_steps))
         solver.run(**dict(run_kwargs or {}), persist=policy,
-                   heartbeat=hb, faults=faults, resilience=resilience,
+                   faults=faults, resilience=resilience,
                    watchdog=watchdog, degradation=degradation)
         sys.exit(0)
     except SystemExit:
@@ -645,7 +645,8 @@ class IsolatedRunner:
         (the figure suite qualifies: durable done-markers and solver
         snapshots make re-entry cheap).  Hang detection applies only
         when ``policy.stall_timeout`` is set *and* the callable beats
-        (supervised marches inside it do, via the process heartbeat).
+        (every solver march inside it does, via the process
+        heartbeat).
         """
         pol = self.policy
         self.events = []

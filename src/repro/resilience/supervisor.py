@@ -1,8 +1,11 @@
-"""Supervised time-marching: checkpoint / rollback / CFL-backoff retry.
+"""The marching loop: checkpoint / rollback / CFL-backoff retry.
 
 The paper's solvers all "march in a time-like manner until a steady state
 is asymptotically achieved" — and an unsupervised march dies on the first
-transient NaN.  :class:`RunSupervisor` wraps any marching loop with
+transient NaN.  :meth:`RunSupervisor.march` is the one loop every
+solver's ``run()`` marches through.  A bare march (no supervision
+keyword) steps, guards the state and reports progress, and lets a
+failing step's own error through.  An armed march recovers instead:
 
 1. periodic :class:`~repro.resilience.checkpoint.Checkpoint` captures,
 2. a per-step :func:`~repro.numerics.time_integration.check_state` guard,
@@ -84,27 +87,36 @@ class RetryPolicy:
 
 
 class RunSupervisor:
-    """Drives a solver's step function under a :class:`RetryPolicy`.
+    """The one marching loop: every solver's ``run()`` hands its step
+    closure and stop rule to :meth:`march`, bare or supervised.
 
     Parameters
     ----------
     solver:
-        Any object exposing ``U`` (conserved field), ``steps`` and —
-        ideally — ``get_state``/``set_state`` (see
+        Any object exposing ``U`` (conserved field), ``steps`` and
+        ``get_state``/``set_state`` (see
         :class:`~repro.resilience.checkpoint.Checkpoint`).
-    policy:
-        Retry ladder configuration (default :class:`RetryPolicy`).
+    label:
+        Name used in errors, reports, ledgers and manifests.
+
+    The remaining five are the supervision keywords of every marching
+    ``run()`` (``Euler1DSolver``, ``AxisymmetricEulerSolver`` /
+    ``AxisymmetricNSSolver``, ``ReactingEulerSolver``), forwarded here
+    unchanged:
+
+    resilience:
+        A :class:`RetryPolicy`, or ``True`` for the defaults: the
+        rollback / CFL-backoff retry ladder.
     faults:
         Optional :class:`~repro.resilience.faults.FaultInjector`; armed
         faults are applied after every successful step so that the guard
         and rollback paths are exercised deterministically.
-    label:
-        Name used in errors and reports.
     persist:
         Optional :class:`~repro.resilience.persistence.PersistencePolicy`
         (or a :class:`~repro.resilience.persistence.SnapshotStore`, or a
         bare directory path): durable, crash-safe snapshots on top of the
-        in-memory rollback ladder.
+        in-memory rollback ladder, resumed from after a crash (see
+        :func:`~repro.resilience.persistence.resume_run`).
     watchdog:
         ``True`` (defaults), a
         :class:`~repro.resilience.watchdog.WatchdogPolicy` or a
@@ -117,24 +129,32 @@ class RunSupervisor:
         :class:`~repro.resilience.degradation.DegradationController`:
         the graceful-degradation rung between rollback-retry and abort;
         the ledger lands on the solver as ``degradation_ledger``.
-    heartbeat:
-        Optional :class:`~repro.resilience.isolation.Heartbeat` touched
-        once per marching-loop iteration, so a supervising parent
-        process can tell a slow march from a hung one.  Defaults to the
-        process-global heartbeat installed by
-        :class:`~repro.resilience.isolation.IsolatedRunner` children
-        (None outside a sandbox).
+
+    Retry is armed when any of the five is given: ``resilience`` is
+    used when it is a :class:`RetryPolicy`, the default
+    ``RetryPolicy()`` otherwise.  With none given the march is bare
+    (``policy`` is None): a failing step's own exception propagates
+    unchanged — no rollback, no report, no snapshot.
+
+    Every march, bare or not, beats the process heartbeat and polls the
+    process cancel hook (see
+    :func:`~repro.resilience.isolation.set_process_heartbeat` and
+    :func:`~repro.resilience.isolation.set_process_cancel`), so a
+    sandboxing parent can tell a slow march from a hung one and a job
+    can stop it; both hooks are None in an ordinary in-process run.
     """
 
-    def __init__(self, solver, policy: RetryPolicy | None = None, *,
-                 faults=None, label: str | None = None, persist=None,
-                 watchdog=None, degradation=None, heartbeat=None):
+    def __init__(self, solver, resilience=None, *, faults=None,
+                 label: str | None = None, persist=None, watchdog=None,
+                 degradation=None):
         from repro.resilience.isolation import current_process_heartbeat
         self.solver = solver
-        self.policy = policy if policy is not None else RetryPolicy()
+        armed = any(v is not None for v in (resilience, faults, persist,
+                                            watchdog, degradation))
+        self.policy = (resilience if isinstance(resilience, RetryPolicy)
+                       else RetryPolicy() if armed else None)
         self.faults = faults
-        self.heartbeat = (heartbeat if heartbeat is not None
-                          else current_process_heartbeat())
+        self.heartbeat = current_process_heartbeat()
         self.label = label or type(solver).__name__
         self.attempts: list[dict] = []
         self.report: FailureReport | None = None
@@ -204,13 +224,14 @@ class RunSupervisor:
     def march(self, step_fn, *, n_steps, cfl, tol=None, stop=None,
               run_kwargs=None) -> bool:
         """Advance ``step_fn(cfl) -> residual | None`` up to ``n_steps``
-        successful steps with rollback-retry.
+        successful steps, with rollback-retry when armed.
 
         ``stop()`` (optional) ends the march as converged (transient runs
-        marching to a target time); ``tol`` ends it when the returned
-        residual drops below it (steady runs).  Returns the converged
-        flag, which is also set on ``solver.converged``; on exhaustion
-        either raises :class:`StabilityError` carrying a
+        marching to a target time), also when the last allowed step
+        reaches it; ``tol`` ends it when the returned residual drops
+        below it (steady runs).  Returns the converged flag, which is
+        also set on ``solver.converged``.  On an exhausted retry ladder
+        it either raises :class:`StabilityError` carrying a
         :class:`FailureReport` or — with ``return_best=True`` — restores
         the last good checkpoint and returns False.
 
@@ -224,7 +245,8 @@ class RunSupervisor:
         the same ``run(...)`` call.
         """
         from repro.resilience.isolation import current_process_cancel
-        solver, pol, store = self.solver, self.policy, self.store
+        solver, store = self.solver, self.store
+        pol = self.policy or RetryPolicy()   # bare: default cadence only
         cfl_now = float(cfl)
         retries = 0
         t0 = time.monotonic()
@@ -294,6 +316,8 @@ class RunSupervisor:
                         solver, step=int(getattr(solver, "steps", k)
                                          or k))
             except (StabilityError, ConvergenceError) as err:
+                if self.policy is None:   # bare: the step's own error
+                    raise
                 # ConvergenceError mid-march means an implicit sub-solve
                 # (T(e) Newton, point-implicit chemistry) died on a
                 # corrupted state — same pathology as a NaN, same cure:
@@ -356,6 +380,8 @@ class RunSupervisor:
             if k % pol.checkpoint_interval == 0:
                 ckpt = Checkpoint.capture(solver)
                 ckpt_k = k
+        # the step budget may run out on the very step that reaches stop
+        converged = converged or (stop is not None and bool(stop()))
         solver.converged = converged
         self._expose()
         if store is not None:

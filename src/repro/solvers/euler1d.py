@@ -198,62 +198,26 @@ class Euler1DSolver(QuarantineMixin):
         check_state(self.U, step=self.steps, label="euler1d")
 
     def run(self, t_final, *, cfl=0.45, max_steps=100000, resilience=None,
-            faults=None, persist=None, watchdog=None, degradation=None,
-            heartbeat=None):
-        """Advance to t_final with CFL-limited steps.
-
-        With ``resilience`` (a :class:`repro.resilience.RetryPolicy`, or
-        ``True`` for the defaults) the march runs under a
-        :class:`repro.resilience.RunSupervisor`: checkpointed, with
-        automatic rollback and CFL backoff on :class:`StabilityError`.
-        ``faults`` optionally injects deterministic faults (testing);
-        ``persist`` (a :class:`repro.resilience.PersistencePolicy` or a
-        directory path) adds durable on-disk snapshots the march resumes
-        from after a crash (see
-        :func:`repro.resilience.persistence.resume_run`).
-        ``watchdog`` (``True`` or a
-        :class:`repro.resilience.WatchdogPolicy`) audits conservation
-        budgets / entropy each step; ``degradation`` (``True`` or a
-        :class:`repro.resilience.DegradationPolicy`) arms the graceful
-        fallback to quarantined first-order reconstruction before a
-        failing run aborts — the ledger lands on
-        ``self.degradation_ledger``.
-        ``heartbeat`` (a :class:`repro.resilience.Heartbeat`) is touched
-        every supervised step so a sandboxing parent process
-        (:class:`repro.resilience.IsolatedRunner`) can distinguish a
-        slow march from a hung one.
-        """
+            faults=None, persist=None, watchdog=None, degradation=None):
+        """Advance to ``t_final`` in at most ``max_steps`` CFL-limited
+        steps; :class:`~repro.resilience.RunSupervisor` documents the rest."""
+        from repro.resilience import RunSupervisor
         if self.U is None:
             raise InputError("call set_initial first")
-        if resilience is not None or faults is not None \
-                or persist is not None or watchdog is not None \
-                or degradation is not None or heartbeat is not None:
-            from repro.resilience import (RetryPolicy, RunSupervisor)
-            policy = (resilience if isinstance(resilience, RetryPolicy)
-                      else RetryPolicy())
-            sup = RunSupervisor(self, policy, faults=faults,
-                                label="euler1d", persist=persist,
-                                watchdog=watchdog,
-                                degradation=degradation,
-                                heartbeat=heartbeat)
-            sup.march(self._cfl_step(t_final), n_steps=max_steps, cfl=cfl,
-                      stop=lambda: self.t >= t_final - 1e-15,
-                      run_kwargs={"t_final": t_final, "cfl": cfl,
-                                  "max_steps": max_steps})
-            return self
-        while self.t < t_final - 1e-15 and self.steps < max_steps:
-            self._cfl_step(t_final)(cfl)
-        self.converged = self.t >= t_final - 1e-15
-        return self
 
-    def _cfl_step(self, t_final):
-        """One CFL-limited step toward ``t_final`` as a closure over the
-        current CFL number (the supervisor's backoff knob)."""
         def advance(cfl_now):
             w = primitives(self.U, self.eos)
             dt = cfl_timestep_1d(self.dx, w["vel"][0], w["a"], cfl_now)
             self.step(min(dt, t_final - self.t))
-        return advance
+
+        RunSupervisor(self, resilience, faults=faults, label="euler1d",
+                      persist=persist, watchdog=watchdog,
+                      degradation=degradation).march(
+            advance, n_steps=max_steps, cfl=cfl,
+            stop=lambda: self.t >= t_final - 1e-15,
+            run_kwargs={"t_final": t_final, "cfl": cfl,
+                        "max_steps": max_steps})
+        return self
 
     # ------------------------------------------------------------------
 

@@ -282,58 +282,18 @@ class AxisymmetricEulerSolver(QuarantineMixin):
         e_min = 1e-8 * float(self.U_inf[3])
         U[..., 3] = np.maximum(U[..., 3], ke + e_min)
 
-    def run(self, *, n_steps=4000, cfl=0.4, tol=1e-8, verbose=False,
-            resilience=None, faults=None, persist=None, watchdog=None,
-            degradation=None, heartbeat=None):
-        """March to steady state; stops early when the residual drops
-        below ``tol`` (relative density update per step).
-
-        With ``resilience`` (a :class:`repro.resilience.RetryPolicy`, or
-        ``True`` for the defaults) the march runs supervised: periodic
-        checkpoints, per-step state guards, automatic rollback with CFL
-        backoff on :class:`StabilityError`, and a
-        :class:`~repro.resilience.FailureReport` on exhaustion.
-        ``faults`` optionally injects deterministic faults (testing);
-        ``persist`` (a :class:`repro.resilience.PersistencePolicy` or a
-        directory path) adds durable on-disk snapshots the march resumes
-        from after a crash (see
-        :func:`repro.resilience.persistence.resume_run`).
-        ``watchdog`` (``True`` or a
-        :class:`repro.resilience.WatchdogPolicy`) audits species bounds
-        and entropy monotonicity each step; ``degradation`` (``True`` or
-        a :class:`repro.resilience.DegradationPolicy`) arms the graceful
-        fallback to quarantined first-order reconstruction before a
-        failing run aborts (ledger on ``self.degradation_ledger``).
-        ``heartbeat`` (a :class:`repro.resilience.Heartbeat`) is touched
-        every supervised step for a sandboxing parent
-        (:class:`repro.resilience.IsolatedRunner`).
-        ``self.converged`` records whether ``tol`` was reached.
-        """
+    def run(self, *, n_steps=4000, cfl=0.4, tol=1e-8, resilience=None,
+            faults=None, persist=None, watchdog=None, degradation=None):
+        """March up to ``n_steps`` until the residual drops below ``tol``;
+        :class:`~repro.resilience.RunSupervisor` documents the rest."""
+        from repro.resilience import RunSupervisor
         if self.U is None:
             raise InputError("call set_freestream first")
-        if resilience is not None or faults is not None \
-                or persist is not None or watchdog is not None \
-                or degradation is not None or heartbeat is not None:
-            from repro.resilience import RetryPolicy, RunSupervisor
-            policy = (resilience if isinstance(resilience, RetryPolicy)
-                      else RetryPolicy())
-            sup = RunSupervisor(self, policy, faults=faults,
-                                label=type(self).__name__, persist=persist,
-                                watchdog=watchdog,
-                                degradation=degradation,
-                                heartbeat=heartbeat)
-            sup.march(self.step, n_steps=n_steps, cfl=cfl, tol=tol,
-                      run_kwargs={"n_steps": n_steps, "cfl": cfl,
-                                  "tol": tol})
-            return self
-        for k in range(n_steps):
-            res = self.step(cfl)
-            if verbose and k % 200 == 0:
-                print(f"step {self.steps}: res={res:.3e}")
-            if res < tol:
-                break
-        self.converged = bool(self.residual_history
-                              and self.residual_history[-1] < tol)
+        RunSupervisor(self, resilience, faults=faults,
+                      label=type(self).__name__, persist=persist,
+                      watchdog=watchdog, degradation=degradation).march(
+            self.step, n_steps=n_steps, cfl=cfl, tol=tol,
+            run_kwargs={"n_steps": n_steps, "cfl": cfl, "tol": tol})
         return self
 
     # ------------------------------------------------------------------

@@ -502,51 +502,19 @@ class ReactingEulerSolver(QuarantineMixin):
 
     def run(self, *, n_steps=2000, cfl=0.35, chemistry=True, tol=None,
             resilience=None, faults=None, persist=None, watchdog=None,
-            degradation=None, heartbeat=None):
-        """March ``n_steps`` (or to ``tol`` when given).
-
-        ``resilience``/``faults`` run the march under a
-        :class:`repro.resilience.RunSupervisor` with checkpointed
-        rollback-retry and deterministic fault injection;
-        ``persist`` adds durable on-disk snapshots the march resumes
-        from after a crash (see
-        :meth:`AxisymmetricEulerSolver.run` and
-        :func:`repro.resilience.persistence.resume_run`).
-        ``watchdog`` (``True`` or a
-        :class:`repro.resilience.WatchdogPolicy`) audits species bounds,
-        element budgets and entropy each step; ``degradation`` (``True``
-        or a :class:`repro.resilience.DegradationPolicy`) arms the
-        graceful cascade — quarantined first-order reconstruction, then
-        per-cell chemistry demotion down :attr:`PHYSICS_LADDER` — before
-        a failing run aborts (ledger on ``self.degradation_ledger``).
-        ``heartbeat`` (a :class:`repro.resilience.Heartbeat`) is touched
-        every supervised step for a sandboxing parent
-        (:class:`repro.resilience.IsolatedRunner`).
-        """
+            degradation=None):
+        """March ``n_steps`` (or to ``tol`` when given);
+        :class:`~repro.resilience.RunSupervisor` documents the rest."""
+        from repro.resilience import RunSupervisor
         if self.U is None:
             raise InputError("call set_freestream first")
-        if resilience is not None or faults is not None \
-                or persist is not None or watchdog is not None \
-                or degradation is not None or heartbeat is not None:
-            from repro.resilience import RetryPolicy, RunSupervisor
-            policy = (resilience if isinstance(resilience, RetryPolicy)
-                      else RetryPolicy())
-            sup = RunSupervisor(self, policy, faults=faults,
-                                label="reacting_euler2d", persist=persist,
-                                watchdog=watchdog,
-                                degradation=degradation,
-                                heartbeat=heartbeat)
-            sup.march(lambda c: self.step(c, chemistry=chemistry),
-                      n_steps=n_steps, cfl=cfl, tol=tol,
-                      run_kwargs={"n_steps": n_steps, "cfl": cfl,
-                                  "chemistry": chemistry, "tol": tol})
-            return self
-        for _ in range(n_steps):
-            res = self.step(cfl, chemistry=chemistry)
-            if tol is not None and res < tol:
-                break
-        self.converged = bool(tol is not None and self.residual_history
-                              and self.residual_history[-1] < tol)
+        RunSupervisor(self, resilience, faults=faults,
+                      label="reacting_euler2d", persist=persist,
+                      watchdog=watchdog, degradation=degradation).march(
+            lambda c: self.step(c, chemistry=chemistry),
+            n_steps=n_steps, cfl=cfl, tol=tol,
+            run_kwargs={"n_steps": n_steps, "cfl": cfl,
+                        "chemistry": chemistry, "tol": tol})
         return self
 
     # ------------------------------------------------------------------

@@ -15,6 +15,7 @@ from repro.errors import (CatError, ConvergenceError, InputError,
                           StabilityError)
 from repro.resilience import (FailureReport, FaultInjector, RetryPolicy,
                               RunSupervisor, supervised_call)
+from repro.resilience.chaos import CASES
 
 
 def _m8_solver(n_s=15, n_normal=21):
@@ -458,20 +459,8 @@ class TestMixtureEntropy:
         assert s_back == pytest.approx(s_target, rel=1e-6)
 
 
-def _make_reacting_small():
-    """9x13 Mach-10 reacting hemisphere (the degradation test case)."""
-    from repro.geometry import Hemisphere
-    from repro.grid import blunt_body_grid
-    from repro.solvers.reacting_euler2d import ReactingEulerSolver
-    from repro.thermo.species import species_set
-    grid = blunt_body_grid(Hemisphere(0.05), n_s=9, n_normal=13,
-                           density_ratio=0.12, margin=2.5)
-    db = species_set("air5")
-    s = ReactingEulerSolver(grid, db)
-    y = np.zeros(db.n)
-    y[db.index["N2"]] = 0.767
-    y[db.index["O2"]] = 0.233
-    return s.set_freestream(1e-3, 5000.0, 250.0, y)
+#: 9x13 Mach-10 reacting hemisphere (the degradation test case)
+_make_reacting_small = CASES["reacting_euler2d"][0]
 
 
 class TestDegradationLadder:

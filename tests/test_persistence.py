@@ -25,71 +25,33 @@ import types
 import numpy as np
 import pytest
 
-from repro.errors import CheckpointError
-from repro.resilience import (Checkpoint, FaultInjector, PersistencePolicy,
-                              SimulatedCrash, SnapshotStore, resume_run,
-                              solver_fingerprint)
+from repro.errors import CancelledError, CheckpointError, StabilityError
+from repro.resilience import (Checkpoint, FaultInjector, Heartbeat,
+                              PersistencePolicy, SimulatedCrash,
+                              SnapshotStore, resume_run, solver_fingerprint)
+from repro.resilience.chaos import CASES as CHAOS_CASES
+from repro.resilience.isolation import (set_process_cancel,
+                                        set_process_heartbeat)
 
 # ----------------------------------------------------------------------
-# solver case matrix
+# solver case matrix: the chaos harness's four marches, with this
+# suite's own step counts and crash steps
 # ----------------------------------------------------------------------
 
 
-def _make_euler1d():
-    from repro.solvers.euler1d import Euler1DSolver
-    s = Euler1DSolver(np.linspace(0.0, 1.0, 41))
-    rho = np.where(s.xc < 0.5, 1.0, 0.125)
-    p = np.where(s.xc < 0.5, 1.0, 0.1)
-    return s.set_initial(rho, 0.0, p)
-
-
-def _blunt(cls, **kw):
-    from repro.core.gas import IdealGasEOS
-    from repro.geometry import Hemisphere
-    from repro.grid import blunt_body_grid
-    grid = blunt_body_grid(Hemisphere(1.0), n_s=13, n_normal=17,
-                           density_ratio=0.2, margin=2.5)
-    s = cls(grid, IdealGasEOS(1.4), **kw)
-    rho, T = 0.01, 220.0
-    s.set_freestream(rho, 8.0 * np.sqrt(1.4 * 287.0528 * T),
-                     rho * 287.0528 * T)
-    return s
-
-
-def _make_euler2d():
-    from repro.solvers.euler2d import AxisymmetricEulerSolver
-    return _blunt(AxisymmetricEulerSolver)
-
-
-def _make_ns2d():
-    from repro.solvers.ns2d import AxisymmetricNSSolver
-    return _blunt(AxisymmetricNSSolver, T_wall=500.0)
-
-
-def _make_reacting():
-    from repro.geometry import Hemisphere
-    from repro.grid import blunt_body_grid
-    from repro.solvers.reacting_euler2d import ReactingEulerSolver
-    from repro.thermo.species import species_set
-    grid = blunt_body_grid(Hemisphere(0.05), n_s=9, n_normal=13,
-                           density_ratio=0.12, margin=2.5)
-    db = species_set("air5")
-    s = ReactingEulerSolver(grid, db)
-    y = np.zeros(db.n)
-    y[db.index["N2"]] = 0.767
-    y[db.index["O2"]] = 0.233
-    return s.set_freestream(1e-3, 5000.0, 250.0, y)
+def _factory(name):
+    return CHAOS_CASES[name][0]
 
 
 #: name -> (factory, run(solver, **kw), total steps, crash step)
 CASES = {
-    "euler1d": (_make_euler1d,
+    "euler1d": (_factory("euler1d"),
                 lambda s, **kw: s.run(0.1, cfl=0.4, **kw), 20, 13),
-    "euler2d": (_make_euler2d,
+    "euler2d": (_factory("euler2d"),
                 lambda s, **kw: s.run(n_steps=24, cfl=0.3, **kw), 24, 15),
-    "ns2d": (_make_ns2d,
+    "ns2d": (_factory("ns2d"),
              lambda s, **kw: s.run(n_steps=16, cfl=0.3, **kw), 16, 11),
-    "reacting_euler2d": (_make_reacting,
+    "reacting_euler2d": (_factory("reacting_euler2d"),
                          lambda s, **kw: s.run(n_steps=10, cfl=0.3, **kw),
                          10, 7),
 }
@@ -100,6 +62,72 @@ def _state_bytes(solver):
     for k, v in solver.get_state().items():
         out[k] = v.tobytes() if isinstance(v, np.ndarray) else v
     return out
+
+
+# ----------------------------------------------------------------------
+# one march loop: every run() goes through RunSupervisor.march
+# ----------------------------------------------------------------------
+
+
+@pytest.fixture
+def process_hooks():
+    yield
+    set_process_heartbeat(None)
+    set_process_cancel(None)
+
+
+class TestOneMarchLoop:
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_supervision_keywords_leave_fault_free_march_bitwise(
+            self, name, tmp_path):
+        factory, run, _n, _c = CASES[name]
+        states = []
+        for kw in ({}, {"resilience": True}, {"watchdog": True},
+                   {"persist": PersistencePolicy(tmp_path / name)}):
+            s = factory()
+            run(s, **kw)
+            states.append(_state_bytes(s))
+        assert all(st == states[0] for st in states[1:])
+
+    def test_bare_failure_is_the_steps_own_error(self):
+        s = _factory("euler1d")()
+        with pytest.raises(StabilityError) as exc:
+            s.run(0.1, cfl=5.0)
+        msg = str(exc.value)
+        assert msg.startswith("euler1d: non-finite state at cell (19,)")
+        assert "retry ladder exhausted" not in msg
+        assert exc.value.report is None
+
+    @pytest.mark.parametrize("kw", [{}, {"resilience": True}])
+    def test_budget_spent_on_the_final_step_is_converged(self, kw):
+        factory, run_kwargs, _n, _b = CHAOS_CASES["euler1d"]
+        s = factory().run(**run_kwargs, max_steps=20, **kw)
+        assert s.steps == 20 and s.t == pytest.approx(0.1, abs=1e-15)
+        assert s.converged is True
+
+    def test_budget_spent_on_the_final_step_resumes_converged(
+            self, tmp_path):
+        factory, run_kwargs, _n, _b = CHAOS_CASES["euler1d"]
+        factory().run(**run_kwargs, max_steps=20,
+                      persist=PersistencePolicy(tmp_path))
+        assert resume_run(tmp_path).converged is True
+
+    def test_bare_march_beats_process_heartbeat(self, tmp_path,
+                                                process_hooks):
+        hb_path = tmp_path / "hb.json"
+        set_process_heartbeat(Heartbeat(hb_path, min_interval=0.0))
+        s = _factory("euler1d")().run(0.1, cfl=0.4)
+        beat = json.loads(hb_path.read_text())
+        assert beat["step"] == s.steps == 20
+        assert beat["progress"]["label"] == "euler1d"
+        assert beat["progress"]["step"] == s.steps
+
+    def test_bare_march_polls_process_cancel(self, process_hooks):
+        set_process_cancel(lambda: "stop")
+        s = _factory("euler1d")()
+        with pytest.raises(CancelledError, match="stop"):
+            s.run(0.1, cfl=0.4)
+        assert s.steps == 0
 
 
 # ----------------------------------------------------------------------
@@ -527,7 +555,7 @@ class TestConcurrentCommit:
         n_saves = 6
 
         def writer():
-            solver = _make_euler1d()
+            solver = _factory("euler1d")()
             store = SnapshotStore(PersistencePolicy(
                 dir=d, keep_last=100, fsync=False))
             barrier.wait()   # maximise overlap of the save loops
@@ -550,7 +578,7 @@ class TestConcurrentCommit:
         # verified generation even if a raced npz was clobbered
         loaded = store.load_latest()
         assert loaded is not None
-        reference = _make_euler1d().get_state()
+        reference = _factory("euler1d")().get_state()
         for name in reference:
             np.testing.assert_array_equal(loaded.state[name],
                                           reference[name])
