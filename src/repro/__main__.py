@@ -101,61 +101,68 @@ def _cmd_stagnation(args: argparse.Namespace) -> int:
     return 0
 
 
+#: The flags each ``chaos`` campaign reads besides --out and --deadline
+#: (argparse dests).  --jobs, --batch and --farm [--hosts N] select the
+#: campaign; any other flag that was given is a usage error.
+_CHAOS_FLAGS = {
+    "serial": ("rounds", "seed"),
+    "farm": ("farm", "rounds", "seed", "n_workers", "kill_workers",
+             "queue_dir"),
+    "hosts": ("farm", "hosts", "rounds", "n_workers", "skew", "partition",
+              "queue_dir"),
+    "batch": ("batch", "requests", "faulted", "seed"),
+    "jobs": ("jobs", "steps", "queue_dir"),
+}
+
+
 def _cmd_chaos(args: argparse.Namespace) -> int:
     error = args.parser.error
-    deadline = args.deadline
-    if args.jobs:
-        if args.batch or args.farm or args.hosts:
-            error("--jobs excludes --batch/--farm/--hosts (it drives its "
-                  "own supervisors)")
-        from repro.service.jobs import run_chaos_jobs
-        return run_chaos_jobs(n_steps=args.steps or 40, out=args.out,
-                              queue_dir=args.queue_dir,
-                              deadline=deadline or 240.0)
-    if args.steps is not None:
-        error("--steps requires --jobs")
-    if args.batch:
-        if args.farm or args.hosts or args.queue_dir is not None:
-            error("--batch excludes --farm/--hosts/--queue-dir (use "
-                  "'batch --farm' for the farm-sharded service path)")
+    mode = ("jobs" if args.jobs else "batch" if args.batch
+            else ("hosts" if args.hosts else "farm") if args.farm
+            else "serial")
+    known = {dest for flags in _CHAOS_FLAGS.values() for dest in flags}
+    stray = [("-j" if dest == "n_workers"
+              else "--" + dest.replace("_", "-"))
+             for dest in sorted(known - set(_CHAOS_FLAGS[mode]))
+             if getattr(args, dest) is not None
+             and getattr(args, dest) is not False]
+    if stray:
+        error(f"the {mode} chaos campaign does not read "
+              f"{', '.join(stray)}")
+    from repro.resilience import chaos
+    deadline, rounds, seed = args.deadline, args.rounds or 5, args.seed or 0
+    if mode == "jobs":
+        return chaos.run_chaos_jobs(n_steps=args.steps or 400, out=args.out,
+                                    queue_dir=args.queue_dir,
+                                    deadline=deadline or 240.0)
+    if mode == "batch":
         requests, faulted = args.requests or 200, args.faulted or 20
         if faulted >= requests:
             error(f"--faulted {faulted} must be below --requests "
                   f"{requests}")
-        from repro.service.chaos import run_chaos_batch
-        return run_chaos_batch(requests=requests, faulted=faulted,
-                               seed=args.seed, out=args.out,
-                               deadline=deadline or 120.0)
-    if args.requests is not None or args.faulted is not None:
-        error("--requests/--faulted require --batch")
-    if args.hosts and not args.farm:
-        error("--hosts requires --farm")
-    if (args.skew or args.partition) and not args.hosts:
-        error("--skew/--partition require --hosts N")
+        return chaos.run_chaos_batch(requests=requests, faulted=faulted,
+                                     seed=seed, out=args.out,
+                                     deadline=deadline or 120.0)
     n_workers = args.n_workers or 2
-    if args.hosts:
-        # distributed mode: --rounds counts bitwise-verified solver
-        # jobs and --deadline bounds the whole campaign
-        from repro.resilience.chaos import run_chaos_hosts
-        return run_chaos_hosts(
-            hosts=args.hosts, rounds=args.rounds, seed=args.seed,
-            out=args.out, n_workers=n_workers, skew=args.skew,
+    if mode == "hosts":
+        if args.hosts < 2:
+            error(f"--hosts {args.hosts}: need at least 2 hosts")
+        # --rounds counts bitwise-verified solver jobs and --deadline
+        # bounds the whole campaign
+        return chaos.run_chaos_hosts(
+            hosts=args.hosts, rounds=rounds, out=args.out,
+            n_workers=n_workers, skew=args.skew or 0.0,
             partition=args.partition, deadline=deadline or 240.0,
             queue_dir=args.queue_dir)
-    if args.farm:
-        from repro.resilience.chaos import run_chaos_farm
-        return run_chaos_farm(
-            rounds=args.rounds, seed=args.seed, out=args.out,
+    if mode == "farm":
+        return chaos.run_chaos_farm(
+            rounds=rounds, seed=seed, out=args.out,
             deadline=deadline or 30.0, n_workers=n_workers,
             kill_workers=(2 if args.kill_workers is None
                           else args.kill_workers),
             queue_dir=args.queue_dir)
-    if (args.n_workers is not None or args.kill_workers is not None
-            or args.queue_dir is not None):
-        error("-j/--kill-workers/--queue-dir require --farm")
-    from repro.resilience.chaos import run_chaos
-    return run_chaos(rounds=args.rounds, seed=args.seed, out=args.out,
-                     deadline=deadline or 30.0)
+    return chaos.run_chaos(rounds=rounds, seed=seed, out=args.out,
+                           deadline=deadline or 30.0)
 
 
 def _cmd_degrade_smoke(args: argparse.Namespace) -> int:
@@ -630,13 +637,16 @@ def _build_parser() -> argparse.ArgumentParser:
                    metavar="FILE", help="ledger JSON (default %(default)s)")
 
     p = command(sub, "chaos", "randomized fault campaign under process "
-                "isolation", [farm], epilog="With --farm, -j and "
-                "--kill-workers default to 2.  --deadline: 30 s per "
-                "round, or 240 s (--hosts, --jobs) or 120 s (--batch) "
-                "for the whole campaign.")
-    p.add_argument("--rounds", type=_POS_INT, default=5, metavar="N",
-                   help="rounds (solver jobs with --hosts)")
-    p.add_argument("--seed", type=int, default=0, metavar="S")
+                "isolation", [farm], epilog="--jobs, --batch, --farm and "
+                "--farm --hosts N select the campaign; a flag the chosen "
+                "campaign does not read is a usage error.  With --farm, "
+                "-j and --kill-workers default to 2.  --deadline: 30 s "
+                "per round, or 240 s (--hosts, --jobs) or 120 s "
+                "(--batch) for the whole campaign.")
+    p.add_argument("--rounds", type=_POS_INT, metavar="N",
+                   help="rounds, or solver jobs with --hosts (default 5)")
+    p.add_argument("--seed", type=int, metavar="S",
+                   help="schedule seed (default 0)")
     p.add_argument("--out", default="chaos-reports", metavar="D",
                    help="report directory")
     p.add_argument("--deadline", type=_POS_FLOAT, metavar="S")
@@ -645,7 +655,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hosts", type=_POS_INT, metavar="N",
                    help="N supervisor hosts on one queue; one is killed")
     p.add_argument("--skew", type=_POS_FLOAT, nargs="?", const=5.0,
-                   default=0.0, metavar="S",
+                   metavar="S",
                    help="+/-S s clock skew per host (bare --skew: 5 s)")
     p.add_argument("--partition", action="store_true",
                    help="SIGSTOP a host past its lease ttl, then heal it")
@@ -658,7 +668,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", action="store_true",
                    help="kill-and-resume campaign against async jobs")
     p.add_argument("--steps", type=_POS_INT, metavar="N",
-                   help="march length of the chaos job (default 40)")
+                   help="march length of the chaos job (default 400)")
 
     p = command(sub, "batch", "batch evaluation service: JSON-lines "
                 "requests in, one envelope per line out", [farm, ledger],

@@ -1,48 +1,47 @@
-"""Chaos harness: random fault schedules under process isolation.
+"""Chaos harness: the kill-and-resume campaigns of every supervision layer.
 
-``python -m repro chaos --seed S --rounds N`` is the operational proof
-of the resilience stack: every round samples a solver and a random
-fault schedule (hangs, memory balloons, scripted crashes, snapshot
-corruption, transient NaN/perturbation upsets), runs the march inside
-an :class:`~repro.resilience.isolation.IsolatedRunner` sandbox with
-tight budgets, and asserts the invariants production operation depends
-on:
+``python -m repro chaos`` is the operational proof of the resilience
+stack.  Five campaigns, one per layer, share this module:
 
-* **termination** — every round ends (kills + bounded restart budget:
-  nothing can wedge the harness);
-* **bitwise resume** — for schedules whose faults never corrupt the
-  marching state (hang / balloon / crash / snapshot IO), the
-  kill-and-resume result matches a crash-free in-process run bit for
-  bit;
-* **accounting** — every kill leaves a typed
-  :class:`~repro.resilience.isolation.IsolationEvent`, an aborted round
+* **serial** (no mode flag): every round samples a solver and a random
+  fault schedule (hangs, memory balloons, scripted crashes, snapshot
+  corruption, transient NaN/perturbation upsets) and runs the march in
+  an :class:`~repro.resilience.isolation.IsolatedRunner` sandbox with
+  tight budgets.  Each round must terminate; a schedule whose faults
+  never touch the marching state must resume **bitwise** onto a
+  crash-free in-process run; every kill leaves a typed
+  :class:`~repro.resilience.isolation.IsolationEvent`; an aborted round
   carries a :class:`~repro.resilience.report.FailureReport` embedding
-  the exact (JSON round-trippable) fault schedule for deterministic
-  replay, and a per-round report lands on disk;
-* **no orphans** — after every round a process sweep finds no surviving
-  child of the harness.
+  the exact (JSON round-trippable) schedule for replay; and no child
+  process survives the round.  Sampling is a pure function of the seed:
+  the same ``--seed`` yields the same solvers, schedules and outcomes.
+* ``--farm``: the rounds become ``chaos_round`` jobs on the
+  :mod:`~repro.resilience.farm` queue while the farm SIGKILLs its own
+  workers on a seeded schedule, so the campaign also proves lease
+  reclaim, retry/backoff and worker replacement.  Farm rounds seed
+  per-round rngs (``[seed, index]``) so they are order-independent
+  across workers; the serial and farm schedules for one seed therefore
+  differ, but each is deterministic.
+* ``--farm --hosts N``: N supervisor processes ("hosts", each with its
+  own ``host_id``, an optional ±skew clock offset and a per-host
+  journal) drain one shared queue.  The harness SIGSTOPs one host, its
+  clock beacon frozen, past the lease window (a network partition),
+  heals it, then SIGKILLs another host outright.  Every job must finish
+  exactly once and the solver jobs bitwise-equal to in-process
+  references.
+* ``--batch``: seeded fault-injected requests ride a batch through
+  :func:`~repro.service.batch.evaluate_batch`.  Good requests must come
+  back bitwise-equal to a fault-free run, every injected failure must
+  land in its own envelope, and the breakers must walk a deterministic
+  ``closed -> open -> half_open -> closed`` arc.
+* ``--jobs``: the supervisor host of an async job is SIGKILLed
+  mid-march; a fresh host resumes the job bitwise from its latest
+  snapshot, a second job cancels cooperatively, and ``gc`` leaves
+  nothing behind.
 
-Sampling is fully deterministic in the seed: the same ``--seed`` yields
-the same solvers, the same schedules and the same outcomes.
-
-``--farm`` escalates the harness one supervision layer up: rounds
-become jobs on the :mod:`~repro.resilience.farm` work queue, drained by
-N workers, while the farm SIGKILLs the *workers themselves* on a
-deterministic schedule — so the same campaign now also proves lease
-reclaim, retry/backoff and worker replacement under fire.  Farm rounds
-seed per-round rngs (``[seed, index]``) so they are order-independent
-across workers; the serial and farm schedules for one seed therefore
-differ, but each is individually deterministic.
-
-``--farm --hosts N`` escalates once more, to the **distributed** farm:
-N supervisor processes — each a separate "host" with its own
-``host_id``, injected wall-clock skew and per-host journal — drain one
-shared queue directory while the harness suspends a host mid-claim
-(SIGSTOP: a network partition), freezes its clock beacon, delays its
-queue I/O (stale NFS), heals it, and finally SIGKILLs a different host
-outright.  The surviving host must finish every job exactly once
-(journal audit) and the solver jobs' final states must be bitwise
-identical to a single-host in-process reference.
+Every campaign ends in :func:`_verdict`: its ledger carries ``mode``,
+``checks`` (name -> bool) and ``ok = all(checks.values())``, lands in
+``<out>/chaos-ledger.json``, and the exit code is 0 iff ``ok``.
 """
 
 from __future__ import annotations
@@ -54,16 +53,25 @@ import signal
 import sys
 import tempfile
 import time
+from dataclasses import replace
 
 import numpy as np
 
 from repro.errors import SolverError
+from repro.resilience.farm import (Farm, FarmPolicy, WorkerKillPlan,
+                                   audit_exactly_once, merge_ledgers,
+                                   run_campaign, state_fingerprint,
+                                   sweep_orphans, write_bench_json)
 from repro.resilience.faults import FaultInjector
 from repro.resilience.isolation import (IsolatedRunner, IsolationPolicy,
-                                        _read_rss_mb)
+                                        _read_rss_mb, kill_pid_tree,
+                                        signal_group)
+from repro.resilience.lease import read_beacons
+from repro.resilience.queue import BackoffPolicy, Job, WorkQueue
 
-__all__ = ["CASES", "run_chaos", "run_chaos_farm", "run_chaos_hosts",
-           "run_round", "sample_schedule"]
+__all__ = ["CASES", "build_campaign_requests", "run_chaos",
+           "run_chaos_batch", "run_chaos_farm", "run_chaos_hosts",
+           "run_chaos_jobs", "run_round", "sample_schedule"]
 
 
 # ----------------------------------------------------------------------
@@ -134,13 +142,150 @@ CASES = {
 _MENU = ("hang", "memory_balloon", "crash", "io", "nan", "perturb")
 _RESUMABLE = frozenset(("hang", "memory_balloon", "crash", "io"))
 
+#: a round's RSS budget is the harness's own RSS plus this margin, and
+#: an injected memory balloon allocates this much
+_MEMORY_MARGIN_MB = 250.0
+_BALLOON_MB = 500.0
+
 
 # ----------------------------------------------------------------------
-# deterministic schedule sampling
+# what every campaign shares: timeline, reference march, hosts, verdict
 # ----------------------------------------------------------------------
 
-def sample_schedule(rng, case_name: str, *, balloon_mb: float = 500.0
-                    ) -> tuple[FaultInjector, dict]:
+class _Timeline:
+    """A campaign's clock and event log: :meth:`note` prints an event
+    and records it with its elapsed time, :meth:`wait` polls a
+    condition until ``budget`` seconds of campaign time have passed."""
+
+    def __init__(self, stream):
+        self.stream = stream
+        self.events: list[dict] = []
+        self._t0 = time.monotonic()
+
+    def elapsed(self) -> float:
+        return time.monotonic() - self._t0
+
+    def note(self, event: str, **fields) -> None:
+        self.events.append({"t": round(self.elapsed(), 2), "event": event,
+                            **fields})
+        body = ", ".join(f"{k}={v}" for k, v in fields.items())
+        print(f"  t={self.elapsed():.1f}s {event}: {body}",
+              file=self.stream)
+
+    def wait(self, cond, budget: float) -> bool:
+        while not cond():
+            if self.elapsed() > budget:
+                return False
+            time.sleep(0.1)
+        return True
+
+
+def _reference(case: str, **run_kwargs) -> str:
+    """State fingerprint of ``CASES[case]`` marched uninterrupted in
+    this process (``run_kwargs`` override the case's own)."""
+    factory, kwargs, _, _ = CASES[case]
+    solver = factory()
+    solver.run(**{**kwargs, **run_kwargs})
+    return state_fingerprint(solver)
+
+
+def _queue_dir(queue_dir: str | None, out: str | None, name: str) -> str:
+    """``queue_dir``, else ``<out>/<name>``, else a fresh temp dir."""
+    if queue_dir is not None:
+        return queue_dir
+    if out is not None:
+        return os.path.join(out, name)
+    return tempfile.mkdtemp(prefix=f"chaos-{name}-")
+
+
+def _host_main(queue_dir: str, policy: FarmPolicy,
+               ledger_path: str | None = None) -> None:
+    """One chaos "host": a farm supervisor in its own process group,
+    draining ``queue_dir`` under ``policy``; its ledger goes to
+    ``ledger_path`` when given."""
+    try:
+        os.setpgid(0, 0)
+    except OSError:
+        pass
+    with open(os.devnull, "w") as quiet:
+        ledger = Farm(queue_dir, policy, label=f"chaos-{policy.host_id}",
+                      stream=quiet).run()
+    if ledger_path is not None:
+        with open(ledger_path, "w") as f:
+            json.dump(ledger, f, indent=1, default=str)
+
+
+def _spawn_host(timeline: _Timeline, queue_dir: str, policy: FarmPolicy,
+                ledger_path: str | None = None):
+    proc = mp.get_context("fork").Process(
+        target=_host_main, args=(queue_dir, policy, ledger_path))
+    proc.start()
+    timeline.note("host-up", host=policy.host_id, pid=proc.pid)
+    return proc
+
+
+def _host_pids(queue: WorkQueue, host: str, proc) -> list[int]:
+    """The supervisor pid plus the worker pids its beacon lists."""
+    beacon = read_beacons(queue.hosts_dir).get(host) or {}
+    return [proc.pid] + [int(p) for p in beacon.get("workers") or []]
+
+
+def _kill_host(timeline: _Timeline, queue: WorkQueue, host: str,
+               proc) -> list[int]:
+    """SIGKILL a whole host: the supervisor and its workers with their
+    process trees, then the sandbox children that live in their own
+    process groups (the orphan sweep).  Returns the killed pids.
+
+    The sweep comes before the join: a sandbox child inherits the
+    supervisor's exit pipe, so joining first would let it finish its
+    march before it dies."""
+    pids = _host_pids(queue, host, proc)
+    for pid in pids:
+        kill_pid_tree(pid)
+    swept = sweep_orphans(queue, host=host)
+    proc.join(10.0)
+    timeline.note("host-kill", host=host, pids=pids,
+                  orphans_swept=len(swept))
+    return pids
+
+
+def _stop_hosts(procs) -> None:
+    """Stop the hosts still running: SIGTERM (the graceful drain writes
+    a host's ledger), join, then kill whatever is left."""
+    for proc in procs:
+        if proc.is_alive():
+            signal_group(proc.pid, signal.SIGTERM)
+    for proc in procs:
+        proc.join(20.0)
+        if proc.is_alive():
+            kill_pid_tree(proc.pid)
+            proc.join(5.0)
+
+
+def _verdict(mode: str, out: str | None, ledger: dict, checks: dict,
+             green: str, stream) -> int:
+    """End a campaign: ``ledger`` gains ``mode``, ``checks`` and
+    ``ok = all(checks.values())`` and goes to
+    ``<out>/chaos-ledger.json``; one verdict line is printed.  Returns
+    the exit code."""
+    ok = all(checks.values())
+    ledger = {"mode": mode, **ledger, "checks": checks, "ok": ok}
+    if out is not None:
+        os.makedirs(out, exist_ok=True)
+        with open(os.path.join(out, "chaos-ledger.json"), "w") as f:
+            json.dump(ledger, f, indent=1, default=str)
+    failed = [name for name, passed in checks.items() if not passed]
+    print(f"chaos {mode}: " + (f"green — {green}" if ok
+                               else f"FAILED ({', '.join(failed)})"),
+          file=stream)
+    return 0 if ok else 1
+
+
+# ----------------------------------------------------------------------
+# serial: random fault schedules under process isolation
+# ----------------------------------------------------------------------
+
+def sample_schedule(rng, case_name: str) -> tuple[FaultInjector, dict]:
     """Sample one fault schedule for ``case_name`` from ``rng``.
 
     Returns the armed injector and a JSON-able description
@@ -157,7 +302,7 @@ def sample_schedule(rng, case_name: str, *, balloon_mb: float = 500.0
         if kind == "hang":
             fi.inject_hang(step=step, duration=600.0)
         elif kind == "memory_balloon":
-            fi.inject_memory_balloon(step=step, mb=balloon_mb,
+            fi.inject_memory_balloon(step=step, mb=_BALLOON_MB,
                                      hold=600.0)
         elif kind == "crash":
             fi.inject_crash(step=step)
@@ -195,13 +340,8 @@ def _orphan_sweep() -> list[str]:
     return orphans
 
 
-# ----------------------------------------------------------------------
-# one round
-# ----------------------------------------------------------------------
-
 def run_round(index: int, rng, *, out_dir: str | None = None,
               deadline: float = 30.0, stall_timeout: float = 2.0,
-              memory_margin_mb: float = 250.0, balloon_mb: float = 500.0,
               cases=None, stream=None) -> dict:
     """Run one chaos round; returns its (JSON-able) report dict.
 
@@ -214,8 +354,7 @@ def run_round(index: int, rng, *, out_dir: str | None = None,
     names = sorted(cases or CASES)
     case_name = str(rng.choice(names))
     factory, run_kwargs, _n, _grid = CASES[case_name]
-    faults, schedule = sample_schedule(rng, case_name,
-                                       balloon_mb=balloon_mb)
+    faults, schedule = sample_schedule(rng, case_name)
     kinds = [f["kind"] for f in schedule["faults"]]
     print(f"round {index}: {case_name} with fault(s) "
           f"{'+'.join(kinds)}", file=stream)
@@ -224,7 +363,7 @@ def run_round(index: int, rng, *, out_dir: str | None = None,
     policy = IsolationPolicy(
         deadline=deadline,
         memory_mb=None if base_rss is None
-        else base_rss + memory_margin_mb,
+        else base_rss + _MEMORY_MARGIN_MB,
         stall_timeout=stall_timeout,
         max_restarts=3, poll_interval=0.05, term_grace=1.0,
         every_n_steps=3)
@@ -266,14 +405,9 @@ def run_round(index: int, rng, *, out_dir: str | None = None,
         # faults never touched the marching state: the sandboxed result
         # must match a crash-free in-process run bit for bit
         checks["completed"] = solver is not None
-        if solver is not None:
-            from repro.resilience.farm import state_fingerprint
-            ref = factory()
-            ref.run(**run_kwargs)
-            checks["bitwise_match"] = (state_fingerprint(solver)
-                                       == state_fingerprint(ref))
-        else:
-            checks["bitwise_match"] = False
+        checks["bitwise_match"] = (solver is not None
+                                   and state_fingerprint(solver)
+                                   == _reference(case_name))
     else:
         # state-corrupting transients: rollback-retry may legitimately
         # change the trajectory; the invariant is clean termination
@@ -296,62 +430,43 @@ def run_round(index: int, rng, *, out_dir: str | None = None,
     return report
 
 
-# ----------------------------------------------------------------------
-# the harness
-# ----------------------------------------------------------------------
-
 def run_chaos(*, rounds: int = 5, seed: int = 0, out: str | None =
               "chaos-reports", deadline: float = 30.0,
-              stall_timeout: float = 2.0, memory_margin_mb: float = 250.0,
-              balloon_mb: float = 500.0, cases=None, stream=None) -> int:
+              stall_timeout: float = 2.0, cases=None, stream=None) -> int:
     """Run ``rounds`` chaos rounds; returns a process exit code
     (0 = every invariant held in every round, 1 otherwise).
 
     Per-round reports land in ``out`` (``round-NNN.json``) together
-    with a ``chaos-ledger.json`` summarising the campaign.
+    with the campaign's ``chaos-ledger.json``.
     """
     stream = stream or sys.stdout
     rng = np.random.default_rng(seed)
-    print(f"chaos: {rounds} round(s), seed {seed}, deadline "
+    print(f"chaos serial: {rounds} round(s), seed {seed}, deadline "
           f"{deadline:.0f} s, stall {stall_timeout:.1f} s", file=stream)
-    reports = []
-    for i in range(rounds):
-        reports.append(run_round(i, rng, out_dir=out, deadline=deadline,
-                                 stall_timeout=stall_timeout,
-                                 memory_margin_mb=memory_margin_mb,
-                                 balloon_mb=balloon_mb, cases=cases,
-                                 stream=stream))
+    reports = [run_round(i, rng, out_dir=out, deadline=deadline,
+                         stall_timeout=stall_timeout, cases=cases,
+                         stream=stream)
+               for i in range(rounds)]
     failed = [r["round"] for r in reports if not r["ok"]]
-    ledger = {"rounds": len(reports), "seed": seed,
-              "failed_rounds": failed,
-              "kills": sum(len(r["events"]) for r in reports),
-              "outcomes": {r["round"]: r["outcome"] for r in reports},
-              "ok": not failed}
-    if out is not None:
-        os.makedirs(out, exist_ok=True)
-        with open(os.path.join(out, "chaos-ledger.json"), "w") as f:
-            json.dump(ledger, f, indent=1)
-    if failed:
-        print(f"chaos: {len(failed)}/{rounds} round(s) violated an "
-              f"invariant: {failed}", file=stream)
-        return 1
-    print(f"chaos: all {rounds} round(s) green "
-          f"({ledger['kills']} kill(s) performed and recovered)",
-          file=stream)
-    return 0
+    kills = sum(len(r["events"]) for r in reports)
+    return _verdict(
+        "serial", out,
+        {"rounds": rounds, "seed": seed, "failed_rounds": failed,
+         "kills": kills,
+         "outcomes": {r["round"]: r["outcome"] for r in reports}},
+        {"rounds_ok": not failed},
+        f"all {rounds} round(s) held every invariant ({kills} kill(s) "
+        f"performed and recovered)", stream)
 
 
 # ----------------------------------------------------------------------
-# farm mode: rounds as queue jobs, chaos kills the workers too
+# farm: rounds as queue jobs, chaos kills the workers too
 # ----------------------------------------------------------------------
 
 def run_chaos_farm(*, rounds: int = 5, seed: int = 0, out: str | None =
                    "chaos-reports", n_workers: int = 2,
                    kill_workers: int = 2, deadline: float = 30.0,
-                   stall_timeout: float = 2.0,
-                   memory_margin_mb: float = 250.0,
-                   balloon_mb: float = 500.0, queue_dir: str | None =
-                   None, stream=None) -> int:
+                   queue_dir: str | None = None, stream=None) -> int:
     """Run the chaos campaign on the solve farm; returns an exit code.
 
     Every round is a ``chaos_round`` job; while workers drain them the
@@ -362,13 +477,8 @@ def run_chaos_farm(*, rounds: int = 5, seed: int = 0, out: str | None =
     dead-lettered with a failure report.
     """
     stream = stream or sys.stdout
-    from repro.resilience.farm import (FarmPolicy, WorkerKillPlan,
-                                       run_campaign)
-    from repro.resilience.queue import BackoffPolicy, Job
-    if queue_dir is None:
-        queue_dir = (os.path.join(out, "farm-queue") if out is not None
-                     else tempfile.mkdtemp(prefix="chaos-farm-"))
-    print(f"chaos --farm: {rounds} round(s) on {n_workers} worker(s), "
+    queue_dir = _queue_dir(queue_dir, out, "farm-queue")
+    print(f"chaos farm: {rounds} round(s) on {n_workers} worker(s), "
           f"seed {seed}, {kill_workers} scheduled worker kill(s), "
           f"queue {queue_dir}", file=stream)
     # a round may burn several inner attempts (max_restarts=3) of
@@ -378,10 +488,7 @@ def run_chaos_farm(*, rounds: int = 5, seed: int = 0, out: str | None =
     round_budget = deadline * 6.0 + 60.0
     jobs = [Job(id=f"round-{i:03d}", kind="chaos_round",
                 payload={"index": i, "seed": [seed, i],
-                         "deadline": deadline,
-                         "stall_timeout": stall_timeout,
-                         "memory_margin_mb": memory_margin_mb,
-                         "balloon_mb": balloon_mb},
+                         "deadline": deadline},
                 deadline=round_budget, max_attempts=3)
             for i in range(rounds)]
     policy = FarmPolicy(
@@ -397,12 +504,10 @@ def run_chaos_farm(*, rounds: int = 5, seed: int = 0, out: str | None =
                                label="chaos-farm", stream=stream,
                                kill_plan=plan)
 
-    from repro.resilience.queue import WorkQueue
     queue = WorkQueue(queue_dir)
     reports, failed, dead = [], [], []
     for i in range(rounds):
-        job_id = f"round-{i:03d}"
-        res = queue.result(job_id)
+        res = queue.result(f"round-{i:03d}")
         if res is None:
             dead.append(i)
             continue
@@ -415,86 +520,33 @@ def run_chaos_farm(*, rounds: int = 5, seed: int = 0, out: str | None =
             with open(os.path.join(out, f"round-{i:03d}.json"),
                       "w") as f:
                 json.dump(report, f, indent=1, default=str)
-    dead_ok = all(
-        (queue.dead_letter(f"round-{i:03d}") or {}).get("report")
-        is not None for i in dead)
-    ledger = {"rounds": rounds, "seed": seed, "mode": "farm",
-              "failed_rounds": failed, "dead_rounds": dead,
-              "kills": sum(len(r.get("events") or []) for r in reports),
-              "worker_kills": farm_ledger["worker_kills"],
-              "reclaims": farm_ledger["reclaims"],
-              "requeues": farm_ledger["requeues"],
-              "outcomes": {r["round"]: r["outcome"] for r in reports},
-              "farm": {k: farm_ledger[k] for k in
-                       ("wall_time", "n_workers", "attempts", "jobs",
-                        "ok")},
-              "ok": (not failed and farm_ledger["ok"]
-                     and (not dead or dead_ok))}
-    if out is not None:
-        os.makedirs(out, exist_ok=True)
-        with open(os.path.join(out, "chaos-ledger.json"), "w") as f:
-            json.dump(ledger, f, indent=1, default=str)
-    if not ledger["ok"]:
-        print(f"chaos --farm: FAILED (rounds {failed} violated an "
-              f"invariant; dead-lettered {dead}"
-              f"{'' if dead_ok else ' without failure reports'})",
-              file=stream)
-        return 1
-    print(f"chaos --farm: all {rounds} round(s) green under "
-          f"{len(farm_ledger['worker_kills'])} worker kill(s) "
-          f"({ledger['reclaims']} lease reclaim(s), "
-          f"{ledger['requeues']} requeue(s))", file=stream)
-    return 0
+    checks = {"rounds_ok": not failed, "drained": farm_ledger["ok"],
+              "dead_letters_reported": all(
+                  (queue.dead_letter(f"round-{i:03d}") or {}).get(
+                      "report") is not None for i in dead)}
+    return _verdict(
+        "farm", out,
+        {"rounds": rounds, "seed": seed, "failed_rounds": failed,
+         "dead_rounds": dead,
+         "kills": sum(len(r.get("events") or []) for r in reports),
+         "worker_kills": farm_ledger["worker_kills"],
+         "reclaims": farm_ledger["reclaims"],
+         "requeues": farm_ledger["requeues"],
+         "outcomes": {r["round"]: r["outcome"] for r in reports},
+         "farm": {k: farm_ledger[k] for k in
+                  ("wall_time", "n_workers", "attempts", "jobs", "ok")}},
+        checks,
+        f"all {rounds} round(s) held under "
+        f"{len(farm_ledger['worker_kills'])} worker kill(s) "
+        f"({farm_ledger['reclaims']} lease reclaim(s), "
+        f"{farm_ledger['requeues']} requeue(s))", stream)
 
 
 # ----------------------------------------------------------------------
-# distributed mode: several supervisor "hosts", one shared queue
+# hosts: several supervisor "hosts", one shared queue
 # ----------------------------------------------------------------------
 
-def _chaos_host_main(queue_dir: str, host_id: str, cfg: dict) -> None:
-    """One chaos "host": a farm supervisor serving the shared queue
-    under its own identity, injected clock skew and chaos knobs."""
-    try:
-        os.setpgid(0, 0)
-    except OSError:
-        pass
-    if cfg.get("io_delay"):
-        # stale-NFS simulation: every queue I/O on this host sleeps
-        os.environ["REPRO_QUEUE_IO_DELAY"] = str(cfg["io_delay"])
-    from repro.resilience.farm import Farm, FarmPolicy
-    from repro.resilience.queue import BackoffPolicy
-    policy = FarmPolicy(
-        n_workers=int(cfg["n_workers"]),
-        lease_ttl=float(cfg["lease_ttl"]), poll_interval=0.1,
-        worker_stall_timeout=60.0,
-        worker_restart_budget=int(cfg.get("restart_budget", 4)),
-        deadline=float(cfg["deadline"]), stall_timeout=None,
-        backoff=BackoffPolicy(max_attempts=6, base=0.2, max_delay=2.0),
-        drain_when_idle=False,   # serve mode: driver SIGTERMs us
-        host_id=host_id, max_skew=float(cfg["max_skew"]),
-        beacon_interval=0.2,
-        clock_offset=float(cfg.get("clock_offset", 0.0)),
-        freeze_beacon_after=cfg.get("freeze_beacon_after"))
-    stream = sys.stdout if cfg.get("verbose") else open(os.devnull, "w")
-    farm = Farm(queue_dir, policy, label=f"chaos-{host_id}",
-                stream=stream)
-    ledger = farm.run()
-    if cfg.get("out"):
-        path = os.path.join(cfg["out"], f"ledger-{host_id}.json")
-        with open(path, "w") as f:
-            json.dump(ledger, f, indent=1, default=str)
-
-
-def _host_pids(queue, host_id: str, proc) -> list[int]:
-    """The supervisor pid plus the worker pids its beacon advertises."""
-    from repro.resilience.lease import read_beacons
-    pids = [proc.pid]
-    beacon = read_beacons(queue.hosts_dir).get(host_id) or {}
-    pids.extend(int(p) for p in beacon.get("workers") or [])
-    return pids
-
-
-def run_chaos_hosts(*, hosts: int = 2, rounds: int = 2, seed: int = 0,
+def run_chaos_hosts(*, hosts: int = 2, rounds: int = 2,
                     out: str | None = "chaos-hosts-reports",
                     n_workers: int = 1, skew: float = 0.0,
                     partition: bool = False, deadline: float = 240.0,
@@ -504,26 +556,19 @@ def run_chaos_hosts(*, hosts: int = 2, rounds: int = 2, seed: int = 0,
     ``hosts`` supervisor processes (each its own ``host_id`` and, with
     ``skew``, an alternating ±skew wall-clock offset) drain one shared
     queue of ``rounds`` bitwise-verifiable solver jobs plus sleep
-    ballast.  With ``partition`` the campaign SIGSTOPs the surviving
-    host mid-run (its beacon frozen, its queue I/O delayed after heal)
-    long enough for its leases to be reaped, then resumes it; then host
-    0 is SIGKILLed outright (supervisor, workers and sandbox children).
-    The survivors must finish every job **exactly once** — the merged
-    journal audit finds no double completion, every fenced stale commit
-    is rejected, and each solver job's final state is bitwise identical
-    to a single-host in-process reference march.
+    ballast.  With ``partition`` the campaign SIGSTOPs the last host
+    (its beacon frozen) long enough for its leases to be reaped, then
+    resumes it; then host 0 is SIGKILLed outright (supervisor, workers
+    and sandbox children).  The survivors must finish every job
+    **exactly once** — the merged journal audit finds no double
+    completion, every stale commit is fenced, no job is dead-lettered —
+    and each solver job's final state is bitwise identical to an
+    in-process reference march.
     """
     stream = stream or sys.stdout
-    from repro.resilience.farm import (audit_exactly_once,
-                                       merge_ledgers, state_fingerprint,
-                                       sweep_orphans)
-    from repro.resilience.isolation import kill_pid_tree
-    from repro.resilience.queue import Job, WorkQueue
     if hosts < 2:
         raise SolverError("chaos --hosts: need at least 2 hosts")
-    if queue_dir is None:
-        queue_dir = (os.path.join(out, "farm-queue") if out is not None
-                     else tempfile.mkdtemp(prefix="chaos-hosts-"))
+    queue_dir = _queue_dir(queue_dir, out, "farm-queue")
     if out is not None:
         os.makedirs(out, exist_ok=True)
     lease_ttl, max_skew = 1.5, 1.0
@@ -531,19 +576,13 @@ def run_chaos_hosts(*, hosts: int = 2, rounds: int = 2, seed: int = 0,
     if skew:
         # alternating ±skew: host clocks disagree by up to 2*skew
         offsets = [skew if i % 2 == 0 else -skew for i in range(hosts)]
-    print(f"chaos --hosts: {hosts} host(s) x {n_workers} worker(s), "
+    print(f"chaos hosts: {hosts} host(s) x {n_workers} worker(s), "
           f"{rounds} solver round(s), skew {offsets}, "
           f"partition {partition}, queue {queue_dir}", file=stream)
-
-    # bitwise reference: uninterrupted in-process marches
+    timeline = _Timeline(stream)
     case_names = [("euler1d" if i % 2 == 0 else "euler2d")
                   for i in range(rounds)]
-    ref = {}
-    for name in sorted(set(case_names)):
-        factory, run_kwargs, _, _ = CASES[name]
-        solver = factory()
-        solver.run(**run_kwargs)
-        ref[name] = state_fingerprint(solver)
+    ref = {name: _reference(name) for name in sorted(set(case_names))}
 
     queue = WorkQueue(queue_dir, lease_ttl=lease_ttl,
                       host_id="chaos-driver", max_skew=max_skew)
@@ -558,158 +597,461 @@ def run_chaos_hosts(*, hosts: int = 2, rounds: int = 2, seed: int = 0,
         queue.enqueue(job)
 
     survivor = hosts - 1    # last host outlives the campaign
-    base_cfg = {"n_workers": n_workers, "lease_ttl": lease_ttl,
-                "max_skew": max_skew, "deadline": deadline / 2.0,
-                "out": out}
-    ctx = mp.get_context("fork")
+    names = [f"host{i}" for i in range(hosts)]
+    ledger_paths = [None if out is None
+                    else os.path.join(out, f"ledger-{name}.json")
+                    for name in names]
+    base = FarmPolicy(
+        n_workers=n_workers, lease_ttl=lease_ttl, poll_interval=0.1,
+        worker_restart_budget=4, deadline=deadline / 2.0,
+        backoff=BackoffPolicy(max_attempts=6, base=0.2, max_delay=2.0),
+        drain_when_idle=False,   # serve mode: the campaign stops us
+        max_skew=max_skew, beacon_interval=0.2)
+    # the partitioned host also loses its beacon (frozen): advisory
+    # beacons must not get its leases reaped early
+    policies = [replace(base, host_id=names[i], clock_offset=offsets[i],
+                        freeze_beacon_after=(0.5 if partition
+                                             and i == survivor else None))
+                for i in range(hosts)]
     procs = []
-    for i in range(hosts):
-        cfg = dict(base_cfg)
-        cfg["clock_offset"] = offsets[i]
-        if partition and i == survivor:
-            # the partitioned host also loses its beacon (frozen) —
-            # advisory beacons must not get its leases reaped early
-            cfg["freeze_beacon_after"] = 0.5
-        host_id = f"host{i}"
-        proc = ctx.Process(target=_chaos_host_main,
-                           args=(queue_dir, host_id, cfg),
-                           daemon=False)
-        proc.start()
-        procs.append({"host": host_id, "proc": proc, "index": i})
-        print(f"  host {host_id} up (pid {proc.pid}, "
-              f"skew {offsets[i]:+.1f} s)", file=stream)
-
-    t0 = time.monotonic()
-    events: list[dict] = []
-
-    def _elapsed():
-        return time.monotonic() - t0
-
-    def _wait(cond, budget):
-        while not cond():
-            if _elapsed() > budget:
-                return False
-            time.sleep(0.1)
-        return True
-
-    ok = True
+    drained = False
     try:
+        for policy, path in zip(policies, ledger_paths):
+            procs.append(_spawn_host(timeline, queue_dir, policy, path))
         # let every host claim work before injecting anything
-        _wait(lambda: any(r.get("event") == "claim"
-                          for r in queue.read_journal()),
-              deadline / 4.0)
-
+        timeline.wait(lambda: any(r.get("event") == "claim"
+                                  for r in queue.read_journal()),
+                      deadline / 4.0)
         if partition:
-            # -- partition the survivor: SIGSTOP its whole process
-            # tree long enough for its leases to expire on the other
-            # hosts' monotonic clocks, then heal it
-            victim = procs[survivor]
-            pids = _host_pids(queue, victim["host"], victim["proc"])
-            for pid in pids:
-                try:
-                    os.kill(pid, signal.SIGSTOP)
-                except OSError:
-                    pass
+            # SIGSTOP the survivor's whole tree long enough for its
+            # leases to expire on the other hosts' monotonic clocks
+            host = names[survivor]
+            pids = _host_pids(queue, host, procs[survivor])
             hold = lease_ttl + max_skew + 1.0
-            events.append({"t": round(_elapsed(), 2),
-                           "event": "partition",
-                           "host": victim["host"], "pids": pids,
-                           "hold": hold})
-            print(f"  t={_elapsed():.1f}s partition: SIGSTOP "
-                  f"{victim['host']} ({len(pids)} pid(s)) for "
-                  f"{hold:.1f} s", file=stream)
+            for pid in pids:
+                signal_group(pid, signal.SIGSTOP)
+            timeline.note("partition", host=host, pids=pids, hold=hold)
             time.sleep(hold)
             for pid in pids:
-                try:
-                    os.kill(pid, signal.SIGCONT)
-                except OSError:
-                    pass
-            events.append({"t": round(_elapsed(), 2), "event": "heal",
-                           "host": victim["host"]})
-            print(f"  t={_elapsed():.1f}s heal: SIGCONT "
-                  f"{victim['host']}", file=stream)
-
-        # -- kill host 0 outright: supervisor, workers, sandboxes
-        victim = procs[0]
-        pids = _host_pids(queue, victim["host"], victim["proc"])
-        for pid in pids:
-            kill_pid_tree(pid)
-        victim["proc"].join(10.0)
-        swept = sweep_orphans(queue, host=victim["host"])
-        events.append({"t": round(_elapsed(), 2), "event": "host-kill",
-                       "host": victim["host"], "pids": pids,
-                       "orphans_swept": len(swept)})
-        print(f"  t={_elapsed():.1f}s host-kill: SIGKILL "
-              f"{victim['host']} ({len(pids)} pid(s), {len(swept)} "
-              f"orphan(s) swept)", file=stream)
-
-        # -- the survivors must drain the queue
-        ok = _wait(queue.all_terminal, deadline)
-        if not ok:
-            print(f"chaos --hosts: FAILED — queue not drained within "
-                  f"{deadline:.0f} s: {queue.counts()}", file=stream)
+                signal_group(pid, signal.SIGCONT)
+            timeline.note("heal", host=host)
+        _kill_host(timeline, queue, names[0], procs[0])
+        drained = timeline.wait(queue.all_terminal, deadline)
     finally:
-        # graceful stop for every live supervisor (writes its ledger)
-        for rec in procs:
-            if rec["proc"].is_alive():
-                try:
-                    os.kill(rec["proc"].pid, signal.SIGTERM)
-                except OSError:
-                    pass
-        for rec in procs:
-            rec["proc"].join(20.0)
-            if rec["proc"].is_alive():
-                kill_pid_tree(rec["proc"].pid)
-                rec["proc"].join(5.0)
+        _stop_hosts(procs)
 
-    # -- verdict: exactly-once + bitwise identity + dead letters ------
     audit = audit_exactly_once(queue)
-    checks = {"drained": ok, "exactly_once": audit["ok"],
-              "no_dead_letters":
-                  not queue.counts().get("dead", 0)}
     mismatches = []
-    for i in range(rounds):
+    for i, name in enumerate(case_names):
         res = queue.result(f"case-{i:02d}")
-        if res is None:
-            mismatches.append({"job": f"case-{i:02d}",
-                               "error": "no result"})
-            continue
-        got = res["result"]["state_sha256"]
-        if got != ref[case_names[i]]:
+        got = None if res is None else res["result"]["state_sha256"]
+        if got != ref[name]:
             mismatches.append({"job": f"case-{i:02d}", "got": got,
-                               "want": ref[case_names[i]]})
-    checks["bitwise_match"] = not mismatches
-
+                               "want": ref[name]})
     ledgers = []
-    if out is not None:
-        for rec in procs:
-            path = os.path.join(out, f"ledger-{rec['host']}.json")
-            try:
-                with open(path) as f:
-                    ledgers.append(json.load(f))
-            except (OSError, ValueError):
-                pass
-    merged = merge_ledgers(ledgers) if ledgers else None
+    for path in filter(None, ledger_paths):
+        try:
+            with open(path) as f:
+                ledgers.append(json.load(f))
+        except (OSError, ValueError):
+            pass    # a SIGKILLed host writes no ledger
     fenced = sum(1 for r in queue.read_journal()
                  if r.get("event") == "fenced")
-    ledger = {"mode": "hosts", "hosts": hosts, "rounds": rounds,
-              "seed": seed, "skew": offsets, "partition": partition,
-              "events": events, "checks": checks, "audit": audit,
-              "fenced": fenced, "mismatches": mismatches,
-              "jobs": queue.counts(), "merged_ledger": merged,
-              "ok": all(checks.values())}
+    checks = {"drained": drained, "exactly_once": audit["ok"],
+              "no_dead_letters": not queue.counts().get("dead", 0),
+              "bitwise_match": not mismatches}
+    return _verdict(
+        "hosts", out,
+        {"hosts": hosts, "rounds": rounds, "skew": offsets,
+         "partition": partition, "events": timeline.events,
+         "audit": audit, "fenced": fenced, "mismatches": mismatches,
+         "jobs": queue.counts(),
+         "merged_ledger": merge_ledgers(ledgers) if ledgers else None},
+        checks,
+        f"{queue.counts().get('done', 0)} job(s) done exactly once "
+        f"across {hosts} host(s) ({fenced} stale commit(s) fenced, "
+        f"{audit['jobs_completed']} completion(s) audited), solver "
+        f"states bitwise-identical to the in-process reference", stream)
+
+
+# ----------------------------------------------------------------------
+# batch: fault-injected requests through the service front door
+# ----------------------------------------------------------------------
+
+#: Deterministic fault mix over the faulted slots (cycled in order).
+_FAULT_CYCLE = ("fail", "crash", "hang", "nan")
+
+#: Known-good VSL condition (same as the tier-1 API tests) used for the
+#: half-open probe that must re-close the tripped solver cell.
+_PROBE_STAGNATION = {"method": "stagnation", "V": 6700.0, "h": 65500.0,
+                     "nose_radius": 1.3}
+_PROBE_HEAT_TITAN = {"method": "heat_point", "V": 5200.0, "h": 60.0e3,
+                     "nose_radius": 1.1, "gas": "titan"}
+
+#: Breaker cells the campaign trips (and must re-close).
+_VSL_CELL = "stagnation/vsl:equilibrium-air"
+_TITAN_CELL = "heat_point/correlation:titan"
+
+
+def _good_request(i: int, rng) -> dict:
+    """One cheap, deterministic, always-valid request."""
+    pick = i % 3
+    if pick == 0:
+        return {"method": "heat_point",
+                "V": round(3000.0 + 9000.0 * rng.random(), 3),
+                "h": round(25.0e3 + 55.0e3 * rng.random(), 3),
+                "nose_radius": round(0.3 + 4.0 * rng.random(), 4)}
+    if pick == 1:
+        return {"method": "stagnation_correlation",
+                "V": round(4000.0 + 8000.0 * rng.random(), 3),
+                "h": round(30.0e3 + 50.0e3 * rng.random(), 3),
+                "nose_radius": round(0.5 + 3.0 * rng.random(), 4)}
+    gas = ("equilibrium-air", "titan", "jupiter")[i % 9 // 3]
+    return {"method": "equilibrium_composition",
+            "T": round(1500.0 + 6000.0 * rng.random(), 3),
+            "p": round(10.0 ** (3.0 + 2.0 * rng.random()), 3),
+            "gas": gas}
+
+
+def _faulted_request(i: int, rng) -> dict:
+    """One fault-injected request.
+
+    Solver-rung faults (fail/crash/hang) target the VSL rung of
+    ``stagnation`` — the correlation rung still answers, so these come
+    back ``degraded`` with the injected failure captured.  NaN faults
+    corrupt a single-rung ``heat_point`` on the *titan* condition class
+    (its own breaker cell, so good earth-class requests are never
+    routed), which has no rung to fall back to and fails outright.
+    """
+    kind = _FAULT_CYCLE[i % len(_FAULT_CYCLE)]
+    if kind == "nan":
+        return {"method": "heat_point",
+                "V": round(4500.0 + 10.0 * i, 3), "h": 55.0e3,
+                "nose_radius": 1.0, "gas": "titan",
+                "fault": {"kind": "nan"}}
+    req = {"method": "stagnation",
+           "V": round(7000.0 + 10.0 * i, 3), "h": 71.0e3,
+           "nose_radius": 1.3,
+           "fault": {"kind": kind, "rung": "vsl"}}
+    if kind == "hang":
+        req["deadline"] = 1.0   # the sandbox kill budget for the hang
+    return req
+
+
+def build_campaign_requests(*, requests: int, faulted: int,
+                            seed: int) -> tuple:
+    """Seeded deterministic campaign: ``requests`` total, ``faulted``
+    of them fault-injected at seeded positions.  Returns
+    ``(batch, fault_positions, good_positions)``."""
+    rng = np.random.default_rng(seed)
+    positions = sorted(rng.choice(requests, size=faulted,
+                                  replace=False).tolist())
+    fault_set = set(positions)
+    batch, n_good = [], 0
+    n_fault = 0
+    for i in range(requests):
+        if i in fault_set:
+            batch.append(_faulted_request(n_fault, rng))
+            n_fault += 1
+        else:
+            batch.append(_good_request(n_good, rng))
+            n_good += 1
+    good_positions = [i for i in range(requests) if i not in fault_set]
+    return batch, positions, good_positions
+
+
+def _transition_pairs(transitions: list, cell: str) -> list:
+    return [(t["from"], t["to"]) for t in transitions
+            if t["cell"] == cell]
+
+
+def run_chaos_batch(*, requests: int = 200, faulted: int = 20,
+                    seed: int = 0, out: str | None = "chaos-reports",
+                    deadline: float = 120.0, stream=None) -> int:
+    """Batch-service chaos campaign; returns a process exit code.
+
+    A seeded campaign mixes fault-injected requests (hangs, child
+    crashes, injected solver failures, NaN corruption) into a batch of
+    good requests.  Exactly one envelope must come back per request
+    within the batch deadline; every good result must be
+    bitwise-identical to a fault-free reference run of the same
+    requests; every injected failure must be captured in its own
+    envelope (a failure record, or an explicit breaker routing); and
+    the breaker transitions must follow a deterministic sequence — the
+    campaign drives the cooldown with an offset clock, trips the
+    faulted cells, then probes them back closed.
+    """
+    from repro.service.batch import BatchPolicy, evaluate_batch
+    from repro.service.breaker import BreakerBoard, BreakerPolicy
+    stream = stream or sys.stdout
+    t0 = time.monotonic()
+    cooldown = 600.0
+
+    batch, fault_pos, good_pos = build_campaign_requests(
+        requests=requests, faulted=faulted, seed=seed)
+    policy = BatchPolicy(deadline=deadline, request_deadline=30.0,
+                         allow_faults=True,
+                         breaker=BreakerPolicy(trip_after=3,
+                                               cooldown=cooldown))
+
+    # Offset clock: the campaign, not the wall, decides when the
+    # breaker cooldown has elapsed — keeps the transition ledger
+    # deterministic.
+    offset = [0.0]
+    board = BreakerBoard(policy.breaker,
+                         clock=lambda: time.monotonic() + offset[0])
+
+    print(f"chaos batch: {requests} requests ({faulted} faulted), "
+          f"seed {seed}", file=stream)
+    result = evaluate_batch(batch, policy, breakers=board)
+
+    print("chaos batch: fault-free reference run", file=stream)
+    reference = evaluate_batch([batch[i] for i in good_pos],
+                               BatchPolicy(deadline=deadline))
+
+    # Cooldown elapses (by clock offset); half-open probes must
+    # re-close both tripped cells.
+    offset[0] += cooldown + 1.0
+    print("chaos batch: half-open probes after cooldown", file=stream)
+    probe = evaluate_batch([_PROBE_STAGNATION, _PROBE_HEAT_TITAN],
+                           policy, breakers=board)
+
+    envelopes = result.envelopes
+    checks = {}
+    checks["one_envelope_per_request"] = (
+        len(envelopes) == requests
+        and all(e is not None and e.index == i
+                for i, e in enumerate(envelopes))
+        and bool(result.ledger["ok"]))
+    checks["deadline_respected"] = (time.monotonic() - t0) < deadline
+
+    good_ok = good_bitwise = True
+    for j, i in enumerate(good_pos):
+        env, ref = envelopes[i], reference.envelopes[j]
+        if env.status != "ok" or ref.status != "ok":
+            good_ok = False
+        elif env.result != ref.result:
+            good_bitwise = False
+    checks["good_requests_all_ok"] = good_ok
+    checks["good_results_bitwise_identical"] = good_bitwise
+
+    captured = True
+    for i in fault_pos:
+        env = envelopes[i]
+        if env.status == "ok":
+            captured = False
+            continue
+        has_failure = any("error_type" in rec for rec in
+                          env.degradation) or env.error is not None
+        if not (has_failure or env.routed_by_breaker):
+            captured = False
+    checks["injected_failures_captured"] = captured
+
+    vsl = _transition_pairs(board.transitions, _VSL_CELL)
+    titan = _transition_pairs(board.transitions, _TITAN_CELL)
+    expected = [("closed", "open"), ("open", "half_open"),
+                ("half_open", "closed")]
+    # a cell only trips (and must then walk the full open -> half-open
+    # -> closed arc) when it received >= trip_after injected failures;
+    # below that the deterministic expectation is "no transitions"
+    n_nan = sum(1 for j in range(faulted)
+                if _FAULT_CYCLE[j % len(_FAULT_CYCLE)] == "nan")
+    trip = policy.breaker.trip_after
+    checks["breaker_transitions_deterministic"] = (
+        vsl == (expected if faulted - n_nan >= trip else [])
+        and titan == (expected if n_nan >= trip else []))
+    checks["probes_reclose_ok"] = all(e.status == "ok"
+                                      for e in probe.envelopes)
+
+    elapsed = round(time.monotonic() - t0, 3)
+    return _verdict(
+        "batch", out,
+        {"seed": seed, "requests": requests, "faulted": faulted,
+         "fault_positions": fault_pos, "elapsed_s": elapsed,
+         "ledger": result.ledger,
+         "breaker_transitions": board.transitions,
+         "probe_counts": probe.ledger["counts"]},
+        checks,
+        f"{requests} envelope(s) in {elapsed} s, good results "
+        f"bitwise-identical to the fault-free run, every injected "
+        f"failure captured, breakers re-closed", stream)
+
+
+# ----------------------------------------------------------------------
+# jobs: SIGKILL an async job's host mid-march, resume it elsewhere
+# ----------------------------------------------------------------------
+
+def run_chaos_jobs(*, n_steps: int = 400, deadline: float = 240.0,
+                   out: str | None = "chaos-jobs-reports",
+                   queue_dir: str | None = None, stream=None) -> int:
+    """Kill-and-resume chaos campaign for the async-job subsystem.
+
+    1. March ``CASES["euler2d"]`` for ``n_steps`` uninterrupted in
+       process → the reference state fingerprint.
+    2. ``submit`` the same march as an async job (benchmarking submit
+       latency on ballast submissions first), start a host, and
+       SIGKILL the whole host (supervisor, worker, sandbox child) once
+       live progress and ≥ 1 durable snapshot prove the march is
+       mid-flight.
+    3. Start a second host: lease reaping requeues the dead job, the
+       attempt resumes from the latest snapshot generation and
+       finishes.
+    4. Assert: final state bitwise-identical to the reference,
+       exactly-once completion from the merged journal, legal
+       state-machine history, cooperative cancellation works, and
+       after ``gc`` no job artifacts or orphan processes remain.
+
+    Writes ``chaos-ledger.json`` + ``BENCH_jobs.json`` under ``out``;
+    returns a process exit code.
+    """
+    from repro.service.jobs import (CANCELLED, DONE, JOB_TERMINAL,
+                                    JobManager)
+    stream = stream or sys.stdout
+    case, every = "euler2d", 2
+    queue_dir = _queue_dir(queue_dir, out, "jobs-queue")
     if out is not None:
-        with open(os.path.join(out, "chaos-ledger.json"), "w") as f:
-            json.dump(ledger, f, indent=1, default=str)
-    if not ledger["ok"]:
-        failed = [k for k, v in checks.items() if not v]
-        print(f"chaos --hosts: FAILED ({', '.join(failed)}); audit "
-              f"{audit}", file=stream)
-        return 1
-    print(f"chaos --hosts: green — {queue.counts().get('done', 0)} "
-          f"job(s) done exactly once across {hosts} host(s) "
-          f"({fenced} stale commit(s) fenced, "
-          f"{audit['jobs_completed']} completion(s) audited), "
-          f"solver states bitwise-identical to the single-host "
-          f"reference", file=stream)
-    return 0
+        os.makedirs(out, exist_ok=True)
+    timeline = _Timeline(stream)
+
+    # -- 1. uninterrupted reference ------------------------------------
+    t0 = time.monotonic()
+    ref_fp = _reference(case, n_steps=n_steps)
+    ref_wall = time.monotonic() - t0
+    print(f"chaos jobs: case {case}, {n_steps} step(s); reference "
+          f"marched in {ref_wall:.2f} s ({ref_fp[:12]}…)", file=stream)
+
+    # -- submit-latency bench on a throwaway queue ---------------------
+    with tempfile.TemporaryDirectory(prefix="jobs-bench-") as bench_dir:
+        bench_mgr = JobManager(bench_dir)
+        lat = sorted(
+            bench_mgr.submit("sleep", {"duration": 0.01},
+                             job_id=f"bench-{i:03d}")["submit_latency_s"]
+            for i in range(20))
+    submit_latency = {"n": len(lat),
+                      "p50_s": round(lat[len(lat) // 2], 4),
+                      "max_s": round(lat[-1], 4)}
+
+    # -- 2. submit, supervise, kill mid-march --------------------------
+    mgr = JobManager(queue_dir, host_id="jobs-client", lease_ttl=2.0,
+                     max_skew=0.5)
+    sub = mgr.submit("solver_case",
+                     {"case": case, "run_kwargs": {"n_steps": n_steps},
+                      "every_n_steps": every},
+                     job_id="march-00", max_attempts=8)
+    timeline.note("submit", job=sub["job"],
+                  latency_s=sub["submit_latency_s"])
+    base = FarmPolicy(
+        n_workers=1, lease_ttl=2.0, poll_interval=0.1,
+        backoff=BackoffPolicy(max_attempts=8, base=0.1, max_delay=1.0),
+        max_skew=0.5, beacon_interval=0.2, snapshot_every=every)
+
+    def spawn(host: str):
+        return _spawn_host(timeline, queue_dir,
+                           replace(base, host_id=host))
+
+    def mid_march(st: dict) -> bool:
+        step = int((st.get("progress") or {}).get("step") or 0)
+        return (st["snapshots"]["generations"] >= 1 and step >= every
+                and st["state"] not in JOB_TERMINAL)
+
+    seen: dict = {}
+
+    def settled() -> bool:
+        # mid-march, or terminal: a march that ends before the kill is
+        # a miss, reported at once instead of after the whole budget
+        st = seen["status"] = mgr.status("march-00")
+        return mid_march(st) or st["state"] in JOB_TERMINAL
+
+    t_interrupted = time.monotonic()
+    checks: dict[str, bool] = {}
+    killed_pids: list[int] = []
+    procs = []
+    try:
+        procs.append(spawn("jobsA"))
+        timeline.wait(settled, deadline / 3.0)
+        st = seen["status"]
+        checks["reached_mid_march"] = mid_march(st)
+        timeline.note("mid-march", state=st["state"],
+                      progress=(st.get("progress") or {}).get("step"),
+                      snapshots=st["snapshots"]["generations"])
+        killed_pids = _kill_host(timeline, mgr.queue, "jobsA", procs[0])
+
+        # -- 3. resume on a fresh host ---------------------------------
+        # a host is stopped only once the queue is terminal: the attempt
+        # commits the job's terminal state before the worker commits the
+        # queue completion, and a drain in between would requeue it
+        procs.append(spawn("jobsB"))
+        timeline.wait(mgr.queue.all_terminal, deadline)
+        checks["resumed_done"] = mgr.sync("march-00").get("state") == DONE
+        _stop_hosts(procs)
+        wall_interrupted = time.monotonic() - t_interrupted
+        res = mgr.result("march-00")
+        got_fp = ((res.get("result") or {}).get("state_sha256")
+                  if res.get("ready") else None)
+        checks["bitwise_match"] = got_fp == ref_fp
+        timeline.note("resumed", state=res.get("state"),
+                      fingerprint=(got_fp or "?")[:12],
+                      attempts=mgr.status("march-00").get("attempts"))
+
+        # -- 4. cooperative cancellation probe -------------------------
+        mgr.submit("solver_case",
+                   {"case": case, "run_kwargs": {"n_steps": 4000},
+                    "every_n_steps": every},
+                   job_id="cancel-00", max_attempts=8)
+        procs.append(spawn("jobsC"))
+        timeline.wait(lambda: (mgr.status("cancel-00").get("progress")
+                               or {}).get("step") is not None,
+                      deadline / 3.0)
+        cancelled = mgr.cancel("cancel-00", reason="chaos probe",
+                               escalate_after=15.0, wait=deadline / 3.0)
+        checks["cancelled"] = cancelled.get("state") == CANCELLED
+        timeline.note("cancel", state=cancelled.get("state"),
+                      escalated=cancelled.get("escalated"))
+        timeline.wait(mgr.queue.all_terminal, deadline)
+    finally:
+        _stop_hosts(procs)
+
+    # -- audits --------------------------------------------------------
+    ledger = mgr.ledger()
+    checks["exactly_once"] = bool(ledger["audit"]["ok"])
+    checks["legal_transitions"] = bool(ledger["transitions_audit"]["ok"])
+
+    # -- gc: no leaked artifacts, no orphan processes ------------------
+    swept = mgr.gc(ttl=0.0, include_failed=True)
+    leaked = []
+    for job_id in swept["collected"]:
+        for d in (mgr.queue.work_dir, mgr.queue.jobs_dir,
+                  mgr.queue.state_dir, mgr.queue.results_dir):
+            path = os.path.join(d, job_id)
+            if os.path.exists(path) or os.path.exists(f"{path}.json"):
+                leaked.append(path)
+    checks["gc_clean"] = (not leaked
+                          and swept["n_collected"] >= 2)
+    orphans = []
+    for pid in killed_pids:
+        try:
+            os.kill(int(pid), 0)
+        except OSError:
+            continue
+        orphans.append(int(pid))
+    checks["no_orphans"] = not orphans
+    timeline.note("gc", collected=swept["n_collected"], leaked=len(leaked),
+                  orphans=len(orphans))
+
+    bench = {"bench": "jobs", "case": case, "n_steps": int(n_steps),
+             "submit_latency": submit_latency,
+             "resume": {"reference_wall_s": round(ref_wall, 3),
+                        "interrupted_wall_s": round(wall_interrupted, 3),
+                        "overhead_ratio":
+                            (round(wall_interrupted / ref_wall, 2)
+                             if ref_wall > 0 else None)}}
+    if out is not None:
+        write_bench_json(os.path.join(out, "BENCH_jobs.json"), bench)
+    return _verdict(
+        "jobs", out,
+        {"case": case, "events": timeline.events, "bench": bench,
+         "jobs_ledger": ledger},
+        checks,
+        f"killed the host mid-march, resumed bitwise-identical "
+        f"({ref_fp[:12]}…), exactly-once audit clean, transitions "
+        f"legal, cancel acknowledged, gc left nothing behind", stream)

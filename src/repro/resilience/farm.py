@@ -152,10 +152,7 @@ def _job_chaos_round(payload: dict, ctx: dict) -> dict:
     report = run_round(
         int(payload["index"]), rng,
         out_dir=os.path.join(ctx["workdir"], "reports"),
-        deadline=float(payload.get("deadline", 30.0)),
-        stall_timeout=float(payload.get("stall_timeout", 2.0)),
-        memory_margin_mb=float(payload.get("memory_margin_mb", 250.0)),
-        balloon_mb=float(payload.get("balloon_mb", 500.0)))
+        deadline=float(payload.get("deadline", 30.0)))
     return {"report": report}
 
 
@@ -312,7 +309,7 @@ class FarmPolicy:
         Cadence [s] of the advisory ``hosts/<host>.json`` clock beacon.
     clock_offset:
         Injected wall-clock skew [s] for this farm and its workers —
-        chaos/testing knob, equivalent to setting ``REPRO_CLOCK_SKEW``.
+        the chaos/testing knob for a machine whose clock is wrong.
     freeze_beacon_after:
         Chaos knob: stop refreshing the host beacon after this many
         seconds of campaign time (a frozen beacon must *not* get the
@@ -364,8 +361,8 @@ class FarmPolicy:
 
 
 def _offset_clock(offset: float):
-    """A ``time.time``-alike shifted by ``offset`` seconds (0 → the
-    default clock, which itself honours ``REPRO_CLOCK_SKEW``)."""
+    """A ``time.time``-alike shifted by ``offset`` seconds (0 → None,
+    which every clock consumer reads as plain ``time.time``)."""
     if not offset:
         return None
     return lambda: time.time() + offset

@@ -46,10 +46,11 @@ claimants live on **different machines with different clocks**:
   silent longer than the timeout, aged against the observer's own
   clock.
 
-Testing hook: ``REPRO_CLOCK_SKEW`` (seconds, float) offsets the wall
-clock every :func:`default_clock` returns — the distributed chaos
-harness sets it per supervisor process to inject +/- skew between
-hosts without touching the system clock.
+Every clock consumer here takes an injectable ``clock`` (default
+``time.time``).  Skew between hosts is injected per farm through
+:attr:`~repro.resilience.farm.FarmPolicy.clock_offset`, as the
+distributed chaos harness and ``serve --clock-offset`` do, without
+touching the system clock.
 """
 
 from __future__ import annotations
@@ -63,14 +64,13 @@ from dataclasses import dataclass, field
 
 from repro.errors import InputError
 
-__all__ = ["HostBeacon", "Lease", "LeaseManager", "default_clock",
-           "default_host_id", "estimate_skew", "expired_indices",
-           "format_ages", "heartbeat_ages", "read_beacons",
-           "stalest_index"]
+__all__ = ["HostBeacon", "Lease", "LeaseManager", "default_host_id",
+           "estimate_skew", "expired_indices", "format_ages",
+           "heartbeat_ages", "read_beacons", "stalest_index"]
 
 
 # ----------------------------------------------------------------------
-# host identity and (injectable) clocks
+# host identity
 # ----------------------------------------------------------------------
 
 def default_host_id() -> str:
@@ -81,24 +81,6 @@ def default_host_id() -> str:
     logical "hosts" share a box (tests, containers).
     """
     return socket.gethostname() or "localhost"
-
-
-def default_clock():
-    """Wall clock, plus the ``REPRO_CLOCK_SKEW`` test offset.
-
-    The offset is read once (children inherit it through the
-    environment at fork), so a chaos host created with skew keeps that
-    skew for life — like a machine whose clock is simply wrong.
-    """
-    try:
-        offset = float(os.environ.get("REPRO_CLOCK_SKEW", "") or 0.0)
-    except ValueError:
-        offset = 0.0
-    # catlint: disable=CAT010 -- an unset/empty env var parses to the
-    # literal 0.0; this tests "no skew configured", not a computed value
-    if offset == 0.0:
-        return time.time
-    return lambda: time.time() + offset
 
 
 # ----------------------------------------------------------------------
@@ -194,7 +176,7 @@ class LeaseManager:
         margin for slow NFS propagation of renew writes.
     clock:
         Wall clock callable (injectable for skew tests; defaults to
-        :func:`default_clock`).
+        ``time.time``).
     """
 
     def __init__(self, dir, *, ttl: float = 15.0,
@@ -208,7 +190,7 @@ class LeaseManager:
         self.ttl = float(ttl)
         self.host_id = host_id or default_host_id()
         self.max_skew = float(max_skew)
-        self.clock = clock or default_clock()
+        self.clock = clock or time.time
         #: job_id -> ((token, epoch), first-observed monotonic time):
         #: the cross-host expiry state.  Per-process, never persisted —
         #: a fresh reaper simply starts its observation window anew.
@@ -379,7 +361,7 @@ class HostBeacon:
     def __post_init__(self):
         self.dir = os.fspath(self.dir)
         self.host_id = self.host_id or default_host_id()
-        self.clock = self.clock or default_clock()
+        self.clock = self.clock or time.time
         self._epoch = 0
         self._last = 0.0
         self.frozen = False
@@ -444,7 +426,7 @@ def estimate_skew(beacons: dict, *, host_id: str | None = None,
     is why skew estimates feed diagnostics and ledger merging, never
     reaping).  Our own host reads as 0.0 by definition.
     """
-    clock = clock or default_clock()
+    clock = clock or time.time
     host_id = host_id or default_host_id()
     now = clock()
     out: dict[str, float] = {}

@@ -68,8 +68,7 @@ import time
 from dataclasses import dataclass, field
 
 from repro.errors import InputError, SolverError
-from repro.resilience.lease import (Lease, LeaseManager, default_clock,
-                                    default_host_id)
+from repro.resilience.lease import Lease, LeaseManager, default_host_id
 
 __all__ = ["BackoffPolicy", "Job", "WorkQueue"]
 
@@ -213,9 +212,7 @@ class WorkQueue:
     io_retries:
         Transient-OSError retries around every queue read/write
         (exponential backoff from 50 ms), for stale-NFS-handle and
-        EIO-class blips.  ``REPRO_QUEUE_IO_DELAY`` (seconds) injects a
-        delay before every operation — the chaos harness's slow-NFS
-        simulation.
+        EIO-class blips.
     """
 
     def __init__(self, dir, *, lease_ttl: float = 15.0,
@@ -227,14 +224,9 @@ class WorkQueue:
         self.backoff = backoff or BackoffPolicy()
         self.fsync = bool(fsync)
         self.host_id = host_id or default_host_id()
-        self.clock = clock or default_clock()
+        self.clock = clock or time.time
         self.rotate_bytes = int(rotate_bytes)
         self.io_retries = max(0, int(io_retries))
-        try:
-            self.io_delay = float(
-                os.environ.get("REPRO_QUEUE_IO_DELAY", "") or 0.0)
-        except ValueError:
-            self.io_delay = 0.0
         self.jobs_dir = os.path.join(self.dir, "jobs")
         self.state_dir = os.path.join(self.dir, "state")
         self.results_dir = os.path.join(self.dir, "results")
@@ -258,8 +250,6 @@ class WorkQueue:
     def _with_retries(self, op, what: str):
         """Run a filesystem operation, retrying transient OSErrors with
         exponential backoff (stale NFS handles heal on reopen)."""
-        if self.io_delay > 0.0:
-            time.sleep(self.io_delay)
         delay = 0.05
         for attempt in range(self.io_retries + 1):
             try:
@@ -493,8 +483,6 @@ class WorkQueue:
         out: list[dict] = []
         hosts = set()
         for name in files:
-            if self.io_delay > 0.0:
-                time.sleep(self.io_delay)
             try:
                 with open(os.path.join(self.dir, name)) as f:
                     for line in f:

@@ -53,7 +53,6 @@ import json
 import os
 import shutil
 import signal
-import sys
 import time
 
 from repro.errors import CancelledError, InputError, SolverError
@@ -63,8 +62,7 @@ from repro.resilience.persistence import set_save_observer
 from repro.resilience.queue import Job, WorkQueue
 
 __all__ = ["AsyncJob", "JOB_STATES", "JOB_TERMINAL", "JOB_TRANSITIONS",
-           "JobManager", "audit_job_transitions", "run_async_attempt",
-           "run_chaos_jobs"]
+           "JobManager", "audit_job_transitions", "run_async_attempt"]
 
 
 # ----------------------------------------------------------------------
@@ -258,6 +256,26 @@ def commit_transition(queue: WorkQueue, job_id: str, to: str, *,
     return True
 
 
+def _journal_lagging_edge(queue: WorkQueue, job_id: str, rec: dict, *,
+                          by: str | None) -> None:
+    """Journal the edge a killed attempt left on the record alone.
+
+    :func:`commit_transition` replaces the record before it appends the
+    journal line, so an attempt SIGKILLed between the two leaves the
+    record one legal edge ahead of the journal.  Whoever reconciles the
+    dead attempt journals that edge first, so the history that
+    :func:`audit_job_transitions` replays stays continuous.
+    """
+    replayed = _record_from_journal(queue, job_id)
+    frm = None if replayed is None else replayed.get("state")
+    to = rec.get("state")
+    if frm != to and to in JOB_TRANSITIONS.get(frm, frozenset()):
+        queue.journal("job-transition", job=job_id, frm=frm, to=to, by=by,
+                      kind=rec.get("kind"), error=None,
+                      detail="journal caught up with the record",
+                      token=None)
+
+
 def audit_job_transitions(queue: WorkQueue) -> dict:
     """Replay every journaled ``job-transition`` and prove the history
     legal: each edge in :data:`JOB_TRANSITIONS`, at most one terminal
@@ -384,6 +402,7 @@ def run_async_attempt(payload: dict, ctx: dict) -> dict:
     if state in (CLAIMED, RUNNING, CHECKPOINTING):
         # a killed attempt never got to requeue its record — do it now,
         # under our lease, before claiming
+        _journal_lagging_edge(queue, job_id, rec, by=worker)
         commit_transition(queue, job_id, PENDING, by=worker,
                           token=token, detail="stale attempt reconciled")
         state = PENDING
@@ -518,6 +537,7 @@ class JobManager:
         elif (status == "pending"
               and rec.get("state") in (CLAIMED, RUNNING, CHECKPOINTING)
               and self.queue.leases.holder(job_id) is None):
+            _journal_lagging_edge(self.queue, job_id, rec, by="reconcile")
             commit_transition(self.queue, job_id, PENDING,
                               by="reconcile", error=qst.get("last_error"),
                               detail="attempt lost its lease; requeued")
@@ -817,258 +837,3 @@ class AsyncJob:
 
     def __repr__(self) -> str:
         return f"AsyncJob({self.id!r})"
-
-
-# ----------------------------------------------------------------------
-# chaos --jobs: kill-and-resume campaign
-# ----------------------------------------------------------------------
-
-def _jobs_supervisor_main(queue_dir: str, host_id: str,
-                          cfg: dict) -> None:
-    """One supervisor process draining the jobs queue (chaos target)."""
-    try:
-        os.setpgid(0, 0)
-    except OSError:
-        pass
-    from repro.resilience.farm import Farm, FarmPolicy
-    from repro.resilience.queue import BackoffPolicy
-    policy = FarmPolicy(
-        n_workers=int(cfg.get("n_workers", 1)),
-        lease_ttl=float(cfg.get("lease_ttl", 2.0)),
-        poll_interval=0.1, worker_stall_timeout=60.0,
-        stall_timeout=None,
-        backoff=BackoffPolicy(max_attempts=8, base=0.1, max_delay=1.0),
-        drain_when_idle=bool(cfg.get("drain_when_idle", True)),
-        host_id=host_id, max_skew=float(cfg.get("max_skew", 0.5)),
-        beacon_interval=0.2,
-        snapshot_every=int(cfg.get("snapshot_every", 2)))
-    stream = sys.stdout if cfg.get("verbose") else open(os.devnull, "w")
-    Farm(queue_dir, policy, label=f"jobs-{host_id}",
-         stream=stream).run()
-
-
-def run_chaos_jobs(*, case: str = "euler2d", n_steps: int = 40,
-                   every_n_steps: int = 2, deadline: float = 240.0,
-                   out: str | None = "chaos-jobs-reports",
-                   queue_dir: str | None = None, stream=None) -> int:
-    """Kill-and-resume chaos campaign for the async-job subsystem.
-
-    1. March an uninterrupted in-process reference → state fingerprint.
-    2. ``submit`` the same march as an async job (benchmarking submit
-       latency on ballast submissions first), start a supervisor,
-       SIGKILL the whole supervisor tree (supervisor, worker, sandbox
-       child) once live progress and ≥ 1 durable snapshot prove the
-       march is mid-flight.
-    3. Start a second supervisor under a different host id: lease
-       reaping requeues the dead job, the attempt resumes from the
-       latest snapshot generation and finishes.
-    4. Assert: final state bitwise-identical to the reference,
-       exactly-once completion from the merged journal, legal
-       state-machine history, cooperative cancellation works, and
-       after ``gc`` no job artifacts or orphan processes remain.
-
-    Writes ``chaos-jobs-ledger.json`` + ``BENCH_jobs.json`` under
-    ``out``; returns a process exit code.
-    """
-    import multiprocessing as mp
-    import tempfile
-
-    from repro.resilience.chaos import CASES
-    from repro.resilience.farm import (state_fingerprint, sweep_orphans,
-                                       write_bench_json)
-    from repro.resilience.lease import read_beacons
-    stream = stream or sys.stdout
-    if case not in CASES:
-        raise InputError(f"unknown chaos case {case!r} (options: "
-                         f"{sorted(CASES)})")
-    if queue_dir is None:
-        queue_dir = (os.path.join(out, "jobs-queue") if out is not None
-                     else tempfile.mkdtemp(prefix="chaos-jobs-"))
-    if out is not None:
-        os.makedirs(out, exist_ok=True)
-    events: list[dict] = []
-    t_campaign = time.monotonic()
-
-    def _elapsed() -> float:
-        return time.monotonic() - t_campaign
-
-    def _note(event: str, **fields):
-        events.append({"t": round(_elapsed(), 2), "event": event,
-                       **fields})
-        body = ", ".join(f"{k}={v}" for k, v in fields.items())
-        print(f"  t={_elapsed():.1f}s {event}: {body}", file=stream)
-
-    # -- 1. uninterrupted reference ------------------------------------
-    factory, base_kwargs, _, _ = CASES[case]
-    run_kwargs = dict(base_kwargs)
-    run_kwargs["n_steps"] = int(n_steps)
-    solver = factory()
-    t0 = time.monotonic()
-    solver.run(**run_kwargs)
-    ref_wall = time.monotonic() - t0
-    ref_fp = state_fingerprint(solver)
-    print(f"chaos --jobs: case {case}, {n_steps} step(s); reference "
-          f"marched in {ref_wall:.2f} s ({ref_fp[:12]}…)", file=stream)
-
-    # -- submit-latency bench on a scratch queue -----------------------
-    with tempfile.TemporaryDirectory(prefix="jobs-bench-") as bench_dir:
-        bench_mgr = JobManager(bench_dir)
-        lat = sorted(
-            bench_mgr.submit("sleep", {"duration": 0.01},
-                             job_id=f"bench-{i:03d}")["submit_latency_s"]
-            for i in range(20))
-    submit_latency = {"n": len(lat),
-                      "p50_s": round(lat[len(lat) // 2], 4),
-                      "max_s": round(lat[-1], 4)}
-
-    # -- 2. submit, supervise, kill mid-march --------------------------
-    mgr = JobManager(queue_dir, host_id="jobs-driver", lease_ttl=2.0,
-                     max_skew=0.5)
-    sub = mgr.submit("solver_case",
-                     {"case": case, "run_kwargs": {"n_steps": n_steps},
-                      "every_n_steps": int(every_n_steps)},
-                     job_id="march-00", max_attempts=8)
-    _note("submit", job=sub["job"], latency_s=sub["submit_latency_s"])
-    cfg = {"n_workers": 1, "lease_ttl": 2.0, "max_skew": 0.5,
-           "snapshot_every": every_n_steps}
-    ctx = mp.get_context("fork")
-
-    def _spawn(host_id: str):
-        proc = ctx.Process(target=_jobs_supervisor_main,
-                           args=(queue_dir, host_id, cfg), daemon=False)
-        proc.start()
-        _note("supervisor-up", host=host_id, pid=proc.pid)
-        return proc
-
-    def _wait(cond, budget: float) -> bool:
-        while not cond():
-            if _elapsed() > budget:
-                return False
-            time.sleep(0.1)
-        return True
-
-    def _mid_march() -> bool:
-        st = mgr.status("march-00")
-        prog = st.get("progress") or {}
-        return (st["snapshots"]["generations"] >= 1
-                and int(prog.get("step") or 0) >= every_n_steps
-                and st["state"] not in JOB_TERMINAL)
-
-    t_interrupted = time.monotonic()
-    proc_a = _spawn("jobsA")
-    checks: dict[str, bool] = {}
-    killed_pids: list[int] = []
-    try:
-        checks["reached_mid_march"] = _wait(_mid_march, deadline / 3.0)
-        st = mgr.status("march-00")
-        _note("mid-march", state=st["state"],
-              progress=(st.get("progress") or {}).get("step"),
-              snapshots=st["snapshots"]["generations"])
-        # SIGKILL the whole host: supervisor, workers, sandbox children
-        beacon = read_beacons(mgr.queue.hosts_dir).get("jobsA") or {}
-        killed_pids = [proc_a.pid] + [int(p) for p
-                                      in beacon.get("workers") or []]
-        for pid in killed_pids:
-            kill_pid_tree(pid)
-        proc_a.join(10.0)
-        swept = sweep_orphans(mgr.queue, host="jobsA")
-        _note("host-kill", host="jobsA", pids=killed_pids,
-              orphans_swept=len(swept))
-
-        # -- 3. resume on a fresh supervisor ---------------------------
-        proc_b = _spawn("jobsB")
-        try:
-            checks["resumed_done"] = _wait(
-                lambda: mgr.sync("march-00").get("state") == DONE,
-                deadline)
-        finally:
-            proc_b.join(30.0)
-            if proc_b.is_alive():
-                kill_pid_tree(proc_b.pid)
-                proc_b.join(5.0)
-        wall_interrupted = time.monotonic() - t_interrupted
-        res = mgr.result("march-00")
-        got_fp = ((res.get("result") or {}).get("state_sha256")
-                  if res.get("ready") else None)
-        checks["bitwise_match"] = got_fp == ref_fp
-        _note("resumed", state=res.get("state"),
-              fingerprint=(got_fp or "?")[:12],
-              attempts=mgr.status("march-00").get("attempts"))
-
-        # -- 4. cooperative cancellation probe -------------------------
-        mgr.submit("solver_case",
-                   {"case": case, "run_kwargs": {"n_steps": 4000},
-                    "every_n_steps": int(every_n_steps)},
-                   job_id="cancel-00", max_attempts=8)
-        proc_c = _spawn("jobsC")
-        try:
-            _wait(lambda: (mgr.status("cancel-00").get("progress")
-                           or {}).get("step") is not None,
-                  deadline / 3.0)
-            cancelled = mgr.cancel("cancel-00", reason="chaos probe",
-                                   escalate_after=15.0,
-                                   wait=deadline / 3.0)
-            checks["cancelled"] = cancelled.get("state") == CANCELLED
-            _note("cancel", state=cancelled.get("state"),
-                  escalated=cancelled.get("escalated"))
-        finally:
-            proc_c.join(30.0)
-            if proc_c.is_alive():
-                kill_pid_tree(proc_c.pid)
-                proc_c.join(5.0)
-    finally:
-        if proc_a.is_alive():
-            kill_pid_tree(proc_a.pid)
-            proc_a.join(5.0)
-
-    # -- audits --------------------------------------------------------
-    ledger = mgr.ledger()
-    checks["exactly_once"] = bool(ledger["audit"]["ok"])
-    checks["legal_transitions"] = bool(ledger["transitions_audit"]["ok"])
-
-    # -- gc: no leaked artifacts, no orphan processes ------------------
-    swept = mgr.gc(ttl=0.0, include_failed=True)
-    leaked = []
-    for job_id in swept["collected"]:
-        for d in (mgr.queue.work_dir, mgr.queue.jobs_dir,
-                  mgr.queue.state_dir, mgr.queue.results_dir):
-            path = os.path.join(d, job_id)
-            if os.path.exists(path) or os.path.exists(f"{path}.json"):
-                leaked.append(path)
-    checks["gc_clean"] = (not leaked
-                          and swept["n_collected"] >= 2)
-    orphans = []
-    for pid in killed_pids:
-        try:
-            os.kill(int(pid), 0)
-        except OSError:
-            continue
-        orphans.append(int(pid))
-    checks["no_orphans"] = not orphans
-    _note("gc", collected=swept["n_collected"], leaked=len(leaked),
-          orphans=len(orphans))
-
-    bench = {"bench": "jobs", "case": case, "n_steps": int(n_steps),
-             "submit_latency": submit_latency,
-             "resume": {"reference_wall_s": round(ref_wall, 3),
-                        "interrupted_wall_s": round(wall_interrupted, 3),
-                        "overhead_ratio":
-                            (round(wall_interrupted / ref_wall, 2)
-                             if ref_wall > 0 else None)}}
-    verdict = {"mode": "jobs", "case": case, "checks": checks,
-               "events": events, "bench": bench,
-               "jobs_ledger": ledger, "ok": all(checks.values())}
-    if out is not None:
-        with open(os.path.join(out, "chaos-jobs-ledger.json"), "w") as f:
-            json.dump(verdict, f, indent=1, default=str)
-        write_bench_json(os.path.join(out, "BENCH_jobs.json"), bench)
-    if not verdict["ok"]:
-        failed = [k for k, v in checks.items() if not v]
-        print(f"chaos --jobs: FAILED ({', '.join(failed)})",
-              file=stream)
-        return 1
-    print(f"chaos --jobs: green — killed supervisor mid-march, resumed "
-          f"bitwise-identical ({ref_fp[:12]}…), exactly-once audit "
-          f"clean, transitions legal, cancel acknowledged, gc left "
-          f"nothing behind", file=stream)
-    return 0

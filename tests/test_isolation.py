@@ -32,7 +32,8 @@ import pytest
 from repro.errors import SolverError
 from repro.resilience import (FaultInjector, IsolatedRunner,
                               IsolationPolicy)
-from repro.resilience.chaos import CASES, run_chaos, sample_schedule
+from repro.resilience.chaos import (CASES, run_chaos, run_chaos_hosts,
+                                    run_chaos_jobs, sample_schedule)
 from repro.resilience.isolation import _read_rss_mb, as_isolation
 
 
@@ -47,6 +48,17 @@ def _no_orphans():
     for p in mp.active_children():
         p.join(timeout=2.0)
     return not any(p.is_alive() for p in mp.active_children())
+
+
+def _chaos_ledger(out, mode, check_names):
+    """The campaign ledger in ``out``: its mode, its exact check names,
+    and ``ok`` as the conjunction of the checks."""
+    with open(out / "chaos-ledger.json") as f:
+        ledger = json.load(f)
+    assert ledger["mode"] == mode
+    assert sorted(ledger["checks"]) == sorted(check_names)
+    assert ledger["ok"] == all(ledger["checks"].values())
+    return ledger
 
 
 # ----------------------------------------------------------------------
@@ -307,12 +319,37 @@ class TestChaosHarness:
             assert [e["kind"] for e in a["events"]] == \
                 [e["kind"] for e in b["events"]]
             assert a["ok"] and b["ok"]
-        ledgers = []
-        for out in outs:
-            with open(out / "chaos-ledger.json") as f:
-                ledgers.append(json.load(f))
+        ledgers = [_chaos_ledger(out, "serial", ["rounds_ok"])
+                   for out in outs]
         assert ledgers[0] == ledgers[1]
         assert ledgers[0]["ok"]
+
+    def test_hosts_campaign_passes_and_leaves_no_orphans(self, tmp_path,
+                                                          silent):
+        """Two skewed hosts, one partitioned and healed, one SIGKILLed:
+        every job done exactly once, bitwise-equal to the references."""
+        rc = run_chaos_hosts(hosts=2, rounds=2, skew=5.0, partition=True,
+                             out=str(tmp_path), stream=silent)
+        assert rc == 0, silent.getvalue()
+        ledger = _chaos_ledger(tmp_path, "hosts", [
+            "drained", "exactly_once", "no_dead_letters",
+            "bitwise_match"])
+        assert ledger["ok"]
+        assert _no_orphans()
+
+    def test_jobs_campaign_passes_and_leaves_no_orphans(self, tmp_path,
+                                                         silent):
+        """SIGKILL the job's host mid-march, resume it on a fresh host:
+        bitwise parity, exactly-once, legal transitions, clean gc."""
+        rc = run_chaos_jobs(out=str(tmp_path), stream=silent)
+        assert rc == 0, silent.getvalue()
+        ledger = _chaos_ledger(tmp_path, "jobs", [
+            "reached_mid_march", "resumed_done", "bitwise_match",
+            "cancelled", "exactly_once", "legal_transitions", "gc_clean",
+            "no_orphans"])
+        assert ledger["ok"]
+        assert (tmp_path / "BENCH_jobs.json").exists()
+        assert _no_orphans()
 
 
 # ----------------------------------------------------------------------
@@ -344,6 +381,16 @@ class TestCLIExitCodes:
             ["chaos", "--steps", "40"],               # needs --jobs
             ["chaos", "--requests", "200"],           # needs --batch
             ["chaos", "--faulted", "20"],             # needs --batch
+            # a flag the chosen campaign does not read
+            ["chaos", "--jobs", "-j", "4"],
+            ["chaos", "--jobs", "--seed", "9", "--rounds", "3"],
+            ["chaos", "--jobs", "--partition"],
+            ["chaos", "--jobs", "--kill-workers", "3"],
+            ["chaos", "--batch", "-j", "3"],
+            ["chaos", "--batch", "--partition"],
+            ["chaos", "--batch", "--rounds", "9", "--kill-workers", "1"],
+            ["chaos", "--farm", "--hosts", "2", "--kill-workers", "5"],
+            ["chaos", "--farm", "--hosts", "1"],      # needs >= 2 hosts
         ]
         for argv in bad:
             assert main(argv) == 2, argv

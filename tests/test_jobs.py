@@ -283,6 +283,24 @@ class TestJobManager:
         assert mgr.queue.state("d1")["status"] == "pending"
         assert audit_job_transitions(mgr.queue)["ok"]
 
+    def test_sync_journals_the_edge_a_killed_attempt_left_unjournaled(
+            self, tmp_path, monkeypatch):
+        q = WorkQueue(tmp_path / "q", backoff=FAST, lease_ttl=0.2)
+        mgr = JobManager(tmp_path / "q", lease_ttl=0.2)
+        mgr.submit("sleep", {"duration": 0.01}, job_id="d1")
+        job, lease = q.claim("doomed")
+        for to in (CLAIMED, RUNNING):
+            commit_transition(q, "d1", to, by="doomed", token=lease.token)
+        with monkeypatch.context() as m:
+            # SIGKILLed between the record replace and the journal line
+            m.setattr(q, "journal", lambda *args, **kwargs: None)
+            commit_transition(q, "d1", CHECKPOINTING, by="doomed",
+                              token=lease.token)
+        assert read_record(q, "d1")["state"] == CHECKPOINTING
+        time.sleep(0.3)
+        assert mgr.sync("d1")["state"] == PENDING
+        assert audit_job_transitions(mgr.queue)["ok"]
+
 
 # ----------------------------------------------------------------------
 # the attempt executor
@@ -345,6 +363,23 @@ class TestRunAsyncAttempt:
         job, lease = q.claim("t0")
         out = run_async_attempt(job.payload, self._ctx(q, "a1", lease))
         assert out["cancelled"] is False
+        assert read_record(q, "a1")["state"] == DONE
+        assert audit_job_transitions(q)["ok"]
+
+    def test_unjournaled_edge_of_killed_attempt_reconciled(
+            self, tmp_path, monkeypatch):
+        q = WorkQueue(tmp_path / "q", backoff=FAST)
+        q.enqueue(Job(id="a1", kind="async",
+                      payload={"kind": "sleep",
+                               "payload": {"duration": 0.01}}))
+        for to in (PENDING, CLAIMED, RUNNING):
+            commit_transition(q, "a1", to, by="ghost", kind="sleep")
+        with monkeypatch.context() as m:
+            # SIGKILLed between the record replace and the journal line
+            m.setattr(q, "journal", lambda *args, **kwargs: None)
+            commit_transition(q, "a1", CHECKPOINTING, by="ghost")
+        job, lease = q.claim("t0")
+        run_async_attempt(job.payload, self._ctx(q, "a1", lease))
         assert read_record(q, "a1")["state"] == DONE
         assert audit_job_transitions(q)["ok"]
 

@@ -298,13 +298,20 @@ class TestChaosStyleBatch:
             assert env.error is not None
 
     def test_campaign_entry_point_passes(self, tmp_path):
-        from repro.service.chaos import run_chaos_batch
+        from repro.resilience.chaos import run_chaos_batch
         code = run_chaos_batch(requests=24, faulted=5, seed=3,
                                out=str(tmp_path), deadline=120.0,
                                stream=open(tmp_path / "log.txt", "w"))
         report = json.loads(
-            (tmp_path / "chaos-batch.json").read_text())
+            (tmp_path / "chaos-ledger.json").read_text())
         assert code == 0, report["checks"]
+        assert report["mode"] == "batch"
+        assert sorted(report["checks"]) == sorted([
+            "one_envelope_per_request", "deadline_respected",
+            "good_requests_all_ok", "good_results_bitwise_identical",
+            "injected_failures_captured",
+            "breaker_transitions_deterministic", "probes_reclose_ok"])
+        assert report["ok"] == all(report["checks"].values())
         assert report["ok"]
         assert report["checks"]["good_results_bitwise_identical"]
         assert report["checks"]["breaker_transitions_deterministic"]
