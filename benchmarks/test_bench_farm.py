@@ -19,8 +19,7 @@ this module keeps the local, repeatable version of the same numbers.
 import json
 import os
 
-from repro.resilience.farm import (FarmPolicy, audit_exactly_once,
-                                   bench_from_journal, build_ledger,
+from repro.resilience.farm import (FarmPolicy, bench_from_journal,
                                    run_campaign, write_bench_json)
 from repro.resilience.queue import BackoffPolicy, Job, WorkQueue
 
@@ -103,55 +102,3 @@ def test_bench_farm_figures_vs_serial(once, tmp_path):
     # the farm must stay within sandbox-spawn overhead of serial even
     # on a single-core container; real speedup shows up with cores
     assert t_farm < 10 * t_serial + 30.0
-
-
-def test_bench_journal_rotation_compaction(once, tmp_path):
-    """Journal read cost before vs after size-triggered compaction.
-
-    A long multi-host campaign accumulates rotated segments; ledger
-    rebuilds and the exactly-once audit re-read the whole stream, so
-    compaction's payoff is measured here as read_journal wall time.
-    """
-    import time
-
-    def run():
-        q = WorkQueue(tmp_path / "q-rot", backoff=BackoffPolicy(),
-                      rotate_bytes=4096, fsync=False)
-        for i in range(150):
-            q.enqueue(Job(id=f"j{i:03d}", kind="sleep"))
-        while True:
-            got = q.claim("bench:0")
-            if got is None:
-                break
-            job, lease = got
-            q.complete(job, lease, {"ok": True})
-        t0 = time.perf_counter()
-        n_before = len(q.read_journal())
-        t_read_before = time.perf_counter() - t0
-        ledger_before = build_ledger(q, wall_time=1.0, label="rot",
-                                     n_workers=1)
-        t0 = time.perf_counter()
-        absorbed = q.compact_journal()
-        t_compact = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        n_after = len(q.read_journal())
-        t_read_after = time.perf_counter() - t0
-        ledger_after = build_ledger(q, wall_time=1.0, label="rot",
-                                    n_workers=1)
-        audit = audit_exactly_once(q)
-        return {"absorbed": absorbed, "n_before": n_before,
-                "n_after": n_after, "read_before_ms": t_read_before * 1e3,
-                "read_after_ms": t_read_after * 1e3,
-                "compact_ms": t_compact * 1e3,
-                "jobs_before": ledger_before["jobs"],
-                "jobs_after": ledger_after["jobs"], "audit": audit}
-
-    rec = once(run)
-    print(f"\njournal compaction (150 jobs, 4 KiB segments): "
-          f"{rec['absorbed']} segment(s) absorbed in "
-          f"{rec['compact_ms']:.1f} ms; read_journal "
-          f"{rec['n_before']} rec / {rec['read_before_ms']:.1f} ms -> "
-          f"{rec['n_after']} rec / {rec['read_after_ms']:.1f} ms")
-    assert rec["absorbed"] > 0
-    assert rec["jobs_before"] == rec["jobs_after"] == {"done": 150}
-    assert rec["audit"]["ok"] and rec["audit"]["jobs_completed"] == 150

@@ -73,7 +73,7 @@ def test_bench_async_overhead(tmp_path):
     t0 = time.monotonic()
     mgr.submit("solver_case", {"case": "euler1d", "every_n_steps": 5},
                job_id="ovh")
-    _drain(tmp_path / "q", snapshot_every=5)
+    _drain(tmp_path / "q")
     res = mgr.result("ovh")
     async_s = time.monotonic() - t0
     assert res["state"] == DONE and res["ready"]

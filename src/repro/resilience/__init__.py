@@ -42,7 +42,7 @@ This package provides the machinery the solver stack wires through:
   :func:`audit_exactly_once` — the multi-host layer: several
   supervisors (each a ``host_id`` with ``host:pid`` workers) drain one
   shared queue directory under clock-skew-tolerant leases, fenced
-  commits, per-host journals with rotation/compaction, advisory clock
+  commits, one append-only journal file per host, advisory clock
   beacons, cross-host ledger merging and an exactly-once journal audit.
 """
 

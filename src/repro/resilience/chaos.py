@@ -943,7 +943,7 @@ def run_chaos_jobs(*, n_steps: int = 400, deadline: float = 240.0,
     base = FarmPolicy(
         n_workers=1, lease_ttl=2.0, poll_interval=0.1,
         backoff=BackoffPolicy(max_attempts=8, base=0.1, max_delay=1.0),
-        max_skew=0.5, beacon_interval=0.2, snapshot_every=every)
+        max_skew=0.5, beacon_interval=0.2)
 
     def spawn(host: str):
         return _spawn_host(timeline, queue_dir,

@@ -92,8 +92,9 @@ __all__ = ["Farm", "FarmPolicy", "JOB_KINDS", "WorkerKillPlan",
 #: kind name -> ``fn(payload, ctx) -> JSON-able result`` executed in the
 #: sandbox child.  ``ctx`` carries ``workdir`` (durable, per-job),
 #: ``ckpt_dir`` (durable snapshot ladder — marches resume from here
-#: after a kill), ``queue_dir``, ``job_id``, plus the claiming lease's
-#: fencing credentials ``lease_token`` / ``worker``.
+#: after a kill), ``queue_dir``, ``job_id``, the claiming lease's
+#: fencing credentials ``lease_token`` / ``worker``, and the worker's
+#: ``host_id`` (the journal file its records go to).
 JOB_KINDS: dict = {}
 
 
@@ -238,16 +239,17 @@ def state_fingerprint(solver) -> str:
 
 def _execute_job(queue_dir: str, job_id: str,
                  lease_token: str | None = None,
-                 worker: str | None = None):
+                 worker: str | None = None, host_id: str | None = None):
     """Sandbox-child entry point: resolve the job and run its kind.
 
     ``lease_token``/``worker`` are the fencing credentials of the
     claiming worker's lease: executors that commit their own durable
     records (the async-job state machine) validate every write against
     the token on disk, so an attempt whose lease was reaped can never
-    clobber its successor's transitions.
+    clobber its successor's transitions.  ``host_id`` is the worker's
+    host, so those records land in that host's journal file.
     """
-    queue = WorkQueue(queue_dir)
+    queue = WorkQueue(queue_dir, host_id=host_id)
     job = queue.job(job_id)
     fn = JOB_KINDS.get(job.kind)
     if fn is None:
@@ -257,7 +259,8 @@ def _execute_job(queue_dir: str, job_id: str,
     ctx = {"workdir": workdir,
            "ckpt_dir": os.path.join(workdir, "ckpt"),
            "queue_dir": queue_dir, "job_id": job_id,
-           "lease_token": lease_token, "worker": worker}
+           "lease_token": lease_token, "worker": worker,
+           "host_id": host_id}
     return fn(job.payload, ctx)
 
 
@@ -278,18 +281,12 @@ class FarmPolicy:
         dead worker's job is reclaimed within roughly one ttl.
     poll_interval:
         Idle-worker and farm-supervision poll period [s].
-    worker_stall_timeout:
-        Worker-heartbeat silence [s] after which the farm kills and
-        replaces the worker (its job lease then expires and reclaims).
     worker_restart_budget:
         Replacement workers the farm may spawn campaign-wide after
         deaths/kills before it stops replacing.
     deadline, memory_mb, stall_timeout:
         Per-job isolation budgets applied when the job spec leaves them
         None.
-    snapshot_every:
-        Durable snapshot cadence marching jobs run with (the resume
-        granularity after a kill).
     backoff:
         The queue's retry :class:`~repro.resilience.queue.BackoffPolicy`
         (max attempts, exponential delay, deterministic jitter).
@@ -319,12 +316,10 @@ class FarmPolicy:
     n_workers: int = 2
     lease_ttl: float = 15.0
     poll_interval: float = 0.25
-    worker_stall_timeout: float = 60.0
     worker_restart_budget: int = 8
     deadline: float | None = None
     memory_mb: float | None = None
     stall_timeout: float | None = None
-    snapshot_every: int = 5
     backoff: BackoffPolicy = field(default_factory=BackoffPolicy)
     drain_when_idle: bool = True
     max_wall_time: float | None = None
@@ -348,7 +343,6 @@ class FarmPolicy:
                 "poll_interval": self.poll_interval,
                 "deadline": self.deadline, "memory_mb": self.memory_mb,
                 "stall_timeout": self.stall_timeout,
-                "snapshot_every": self.snapshot_every,
                 "backoff": asdict(self.backoff),
                 "drain_when_idle": self.drain_when_idle,
                 "host_id": self.host_id or default_host_id(),
@@ -358,6 +352,11 @@ class FarmPolicy:
     def clock(self):
         """Wall clock for this farm, honouring ``clock_offset``."""
         return _offset_clock(self.clock_offset)
+
+
+#: worker-heartbeat silence [s] after which the farm kills and replaces
+#: the worker (its job lease then expires and reclaims)
+_WORKER_STALL_TIMEOUT = 60.0
 
 
 def _offset_clock(offset: float):
@@ -468,8 +467,7 @@ def _run_one(queue: WorkQueue, job: Job, lease, name: str, cfg: dict,
         stall_timeout=(job.stall_timeout if job.stall_timeout is not None
                        else cfg["stall_timeout"]),
         max_restarts=0,   # retries belong to the queue, not the sandbox
-        term_grace=1.0,
-        every_n_steps=int(cfg["snapshot_every"]))
+        term_grace=1.0)
     runner = IsolatedRunner(policy, label=f"{name}:{job.id}")
 
     def on_spawn(pid, attempt):
@@ -494,7 +492,8 @@ def _run_one(queue: WorkQueue, job: Job, lease, name: str, cfg: dict,
             if flags["draining"]:
                 raise _DrainRequested()
             result = runner.run_callable(
-                _execute_job, (queue.dir, job.id, lease.token, name),
+                _execute_job,
+                (queue.dir, job.id, lease.token, name, queue.host_id),
                 workdir=os.path.join(workdir, "sandbox"),
                 on_spawn=on_spawn)
             outcome = "ok"
@@ -615,7 +614,6 @@ class Farm:
         self.label = label
         self.stream = stream or sys.stdout
         self.kill_plan = kill_plan
-        self.kills: list[dict] = []
         self.beacon = HostBeacon(self.queue.hosts_dir,
                                  host_id=self.host,
                                  interval=self.policy.beacon_interval,
@@ -673,8 +671,6 @@ class Farm:
         else:
             terminate_process(proc, grace=1.0)
         self._sweep_orphans(rec["name"])
-        self.kills.append({"worker": rec["name"], "pid": pid,
-                           "kind": kind, "reason": reason})
         self.queue.journal("worker-kill", worker=rec["name"], pid=pid,
                            kind=kind, reason=reason)
         print(f"[{self.label}] killed worker {rec['name']} ({kind}: "
@@ -770,7 +766,7 @@ class Farm:
                             self._workers.remove(rec)
                         continue
                     ages = heartbeat_ages([rec["last_change"]], now)
-                    if expired_indices(ages, pol.worker_stall_timeout):
+                    if expired_indices(ages, _WORKER_STALL_TIMEOUT):
                         self._kill_worker(
                             rec, kind="stall",
                             reason=f"no heartbeat for {ages[0]:.1f} s "
@@ -795,8 +791,7 @@ class Farm:
             self._drain_workers()
         wall = time.monotonic() - t0
         ledger = build_ledger(self.queue, wall_time=wall,
-                              label=self.label, kills=self.kills,
-                              n_workers=pol.n_workers)
+                              label=self.label, n_workers=pol.n_workers)
         self.queue.journal("campaign-end", label=self.label,
                            wall=round(wall, 2), ok=ledger["ok"])
         self.last_ledger = ledger
@@ -839,35 +834,27 @@ class Farm:
 # ----------------------------------------------------------------------
 
 def build_ledger(queue: WorkQueue, *, wall_time: float, label: str,
-                 kills: list | None = None, n_workers: int | None = None
-                 ) -> dict:
+                 n_workers: int | None = None) -> dict:
     """Fold the journal + job states into the campaign ledger.
 
-    The journal read merges every host's per-host files (and compacted
-    segment summaries), so a ledger built on any host of a shared-queue
-    campaign covers the whole campaign; ``hosts`` breaks claims /
-    completes / kills down per writer host.
+    The journal read merges every host's file, so a ledger built on any
+    host of a shared-queue campaign — or rebuilt post mortem — covers
+    the whole campaign; ``hosts`` breaks claims / completes / kills down
+    per writer host, and ``worker_kills`` lists every journaled
+    ``worker-kill`` in journal order.
     """
-    journal = queue.read_journal()
     by_event: dict[str, int] = {}
     by_host: dict[str, dict[str, int]] = {}
-
-    def _host_count(host, event, n=1):
-        hc = by_host.setdefault(host or "?", {})
-        hc[event] = hc.get(event, 0) + n
-
-    for rec in journal:
+    kills: list[dict] = []
+    for rec in queue.read_journal():
         ev = rec.get("event", "?")
-        if ev == "journal-compact":
-            # a compacted summary stands in for its absorbed segments
-            for name, n in (rec.get("events") or {}).items():
-                by_event[name] = by_event.get(name, 0) + int(n)
-                if name in ("claim", "complete", "worker-kill"):
-                    _host_count(rec.get("host"), name, int(n))
-            continue
         by_event[ev] = by_event.get(ev, 0) + 1
         if ev in ("claim", "complete", "worker-kill"):
-            _host_count(rec.get("host"), ev)
+            hc = by_host.setdefault(rec.get("host") or "?", {})
+            hc[ev] = hc.get(ev, 0) + 1
+        if ev == "worker-kill":
+            kills.append({k: rec.get(k)
+                          for k in ("worker", "pid", "kind", "reason")})
     skews = estimate_skew(read_beacons(queue.hosts_dir),
                           host_id=queue.host_id, clock=queue.clock)
     counts = queue.counts()
@@ -892,7 +879,7 @@ def build_ledger(queue: WorkQueue, *, wall_time: float, label: str,
             "reclaims": by_event.get("reclaim", 0),
             "preempts": by_event.get("preempt", 0),
             "fenced": by_event.get("fenced", 0),
-            "worker_kills": list(kills or []),
+            "worker_kills": kills,
             "dead_letter": dead,
             "events": by_event,
             "throughput_jobs_per_s": (round(done / wall_time, 4)
@@ -909,16 +896,7 @@ def bench_from_journal(queue: WorkQueue, *, wall_time: float,
     claims: dict[str, float] = {}
     latencies: list[float] = []
     for rec in queue.read_journal():
-        if rec.get("event") == "journal-compact":
-            # compacted segments survive as last-claim / last-complete
-            # timestamps per job in the summary record
-            for job, t in (rec.get("claims") or {}).items():
-                claims.setdefault(job, float(t))
-            for job, t in (rec.get("completes") or {}).items():
-                t_claim = claims.get(job)
-                if t_claim is not None:
-                    latencies.append(float(t) - t_claim)
-        elif rec.get("event") == "claim":
+        if rec.get("event") == "claim":
             claims[rec.get("job")] = float(rec["t"])
         elif rec.get("event") == "complete":
             t_claim = claims.get(rec.get("job"))
@@ -951,18 +929,13 @@ def audit_exactly_once(queue: WorkQueue) -> dict:
     A fenced commit (stale token rejected after a reclaim) journals
     ``fenced``, not ``complete``, so any job with two ``complete``
     lines — or a done job with none — is a real exactly-once violation,
-    whichever host wrote the lines.  Compacted segments are covered via
-    the summary's per-job complete counts.
+    whichever host wrote the lines.
     """
     completes: dict[str, int] = {}
     for rec in queue.read_journal():
-        ev = rec.get("event")
-        if ev == "complete":
+        if rec.get("event") == "complete":
             job = rec.get("job")
             completes[job] = completes.get(job, 0) + 1
-        elif ev == "journal-compact":
-            for job, n in (rec.get("complete_counts") or {}).items():
-                completes[job] = completes.get(job, 0) + int(n)
     double = {job: n for job, n in completes.items() if n > 1}
     missing = [job_id for job_id in queue.job_ids()
                if queue.state(job_id).get("status") == "done"

@@ -268,14 +268,6 @@ class IsolationPolicy:
     every_n_steps:
         Durable snapshot cadence the child marches with (the resume
         granularity after a kill).
-    cfl_tighten:
-        Multiplier applied to the run's ``cfl`` on every restart (< 1
-        re-enters the march more conservatively after a kill).
-    prearm_degradation:
-        Arm the graceful-degradation cascade on restarted attempts even
-        when the original call did not request it.
-    heartbeat_interval:
-        Child-side beat throttle [s].
     """
 
     deadline: float | None = None
@@ -285,9 +277,6 @@ class IsolationPolicy:
     poll_interval: float = 0.05
     term_grace: float = 2.0
     every_n_steps: int = 10
-    cfl_tighten: float = 1.0
-    prearm_degradation: bool = False
-    heartbeat_interval: float = 0.02
 
 
 def as_isolation(value) -> IsolationPolicy | None:
@@ -332,14 +321,13 @@ class IsolationEvent:
 # child mains (run under the fork start method: no pickling of targets)
 # ----------------------------------------------------------------------
 
-def _enter_sandbox(hb_path, heartbeat_interval):
+def _enter_sandbox(hb_path):
     """Common child prologue: own process group + process heartbeat."""
     try:
         os.setpgid(0, 0)   # so the parent can kill the whole group
     except OSError:
         pass
-    set_process_heartbeat(Heartbeat(hb_path,
-                                    min_interval=heartbeat_interval))
+    set_process_heartbeat(Heartbeat(hb_path))
 
 
 def _write_error(err_path, exc):
@@ -352,10 +340,10 @@ def _write_error(err_path, exc):
 
 def _solver_child(factory, run_kwargs, ckpt_dir, hb_path, err_path,
                   faults, resilience, watchdog, degradation,
-                  heartbeat_interval, every_n_steps):
+                  every_n_steps):
     """Build the solver and march it durably inside the sandbox."""
     from repro.resilience.persistence import PersistencePolicy
-    _enter_sandbox(hb_path, heartbeat_interval)
+    _enter_sandbox(hb_path)
     try:
         solver = factory()
         policy = PersistencePolicy(dir=ckpt_dir,
@@ -374,10 +362,9 @@ def _solver_child(factory, run_kwargs, ckpt_dir, hb_path, err_path,
         sys.exit(70)
 
 
-def _callable_child(fn, args, kwargs, res_path, hb_path, err_path,
-                    heartbeat_interval):
+def _callable_child(fn, args, kwargs, res_path, hb_path, err_path):
     """Run ``fn`` in the sandbox and pickle its result for the parent."""
-    _enter_sandbox(hb_path, heartbeat_interval)
+    _enter_sandbox(hb_path)
     try:
         out = fn(*args, **dict(kwargs or {}))
         tmp = f"{res_path}.tmp"
@@ -551,8 +538,7 @@ class IsolatedRunner:
             reacting_euler2d).  Runs inside the child (fork start
             method: no pickling needed).
         run_kwargs:
-            Keyword arguments for ``solver.run`` (``cfl`` is tightened
-            by ``policy.cfl_tighten`` on every restart).
+            Keyword arguments for ``solver.run``.
         workdir:
             Directory for the durable snapshot ladder, heartbeat file
             and error notes.  The snapshots are what a fresh child
@@ -563,8 +549,7 @@ class IsolatedRunner:
             transient upset; restarted children run clean and replay
             from the last durable snapshot.
         resilience, watchdog, degradation:
-            Passed through to ``solver.run`` in the child; with
-            ``policy.prearm_degradation`` restarts force the cascade on.
+            Passed through to ``solver.run`` in the child.
         on_spawn:
             Optional ``on_spawn(pid, attempt)`` hook called right after
             each child starts (ops/testing: pin, trace or — in the test
@@ -585,20 +570,12 @@ class IsolatedRunner:
         os.makedirs(workdir, exist_ok=True)
         ckpt_dir = os.path.join(workdir, "ckpt")
         hb_path = os.path.join(workdir, "heartbeat.json")
-        kwargs = dict(run_kwargs or {})
         for attempt in range(pol.max_restarts + 1):
             err_path = os.path.join(workdir, f"attempt-{attempt}.err")
-            if attempt > 0:
-                # catlint: disable=CAT010 -- 1.0 is the exact no-op
-                # default sentinel, never a computed value
-                if "cfl" in kwargs and pol.cfl_tighten != 1.0:
-                    kwargs["cfl"] = float(kwargs["cfl"]) * pol.cfl_tighten
-                if pol.prearm_degradation and degradation is None:
-                    degradation = True
             proc = self._spawn(_solver_child, (
-                factory, kwargs, ckpt_dir, hb_path, err_path,
+                factory, run_kwargs, ckpt_dir, hb_path, err_path,
                 faults if attempt == 0 else None, resilience, watchdog,
-                degradation, pol.heartbeat_interval, pol.every_n_steps))
+                degradation, pol.every_n_steps))
             try:
                 if on_spawn is not None:
                     on_spawn(proc.pid, attempt)
@@ -667,8 +644,7 @@ class IsolatedRunner:
                 except OSError:
                     pass
                 proc = self._spawn(_callable_child, (
-                    fn, args, kwargs, res_path, hb_path, err_path,
-                    pol.heartbeat_interval))
+                    fn, args, kwargs, res_path, hb_path, err_path))
                 try:
                     if on_spawn is not None:
                         on_spawn(proc.pid, attempt)

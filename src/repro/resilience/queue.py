@@ -19,9 +19,7 @@ queue-dir/
                       sandbox/ (isolation heartbeat + error notes)
   hosts/<host>.json   advisory per-host clock beacon (see lease.py)
   quarantine/         torn/corrupt records moved aside, never parsed
-  journal-<host>.jsonl         this host's append-only ledger
-  journal-<host>.NNNNNN.jsonl  rotated segments (size-triggered)
-  journal-<host>.compact.jsonl one-record summary of absorbed segments
+  journal-<host>.jsonl  this host's append-only ledger (one per host)
 ```
 
 A job moves through a small state machine::
@@ -44,8 +42,8 @@ clobber its successor.  Multi-host safety rests on three rules:
 * **one journal file per host.**  ``O_APPEND`` writes are atomic on a
   local filesystem but *not* across NFS clients; giving each host its
   own ``journal-<host>.jsonl`` keeps every append single-writer-host.
-  :meth:`WorkQueue.read_journal` merges all hosts' files (and rotated
-  segments) back into one ledger stream.
+  :meth:`WorkQueue.read_journal` merges all hosts' files back into one
+  ledger stream.
 * **no cross-host wall-clock comparisons.**  Lease expiry is
   observation-based (see :mod:`repro.resilience.lease`); the queue's
   own timestamps (backoff ``not_before``, journal ``t``) tolerate
@@ -171,18 +169,10 @@ class Job:
 #: terminal statuses — a campaign is over when every job reaches one
 TERMINAL = frozenset(("done", "dead"))
 
-#: rotated journal segments carry a six-digit index suffix
-_SEGMENT_RE = re.compile(r"^(\d{6})$")
-
 
 def _safe_host(host: str) -> str:
-    """Host id as a journal-filename fragment (no separators; a purely
-    numeric id gets a prefix so it can never parse as a segment
-    index)."""
-    safe = re.sub(r"[^A-Za-z0-9._-]", "_", host) or "host"
-    if _SEGMENT_RE.match(safe):
-        safe = f"h{safe}"
-    return safe
+    """Host id as a journal-filename fragment (no separators)."""
+    return re.sub(r"[^A-Za-z0-9._-]", "_", host) or "host"
 
 
 # ----------------------------------------------------------------------
@@ -206,9 +196,6 @@ class WorkQueue:
         :class:`~repro.resilience.lease.LeaseManager`).
     clock:
         Injectable wall clock (skew tests / chaos).
-    rotate_bytes:
-        Journal size that triggers rotation of this host's live file
-        into a numbered segment (0 disables rotation).
     io_retries:
         Transient-OSError retries around every queue read/write
         (exponential backoff from 50 ms), for stale-NFS-handle and
@@ -218,14 +205,12 @@ class WorkQueue:
     def __init__(self, dir, *, lease_ttl: float = 15.0,
                  backoff: BackoffPolicy | None = None,
                  fsync: bool = True, host_id: str | None = None,
-                 max_skew: float = 2.0, clock=None,
-                 rotate_bytes: int = 4 << 20, io_retries: int = 3):
+                 max_skew: float = 2.0, clock=None, io_retries: int = 3):
         self.dir = os.fspath(dir)
         self.backoff = backoff or BackoffPolicy()
         self.fsync = bool(fsync)
         self.host_id = host_id or default_host_id()
         self.clock = clock or time.time
-        self.rotate_bytes = int(rotate_bytes)
         self.io_retries = max(0, int(io_retries))
         self.jobs_dir = os.path.join(self.dir, "jobs")
         self.state_dir = os.path.join(self.dir, "state")
@@ -241,9 +226,8 @@ class WorkQueue:
         self.leases = LeaseManager(os.path.join(self.dir, "leases"),
                                    ttl=lease_ttl, host_id=self.host_id,
                                    max_skew=max_skew, clock=self.clock)
-        self._journal_base = f"journal-{_safe_host(self.host_id)}"
-        self.journal_path = os.path.join(self.dir,
-                                         f"{self._journal_base}.jsonl")
+        self.journal_path = os.path.join(
+            self.dir, f"journal-{_safe_host(self.host_id)}.jsonl")
 
     # -- retried, atomic JSON plumbing ---------------------------------
 
@@ -311,7 +295,7 @@ class WorkQueue:
         self.journal("quarantine", path=os.path.basename(path),
                      reason=reason)
 
-    # -- journal: per-host, rotated, mergeable -------------------------
+    # -- journal: one append-only file per host, merged on read --------
 
     def journal(self, event: str, **fields) -> None:
         """Append one fsync'd line to this host's campaign journal.
@@ -335,143 +319,19 @@ class WorkQueue:
                 os.close(fd)
 
         self._with_retries(op, "journal append")
-        self._maybe_rotate()
-
-    def _segment_path(self, index: int) -> str:
-        return os.path.join(self.dir,
-                            f"{self._journal_base}.{index:06d}.jsonl")
-
-    def _compact_path(self) -> str:
-        return os.path.join(self.dir,
-                            f"{self._journal_base}.compact.jsonl")
-
-    def _segment_indices(self) -> list[int]:
-        out = []
-        prefix = f"{self._journal_base}."
-        try:
-            names = os.listdir(self.dir)
-        except OSError:
-            return out
-        for name in names:
-            if not (name.startswith(prefix) and name.endswith(".jsonl")):
-                continue
-            stem = name[len(prefix):-len(".jsonl")]
-            if _SEGMENT_RE.match(stem):
-                out.append(int(stem))
-        return sorted(out)
-
-    def _maybe_rotate(self) -> None:
-        """Size-triggered rotation of this host's live journal.
-
-        The live file is *hard-linked* to the next segment name, then
-        unlinked: a concurrent appender that still holds the old fd (or
-        races the unlink) keeps writing into the segment's inode, so no
-        record is ever lost, and ``os.link`` refusing to clobber an
-        existing segment arbitrates concurrent rotators.
-
-        Two rotators of one host's journal (``serve`` plus a CLI
-        reaper) can probe the same segment number; the loser must not
-        abandon the rotation — its oversized live file would just keep
-        growing — so it probes upward to the next free number, bounded.
-        A collision on a segment that already *is* the live file (the
-        racer linked it an instant ago) means the rotation happened:
-        finish their unlink step instead of double-linking the inode
-        into two segments (which would duplicate every record).
-        """
-        if self.rotate_bytes <= 0:
-            return
-        try:
-            if os.path.getsize(self.journal_path) < self.rotate_bytes:
-                return
-        except OSError:
-            return
-        indices = self._segment_indices()
-        index = indices[-1] + 1 if indices else 1
-        for _ in range(8):
-            seg = self._segment_path(index)
-            try:
-                os.link(self.journal_path, seg)
-                break
-            except FileExistsError:
-                try:
-                    if os.path.samefile(self.journal_path, seg):
-                        break   # racer already rotated this very inode
-                except OSError:
-                    return   # live file vanished mid-race: rotated
-                index += 1
-            except OSError:
-                return   # FS without hard links: rotation disabled
-        else:
-            return   # probe window exhausted; retry on a later append
-        try:
-            os.unlink(self.journal_path)
-        except OSError:
-            pass
 
     def _journal_files(self) -> list[str]:
-        """Every journal file in ledger order: per host — compact
-        summary, numbered segments, live file; legacy single-file
-        ``journal.jsonl`` first.  Segments named in a compact summary's
-        ``absorbed`` list are skipped (their records live on in the
-        summary)."""
+        """Every host's ``journal-<host>.jsonl``, sorted by name."""
         try:
             names = os.listdir(self.dir)
         except OSError:
             return []
-        by_host: dict[str, dict] = {}
-        legacy = None
-        for name in names:
-            if not (name.startswith("journal") and name.endswith(".jsonl")):
-                continue
-            stem = name[len("journal"):-len(".jsonl")]
-            if stem == "":
-                legacy = name
-                continue
-            if not stem.startswith("-"):
-                continue
-            body = stem[1:]
-            rec = None
-            if body.endswith(".compact"):
-                rec = (body[:-len(".compact")], "compact", 0)
-            else:
-                head, dot, tail = body.rpartition(".")
-                if dot and _SEGMENT_RE.match(tail):
-                    rec = (head, "segment", int(tail))
-                else:
-                    rec = (body, "live", 0)
-            host, kind, idx = rec
-            slot = by_host.setdefault(host, {"compact": None,
-                                             "segments": [], "live": None})
-            if kind == "compact":
-                slot["compact"] = name
-            elif kind == "segment":
-                slot["segments"].append((idx, name))
-            else:
-                slot["live"] = name
-        absorbed: set[str] = set()
-        for slot in by_host.values():
-            if slot["compact"] is None:
-                continue
-            payload = self._read_json(os.path.join(self.dir,
-                                                   slot["compact"]))
-            if payload:
-                absorbed.update(payload.get("absorbed") or [])
-        out: list[str] = []
-        if legacy:
-            out.append(legacy)
-        for host in sorted(by_host):
-            slot = by_host[host]
-            if slot["compact"]:
-                out.append(slot["compact"])
-            out.extend(name for _, name in sorted(slot["segments"])
-                       if name not in absorbed)
-            if slot["live"]:
-                out.append(slot["live"])
-        return out
+        return sorted(n for n in names
+                      if n.startswith("journal-") and n.endswith(".jsonl"))
 
     def read_journal(self) -> list[dict]:
-        """Every journal record from every host and rotated segment,
-        oldest first (torn tails skipped).
+        """Every journal record from every host, oldest first (torn
+        tails skipped).
 
         With a single writing host, file order is authoritative; with
         several hosts the streams are merged by timestamp (stable, so
@@ -479,10 +339,9 @@ class WorkQueue:
         only as good as the clocks, which ledger folding never relies
         on).
         """
-        files = self._journal_files()
         out: list[dict] = []
         hosts = set()
-        for name in files:
+        for name in self._journal_files():
             try:
                 with open(os.path.join(self.dir, name)) as f:
                     for line in f:
@@ -499,89 +358,6 @@ class WorkQueue:
         if len(hosts) > 1:
             out.sort(key=lambda r: float(r.get("t", 0.0)))
         return out
-
-    def compact_journal(self) -> int:
-        """Fold this host's rotated segments (and any prior summary)
-        into a single one-record summary file; returns the number of
-        segment files absorbed.
-
-        The summary preserves everything ledger reconstruction and
-        ``bench_from_journal`` need — per-event counts, each job's last
-        claim / complete / fail timestamps and terminal transitions —
-        so a compacted queue still folds into the identical campaign
-        ledger.  The live file is untouched (writers keep appending);
-        call from a single actor per host (the farm at campaign end, or
-        ``campaign --merge-ledgers``).
-        """
-        indices = self._segment_indices()
-        if not indices:
-            return 0
-        seg_names = [os.path.basename(self._segment_path(i))
-                     for i in indices]
-        counts: dict[str, int] = {}
-        claims: dict[str, float] = {}
-        completes: dict[str, float] = {}
-        complete_counts: dict[str, int] = {}
-        t_min = None
-        absorbed: list[str] = list(seg_names)
-        prior = self._read_json(self._compact_path())
-        if prior and prior.get("event") == "journal-compact":
-            counts.update(prior.get("events") or {})
-            claims.update(prior.get("claims") or {})
-            completes.update(prior.get("completes") or {})
-            complete_counts.update(prior.get("complete_counts") or {})
-            absorbed.extend(prior.get("absorbed") or [])
-            t_min = prior.get("t")
-        for name in seg_names:
-            try:
-                with open(os.path.join(self.dir, name)) as f:
-                    lines = f.readlines()
-            except OSError:
-                continue
-            for line in lines:
-                try:
-                    rec = json.loads(line)
-                except ValueError:
-                    continue
-                ev = rec.get("event", "?")
-                counts[ev] = counts.get(ev, 0) + 1
-                t = float(rec.get("t", 0.0))
-                t_min = t if t_min is None else min(float(t_min), t)
-                if ev == "claim":
-                    claims[rec.get("job")] = t
-                elif ev == "complete":
-                    completes[rec.get("job")] = t
-                    complete_counts[rec.get("job")] = \
-                        complete_counts.get(rec.get("job"), 0) + 1
-        summary = {"t": t_min if t_min is not None else self.clock(),
-                   "host": self.host_id, "event": "journal-compact",
-                   "segments": len(seg_names), "events": counts,
-                   "claims": claims, "completes": completes,
-                   "complete_counts": complete_counts,
-                   "absorbed": sorted(set(absorbed))}
-
-        # one JSONL record, not a pretty-printed document:
-        # read_journal parses journal files line by line
-        def op():
-            path = self._compact_path()
-            tmp = os.path.join(
-                os.path.dirname(path),
-                f".tmp-{os.getpid()}-{os.path.basename(path)}")
-            with open(tmp, "w") as f:
-                json.dump(summary, f, default=str)
-                f.write("\n")
-                f.flush()
-                if self.fsync:
-                    os.fsync(f.fileno())
-            os.replace(tmp, path)
-
-        self._with_retries(op, f"write {self._compact_path()}")
-        for name in seg_names:
-            try:
-                os.unlink(os.path.join(self.dir, name))
-            except OSError:
-                pass
-        return len(seg_names)
 
     # -- enqueue --------------------------------------------------------
 

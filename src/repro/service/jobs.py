@@ -382,7 +382,7 @@ def run_async_attempt(payload: dict, ctx: dict) -> dict:
     as ``cancelled`` from the result payload.
     """
     from repro.resilience.farm import JOB_KINDS
-    queue = WorkQueue(ctx["queue_dir"])
+    queue = WorkQueue(ctx["queue_dir"], host_id=ctx.get("host_id"))
     job_id = ctx["job_id"]
     token = ctx.get("lease_token")
     worker = ctx.get("worker")

@@ -19,7 +19,6 @@ The contract under test (ISSUE 6 acceptance criteria and DESIGN.md
 """
 
 import json
-import os
 import signal
 import time
 
@@ -337,6 +336,11 @@ class TestKillAndResume:
                               stream=silent, kill_plan=plan)
         assert ledger["ok"] and ledger["jobs"] == {"done": 2}
         assert len(ledger["worker_kills"]) == 1
+        # another host rebuilds the same kills from the journal alone
+        rebuilt = build_ledger(WorkQueue(tmp_path / "q",
+                                         host_id="post-mortem"),
+                               wall_time=0.0, label="post-mortem")
+        assert rebuilt["worker_kills"] == ledger["worker_kills"]
         # the killed worker's job came back through reclaim or the
         # poison-guard; either way the journal shows the recovery
         events = {r["event"] for r in
@@ -519,14 +523,8 @@ class TestLeaseSkew:
 
 
 # ----------------------------------------------------------------------
-# journal rotation and compaction
+# the exactly-once audit
 # ----------------------------------------------------------------------
-
-
-def _journal_segments(q):
-    import re
-    return sorted(n for n in os.listdir(q.dir)
-                  if re.fullmatch(r"journal-.+\.\d{6}\.jsonl", n))
 
 
 def _drain_serially(q, n):
@@ -540,53 +538,32 @@ def _drain_serially(q, n):
         q.complete(job, lease, {"id": job.id})
 
 
-class TestJournalRotation:
-    def test_rotation_spills_segments_and_read_merges_all(self,
-                                                          tmp_path):
-        q = WorkQueue(tmp_path / "q", backoff=FAST, rotate_bytes=600)
-        _drain_serially(q, 12)
-        assert _journal_segments(q), \
-            "rotation never triggered — shrink rotate_bytes"
-        events = [r["event"] for r in q.read_journal()]
-        assert events.count("enqueue") == 12
-        assert events.count("complete") == 12
-
-    def test_compaction_preserves_ledger_bench_and_audit(self,
-                                                         tmp_path):
-        q = WorkQueue(tmp_path / "q", backoff=FAST, rotate_bytes=600)
-        _drain_serially(q, 12)
-        before = build_ledger(q, wall_time=1.0, label="pre",
-                              n_workers=1)
-        bench_before = bench_from_journal(q, wall_time=1.0, n_workers=1)
-        assert q.compact_journal() > 0
-        assert _journal_segments(q) == []  # absorbed and unlinked
-        after = build_ledger(q, wall_time=1.0, label="post",
-                             n_workers=1)
-        assert after["jobs"] == before["jobs"] == {"done": 12}
-        assert after["attempts"] == before["attempts"] == 12
-        assert after["events"]["complete"] == 12
-        bench_after = bench_from_journal(q, wall_time=1.0, n_workers=1)
-        assert bench_after["jobs_done"] == bench_before["jobs_done"]
-        audit = audit_exactly_once(q)
-        assert audit["ok"] and audit["jobs_completed"] == 12
-        assert q.compact_journal() == 0  # idempotent: nothing left
-
-    def test_audit_counts_completions_across_compaction(self, tmp_path):
-        """The compact summary must preserve per-job completion counts,
-        not just the last timestamp — otherwise a double completion
-        hidden in an absorbed segment would pass the audit."""
-        q = WorkQueue(tmp_path / "q", backoff=FAST, rotate_bytes=200)
+class TestAuditExactlyOnce:
+    def test_flags_a_second_completion(self, tmp_path):
+        q = WorkQueue(tmp_path / "q", backoff=FAST)
         _drain_serially(q, 4)
-        # forge a duplicate completion record, then rotate it into a
-        # segment and compact that segment away
-        n_segs = len(_journal_segments(q))
+        assert audit_exactly_once(q)["ok"]
+        # forge a duplicate completion record
         q.journal("complete", job="s00", worker="w-evil")
-        while len(_journal_segments(q)) == n_segs:
-            q.journal("noise", filler="x" * 64)
-        q.compact_journal()
         audit = audit_exactly_once(q)
         assert not audit["ok"]
         assert audit["double_completions"] == {"s00": 2}
+
+    def test_flags_a_done_job_without_a_completion(self, tmp_path):
+        q = WorkQueue(tmp_path / "q", backoff=FAST)
+        _drain_serially(q, 3)
+        # lose s01's complete line, as a crash between the state write
+        # and the journal append would
+        with open(q.journal_path) as f:
+            lines = f.readlines()
+        with open(q.journal_path, "w") as f:
+            f.writelines(ln for ln in lines
+                         if not ('"complete"' in ln and '"s01"' in ln))
+        audit = audit_exactly_once(q)
+        assert not audit["ok"]
+        assert audit["done_without_complete"] == ["s01"]
+        assert audit["double_completions"] == {}
+        assert audit["jobs_completed"] == 2
 
 
 # ----------------------------------------------------------------------
@@ -733,57 +710,3 @@ class TestTwoHostCampaign:
         assert merged["jobs"] == led["jobs"]
         assert [m["host"] for m in merged["merged_from"]] \
             == [led["host"]]
-
-
-# ----------------------------------------------------------------------
-# rotation collision arbitration (satellite)
-# ----------------------------------------------------------------------
-
-
-class TestRotationCollision:
-    """Two rotators of one host's journal (``serve`` plus a CLI reaper)
-    can probe the same segment number; the loser must probe upward
-    rather than abandon the rotation, and a collision with a segment
-    that *is* the live inode means the racer already rotated — finish
-    the unlink instead of double-linking the records."""
-
-    def test_probe_skips_occupied_segment(self, tmp_path, monkeypatch):
-        q = WorkQueue(tmp_path / "q", backoff=FAST, rotate_bytes=0)
-        for i in range(8):
-            q.journal("noise", idx=i, filler="x" * 64)
-        # a racer committed segment 1 after our (stale) directory scan
-        with open(q._segment_path(1), "w") as f:
-            f.write(json.dumps({"t": 0.0, "host": q.host_id,
-                                "event": "foreign"}) + "\n")
-        monkeypatch.setattr(q, "_segment_indices", lambda: [])
-        q.rotate_bytes = 1
-        q._maybe_rotate()
-        monkeypatch.undo()
-        # the rotation landed on the next free number, not nowhere
-        assert q._segment_indices() == [1, 2]
-        assert not os.path.exists(q.journal_path)
-        events = [r for r in q.read_journal() if r["event"] == "noise"]
-        assert sorted(r["idx"] for r in events) == list(range(8))
-
-    def test_samefile_collision_finishes_the_rotation(self, tmp_path,
-                                                      monkeypatch):
-        q = WorkQueue(tmp_path / "q", backoff=FAST, rotate_bytes=0)
-        for i in range(8):
-            q.journal("noise", idx=i, filler="x" * 64)
-        # the racer hard-linked the live file to segment 1 and died
-        # before its unlink step
-        os.link(q.journal_path, q._segment_path(1))
-        monkeypatch.setattr(q, "_segment_indices", lambda: [])
-        q.rotate_bytes = 1
-        q._maybe_rotate()
-        monkeypatch.undo()
-        # detected via samefile: no second segment holding the same
-        # inode, live file unlinked, every record present exactly once
-        assert q._segment_indices() == [1]
-        assert not os.path.exists(q.journal_path)
-        events = [r for r in q.read_journal() if r["event"] == "noise"]
-        assert sorted(r["idx"] for r in events) == list(range(8))
-        # appends keep working into a fresh live file afterwards
-        q.journal("noise", idx=8)
-        events = [r for r in q.read_journal() if r["event"] == "noise"]
-        assert sorted(r["idx"] for r in events) == list(range(9))

@@ -397,7 +397,7 @@ class TestMarchingJobs:
         mgr.submit("solver_case",
                    {"case": "euler1d", "every_n_steps": 3},
                    job_id="m1")
-        drain(tmp_path / "q", snapshot_every=3)
+        drain(tmp_path / "q")
         st = mgr.status("m1")
         assert st["state"] == DONE
         assert st["snapshots"]["generations"] >= 1
@@ -418,6 +418,27 @@ class TestMarchingJobs:
         ref.run(**run_kwargs)
         res = mgr.result("m1")
         assert res["result"]["state_sha256"] == state_fingerprint(ref)
+
+    def test_attempt_journals_under_its_worker_host(self, tmp_path):
+        """The sandbox child appends the attempt's transitions to its
+        worker host's journal file, never to another host's."""
+        q = tmp_path / "q"
+        mgr = JobManager(q, host_id="client")
+        mgr.submit("solver_case", {"case": "euler1d", "every_n_steps": 3},
+                   job_id="m1")
+        drain(q, host_id="hX")
+        assert mgr.status("m1")["state"] == DONE
+        files = sorted(n for n in os.listdir(q) if n.startswith("journal"))
+        assert files == ["journal-client.jsonl", "journal-hX.jsonl"]
+        by_file = {}
+        for name in files:
+            with open(q / name) as f:
+                for line in f:
+                    rec = json.loads(line)
+                    if rec["event"] == "job-transition" \
+                            and str(rec["by"]).startswith("hX:"):
+                        by_file[name] = by_file.get(name, 0) + 1
+        assert list(by_file) == ["journal-hX.jsonl"], by_file
 
 
 # ----------------------------------------------------------------------
