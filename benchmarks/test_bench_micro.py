@@ -13,7 +13,8 @@ perf trajectory: Gibbs equilibrium solve, kinetics source terms,
 MUSCL+flux sweep, tangent-slab radiation, NASA-7 evaluation, the
 species-profile interpolation and the standard Gibbs function g0/RT
 (loop vs vectorized ablations), one boundary-layer solve, one
-equilibrium normal shock and one cold 48 x 72 EOS-table build.
+equilibrium normal shock, one cold 48 x 72 EOS-table build and one
+equilibrium-air Navier-Stokes step.
 """
 
 import numpy as np
@@ -362,3 +363,43 @@ def test_bench_kernel_eos_table_build(kernel_bench, monkeypatch, air_gas):
                              "jacobian_rows": sum(rows)})
     assert tab.gamma.shape == (48, 72)
     assert np.all((tab.gamma > 1.0) & (tab.gamma < 1.7))
+
+
+def test_bench_kernel_ns2d_step_tabulated(kernel_bench, monkeypatch):
+    """One equilibrium-air NS step on fig 9's quick setup.
+
+    31 x 41 hemisphere grid, Mach 20 at 20 km, the default 48 x 72
+    table, after 50 warm-up steps; every round advances the march by one
+    step.  Recorded under the trace span name of ``step``;
+    ``table_locates`` is the number of table locates one step makes.
+    """
+    from repro.atmosphere import EarthAtmosphere
+    from repro.geometry import Hemisphere
+    from repro.grid import blunt_body_grid
+    from repro.solvers.ns2d import AxisymmetricNSSolver
+    from repro.thermo.eos_table import EquilibriumEOSTable
+
+    atm = EarthAtmosphere()
+    rho = float(atm.density(20e3))
+    T = float(atm.temperature(20e3))
+    grid = blunt_body_grid(Hemisphere(0.1), n_s=31, n_normal=41,
+                           density_ratio=0.08, margin=3.0,
+                           wall_cluster_beta=1.8)
+    s = AxisymmetricNSSolver(grid, TabulatedEOS(), T_wall=1500.0)
+    s.set_freestream(rho, 20.0 * float(atm.sound_speed(20e3)),
+                     rho * atm.gas_constant * T)
+    for _ in range(50):
+        s.step(0.3)
+
+    calls = []
+    locate = EquilibriumEOSTable._locate
+    monkeypatch.setattr(EquilibriumEOSTable, "_locate",
+                        lambda self, *a: calls.append(1) or locate(self,
+                                                                   *a))
+    s.step(0.3)
+    monkeypatch.undo()
+
+    res = kernel_bench(s.step, 0.3, label="solvers.euler2d.step",
+                       meta={"cells": grid.ni * grid.nj,
+                             "table_locates": len(calls)})
+    assert np.isfinite(res)

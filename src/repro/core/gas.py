@@ -8,9 +8,11 @@ gas" modes:
   lookup table (:mod:`repro.thermo.eos_table`), the variable-gamma device
   of the era's production codes.
 
-Both expose the same three vectorised methods the flux routines need:
-``pressure(rho, e)``, ``sound_speed(rho, e)``, ``temperature(rho, e)``,
-where ``e`` is specific *internal* energy (no kinetic part).
+Both implement :class:`GasEOS`: the flux routines call
+``p_a_T(rho, e) -> (p, a, T)`` once per set of states, and the NS wall
+ghosts call ``temperature(rho, e)``; ``e`` is specific *internal* energy
+(no kinetic part).  Each also has ``pressure(rho, e)``, which
+``e_from_p_rho`` inverts.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Protocol, runtime_checkable
 
 import numpy as np
 
-from repro.errors import InputError
+from repro.errors import ConvergenceError, InputError
 
 __all__ = ["GasEOS", "IdealGasEOS", "TabulatedEOS", "eos_spec",
            "eos_from_spec"]
@@ -29,8 +31,7 @@ __all__ = ["GasEOS", "IdealGasEOS", "TabulatedEOS", "eos_spec",
 class GasEOS(Protocol):
     """Minimal EOS interface for the finite-volume solvers."""
 
-    def pressure(self, rho, e): ...
-    def sound_speed(self, rho, e): ...
+    def p_a_T(self, rho, e): ...
     def temperature(self, rho, e): ...
 
 
@@ -56,6 +57,11 @@ class IdealGasEOS:
 
     def temperature(self, rho, e):
         return np.asarray(e, float) / self.cv
+
+    def p_a_T(self, rho, e):
+        """(p, a, T) at (rho, e)."""
+        return (self.pressure(rho, e), self.sound_speed(rho, e),
+                self.temperature(rho, e))
 
     def e_from_T(self, T):
         """Internal energy at temperature T [J/kg]."""
@@ -86,28 +92,57 @@ class TabulatedEOS:
             table = build_air_table()
         self.table = table
 
+    def p_a_T(self, rho, e):
+        """(p, a, T) at (rho, e) from one table evaluation."""
+        _, p, a, T = self.table.evaluate(rho, e)
+        return p, a, T
+
     def pressure(self, rho, e):
         return self.table.pressure(rho, e)
-
-    def sound_speed(self, rho, e):
-        return self.table.sound_speed(rho, e)
 
     def temperature(self, rho, e):
         return self.table.temperature(rho, e)
 
     def e_from_p_rho(self, p, rho, *, tol=1e-10, max_iter=60):
-        """Invert p(rho, e) for e (monotone in e; bisection-safe secant)."""
+        """Invert p(rho, e) for e: finite-difference Newton, safeguarded.
+
+        p rises with e, so the sign of each state's residual moves one
+        end of its (lo, hi) bracket.  A state bisects the bracket in ln e
+        instead of taking a Newton step that would leave it: the kinked
+        slope of the bilinear table can make Newton 2-cycle between the
+        bracket's ends.  A state stops moving once
+        ``|f| < tol max(p, 1)``; raises
+        :class:`~repro.errors.ConvergenceError` if any has not after
+        ``max_iter`` steps.
+        """
         p = np.asarray(p, dtype=float)
         rho = np.asarray(rho, dtype=float)
         e = p / (0.4 * rho)  # ideal-gas initial guess
-        for _ in range(max_iter):
-            f = self.pressure(rho, e) - p
-            if np.all(np.abs(f) < tol * np.maximum(p, 1.0)):
+        lo = np.full(e.shape, 1e3)        # the iteration's energy floor
+        hi = np.full(e.shape, np.inf)
+        for it in range(max_iter + 1):
+            pe = self.pressure(rho, e)
+            f = pe - p
+            todo = ~(np.abs(f) < tol * np.maximum(p, 1.0))
+            if not np.any(todo):
                 return e
+            if it == max_iter:
+                break
+            lo = np.where(f < 0.0, np.maximum(lo, e), lo)
+            hi = np.where(f > 0.0, np.minimum(hi, e), hi)
             de = np.maximum(1e-4 * e, 1.0)
-            dpde = (self.pressure(rho, e + de) - self.pressure(rho, e)) / de
-            e = np.maximum(e - f / np.maximum(dpde, 1e-10), 1e3)
-        return e
+            dpde = (self.pressure(rho, e + de) - pe) / de
+            step = np.maximum(e - f / np.maximum(dpde, 1e-10), 1e3)
+            leave = ((step <= lo) | (step >= hi)) & np.isfinite(hi)
+            # catlint: disable=CAT002 -- lo >= 1e3 and hi > lo: lo*hi > 0
+            step = np.where(leave, np.sqrt(lo * hi), step)
+            e = np.where(todo, step, e)
+        bad = np.flatnonzero(todo)
+        rel = np.abs(f) / np.maximum(p, 1.0)
+        raise ConvergenceError(
+            f"e_from_p_rho: {bad.size} state(s) unconverged after "
+            f"{max_iter} iterations", iterations=max_iter,
+            residual=float(np.max(rel[todo])), bad_indices=bad)
 
     def gamma_eff(self, rho, e):
         return self.table.lookup(rho, e)[0]

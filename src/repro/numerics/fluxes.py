@@ -26,8 +26,9 @@ __all__ = ["primitives", "euler_flux", "hlle_flux", "rotate_to_normal",
 def primitives(U, eos):
     """Unpack conserved variables.
 
-    Returns dict with rho, velocity components, e (internal), p, a.
-    Works for both 1-D (3-component) and 2-D (4-component) layouts.
+    Returns dict with rho, velocity components, e (internal), p, a and T,
+    the last three from one ``eos.p_a_T`` call.  Works for both 1-D
+    (3-component) and 2-D (4-component) layouts.
     """
     U = np.asarray(U, dtype=float)
     m = U.shape[-1]
@@ -44,9 +45,8 @@ def primitives(U, eos):
     else:
         raise ValueError(f"unsupported state vector length {m}")
     e = np.maximum(U[..., -1] / rho - ke, 1e-30)
-    p = eos.pressure(rho, e)
-    a = eos.sound_speed(rho, e)
-    return {"rho": rho, "vel": vel, "e": e, "p": p, "a": a}
+    p, a, T = eos.p_a_T(rho, e)
+    return {"rho": rho, "vel": vel, "e": e, "p": p, "a": a, "T": T}
 
 
 def euler_flux(U, p):

@@ -200,9 +200,9 @@ class AxisymmetricEulerSolver(QuarantineMixin):
     # residual
     # ------------------------------------------------------------------
 
-    def residual(self, U):
-        """dU/dt per cell (axisymmetric FV with hoop-pressure source)."""
-        eos = self.eos
+    def residual(self, U, w=None):
+        """dU/dt per cell (axisymmetric FV with hoop-pressure source);
+        ``w`` is ``primitives(U, eos)`` when the caller has it already."""
         fo_i = fo_j = None
         if self.quarantined_cells is not None:
             fo_i = np.pad(self.quarantined_cells, ((2, 2), (0, 0)),
@@ -234,7 +234,8 @@ class AxisymmetricEulerSolver(QuarantineMixin):
         # ---- divergence + axisymmetric source ----
         div = (F_i[1:] - F_i[:-1]) + (F_j[:, 1:] - F_j[:, :-1])
         R = -div / self.vol[..., None]
-        w = primitives(U, eos)
+        if w is None:
+            w = primitives(U, self.eos)
         R[..., 2] += w["p"] * self.grid.area / self.vol
         return R
 
@@ -242,16 +243,22 @@ class AxisymmetricEulerSolver(QuarantineMixin):
     # time marching
     # ------------------------------------------------------------------
 
-    def local_timestep(self, cfl):
-        """Per-cell explicit timestep from the inscribed length scale."""
-        w = primitives(self.U, self.eos)
+    def local_timestep(self, cfl, w=None):
+        """Per-cell explicit timestep from the inscribed length scale;
+        ``w`` as for :meth:`residual`, of ``self.U``."""
+        if w is None:
+            w = primitives(self.U, self.eos)
         speed = np.hypot(w["vel"][0], w["vel"][1]) + w["a"]
         return cfl * self.grid.min_cell_size() / speed
 
     def step(self, cfl=0.4):
-        """One local-time-step forward-Euler update (steady-state mode)."""
-        dt = self.local_timestep(cfl)
-        R = self.residual(self.U)
+        """One local-time-step forward-Euler update (steady-state mode).
+
+        The cell-centre state is decoded once and handed to both the
+        timestep and the residual."""
+        w = primitives(self.U, self.eos)
+        dt = self.local_timestep(cfl, w)
+        R = self.residual(self.U, w)
         self.U = self.U + dt[..., None] * R
         self._sanitise()
         self.steps += 1
@@ -304,8 +311,7 @@ class AxisymmetricEulerSolver(QuarantineMixin):
         """Primitive fields at cell centres (dict of (ni, nj) arrays)."""
         w = primitives(self.U, self.eos)
         return {"rho": w["rho"], "u": w["vel"][0], "v": w["vel"][1],
-                "p": w["p"], "e": w["e"], "a": w["a"],
-                "T": self.eos.temperature(w["rho"], w["e"]),
+                "p": w["p"], "e": w["e"], "a": w["a"], "T": w["T"],
                 "x": self.grid.xc, "y": self.grid.yc}
 
     def shock_location(self, *, threshold=1.5):

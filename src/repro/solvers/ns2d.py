@@ -147,12 +147,12 @@ class AxisymmetricNSSolver(AxisymmetricEulerSolver):
                 * g.n_j[:, :-1])
         return flux / g.area[..., None]
 
-    def _viscous_residual(self, U):
-        """Viscous contribution to dU/dt (per-radian axisymmetric FV)."""
+    def _viscous_residual(self, w):
+        """Viscous contribution to dU/dt (per-radian axisymmetric FV) from
+        the cell primitives ``w``."""
         g = self.grid
-        w = primitives(U, self.eos)
         u, v = w["vel"]
-        T = self.eos.temperature(w["rho"], w["e"])
+        T = w["T"]
         mu = sutherland_viscosity(T)
         # conductivity from constant Prandtl and a local cp estimate
         gamma = (self.eos.gamma_eff(w["rho"], w["e"])
@@ -225,15 +225,17 @@ class AxisymmetricNSSolver(AxisymmetricEulerSolver):
         div = (Fv_i[1:] - Fv_i[:-1]) + (Fv_j[:, 1:] - Fv_j[:, :-1])
         return div / self.vol[..., None]
 
-    def residual(self, U):
-        return super().residual(U) + self._viscous_residual(U)
+    def residual(self, U, w=None):
+        if w is None:
+            w = primitives(U, self.eos)
+        return super().residual(U, w) + self._viscous_residual(w)
 
-    def local_timestep(self, cfl):
+    def local_timestep(self, cfl, w=None):
         """Convective + viscous stability limit."""
-        dt_c = super().local_timestep(cfl)
-        w = primitives(self.U, self.eos)
-        T = self.eos.temperature(w["rho"], w["e"])
-        mu = sutherland_viscosity(T)
+        if w is None:
+            w = primitives(self.U, self.eos)
+        dt_c = super().local_timestep(cfl, w)
+        mu = sutherland_viscosity(w["T"])
         h = self.grid.min_cell_size()
         dt_v = 0.25 * w["rho"] * h * h / np.maximum(mu, 1e-300)
         return np.minimum(dt_c, cfl * dt_v)
@@ -248,7 +250,7 @@ class AxisymmetricNSSolver(AxisymmetricEulerSolver):
         if self.T_wall is None:
             raise InputError("adiabatic wall has no imposed temperature")
         w = primitives(self.U, self.eos)
-        T1 = self.eos.temperature(w["rho"][:, 0], w["e"][:, 0])
+        T1 = w["T"][:, 0]
         # distance from wall face midpoint to first centroid
         d = np.hypot(self.grid.xc[:, 0] - self.grid.xm_j[:, 0],
                      self.grid.yc[:, 0] - self.grid.ym_j[:, 0])
@@ -267,7 +269,7 @@ class AxisymmetricNSSolver(AxisymmetricEulerSolver):
         speed = np.hypot(w["vel"][0][:, 0], w["vel"][1][:, 0])
         d = np.hypot(self.grid.xc[:, 0] - self.grid.xm_j[:, 0],
                      self.grid.yc[:, 0] - self.grid.ym_j[:, 0])
-        T1 = self.eos.temperature(w["rho"][:, 0], w["e"][:, 0])
+        T1 = w["T"][:, 0]
         T_face = (0.5 * (T1 + self.T_wall) if self.T_wall is not None
                   else T1)
         return sutherland_viscosity(T_face) * speed / d

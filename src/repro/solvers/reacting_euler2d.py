@@ -69,16 +69,11 @@ class _FrozenMixtureEOS:
         e_eff = np.maximum(np.asarray(e, float), hf + 3.0e4)
         return self.mix.T_from_e(e_eff, self.y, T_guess=self.T_guess)
 
-    def pressure(self, rho, e):
+    def p_a_T(self, rho, e):
+        """(p, frozen a, T) from one temperature inversion."""
         T = self._temperature(e)
-        return self.mix.pressure(rho, T, self.y)
-
-    def sound_speed(self, rho, e):
-        T = self._temperature(e)
-        return self.mix.sound_speed_frozen(T, self.y)
-
-    def temperature(self, rho, e):
-        return self._temperature(e)
+        return (self.mix.pressure(rho, T, self.y),
+                self.mix.sound_speed_frozen(T, self.y), T)
 
 
 class ReactingEulerSolver(QuarantineMixin):
@@ -378,8 +373,8 @@ class ReactingEulerSolver(QuarantineMixin):
         F[..., 4:] = mdot[..., None] * y_up
         return F
 
-    def residual(self, U):
-        w = self._decode(U)
+    def residual(self, U, w):
+        """dU/dt per cell; ``w`` is ``_decode(U)``."""
         self.T = w["T"]
         fo_i = fo_j = None
         if self.quarantined_cells is not None:
@@ -410,8 +405,7 @@ class ReactingEulerSolver(QuarantineMixin):
 
     # ------------------------------------------------------------------
 
-    def local_timestep(self, cfl):
-        w = self._decode(self.U)
+    def local_timestep(self, cfl, w):
         speed = np.hypot(w["u"], w["v"]) + w["a"]
         return cfl * self.grid.min_cell_size() / speed
 
@@ -445,8 +439,9 @@ class ReactingEulerSolver(QuarantineMixin):
         Returns the relative density-update residual (as the Euler
         solver does), so steady marches can monitor convergence.
         """
-        dt = self.local_timestep(cfl)
-        R = self.residual(self.U)
+        w = self._decode(self.U)
+        dt = self.local_timestep(cfl, w)
+        R = self.residual(self.U, w)
         self.U = self.U + dt[..., None] * R
         self._sanitise()
         rung = self.chem_rung

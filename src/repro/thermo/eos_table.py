@@ -17,6 +17,13 @@ speed is reconstructed from the table's own gradients::
 
     p = (gamma - 1) rho e
     a^2 = (dp/drho)_e + (p/rho^2)(dp/de)_rho
+
+In memory, gamma, its two log-gradients and T are stacked into one
+(4, n_rho * n_e) array, so :meth:`EquilibriumEOSTable.evaluate` returns
+gamma, p, a and T of a whole state set from one locate and one gather per
+cell corner; ``lookup``, ``pressure``, ``temperature`` and
+``sound_speed`` are views of it.  The ``.npz`` file holds gamma and T
+only.
 """
 
 from __future__ import annotations
@@ -59,9 +66,13 @@ class EquilibriumEOSTable:
         if (not np.allclose(np.diff(self.log_rho), self._dlr)
                 or not np.allclose(np.diff(self.log_e), self._dle)):
             raise InputError("table grids must be uniform in log space")
-        # precompute gamma gradients for the sound-speed reconstruction
-        self._dg_dlr, self._dg_dle = np.gradient(
-            self.gamma, self.log_rho, self.log_e)
+        # gamma, its log-gradients (sound-speed reconstruction) and T as
+        # four rows over the flattened (rho, e) grid: evaluate() gathers
+        # all four with one take per cell corner
+        self._stack = np.stack(
+            [self.gamma,
+             *np.gradient(self.gamma, self.log_rho, self.log_e),
+             self.T]).reshape(4, -1)
 
     # ------------------------------------------------------------------
     # construction
@@ -141,42 +152,27 @@ class EquilibriumEOSTable:
         j = np.clip(fj.astype(int), 0, self.log_e.size - 2)
         return i, j, fi - i, fj - j
 
-    def _bilinear(self, tab, i, j, wi, wj):
-        return ((1 - wi) * (1 - wj) * tab[i, j]
-                + wi * (1 - wj) * tab[i + 1, j]
-                + (1 - wi) * wj * tab[i, j + 1]
-                + wi * wj * tab[i + 1, j + 1])
+    def _bilinear(self, i, j, wi, wj):
+        """The four stacked channels at once, shape (4,) + i.shape."""
+        S, n_e = self._stack, self.log_e.size
+        k = i * n_e + j
+        return ((1 - wi) * (1 - wj) * S.take(k, 1)
+                + wi * (1 - wj) * S.take(k + n_e, 1)
+                + (1 - wi) * wj * S.take(k + 1, 1)
+                + wi * wj * S.take(k + n_e + 1, 1))
 
-    def lookup(self, rho, e):
-        """Interpolate (gamma_eff, T) at given (rho, e); any shapes."""
+    def evaluate(self, rho, e):
+        """(gamma_eff, p, a, T) at (rho, e); any shapes.
+
+        One locate and one gather per cell corner serve all four
+        quantities: p in Pa, the equilibrium sound speed a in m/s (from
+        the table-gradient reconstruction) and T in K.
+        """
         rho = np.asarray(rho, dtype=float)
         e = np.asarray(e, dtype=float)
         lr = np.log(np.maximum(rho, 1e-300))
         le = np.log(np.maximum(e, 1e-300))
-        i, j, wi, wj = self._locate(lr, le)
-        gamma = self._bilinear(self.gamma, i, j, wi, wj)
-        T = self._bilinear(self.T, i, j, wi, wj)
-        return gamma, T
-
-    def pressure(self, rho, e):
-        """p(rho, e) [Pa] from the effective-gamma form."""
-        gamma, _ = self.lookup(rho, e)
-        return (gamma - 1.0) * np.asarray(rho, float) * np.asarray(e, float)
-
-    def temperature(self, rho, e):
-        """T(rho, e) [K]."""
-        return self.lookup(rho, e)[1]
-
-    def sound_speed(self, rho, e):
-        """Equilibrium sound speed [m/s] from table-gradient reconstruction."""
-        rho = np.asarray(rho, dtype=float)
-        e = np.asarray(e, dtype=float)
-        lr = np.log(np.maximum(rho, 1e-300))
-        le = np.log(np.maximum(e, 1e-300))
-        i, j, wi, wj = self._locate(lr, le)
-        gamma = self._bilinear(self.gamma, i, j, wi, wj)
-        dg_dlr = self._bilinear(self._dg_dlr, i, j, wi, wj)
-        dg_dle = self._bilinear(self._dg_dle, i, j, wi, wj)
+        gamma, dg_dlr, dg_dle, T = self._bilinear(*self._locate(lr, le))
         p = (gamma - 1.0) * rho * e
         # p = (gamma-1) rho e with gamma(log rho, log e):
         # (dp/drho)_e = (gamma-1) e + e dg/dlnrho
@@ -184,7 +180,24 @@ class EquilibriumEOSTable:
         dpdr = (gamma - 1.0) * e + e * dg_dlr
         dpde = (gamma - 1.0) * rho + rho * dg_dle
         a2 = dpdr + p / rho**2 * dpde
-        return np.sqrt(np.maximum(a2, 1.0))
+        return gamma, p, np.sqrt(np.maximum(a2, 1.0)), T
+
+    def lookup(self, rho, e):
+        """Interpolate (gamma_eff, T) at given (rho, e); any shapes."""
+        gamma, _, _, T = self.evaluate(rho, e)
+        return gamma, T
+
+    def pressure(self, rho, e):
+        """p(rho, e) [Pa] from the effective-gamma form."""
+        return self.evaluate(rho, e)[1]
+
+    def sound_speed(self, rho, e):
+        """Equilibrium sound speed [m/s] from table-gradient reconstruction."""
+        return self.evaluate(rho, e)[2]
+
+    def temperature(self, rho, e):
+        """T(rho, e) [K]."""
+        return self.evaluate(rho, e)[3]
 
 
 #: module-level cache for the default air table

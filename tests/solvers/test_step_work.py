@@ -1,0 +1,62 @@
+"""Equation-of-state work per marching step.
+
+Each step evaluates the EOS once per set of states: the cell centres
+once, each face set once, plus the NS extras (one ``gamma_eff`` and the
+four wall-ghost rows).  The counts are exact properties of the step
+sequence, not timings.
+"""
+
+import numpy as np
+
+from repro.atmosphere import EarthAtmosphere
+from repro.core.gas import TabulatedEOS
+from repro.geometry import Hemisphere
+from repro.grid import blunt_body_grid
+from repro.resilience.chaos import CASES
+from repro.solvers.euler2d import AxisymmetricEulerSolver
+from repro.solvers.ns2d import AxisymmetricNSSolver
+from repro.thermo.eos_table import EquilibriumEOSTable, build_air_table
+from repro.thermo.mixture import MixtureThermo
+
+
+def _counting(monkeypatch, cls, name):
+    calls = []
+    fn = getattr(cls, name)
+    monkeypatch.setattr(cls, name,
+                        lambda self, *a, **kw: (calls.append(1)
+                                                or fn(self, *a, **kw)))
+    return calls
+
+
+def _calls_per_step(solver, calls):
+    solver.step(0.3)                       # leave the uniform start
+    del calls[:]
+    solver.step(0.3)
+    return len(calls)
+
+
+def test_eos_work_per_step(monkeypatch):
+    atm = EarthAtmosphere()
+    rho = float(atm.density(20e3))
+    T = float(atm.temperature(20e3))
+    V = 20.0 * float(atm.sound_speed(20e3))
+    grid = blunt_body_grid(Hemisphere(0.1), n_s=9, n_normal=13,
+                           density_ratio=0.08, margin=3.0)
+    eos = TabulatedEOS(build_air_table(n_rho=24, n_e=32))
+    locates = _counting(monkeypatch, EquilibriumEOSTable, "_locate")
+    per_step = {}
+    for name, s in (("ns2d", AxisymmetricNSSolver(grid, eos,
+                                                  T_wall=1500.0)),
+                    ("euler2d", AxisymmetricEulerSolver(grid, eos))):
+        s.set_freestream(rho, V, rho * atm.gas_constant * T)
+        per_step[name] = _calls_per_step(s, locates)
+    inversions = _counting(monkeypatch, MixtureThermo, "T_from_e")
+    s = CASES["reacting_euler2d"][0]()
+    per_step["reacting_euler2d"] = _calls_per_step(s, inversions)
+    # cells 1 + faces 4 + gamma_eff 1 + wall ghosts 4; cells 1 + faces 4;
+    # cell decode 1 + faces 4 + decode after chemistry 1 (23, 12 and 11
+    # when the timestep and the residual each decoded the cells, and p
+    # and a each made their own table locate or temperature inversion)
+    budget = {"ns2d": 10, "euler2d": 5, "reacting_euler2d": 6}
+    assert all(per_step[k] <= budget[k] for k in budget), per_step
+    assert np.all(np.isfinite(s.U))

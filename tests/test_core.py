@@ -70,6 +70,36 @@ class TestTabulatedEOS:
         eos = TabulatedEOS()
         assert float(eos.pressure(0.1, 1e6)) > 0
 
+    #: Five states of ``default_rng(0)``, 2,000 draws of rho = 10^U(-7, 1)
+    #: and e = 10^U(log10 5e4, log10 1.5e8), on which an unguarded Newton
+    #: 2-cycles on the default 48 x 72 table (22-29 % pressure error).
+    CYCLING = [212, 214, 720, 1106, 1109]
+
+    def test_e_from_p_rho_cycling_states_roundtrip(self):
+        eos = TabulatedEOS()
+        rng = np.random.default_rng(0)
+        rho = 10.0 ** rng.uniform(-7, 1, 2000)[self.CYCLING]
+        e = 10.0 ** rng.uniform(np.log10(5e4), np.log10(1.5e8),
+                                2000)[self.CYCLING]
+        p = eos.pressure(rho, e)
+        e_back = eos.e_from_p_rho(p, rho)
+        # the solver's own stopping rule, then the energy itself
+        assert np.all(np.abs(eos.pressure(rho, e_back) - p)
+                      < 1e-10 * np.maximum(p, 1.0))
+        assert np.all(np.abs(e_back / e - 1.0) <= 1e-9)
+        for k in range(len(self.CYCLING)):     # a batch is per-state
+            assert float(eos.e_from_p_rho(p[k], rho[k])) == e_back[k]
+
+    def test_e_from_p_rho_raises_when_unconverged(self):
+        from repro.errors import ConvergenceError
+        eos = TabulatedEOS()
+        p = eos.pressure(np.array([0.01, 0.01]), np.array([5e7, 2e5]))
+        with pytest.raises(ConvergenceError) as info:
+            eos.e_from_p_rho(p, np.array([0.01, 0.01]), max_iter=2)
+        assert info.value.iterations == 2
+        assert list(info.value.bad_indices) == [0]
+        assert info.value.residual > 1e-10
+
 
 class TestFreeStream:
     def test_derived_quantities(self):

@@ -145,3 +145,127 @@ class TestPersistence:
         assert np.all(np.isfinite(tab.gamma)) and np.all(np.isfinite(tab.T))
         with np.load(path) as z:
             np.testing.assert_array_equal(z["gamma"], tab.gamma)
+
+
+def _reference(table, rho, e):
+    """The per-quantity arithmetic the stacked evaluator replaced: separate
+    gradient arrays, one bilinear call per channel, and the p and a^2
+    formulas.  Returns (gamma, p, a, T)."""
+    rho = np.asarray(rho, dtype=float)
+    e = np.asarray(e, dtype=float)
+    dg_dlr, dg_dle = np.gradient(table.gamma, table.log_rho, table.log_e)
+    lr = np.log(np.maximum(rho, 1e-300))
+    le = np.log(np.maximum(e, 1e-300))
+    lr = np.clip(lr, table.log_rho[0], table.log_rho[-1])
+    le = np.clip(le, table.log_e[0], table.log_e[-1])
+    fi = (lr - table.log_rho[0]) / (table.log_rho[1] - table.log_rho[0])
+    fj = (le - table.log_e[0]) / (table.log_e[1] - table.log_e[0])
+    i = np.clip(fi.astype(int), 0, table.log_rho.size - 2)
+    j = np.clip(fj.astype(int), 0, table.log_e.size - 2)
+    wi, wj = fi - i, fj - j
+
+    def bilinear(tab):
+        return ((1 - wi) * (1 - wj) * tab[i, j]
+                + wi * (1 - wj) * tab[i + 1, j]
+                + (1 - wi) * wj * tab[i, j + 1]
+                + wi * wj * tab[i + 1, j + 1])
+
+    gamma = bilinear(table.gamma)
+    p = (gamma - 1.0) * rho * e
+    dpdr = (gamma - 1.0) * e + e * bilinear(dg_dlr)
+    dpde = (gamma - 1.0) * rho + rho * bilinear(dg_dle)
+    a = np.sqrt(np.maximum(dpdr + p / rho**2 * dpde, 1.0))
+    return gamma, p, a, bilinear(table.T)
+
+
+class TestOneEvaluation:
+    """`p_a_T` and the single-quantity wrappers reproduce the
+    per-quantity arithmetic bit for bit."""
+
+    @staticmethod
+    def _assert_bitwise(table, rho, e):
+        from repro.core.gas import TabulatedEOS
+        gamma, p, a, T = _reference(table, rho, e)
+        for got, ref in zip(TabulatedEOS(table).p_a_T(rho, e), (p, a, T)):
+            np.testing.assert_array_equal(got, ref)
+            assert np.shape(got) == np.shape(ref)
+        g, t = table.lookup(rho, e)
+        np.testing.assert_array_equal(g, gamma)
+        np.testing.assert_array_equal(t, T)
+        np.testing.assert_array_equal(table.pressure(rho, e), p)
+        np.testing.assert_array_equal(table.sound_speed(rho, e), a)
+        np.testing.assert_array_equal(table.temperature(rho, e), T)
+
+    def test_0d_1d_2d(self, small_table):
+        rng = np.random.default_rng(3)
+        self._assert_bitwise(small_table, 0.01, 3e6)
+        self._assert_bitwise(small_table, np.array(0.2), np.array(4e5))
+        self._assert_bitwise(small_table, 10.0 ** rng.uniform(-6, 0, 37),
+                             10.0 ** rng.uniform(5, 7.9, 37))
+        self._assert_bitwise(small_table,
+                             10.0 ** rng.uniform(-6, 0, (31, 41)),
+                             10.0 ** rng.uniform(5, 7.9, (31, 41)))
+
+    def test_sweep_through_and_past_both_axes(self, small_table):
+        # 11 decades of rho and 6 of e around the 8 x 3.5 decade table:
+        # states clamped below and above both axes, and the corners
+        rho, e = np.meshgrid(np.geomspace(1e-9, 1e2, 61),
+                             np.geomspace(1e3, 1e9, 67), indexing="ij")
+        self._assert_bitwise(small_table, rho, e)
+
+    def test_exact_node_hits(self, small_table):
+        rho, e = np.meshgrid(np.exp(small_table.log_rho),
+                             np.exp(small_table.log_e), indexing="ij")
+        self._assert_bitwise(small_table, rho, e)
+
+    def test_strict_table_raises_from_p_a_T(self, small_table):
+        from repro.core.gas import TabulatedEOS
+        strict = EquilibriumEOSTable(small_table.log_rho, small_table.log_e,
+                                     small_table.gamma, small_table.T,
+                                     clamp=False)
+        with pytest.raises(TableRangeError):
+            TabulatedEOS(strict).p_a_T(1e-30, 1e5)
+        with pytest.raises(TableRangeError):
+            TabulatedEOS(strict).p_a_T(np.array([0.01, 0.01]),
+                                       np.array([3e6, 1e12]))
+
+    def test_ideal_gas_p_a_T(self):
+        from repro.core.gas import IdealGasEOS
+        eos = IdealGasEOS(1.3, 250.0)
+        rng = np.random.default_rng(4)
+        rho = rng.uniform(1e-4, 2.0, (7, 9))
+        e = rng.uniform(1e4, 1e7, (7, 9))
+        for got, ref in zip(eos.p_a_T(rho, e),
+                            (eos.pressure(rho, e), eos.sound_speed(rho, e),
+                             eos.temperature(rho, e))):
+            np.testing.assert_array_equal(got, ref)
+
+    def test_frozen_mixture_p_a_T_inverts_once(self, monkeypatch):
+        from repro.solvers.reacting_euler2d import _FrozenMixtureEOS
+        from repro.thermo.mixture import MixtureThermo
+        from repro.thermo.species import species_set
+        db = species_set("air5")
+        mix = MixtureThermo(db)
+        rng = np.random.default_rng(5)
+        y = rng.random((6, 8, db.n))
+        y /= y.sum(axis=-1, keepdims=True)
+        rho = rng.uniform(1e-4, 1e-2, (6, 8))
+        e = mix.e_mass(rng.uniform(300.0, 9000.0, (6, 8)), y)
+        eos = _FrozenMixtureEOS(mix)
+        eos.bind(y, None)
+        # the reference: the two separate inversions the adapter's
+        # pressure and sound_speed used to make
+        e_eff = np.maximum(e, np.sum(y * db.hf0_mass, axis=-1) + 3.0e4)
+        T_p = mix.T_from_e(e_eff, y, T_guess=None)
+        T_a = mix.T_from_e(e_eff, y, T_guess=None)
+        calls = []
+        T_from_e = MixtureThermo.T_from_e
+        monkeypatch.setattr(MixtureThermo, "T_from_e",
+                            lambda self, *a, **kw: (calls.append(1)
+                                                    or T_from_e(self, *a,
+                                                                **kw)))
+        p, a, T = eos.p_a_T(rho, e)
+        assert len(calls) == 1
+        np.testing.assert_array_equal(p, mix.pressure(rho, T_p, y))
+        np.testing.assert_array_equal(a, mix.sound_speed_frozen(T_a, y))
+        np.testing.assert_array_equal(T, T_p)
