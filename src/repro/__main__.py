@@ -235,58 +235,9 @@ def _cmd_degrade_smoke(args: argparse.Namespace) -> int:
     return 0
 
 
-def _merge_ledgers_cmd(args: argparse.Namespace, paths: list[str]) -> int:
-    """``campaign --merge-ledgers``: fold per-host campaign ledgers
-    into one view; with ``--queue-dir`` also run the exactly-once
-    journal audit over the shared queue."""
-    import json
-
-    from repro.resilience.farm import audit_exactly_once, merge_ledgers
-    ledgers = []
-    for path in paths:
-        try:
-            with open(path) as f:
-                ledgers.append(json.load(f))
-        except (OSError, ValueError) as exc:
-            args.parser.error(f"cannot read ledger {path!r}: {exc}")
-    merged = merge_ledgers(ledgers)
-    ok = bool(merged.get("ok"))
-    if args.queue_dir is not None:
-        from repro.resilience.queue import WorkQueue
-        audit = audit_exactly_once(WorkQueue(args.queue_dir))
-        merged["exactly_once_audit"] = audit
-        ok = ok and audit["ok"]
-        print(f"campaign: exactly-once audit over {args.queue_dir}: "
-              f"{'ok' if audit['ok'] else 'VIOLATED'} "
-              f"({audit['jobs_completed']} completion(s), "
-              f"{len(audit['double_completions'])} double, "
-              f"{len(audit['done_without_complete'])} unaccounted)")
-    if args.ledger is not None:
-        with open(args.ledger, "w") as f:
-            json.dump(merged, f, indent=1, default=str)
-        print(f"campaign: merged ledger ({len(ledgers)} host ledger(s))"
-              f" written to {args.ledger}")
-    else:
-        print(json.dumps(merged, indent=1, default=str))
-    print(f"campaign: merged view — jobs {merged.get('jobs')}, hosts "
-          f"{sorted(merged.get('hosts') or {})}, wall "
-          f"{merged.get('wall_time')} s "
-          f"({merged.get('host_seconds')} host-seconds)")
-    return 0 if ok else 1
-
-
 def _cmd_campaign(args: argparse.Namespace) -> int:
     error = args.parser.error
     figures, jobs_file, full = args.figures, args.jobs, args.full
-    merge_paths = [p for value in args.merge_ledgers or ()
-                   for p in value.split(",") if p]
-    if merge_paths:
-        if (figures or jobs_file or args.retry_dead_letters
-                or args.compare_serial):
-            error("--merge-ledgers merges existing per-host ledgers; it "
-                  "excludes --figures/--jobs/--retry-dead-letters/"
-                  "--compare-serial")
-        return _merge_ledgers_cmd(args, merge_paths)
     if args.retry_dead_letters:
         if args.queue_dir is None:
             error("--retry-dead-letters needs --queue-dir (the queue "
@@ -399,12 +350,16 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     farm = Farm(args.queue_dir, policy, label="serve")
     print(f"serve: {args.n_workers} worker(s) on {args.queue_dir} as "
           f"host {farm.host} (SIGTERM to drain)")
-    code = farm.serve()
-    if args.ledger and farm.last_ledger is not None:
+    ledger = farm.run()
+    pending = sum(v for k, v in ledger["jobs"].items()
+                  if k not in ("done", "dead"))
+    print(f"serve: drained {ledger['jobs']} ({pending} job(s) left for "
+          f"the next serve)")
+    if args.ledger:
         with open(args.ledger, "w") as f:
-            json.dump(farm.last_ledger, f, indent=1)
+            json.dump(ledger, f, indent=1)
         print(f"serve: ledger written to {args.ledger}")
-    return code
+    return 0
 
 
 def _read_jsonl_requests(path: str | None) -> list:
@@ -700,8 +655,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", metavar="FILE", help="JSON list of job specs")
     p.add_argument("--retry-dead-letters", action="store_true",
                    help="requeue --queue-dir's dead letters and re-run")
-    p.add_argument("--merge-ledgers", action="append", metavar="L1,L2",
-                   help="merge per-host ledgers (and audit --queue-dir)")
     p.add_argument("-j", dest="n_workers", type=_POS_INT, default=4,
                    metavar="N", help="worker count (default 4)")
     p.add_argument("--full", action="store_true", help="paper resolution")

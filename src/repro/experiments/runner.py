@@ -28,7 +28,6 @@ the retry re-enters mid-march from the durable snapshots.
 from __future__ import annotations
 
 import inspect
-import json
 import os
 import shutil
 import sys
@@ -36,7 +35,6 @@ import time
 import traceback
 
 from repro.errors import SolverError
-from repro.resilience import drain_ledgers
 
 from repro.experiments import (fig1_flight_domain, fig2_titan_heating,
                                fig3_species_profiles, fig4_shock_shape,
@@ -95,16 +93,10 @@ def run_all(quick: bool = True, *, stream=None, keep_going: bool = True,
     """Run every experiment.
 
     Returns ``{"timings": {name: seconds}, "failures": {name: exc},
-    "skipped": [names replayed from done markers],
-    "ledgers": {name: [ledger dicts]}}``.
+    "skipped": [names replayed from done markers]}``.
     With ``keep_going`` (the default) a failing figure is reported —
     including its attached FailureReport, when present — and the rest of
     the suite still runs; ``keep_going=False`` restores fail-fast.
-
-    Degradation ledgers (see :mod:`repro.resilience.degradation`) are
-    drained per figure: any march that degraded gracefully shows up
-    under its figure's name, is summarised on the stream, and — with
-    ``checkpoint_dir`` — is written to ``<name>.ledger.json``.
 
     ``checkpoint_dir`` makes the suite durable (done markers + solver
     snapshots); ``resume`` replays completed figures from their markers
@@ -114,16 +106,12 @@ def run_all(quick: bool = True, *, stream=None, keep_going: bool = True,
     ``isolate`` (``True`` for defaults, or an
     :class:`~repro.resilience.IsolationPolicy`) sandboxes each figure
     in a supervised child process — hung, ballooning or crashing
-    figures are killed, reported and retried in a fresh child.  Note
-    that a sandboxed figure's degradation ledgers drain inside the
-    child and are not visible to the suite's ``ledgers`` output.
+    figures are killed, reported and retried in a fresh child.
     """
     stream = stream or sys.stdout
     timings: dict[str, float] = {}
     failures: dict[str, Exception] = {}
     skipped: list[str] = []
-    ledgers: dict[str, list] = {}
-    drain_ledgers()  # discard stale entries from earlier in-process runs
     if checkpoint_dir is not None:
         os.makedirs(checkpoint_dir, exist_ok=True)
     for name, mod in _MODULES:
@@ -172,21 +160,6 @@ def run_all(quick: bool = True, *, stream=None, keep_going: bool = True,
                 print("".join(traceback.format_exception(err)).rstrip(),
                       file=stream)
         finally:
-            drained = [led.to_dict() for led in drain_ledgers()
-                       if len(led)]
-            if drained:
-                ledgers[name] = drained
-                for led in drained:
-                    print(f"[{name} degradation: "
-                          f"{led['n_demotions']} demotion(s), "
-                          f"{led['n_promotions']} re-promotion(s), "
-                          f"fully_promoted={led['fully_promoted']}]",
-                          file=stream)
-                if checkpoint_dir is not None:
-                    ledger_path = os.path.join(checkpoint_dir,
-                                               f"{name}.ledger.json")
-                    with open(ledger_path, "w") as f:
-                        json.dump(drained, f, indent=2)
             timings[name] = time.perf_counter() - t0
             print(f"[{name} completed in {timings[name]:.1f} s]",
                   file=stream)
@@ -196,8 +169,7 @@ def run_all(quick: bool = True, *, stream=None, keep_going: bool = True,
     if failures:
         print(f"\n{len(failures)}/{len(_MODULES)} figure(s) failed: "
               f"{sorted(failures)}", file=stream)
-    return {"timings": timings, "failures": failures, "skipped": skipped,
-            "ledgers": ledgers}
+    return {"timings": timings, "failures": failures, "skipped": skipped}
 
 
 def run_all_farm(quick: bool = True, *, n_workers: int = 4,
@@ -278,7 +250,7 @@ def run_all_farm(quick: bool = True, *, n_workers: int = 4,
         print(f"{len(failures)}/{len(_MODULES)} figure(s) failed: "
               f"{sorted(failures)}", file=stream)
     return {"timings": timings, "failures": failures, "skipped": skipped,
-            "ledgers": {}, "farm": ledger}
+            "farm": ledger}
 
 
 if __name__ == "__main__":

@@ -38,18 +38,18 @@ This package provides the machinery the solver stack wires through:
   exponential backoff, a dead-letter ledger, kill-and-resume campaigns
   and graceful drain (see :mod:`repro.resilience.farm`,
   :mod:`repro.resilience.queue` and :mod:`repro.resilience.lease`),
-* :class:`HostBeacon` / :func:`merge_ledgers` /
-  :func:`audit_exactly_once` — the multi-host layer: several
-  supervisors (each a ``host_id`` with ``host:pid`` workers) drain one
-  shared queue directory under clock-skew-tolerant leases, fenced
-  commits, one append-only journal file per host, advisory clock
-  beacons, cross-host ledger merging and an exactly-once journal audit.
+* :class:`HostBeacon` / :func:`audit_exactly_once` — the multi-host
+  layer: several supervisors (each a ``host_id`` with ``host:pid``
+  workers) drain one shared queue directory under clock-skew-tolerant
+  leases, fenced commits, one append-only journal file per host and
+  advisory clock beacons; any host's campaign ledger folds every
+  host's journal and carries the exactly-once journal audit.
 """
 
 from repro.resilience.checkpoint import Checkpoint
 from repro.resilience.farm import (Farm, FarmPolicy, WorkerKillPlan,
-                                   audit_exactly_once, merge_ledgers,
-                                   run_campaign, sweep_orphans)
+                                   audit_exactly_once, run_campaign,
+                                   sweep_orphans)
 from repro.resilience.lease import (HostBeacon, Lease, LeaseManager,
                                     default_host_id, estimate_skew,
                                     read_beacons)
@@ -58,8 +58,7 @@ from repro.resilience.isolation import (Heartbeat, IsolatedRunner,
                                         IsolationEvent, IsolationPolicy)
 from repro.resilience.degradation import (DegradationController,
                                           DegradationLedger,
-                                          DegradationPolicy,
-                                          drain_ledgers)
+                                          DegradationPolicy)
 from repro.resilience.faults import Fault, FaultInjector, SimulatedCrash
 from repro.resilience.persistence import (MANIFEST_SCHEMA_VERSION,
                                           LoadedSnapshot,
@@ -81,7 +80,7 @@ __all__ = ["BackoffPolicy", "Checkpoint", "ConservationWatchdog",
            "PersistencePolicy", "RetryPolicy", "RunSupervisor",
            "SimulatedCrash", "SnapshotStore", "WatchdogEvent",
            "WatchdogPolicy", "WorkQueue", "WorkerKillPlan",
-           "audit_exactly_once", "default_host_id", "drain_ledgers",
-           "estimate_skew", "merge_ledgers", "read_beacons",
+           "audit_exactly_once", "default_host_id", "estimate_skew",
+           "read_beacons",
            "resume_run", "run_campaign", "solver_config",
            "solver_fingerprint", "supervised_call", "sweep_orphans"]

@@ -59,9 +59,9 @@ import numpy as np
 
 from repro.errors import SolverError
 from repro.resilience.farm import (Farm, FarmPolicy, WorkerKillPlan,
-                                   audit_exactly_once, merge_ledgers,
-                                   run_campaign, state_fingerprint,
-                                   sweep_orphans, write_bench_json)
+                                   build_ledger, run_campaign,
+                                   state_fingerprint, sweep_orphans,
+                                   write_bench_json)
 from repro.resilience.faults import FaultInjector
 from repro.resilience.isolation import (IsolatedRunner, IsolationPolicy,
                                         _read_rss_mb, kill_pid_tree,
@@ -198,27 +198,21 @@ def _queue_dir(queue_dir: str | None, out: str | None, name: str) -> str:
     return tempfile.mkdtemp(prefix=f"chaos-{name}-")
 
 
-def _host_main(queue_dir: str, policy: FarmPolicy,
-               ledger_path: str | None = None) -> None:
+def _host_main(queue_dir: str, policy: FarmPolicy) -> None:
     """One chaos "host": a farm supervisor in its own process group,
-    draining ``queue_dir`` under ``policy``; its ledger goes to
-    ``ledger_path`` when given."""
+    draining ``queue_dir`` under ``policy``."""
     try:
         os.setpgid(0, 0)
     except OSError:
         pass
     with open(os.devnull, "w") as quiet:
-        ledger = Farm(queue_dir, policy, label=f"chaos-{policy.host_id}",
-                      stream=quiet).run()
-    if ledger_path is not None:
-        with open(ledger_path, "w") as f:
-            json.dump(ledger, f, indent=1, default=str)
+        Farm(queue_dir, policy, label=f"chaos-{policy.host_id}",
+             stream=quiet).run()
 
 
-def _spawn_host(timeline: _Timeline, queue_dir: str, policy: FarmPolicy,
-                ledger_path: str | None = None):
+def _spawn_host(timeline: _Timeline, queue_dir: str, policy: FarmPolicy):
     proc = mp.get_context("fork").Process(
-        target=_host_main, args=(queue_dir, policy, ledger_path))
+        target=_host_main, args=(queue_dir, policy))
     proc.start()
     timeline.note("host-up", host=policy.host_id, pid=proc.pid)
     return proc
@@ -250,8 +244,8 @@ def _kill_host(timeline: _Timeline, queue: WorkQueue, host: str,
 
 
 def _stop_hosts(procs) -> None:
-    """Stop the hosts still running: SIGTERM (the graceful drain writes
-    a host's ledger), join, then kill whatever is left."""
+    """Stop the hosts still running: SIGTERM (the graceful drain),
+    join, then kill whatever is left."""
     for proc in procs:
         if proc.is_alive():
             signal_group(proc.pid, signal.SIGTERM)
@@ -560,10 +554,11 @@ def run_chaos_hosts(*, hosts: int = 2, rounds: int = 2,
     (its beacon frozen) long enough for its leases to be reaped, then
     resumes it; then host 0 is SIGKILLed outright (supervisor, workers
     and sandbox children).  The survivors must finish every job
-    **exactly once** — the merged journal audit finds no double
-    completion, every stale commit is fenced, no job is dead-lettered —
-    and each solver job's final state is bitwise identical to an
-    in-process reference march.
+    **exactly once** — the audit of the journal fold
+    (:func:`~repro.resilience.farm.build_ledger`, kept under ``ledger``)
+    finds no double completion, every stale commit is fenced, no job is
+    dead-lettered — and each solver job's final state is bitwise
+    identical to an in-process reference march.
     """
     stream = stream or sys.stdout
     if hosts < 2:
@@ -598,9 +593,6 @@ def run_chaos_hosts(*, hosts: int = 2, rounds: int = 2,
 
     survivor = hosts - 1    # last host outlives the campaign
     names = [f"host{i}" for i in range(hosts)]
-    ledger_paths = [None if out is None
-                    else os.path.join(out, f"ledger-{name}.json")
-                    for name in names]
     base = FarmPolicy(
         n_workers=n_workers, lease_ttl=lease_ttl, poll_interval=0.1,
         worker_restart_budget=4, deadline=deadline / 2.0,
@@ -616,8 +608,8 @@ def run_chaos_hosts(*, hosts: int = 2, rounds: int = 2,
     procs = []
     drained = False
     try:
-        for policy, path in zip(policies, ledger_paths):
-            procs.append(_spawn_host(timeline, queue_dir, policy, path))
+        for policy in policies:
+            procs.append(_spawn_host(timeline, queue_dir, policy))
         # let every host claim work before injecting anything
         timeline.wait(lambda: any(r.get("event") == "claim"
                                   for r in queue.read_journal()),
@@ -640,7 +632,9 @@ def run_chaos_hosts(*, hosts: int = 2, rounds: int = 2,
     finally:
         _stop_hosts(procs)
 
-    audit = audit_exactly_once(queue)
+    ledger = build_ledger(queue, wall_time=timeline.elapsed(),
+                          label="chaos-hosts")
+    audit, fenced = ledger["exactly_once_audit"], ledger["fenced"]
     mismatches = []
     for i, name in enumerate(case_names):
         res = queue.result(f"case-{i:02d}")
@@ -648,27 +642,17 @@ def run_chaos_hosts(*, hosts: int = 2, rounds: int = 2,
         if got != ref[name]:
             mismatches.append({"job": f"case-{i:02d}", "got": got,
                                "want": ref[name]})
-    ledgers = []
-    for path in filter(None, ledger_paths):
-        try:
-            with open(path) as f:
-                ledgers.append(json.load(f))
-        except (OSError, ValueError):
-            pass    # a SIGKILLed host writes no ledger
-    fenced = sum(1 for r in queue.read_journal()
-                 if r.get("event") == "fenced")
     checks = {"drained": drained, "exactly_once": audit["ok"],
-              "no_dead_letters": not queue.counts().get("dead", 0),
+              "no_dead_letters": not ledger["jobs"].get("dead", 0),
               "bitwise_match": not mismatches}
     return _verdict(
         "hosts", out,
         {"hosts": hosts, "rounds": rounds, "skew": offsets,
          "partition": partition, "events": timeline.events,
          "audit": audit, "fenced": fenced, "mismatches": mismatches,
-         "jobs": queue.counts(),
-         "merged_ledger": merge_ledgers(ledgers) if ledgers else None},
+         "jobs": ledger["jobs"], "ledger": ledger},
         checks,
-        f"{queue.counts().get('done', 0)} job(s) done exactly once "
+        f"{ledger['jobs'].get('done', 0)} job(s) done exactly once "
         f"across {hosts} host(s) ({fenced} stale commit(s) fenced, "
         f"{audit['jobs_completed']} completion(s) audited), solver "
         f"states bitwise-identical to the in-process reference", stream)

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = ["DegradationPolicy", "DegradationLedger",
-           "DegradationController", "as_degradation", "drain_ledgers"]
+           "DegradationController", "as_degradation"]
 
 
 @dataclass
@@ -65,20 +65,11 @@ class DegradationPolicy:
     max_actions:
         Total demotions allowed before the cascade declares itself
         exhausted (the supervisor then aborts with a report).
-    numerics_first:
-        Try the numerics rung (local first-order) before the physics
-        rung — cheaper, and reconstruction overshoots are the most
-        common instability source.
-    allow_numerics, allow_physics:
-        Disable a ladder entirely.
     """
 
     quarantine_halo: int = 3
     promote_after: int = 25
     max_actions: int = 20
-    numerics_first: bool = True
-    allow_numerics: bool = True
-    allow_physics: bool = True
 
 
 class DegradationLedger:
@@ -137,19 +128,6 @@ class DegradationLedger:
         return self.summary()
 
 
-#: Ledgers of every controller created since the last drain — the figure
-#: runner collects these per figure without threading a handle through
-#: every solver call.
-_LEDGER_REGISTRY: list[DegradationLedger] = []
-
-
-def drain_ledgers() -> list[DegradationLedger]:
-    """Return and clear the ledgers registered since the last drain."""
-    out = list(_LEDGER_REGISTRY)
-    _LEDGER_REGISTRY.clear()
-    return out
-
-
 def _patch_mask(shape, cells, halo: int):
     """Boolean cell mask covering ``cells`` plus an inclusive halo."""
     mask = np.zeros(shape, dtype=bool)
@@ -177,7 +155,6 @@ class DegradationController:
         self.ledger = DegradationLedger(label)
         self.clean_steps = 0
         self._stack: list[dict] = []
-        _LEDGER_REGISTRY.append(self.ledger)
 
     # ------------------------------------------------------------------
 
@@ -202,30 +179,22 @@ class DegradationController:
                 reason: str = "") -> bool:
         """Apply the next rung of the cascade; True when something
         changed (the supervisor should roll back and retry), False when
-        the cascade is exhausted (the supervisor should abort)."""
+        the cascade is exhausted (the supervisor should abort).
+
+        The numerics rung (local first order) comes before the physics
+        rung: it is cheaper, and reconstruction overshoots are the most
+        common instability source."""
         if len(self.ledger.demotions()) >= self.policy.max_actions:
             return False
         cells = [tuple(int(i) for i in c) for c in cells
                  if c is not None]
         mask = self._mask_for(solver, cells)
-        pol = self.policy
-        ladders = []
-        if pol.allow_numerics:
-            ladders.append("numerics")
-        if pol.allow_physics:
-            ladders.append("physics")
-        if not pol.numerics_first:
-            ladders.reverse()
-        for ladder in ladders:
-            if ladder == "numerics":
-                fn = getattr(solver, "quarantine", None)
-                if fn is None:
-                    continue
-                prev = getattr(solver, "quarantined_cells", None)
-                prev = None if prev is None else prev.copy()
-                n_new = int(fn(mask))
-                if n_new <= 0:
-                    continue
+        fn = getattr(solver, "quarantine", None)
+        if fn is not None:
+            prev = getattr(solver, "quarantined_cells", None)
+            prev = None if prev is None else prev.copy()
+            n_new = int(fn(mask))
+            if n_new > 0:
                 self._stack.append({"ladder": "numerics", "prev": prev,
                                     "rung": "first_order"})
                 self.ledger.record(
@@ -236,24 +205,23 @@ class DegradationController:
                     reason=reason)
                 self.clean_steps = 0
                 return True
-            fn = getattr(solver, "degrade_physics", None)
-            if fn is None:
-                continue
-            prev = getattr(solver, "chem_rung", None)
-            prev = None if prev is None else np.array(prev, copy=True)
-            rung = fn(mask)
-            if rung is None:
-                continue
-            self._stack.append({"ladder": "physics", "prev": prev,
-                                "rung": rung})
-            self.ledger.record(
-                action="demote", ladder="physics", rung=rung, step=step,
-                cells=cells or None,
-                n_cells=(None if mask is None else int(mask.sum())),
-                reason=reason)
-            self.clean_steps = 0
-            return True
-        return False
+        fn = getattr(solver, "degrade_physics", None)
+        if fn is None:
+            return False
+        prev = getattr(solver, "chem_rung", None)
+        prev = None if prev is None else np.array(prev, copy=True)
+        rung = fn(mask)
+        if rung is None:
+            return False
+        self._stack.append({"ladder": "physics", "prev": prev,
+                            "rung": rung})
+        self.ledger.record(
+            action="demote", ladder="physics", rung=rung, step=step,
+            cells=cells or None,
+            n_cells=(None if mask is None else int(mask.sum())),
+            reason=reason)
+        self.clean_steps = 0
+        return True
 
     # ------------------------------------------------------------------
 

@@ -47,9 +47,9 @@ was completed twice.
 
 Every attempt, kill, requeue, reclaim, preemption and dead-letter is a
 line in the queue's crash-safe journal; :func:`build_ledger` folds the
-journal into the campaign ledger and :func:`bench_from_journal` into
-the ``BENCH_farm.json`` throughput record.  Ledgers from separate
-farms sharing one campaign merge with :func:`merge_ledgers`.
+merged journal into the campaign ledger, exactly-once audit included,
+and :func:`bench_from_journal` into the ``BENCH_farm.json`` throughput
+record.
 """
 
 from __future__ import annotations
@@ -81,7 +81,7 @@ from repro.resilience.queue import BackoffPolicy, Job, WorkQueue
 
 __all__ = ["Farm", "FarmPolicy", "JOB_KINDS", "WorkerKillPlan",
            "audit_exactly_once", "bench_from_journal", "build_ledger",
-           "job_kind", "merge_ledgers", "run_campaign",
+           "job_kind", "run_campaign",
            "sweep_orphans", "write_bench_json"]
 
 
@@ -622,9 +622,6 @@ class Farm:
         self._workers: list[dict] = []   # {proc, name, index, last_raw,
         #                                   last_change}
         self._spawned = 0
-        #: the most recent campaign ledger (``serve --ledger`` writes
-        #: it to disk after the drain, for ``campaign --merge-ledgers``)
-        self.last_ledger: dict | None = None
 
     # -- worker lifecycle ----------------------------------------------
 
@@ -703,7 +700,9 @@ class Farm:
         Exits when every job is terminal (``drain_when_idle``), when the
         wall-clock budget runs out, or on SIGTERM/SIGINT — always
         through the graceful drain (workers SIGTERMed, current attempts
-        checkpointed and preempted) and always with a ledger.
+        checkpointed and preempted) and always with a ledger.  Without
+        ``drain_when_idle`` (``serve``) it keeps draining jobs other
+        processes enqueue until the signal.
         """
         pol = self.policy
         self._install_signals()
@@ -794,21 +793,7 @@ class Farm:
                               label=self.label, n_workers=pol.n_workers)
         self.queue.journal("campaign-end", label=self.label,
                            wall=round(wall, 2), ok=ledger["ok"])
-        self.last_ledger = ledger
         return ledger
-
-    def serve(self) -> int:
-        """Long-running mode: keep workers draining the queue (new jobs
-        may be enqueued by other processes at any time) until SIGTERM /
-        SIGINT, then drain gracefully.  Returns a process exit code."""
-        self.policy.drain_when_idle = False
-        ledger = self.run()
-        pending = sum(v for k, v in ledger["jobs"].items()
-                      if k not in ("done", "dead"))
-        print(f"[{self.label}] drained: {ledger['jobs']} "
-              f"({pending} job(s) left for the next serve)",
-              file=self.stream)
-        return 0
 
     def _drain_workers(self) -> None:
         """SIGTERM every worker (finish-or-checkpoint), then escalate."""
@@ -840,8 +825,9 @@ def build_ledger(queue: WorkQueue, *, wall_time: float, label: str,
     The journal read merges every host's file, so a ledger built on any
     host of a shared-queue campaign — or rebuilt post mortem — covers
     the whole campaign; ``hosts`` breaks claims / completes / kills down
-    per writer host, and ``worker_kills`` lists every journaled
-    ``worker-kill`` in journal order.
+    per writer host, ``worker_kills`` lists every journaled
+    ``worker-kill`` in journal order, and ``exactly_once_audit`` is
+    :func:`audit_exactly_once` of the queue.
     """
     by_event: dict[str, int] = {}
     by_host: dict[str, dict[str, int]] = {}
@@ -882,6 +868,7 @@ def build_ledger(queue: WorkQueue, *, wall_time: float, label: str,
             "worker_kills": kills,
             "dead_letter": dead,
             "events": by_event,
+            "exactly_once_audit": audit_exactly_once(queue),
             "throughput_jobs_per_s": (round(done / wall_time, 4)
                                       if wall_time > 0 else None),
             "ok": done + len(dead) == n_jobs and not any(
@@ -944,51 +931,6 @@ def audit_exactly_once(queue: WorkQueue) -> dict:
             "jobs_completed": len(completes),
             "double_completions": double,
             "done_without_complete": sorted(missing)}
-
-
-def merge_ledgers(ledgers: list[dict]) -> dict:
-    """Merge per-host campaign ledgers into one campaign view.
-
-    Each ``serve``/``campaign`` invocation on a shared queue builds its
-    ledger from the *merged* journal, so job/event counts agree across
-    hosts — the merge takes the freshest view for those, unions the
-    per-host breakdowns, kills and skew estimates, and sums wall time
-    as aggregate host-seconds (``wall_time`` keeps the max).
-    """
-    if not ledgers:
-        raise InputError("merge_ledgers: no ledgers given")
-    best = max(ledgers, key=lambda led: (
-        sum((led.get("jobs") or {}).values()),
-        (led.get("events") or {}).get("complete", 0)))
-    merged = dict(best)
-    hosts: dict[str, dict] = {}
-    skews: dict[str, float] = {}
-    kills: list[dict] = []
-    labels: list[str] = []
-    for led in ledgers:
-        for host, counts in (led.get("hosts") or {}).items():
-            slot = hosts.setdefault(host, {})
-            for ev, n in counts.items():
-                slot[ev] = max(slot.get(ev, 0), int(n))
-        skews.update(led.get("skew_estimates") or {})
-        for kill in led.get("worker_kills") or []:
-            if kill not in kills:
-                kills.append(kill)
-        if led.get("label") and led["label"] not in labels:
-            labels.append(led["label"])
-    merged["label"] = "+".join(labels) or best.get("label")
-    merged["hosts"] = hosts
-    merged["skew_estimates"] = skews
-    merged["worker_kills"] = kills
-    merged["merged_from"] = [{"label": led.get("label"),
-                              "host": led.get("host"),
-                              "wall_time": led.get("wall_time")}
-                             for led in ledgers]
-    merged["wall_time"] = max(float(led.get("wall_time") or 0.0)
-                              for led in ledgers)
-    merged["host_seconds"] = round(sum(
-        float(led.get("wall_time") or 0.0) for led in ledgers), 3)
-    return merged
 
 
 def write_bench_json(path, record: dict) -> None:

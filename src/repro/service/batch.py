@@ -494,27 +494,30 @@ def _count(items) -> dict:
     return out
 
 
-def _build_batch_ledger(envelopes, board, *, wall, policy, deduped,
-                        expired, admission) -> dict:
+def _build_batch_ledger(envelopes, *, wall, deduped, breaker, policy,
+                        ok=True, **extra) -> dict:
+    """The batch ledger of both paths: a fold of the envelopes, plus
+    the breaker ledger, the policy and the path's own ``extra`` keys.
+    It is ``ok`` when every request has an envelope and the caller's
+    ``ok`` (the farm's exactly-once audit) holds."""
     n = len(envelopes)
     complete = all(e is not None for e in envelopes)
     counts = _count(e.status for e in envelopes if e is not None)
     kinds = _count((e.error or {}).get("kind", "?") for e in envelopes
                    if e is not None and e.status == "failed")
-    return {"ok": complete,
+    return {"ok": ok and complete,
             "n_requests": n,
             "counts": counts,
             "failed_kinds": kinds,
             "deduped": deduped,
-            "deadline_expired": expired,
             "wall_s": round(wall, 4),
             "requests_per_s": (round(n / wall, 2) if wall > 0
                                else None),
             "latency_s": _latency_summary(envelopes),
             "methods": _count(e.method for e in envelopes
                               if e is not None and e.method),
-            "breaker": board.snapshot(),
-            "admission": admission.stats(),
+            "breaker": breaker,
+            **extra,
             "policy": policy.to_dict()}
 
 
@@ -625,9 +628,10 @@ def evaluate_batch(requests, policy: BatchPolicy | None = None, *,
     finally:
         adm.release(n)
     wall = time.monotonic() - t0
-    ledger = _build_batch_ledger(envelopes, board, wall=wall,
-                                 policy=policy, deduped=deduped,
-                                 expired=expired, admission=adm)
+    ledger = _build_batch_ledger(envelopes, wall=wall, deduped=deduped,
+                                 breaker=board.snapshot(), policy=policy,
+                                 deadline_expired=expired,
+                                 admission=adm.stats())
     return BatchResult(envelopes=envelopes, ledger=ledger)
 
 
@@ -704,12 +708,12 @@ def evaluate_batch_farm(requests, policy: BatchPolicy | None = None, *,
     Each chunk runs :func:`evaluate_batch` inside a farm worker (its
     own sandboxed process, lease-protected, retried with backoff on
     preemption); chunk envelopes merge back in request order and the
-    exactly-once audit is attached to the merged ledger.  A chunk that
-    dead-letters still yields one ``failed`` envelope per request — the
-    one-envelope-per-request invariant survives worker loss.
+    farm ledger's exactly-once audit is attached to the merged ledger.
+    A chunk that dead-letters still yields one ``failed`` envelope per
+    request — the one-envelope-per-request invariant survives worker
+    loss.
     """
-    from repro.resilience.farm import (FarmPolicy, audit_exactly_once,
-                                       run_campaign)
+    from repro.resilience.farm import FarmPolicy, run_campaign
     from repro.resilience.queue import WorkQueue
     policy = policy or BatchPolicy()
     requests = list(requests)
@@ -750,31 +754,18 @@ def evaluate_batch_farm(requests, policy: BatchPolicy | None = None, *,
                 envelopes[env.index] = env
             chunk_ledgers.append(res.get("ledger"))
         wall = time.monotonic() - t0
-        audit = audit_exactly_once(queue)
-        counts = _count(e.status for e in envelopes if e is not None)
-        kinds = _count((e.error or {}).get("kind", "?")
-                       for e in envelopes
-                       if e is not None and e.status == "failed")
-        ledger = {"ok": (all(e is not None for e in envelopes)
-                         and bool(audit.get("ok"))),
-                  "n_requests": n,
-                  "counts": counts,
-                  "failed_kinds": kinds,
-                  "deduped": sum((led or {}).get("deduped", 0)
-                                 for led in chunk_ledgers),
-                  "wall_s": round(wall, 4),
-                  "requests_per_s": (round(n / wall, 2) if wall > 0
-                                     else None),
-                  "latency_s": _latency_summary(envelopes),
-                  "methods": _count(e.method for e in envelopes
-                                    if e is not None and e.method),
-                  "breaker": _merge_chunk_breakers(chunk_ledgers),
-                  "farm": {"label": farm_ledger.get("label"),
-                           "wall_time": farm_ledger.get("wall_time"),
-                           "jobs": len(jobs),
-                           "n_workers": n_workers},
-                  "audit": audit,
-                  "policy": policy.to_dict()}
+        audit = farm_ledger["exactly_once_audit"]
+        ledger = _build_batch_ledger(
+            envelopes, wall=wall,
+            deduped=sum((led or {}).get("deduped", 0)
+                        for led in chunk_ledgers),
+            breaker=_merge_chunk_breakers(chunk_ledgers), policy=policy,
+            ok=audit["ok"],
+            farm={"label": farm_ledger["label"],
+                  "wall_time": farm_ledger["wall_time"],
+                  "jobs": len(jobs),
+                  "n_workers": farm_ledger["n_workers"]},
+            audit=audit)
         return BatchResult(envelopes=envelopes, ledger=ledger)
     finally:
         ADMISSION.release(n)

@@ -19,7 +19,10 @@ The contract under test (ISSUE 6 acceptance criteria and DESIGN.md
 """
 
 import json
+import os
 import signal
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -29,9 +32,8 @@ from repro.errors import InputError
 from repro.resilience.chaos import CASES
 from repro.resilience.farm import (Farm, FarmPolicy, WorkerKillPlan,
                                    audit_exactly_once, bench_from_journal,
-                                   build_ledger, merge_ledgers,
-                                   run_campaign, state_fingerprint,
-                                   write_bench_json)
+                                   build_ledger, run_campaign,
+                                   state_fingerprint, write_bench_json)
 from repro.resilience.lease import (LeaseManager, expired_indices,
                                     format_ages, heartbeat_ages,
                                     stalest_index)
@@ -401,6 +403,41 @@ class TestDrain:
         assert rebuilt["jobs"] == ledger["jobs"]  # journal is durable
 
 
+class TestServe:
+    def test_sigterm_drains_and_writes_the_audited_ledger(self,
+                                                          tmp_path):
+        """``serve`` runs until SIGTERM, exits 0 and writes the
+        campaign ledger with its exactly-once audit."""
+        qdir, led = tmp_path / "q", tmp_path / "ledger.json"
+        queue = WorkQueue(qdir, host_id="driver")
+        for i in range(3):
+            queue.enqueue(Job(id=f"s{i}", kind="sleep",
+                              payload={"duration": 0.05}))
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src)
+                   + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--queue-dir",
+             str(qdir), "--host-id", "h1", "-j", "1", "--poll", "0.05",
+             "--ledger", str(led)],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        try:
+            deadline = time.monotonic() + 60.0
+            while (not queue.all_terminal()
+                   and time.monotonic() < deadline):
+                time.sleep(0.05)
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(30.0) == 0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+        ledger = json.loads(led.read_text())
+        assert ledger["jobs"] == {"done": 3}
+        assert list(ledger["hosts"]) == ["h1"]
+        assert ledger["exactly_once_audit"]["ok"]
+
+
 # ----------------------------------------------------------------------
 # farm policy validation
 # ----------------------------------------------------------------------
@@ -612,23 +649,24 @@ class TestRetryDeadLetters:
     def test_campaign_cli_jobs_retry_and_merge(self, tmp_path):
         from repro.__main__ import main
         specs, qd = tmp_path / "jobs.json", str(tmp_path / "q")
-        led, merged = tmp_path / "led.json", tmp_path / "merged.json"
+        led = tmp_path / "led.json"
         specs.write_text(json.dumps([
             {"id": "f1", "kind": "flaky", "payload": {"fail_first": 99},
              "max_attempts": 1},
             {"id": "s1", "kind": "sleep", "payload": {"duration": 0.01}}]))
         assert main(["campaign", "--jobs", str(specs), "--queue-dir", qd,
-                     "-j", "1", "--ledger", str(led)]) == 1  # f1 dies
+                     "-j", "1"]) == 1                       # f1 dies
         assert main(["campaign", "--retry-dead-letters", "--queue-dir",
-                     qd, "-j", "1"]) == 1                   # and again
+                     qd, "-j", "1", "--ledger", str(led)]) == 1
         q = WorkQueue(qd)
         assert q.state("f1")["status"] == "dead"
         assert q.state("s1")["status"] == "done"
         assert [r["job"] for r in q.read_journal()
                 if r["event"] == "retry-dead-letter"] == ["f1"]
-        assert main(["campaign", "--merge-ledgers", str(led),
-                     "--queue-dir", qd, "--ledger", str(merged)]) == 0
-        assert json.loads(merged.read_text())["exactly_once_audit"]["ok"]
+        # the second campaign's ledger folds the whole journal, the
+        # first campaign included
+        fold = json.loads(led.read_text())
+        assert fold["ok"] and fold["exactly_once_audit"]["ok"]
 
     def test_jitter_unit_is_pure_and_job_seeded(self):
         """Satellite: backoff jitter is a pure hash of (job id,
@@ -656,8 +694,8 @@ class TestTwoHostCampaign:
     def test_two_skewed_hosts_drain_one_queue_exactly_once(
             self, tmp_path, silent):
         """Two supervisors with ±5 s clock skew drain one shared queue:
-        every job completes exactly once and the per-host ledgers merge
-        into one consistent campaign view."""
+        every job completes exactly once and the journal fold is one
+        consistent campaign view."""
         import threading
 
         qdir = tmp_path / "q"
@@ -688,25 +726,13 @@ class TestTwoHostCampaign:
         q = WorkQueue(qdir, host_id="driver")
         assert q.all_terminal()
         assert all(q.state(j)["status"] == "done" for j in q.job_ids())
-        audit = audit_exactly_once(q)
+        fold = build_ledger(q, wall_time=0.0, label="driver")
+        audit = fold["exactly_once_audit"]
         assert audit["ok"], audit
         assert audit["jobs_completed"] == 8
-        merged = merge_ledgers([ledgers["hostA"], ledgers["hostB"]])
-        assert merged["ok"] and merged["jobs"] == {"done": 8}
+        assert fold["ok"] and fold["jobs"] == {"done": 8}
         assert sum(h.get("complete", 0)
-                   for h in merged["hosts"].values()) == 8
+                   for h in fold["hosts"].values()) == 8
         # each host saw the other's beacon ~10 s ahead/behind itself
         assert ledgers["hostB"]["skew_estimates"]["hostA"] > 5.0
         assert ledgers["hostA"]["skew_estimates"]["hostB"] < -5.0
-
-    def test_merge_ledgers_validates_and_labels(self, tmp_path, silent):
-        with pytest.raises(InputError):
-            merge_ledgers([])
-        jobs = [Job(id="a", kind="sleep", payload={"duration": 0.01})]
-        led = run_campaign(tmp_path / "q", jobs,
-                           policy=fast_policy(n_workers=1),
-                           stream=silent)
-        merged = merge_ledgers([led])
-        assert merged["jobs"] == led["jobs"]
-        assert [m["host"] for m in merged["merged_from"]] \
-            == [led["host"]]

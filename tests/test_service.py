@@ -367,6 +367,14 @@ class TestFarmBatch:
         assert [e.status for e in farm.envelopes[3:]] == ["ok", "ok"]
         assert farm.ledger["failed_kinds"]["farm"] == 3
 
+    def test_ledger_counts_the_workers_that_ran(self, tmp_path):
+        from repro.resilience.farm import FarmPolicy
+        farm = evaluate_batch_farm(
+            [_good(i) for i in range(2)], queue_dir=str(tmp_path / "q"),
+            farm_policy=FarmPolicy(n_workers=1))
+        assert farm.ledger["ok"]
+        assert farm.ledger["farm"]["n_workers"] == 1
+
     def test_shard_requests_covers_everything_once(self):
         shards = shard_requests(list(range(10)), 4)
         assert [s[0] for s in shards] == [0, 4, 8]
