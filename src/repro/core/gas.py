@@ -10,9 +10,9 @@ gas" modes:
 
 Both implement :class:`GasEOS`: the flux routines call
 ``p_a_T(rho, e) -> (p, a, T)`` once per set of states, and the NS wall
-ghosts call ``temperature(rho, e)``; ``e`` is specific *internal* energy
-(no kinetic part).  Each also has ``pressure(rho, e)``, which
-``e_from_p_rho`` inverts.
+ghosts call ``temperature(rho, e)`` once per step, on both wall rows at
+e and e + de; ``e`` is specific *internal* energy (no kinetic part).
+Each also has ``pressure(rho, e)``, which ``e_from_p_rho`` inverts.
 """
 
 from __future__ import annotations
@@ -157,7 +157,11 @@ def eos_spec(eos) -> dict:
     if isinstance(eos, IdealGasEOS):
         return {"kind": "ideal", "gamma": eos.gamma, "R": eos.R}
     if isinstance(eos, TabulatedEOS):
-        return {"kind": "tabulated"}
+        # the default 48 x 72 air table keeps the bare spec, so the
+        # fingerprints of existing checkpoints do not change
+        n_rho, n_e = eos.table.gamma.shape
+        return ({"kind": "tabulated"} if (n_rho, n_e) == (48, 72)
+                else {"kind": "tabulated", "n_rho": n_rho, "n_e": n_e})
     return {"kind": type(eos).__name__}
 
 
@@ -167,6 +171,8 @@ def eos_from_spec(spec: dict):
     if kind == "ideal":
         return IdealGasEOS(spec["gamma"], spec["R"])
     if kind == "tabulated":
-        return TabulatedEOS()
+        from repro.thermo.eos_table import build_air_table
+        return TabulatedEOS(build_air_table(
+            **{k: spec[k] for k in ("n_rho", "n_e") if k in spec}))
     raise InputError(f"cannot rebuild EOS from spec {spec!r}; only the "
                      f"stock ideal/tabulated models are reconstructible")

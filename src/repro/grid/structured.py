@@ -72,6 +72,14 @@ class StructuredGrid2D:
         self.ym_i = 0.5 * (y[:, 1:] + y[:, :-1])
         self.xm_j = 0.5 * (x[1:, :] + x[:-1, :])
         self.ym_j = 0.5 * (y[1:, :] + y[:-1, :])
+        # smallest inscribed length scale, area / longest face: the grid
+        # never changes, so every marching timestep reads this one array
+        li, lj = self.face_length_i, self.face_length_j
+        per = np.maximum(li[:-1, :], li[1:, :])
+        per = np.maximum(per, lj[:, :-1])
+        per = np.maximum(per, lj[:, 1:])
+        self._min_cell_size = self.area / np.maximum(per, 1e-300)
+        self._min_cell_size.flags.writeable = False
 
     # -- derived quantities ----------------------------------------------------
 
@@ -84,12 +92,9 @@ class StructuredGrid2D:
         return np.linalg.norm(self.n_j, axis=-1)
 
     def min_cell_size(self):
-        """Smallest inscribed length scale: area / longest face."""
-        per = np.maximum(self.face_length_i[:-1, :],
-                         self.face_length_i[1:, :])
-        per = np.maximum(per, self.face_length_j[:, :-1])
-        per = np.maximum(per, self.face_length_j[:, 1:])
-        return self.area / np.maximum(per, 1e-300)
+        """Smallest inscribed length scale: area / longest face (a
+        read-only array computed with the metrics)."""
+        return self._min_cell_size
 
     def axisymmetric_volumes(self):
         """Cell volumes per radian about y=0 (y is the radial coordinate).

@@ -66,8 +66,10 @@ class AxisymmetricEulerSolver(QuarantineMixin):
             raise InputError(f"unknown flux {flux!r}")
         self.flux_name = flux
         self.vol = grid.axisymmetric_volumes()
-        n_i, n_j = grid.axisymmetric_face_metrics()
-        # unit normals + radius-weighted areas
+        # radius-weighted face normals (the NS viscous fluxes read them
+        # too), their unit normals and radius-weighted areas
+        self.normal_i, self.normal_j = grid.axisymmetric_face_metrics()
+        n_i, n_j = self.normal_i, self.normal_j
         self.area_i = np.linalg.norm(n_i, axis=-1)
         self.area_j = np.linalg.norm(n_j, axis=-1)
         with np.errstate(invalid="ignore", divide="ignore"):
@@ -181,20 +183,24 @@ class AxisymmetricEulerSolver(QuarantineMixin):
         return g
 
     def _pad_j(self, U):
-        """Ghosts along j: slip wall at j=0, freestream at j=nj."""
+        """Ghosts along j: :meth:`_wall_ghosts` at j=0, freestream at
+        j=nj."""
         g = np.empty((U.shape[0], U.shape[1] + 4, 4), dtype=np.float64)
         g[:, 2:-2] = U
-        # wall: mirror velocity about the wall tangent plane
-        for k, src in ((1, 0), (0, 1)):
-            Uw = U[:, src].copy()
-            n = self.wall_normal
-            mn = Uw[:, 1] * n[:, 0] + Uw[:, 2] * n[:, 1]
-            Uw[:, 1] -= 2.0 * mn * n[:, 0]
-            Uw[:, 2] -= 2.0 * mn * n[:, 1]
-            g[:, k] = Uw
-        g[:, -2] = self.U_inf
-        g[:, -1] = self.U_inf
+        # ghost row 1 mirrors cell row 0, ghost row 0 cell row 1
+        g[:, 1::-1] = self._wall_ghosts(U[:, :2])
+        g[:, -2:] = self.U_inf
         return g
+
+    def _wall_ghosts(self, Uw):
+        """Slip wall: the two wall-adjacent cell rows ``Uw`` (ni, 2, 4)
+        with the velocity mirrored about the wall tangent plane."""
+        Uw = Uw.copy()
+        n = self.wall_normal[:, None]
+        mn = Uw[..., 1] * n[..., 0] + Uw[..., 2] * n[..., 1]
+        Uw[..., 1] -= 2.0 * mn * n[..., 0]
+        Uw[..., 2] -= 2.0 * mn * n[..., 1]
+        return Uw
 
     # ------------------------------------------------------------------
     # residual

@@ -58,12 +58,12 @@ class AxisymmetricNSSolver(AxisymmetricEulerSolver):
         super().__init__(grid, eos, **kwargs)
         self.T_wall = T_wall
         self.prandtl = prandtl
-        # node-difference vectors between adjacent cell centroids (for the
-        # directional gradient correction)
-        self._dx_i = np.diff(grid.xc, axis=0)
-        self._dy_i = np.diff(grid.yc, axis=0)
-        self._dx_j = np.diff(grid.xc, axis=1)
-        self._dy_j = np.diff(grid.yc, axis=1)
+        # offsets between j-adjacent cell centroids and their squared
+        # lengths (for the directional gradient correction)
+        self._d_j = np.stack([np.diff(grid.xc, axis=1),
+                              np.diff(grid.yc, axis=1)], axis=-1)
+        self._dist2_j = np.maximum(np.sum(self._d_j * self._d_j, axis=-1),
+                                   1e-300)
 
     # ------------------------------------------------------------------
     # persistence protocol (durable checkpoints)
@@ -91,35 +91,29 @@ class AxisymmetricNSSolver(AxisymmetricEulerSolver):
     # wall ghost states: no-slip + thermal condition
     # ------------------------------------------------------------------
 
-    def _pad_j(self, U):
-        g = super()._pad_j(U)
-        # overwrite the wall ghosts: reflect velocity fully (no slip)
-        for k, src in ((1, 0), (0, 1)):
-            Uw = U[:, src].copy()
-            rho = Uw[:, 0]
-            Uw[:, 1] = -Uw[:, 1]
-            Uw[:, 2] = -Uw[:, 2]
-            if self.T_wall is not None:
-                # set ghost internal energy so the face T averages to Tw
-                ke = 0.5 * (Uw[:, 1] ** 2 + Uw[:, 2] ** 2) / rho
-                e_in = U[:, src, 3] / U[:, src, 0] \
-                    - 0.5 * (U[:, src, 1] ** 2 + U[:, src, 2] ** 2) \
-                    / U[:, src, 0] ** 2
-                T_in = self.eos.temperature(U[:, src, 0], e_in)
-                T_ghost = np.maximum(2.0 * self.T_wall - T_in,
-                                     0.1 * self.T_wall)
-                e_ghost = self._e_of_T(rho, T_ghost, e_in, T_in)
-                Uw[:, 3] = rho * (e_ghost + ke)
-            g[:, k] = Uw
-        return g
+    def _wall_ghosts(self, Uw):
+        """No-slip wall: velocity reversed; with ``T_wall`` the ghost
+        internal energy makes the face T average to T_wall.
 
-    def _e_of_T(self, rho, T_target, e_ref, T_ref):
-        """Internal energy at T_target, linearised about a reference."""
-        # cv estimate from the EOS via finite difference
-        de = np.maximum(0.01 * e_ref, 10.0)
-        cv = de / np.maximum(
-            self.eos.temperature(rho, e_ref + de) - T_ref, 1e-3)
-        return np.maximum(e_ref + cv * (T_target - T_ref), 1e3)
+        That energy is linearised about the interior e with a
+        finite-difference cv, so one EOS call gives T at e and e + de
+        for both rows."""
+        g = Uw.copy()
+        g[..., 1:3] = -g[..., 1:3]
+        if self.T_wall is None:
+            return g
+        rho = Uw[..., 0]
+        ke = 0.5 * (g[..., 1] ** 2 + g[..., 2] ** 2) / rho
+        e_in = Uw[..., 3] / rho \
+            - 0.5 * (Uw[..., 1] ** 2 + Uw[..., 2] ** 2) / rho ** 2
+        de = np.maximum(0.01 * e_in, 10.0)
+        T_in, T_de = self.eos.temperature(np.stack([rho, rho]),
+                                          np.stack([e_in, e_in + de]))
+        T_ghost = np.maximum(2.0 * self.T_wall - T_in, 0.1 * self.T_wall)
+        cv = de / np.maximum(T_de - T_in, 1e-3)
+        g[..., 3] = rho * (np.maximum(e_in + cv * (T_ghost - T_in), 1e3)
+                           + ke)
+        return g
 
     # ------------------------------------------------------------------
     # viscous fluxes
@@ -196,20 +190,19 @@ class AxisymmetricNSSolver(AxisymmetricEulerSolver):
         # directional correction for j-face gradients (wall-normal
         # resolution is what heating depends on)
         def corrected_j(phi, dphi_f):
-            d = np.stack([self._dx_j, self._dy_j], axis=-1)
-            dist2 = np.maximum(np.sum(d * d, axis=-1), 1e-300)
+            d = self._d_j
             ddir = (phi[:, 1:] - phi[:, :-1])
-            corr = (ddir - np.sum(dphi_f[:, 1:-1] * d, axis=-1)) / dist2
+            corr = (ddir - np.sum(dphi_f[:, 1:-1] * d, axis=-1)) \
+                / self._dist2_j
             out = dphi_f.copy()
             out[:, 1:-1] += corr[..., None] * d
             return out
 
         # i faces (radius-weighted areas)
-        n_i, n_j = g.axisymmetric_face_metrics()
         Fv_i = visc_face_flux(face_avg_i(mu), face_avg_i(k),
                               face_avg_i(du), face_avg_i(dv),
                               face_avg_i(dT), face_avg_i(u),
-                              face_avg_i(v), n_i)
+                              face_avg_i(v), self.normal_i)
         dT_jf = corrected_j(T, face_avg_j(dT))
         du_jf = corrected_j(u, face_avg_j(du))
         dv_jf = corrected_j(v, face_avg_j(dv))
@@ -221,7 +214,7 @@ class AxisymmetricNSSolver(AxisymmetricEulerSolver):
         u_jf[:, 0] = 0.0
         v_jf[:, 0] = 0.0
         Fv_j = visc_face_flux(mu_jf, k_jf, du_jf, dv_jf, dT_jf,
-                              u_jf, v_jf, n_j)
+                              u_jf, v_jf, self.normal_j)
         div = (Fv_i[1:] - Fv_i[:-1]) + (Fv_j[:, 1:] - Fv_j[:, :-1])
         return div / self.vol[..., None]
 

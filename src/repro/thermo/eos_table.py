@@ -138,9 +138,11 @@ class EquilibriumEOSTable:
     # ------------------------------------------------------------------
 
     def _locate(self, lr, le):
+        # minimum(maximum(.)) equals np.clip elementwise (NaN included)
+        # without clip's wrapper overhead, which dominates on small arrays
         if self.clamp:
-            lr = np.clip(lr, self.log_rho[0], self.log_rho[-1])
-            le = np.clip(le, self.log_e[0], self.log_e[-1])
+            lr = np.minimum(np.maximum(lr, self.log_rho[0]), self.log_rho[-1])
+            le = np.minimum(np.maximum(le, self.log_e[0]), self.log_e[-1])
         else:
             if (np.any(lr < self.log_rho[0]) or np.any(lr > self.log_rho[-1])
                     or np.any(le < self.log_e[0])
@@ -148,8 +150,8 @@ class EquilibriumEOSTable:
                 raise TableRangeError("EOS table lookup out of range")
         fi = (lr - self.log_rho[0]) / self._dlr
         fj = (le - self.log_e[0]) / self._dle
-        i = np.clip(fi.astype(int), 0, self.log_rho.size - 2)
-        j = np.clip(fj.astype(int), 0, self.log_e.size - 2)
+        i = np.minimum(np.maximum(fi.astype(int), 0), self.log_rho.size - 2)
+        j = np.minimum(np.maximum(fj.astype(int), 0), self.log_e.size - 2)
         return i, j, fi - i, fj - j
 
     def _bilinear(self, i, j, wi, wj):

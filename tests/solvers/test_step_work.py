@@ -1,9 +1,10 @@
-"""Equation-of-state work per marching step.
+"""Equation-of-state and grid work per marching step.
 
 Each step evaluates the EOS once per set of states: the cell centres
-once, each face set once, plus the NS extras (one ``gamma_eff`` and the
-four wall-ghost rows).  The counts are exact properties of the step
-sequence, not timings.
+once, each face set once, plus the NS extras (one ``gamma_eff`` and one
+call for both wall-ghost rows).  The grid never changes, so a step
+computes none of its metrics.  The counts are exact properties of the
+step sequence, not timings.
 """
 
 import numpy as np
@@ -11,7 +12,7 @@ import numpy as np
 from repro.atmosphere import EarthAtmosphere
 from repro.core.gas import TabulatedEOS
 from repro.geometry import Hemisphere
-from repro.grid import blunt_body_grid
+from repro.grid import StructuredGrid2D, blunt_body_grid
 from repro.resilience.chaos import CASES
 from repro.solvers.euler2d import AxisymmetricEulerSolver
 from repro.solvers.ns2d import AxisymmetricNSSolver
@@ -35,7 +36,9 @@ def _calls_per_step(solver, calls):
     return len(calls)
 
 
-def test_eos_work_per_step(monkeypatch):
+def _solvers():
+    """The three 2-D solvers on small grids, each at freestream: NS and
+    Euler on the 24 x 32 air table, the reacting chaos case."""
     atm = EarthAtmosphere()
     rho = float(atm.density(20e3))
     T = float(atm.temperature(20e3))
@@ -43,20 +46,39 @@ def test_eos_work_per_step(monkeypatch):
     grid = blunt_body_grid(Hemisphere(0.1), n_s=9, n_normal=13,
                            density_ratio=0.08, margin=3.0)
     eos = TabulatedEOS(build_air_table(n_rho=24, n_e=32))
-    locates = _counting(monkeypatch, EquilibriumEOSTable, "_locate")
-    per_step = {}
-    for name, s in (("ns2d", AxisymmetricNSSolver(grid, eos,
-                                                  T_wall=1500.0)),
-                    ("euler2d", AxisymmetricEulerSolver(grid, eos))):
+    solvers = {"ns2d": AxisymmetricNSSolver(grid, eos, T_wall=1500.0),
+               "euler2d": AxisymmetricEulerSolver(grid, eos)}
+    for s in solvers.values():
         s.set_freestream(rho, V, rho * atm.gas_constant * T)
-        per_step[name] = _calls_per_step(s, locates)
+    solvers["reacting_euler2d"] = CASES["reacting_euler2d"][0]()
+    return solvers
+
+
+def test_eos_work_per_step(monkeypatch):
+    solvers = _solvers()
+    locates = _counting(monkeypatch, EquilibriumEOSTable, "_locate")
+    per_step = {name: _calls_per_step(solvers[name], locates)
+                for name in ("ns2d", "euler2d")}
     inversions = _counting(monkeypatch, MixtureThermo, "T_from_e")
-    s = CASES["reacting_euler2d"][0]()
+    s = solvers["reacting_euler2d"]
     per_step["reacting_euler2d"] = _calls_per_step(s, inversions)
-    # cells 1 + faces 4 + gamma_eff 1 + wall ghosts 4; cells 1 + faces 4;
+    # cells 1 + faces 4 + gamma_eff 1 + wall ghosts 1; cells 1 + faces 4;
     # cell decode 1 + faces 4 + decode after chemistry 1 (23, 12 and 11
     # when the timestep and the residual each decoded the cells, and p
     # and a each made their own table locate or temperature inversion)
-    budget = {"ns2d": 10, "euler2d": 5, "reacting_euler2d": 6}
+    budget = {"ns2d": 7, "euler2d": 5, "reacting_euler2d": 6}
     assert all(per_step[k] <= budget[k] for k in budget), per_step
     assert np.all(np.isfinite(s.U))
+
+
+def test_step_computes_no_grid_metrics(monkeypatch):
+    solvers = _solvers()
+    calls = _counting(monkeypatch, StructuredGrid2D,
+                      "axisymmetric_face_metrics")
+    for name in ("face_length_i", "face_length_j"):
+        length = getattr(StructuredGrid2D, name).fget
+        monkeypatch.setattr(StructuredGrid2D, name, property(
+            lambda self, f=length: calls.append(1) or f(self)))
+    per_step = {name: _calls_per_step(s, calls)
+                for name, s in solvers.items()}
+    assert per_step == dict.fromkeys(solvers, 0)

@@ -346,6 +346,40 @@ class TestStoreMechanics:
             assert solver_fingerprint(rebuilt) == \
                 snap.manifest["fingerprint"], name
 
+    @staticmethod
+    def _tabulated_ns(n_rho, n_e):
+        from repro.core.gas import TabulatedEOS
+        from repro.geometry import Hemisphere
+        from repro.grid import blunt_body_grid
+        from repro.solvers.ns2d import AxisymmetricNSSolver
+        from repro.thermo.eos_table import build_air_table
+        grid = blunt_body_grid(Hemisphere(0.1), n_s=9, n_normal=13,
+                               density_ratio=0.08, margin=3.0)
+        eos = TabulatedEOS(build_air_table(n_rho=n_rho, n_e=n_e))
+        s = AxisymmetricNSSolver(grid, eos, T_wall=1500.0)
+        s.set_freestream(0.0889, 5900.0, 5529.0)
+        return s
+
+    def test_tabulated_fingerprint_tracks_the_table(self):
+        from repro.core.gas import eos_spec
+        small = self._tabulated_ns(24, 32)
+        default = self._tabulated_ns(48, 72)
+        assert solver_fingerprint(small) != solver_fingerprint(default)
+        # the default table keeps the bare spec, so the fingerprints of
+        # existing checkpoints stand
+        assert eos_spec(default.eos) == {"kind": "tabulated"}
+
+    def test_tabulated_run_rebuilds_onto_its_table(self, tmp_path):
+        from repro.resilience.persistence import rebuild_solver
+        s = self._tabulated_ns(24, 32)
+        s.run(n_steps=4, cfl=0.3,
+              persist=PersistencePolicy(tmp_path, every_n_steps=2))
+        snap = SnapshotStore(PersistencePolicy(tmp_path)).load_latest()
+        rebuilt = rebuild_solver(snap)
+        assert rebuilt.eos.table.gamma.shape == (24, 32)
+        assert solver_fingerprint(rebuilt) == snap.manifest["fingerprint"]
+        assert rebuilt.U.tobytes() == s.U.tobytes()
+
     def test_resume_empty_dir_raises(self, tmp_path):
         with pytest.raises(CheckpointError):
             resume_run(tmp_path / "nothing-here")

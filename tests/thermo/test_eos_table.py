@@ -147,6 +147,17 @@ class TestPersistence:
             np.testing.assert_array_equal(z["gamma"], tab.gamma)
 
 
+def _clip_locate(table, lr, le):
+    """The clamped locate written with ``np.clip``: (i, j, wi, wj)."""
+    lr = np.clip(lr, table.log_rho[0], table.log_rho[-1])
+    le = np.clip(le, table.log_e[0], table.log_e[-1])
+    fi = (lr - table.log_rho[0]) / (table.log_rho[1] - table.log_rho[0])
+    fj = (le - table.log_e[0]) / (table.log_e[1] - table.log_e[0])
+    i = np.clip(fi.astype(int), 0, table.log_rho.size - 2)
+    j = np.clip(fj.astype(int), 0, table.log_e.size - 2)
+    return i, j, fi - i, fj - j
+
+
 def _reference(table, rho, e):
     """The per-quantity arithmetic the stacked evaluator replaced: separate
     gradient arrays, one bilinear call per channel, and the p and a^2
@@ -154,15 +165,8 @@ def _reference(table, rho, e):
     rho = np.asarray(rho, dtype=float)
     e = np.asarray(e, dtype=float)
     dg_dlr, dg_dle = np.gradient(table.gamma, table.log_rho, table.log_e)
-    lr = np.log(np.maximum(rho, 1e-300))
-    le = np.log(np.maximum(e, 1e-300))
-    lr = np.clip(lr, table.log_rho[0], table.log_rho[-1])
-    le = np.clip(le, table.log_e[0], table.log_e[-1])
-    fi = (lr - table.log_rho[0]) / (table.log_rho[1] - table.log_rho[0])
-    fj = (le - table.log_e[0]) / (table.log_e[1] - table.log_e[0])
-    i = np.clip(fi.astype(int), 0, table.log_rho.size - 2)
-    j = np.clip(fj.astype(int), 0, table.log_e.size - 2)
-    wi, wj = fi - i, fj - j
+    i, j, wi, wj = _clip_locate(table, np.log(np.maximum(rho, 1e-300)),
+                                np.log(np.maximum(e, 1e-300)))
 
     def bilinear(tab):
         return ((1 - wi) * (1 - wj) * tab[i, j]
@@ -176,6 +180,50 @@ def _reference(table, rho, e):
     dpde = (gamma - 1.0) * rho + rho * bilinear(dg_dle)
     a = np.sqrt(np.maximum(dpdr + p / rho**2 * dpde, 1.0))
     return gamma, p, a, bilinear(table.T)
+
+
+class TestLocate:
+    """`_locate` clamps with minimum/maximum and matches the np.clip
+    locate bit for bit, and the strict table still raises."""
+
+    @staticmethod
+    def _states(table):
+        lr, le = table.log_rho, table.log_e
+        span_r, span_e = lr[-1] - lr[0], le[-1] - le[0]
+        # past both ends of both axes, in range, every node, and NaN
+        r = np.concatenate([np.linspace(lr[0] - span_r, lr[-1] + span_r,
+                                        53), lr, [np.nan, lr[3]]])
+        e = np.concatenate([np.linspace(le[0] - span_e, le[-1] + span_e,
+                                        59), le, [le[5], np.nan]])
+        return np.meshgrid(r, e, indexing="ij")
+
+    def test_matches_clip_reference(self, small_table):
+        lr, le = self._states(small_table)
+        assert np.isnan(lr).any() and np.isnan(le).any()
+        with np.errstate(invalid="ignore"):      # NaN -> int casts
+            got = small_table._locate(lr, le)
+            ref = _clip_locate(small_table, lr, le)
+            scalar = small_table._locate(lr[7, 60], le[7, 60])
+            scalar_ref = _clip_locate(small_table, lr[7, 60], le[7, 60])
+        for g, r in zip(got + scalar, ref + scalar_ref):
+            np.testing.assert_array_equal(g, r)
+            assert np.asarray(g).dtype == np.asarray(r).dtype
+
+    def test_strict_table_raises_on_the_same_states(self, small_table):
+        t = small_table
+        strict = EquilibriumEOSTable(t.log_rho, t.log_e, t.gamma, t.T,
+                                     clamp=False)
+        lr, le = self._states(t)
+        inside = ((lr >= t.log_rho[0]) & (lr <= t.log_rho[-1])
+                  & (le >= t.log_e[0]) & (le <= t.log_e[-1]))
+        outside = ~inside & ~np.isnan(lr) & ~np.isnan(le)
+        assert inside.any() and outside.any()
+        for got, ref in zip(strict._locate(lr[inside], le[inside]),
+                            _clip_locate(t, lr[inside], le[inside])):
+            np.testing.assert_array_equal(got, ref)
+        for state in zip(lr[outside], le[outside]):
+            with pytest.raises(TableRangeError):
+                strict._locate(*state)
 
 
 class TestOneEvaluation:
