@@ -13,8 +13,8 @@ perf trajectory: Gibbs equilibrium solve, kinetics source terms,
 MUSCL+flux sweep, tangent-slab radiation, NASA-7 evaluation, the
 species-profile interpolation and the standard Gibbs function g0/RT
 (loop vs vectorized ablations), one boundary-layer solve, one
-equilibrium normal shock, one cold 48 x 72 EOS-table build and one
-equilibrium-air Navier-Stokes step.
+equilibrium normal shock, one cold 48 x 72 EOS-table build, one
+equilibrium-air Navier-Stokes step and fig 7's post-shock relaxation.
 """
 
 import numpy as np
@@ -403,3 +403,36 @@ def test_bench_kernel_ns2d_step_tabulated(kernel_bench, monkeypatch):
                        meta={"cells": grid.ni * grid.nj,
                              "table_locates": len(calls)})
     assert np.isfinite(res)
+
+
+def test_bench_kernel_shock_relaxation_solve(kernel_bench, monkeypatch):
+    """Fig 7's quick relaxation solve: air11, 10 km/s at 0.1 Torr.
+
+    Recorded under its trace span name.  ``rhs_evals`` counts every call
+    of the ODE right-hand side (the BDF's finite-difference Jacobian
+    columns included, which ``solve_ivp``'s ``nfev`` leaves out);
+    ``wdot_per_rhs`` is the number of kinetics evaluations each makes.
+    """
+    from repro.experiments.fig7_shock_relaxation import CONDITION
+    from repro.solvers.shock_relaxation import ShockRelaxationSolver
+    from repro.thermo.kinetics import ReactionMechanism
+
+    solver = ShockRelaxationSolver("air11")
+    kw = dict(CONDITION, x_end=0.02, n_out=120, rtol=1e-6)
+    closures, wdots = [], []
+    closure, wdot = ShockRelaxationSolver._closure, ReactionMechanism.wdot
+    monkeypatch.setattr(ShockRelaxationSolver, "_closure",
+                        lambda self, *a: closures.append(1) or closure(self,
+                                                                       *a))
+    monkeypatch.setattr(ReactionMechanism, "wdot",
+                        lambda self, *a: wdots.append(1) or wdot(self, *a))
+    solver.solve(**kw)
+    monkeypatch.undo()
+
+    # the closure runs once per RHS and once per output station
+    rhs_evals = len(closures) - (kw["n_out"] + 1)
+    prof = kernel_bench(solver.solve, label="solvers.shock_relaxation.solve",
+                        meta={"rhs_evals": rhs_evals,
+                              "wdot_per_rhs": len(wdots) / rhs_evals},
+                        **kw)
+    assert prof.T[-1] < 0.3 * prof.T[0]

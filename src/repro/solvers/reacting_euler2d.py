@@ -420,7 +420,7 @@ class ReactingEulerSolver(QuarantineMixin):
         """
         T, y, rho = w["T"], w["y"], w["rho"]
         Tv = self.ttg.Tv_from_ev(self.ev, y, Tv_guess=self.Tv)
-        q = self.ttg.vibrational_energy_source(rho, T, Tv, y)
+        q = self.ttg.sources(rho, T, Tv, y)[1]
         ev_eq = self.ttg.e_vib_el(T, y)
         lo = np.minimum(self.ev, ev_eq)
         hi = np.maximum(self.ev, ev_eq)

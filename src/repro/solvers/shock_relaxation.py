@@ -85,8 +85,8 @@ class ShockRelaxationSolver:
     def __init__(self, db: SpeciesDB | str = "air11",
                  mechanism: ReactionMechanism | None = None):
         self.db = db if isinstance(db, SpeciesDB) else species_set(db)
-        self.mech = mechanism or park_air_mechanism(self.db)
-        self.tt = TwoTemperatureGas(self.db, self.mech)
+        self.tt = TwoTemperatureGas(self.db,
+                                    mechanism or park_air_mechanism(self.db))
 
     # ------------------------------------------------------------------
 
@@ -183,14 +183,11 @@ class ShockRelaxationSolver:
             u, rho, T, p = self._closure(y, ev, m0, P0, H0, u_state["u"])
             u_state["u"] = u
             Tv = float(self.tt.Tv_from_ev(np.array(ev), y[None, :])[0])
-            w = self.mech.wdot(np.array(rho), np.array(T), y[None, :],
-                               np.array(Tv))[0]
-            qv = float(self.tt.vibrational_energy_source(
-                np.array(rho), np.array(T), np.array(Tv),
-                y[None, :])[0])
+            w, qv = self.tt.sources(np.array(rho), np.array(T),
+                                    np.array(Tv), y[None, :])
             dz = np.empty(ns + 1, dtype=np.float64)
-            dz[:ns] = w / (rho * u)
-            dz[ns] = qv / (rho * u)
+            dz[:ns] = w[0] / (rho * u)
+            dz[ns] = qv[0] / (rho * u)
             return dz
 
         z0 = np.concatenate([y1, [ev1]])

@@ -150,22 +150,27 @@ class ReactionMechanism:
         return self._A * T**self._n * safe_exp(
             -self._theta / np.maximum(T, 1.0))
 
-    def kf(self, T, Tv=None):
-        """Forward rate constants, shape (..., n_reactions).
-
-        ``Tv`` defaults to ``T`` (one-temperature chemistry).
-        """
+    def _kf_kT(self, T, Tv):
+        """(kf, k(T)): k(T), every reaction's rate at T, is kf's T part."""
         T = np.asarray(T, dtype=float)
         Tv = T if Tv is None else np.asarray(Tv, dtype=float)
         # catlint: disable=CAT002 -- controlling temperatures are
         # positive by solver state sanitisation
         Ta = np.sqrt(T * Tv)
-        out = np.empty(T.shape + (self.n_reactions,), dtype=np.float64)
-        for key, Tc in (("T", T), ("TTv", Ta), ("Tv", Tv)):
+        k_T = self._arrhenius(T)
+        out = k_T.copy()
+        for key, Tc in (("TTv", Ta), ("Tv", Tv)):
             m = self._mask[key]
             if np.any(m):
                 out[..., m] = self._arrhenius(Tc)[..., m]
-        return out
+        return out, k_T
+
+    def kf(self, T, Tv=None):
+        """Forward rate constants, shape (..., n_reactions).
+
+        ``Tv`` defaults to ``T`` (one-temperature chemistry).
+        """
+        return self._kf_kT(T, Tv)[0]
 
     def Kc(self, T):
         """Concentration equilibrium constants [(mol/m^3)^dnu], (..., nr)."""
@@ -191,8 +196,8 @@ class ReactionMechanism:
         rho = np.asarray(rho, dtype=float)
         y = np.asarray(y, dtype=float)
         c = np.maximum(rho[..., None] * y / self.db.molar_mass, 0.0)
-        kf = self.kf(T, Tv)
-        kb = self.kb(T, Tv)
+        kf, k_T = self._kf_kT(T, Tv)
+        kb = k_T / self.Kc(T)
         # products of concentrations: exp(sum nu log c) with c=0 handled
         logc = np.log(np.maximum(c, 1e-300))
         # catlint: disable=CAT004 -- exponent = sum(nu log c) with nu <= 3

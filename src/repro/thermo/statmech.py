@@ -285,15 +285,15 @@ class ThermoSet:
         """Vibrational energy above the zero point [J/mol], (..., n)."""
         e = 0.0
         for th, g in self._vib:
-            x = th / T1
-            e += g * _R * th / np.expm1(np.clip(x, 1e-12, 500.0))
+            x = np.minimum(np.maximum(th / T1, 1e-12), 500.0)
+            e += g * _R * th / np.expm1(x)
         return e
 
     def _vib_energy_lnq(self, T1):
         """Vibrational energy [J/mol] and ln q_vib from one pass."""
         e = lnq = 0.0
         for th, g in self._vib:
-            x = np.clip(th / T1, 1e-12, 500.0)
+            x = np.minimum(np.maximum(th / T1, 1e-12), 500.0)
             e += g * _R * th / np.expm1(x)
             # -expm1(-x) >= 1e-12 (x >= 1e-12), so the floor never binds
             lnq += -g * np.log(np.maximum(-np.expm1(-x), 1e-300))
@@ -303,7 +303,7 @@ class ThermoSet:
         """Vibrational cv [J/(mol K)], (..., n)."""
         cv = 0.0
         for th, g in self._vib:
-            x = np.clip(th / T1, 1e-12, 250.0)
+            x = np.minimum(np.maximum(th / T1, 1e-12), 250.0)
             ex = np.exp(x)
             cv += g * _R * x * x * ex / (ex - 1.0) ** 2
         return cv
@@ -311,7 +311,8 @@ class ThermoSet:
     def _elec_weights(self, T1):
         """Boltzmann weight g exp(-θ/T) of each level column, in order."""
         for th, g in self._elec:
-            yield th, g * np.exp(-np.clip(th / T1, 0.0, 500.0))
+            # catlint: disable=CAT004 -- the exponent lies in [-500, 0]
+            yield th, g * np.exp(-np.minimum(np.maximum(th / T1, 0.0), 500.0))
 
     def _elec_q_m1(self, T1):
         """Electronic (q_el, <θ>) per species, (..., n).
@@ -325,15 +326,15 @@ class ThermoSet:
             s1 += w * th
         return q, s1 / q
 
-    def _elec_heat_capacity(self, T1):
-        """Electronic cv = R (<θ²> - <θ>²) / T² [J/(mol K)], (..., n)."""
+    def _elec_m1_cv(self, T1):
+        """Electronic <θ> and cv = R (<θ²> - <θ>²) / T² from one pass."""
         q = s1 = s2 = 0.0
         for th, w in self._elec_weights(T1):
             q += w
             s1 += w * th
             s2 += w * th * th
         m1 = s1 / q
-        return _R * (s2 / q - m1 * m1) / T1**2
+        return m1, _R * (s2 / q - m1 * m1) / T1**2
 
     def _h_molar(self, T1, e_vib, m1):
         return (self.db.hf0_molar + 2.5 * _R * T1 + self._c_rot * T1
@@ -361,7 +362,7 @@ class ThermoSet:
         """Molar cp per species, shape (..., n)."""
         T1 = _as_T(np.asarray(T)[..., None])
         return (2.5 * _R + self._c_rot + self._vib_heat_capacity(T1)
-                + self._elec_heat_capacity(T1))
+                + self._elec_m1_cv(T1)[1])
 
     def h(self, T):
         """Molar enthalpy per species (incl. formation), shape (..., n)."""
@@ -406,8 +407,16 @@ class ThermoSet:
 
     def cv_vib_el_mass(self, Tv):
         T1 = _as_T(np.asarray(Tv)[..., None])
-        cv = self._vib_heat_capacity(T1) + self._elec_heat_capacity(T1)
+        cv = self._vib_heat_capacity(T1) + self._elec_m1_cv(T1)[1]
         return cv / self.db.molar_mass
+
+    def e_cv_vib_el_mass(self, Tv):
+        """(e_vib_el_mass, cv_vib_el_mass) with one electronic pass."""
+        T1 = _as_T(np.asarray(Tv)[..., None])
+        m1, cv_el = self._elec_m1_cv(T1)
+        M = self.db.molar_mass
+        return ((self._vib_energy(T1) + _R * m1) / M,
+                (self._vib_heat_capacity(T1) + cv_el) / M)
 
     def h_tr_rot_mass(self, T):
         T1 = _as_T(np.asarray(T)[..., None])

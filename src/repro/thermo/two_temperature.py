@@ -7,21 +7,25 @@ electronic excitation and free electrons live at ``Tv``.
 
 The model supplies
 
-* the vibrational-electronic energy pool ``e_v(Tv, y)`` and its inversion,
+* the vibrational-electronic energy pool ``e_v(Tv, y)`` and its inversion
+  (a Newton that takes e_v and c_v,v from one ``e_cv_vib_el_mass`` call,
+  one electronic-level pass, per iteration),
 * the total energy ``e(T, Tv, y)`` and the (T, Tv) recovery from
   conservative variables,
 * the Landau–Teller translational-vibrational energy-exchange source term,
-* the chemistry-vibration coupling source (molecules created/destroyed
-  carry the vibrational energy of the pool).
+* ``sources``: the production rates and the pool source (Landau–Teller
+  plus the pool energy that created/destroyed molecules carry) from one
+  ``wdot`` call and one e_v,s(Tv) pass (DESIGN §16).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import ConvergenceError
+from repro.constants import N_AVOGADRO, R_UNIVERSAL
+from repro.errors import ConvergenceError, InputError
 from repro.thermo.kinetics import ReactionMechanism
-from repro.thermo.relaxation import VibrationalRelaxation
+from repro.thermo.relaxation import VibrationalRelaxation, park_correction_time
 from repro.thermo.species import SpeciesDB, species_set
 from repro.thermo.statmech import ThermoSet
 
@@ -37,6 +41,10 @@ class TwoTemperatureGas:
         self.thermo = ThermoSet(self.db)
         self.relax = VibrationalRelaxation(self.db)
         self.mechanism = mechanism
+        # non-vibrating species with excited electronic levels
+        self._el_idx = np.array([j for j, sp in enumerate(self.db.species)
+                                 if not sp.vib_modes
+                                 and len(sp.elec_levels) > 1], dtype=int)
 
     # ------------------------------------------------------------------
     # energies
@@ -58,7 +66,6 @@ class TwoTemperatureGas:
         (h_tr_rot includes formation enthalpy; subtract RT to get energy.)
         """
         y = np.asarray(y, dtype=float)
-        from repro.constants import R_UNIVERSAL
         h_tr = np.sum(y * self.thermo.h_tr_rot_mass(T), axis=-1)
         R_mix = R_UNIVERSAL * np.sum(y / self.db.molar_mass, axis=-1)
         return h_tr - R_mix * np.asarray(T, dtype=float)
@@ -70,7 +77,6 @@ class TwoTemperatureGas:
         result has the batch shape of ``y``.
         """
         y = np.asarray(y, dtype=float)
-        from repro.constants import R_UNIVERSAL
         cp_tr = np.sum(y * self.thermo.cp_tr_rot_mass(), axis=-1)
         R_mix = R_UNIVERSAL * np.sum(y / self.db.molar_mass, axis=-1)
         return cp_tr - R_mix
@@ -92,12 +98,13 @@ class TwoTemperatureGas:
                             dtype=float))
         scale = np.maximum(np.abs(ev), 1e2)
         for _ in range(max_iter):
-            f = self.e_vib_el(Tv, y) - ev
+            e_s, cv_s = self.thermo.e_cv_vib_el_mass(Tv)
+            f = np.sum(y * e_s, axis=-1) - ev
             if np.all(np.abs(f) <= tol * scale):
                 return Tv
-            cv = np.maximum(self.cv_vib_el(Tv, y), 1e-3)
-            dTv = np.clip(-f / cv, -0.5 * Tv, 2.0 * Tv)
-            Tv = np.clip(Tv + dTv, 10.0, 1.0e5)
+            cv = np.maximum(np.sum(y * cv_s, axis=-1), 1e-3)
+            dTv = np.minimum(np.maximum(-f / cv, -0.5 * Tv), 2.0 * Tv)
+            Tv = np.minimum(np.maximum(Tv + dTv, 10.0), 1.0e5)
         f = np.abs(self.e_vib_el(Tv, y) - ev)
         if np.any(f > 1e-4 * scale):
             raise ConvergenceError("Tv_from_ev failed", iterations=max_iter,
@@ -130,7 +137,7 @@ class TwoTemperatureGas:
     # exchange source terms
     # ------------------------------------------------------------------
 
-    def landau_teller_source(self, rho, T, Tv, y, *, park=True):
+    def landau_teller_source(self, rho, T, Tv, y):
         """Translational->vibrational-electronic energy transfer [W/m^3].
 
         Q_TV = sum_s rho y_s (e_v_s(T) - e_v_s(Tv)) / tau_s — positive when
@@ -140,20 +147,19 @@ class TwoTemperatureGas:
         effective electronic-translational channel (without it the pool
         could never equilibrate in fully dissociated gas).
         """
+        return self._landau_teller(rho, T, y, self.thermo.e_vib_el_mass(Tv))
+
+    def _landau_teller(self, rho, T, y, ev_Tv):
+        """Q_TV given the per-species pool energies ``ev_Tv`` at Tv."""
         rho = np.asarray(rho, dtype=float)
         y = np.asarray(y, dtype=float)
         ev_T = self.thermo.e_vib_el_mass(T)
-        ev_Tv = self.thermo.e_vib_el_mass(Tv)
         idx = self.relax.vib_idx
-        tau = self.relax.times(rho, T, y, park=park)
+        tau = self.relax.times(rho, T, y)
         q = np.sum(rho[..., None] * y[..., idx]
                    * (ev_T[..., idx] - ev_Tv[..., idx]) / tau, axis=-1)
         # electronic relaxation of non-vibrating species
-        from repro.constants import K_BOLTZMANN, N_AVOGADRO
-        from repro.thermo.relaxation import park_correction_time
-        el_idx = np.array([j for j, sp in enumerate(self.db.species)
-                           if not sp.vib_modes
-                           and len(sp.elec_levels) > 1], dtype=int)
+        el_idx = self._el_idx
         if el_idx.size:
             n_total = (rho * np.sum(y / self.db.molar_mass, axis=-1)
                        * N_AVOGADRO)
@@ -165,21 +171,16 @@ class TwoTemperatureGas:
                            / tau_el, axis=-1)
         return q
 
-    def chemistry_vibration_source(self, rho, T, Tv, y):
-        """Vibrational energy carried by created/destroyed species [W/m^3].
+    def sources(self, rho, T, Tv, y):
+        """``(wdot, q_v)``: production rates [kg/(m^3 s)] and d(rho e_v)/dt.
 
-        Non-preferential model: each species produced (destroyed) adds
-        (removes) its pool energy evaluated at Tv.
+        q_v [W/m^3] is the Landau–Teller exchange plus what each species
+        produced (destroyed) adds (removes) at its pool energy at Tv
+        (non-preferential model); both terms share one e_v,s(Tv) pass.
         """
         if self.mechanism is None:
-            raise ConvergenceError("no mechanism attached")
+            raise InputError("sources needs a reaction mechanism")
         wdot = self.mechanism.wdot(rho, T, y, Tv)
-        ev_s = self.thermo.e_vib_el_mass(Tv)
-        return np.sum(wdot * ev_s, axis=-1)
-
-    def vibrational_energy_source(self, rho, T, Tv, y, *, park=True):
-        """Total d(rho e_v)/dt source: Landau-Teller + chemistry coupling."""
-        q = self.landau_teller_source(rho, T, Tv, y, park=park)
-        if self.mechanism is not None:
-            q = q + self.chemistry_vibration_source(rho, T, Tv, y)
-        return q
+        ev_Tv = self.thermo.e_vib_el_mass(Tv)
+        q = self._landau_teller(rho, T, y, ev_Tv)
+        return wdot, q + np.sum(wdot * ev_Tv, axis=-1)

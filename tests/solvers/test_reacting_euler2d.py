@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import InputError
-from repro.geometry import Sphere
+from repro.geometry import Hemisphere, Sphere
 from repro.grid import blunt_body_grid
 from repro.solvers.reacting_euler2d import ReactingEulerSolver
 
@@ -83,3 +83,39 @@ class TestNonequilibriumShockLayer:
             s.set_freestream(1e-3, 4000.0, 240.0, np.zeros(3))
         with pytest.raises(InputError):
             s.run(n_steps=1)
+
+
+def test_two_temperature_march(monkeypatch):
+    # the two_temperature rung on the chaos case's 9 x 13 air5 grid: each
+    # operator-split pool update stays between the old pool and the
+    # equilibrium e_v(T), and Tv is the Newton inverse of the new pool
+    grid = blunt_body_grid(Hemisphere(0.05), n_s=9, n_normal=13,
+                           density_ratio=0.12, margin=2.5)
+    s = ReactingEulerSolver(grid, "air5", chemistry_model="two_temperature")
+    s.set_freestream(1e-3, 5000.0, 250.0, frozen_air5())
+    updates = []
+    update = ReactingEulerSolver._update_vibrational_pool
+
+    def recorded(self, w, dt):
+        ev_old, Tv_old = self.ev.copy(), self.Tv.copy()
+        Tv = update(self, w, dt)
+        updates.append((w["T"], w["y"], ev_old, Tv_old, self.ev.copy(), Tv))
+        return Tv
+    monkeypatch.setattr(ReactingEulerSolver, "_update_vibrational_pool",
+                        recorded)
+    s.run(n_steps=4, cfl=0.3)
+
+    assert len(updates) == 4
+    ttg = s.ttg
+    for T, y, ev_old, Tv_old, ev, Tv in updates:
+        assert np.all(np.isfinite(Tv))
+        assert np.all((Tv >= 10.0) & (Tv <= 1.0e5))
+        ev_eq = ttg.e_vib_el(T, y)
+        assert np.all(ev >= np.minimum(ev_old, ev_eq))
+        assert np.all(ev <= np.maximum(ev_old, ev_eq))
+        Tv_start = ttg.Tv_from_ev(ev_old, y, Tv_guess=Tv_old)
+        np.testing.assert_array_equal(
+            Tv, ttg.Tv_from_ev(ev, y, Tv_guess=Tv_start))
+    # the shock layer's pool really relaxed
+    assert np.any(updates[-1][4] > updates[0][2])
+    np.testing.assert_array_equal(s.Tv, updates[-1][5])

@@ -6,6 +6,9 @@ import pytest
 from repro.constants import TORR
 from repro.errors import InputError
 from repro.solvers.shock_relaxation import ShockRelaxationSolver
+from repro.thermo.kinetics import ReactionMechanism
+from repro.thermo.statmech import ThermoSet
+from repro.thermo.two_temperature import TwoTemperatureGas
 
 
 @pytest.fixture(scope="module")
@@ -78,3 +81,51 @@ class TestInputs:
         # catlint: disable=CAT010 -- species set has no ions, so n_e is exactly zero
         assert np.all(p.electron_number_density == 0.0)
         assert p.T[-1] < p.T[0]
+
+
+class TestWorkPerRHS:
+    def test_one_evaluation_of_each_quantity(self, monkeypatch):
+        # per RHS one wdot (the production rates and the pool source
+        # share it), three Arrhenius passes per wdot (k(T) feeds kf and
+        # kb) and, inside the Tv Newton, one electronic-level pass per
+        # e_v evaluation (e_v and c_v,v come from the same pass)
+        counts = {"closure": 0, "wdot": 0, "arrhenius": 0,
+                  "newton_e": 0, "newton_elec": 0}
+        in_newton = []
+
+        def count(cls, name, key, only_in_newton=False):
+            fn = getattr(cls, name)
+
+            def counted(self, *a, **kw):
+                if in_newton or not only_in_newton:
+                    counts[key] += 1
+                return fn(self, *a, **kw)
+            monkeypatch.setattr(cls, name, counted)
+
+        count(ShockRelaxationSolver, "_closure", "closure")
+        count(ReactionMechanism, "wdot", "wdot")
+        count(ReactionMechanism, "_arrhenius", "arrhenius")
+        count(ThermoSet, "_elec_weights", "newton_elec", True)
+        for name in ("e_vib_el_mass", "e_cv_vib_el_mass"):
+            count(ThermoSet, name, "newton_e", True)
+        newton = TwoTemperatureGas.Tv_from_ev
+
+        def tracked(self, *a, **kw):
+            in_newton.append(1)
+            try:
+                return newton(self, *a, **kw)
+            finally:
+                in_newton.pop()
+        monkeypatch.setattr(TwoTemperatureGas, "Tv_from_ev", tracked)
+
+        n_out = 10
+        ShockRelaxationSolver("air11").solve(
+            u1=10000.0, p1=0.1 * TORR, T1=300.0, x_end=2e-3, n_out=n_out,
+            rtol=1e-6)
+        # the closure runs once per RHS and once per output station
+        rhs_evals = counts["closure"] - (n_out + 1)
+        assert rhs_evals > 100
+        assert counts["wdot"] == rhs_evals
+        assert counts["arrhenius"] == 3 * counts["wdot"]
+        assert counts["newton_e"] > rhs_evals
+        assert counts["newton_elec"] == counts["newton_e"]

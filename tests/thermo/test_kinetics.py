@@ -125,6 +125,26 @@ class TestProductionRates:
         w = mech11.wdot(np.array([1.2]), np.array([300.0]), y0[None, :])[0]
         assert np.abs(w).max() < 1e-12
 
+    @pytest.mark.parametrize("Tv", [False, True], ids=["1T", "2T"])
+    def test_rates_of_progress_match_kf_kb(self, mech11, air11, rng, Tv):
+        # one Arrhenius pass at T feeds kf's T columns and kb; the rates
+        # stay bitwise equal to composing the public kf and kb
+        assert {rx.rate_T for rx in mech11.reactions} == {"T", "TTv", "Tv"}
+        y = rng.random((6, air11.n))
+        y[:, air11.index["e-"]] = 0.0
+        y[1, [air11.index["N"], air11.index["O+"]]] = 0.0
+        y[2] = 0.0
+        y[2, air11.index["N2"]] = 1.0
+        y /= y.sum(axis=1, keepdims=True)
+        y[3, air11.index["e-"]] = 1e-9
+        rho = np.geomspace(1e-4, 1.0, 6)
+        T = np.array([300.0, 2000.0, 5000.0, 9000.0, 15000.0, 30000.0])
+        Tv = np.array([300.0, 800.0, 7000.0, 4000.0, 15000.0, 1.2e4]) \
+            if Tv else None
+        np.testing.assert_array_equal(
+            mech11.rates_of_progress(rho, T, y, Tv),
+            _kf_kb_rates(mech11, rho, T, y, Tv))
+
     def test_batched_shapes(self, mech11, rng):
         y = rng.random((3, 4, 11))
         y /= y.sum(axis=-1, keepdims=True)
@@ -156,6 +176,23 @@ class TestProductionRates:
                         rtol=1e-8, atol=1e-12)
         assert sol.success
         assert np.abs(sol.y[:, -1] - y_eq).max() < 5e-4
+
+
+def _kf_kb_rates(mech, rho, T, y, Tv):
+    """Net rates of progress composed from the public ``kf`` and ``kb``,
+    as ``rates_of_progress`` computed them with one Arrhenius pass each
+    for kf's T columns and for kb."""
+    c = np.maximum(rho[..., None] * y / mech.db.molar_mass, 0.0)
+    logc = np.log(np.maximum(c, 1e-300))
+    Rf = mech.kf(T, Tv) * np.exp(np.einsum("rs,...s->...r", mech.nu_r,
+                                           logc))
+    Rb = mech.kb(T, Tv) * np.exp(np.einsum("rs,...s->...r", mech.nu_p,
+                                           logc))
+    zero = (c <= 0.0).astype(float)
+    Rf = np.where(np.einsum("rs,...s->...r", mech.nu_r, zero) > 0, 0.0, Rf)
+    Rb = np.where(np.einsum("rs,...s->...r", mech.nu_p, zero) > 0, 0.0, Rb)
+    cm = np.einsum("rs,...s->...r", mech.tb_eff, c)
+    return np.where(mech.is_tb, (Rf - Rb) * cm, Rf - Rb)
 
 
 class TestJacobian:

@@ -42,6 +42,9 @@ PER_SPECIES = {
     "cv_mass": lambda st_, T: st_.cv(T) / st_.M,
     "e_vib_el_mass": lambda st_, T: st_.e_vib_el_mass(T),
     "cv_vib_el_mass": lambda st_, T: st_.cv_vib_el_mass(T),
+    # a pair: compared element-wise as a stacked (2, ..., n) array
+    "e_cv_vib_el_mass": lambda st_, T: (st_.e_vib_el_mass(T),
+                                        st_.cv_vib_el_mass(T)),
     "h_tr_rot_mass": lambda st_, T: st_.h_tr_rot(T) / st_.M,
 }
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.errors import ConvergenceError, InputError
 from repro.thermo.kinetics import park_air_mechanism
 from repro.thermo.two_temperature import TwoTemperatureGas
 
@@ -61,6 +62,67 @@ class TestInversions:
         Tv2 = tt.Tv_from_ev(ev, y)
         assert np.allclose(Tv2, Tv, rtol=1e-5)
 
+    @pytest.mark.parametrize("guess", [False, True],
+                             ids=["cold", "Tv_guess"])
+    def test_Tv_from_ev_matches_two_pass_newton(self, tt, air11, guess):
+        # one e/cv call per iteration and the min/max clamps leave
+        # every iterate, and so the answer, bitwise unchanged
+        ev, y, Tv_guess = _clamp_batch(tt, air11)
+        if not guess:
+            ev, y, Tv_guess = ev[:-1], y[:-1], None
+        hits = set()
+        expected = _two_pass_Tv_from_ev(tt, ev, y, Tv_guess, hits)
+        np.testing.assert_array_equal(
+            tt.Tv_from_ev(ev, y, Tv_guess=Tv_guess), expected)
+        # the batch reaches the step clamps and the range clamps
+        assert hits >= ({"-0.5 Tv", "2 Tv", "1e5 K"}
+                        | ({"10 K"} if guess else set()))
+
+
+def _two_pass_Tv_from_ev(tt, ev, y, Tv_guess, hits):
+    """The Tv Newton as it was written with separate e_v and c_v,v
+    passes and ``np.clip``; records in ``hits`` which clamps bound."""
+    Tv = (np.full(ev.shape, 2000.0) if Tv_guess is None
+          else np.array(Tv_guess, dtype=float))
+    scale = np.maximum(np.abs(ev), 1e2)
+    for _ in range(80):
+        f = tt.e_vib_el(Tv, y) - ev
+        if np.all(np.abs(f) <= 1e-9 * scale):
+            return Tv
+        cv = np.maximum(tt.cv_vib_el(Tv, y), 1e-3)
+        step = -f / cv
+        hits |= {name for name, hit in (("-0.5 Tv", step < -0.5 * Tv),
+                                        ("2 Tv", step > 2.0 * Tv))
+                 if np.any(hit)}
+        Tv = Tv + np.clip(step, -0.5 * Tv, 2.0 * Tv)
+        hits |= {name for name, hit in (("10 K", Tv < 10.0),
+                                        ("1e5 K", Tv > 1.0e5))
+                 if np.any(hit)}
+        Tv = np.clip(Tv, 10.0, 1.0e5)
+    assert np.all(np.abs(tt.e_vib_el(Tv, y) - ev) <= 1e-4 * scale)
+    return Tv
+
+
+def _clamp_batch(tt, db):
+    """Nine (ev, y, Tv_guess) states: seven pools of air, N/O and an
+    ionised mix between 50 K and 9e4 K, one just above e_v(1e5 K) and,
+    last, a slightly negative pool that the Newton drives into 10 K."""
+    y = np.zeros((9, db.n))
+    y[[0, 1, 2, 7], db.index["N2"]] = 0.767
+    y[[0, 1, 2, 7], db.index["O2"]] = 0.233
+    y[[3, 4, 8], db.index["N"]] = 0.5
+    y[[3, 4, 8], db.index["O"]] = 0.5
+    for name, frac in (("N+", 0.3), ("O+", 0.2), ("N", 0.3), ("N2", 0.2)):
+        y[[5, 6], db.index[name]] = frac
+    Tv = np.array([300.0, 8000.0, 9.0e4, 50.0, 2.0e4, 3000.0, 6.0e4,
+                   1.0e5, 10.0])
+    ev = tt.e_vib_el(Tv, y)
+    ev[7] *= 1.0 + 3e-5
+    ev[8] = -8e-3
+    guess = np.array([2000.0, 2000.0, 2000.0, 15.0, 2000.0, 3.0e4, 500.0,
+                      6.0e4, 15.0])
+    return ev, y, guess
+
 
 class TestLandauTeller:
     def test_sign_convention(self, tt, air11):
@@ -95,16 +157,27 @@ class TestChemistryCoupling:
         # carried by destroyed molecules (negative source at modest Tv
         # once weighted by creation of atoms with no pool energy)
         y = frozen_air(air11)
-        q = tt.chemistry_vibration_source(np.array([0.01]),
-                                          np.array([8000.0]),
-                                          np.array([4000.0]), y)
-        assert q[0] < 0
+        Tv = np.array([4000.0])
+        wdot, _ = tt.sources(np.array([0.01]), np.array([8000.0]), Tv, y)
+        chem = np.sum(wdot * tt.thermo.e_vib_el_mass(Tv), axis=-1)
+        assert chem[0] < 0
 
     def test_total_source_composition(self, tt, air11):
         y = frozen_air(air11)
         rho = np.array([0.01])
         T, Tv = np.array([8000.0]), np.array([4000.0])
-        total = tt.vibrational_energy_source(rho, T, Tv, y)
+        wdot, total = tt.sources(rho, T, Tv, y)
+        np.testing.assert_array_equal(
+            wdot, tt.mechanism.wdot(rho, T, y, Tv))
         lt = tt.landau_teller_source(rho, T, Tv, y)
-        chem = tt.chemistry_vibration_source(rho, T, Tv, y)
-        assert total[0] == pytest.approx(lt[0] + chem[0], rel=1e-12)
+        chem = np.sum(wdot * tt.thermo.e_vib_el_mass(Tv), axis=-1)
+        np.testing.assert_array_equal(total, lt + chem)
+
+    def test_sources_without_mechanism_is_input_error(self, air11):
+        # a missing mechanism is a set-up error, not a numerical failure
+        # for the march supervisor to retry
+        bare = TwoTemperatureGas(air11)
+        with pytest.raises(InputError) as err:
+            bare.sources(np.array([0.01]), np.array([8000.0]),
+                         np.array([4000.0]), frozen_air(air11))
+        assert not isinstance(err.value, ConvergenceError)
