@@ -279,6 +279,8 @@ def windward_heating(*, V, h, alpha_deg, nose_radius=1.3, length=32.77,
     from repro.solvers.pns import WindwardHeatingPNS
 
     _check_on_failure(on_failure)
+    if isinstance(catalytic_phi, tuple):
+        raise InputError("windward_heating takes one catalytic_phi")
     if on_failure == "isolate" and isolate is None:
         isolate = True
     atm = atmosphere or EarthAtmosphere()

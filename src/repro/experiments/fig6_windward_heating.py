@@ -3,7 +3,8 @@
 STS-3 trajectory point: V = 6.74 km/s, h = 71.3 km, alpha = 40 deg.
 Curves: equilibrium air (fully catalytic), ideal gas gamma = 1.2, a
 partially catalytic equilibrium variant, and the synthetic STS-3 flight
-data overlay (see repro.experiments.data).
+data overlay (see repro.experiments.data).  The two equilibrium curves
+differ only in the wall's catalytic factor, so one march gives both.
 """
 
 from __future__ import annotations
@@ -35,16 +36,13 @@ def run(quick: bool = False) -> dict:
     n_st = 30 if quick else 60
     db = species_set("air11")
     gas = EquilibriumGas(db, air_reference_mass_fractions(db))
-    eq = WindwardHeatingPNS(body, gas=gas).solve(
+    eq, partial = WindwardHeatingPNS(body, gas=gas).solve(
         rho_inf=rho, T_inf=T, V=CONDITION["V"],
-        T_wall=CONDITION["T_wall"], n_stations=n_st)
+        T_wall=CONDITION["T_wall"], n_stations=n_st,
+        catalytic_phi=(1.0, 0.15))
     ideal = WindwardHeatingPNS(body, gamma=1.2).solve(
         rho_inf=rho, T_inf=T, V=CONDITION["V"],
         T_wall=CONDITION["T_wall"], n_stations=n_st)
-    partial = WindwardHeatingPNS(body, gas=gas).solve(
-        rho_inf=rho, T_inf=T, V=CONDITION["V"],
-        T_wall=CONDITION["T_wall"], n_stations=n_st,
-        catalytic_phi=0.15)
     # interpolate the computed curves onto the synthetic flight abscissae
     xd = STS3_SYNTHETIC["x_over_L"]
     comparison = {

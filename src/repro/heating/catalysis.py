@@ -41,7 +41,7 @@ def catalytic_factor(h_dissociation, h0, phi):
         Catalytic effectiveness in [0, 1].
     """
     phi = np.asarray(phi, dtype=float)
-    if np.any((phi < 0) | (phi > 1)):
+    if not np.all((phi >= 0) & (phi <= 1)):
         raise InputError("phi must lie in [0, 1]")
     frac = np.clip(np.asarray(h_dissociation, float)
                    / np.maximum(np.asarray(h0, float), 1.0), 0.0, 1.0)

@@ -1,20 +1,16 @@
 """Compressible laminar boundary layer (the BL of E+BL).
 
-Two levels of fidelity:
+:class:`StagnationSimilarityBL` solves the Lees–Dorodnitsyn similarity
+equations at an axisymmetric stagnation point::
 
-* :class:`StagnationSimilarityBL` — the Lees–Dorodnitsyn similarity
-  equations at an axisymmetric stagnation point::
+    (C f'')' + f f'' + beta (rho_e/rho - f'^2) = 0,  beta = 1/2
+    (C/Pr g')' + f g' = 0
 
-      (C f'')' + f f'' + beta (rho_e/rho - f'^2) = 0,  beta = 1/2
-      (C/Pr g')' + f g' = 0
-
-  with C = (rho mu)/(rho_e mu_e) evaluated along the layer from the local
-  enthalpy at the (constant) edge pressure — for the equilibrium-air gas
-  model this is a numerical Fay–Riddell calculation.  Solved by shooting
-  on (f''(0), g'(0)).
-
-* :func:`marching_heating` — local-similarity (Lees) downstream heating
-  built on the stagnation solution, for full-body distributions.
+with C = (rho mu)/(rho_e mu_e) evaluated along the layer from the local
+enthalpy at the (constant) edge pressure — for the equilibrium-air gas
+model this is a numerical Fay–Riddell calculation.  Solved by shooting
+on (f''(0), g'(0)).  Downstream heating built on the stagnation solution
+is Lees local similarity (:func:`repro.heating.lees.lees_distribution`).
 
 Self-similar incompressible limits (Blasius for the flat plate via
 beta = 0, Homann-like stagnation values) validate the implementation.
@@ -23,8 +19,10 @@ The closure C(g) is data, not a callable: a knot table ``(g, C)``,
 linear between knots and constant beyond the end knots (``np.interp``
 semantics).  The shooting iterations integrate over Python floats with
 :func:`_dopri45_end`, a Dormand–Prince 5(4) integrator that copies
-scipy's ``RK45`` step control and returns only the end state; scipy
-integrates once more on the converged slopes for the returned profile.
+scipy's ``RK45`` step control and returns only the end state; it keeps
+the state and its stages in float locals and calls the right-hand side
+with five positional floats.  scipy integrates once more on the
+converged slopes for the returned profile.
 """
 
 from __future__ import annotations
@@ -98,6 +96,8 @@ def _knot_table(g, C):
     if not g or len(g) != len(C):
         raise InputError("closure table needs matching, non-empty knot "
                          "and value columns")
+    if not all(map(math.isfinite, g + C)):
+        raise InputError("closure table knots and values must be finite")
     if any(b <= a for a, b in zip(g, g[1:])):
         raise InputError("closure table knots must be strictly increasing")
     # catlint: disable=CAT003 -- knots checked strictly increasing above
@@ -107,15 +107,14 @@ def _knot_table(g, C):
 
 
 def _make_rhs(beta, Pr, table):
-    """Float right-hand side ``z -> z'`` of the similarity system for the
-    closure knot table ``(g, C)``."""
+    """Float right-hand side ``rhs(f, f', f'', g, g') -> z'`` of the
+    similarity system for the closure knot table ``(g, C)``."""
     knots, base, value, slope = _knot_table(*table)
     f_lo, fp_lo, fpp_lo, g_lo, gp_lo = _CLIP_LO
     f_hi, fp_hi, fpp_hi, g_hi, gp_hi = _CLIP_HI
     rho_floor, c_floor = _RHO_RATIO_FLOOR, _C_FLOOR
 
-    def rhs(z):
-        f, fp, fpp, g, gp = z
+    def rhs(f, fp, fpp, g, gp):
         f = f_lo if f < f_lo else (f_hi if f > f_hi else f)
         fp = fp_lo if fp < fp_lo else (fp_hi if fp > fp_hi else fp)
         fpp = fpp_lo if fpp < fpp_lo else (fpp_hi if fpp > fpp_hi else fpp)
@@ -153,7 +152,7 @@ def _initial_step(rhs, y0, f0, t_end):
     d1 = _rms_scaled(f0, y0, y0)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, t_end)
-    f1 = rhs([y + h0 * f for y, f in zip(y0, f0)])
+    f1 = rhs(*[y + h0 * f for y, f in zip(y0, f0)])
     d2 = _rms_scaled([b - a for a, b in zip(f0, f1)], y0, y0) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
@@ -163,46 +162,90 @@ def _initial_step(rhs, y0, f0, t_end):
 
 
 def _dopri45_end(rhs, y, t_end):
-    """State at ``t_end`` of ``y' = rhs(y)``, ``y(0) = y``, integrated with
-    scipy's ``RK45`` rules (Dormand–Prince tableau, RMS error norm, 0.9
-    safety with 0.2–10 step factors, initial-step rule) over Python
+    """State at ``t_end`` of ``y' = rhs(*y)``, ``y(0) = y``, integrated
+    with scipy's ``RK45`` rules (Dormand–Prince tableau, RMS error norm,
+    0.9 safety with 0.2–10 step factors, initial-step rule) over Python
     floats.  Raises :class:`ConvergenceError` where ``solve_ivp`` would
-    report failure (step size below ten ulps of t)."""
-    y = list(y)
-    f = rhs(y)
+    report failure (step size below ten ulps of t), and for a NaN step
+    size, which no ``<`` comparison would stop."""
+    # Scalar by design: on a shared 2-vCPU host the six stagnation-figs
+    # BL solves take 2.5 s on float lists, 11.9 s as numpy (B, 5) rows,
+    # 23.4 s through solve_ivp.  The state y, its slope f, the stages a-e
+    # (scipy's k2-k6), the new state n and its slope g are unpacked
+    # locals; each component keeps scipy's expression and association.
+    y0, y1, y2, y3, y4 = y
+    f0, f1, f2, f3, f4 = f = rhs(*y)
     h_abs = _initial_step(rhs, y, f, t_end)
     t = 0.0
     while t < t_end:
-        # Scalar by design, one ulp query per accepted step: on a shared
-        # 2-vCPU host the six stagnation-figs BL solves take 2.5 s as
-        # floats, 11.9 s as numpy (B, 5) rows, 23.4 s through solve_ivp.
+        # one ulp query per accepted step
         min_step = 10 * (math.nextafter(t, math.inf) - t)
         h_abs = max(h_abs, min_step)
         rejected = False
         while True:
-            if h_abs < min_step:
+            if not h_abs >= min_step:
                 raise ConvergenceError("BL integration failed")
             t_new = min(t + h_abs, t_end)
             h = t_new - t
             h_abs = h
-            k2 = rhs([yi + (_A21 * a) * h for yi, a in zip(y, f)])
-            k3 = rhs([yi + (_A31 * a + _A32 * b) * h
-                      for yi, a, b in zip(y, f, k2)])
-            k4 = rhs([yi + (_A41 * a + _A42 * b + _A43 * c) * h
-                      for yi, a, b, c in zip(y, f, k2, k3)])
-            k5 = rhs([yi + (_A51 * a + _A52 * b + _A53 * c + _A54 * d) * h
-                      for yi, a, b, c, d in zip(y, f, k2, k3, k4)])
-            k6 = rhs([yi + (_A61 * a + _A62 * b + _A63 * c + _A64 * d
-                            + _A65 * e) * h
-                      for yi, a, b, c, d, e in zip(y, f, k2, k3, k4, k5)])
-            y_new = [yi + h * (_B1 * a + _B3 * c + _B4 * d + _B5 * e
-                               + _B6 * k)
-                     for yi, a, c, d, e, k in zip(y, f, k3, k4, k5, k6)]
-            f_new = rhs(y_new)
-            err = [(_E1 * a + _E3 * c + _E4 * d + _E5 * e + _E6 * k
-                    + _E7 * n) * h
-                   for a, c, d, e, k, n in zip(f, k3, k4, k5, k6, f_new)]
-            error_norm = _rms_scaled(err, y, y_new)
+            a0, a1, a2, a3, a4 = rhs(
+                y0 + (_A21 * f0) * h, y1 + (_A21 * f1) * h,
+                y2 + (_A21 * f2) * h, y3 + (_A21 * f3) * h,
+                y4 + (_A21 * f4) * h)
+            b0, b1, b2, b3, b4 = rhs(
+                y0 + (_A31 * f0 + _A32 * a0) * h,
+                y1 + (_A31 * f1 + _A32 * a1) * h,
+                y2 + (_A31 * f2 + _A32 * a2) * h,
+                y3 + (_A31 * f3 + _A32 * a3) * h,
+                y4 + (_A31 * f4 + _A32 * a4) * h)
+            c0, c1, c2, c3, c4 = rhs(
+                y0 + (_A41 * f0 + _A42 * a0 + _A43 * b0) * h,
+                y1 + (_A41 * f1 + _A42 * a1 + _A43 * b1) * h,
+                y2 + (_A41 * f2 + _A42 * a2 + _A43 * b2) * h,
+                y3 + (_A41 * f3 + _A42 * a3 + _A43 * b3) * h,
+                y4 + (_A41 * f4 + _A42 * a4 + _A43 * b4) * h)
+            d0, d1, d2, d3, d4 = rhs(
+                y0 + (_A51 * f0 + _A52 * a0 + _A53 * b0 + _A54 * c0) * h,
+                y1 + (_A51 * f1 + _A52 * a1 + _A53 * b1 + _A54 * c1) * h,
+                y2 + (_A51 * f2 + _A52 * a2 + _A53 * b2 + _A54 * c2) * h,
+                y3 + (_A51 * f3 + _A52 * a3 + _A53 * b3 + _A54 * c3) * h,
+                y4 + (_A51 * f4 + _A52 * a4 + _A53 * b4 + _A54 * c4) * h)
+            e0, e1, e2, e3, e4 = rhs(
+                y0 + (_A61 * f0 + _A62 * a0 + _A63 * b0 + _A64 * c0
+                      + _A65 * d0) * h,
+                y1 + (_A61 * f1 + _A62 * a1 + _A63 * b1 + _A64 * c1
+                      + _A65 * d1) * h,
+                y2 + (_A61 * f2 + _A62 * a2 + _A63 * b2 + _A64 * c2
+                      + _A65 * d2) * h,
+                y3 + (_A61 * f3 + _A62 * a3 + _A63 * b3 + _A64 * c3
+                      + _A65 * d3) * h,
+                y4 + (_A61 * f4 + _A62 * a4 + _A63 * b4 + _A64 * c4
+                      + _A65 * d4) * h)
+            n0 = y0 + h * (_B1 * f0 + _B3 * b0 + _B4 * c0 + _B5 * d0
+                           + _B6 * e0)
+            n1 = y1 + h * (_B1 * f1 + _B3 * b1 + _B4 * c1 + _B5 * d1
+                           + _B6 * e1)
+            n2 = y2 + h * (_B1 * f2 + _B3 * b2 + _B4 * c2 + _B5 * d2
+                           + _B6 * e2)
+            n3 = y3 + h * (_B1 * f3 + _B3 * b3 + _B4 * c3 + _B5 * d3
+                           + _B6 * e3)
+            n4 = y4 + h * (_B1 * f4 + _B3 * b4 + _B4 * c4 + _B5 * d4
+                           + _B6 * e4)
+            g0, g1, g2, g3, g4 = rhs(n0, n1, n2, n3, n4)
+            # scaled error components; max() keeps scipy's NaN order
+            r0 = (_E1 * f0 + _E3 * b0 + _E4 * c0 + _E5 * d0 + _E6 * e0
+                  + _E7 * g0) * h / (_ATOL + max(abs(y0), abs(n0)) * _RTOL)
+            r1 = (_E1 * f1 + _E3 * b1 + _E4 * c1 + _E5 * d1 + _E6 * e1
+                  + _E7 * g1) * h / (_ATOL + max(abs(y1), abs(n1)) * _RTOL)
+            r2 = (_E1 * f2 + _E3 * b2 + _E4 * c2 + _E5 * d2 + _E6 * e2
+                  + _E7 * g2) * h / (_ATOL + max(abs(y2), abs(n2)) * _RTOL)
+            r3 = (_E1 * f3 + _E3 * b3 + _E4 * c3 + _E5 * d3 + _E6 * e3
+                  + _E7 * g3) * h / (_ATOL + max(abs(y3), abs(n3)) * _RTOL)
+            r4 = (_E1 * f4 + _E3 * b4 + _E4 * c4 + _E5 * d4 + _E6 * e4
+                  + _E7 * g4) * h / (_ATOL + max(abs(y4), abs(n4)) * _RTOL)
+            # catlint: disable=CAT002 -- sum of squares
+            error_norm = math.sqrt(r0 * r0 + r1 * r1 + r2 * r2 + r3 * r3
+                                   + r4 * r4) / 5 ** 0.5
             if error_norm < 1.0:
                 # catlint: disable=CAT010 -- scipy's exact-zero branch: an
                 # exactly vanishing error estimate takes the largest step
@@ -217,8 +260,10 @@ def _dopri45_end(rhs, y, t_end):
                 break
             h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
             rejected = True
-        t, y, f = t_new, y_new, f_new
-    return y
+        t = t_new
+        y0, y1, y2, y3, y4 = n0, n1, n2, n3, n4
+        f0, f1, f2, f3, f4 = g0, g1, g2, g3, g4
+    return [y0, y1, y2, y3, y4]
 
 
 def _safeguard_samples(y, table):
@@ -236,7 +281,7 @@ def _safeguard_samples(y, table):
 
 def _profile(rhs, table, gw, fpp0, gp0, eta_max, n_eval=201):
     """The returned profile: one scipy integration on converged slopes."""
-    sol = solve_ivp(lambda t, z: rhs(z.tolist()), (0.0, eta_max),
+    sol = solve_ivp(lambda t, z: rhs(*z.tolist()), (0.0, eta_max),
                     [0.0, 0.0, fpp0, gw, gp0], method="RK45", rtol=_RTOL,
                     atol=_ATOL, t_eval=np.linspace(0.0, eta_max, n_eval))
     if not sol.success:
@@ -259,6 +304,8 @@ def solve_falkner_skan(beta, *, Pr=0.71, gw=1.0, C_table=None,
 
     Returns a :class:`BLSolution`.
     """
+    if not all(map(math.isfinite, (beta, Pr, gw, eta_max))):
+        raise InputError("beta, Pr, gw and eta_max must be finite")
     table = _UNIT_TABLE if C_table is None else C_table
     try:
         return _shoot(beta, Pr, gw, table, eta_max, tol, max_iter, _guess)

@@ -16,7 +16,8 @@ on the equivalent-axisymmetric Orbiter profile:
    closed form.
 3. **Heating distribution** — Lees local similarity over the marched edge
    states, with the catalytic-wall factor applied to the chemical part of
-   the equilibrium heating.
+   the equilibrium heating.  One march serves several catalytic
+   efficiencies: only this last factor depends on the wall.
 
 Outputs q(x/L), the Fig. 6 ordinate.
 """
@@ -90,8 +91,15 @@ class WindwardHeatingPNS:
     # ------------------------------------------------------------------
 
     def solve(self, *, rho_inf, T_inf, V, T_wall=1200.0, n_stations=60,
-              catalytic_phi=1.0, resilience=None) -> PNSResult:
+              catalytic_phi=1.0, resilience=None
+              ) -> PNSResult | tuple[PNSResult, ...]:
         """March the windward ray for one flight condition.
+
+        ``catalytic_phi`` is the wall's catalytic efficiency in [0, 1]
+        (:func:`~repro.heating.catalysis.catalytic_factor`; the ideal
+        mode ignores it).  A tuple of efficiencies returns a tuple of
+        :class:`PNSResult`, one per efficiency in the given order, from
+        one stagnation solve and one march; a number returns one result.
 
         With ``resilience`` truthy, a station whose equilibrium
         isentropic-expansion inversion fails is recovered by continuation
@@ -103,6 +111,10 @@ class WindwardHeatingPNS:
         """
         if V <= 0:
             raise InputError("V must be positive")
+        phis = (catalytic_phi if isinstance(catalytic_phi, tuple)
+                else (catalytic_phi,))
+        if not phis or not all(0.0 <= phi <= 1.0 for phi in phis):
+            raise InputError("catalytic_phi must lie in [0, 1]")
         body = self.body
         s = np.linspace(0.0, body.s_max * 0.98, n_stations)
         theta = body.angle(s)
@@ -127,16 +139,23 @@ class WindwardHeatingPNS:
         # Lees distribution normalised at the stagnation point
         ratio = lees_distribution(s, np.maximum(r, 1e-9), rho_e, mu_e,
                                   u_e, stag["due_dx"])
-        q = stag["q_stag"] * ratio
-        if self.mode == "equilibrium" and catalytic_phi < 1.0:
-            q = q * catalytic_factor(stag["h_diss"], stag["h0"],
-                                     catalytic_phi)
+        q_fc = stag["q_stag"] * ratio
         x_over_L = (body.point(s)[0]
                     / (getattr(body, "length", None) or body.point(
                         np.array([body.s_max]))[0][0]))
-        return PNSResult(s=s, x_over_L=np.asarray(x_over_L), q=q,
-                         q_stag=stag["q_stag"], p_e=p_e, u_e=u_e, T_e=T_e,
-                         mode=self.mode, degraded_stations=degraded)
+        results = []
+        for phi in phis:        # each result owns its arrays
+            if self.mode == "equilibrium" and phi < 1.0:
+                q = q_fc * catalytic_factor(stag["h_diss"], stag["h0"], phi)
+            else:
+                q = q_fc.copy()
+            results.append(PNSResult(
+                s=s.copy(), x_over_L=np.array(x_over_L), q=q,
+                q_stag=stag["q_stag"], p_e=p_e.copy(), u_e=u_e.copy(),
+                T_e=T_e.copy(), mode=self.mode,
+                degraded_stations=list(degraded)))
+        return (tuple(results) if isinstance(catalytic_phi, tuple)
+                else results[0])
 
     # ------------------------------------------------------------------
     # stagnation starting solutions

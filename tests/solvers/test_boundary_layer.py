@@ -1,10 +1,13 @@
 """Tests for the similarity boundary-layer solver."""
 
+import math
+from bisect import bisect_right
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from repro.errors import InputError
+from repro.errors import ConvergenceError, InputError
 from repro.solvers import boundary_layer
 from repro.solvers.boundary_layer import (StagnationSimilarityBL,
                                           solve_falkner_skan)
@@ -61,7 +64,7 @@ class TestFloatKernel:
         rhs = boundary_layer._make_rhs(0.5, 0.71, table)
         y0 = (0.0, 0.0, slopes[0], gw, slopes[1])
         end = boundary_layer._dopri45_end(rhs, y0, 8.0)
-        ref = solve_ivp(lambda t, z: rhs(z.tolist()), (0.0, 8.0), list(y0),
+        ref = solve_ivp(lambda t, z: rhs(*z.tolist()), (0.0, 8.0), list(y0),
                         method="RK45", rtol=1e-9, atol=1e-11)
         assert ref.success
         return np.array(end), ref.y[:, -1]
@@ -81,6 +84,214 @@ class TestFloatKernel:
     def test_rejects_unsorted_closure_table(self):
         with pytest.raises(InputError):
             solve_falkner_skan(0.5, gw=0.5, C_table=([0.5, 0.2], [1.0, 2.0]))
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("column", [0, 1], ids=["knot", "value"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_closure_table(self, monkeypatch, column,
+                                              bad):
+        # a NaN knot passes the ordering check (NaN <= x is false) and used
+        # to make C NaN beside it, which hung the continuation ladder
+        table = [DEEP_G.copy(), DEEP_C.copy()]
+        table[column][5] = bad
+
+        def no_integration(*args):
+            raise AssertionError("integrated a non-finite closure")
+
+        monkeypatch.setattr(boundary_layer, "_dopri45_end", no_integration)
+        with pytest.raises(InputError):
+            solve_falkner_skan(0.5, gw=0.05, C_table=tuple(table))
+
+    def test_nan_slope_raises_instead_of_looping(self):
+        # a NaN first slope makes the initial step NaN, which never
+        # compares below the ten-ulp floor: the reject loop used to spin
+        rhs = boundary_layer._make_rhs(0.5, 0.71, boundary_layer._UNIT_TABLE)
+        with pytest.raises(ConvergenceError):
+            boundary_layer._dopri45_end(rhs, (0.0, 0.0, np.nan, 0.5, 0.2),
+                                        8.0)
+
+    @pytest.mark.parametrize("kwargs", [{"gw": np.nan}, {"Pr": np.inf},
+                                        {"eta_max": np.nan}])
+    def test_rejects_non_finite_parameters(self, kwargs):
+        with pytest.raises(InputError):
+            solve_falkner_skan(0.5, **{"gw": 0.5, **kwargs})
+
+
+# The list kernel and list-taking right-hand side that the five-local
+# kernel replaced, kept as the bitwise reference with two counters added:
+# ``stats`` counts rejected steps and right-hand-side calls with a state
+# clip active.
+def _ref_make_rhs(beta, Pr, table, stats):
+    knots, base, value, slope = boundary_layer._knot_table(*table)
+    f_lo, fp_lo, fpp_lo, g_lo, gp_lo = boundary_layer._CLIP_LO
+    f_hi, fp_hi, fpp_hi, g_hi, gp_hi = boundary_layer._CLIP_HI
+    rho_floor, c_floor = (boundary_layer._RHO_RATIO_FLOOR,
+                          boundary_layer._C_FLOOR)
+
+    def rhs(z):
+        stats["clipped"] += any(
+            not lo <= v <= hi for v, lo, hi in
+            zip(z, boundary_layer._CLIP_LO, boundary_layer._CLIP_HI))
+        f, fp, fpp, g, gp = z
+        f = f_lo if f < f_lo else (f_hi if f > f_hi else f)
+        fp = fp_lo if fp < fp_lo else (fp_hi if fp > fp_hi else fp)
+        fpp = fpp_lo if fpp < fpp_lo else (fpp_hi if fpp > fpp_hi else fpp)
+        g = g_lo if g < g_lo else (g_hi if g > g_hi else g)
+        gp = gp_lo if gp < gp_lo else (gp_hi if gp > gp_hi else gp)
+        j = bisect_right(knots, g)
+        dC = slope[j]
+        C = value[j] + dC * (g - base[j])
+        if C < c_floor:
+            C, dC = c_floor, 0.0
+        Cp = dC * gp
+        rho_ratio = rho_floor if g < rho_floor else g
+        fppp = (-f * fpp - beta * (rho_ratio - fp * fp) - Cp * fpp) / C
+        gpp = (-f * gp * Pr / C) - (Cp / C) * gp
+        return (fp, fpp, fppp, gp, gpp)
+
+    return rhs
+
+
+def _ref_rms_scaled(v, y0, y1):
+    s = 0.0
+    for vi, a, b in zip(v, y0, y1):
+        e = vi / (boundary_layer._ATOL + max(abs(a), abs(b))
+                  * boundary_layer._RTOL)
+        s += e * e
+    return math.sqrt(s) / 5 ** 0.5
+
+
+def _ref_initial_step(rhs, y0, f0, t_end):
+    d0 = _ref_rms_scaled(y0, y0, y0)
+    d1 = _ref_rms_scaled(f0, y0, y0)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, t_end)
+    f1 = rhs([y + h0 * f for y, f in zip(y0, f0)])
+    d2 = _ref_rms_scaled([b - a for a, b in zip(f0, f1)], y0, y0) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+    return min(100 * h0, h1, t_end)
+
+
+def _ref_dopri45_end(rhs, y, t_end, stats):
+    from repro.solvers.boundary_layer import (
+        _A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52, _A53, _A54, _A61,
+        _A62, _A63, _A64, _A65, _B1, _B3, _B4, _B5, _B6, _E1, _E3, _E4, _E5,
+        _E6, _E7, _ERROR_EXPONENT, _MAX_FACTOR, _MIN_FACTOR, _SAFETY)
+    y = list(y)
+    f = rhs(y)
+    h_abs = _ref_initial_step(rhs, y, f, t_end)
+    t = 0.0
+    while t < t_end:
+        min_step = 10 * (math.nextafter(t, math.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                raise ConvergenceError("BL integration failed")
+            t_new = min(t + h_abs, t_end)
+            h = t_new - t
+            h_abs = h
+            k2 = rhs([yi + (_A21 * a) * h for yi, a in zip(y, f)])
+            k3 = rhs([yi + (_A31 * a + _A32 * b) * h
+                      for yi, a, b in zip(y, f, k2)])
+            k4 = rhs([yi + (_A41 * a + _A42 * b + _A43 * c) * h
+                      for yi, a, b, c in zip(y, f, k2, k3)])
+            k5 = rhs([yi + (_A51 * a + _A52 * b + _A53 * c + _A54 * d) * h
+                      for yi, a, b, c, d in zip(y, f, k2, k3, k4)])
+            k6 = rhs([yi + (_A61 * a + _A62 * b + _A63 * c + _A64 * d
+                            + _A65 * e) * h
+                      for yi, a, b, c, d, e in zip(y, f, k2, k3, k4, k5)])
+            y_new = [yi + h * (_B1 * a + _B3 * c + _B4 * d + _B5 * e
+                               + _B6 * k)
+                     for yi, a, c, d, e, k in zip(y, f, k3, k4, k5, k6)]
+            f_new = rhs(y_new)
+            err = [(_E1 * a + _E3 * c + _E4 * d + _E5 * e + _E6 * k
+                    + _E7 * n) * h
+                   for a, c, d, e, k, n in zip(f, k3, k4, k5, k6, f_new)]
+            error_norm = _ref_rms_scaled(err, y, y_new)
+            if error_norm < 1.0:
+                # catlint: disable=CAT010 -- scipy's exact-zero branch
+                if error_norm == 0.0:
+                    factor = _MAX_FACTOR
+                else:
+                    factor = min(_MAX_FACTOR,
+                                 _SAFETY * error_norm ** _ERROR_EXPONENT)
+                if rejected:
+                    factor = min(1.0, factor)
+                h_abs *= factor
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
+            rejected = True
+            stats["rejected"] += 1
+        t, y, f = t_new, y_new, f_new
+    return y
+
+
+def _bench_closure():
+    """The kernel microbenchmark's 48-knot closure (gw = 0.035)."""
+    h = np.geomspace(1.5e5, 1.2e7, 48)
+    rho_mu = 3e-6 * (h / 1e7) ** -0.3 * (1.0 + 0.2 / (1.0 + (h / 4e6) ** 4))
+    return h / 1e7, rho_mu / float(np.interp(1e7, h, rho_mu))
+
+
+class TestKernelBitwise:
+    """The five-local kernel against the list kernel it replaced: equal
+    end states, bit for bit, with the same rhs call count."""
+
+    # converged slopes, the shooting's first trial (0.47 + 0.62 beta,
+    # 0.35 (1 - gw)), whose steps touch the clips and whose error norms
+    # depend on the order of the RMS sum, and a hopeless trial
+    CASES = {
+        "unit-gw0.5": (boundary_layer._UNIT_TABLE, 0.5,
+                       (0.748581004, 0.226944751)),
+        "unit-gw0.082-first": (boundary_layer._UNIT_TABLE, 0.082,
+                               (0.78, 0.35 * (1.0 - 0.082))),
+        "deep-gw0.05": ((DEEP_G, DEEP_C), 0.05, DEEP_SLOPES),
+        "deep-gw0.03": ((DEEP_G, DEEP_C), 0.03,
+                        (0.235061549, 0.169295501)),
+        "bench-gw0.035": (_bench_closure(), 0.035,
+                          (0.213581941, 0.151262969)),
+        "bench-gw0.035-first": (_bench_closure(), 0.035,
+                                (0.78, 0.35 * (1.0 - 0.035))),
+        "runaway": ((DEEP_G, DEEP_C), 0.05, (0.01, 2.0)),
+    }
+
+    @staticmethod
+    def _run(name):
+        table, gw, (fpp0, gp0) = TestKernelBitwise.CASES[name]
+        y0 = (0.0, 0.0, fpp0, gw, gp0)
+        calls = {"new": 0}
+        rhs = boundary_layer._make_rhs(0.5, 0.71, table)
+
+        def counted(*z):
+            calls["new"] += 1
+            return rhs(*z)
+
+        stats = {"rejected": 0, "clipped": 0, "calls": 0}
+        ref_rhs = _ref_make_rhs(0.5, 0.71, table, stats)
+
+        def ref_counted(z):
+            stats["calls"] += 1
+            return ref_rhs(z)
+
+        end = boundary_layer._dopri45_end(counted, y0, 8.0)
+        ref = _ref_dopri45_end(ref_counted, y0, 8.0, stats)
+        return end, ref, calls["new"], stats
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_end_state_is_bitwise_the_list_kernel(self, name):
+        end, ref, calls, stats = self._run(name)
+        assert end == ref
+        assert calls == stats["calls"]
+
+    def test_cases_exercise_rejects_and_clips(self):
+        # the pins cover the step-reject path and the state clips
+        assert self._run("deep-gw0.05")[3]["rejected"] > 0
+        assert self._run("runaway")[3]["clipped"] > 0
 
 
 class TestSafeguards:

@@ -1,12 +1,14 @@
 """Integration tests for the VSL and PNS solvers."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.atmosphere import EarthAtmosphere, TitanAtmosphere
 from repro.errors import InputError
 from repro.geometry import OrbiterWindwardProfile
-from repro.solvers.pns import WindwardHeatingPNS
+from repro.solvers.pns import PNSResult, WindwardHeatingPNS
 from repro.solvers.vsl import StagnationVSL
 
 
@@ -103,6 +105,53 @@ class TestPNS:
         part = pns.solve(n_stations=15, catalytic_phi=0.1, **sts3_point)
         assert np.all(part.q < full.q)
         assert part.q[0] < 0.7 * full.q[0]
+
+    def test_one_march_serves_every_catalytic_wall(self, sts3_point,
+                                                   air_gas):
+        # a tuple of efficiencies: one stagnation solve and one march,
+        # each result bitwise equal to its own solve and owning its data
+        body = OrbiterWindwardProfile(40.0, 1.3)
+        pns = WindwardHeatingPNS(body, gas=air_gas)
+        both = pns.solve(n_stations=15, catalytic_phi=(1.0, 0.15),
+                         **sts3_point)
+        assert isinstance(both, tuple) and len(both) == 2
+        for phi, res in zip((1.0, 0.15), both):
+            alone = pns.solve(n_stations=15, catalytic_phi=phi,
+                              **sts3_point)
+            for f in dataclasses.fields(PNSResult):
+                got, want = getattr(res, f.name), getattr(alone, f.name)
+                if isinstance(want, np.ndarray):
+                    assert got.dtype == want.dtype
+                    assert got.shape == want.shape
+                    assert got.tobytes() == want.tobytes(), f.name
+                else:
+                    assert got == want, f.name
+        for f in dataclasses.fields(PNSResult):
+            a, b = getattr(both[0], f.name), getattr(both[1], f.name)
+            if isinstance(a, np.ndarray):
+                assert not np.shares_memory(a, b), f.name
+        assert both[0].degraded_stations is not both[1].degraded_stations
+        assert np.all(both[1].q < both[0].q)
+
+    @pytest.mark.parametrize("mode", ["equilibrium", "ideal"])
+    @pytest.mark.parametrize("phi", [1.5, 7.0, -3.0, float("nan"), (),
+                                     (1.0, float("nan")), (0.15, 1.5)],
+                             ids=["1.5", "7", "-3", "nan", "empty",
+                                  "tuple-nan", "tuple-1.5"])
+    def test_catalytic_efficiency_checked_before_any_work(
+            self, monkeypatch, sts3_point, air_gas, mode, phi):
+        def no_work(*args, **kwargs):
+            raise AssertionError("solved before checking catalytic_phi")
+
+        monkeypatch.setattr(WindwardHeatingPNS, "_stagnation_equilibrium",
+                            no_work)
+        monkeypatch.setattr(WindwardHeatingPNS, "_stagnation_ideal", no_work)
+        body = OrbiterWindwardProfile(40.0, 1.3)
+        pns = (WindwardHeatingPNS(body, gas=air_gas)
+               if mode == "equilibrium" else
+               WindwardHeatingPNS(body, gamma=1.2))
+        with pytest.raises(InputError):
+            pns.solve(n_stations=15, catalytic_phi=phi, **sts3_point)
 
     def test_edge_expansion_consistency(self, sts3_point, air_gas):
         body = OrbiterWindwardProfile(40.0, 1.3)

@@ -96,6 +96,14 @@ class TestWindwardHeating:
         assert part["q_stag"] == full["q_stag"]  # stag value pre-factor
         assert np.all(part["q"] < full["q"])
 
+    def test_one_efficiency_per_call(self):
+        # the solver's tuple form returns several results; the API's
+        # result dict holds one distribution
+        with pytest.raises(InputError):
+            windward_heating(V=6740.0, h=71300.0, alpha_deg=40.0,
+                             gas="ideal:1.2", n_stations=15,
+                             catalytic_phi=(1.0, 0.2))
+
 
 class TestHeatPulse:
     def test_aotv_pulse(self):

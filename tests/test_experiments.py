@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.experiments import (fig1_flight_domain, fig5_orbiter_geometry,
-                               fig8_spectra)
+                               fig6_windward_heating, fig8_spectra)
 from repro.experiments.data import (SHOCK_TUBE_SPECTRUM_SYNTHETIC,
                                     STS3_SYNTHETIC)
 
@@ -56,6 +56,27 @@ class TestFig5:
         assert res["length"] > 30.0
         out = fig5_orbiter_geometry.main(quick=True)
         assert "Orbiter" in out
+
+
+class TestFig6:
+    def test_one_equilibrium_march_for_both_catalytic_walls(self,
+                                                             monkeypatch):
+        from repro.solvers.pns import WindwardHeatingPNS
+        calls = {"_stagnation_equilibrium": 0, "_expand_equilibrium": 0}
+        for name in calls:
+            method = getattr(WindwardHeatingPNS, name)
+
+            def counted(self, *args, _method=method, _name=name, **kwargs):
+                calls[_name] += 1
+                return _method(self, *args, **kwargs)
+
+            monkeypatch.setattr(WindwardHeatingPNS, name, counted)
+        res = fig6_windward_heating.run(quick=True)
+        assert calls == {"_stagnation_equilibrium": 1,
+                         "_expand_equilibrium": 1}
+        assert np.all(res["partial"].q < res["equilibrium"].q)
+        assert (res["partial"].T_e.tobytes()
+                == res["equilibrium"].T_e.tobytes())
 
 
 class TestFig8Plumbing:

@@ -150,6 +150,11 @@ class TestCatalysis:
         with pytest.raises(InputError):
             catalytic_factor(1e6, 1e7, 1.5)
 
+    @pytest.mark.parametrize("phi", [np.nan, [0.5, np.nan]])
+    def test_nan_phi_rejected(self, phi):
+        with pytest.raises(InputError):
+            catalytic_factor(1e6, 1e7, phi)
+
     def test_wall_effectiveness_limits(self):
         wall = CatalyticWall(k_w=1.0)
         # tiny diffusion conductance -> surface-limited -> phi ~ 1
