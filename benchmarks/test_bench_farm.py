@@ -8,7 +8,7 @@ via ``python -m repro campaign --bench``):
   the queue's requests/sec ceiling (claim + sandbox spawn + fenced
   commit per job) at several worker counts;
 * **suite scaling** — a figure-shaped workload (the three fast figures,
-  farm vs serial) quantifies what ``figures --farm -j N`` buys over the
+  farm vs serial) quantifies what ``campaign --figures -j N`` buys over the
   serial runner.
 
 The full 9-figure -j 1 vs -j N wall-clock comparison runs in CI through

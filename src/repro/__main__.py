@@ -54,37 +54,11 @@ def _overview() -> None:
 
 
 def _cmd_figures(args: argparse.Namespace) -> int:
-    error = args.parser.error
-    budgets = _given(args, "deadline", "stall_timeout", "memory_mb")
-    if args.farm:
-        conflicts = [f for f, on in
-                     (("--isolate", args.isolate),
-                      ("--resume", args.resume),
-                      ("--checkpoint-dir",
-                       args.checkpoint_dir is not None)) if on]
-        if conflicts:
-            error(f"--farm conflicts with {', '.join(conflicts)} (farm "
-                  f"workers are already sandboxed; reuse --queue-dir to "
-                  f"resume a campaign)")
-        from repro.experiments.runner import run_all_farm
-        res = run_all_farm(quick=not args.full,
-                           n_workers=args.n_workers or 4,
-                           queue_dir=args.queue_dir, **budgets)
-        return 1 if res["failures"] else 0
-    if args.n_workers is not None or args.queue_dir is not None:
-        error("-j/--queue-dir require --farm")
     if args.resume and args.checkpoint_dir is None:
-        error("--resume requires --checkpoint-dir")
-    if budgets and not args.isolate:
-        flags = ", ".join("--" + k.replace("_", "-") for k in budgets)
-        error(f"{flags} require(s) --isolate or --farm")
-    isolate = None
-    if args.isolate:
-        from repro.resilience import IsolationPolicy
-        isolate = IsolationPolicy(**budgets)
+        args.parser.error("--resume requires --checkpoint-dir")
     from repro.experiments.runner import run_all
     res = run_all(quick=not args.full, checkpoint_dir=args.checkpoint_dir,
-                  resume=args.resume, isolate=isolate)
+                  resume=args.resume)
     return 1 if res["failures"] else 0
 
 
@@ -300,7 +274,11 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             error(f"cannot read --jobs {jobs_file!r}: {exc}")
         if not isinstance(specs, list):
             error("--jobs FILE must hold a JSON list of job specs")
-        jobs = [Job.from_dict(s) for s in specs]
+        for i, spec in enumerate(specs):
+            try:
+                jobs.append(Job.from_dict(spec))
+            except (KeyError, TypeError, ValueError) as exc:
+                error(f"--jobs job spec {i} is invalid: {exc!r}")
     for job in jobs:
         queue.enqueue(job)
     plan = None
@@ -533,13 +511,6 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="farm worker count")
     farm.add_argument("--queue-dir", metavar="D",
                       help="durable farm queue (reuse D to resume)")
-    budgets = argparse.ArgumentParser(add_help=False)
-    budgets.add_argument("--deadline", type=_POS_FLOAT, metavar="S",
-                         help="wall-clock budget [s]")
-    budgets.add_argument("--stall-timeout", type=_POS_FLOAT, metavar="S",
-                         help="declare a hang after S s without heartbeat")
-    budgets.add_argument("--memory-mb", type=_POS_FLOAT, metavar="M",
-                         help="RSS budget [MiB]")
     hosts = argparse.ArgumentParser(add_help=False)
     hosts.add_argument("--host-id", metavar="H",
                        help="this host's name in a shared queue")
@@ -568,17 +539,12 @@ def _build_parser() -> argparse.ArgumentParser:
         p.set_defaults(parser=p)
         return p
 
-    p = command(sub, "figures", "regenerate every paper figure",
-                [farm, budgets], epilog="-j defaults to 4.  The budgets "
-                "apply per figure and need --isolate or --farm; --farm "
-                "excludes --isolate, --resume and --checkpoint-dir.")
+    p = command(sub, "figures", "regenerate every paper figure")
     p.add_argument("--full", action="store_true", help="paper resolution")
     p.add_argument("--checkpoint-dir", metavar="D",
                    help="durable suite: done markers + snapshots under D")
     p.add_argument("--resume", action="store_true",
                    help="replay done figures, resume interrupted marches")
-    p.add_argument("--isolate", action="store_true",
-                   help="one sandboxed child per figure (kill + retry)")
 
     p = command(sub, "stagnation", "stagnation environment")
     p.add_argument("V", type=float, help="flight speed [m/s]")
@@ -685,7 +651,7 @@ def _build_parser() -> argparse.ArgumentParser:
     acts = jobs.add_subparsers(dest="action", metavar="ACTION",
                                required=True)
     p = command(acts, "submit", "enqueue KIND and print its id at once",
-                [queue, budgets])
+                [queue])
     p.add_argument("kind", metavar="KIND")
     p.add_argument("payload", nargs="?", metavar="JSON",
                    help="payload object, inline or @FILE")
@@ -693,6 +659,12 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="explicit id (default: content-addressed)")
     p.add_argument("--priority", type=int)
     p.add_argument("--max-attempts", type=_POS_INT, metavar="N")
+    p.add_argument("--deadline", type=_POS_FLOAT, metavar="S",
+                   help="wall-clock budget [s]")
+    p.add_argument("--stall-timeout", type=_POS_FLOAT, metavar="S",
+                   help="declare a hang after S s without heartbeat")
+    p.add_argument("--memory-mb", type=_POS_FLOAT, metavar="M",
+                   help="RSS budget [MiB]")
     job_flags = {"--timeout": _NONNEG_FLOAT, "--wait": _NONNEG_FLOAT,
                  "--poll": _POS_FLOAT, "--reason": str,
                  "--escalate-after": _NONNEG_FLOAT}

@@ -26,9 +26,8 @@ units checker (:mod:`repro.analysis.units`)
     unit mismatches.
 
 Both are exposed through ``python -m repro.analysis`` (see
-:mod:`repro.analysis.cli`) with text/JSON output, per-rule pragmas
-(``# catlint: disable=RULE -- reason``) and a checked-in baseline so
-CI fails only on *new* findings.
+:mod:`repro.analysis.cli`) with text/JSON output and per-rule pragmas
+(``# catlint: disable=RULE -- reason``); CI fails on any finding.
 """
 
 from __future__ import annotations
@@ -42,12 +41,6 @@ from repro.analysis.engine import (
     lint_source,
     register,
 )
-from repro.analysis.baseline import (
-    DEFAULT_BASELINE_PATH,
-    diff_against_baseline,
-    load_baseline,
-    write_baseline,
-)
 from repro.analysis.units import check_units_paths, check_units_source
 from repro.analysis.dimensions import Dim, UnitParseError, parse_unit
 
@@ -60,10 +53,6 @@ __all__ = [
     "register",
     "lint_paths",
     "lint_source",
-    "DEFAULT_BASELINE_PATH",
-    "load_baseline",
-    "write_baseline",
-    "diff_against_baseline",
     "check_units_paths",
     "check_units_source",
     "Dim",

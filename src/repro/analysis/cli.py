@@ -1,8 +1,8 @@
 """``python -m repro.analysis`` — lint and units front-end.
 
-Exit codes: 0 clean (or no findings beyond the baseline), 1 findings,
-2 usage error.  ``--format json`` emits a machine-readable report on
-stdout (CI publishes it as an artifact).
+Exit codes: 0 clean, 1 any finding, 2 usage error.  ``--format json``
+emits a machine-readable report on stdout (CI publishes it as an
+artifact).
 """
 
 from __future__ import annotations
@@ -12,12 +12,6 @@ import json
 import sys
 
 from repro.analysis import rules as _rules  # noqa: F401 - registers rules
-from repro.analysis.baseline import (
-    DEFAULT_BASELINE_PATH,
-    diff_against_baseline,
-    load_baseline,
-    write_baseline,
-)
 from repro.analysis.engine import RULES, lint_paths
 from repro.analysis.findings import Severity
 from repro.analysis.units import check_units_paths
@@ -60,14 +54,6 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="files or directories "
                            f"(default: {' '.join(DEFAULT_LINT_PATHS)})")
     lint.add_argument("--format", choices=("text", "json"), default="text")
-    lint.add_argument("--baseline", nargs="?", const=DEFAULT_BASELINE_PATH,
-                      default=None, metavar="FILE",
-                      help="fail only on findings not in FILE "
-                           f"(default {DEFAULT_BASELINE_PATH})")
-    lint.add_argument("--write-baseline", nargs="?",
-                      const=DEFAULT_BASELINE_PATH, default=None,
-                      metavar="FILE",
-                      help="accept all current findings into FILE")
     lint.add_argument("--select", type=_rule_codes, default=None,
                       metavar="RULES",
                       help="comma-separated rule codes to run")
@@ -82,57 +68,30 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _emit(findings, new, stale, fmt: str, baseline_path: str | None) -> None:
+def _emit(findings, fmt: str) -> None:
     if fmt == "json":
-        doc = {
-            "tool": "catlint",
-            "baseline": baseline_path,
-            "counts": {
-                "total": len(findings),
-                "new": len(new),
-                "stale_baseline_entries": stale,
-            },
-            "findings": [dict(f.to_dict(), new=(f in set(new)))
-                         for f in findings],
-        }
+        doc = {"tool": "catlint",
+               "counts": {"total": len(findings)},
+               "findings": [f.to_dict() for f in findings]}
         json.dump(doc, sys.stdout, indent=2)
         sys.stdout.write("\n")
         return
     for f in findings:
-        marker = "" if baseline_path is None or f in set(new) else " (baseline)"
-        print(f.render() + marker)
-    if baseline_path is not None:
-        print(f"{len(findings)} finding(s); {len(new)} new "
-              f"vs baseline {baseline_path!r}; {stale} stale entr(y/ies)")
-    else:
-        print(f"{len(findings)} finding(s)")
+        print(f.render())
+    print(f"{len(findings)} finding(s)")
 
 
 def _cmd_lint(args) -> int:
     findings = lint_paths(args.paths, select=args.select)
     floor = Severity.rank(args.min_severity)
     findings = [f for f in findings if Severity.rank(f.severity) >= floor]
-    if args.write_baseline is not None:
-        write_baseline(findings, args.write_baseline)
-        print(f"wrote {len(findings)} finding(s) to {args.write_baseline}",
-              file=sys.stderr)
-        return 0
-    if args.baseline is not None:
-        try:
-            baseline = load_baseline(args.baseline)
-        except ValueError as err:
-            print(f"lint: {err}", file=sys.stderr)
-            return 2
-        new, stale = diff_against_baseline(findings, baseline)
-        _emit(findings, new, stale, args.format, args.baseline)
-        return 1 if new else 0
-    _emit(findings, findings, 0, args.format, None)
+    _emit(findings, args.format)
     return 1 if findings else 0
 
 
 def _cmd_units(args) -> int:
     findings = check_units_paths(args.paths)
-    _emit(findings, findings, 0, args.format, None)
+    _emit(findings, args.format)
     return 1 if findings else 0
 
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 
 
 class Severity:
@@ -31,9 +30,7 @@ class Finding:
     """One diagnostic emitted by a rule.
 
     ``line``/``col`` are 1-based line and 0-based column, matching the
-    ``ast`` module.  ``source_line`` is the stripped text of the
-    offending line — it anchors the baseline key so findings survive
-    unrelated line-number drift.
+    ``ast`` module.  ``source_line`` is the text of the offending line.
     """
 
     rule: str
@@ -44,16 +41,6 @@ class Finding:
     message: str
     source_line: str = ""
 
-    def key(self) -> str:
-        """Stable identity for baseline matching (line-number free)."""
-        h = hashlib.sha256()
-        h.update(self.path.encode())
-        h.update(b"\x00")
-        h.update(self.rule.encode())
-        h.update(b"\x00")
-        h.update(self.source_line.strip().encode())
-        return h.hexdigest()[:16]
-
     def to_dict(self) -> dict:
         return {
             "rule": self.rule,
@@ -63,7 +50,6 @@ class Finding:
             "col": self.col,
             "message": self.message,
             "source_line": self.source_line,
-            "key": self.key(),
         }
 
     def render(self) -> str:

@@ -22,15 +22,10 @@ the solver-level answer is replaced by the correlation-level one
 plus a ``"degradation"`` record naming the fallback rung and wrapping
 the original failure report.
 
-Process isolation: ``isolate=`` (``True`` for defaults, or an
-:class:`~repro.resilience.IsolationPolicy`) runs the solve in a
-sandboxed child process under a wall-clock deadline, an RSS memory
-budget and heartbeat stall detection — a hung or ballooning solve is
-killed and retried in a fresh child instead of wedging the caller.
-``on_failure="isolate"`` is the service-style combination: sandbox with
-default budgets plus failure-dict semantics (never raises, never
-hangs).  Together with ``"degrade"`` the entry points walk the full
-resilience ladder: retry → degrade → isolate → abort.
+Process isolation lives where its traffic is: the batch service
+(:func:`repro.service.evaluate_batch`) and the solve farm run a request
+or job in a sandboxed child process under a wall-clock deadline, an RSS
+memory budget and heartbeat stall detection.
 """
 
 from __future__ import annotations
@@ -133,7 +128,7 @@ def clear_gas_cache() -> None:
         _GAS_CACHE.clear()
 
 
-_ON_FAILURE = ("raise", "report", "degrade", "isolate")
+_ON_FAILURE = ("raise", "report", "degrade")
 
 #: Sutton-Graves constant selector for each named gas model.
 _GAS_ATMOSPHERE = {"equilibrium-air": "earth", "titan": "titan",
@@ -152,16 +147,6 @@ def _failure_dict(err: CatError) -> dict:
             "report": getattr(err, "report", None)}
 
 
-def _isolated_call(fn, isolate, *, label):
-    """Run ``fn()`` inside an :class:`~repro.resilience.IsolatedRunner`
-    sandbox (deadline + memory budget + stall detection, fresh-child
-    retries).  ``isolate`` is ``True`` for the default budgets or an
-    :class:`~repro.resilience.IsolationPolicy`."""
-    from repro.resilience.isolation import IsolatedRunner, as_isolation
-    policy = as_isolation(isolate)
-    return IsolatedRunner(policy, label=label).run_callable(fn)
-
-
 def _degradation_record(rung: str, err: CatError) -> dict:
     """Ledger-style record attached to a model-ladder fallback result."""
     return {"ladder": "model", "rung": rung,
@@ -171,43 +156,30 @@ def _degradation_record(rung: str, err: CatError) -> dict:
 
 def stagnation_environment(*, V, h, nose_radius, atmosphere=None,
                            gas="equilibrium-air", T_wall=1500.0,
-                           quick=True, isolate=None,
-                           on_failure="raise") -> dict:
+                           quick=True, on_failure="raise") -> dict:
     """Full stagnation-point aerothermal environment at one condition.
 
     Returns a dict with the shock state, convective and radiative wall
     fluxes, shock standoff, stagnation pressure and the shock-layer
     temperature/species profiles.  ``on_failure="report"`` returns the
     failure dict instead of raising; ``on_failure="degrade"`` falls back
-    to the correlation-level fluxes; ``isolate=True`` (or an
-    :class:`~repro.resilience.IsolationPolicy`) sandboxes the solve in
-    a supervised child process; ``on_failure="isolate"`` combines the
-    sandbox with failure-dict semantics (see the module docstring).
+    to the correlation-level fluxes (see the module docstring).
     """
     from repro.solvers.vsl import StagnationVSL
 
     _check_on_failure(on_failure)
-    if on_failure == "isolate" and isolate is None:
-        isolate = True
     atm = atmosphere or EarthAtmosphere()
     gas_model = make_gas(gas) if isinstance(gas, str) else gas
     vsl = StagnationVSL(gas_model, nose_radius=nose_radius)
 
-    def _solve():
-        return vsl.solve(rho_inf=float(atm.density(h)),
-                         T_inf=float(atm.temperature(h)), V=float(V),
-                         T_wall=T_wall,
-                         n_profile=40 if quick else 100,
-                         n_lambda=150 if quick else 400)
-
     try:
-        if isolate:
-            sol = _isolated_call(_solve, isolate,
-                                 label="stagnation_environment")
-        else:
-            sol = _solve()
+        sol = vsl.solve(rho_inf=float(atm.density(h)),
+                        T_inf=float(atm.temperature(h)), V=float(V),
+                        T_wall=T_wall,
+                        n_profile=40 if quick else 100,
+                        n_lambda=150 if quick else 400)
     except CatError as err:
-        if on_failure in ("report", "isolate"):
+        if on_failure == "report":
             return _failure_dict(err)
         if on_failure == "degrade":
             return _stagnation_correlation(atm, h=h, V=V,
@@ -262,18 +234,17 @@ def _stagnation_correlation(atm, *, h, V, nose_radius, gas, err) -> dict:
 def windward_heating(*, V, h, alpha_deg, nose_radius=1.3, length=32.77,
                      atmosphere=None, gas="equilibrium-air",
                      T_wall=1200.0, catalytic_phi=1.0,
-                     n_stations=40, resilience=None, isolate=None,
+                     n_stations=40, resilience=None,
                      on_failure="raise") -> dict:
     """Windward-centerline heating distribution at one condition.
 
-    ``resilience`` enables the PNS per-station continuation fallback
-    (degraded stations are listed in ``result.degraded_stations``);
-    ``on_failure="report"`` returns the failure dict instead of raising;
-    ``on_failure="degrade"`` falls back to the correlation-level
-    distribution; ``isolate=True`` (or an
-    :class:`~repro.resilience.IsolationPolicy`) sandboxes the march in
-    a supervised child process; ``on_failure="isolate"`` combines the
-    sandbox with failure-dict semantics (see the module docstring).
+    ``gas`` is a named model, an :class:`EquilibriumGas`, or
+    ``"ideal"`` / ``"ideal:<gamma>"`` for a perfect gas (gamma 1.4 when
+    not given).  ``resilience`` enables the PNS per-station continuation
+    fallback (degraded stations are listed in
+    ``result.degraded_stations``); ``on_failure="report"`` returns the
+    failure dict instead of raising; ``on_failure="degrade"`` falls back
+    to the correlation-level distribution (see the module docstring).
     """
     from repro.geometry import OrbiterWindwardProfile
     from repro.solvers.pns import WindwardHeatingPNS
@@ -281,32 +252,21 @@ def windward_heating(*, V, h, alpha_deg, nose_radius=1.3, length=32.77,
     _check_on_failure(on_failure)
     if isinstance(catalytic_phi, tuple):
         raise InputError("windward_heating takes one catalytic_phi")
-    if on_failure == "isolate" and isolate is None:
-        isolate = True
     atm = atmosphere or EarthAtmosphere()
     body = OrbiterWindwardProfile(alpha_deg=alpha_deg,
                                   nose_radius=nose_radius, length=length)
     if isinstance(gas, str) and gas.startswith("ideal"):
-        gamma = float(gas.split(":")[1]) if ":" in gas else 1.4
-        pns = WindwardHeatingPNS(body, gamma=gamma)
+        pns = WindwardHeatingPNS(body, gamma=_ideal_gamma(gas))
     else:
         gas_model = make_gas(gas) if isinstance(gas, str) else gas
         pns = WindwardHeatingPNS(body, gas=gas_model)
-    def _solve():
-        return pns.solve(rho_inf=float(atm.density(h)),
-                         T_inf=float(atm.temperature(h)), V=float(V),
-                         T_wall=T_wall, n_stations=n_stations,
-                         catalytic_phi=catalytic_phi,
-                         resilience=resilience)
-
     try:
-        if isolate:
-            res = _isolated_call(_solve, isolate,
-                                 label="windward_heating")
-        else:
-            res = _solve()
+        res = pns.solve(rho_inf=float(atm.density(h)),
+                        T_inf=float(atm.temperature(h)), V=float(V),
+                        T_wall=T_wall, n_stations=n_stations,
+                        catalytic_phi=catalytic_phi, resilience=resilience)
     except CatError as err:
-        if on_failure in ("report", "isolate"):
+        if on_failure == "report":
             return _failure_dict(err)
         if on_failure == "degrade":
             return _windward_correlation(atm, h=h, V=V,
@@ -316,6 +276,22 @@ def windward_heating(*, V, h, alpha_deg, nose_radius=1.3, length=32.77,
         raise
     return {"ok": True, "x_over_L": res.x_over_L, "q": res.q,
             "q_stag": res.q_stag, "result": res}
+
+
+def _ideal_gamma(spec: str) -> float:
+    """gamma of an ideal-gas spec: ``"ideal"`` (1.4) or ``"ideal:<gamma>"``
+    with a finite gamma > 1; anything else raises :class:`InputError`."""
+    if spec == "ideal":
+        return 1.4
+    head, _, text = spec.partition(":")
+    try:
+        gamma = float(text)
+    except ValueError:
+        gamma = np.nan
+    if head != "ideal" or not 1.0 < gamma < np.inf:
+        raise InputError(f"gas {spec!r}: expected 'ideal' or "
+                         f"'ideal:<gamma>' with a number gamma > 1")
+    return gamma
 
 
 def _windward_correlation(atm, *, h, V, nose_radius, length, n_stations,

@@ -17,12 +17,8 @@ The runner is resilient two ways:
   markers and continues interrupted ones mid-march (see
   :mod:`repro.resilience.persistence`).
 
-With ``isolate`` (``--isolate [--deadline S]`` on the CLI) each figure
-additionally runs in a sandboxed child process under a wall-clock
-deadline, an RSS memory budget and heartbeat stall detection
-(:mod:`repro.resilience.isolation`): a hung or ballooning figure is
-killed and retried in a fresh child — combined with ``checkpoint_dir``
-the retry re-enters mid-march from the durable snapshots.
+``python -m repro campaign --figures`` runs the same nine figures as
+sandboxed jobs on the solve farm (:mod:`repro.resilience.farm`).
 """
 
 from __future__ import annotations
@@ -34,8 +30,6 @@ import sys
 import time
 import traceback
 
-from repro.errors import SolverError
-
 from repro.experiments import (fig1_flight_domain, fig2_titan_heating,
                                fig3_species_profiles, fig4_shock_shape,
                                fig5_orbiter_geometry,
@@ -43,7 +37,7 @@ from repro.experiments import (fig1_flight_domain, fig2_titan_heating,
                                fig7_shock_relaxation, fig8_spectra,
                                fig9_n2_contours)
 
-__all__ = ["run_all", "run_all_farm"]
+__all__ = ["run_all"]
 
 _MODULES = [
     ("fig1", fig1_flight_domain),
@@ -70,26 +64,9 @@ def _write_done(path: str, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _run_isolated(name, mod, kwargs, isolate, checkpoint_dir, stream):
-    """Run one figure inside an isolation sandbox; reports kill events
-    on the stream and returns the figure's output text."""
-    from repro.resilience.isolation import IsolatedRunner, as_isolation
-    runner = IsolatedRunner(as_isolation(isolate), label=name)
-    workdir = (None if checkpoint_dir is None
-               else os.path.join(checkpoint_dir, f"{name}.sandbox"))
-    try:
-        return runner.run_callable(mod.main, kwargs=kwargs,
-                                   workdir=workdir)
-    finally:
-        for ev in runner.events:
-            print(f"[{name} isolation: {ev.kind} after "
-                  f"{ev.elapsed:.1f} s on attempt {ev.attempt} — "
-                  f"{ev.message}]", file=stream)
-
-
 def run_all(quick: bool = True, *, stream=None, keep_going: bool = True,
-            checkpoint_dir: str | None = None, resume: bool = False,
-            isolate=None) -> dict:
+            checkpoint_dir: str | None = None,
+            resume: bool = False) -> dict:
     """Run every experiment.
 
     Returns ``{"timings": {name: seconds}, "failures": {name: exc},
@@ -102,11 +79,6 @@ def run_all(quick: bool = True, *, stream=None, keep_going: bool = True,
     snapshots); ``resume`` replays completed figures from their markers
     and lets marching figures continue from their latest on-disk
     snapshot instead of starting over.
-
-    ``isolate`` (``True`` for defaults, or an
-    :class:`~repro.resilience.IsolationPolicy`) sandboxes each figure
-    in a supervised child process — hung, ballooning or crashing
-    figures are killed, reported and retried in a fresh child.
     """
     stream = stream or sys.stdout
     timings: dict[str, float] = {}
@@ -139,11 +111,7 @@ def run_all(quick: bool = True, *, stream=None, keep_going: bool = True,
             kwargs["persist_dir"] = os.path.join(checkpoint_dir, name)
         t0 = time.perf_counter()
         try:
-            if isolate:
-                out = _run_isolated(name, mod, kwargs, isolate,
-                                    checkpoint_dir, stream)
-            else:
-                out = mod.main(**kwargs)
+            out = mod.main(**kwargs)
             print(out, file=stream)
             if done_path is not None:
                 _write_done(done_path, out)
@@ -170,87 +138,6 @@ def run_all(quick: bool = True, *, stream=None, keep_going: bool = True,
         print(f"\n{len(failures)}/{len(_MODULES)} figure(s) failed: "
               f"{sorted(failures)}", file=stream)
     return {"timings": timings, "failures": failures, "skipped": skipped}
-
-
-def run_all_farm(quick: bool = True, *, n_workers: int = 4,
-                 stream=None, queue_dir: str | None = None,
-                 deadline: float | None = None,
-                 stall_timeout: float | None = None,
-                 memory_mb: float | None = None, kill_plan=None,
-                 host_id: str | None = None,
-                 max_skew: float = 2.0) -> dict:
-    """Run the nine-figure suite on the solve farm (``figures --farm``).
-
-    Each figure becomes one ``figure`` job on a durable
-    :class:`~repro.resilience.WorkQueue`, drained by ``n_workers``
-    sandboxed workers; a figure whose worker dies is reclaimed when its
-    lease expires and retried, resuming any durable march from its
-    snapshots under the job workdir.  Passing an existing ``queue_dir``
-    resumes a previous campaign: completed figures replay from their
-    queue results instead of recomputing (enqueue is idempotent).
-
-    Returns the ``run_all`` dict plus a ``"farm"`` campaign ledger;
-    ``failures`` maps dead-lettered figures to their recorded errors.
-    """
-    import tempfile
-
-    from repro.resilience.farm import Farm, FarmPolicy
-    from repro.resilience.queue import Job, WorkQueue
-
-    stream = stream or sys.stdout
-    if queue_dir is None:
-        queue_dir = tempfile.mkdtemp(prefix="repro-figures-farm-")
-    policy = FarmPolicy(n_workers=n_workers, deadline=deadline,
-                        stall_timeout=stall_timeout,
-                        memory_mb=memory_mb, host_id=host_id,
-                        max_skew=max_skew)
-    queue = WorkQueue(queue_dir, lease_ttl=policy.lease_ttl,
-                      backoff=policy.backoff, host_id=host_id,
-                      max_skew=max_skew)
-    for name, mod in _MODULES:
-        queue.enqueue(Job(
-            id=name, kind="figure",
-            payload={"module": mod.__name__.rsplit(".", 1)[1],
-                     "quick": bool(quick)}))
-    print(f"figures --farm: {len(_MODULES)} figure(s) on {n_workers} "
-          f"worker(s), queue {queue_dir}", file=stream)
-    farm = Farm(queue, policy, label="figures", stream=stream,
-                kill_plan=kill_plan)
-    ledger = farm.run()
-
-    timings: dict[str, float] = {}
-    failures: dict[str, Exception] = {}
-    skipped: list[str] = []
-    for name, mod in _MODULES:
-        print(f"\n{'=' * 78}\n{name}: {mod.__doc__.splitlines()[0]}"
-              f"\n{'=' * 78}", file=stream)
-        res = queue.result(name)
-        if res is not None:
-            print((res.get("result") or {}).get("output"), file=stream)
-            continue
-        rec = queue.dead_letter(name) or {}
-        err = SolverError(f"{name}: dead-lettered after "
-                          f"{rec.get('attempts')} attempt(s): "
-                          f"{rec.get('error')}")
-        failures[name] = err
-        print(f"[{name} FAILED: {err}]", file=stream)
-    claims: dict[str, float] = {}
-    for recd in queue.read_journal():
-        if recd.get("event") == "claim":
-            claims[recd.get("job")] = float(recd["t"])
-        elif (recd.get("event") == "complete"
-                and recd.get("job") in claims):
-            timings[recd["job"]] = round(
-                float(recd["t"]) - claims[recd["job"]], 2)
-    print(f"\nfigures --farm: {ledger['jobs']} in "
-          f"{ledger['wall_time']:.1f} s wall "
-          f"({ledger['attempts']} attempt(s), "
-          f"{ledger['reclaims']} reclaim(s))", file=stream)
-    if failures:
-        print(f"{len(failures)}/{len(_MODULES)} figure(s) failed: "
-              f"{sorted(failures)}", file=stream)
-    return {"timings": timings, "failures": failures, "skipped": skipped,
-            "farm": ledger}
 
 
 if __name__ == "__main__":

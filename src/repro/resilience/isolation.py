@@ -279,17 +279,6 @@ class IsolationPolicy:
     every_n_steps: int = 10
 
 
-def as_isolation(value) -> IsolationPolicy | None:
-    """Coerce ``None`` / ``True`` / policy into an optional policy."""
-    if value is None or value is False:
-        return None
-    if value is True:
-        return IsolationPolicy()
-    if isinstance(value, IsolationPolicy):
-        return value
-    raise SolverError(f"cannot interpret {value!r} as an IsolationPolicy")
-
-
 @dataclass
 class IsolationEvent:
     """One kill (or child death) observed by the supervising parent.
@@ -392,7 +381,7 @@ class IsolatedRunner:
     Parameters
     ----------
     policy:
-        An :class:`IsolationPolicy` (or None / True for defaults).
+        An :class:`IsolationPolicy` (None for the defaults).
     label:
         Name used in events, errors and reports.
 
@@ -402,7 +391,7 @@ class IsolatedRunner:
 
     def __init__(self, policy: IsolationPolicy | None = None, *,
                  label: str | None = None):
-        self.policy = as_isolation(policy) or IsolationPolicy()
+        self.policy = policy or IsolationPolicy()
         self.label = label or "isolated"
         self.events: list[IsolationEvent] = []
 
@@ -619,8 +608,8 @@ class IsolatedRunner:
         result.
 
         Restarts call ``fn`` again from scratch — idempotent work only
-        (the figure suite qualifies: durable done-markers and solver
-        snapshots make re-entry cheap).  Hang detection applies only
+        (a farm job qualifies: its journal and durable solver snapshots
+        make re-entry cheap).  Hang detection applies only
         when ``policy.stall_timeout`` is set *and* the callable beats
         (every solver march inside it does, via the process
         heartbeat).

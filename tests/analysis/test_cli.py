@@ -1,4 +1,4 @@
-"""CLI behaviour: exit codes, JSON reports, baseline flow, self-check."""
+"""CLI behaviour: exit codes, JSON reports, self-check."""
 
 import json
 import os
@@ -80,43 +80,6 @@ class TestLintCommand:
         assert named in capsys.readouterr().err
 
 
-class TestBaselineFlow:
-    def test_write_then_pass_then_regress(self, bad_file, tmp_path, capsys):
-        baseline = tmp_path / "baseline.json"
-        assert main(["lint", str(bad_file),
-                     "--write-baseline", str(baseline)]) == 0
-        # grandfathered finding no longer fails the build
-        assert main(["lint", str(bad_file), "--baseline",
-                     str(baseline)]) == 0
-        # a fresh violation on top of the baseline does
-        bad_file.write_text(BAD_SOURCE + "\n\ndef g(y):\n"
-                            "    return np.sqrt(y)\n")
-        capsys.readouterr()  # drain the text-mode output above
-        rc = main(["lint", str(bad_file), "--baseline", str(baseline),
-                   "--format", "json"])
-        assert rc == 1
-        doc = json.loads(capsys.readouterr().out)
-        new = [f for f in doc["findings"] if f["new"]]
-        assert [f["rule"] for f in new] == ["CAT002"]
-
-    def test_stale_entries_reported_not_fatal(self, bad_file, tmp_path,
-                                              capsys):
-        baseline = tmp_path / "baseline.json"
-        main(["lint", str(bad_file), "--write-baseline", str(baseline)])
-        bad_file.write_text(CLEAN_SOURCE)
-        assert main(["lint", str(bad_file), "--baseline",
-                     str(baseline)]) == 0
-        assert "stale" in capsys.readouterr().out
-
-    def test_malformed_baseline_is_usage_error(self, bad_file, tmp_path,
-                                               capsys):
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text('{"entries": 5}')
-        assert main(["lint", str(bad_file), "--baseline",
-                     str(baseline)]) == 2
-        assert "not a catlint baseline" in capsys.readouterr().err
-
-
 class TestUnitsCommand:
     def test_violation_fails(self, tmp_path, capsys):
         p = tmp_path / "u.py"
@@ -150,7 +113,7 @@ class TestSelfCheck:
     @pytest.mark.parametrize("tree", ["src/repro", "tests", "benchmarks"])
     def test_tree_is_catlint_clean(self, tree, capsys, monkeypatch):
         monkeypatch.chdir(REPO_ROOT)
-        assert main(["lint", tree, "--baseline"]) == 0
+        assert main(["lint", tree]) == 0
 
     def test_default_lint_paths_cover_every_tree(self):
         assert DEFAULT_LINT_PATHS == ["src", "tests", "benchmarks"]
@@ -182,3 +145,8 @@ class TestEntryPoint:
 
     def test_no_command_is_usage_error(self, capsys):
         assert main([]) == 2
+        # lint has no baseline: any finding fails, and the flag is unknown
+        with pytest.raises(SystemExit) as exc:
+            main(["lint", "--baseline"])
+        assert exc.value.code == 2
+        assert "--baseline" in capsys.readouterr().err

@@ -87,6 +87,14 @@ class TestWindwardHeating:
         assert res["q_stag"] > 1e5
         assert res["q"].shape == res["x_over_L"].shape
 
+    @pytest.mark.parametrize("gas", ["idealgas", "ideal:1.4:2", "ideal:",
+                                     "ideal:abc"])
+    def test_malformed_ideal_spec_rejected(self, gas):
+        # a typo or a malformed gamma must not fall back to gamma = 1.4
+        with pytest.raises(InputError, match="ideal:<gamma>"):
+            windward_heating(V=6740.0, h=71300.0, alpha_deg=40.0, gas=gas,
+                             n_stations=15)
+
     def test_catalysis_parameter(self, air_gas):
         full = windward_heating(V=6740.0, h=71300.0, alpha_deg=40.0,
                                 gas=air_gas, n_stations=12)

@@ -377,9 +377,11 @@ class TestAPIOnFailure:
 
     def test_unknown_on_failure_rejected(self):
         from repro.core.api import stagnation_environment
-        with pytest.raises(InputError, match="on_failure"):
-            stagnation_environment(V=7000.0, h=60e3, nose_radius=1.0,
-                                   on_failure="bogus")
+        # sandboxing belongs to evaluate_batch and the farm, not this API
+        for mode in ("bogus", "isolate"):
+            with pytest.raises(InputError, match="on_failure"):
+                stagnation_environment(V=7000.0, h=60e3, nose_radius=1.0,
+                                       on_failure=mode)
 
 
 class TestAdaptationOnPhysics:

@@ -668,6 +668,22 @@ class TestRetryDeadLetters:
         fold = json.loads(led.read_text())
         assert fold["ok"] and fold["exactly_once_audit"]["ok"]
 
+    @pytest.mark.parametrize("spec", [
+        {"kind": "sleep"},                                # no id
+        5,                                                # not an object
+        {"id": "a", "kind": "sleep", "priority": "x"},    # bad priority
+    ], ids=["no-id", "not-an-object", "bad-priority"])
+    def test_campaign_cli_bad_job_spec_is_usage_error(self, tmp_path,
+                                                      capsys, spec):
+        from repro.__main__ import main
+        specs = tmp_path / "jobs.json"
+        specs.write_text(json.dumps([{"id": "ok", "kind": "sleep"}, spec]))
+        assert main(["campaign", "--jobs", str(specs), "--queue-dir",
+                     str(tmp_path / "q")]) == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "job spec 1 " in err
+        assert WorkQueue(tmp_path / "q").job_ids() == []  # none enqueued
+
     def test_jitter_unit_is_pure_and_job_seeded(self):
         """Satellite: backoff jitter is a pure hash of (job id,
         attempt) — identical on every host, no shared RNG state."""

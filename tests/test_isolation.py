@@ -34,7 +34,7 @@ from repro.resilience import (FaultInjector, IsolatedRunner,
                               IsolationPolicy)
 from repro.resilience.chaos import (CASES, run_chaos, run_chaos_hosts,
                                     run_chaos_jobs, sample_schedule)
-from repro.resilience.isolation import _read_rss_mb, as_isolation
+from repro.resilience.isolation import _read_rss_mb
 
 
 def _state_bytes(solver):
@@ -264,15 +264,6 @@ class TestRunCallable:
         assert "scripted failure" in runner.events[0].message
         assert exc.value.report is not None
 
-    def test_as_isolation_coercion(self):
-        assert as_isolation(None) is None
-        assert as_isolation(False) is None
-        assert as_isolation(True) == IsolationPolicy()
-        pol = IsolationPolicy(deadline=5.0)
-        assert as_isolation(pol) is pol
-        with pytest.raises(SolverError):
-            as_isolation("tight")
-
 
 # ----------------------------------------------------------------------
 # chaos harness determinism and hygiene
@@ -364,9 +355,14 @@ class TestCLIExitCodes:
             ["frobnicate"],
             ["figures", "--bogus"],
             ["figures", "--resume"],                  # needs --checkpoint-dir
-            ["figures", "--deadline", "5"],           # needs --isolate
+            # sandboxed figure runs are campaign --figures
+            ["figures", "--farm"],
+            ["figures", "--isolate"],
+            ["figures", "--memory-mb", "100"],
+            ["figures", "--deadline", "5"],
             ["figures", "--isolate", "--deadline", "abc"],
             ["figures", "--isolate", "--memory-mb", "-4"],
+            ["figures", "-j", "4"],
             ["stagnation", "1", "2"],
             ["stagnation", "a", "b", "c"],
             ["degrade-smoke", "--what"],
@@ -375,7 +371,6 @@ class TestCLIExitCodes:
             ["chaos", "--seed"],
             ["chaos", "--deadline", "-1"],
             # mode-only flags are rejected even at their default values
-            ["figures", "-j", "4"],                   # needs --farm
             ["chaos", "-j", "2"],                     # needs --farm
             ["chaos", "--kill-workers", "2"],         # needs --farm
             ["chaos", "--steps", "40"],               # needs --jobs
