@@ -22,6 +22,10 @@ import pytest
 #: kernel name -> timing record, accumulated across the session.
 _KERNEL_RECORDS = {}
 
+#: ``kernel_bench`` times every kernel at least this many rounds, so a
+#: slow kernel's median is the middle of seven samples, not of three.
+MIN_ROUNDS = 7
+
 
 def pytest_addoption(parser):
     parser.addoption(
@@ -47,11 +51,11 @@ def kernel_bench(request):
 
     ``result = kernel_bench(fn, *args, label=..., meta=..., **kwargs)``
     warms the kernel up once, then runs it repeatedly until ~0.2 s of
-    clock (at least 3, at most 200 rounds) and records min/median/mean
-    seconds per call under ``label`` (default: the test name minus its
-    ``test_bench_`` prefix).  ``meta`` merges extra keys (sizes,
-    derived speedups) into the record.  Returns the kernel's last
-    result so the test can assert on it.
+    clock (at least ``MIN_ROUNDS``, at most 200 rounds) and records
+    min/median/mean seconds per call under ``label`` (default: the test
+    name minus its ``test_bench_`` prefix).  ``meta`` merges extra keys
+    (sizes, derived speedups) into the record.  Returns the kernel's
+    last result so the test can assert on it.
     """
 
     def _run(fn, *args, label=None, meta=None, min_time=0.2,
@@ -64,7 +68,7 @@ def kernel_bench(request):
             t0 = time.perf_counter()
             result = fn(*args, **kwargs)
             times.append(time.perf_counter() - t0)
-            if len(times) >= 3 and time.perf_counter() >= deadline:
+            if len(times) >= MIN_ROUNDS and time.perf_counter() >= deadline:
                 break
         times.sort()
         record = {

@@ -284,6 +284,8 @@ def test_bench_kernel_boundary_layer(kernel_bench, monkeypatch):
 
     Recorded under its trace span name, so kernel time x calls
     reconciles with that span's time in a traced figure run.
+    ``integrations`` counts the solve's kernel integrations and
+    ``rhs_evals`` their right-hand-side calls.
     """
     from repro.solvers import boundary_layer
     from repro.solvers.boundary_layer import StagnationSimilarityBL
@@ -296,16 +298,21 @@ def test_bench_kernel_boundary_layer(kernel_bench, monkeypatch):
                                 rho_mu_table=(h, rho_mu))
     hw = 3.5e5                                  # gw = 0.035, as in fig 2
 
-    integrations = []
+    integrations, rhs_evals = [], []
     kernel = boundary_layer._dopri45_end
-    monkeypatch.setattr(boundary_layer, "_dopri45_end",
-                        lambda *a: integrations.append(1) or kernel(*a))
+
+    def counted(rhs, y, t_end):
+        integrations.append(1)
+        return kernel(lambda *z: rhs_evals.append(1) or rhs(*z), y, t_end)
+
+    monkeypatch.setattr(boundary_layer, "_dopri45_end", counted)
     bl.solve(hw)
     monkeypatch.undo()
 
     sol = kernel_bench(bl.solve, hw, label="solvers.boundary_layer.solve",
                        meta={"knots": h.size, "gw": hw / bl.h0e,
-                             "integrations": len(integrations)})
+                             "integrations": len(integrations),
+                             "rhs_evals": len(rhs_evals)})
     assert sol.fp[-1] == pytest.approx(1.0, abs=1e-4)
     assert sol.gp0 > 0.0
 

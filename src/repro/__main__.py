@@ -245,28 +245,16 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         print(f"campaign: serial suite took {serial_wall:.1f} s "
               f"({len(serial_res['failures'])} failure(s))")
 
-    queue_dir = args.queue_dir or tempfile.mkdtemp(prefix="repro-campaign-")
-    policy = FarmPolicy(n_workers=args.n_workers, deadline=args.deadline,
-                        host_id=args.host_id, max_skew=args.max_skew)
-    queue = WorkQueue(queue_dir, lease_ttl=policy.lease_ttl,
-                      backoff=policy.backoff, host_id=args.host_id,
-                      max_skew=args.max_skew)
+    # the job list is built and checked before the queue exists, so a
+    # usage error leaves no queue directory behind
     jobs = []
-    if args.retry_dead_letters:
-        requeued = queue.retry_dead_letters()
-        if not requeued:
-            print(f"campaign: no dead-lettered jobs in {queue_dir}")
-            return 0
-        print(f"campaign: requeued {len(requeued)} dead-lettered "
-              f"job(s) with a fresh attempt budget: "
-              f"{', '.join(requeued)}")
-    elif figures:
+    if figures:
         from repro.experiments.runner import _MODULES
         jobs = [Job(id=name, kind="figure",
                     payload={"module": mod.__name__.rsplit(".", 1)[1],
                              "quick": not full})
                 for name, mod in _MODULES]
-    else:
+    elif jobs_file is not None:
         try:
             with open(jobs_file) as f:
                 specs = json.load(f)
@@ -279,6 +267,20 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
                 jobs.append(Job.from_dict(spec))
             except (KeyError, TypeError, ValueError) as exc:
                 error(f"--jobs job spec {i} is invalid: {exc!r}")
+    queue_dir = args.queue_dir or tempfile.mkdtemp(prefix="repro-campaign-")
+    policy = FarmPolicy(n_workers=args.n_workers, deadline=args.deadline,
+                        host_id=args.host_id, max_skew=args.max_skew)
+    queue = WorkQueue(queue_dir, lease_ttl=policy.lease_ttl,
+                      backoff=policy.backoff, host_id=args.host_id,
+                      max_skew=args.max_skew)
+    if args.retry_dead_letters:
+        requeued = queue.retry_dead_letters()
+        if not requeued:
+            print(f"campaign: no dead-lettered jobs in {queue_dir}")
+            return 0
+        print(f"campaign: requeued {len(requeued)} dead-lettered "
+              f"job(s) with a fresh attempt budget: "
+              f"{', '.join(requeued)}")
     for job in jobs:
         queue.enqueue(job)
     plan = None

@@ -60,10 +60,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import re
 import time
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 
 from repro.errors import InputError, SolverError
 from repro.resilience.lease import Lease, LeaseManager, default_host_id
@@ -146,6 +148,18 @@ class Job:
                 or self.id.startswith(".")):
             raise InputError(f"invalid job id {self.id!r} (must be a "
                              f"clean filename fragment)")
+        n = self.max_attempts
+        if n is not None and (isinstance(n, bool)
+                              or not isinstance(n, Integral) or n < 1):
+            raise InputError(f"job {self.id!r}: max_attempts must be an "
+                             f"integer >= 1, got {n!r}")
+        for name in ("deadline", "memory_mb", "stall_timeout"):
+            v = getattr(self, name)
+            if v is not None and (isinstance(v, bool)
+                                  or not isinstance(v, Real)
+                                  or not (math.isfinite(v) and v > 0)):
+                raise InputError(f"job {self.id!r}: {name} must be a "
+                                 f"finite number > 0, got {v!r}")
 
     def to_dict(self) -> dict:
         return {"id": self.id, "kind": self.kind,

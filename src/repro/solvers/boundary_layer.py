@@ -12,17 +12,27 @@ model this is a numerical Fay–Riddell calculation.  Solved by shooting
 on (f''(0), g'(0)).  Downstream heating built on the stagnation solution
 is Lees local similarity (:func:`repro.heating.lees.lees_distribution`).
 
+The system is integrated in flux form, on (f, f', tau, g, q) with the
+shear flux tau = C f'' and the heat flux q = C g'/Pr::
+
+    f'' = tau/C,   tau' = -f f'' - beta (rho_e/rho - f'^2)
+    g'  = Pr q/C,  q'   = -f g'
+
+so the right-hand side reads C(g) only, never dC/dg.
+
 Self-similar incompressible limits (Blasius for the flat plate via
 beta = 0, Homann-like stagnation values) validate the implementation.
 
 The closure C(g) is data, not a callable: a knot table ``(g, C)``,
 linear between knots and constant beyond the end knots (``np.interp``
-semantics).  The shooting iterations integrate over Python floats with
-:func:`_dopri45_end`, a Dormand–Prince 5(4) integrator that copies
-scipy's ``RK45`` step control and returns only the end state; it keeps
-the state and its stages in float locals and calls the right-hand side
-with five positional floats.  scipy integrates once more on the
-converged slopes for the returned profile.
+semantics).  C(g) is continuous, so the flux-form right-hand side has
+no jump at a knot for the step controller to resolve.  The shooting
+iterations integrate over Python floats with :func:`_dopri45_end`, a
+Dormand–Prince 5(4) integrator that copies scipy's ``RK45`` step
+control and returns only the end state; it keeps the state and its
+stages in float locals and calls the right-hand side with five
+positional floats.  scipy integrates once more on the converged slopes
+for the returned profile.
 """
 
 from __future__ import annotations
@@ -41,9 +51,10 @@ __all__ = ["StagnationSimilarityBL", "BLSolution", "solve_falkner_skan"]
 #: Tolerances of every BL integration (shooting and profile).
 _RTOL, _ATOL = 1e-9, 1e-11
 
-#: State clips of the right-hand side, in state order (f, f', f'', g,
-#: g'): runaway trial trajectories return a large-but-finite residual
-#: instead of overflowing the integrator.
+#: Clips of the right-hand side on (f, f', f'', g, g'), in that order;
+#: f'' = tau/C and g' = Pr q/C are clipped once formed from the
+#: flux-form state.  Runaway trial trajectories return a large-but-finite
+#: residual instead of overflowing the integrator.
 _CLIP_LO = (-50.0, -10.0, -100.0, 0.02, -100.0)
 _CLIP_HI = (50.0, 10.0, 100.0, 10.0, 100.0)
 #: Floors on the density ratio rho_e/rho and on the closure C.
@@ -107,34 +118,49 @@ def _knot_table(g, C):
 
 
 def _make_rhs(beta, Pr, table):
-    """Float right-hand side ``rhs(f, f', f'', g, g') -> z'`` of the
-    similarity system for the closure knot table ``(g, C)``."""
+    """Float right-hand side ``rhs(f, f', tau, g, q) -> z'`` of the
+    flux-form similarity system for the closure knot table ``(g, C)``,
+    and the closure ``C(g)`` it reads.
+
+    The state carries the shear flux tau = C f'' and the heat flux
+    q = C g'/Pr in place of f'' and g', so (C f'')' and (C g'/Pr)' are
+    components of the slope and only C(g) enters, never dC/dg: C is
+    continuous at the knots, so the right-hand side is too.  The clips
+    act on f, f', g (before C is read) and on f'' = tau/C and
+    g' = Pr q/C.  ``closure`` clips g and floors C as ``rhs`` does, so
+    ``closure(gw)`` is the C_w that maps the wall slopes to
+    (tau(0), q(0)).
+    """
     knots, base, value, slope = _knot_table(*table)
     f_lo, fp_lo, fpp_lo, g_lo, gp_lo = _CLIP_LO
     f_hi, fp_hi, fpp_hi, g_hi, gp_hi = _CLIP_HI
     rho_floor, c_floor = _RHO_RATIO_FLOOR, _C_FLOOR
 
-    def rhs(f, fp, fpp, g, gp):
+    def closure(g):
+        g = g_lo if g < g_lo else (g_hi if g > g_hi else g)
+        j = bisect_right(knots, g)
+        C = value[j] + slope[j] * (g - base[j])
+        return c_floor if C < c_floor else C
+
+    def rhs(f, fp, tau, g, q):
         f = f_lo if f < f_lo else (f_hi if f > f_hi else f)
         fp = fp_lo if fp < fp_lo else (fp_hi if fp > fp_hi else fp)
-        fpp = fpp_lo if fpp < fpp_lo else (fpp_hi if fpp > fpp_hi else fpp)
         g = g_lo if g < g_lo else (g_hi if g > g_hi else g)
-        gp = gp_lo if gp < gp_lo else (gp_hi if gp > gp_hi else gp)
         j = bisect_right(knots, g)
-        dC = slope[j]
-        C = value[j] + dC * (g - base[j])
+        C = value[j] + slope[j] * (g - base[j])
         if C < c_floor:
-            C, dC = c_floor, 0.0
-        # (C f'')' = C' f'' + C f''' with C' = dC/dg g'
-        Cp = dC * gp
+            C = c_floor
+        fpp = tau / C
+        fpp = fpp_lo if fpp < fpp_lo else (fpp_hi if fpp > fpp_hi else fpp)
+        gp = Pr * q / C
+        gp = gp_lo if gp < gp_lo else (gp_hi if gp > gp_hi else gp)
         # constant-pressure layer: rho_e/rho = h/h_e ~ g at a stagnation
         # point (u ~ 0 there, so static ~ total enthalpy)
         rho_ratio = rho_floor if g < rho_floor else g
-        fppp = (-f * fpp - beta * (rho_ratio - fp * fp) - Cp * fpp) / C
-        gpp = (-f * gp * Pr / C) - (Cp / C) * gp
-        return (fp, fpp, fppp, gp, gpp)
+        return (fp, fpp, -f * fpp - beta * (rho_ratio - fp * fp), gp,
+                -f * gp)
 
-    return rhs
+    return rhs, closure
 
 
 def _rms_scaled(v, y0, y1):
@@ -266,29 +292,34 @@ def _dopri45_end(rhs, y, t_end):
     return [y0, y1, y2, y3, y4]
 
 
-def _safeguard_samples(y, table):
-    """Samples of the profile ``y`` (5, n) at which a state clip or the
-    rho_e/rho or C floor of the right-hand side is active."""
+def _safeguard_samples(y, table, Pr):
+    """Samples of the flux-form profile ``y`` (5, n) = (f, f', tau, g, q)
+    at which a clip or the rho_e/rho or C floor of the right-hand side
+    is active; tau and q count through f'' = tau/C and g' = Pr q/C."""
     lo = np.array(_CLIP_LO, dtype=np.float64)[:, None]
     hi = np.array(_CLIP_HI, dtype=np.float64)[:, None]
     g = np.clip(y[3], lo[3], hi[3])
     C = np.interp(g, np.asarray(table[0], dtype=np.float64),
                   np.asarray(table[1], dtype=np.float64))
-    active = (((y < lo) | (y > hi)).any(axis=0) | (g < _RHO_RATIO_FLOOR)
+    Cf = np.maximum(C, _C_FLOOR)
+    z = np.stack([y[0], y[1], y[2] / Cf, y[3], Pr * y[4] / Cf])
+    active = (((z < lo) | (z > hi)).any(axis=0) | (g < _RHO_RATIO_FLOOR)
               | (C < _C_FLOOR))
     return int(np.count_nonzero(active))
 
 
-def _profile(rhs, table, gw, fpp0, gp0, eta_max, n_eval=201):
-    """The returned profile: one scipy integration on converged slopes."""
+def _profile(rhs, y0, table, Pr, fpp0, gp0, eta_max, n_eval=201):
+    """The returned profile: one scipy integration from the flux-form
+    start state ``y0`` of the converged slopes."""
     sol = solve_ivp(lambda t, z: rhs(*z.tolist()), (0.0, eta_max),
-                    [0.0, 0.0, fpp0, gw, gp0], method="RK45", rtol=_RTOL,
-                    atol=_ATOL, t_eval=np.linspace(0.0, eta_max, n_eval))
+                    list(y0), method="RK45", rtol=_RTOL, atol=_ATOL,
+                    t_eval=np.linspace(0.0, eta_max, n_eval))
     if not sol.success:
         raise ConvergenceError("BL integration failed")
     return BLSolution(eta=sol.t, f=sol.y[0], fp=sol.y[1], g=sol.y[3],
                       fpp0=fpp0, gp0=gp0,
-                      safeguard_samples=_safeguard_samples(sol.y, table))
+                      safeguard_samples=_safeguard_samples(sol.y, table,
+                                                           Pr))
 
 
 def solve_falkner_skan(beta, *, Pr=0.71, gw=1.0, C_table=None,
@@ -326,10 +357,15 @@ def _shoot(beta, Pr, gw, table, eta_max, tol, max_iter, guess=None):
     # Python floats throughout: numpy float64 scalars run the kernel ~2x
     # slower
     beta, Pr, gw, eta_max = float(beta), float(Pr), float(gw), float(eta_max)
-    rhs = _make_rhs(beta, Pr, table)
+    rhs, closure = _make_rhs(beta, Pr, table)
+    Cw = closure(gw)
+
+    def start(fpp0, gp0):
+        # flux-form wall state: tau(0) = C_w f''(0), q(0) = C_w g'(0)/Pr
+        return (0.0, 0.0, Cw * fpp0, gw, Cw * gp0 / Pr)
 
     def residual(fpp0, gp0):
-        y = _dopri45_end(rhs, (0.0, 0.0, fpp0, gw, gp0), eta_max)
+        y = _dopri45_end(rhs, start(fpp0, gp0), eta_max)
         return y[1] - 1.0, y[3] - 1.0      # f'(inf) = 1, g(inf) = 1
 
     if guess is not None:
@@ -341,7 +377,8 @@ def _shoot(beta, Pr, gw, table, eta_max, tol, max_iter, guess=None):
     for it in range(max_iter):
         r1, r2 = residual(fpp0, gp0)
         if abs(r1) < tol and abs(r2) < tol:
-            return _profile(rhs, table, gw, fpp0, gp0, eta_max)
+            return _profile(rhs, start(fpp0, gp0), table, Pr, fpp0, gp0,
+                            eta_max)
         # numerical Jacobian on the two shooting parameters
         d1, d2 = max(1e-6, 1e-4 * abs(fpp0)), max(1e-7, 1e-4 * abs(gp0))
         a1, a2 = residual(fpp0 + d1, gp0)

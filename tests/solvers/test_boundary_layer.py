@@ -56,13 +56,20 @@ class TestClassicalValues:
         assert sol.fp[-1] == pytest.approx(1.0, abs=1e-4)
 
 
+def _start(closure, gw, slopes, Pr=0.71):
+    """The flux-form start state (0, 0, tau(0), gw, q(0)) of wall slopes
+    (f''(0), g'(0))."""
+    Cw = closure(gw)
+    return (0.0, 0.0, Cw * slopes[0], gw, Cw * slopes[1] / Pr)
+
+
 class TestFloatKernel:
     """The shooting integrator against scipy's RK45 as the reference."""
 
     @staticmethod
     def _both(table, gw, slopes):
-        rhs = boundary_layer._make_rhs(0.5, 0.71, table)
-        y0 = (0.0, 0.0, slopes[0], gw, slopes[1])
+        rhs, closure = boundary_layer._make_rhs(0.5, 0.71, table)
+        y0 = _start(closure, gw, slopes)
         end = boundary_layer._dopri45_end(rhs, y0, 8.0)
         ref = solve_ivp(lambda t, z: rhs(*z.tolist()), (0.0, 8.0), list(y0),
                         method="RK45", rtol=1e-9, atol=1e-11)
@@ -106,7 +113,8 @@ class TestNonFiniteInputs:
     def test_nan_slope_raises_instead_of_looping(self):
         # a NaN first slope makes the initial step NaN, which never
         # compares below the ten-ulp floor: the reject loop used to spin
-        rhs = boundary_layer._make_rhs(0.5, 0.71, boundary_layer._UNIT_TABLE)
+        rhs, _ = boundary_layer._make_rhs(0.5, 0.71,
+                                          boundary_layer._UNIT_TABLE)
         with pytest.raises(ConvergenceError):
             boundary_layer._dopri45_end(rhs, (0.0, 0.0, np.nan, 0.5, 0.2),
                                         8.0)
@@ -118,37 +126,51 @@ class TestNonFiniteInputs:
             solve_falkner_skan(0.5, **{"gw": 0.5, **kwargs})
 
 
-# The list kernel and list-taking right-hand side that the five-local
-# kernel replaced, kept as the bitwise reference with two counters added:
-# ``stats`` counts rejected steps and right-hand-side calls with a state
-# clip active.
+def _ref_clip(z):
+    """(f, f', f'', g, g') clipped to the right-hand side's bounds."""
+    return [min(max(v, lo), hi) for v, lo, hi in
+            zip(z, boundary_layer._CLIP_LO, boundary_layer._CLIP_HI)]
+
+
+def _ref_closure(table):
+    """``closure(g) -> (C, dC/dg)`` of the knot table: linear between
+    knots, constant beyond them, floored at the module's C floor; looked
+    up apart from the module's knot table."""
+    G = [float(x) for x in table[0]]
+    V = [float(x) for x in table[1]]
+
+    def closure(g):
+        j = bisect_right(G, g)
+        if 0 < j < len(G):
+            dC = (V[j] - V[j - 1]) / (G[j] - G[j - 1])
+            C = V[j - 1] + dC * (g - G[j - 1])
+        else:
+            dC, C = 0.0, V[min(j, len(V) - 1)]
+        if C < boundary_layer._C_FLOOR:
+            return boundary_layer._C_FLOOR, 0.0
+        return C, dC
+
+    return closure
+
+
+# The list kernel that the five-local kernel replaced, kept as the
+# bitwise reference, and a list-taking flux-form right-hand side written
+# apart from the module's, with two counters added: ``stats`` counts
+# rejected steps and right-hand-side calls with a clip active on
+# (f, f', f'', g, g'), f'' = tau/C and g' = Pr q/C formed from the state.
 def _ref_make_rhs(beta, Pr, table, stats):
-    knots, base, value, slope = boundary_layer._knot_table(*table)
-    f_lo, fp_lo, fpp_lo, g_lo, gp_lo = boundary_layer._CLIP_LO
-    f_hi, fp_hi, fpp_hi, g_hi, gp_hi = boundary_layer._CLIP_HI
-    rho_floor, c_floor = (boundary_layer._RHO_RATIO_FLOOR,
-                          boundary_layer._C_FLOOR)
+    closure = _ref_closure(table)
 
     def rhs(z):
+        C, _ = closure(_ref_clip(z)[3])
+        x = (z[0], z[1], z[2] / C, z[3], Pr * z[4] / C)
         stats["clipped"] += any(
             not lo <= v <= hi for v, lo, hi in
-            zip(z, boundary_layer._CLIP_LO, boundary_layer._CLIP_HI))
-        f, fp, fpp, g, gp = z
-        f = f_lo if f < f_lo else (f_hi if f > f_hi else f)
-        fp = fp_lo if fp < fp_lo else (fp_hi if fp > fp_hi else fp)
-        fpp = fpp_lo if fpp < fpp_lo else (fpp_hi if fpp > fpp_hi else fpp)
-        g = g_lo if g < g_lo else (g_hi if g > g_hi else g)
-        gp = gp_lo if gp < gp_lo else (gp_hi if gp > gp_hi else gp)
-        j = bisect_right(knots, g)
-        dC = slope[j]
-        C = value[j] + dC * (g - base[j])
-        if C < c_floor:
-            C, dC = c_floor, 0.0
-        Cp = dC * gp
-        rho_ratio = rho_floor if g < rho_floor else g
-        fppp = (-f * fpp - beta * (rho_ratio - fp * fp) - Cp * fpp) / C
-        gpp = (-f * gp * Pr / C) - (Cp / C) * gp
-        return (fp, fpp, fppp, gp, gpp)
+            zip(x, boundary_layer._CLIP_LO, boundary_layer._CLIP_HI))
+        f, fp, fpp, g, gp = _ref_clip(x)
+        rho_ratio = max(g, boundary_layer._RHO_RATIO_FLOOR)
+        return (fp, fpp, -f * fpp - beta * (rho_ratio - fp * fp), gp,
+                -f * gp)
 
     return rhs
 
@@ -239,8 +261,9 @@ def _bench_closure():
 
 
 class TestKernelBitwise:
-    """The five-local kernel against the list kernel it replaced: equal
-    end states, bit for bit, with the same rhs call count."""
+    """The five-local kernel on the module's flux-form right-hand side
+    against the list kernel on the reference one: equal end states, bit
+    for bit, with the same rhs call count."""
 
     # converged slopes, the shooting's first trial (0.47 + 0.62 beta,
     # 0.35 (1 - gw)), whose steps touch the clips and whose error norms
@@ -262,10 +285,10 @@ class TestKernelBitwise:
 
     @staticmethod
     def _run(name):
-        table, gw, (fpp0, gp0) = TestKernelBitwise.CASES[name]
-        y0 = (0.0, 0.0, fpp0, gw, gp0)
+        table, gw, slopes = TestKernelBitwise.CASES[name]
         calls = {"new": 0}
-        rhs = boundary_layer._make_rhs(0.5, 0.71, table)
+        rhs, closure = boundary_layer._make_rhs(0.5, 0.71, table)
+        y0 = _start(closure, gw, slopes)
 
         def counted(*z):
             calls["new"] += 1
@@ -289,9 +312,61 @@ class TestKernelBitwise:
         assert calls == stats["calls"]
 
     def test_cases_exercise_rejects_and_clips(self):
-        # the pins cover the step-reject path and the state clips
+        # the pins cover the step-reject path and the clips
         assert self._run("deep-gw0.05")[3]["rejected"] > 0
         assert self._run("runaway")[3]["clipped"] > 0
+
+
+def _expanded_rhs(beta, Pr, table):
+    """The similarity system on (f, f', f'', g, g') with (C f'')' and
+    (C g'/Pr)' expanded through the segment slope dC/dg, as integrated
+    before the flux form: a ``solve_ivp`` right-hand side."""
+    closure = _ref_closure(table)
+
+    def rhs(t, z):
+        f, fp, fpp, g, gp = _ref_clip(z.tolist())
+        C, dC = closure(g)
+        Cp = dC * gp
+        rho_ratio = max(g, boundary_layer._RHO_RATIO_FLOOR)
+        return [fp, fpp,
+                (-f * fpp - beta * (rho_ratio - fp * fp) - Cp * fpp) / C,
+                gp, -f * gp * Pr / C - Cp / C * gp]
+
+    return rhs
+
+
+class TestFluxForm:
+    """The flux-form system against the expanded form it replaced."""
+
+    @pytest.mark.parametrize("name", ["deep-gw0.05", "bench-gw0.035"])
+    def test_flux_and_expanded_forms_solve_one_ode(self, name):
+        table, gw, slopes = TestKernelBitwise.CASES[name]
+        rhs, closure = boundary_layer._make_rhs(0.5, 0.71, table)
+        # tighter than the solver's 1e-9: at 1e-9 the expanded form's own
+        # error on the 48-knot table is 1.5e-6 in f'(eta_max)
+        kw = dict(method="RK45", rtol=1e-11, atol=1e-13)
+        flux = solve_ivp(lambda t, z: rhs(*z.tolist()), (0.0, 8.0),
+                         list(_start(closure, gw, slopes)), **kw)
+        expanded = solve_ivp(_expanded_rhs(0.5, 0.71, table), (0.0, 8.0),
+                             [0.0, 0.0, slopes[0], gw, slopes[1]], **kw)
+        assert flux.success and expanded.success
+        assert abs(flux.y[1, -1] - expanded.y[1, -1]) <= 1e-6   # f'
+        assert abs(flux.y[3, -1] - expanded.y[3, -1]) <= 1e-6   # g
+
+    def test_knots_no_longer_cost_rejected_steps(self):
+        # the expanded form's dC/dg jumps at each of the 48 knots: 7,058
+        # rhs calls for this integration, against ~1,000 for C = 1
+        table, gw, slopes = TestKernelBitwise.CASES["bench-gw0.035"]
+        rhs, closure = boundary_layer._make_rhs(0.5, 0.71, table)
+        calls = []
+
+        def counted(*z):
+            calls.append(1)
+            return rhs(*z)
+
+        boundary_layer._dopri45_end(counted, _start(closure, gw, slopes),
+                                    8.0)
+        assert len(calls) <= 3500
 
 
 class TestSafeguards:
@@ -317,6 +392,18 @@ class TestSafeguards:
     def test_no_safeguard_active_at_homann(self):
         sol = solve_falkner_skan(0.5, Pr=0.71, gw=0.999)
         assert sol.safeguard_samples == 0
+
+    def test_count_reads_the_fluxes_as_slopes(self):
+        # C = 0.5 throughout: tau = 60 and q = 80 lie inside the clips,
+        # f'' = tau/C = 120 and g' = Pr q/C = 113.6 do not
+        y = np.zeros((5, 4))
+        y[3] = 0.5
+        y[2, 1], y[4, 2], y[2, 3] = 60.0, 80.0, 40.0
+        table = ((0.0, 1.0), (0.5, 0.5))
+        assert boundary_layer._safeguard_samples(y, table, 0.71) == 2
+        assert boundary_layer._safeguard_samples(y / [[1], [1], [2], [1],
+                                                      [2]], table,
+                                                 0.71) == 0
 
     def test_density_floor_counted_at_a_deeply_cooled_wall(self):
         # rho_e/rho = max(g, 0.05) floors the samples nearest the wall

@@ -672,7 +672,14 @@ class TestRetryDeadLetters:
         {"kind": "sleep"},                                # no id
         5,                                                # not an object
         {"id": "a", "kind": "sleep", "priority": "x"},    # bad priority
-    ], ids=["no-id", "not-an-object", "bad-priority"])
+        # a budget the queue or the sandbox would fail on at claim time,
+        # killing every worker that claims the job
+        {"id": "a", "kind": "sleep", "max_attempts": "x"},
+        {"id": "a", "kind": "sleep", "deadline": 0},
+        {"id": "a", "kind": "sleep", "memory_mb": "512"},
+        {"id": "a", "kind": "sleep", "stall_timeout": -1.0},
+    ], ids=["no-id", "not-an-object", "bad-priority", "bad-max-attempts",
+            "zero-deadline", "string-memory", "negative-stall-timeout"])
     def test_campaign_cli_bad_job_spec_is_usage_error(self, tmp_path,
                                                       capsys, spec):
         from repro.__main__ import main
@@ -683,6 +690,29 @@ class TestRetryDeadLetters:
         err = capsys.readouterr().err
         assert "usage:" in err and "job spec 1 " in err
         assert WorkQueue(tmp_path / "q").job_ids() == []  # none enqueued
+
+    def test_campaign_cli_bad_job_spec_leaves_no_temp_queue(
+            self, tmp_path, monkeypatch, capsys):
+        import tempfile
+
+        from repro.__main__ import main
+        specs = tmp_path / "jobs.json"
+        specs.write_text(json.dumps([{"kind": "sleep"}]))
+        tmp = tmp_path / "tmp"
+        tmp.mkdir()
+        monkeypatch.setenv("TMPDIR", str(tmp))
+        monkeypatch.setattr(tempfile, "tempdir", None)
+        assert main(["campaign", "--jobs", str(specs)]) == 2
+        assert "job spec 0 " in capsys.readouterr().err
+        assert not list(tmp.glob("repro-campaign-*"))
+
+    @pytest.mark.parametrize("field, bad", [
+        ("max_attempts", 0), ("max_attempts", True), ("max_attempts", 2.0),
+        ("deadline", float("nan")), ("memory_mb", float("inf")),
+        ("stall_timeout", False)])
+    def test_job_rejects_bad_budget(self, field, bad):
+        with pytest.raises(InputError, match=field):
+            Job(id="a", kind="sleep", **{field: bad})
 
     def test_jitter_unit_is_pure_and_job_seeded(self):
         """Satellite: backoff jitter is a pure hash of (job id,
