@@ -10,7 +10,8 @@ pytest-benchmark: it needs no plugin (CI runs the bare scientific
 stack), and everything it records is flushed to one JSON artifact at
 session end — ``BENCH_kernels.json``, the ROADMAP item-2 perf
 trajectory.  Enable the artifact with ``--bench-kernels-json PATH`` or
-``BENCH_KERNELS_JSON=PATH``.
+``BENCH_KERNELS_JSON=PATH``; a session updates the kernels it timed and
+keeps the other records of an existing file.
 """
 
 import json
@@ -96,14 +97,36 @@ def _kernels_json_path(config):
             or os.environ.get("BENCH_KERNELS_JSON"))
 
 
+#: Schema tag of ``BENCH_kernels.json``; a file with another tag is
+#: rewritten rather than merged.
+SCHEMA = "bench-kernels/1"
+
+
+def _recorded_kernels(path):
+    """The kernel records already in ``path`` (empty when the file is
+    missing, unreadable or of another schema)."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError):
+        return {}
+    if not isinstance(doc, dict) or doc.get("schema") != SCHEMA:
+        return {}
+    return dict(doc.get("kernels") or {})
+
+
 def pytest_sessionfinish(session, exitstatus):
+    """Merge this session's kernels into the artifact: the kernels it
+    timed replace their old records, every other record is kept."""
     path = _kernels_json_path(session.config)
     if not path or not _KERNEL_RECORDS:
         return
+    kernels = _recorded_kernels(path)
+    kernels.update(_KERNEL_RECORDS)
     doc = {
-        "schema": "bench-kernels/1",
+        "schema": SCHEMA,
         "unit": "seconds per call",
-        "kernels": dict(sorted(_KERNEL_RECORDS.items())),
+        "kernels": dict(sorted(kernels.items())),
     }
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8") as fh:

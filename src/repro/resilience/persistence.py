@@ -101,16 +101,12 @@ class PersistencePolicy:
         When True (default) a supervised march first looks for a valid
         snapshot in ``dir`` and continues from it instead of starting
         over.
-    fsync:
-        Fsync files and directory on commit (disable only in tests that
-        hammer tmpfs).
     """
 
     dir: str | os.PathLike
     every_n_steps: int = 50
     keep_last: int = 3
     resume: bool = True
-    fsync: bool = True
 
 
 @dataclass
@@ -287,8 +283,6 @@ class SnapshotStore:
         return sorted(seqs)
 
     def _fsync_dir(self):
-        if not self.policy.fsync:
-            return
         fd = os.open(self.dir, os.O_RDONLY)
         try:
             os.fsync(fd)
@@ -303,8 +297,7 @@ class SnapshotStore:
         with open(tmp, "wb") as f:
             f.write(data)
             f.flush()
-            if self.policy.fsync:
-                os.fsync(f.fileno())
+            os.fsync(f.fileno())
         os.replace(tmp, path)
 
     def _commit_exclusive(self, path: str, data: bytes) -> bool:
@@ -320,8 +313,7 @@ class SnapshotStore:
         with open(tmp, "wb") as f:
             f.write(data)
             f.flush()
-            if self.policy.fsync:
-                os.fsync(f.fileno())
+            os.fsync(f.fileno())
         try:
             os.link(tmp, path)
         except FileExistsError:

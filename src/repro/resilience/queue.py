@@ -218,11 +218,10 @@ class WorkQueue:
 
     def __init__(self, dir, *, lease_ttl: float = 15.0,
                  backoff: BackoffPolicy | None = None,
-                 fsync: bool = True, host_id: str | None = None,
+                 host_id: str | None = None,
                  max_skew: float = 2.0, clock=None, io_retries: int = 3):
         self.dir = os.fspath(dir)
         self.backoff = backoff or BackoffPolicy()
-        self.fsync = bool(fsync)
         self.host_id = host_id or default_host_id()
         self.clock = clock or time.time
         self.io_retries = max(0, int(io_retries))
@@ -266,8 +265,7 @@ class WorkQueue:
             with open(tmp, "w") as f:
                 json.dump(obj, f, indent=1, default=str)
                 f.flush()
-                if self.fsync:
-                    os.fsync(f.fileno())
+                os.fsync(f.fileno())
             os.replace(tmp, path)
 
         self._with_retries(op, f"write {path}")
@@ -327,8 +325,7 @@ class WorkQueue:
                          os.O_CREAT | os.O_WRONLY | os.O_APPEND, 0o644)
             try:
                 os.write(fd, line.encode())
-                if self.fsync:
-                    os.fsync(fd)
+                os.fsync(fd)
             finally:
                 os.close(fd)
 
@@ -525,9 +522,19 @@ class WorkQueue:
             if lease is None:
                 continue
             st = self.state(job_id)
+            if st.get("status") != "pending":
+                # finished by another worker since ready() listed it
+                self.leases.release(lease)
+                continue
             job = self.job(job_id)
             limit = (self.backoff.max_attempts if job.max_attempts is
                      None else int(job.max_attempts))
+            if not self.leases.verify(lease):
+                # reaped while this claim stalled: a successor may have
+                # run the job since, so the state read above is stale
+                self.journal("fenced", job=job_id, worker=owner,
+                             action="claim")
+                continue
             if int(st.get("attempts", 0)) >= limit:
                 # poison job: every past attempt took its worker down
                 # (reclaims charge the attempt but never reach fail()),
@@ -586,8 +593,7 @@ class WorkQueue:
                            "token": lease.token, "t": self.clock()},
                           f, indent=1, default=str)
                 f.flush()
-                if self.fsync:
-                    os.fsync(f.fileno())
+                os.fsync(f.fileno())
 
         self._with_retries(stage, f"stage result {job.id}")
         if not self.leases.verify(lease):

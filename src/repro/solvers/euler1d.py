@@ -58,6 +58,10 @@ class Euler1DSolver(QuarantineMixin):
         if flux not in _FLUXES:
             raise InputError(f"unknown flux {flux!r}; options: "
                              f"{sorted(_FLUXES)}")
+        if flux != "hlle" and not isinstance(self.eos, IdealGasEOS):
+            # FVS and AUSM+ are ideal-gas algebra; real-gas runs use HLLE
+            raise InputError(f"flux {flux!r} requires an ideal-gas EOS; "
+                             f"use 'hlle' for real gas")
         self.flux_name = flux
         self.order = order
         self.limiter = limiter
@@ -180,9 +184,7 @@ class Euler1DSolver(QuarantineMixin):
         WR = WR[1:-1]
         if self.flux_name == "hlle":
             return hlle_flux(WL, WR, self.eos)
-        fn = _FLUXES[self.flux_name]
-        gamma = getattr(self.eos, "gamma", 1.4)
-        return fn(WL, WR, gamma)
+        return _FLUXES[self.flux_name](WL, WR, self.eos.gamma)
 
     def residual(self, U):
         """dU/dt = -(F_{i+1/2} - F_{i-1/2}) / dx."""

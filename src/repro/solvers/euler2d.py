@@ -91,6 +91,9 @@ class AxisymmetricEulerSolver(QuarantineMixin):
     #: the watchdog skips them (species/entropy audits still apply).
     closed_domain = False
 
+    #: Names the solver in its non-finite-state errors.
+    _error_label = "euler2d"
+
     # ------------------------------------------------------------------
     # resilience protocol
     # ------------------------------------------------------------------
@@ -175,7 +178,8 @@ class AxisymmetricEulerSolver(QuarantineMixin):
         g = np.empty((U.shape[0] + 4,) + U.shape[1:], dtype=np.float64)
         g[2:-2] = U
         # axis symmetry: mirror with radial momentum flipped
-        flip = np.array([1.0, 1.0, -1.0, 1.0])
+        flip = np.ones(U.shape[-1], dtype=np.float64)
+        flip[2] = -1.0
         g[1] = U[0] * flip
         g[0] = U[1] * flip
         g[-2] = U[-1]
@@ -185,7 +189,8 @@ class AxisymmetricEulerSolver(QuarantineMixin):
     def _pad_j(self, U):
         """Ghosts along j: :meth:`_wall_ghosts` at j=0, freestream at
         j=nj."""
-        g = np.empty((U.shape[0], U.shape[1] + 4, 4), dtype=np.float64)
+        g = np.empty((U.shape[0], U.shape[1] + 4, U.shape[-1]),
+                     dtype=np.float64)
         g[:, 2:-2] = U
         # ghost row 1 mirrors cell row 0, ghost row 0 cell row 1
         g[:, 1::-1] = self._wall_ghosts(U[:, :2])
@@ -206,9 +211,19 @@ class AxisymmetricEulerSolver(QuarantineMixin):
     # residual
     # ------------------------------------------------------------------
 
+    def _decode(self, U):
+        """Cell primitives of ``U`` (the :func:`primitives` dict)."""
+        return primitives(U, self.eos)
+
+    def _face_flux(self, UL, UR, nx, ny):
+        """Face flux along unit normals (nx, ny), solved in the face frame."""
+        return rotate_from_normal(
+            self._flux(rotate_to_normal(UL, nx, ny),
+                       rotate_to_normal(UR, nx, ny)), nx, ny)
+
     def residual(self, U, w=None):
         """dU/dt per cell (axisymmetric FV with hoop-pressure source);
-        ``w`` is ``primitives(U, eos)`` when the caller has it already."""
+        ``w`` is ``_decode(U)`` when the caller has it already."""
         fo_i = fo_j = None
         if self.quarantined_cells is not None:
             fo_i = np.pad(self.quarantined_cells, ((2, 2), (0, 0)),
@@ -220,28 +235,24 @@ class AxisymmetricEulerSolver(QuarantineMixin):
         UL, UR = muscl_interface_states(gi, axis=0, order=self.order,
                                         limiter=self.limiter,
                                         first_order_mask=fo_i)
-        UL, UR = UL[1:-1], UR[1:-1]          # (ni+1, nj, 4) faces
-        nx, ny = self.nhat_i[..., 0], self.nhat_i[..., 1]
-        F_i = rotate_from_normal(
-            self._flux(rotate_to_normal(UL, nx, ny),
-                       rotate_to_normal(UR, nx, ny)), nx, ny)
+        UL, UR = UL[1:-1], UR[1:-1]          # (ni+1, nj, nv) faces
+        F_i = self._face_flux(UL, UR, self.nhat_i[..., 0],
+                              self.nhat_i[..., 1])
         F_i = F_i * self.area_i[..., None]
         # ---- j-direction fluxes ----
         gj = self._pad_j(U)
         VL, VR = muscl_interface_states(gj, axis=1, order=self.order,
                                         limiter=self.limiter,
                                         first_order_mask=fo_j)
-        VL, VR = VL[:, 1:-1], VR[:, 1:-1]    # (ni, nj+1, 4)
-        mx, my = self.nhat_j[..., 0], self.nhat_j[..., 1]
-        F_j = rotate_from_normal(
-            self._flux(rotate_to_normal(VL, mx, my),
-                       rotate_to_normal(VR, mx, my)), mx, my)
+        VL, VR = VL[:, 1:-1], VR[:, 1:-1]    # (ni, nj+1, nv)
+        F_j = self._face_flux(VL, VR, self.nhat_j[..., 0],
+                              self.nhat_j[..., 1])
         F_j = F_j * self.area_j[..., None]
         # ---- divergence + axisymmetric source ----
         div = (F_i[1:] - F_i[:-1]) + (F_j[:, 1:] - F_j[:, :-1])
         R = -div / self.vol[..., None]
         if w is None:
-            w = primitives(U, self.eos)
+            w = self._decode(U)
         R[..., 2] += w["p"] * self.grid.area / self.vol
         return R
 
@@ -253,20 +264,27 @@ class AxisymmetricEulerSolver(QuarantineMixin):
         """Per-cell explicit timestep from the inscribed length scale;
         ``w`` as for :meth:`residual`, of ``self.U``."""
         if w is None:
-            w = primitives(self.U, self.eos)
+            w = self._decode(self.U)
         speed = np.hypot(w["vel"][0], w["vel"][1]) + w["a"]
         return cfl * self.grid.min_cell_size() / speed
 
     def step(self, cfl=0.4):
-        """One local-time-step forward-Euler update (steady-state mode).
+        """One local-time-step forward-Euler update (steady-state mode);
+        returns the relative density-update residual."""
+        return self._record_step(*self._update(cfl))
 
-        The cell-centre state is decoded once and handed to both the
-        timestep and the residual."""
-        w = primitives(self.U, self.eos)
+    def _update(self, cfl):
+        """Sanitised forward-Euler update of ``self.U`` -> (R, dt); the
+        state is decoded once for both the timestep and the residual."""
+        w = self._decode(self.U)
         dt = self.local_timestep(cfl, w)
         R = self.residual(self.U, w)
         self.U = self.U + dt[..., None] * R
         self._sanitise()
+        return R, dt
+
+    def _record_step(self, R, dt):
+        """Count the step and log its relative density-update residual."""
         self.steps += 1
         # catlint: disable=CAT002 -- mean of squares is >= 0
         rho_res = float(np.sqrt(np.mean((R[..., 0] * dt) ** 2))
@@ -279,10 +297,12 @@ class AxisymmetricEulerSolver(QuarantineMixin):
         U = self.U
         if not np.all(np.isfinite(U)):
             first = tuple(int(i) for i in np.argwhere(~np.isfinite(U))[0])
-            comp = component_name(first[-1], U.shape[-1])
+            layout = getattr(self, "state_layout", None) or {}
+            comp = component_name(first[-1], U.shape[-1], energy_index=3,
+                                  species_names=layout.get("species_names"))
             raise StabilityError(
-                f"euler2d: non-finite state at cell {first[:-1]}, "
-                f"component {comp}",
+                f"{self._error_label}: non-finite state at cell "
+                f"{first[:-1]}, component {comp}",
                 step=self.steps, cell=first[:-1], component=comp,
                 value=float(U[first]))
         rho_floor = 1e-6 * float(self.U_inf[0])
@@ -292,8 +312,11 @@ class AxisymmetricEulerSolver(QuarantineMixin):
         # energy floor: keep internal energy positive
         rho = U[..., 0]
         ke = 0.5 * (U[..., 1] ** 2 + U[..., 2] ** 2) / rho
-        e_min = 1e-8 * float(self.U_inf[3])
-        U[..., 3] = np.maximum(U[..., 3], ke + e_min)
+        U[..., 3] = np.maximum(U[..., 3], ke + self._energy_floor(U))
+
+    def _energy_floor(self, U):
+        """Least internal energy per volume :meth:`_sanitise` leaves."""
+        return 1e-8 * float(self.U_inf[3])
 
     def run(self, *, n_steps=4000, cfl=0.4, tol=1e-8, resilience=None,
             faults=None, persist=None, watchdog=None, degradation=None):
@@ -327,16 +350,15 @@ class AxisymmetricEulerSolver(QuarantineMixin):
         ``threshold`` x freestream.  Returns (x_shock, y_shock) arrays
         (NaN where no shock is found on a ray).
         """
-        f = self.fields()
         rho_inf = float(self.U_inf[0])
-        mask = f["rho"] > threshold * rho_inf
+        mask = self.fields()["rho"] > threshold * rho_inf
         ni, nj = mask.shape
         # outermost exceeding cell per ray: argmax of the reversed mask
         j_shock = nj - 1 - np.argmax(mask[:, ::-1], axis=1)
         has_shock = mask.any(axis=1)
         rays = np.arange(ni)
-        xs = np.where(has_shock, f["x"][rays, j_shock], np.nan)
-        ys = np.where(has_shock, f["y"][rays, j_shock], np.nan)
+        xs = np.where(has_shock, self.grid.xc[rays, j_shock], np.nan)
+        ys = np.where(has_shock, self.grid.yc[rays, j_shock], np.nan)
         return xs, ys
 
     def stagnation_standoff(self):
@@ -350,5 +372,5 @@ class AxisymmetricEulerSolver(QuarantineMixin):
 
     def surface_pressure(self):
         """Wall-adjacent cell pressure along the body, with arc positions."""
-        f = self.fields()
-        return f["x"][:, 0], f["y"][:, 0], f["p"][:, 0]
+        return (self.grid.xc[:, 0], self.grid.yc[:, 0],
+                self.fields()["p"][:, 0])

@@ -26,15 +26,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import InputError, StabilityError
+from repro.errors import InputError
 from repro.grid.structured import StructuredGrid2D
-from repro.numerics.fluxes import (hlle_flux, rotate_from_normal,
-                                   rotate_to_normal)
+from repro.numerics.fluxes import rotate_from_normal, rotate_to_normal
 from repro.numerics.implicit import point_implicit_species_update
 from repro.numerics.limiters import minmod
-from repro.numerics.muscl import muscl_interface_states
-from repro.numerics.time_integration import component_name
-from repro.solvers.degradable import QuarantineMixin
+from repro.solvers.euler2d import AxisymmetricEulerSolver
 from repro.thermo.kinetics import ReactionMechanism, park_air_mechanism
 from repro.thermo.mixture import MixtureThermo
 from repro.thermo.species import SpeciesDB, species_set
@@ -76,8 +73,12 @@ class _FrozenMixtureEOS:
                 self.mix.sound_speed_frozen(T, self.y), T)
 
 
-class ReactingEulerSolver(QuarantineMixin):
+class ReactingEulerSolver(AxisymmetricEulerSolver):
     """Finite-rate blunt-body solver (i: surface, j: normal grid).
+
+    The finite-volume frame is the Euler solver's; this class plugs in
+    the species decode, the face flux, the energy floor and the
+    chemistry sub-step.
 
     Parameters
     ----------
@@ -106,24 +107,13 @@ class ReactingEulerSolver(QuarantineMixin):
                  mechanism: ReactionMechanism | None = None, *,
                  order: int = 2, limiter=minmod,
                  chemistry_model: str = "finite_rate"):
-        self.grid = grid
         self.db = db if isinstance(db, SpeciesDB) else species_set(db)
         self.mech = mechanism or park_air_mechanism(self.db)
         self.mix = MixtureThermo(self.db)
-        self.order = order
-        self.limiter = limiter
+        super().__init__(grid, _FrozenMixtureEOS(self.mix), order=order,
+                         limiter=limiter)
         self.ns = self.db.n
         self.nv = 4 + self.ns
-        self.vol = grid.axisymmetric_volumes()
-        n_i, n_j = grid.axisymmetric_face_metrics()
-        self.area_i = np.linalg.norm(n_i, axis=-1)
-        self.area_j = np.linalg.norm(n_j, axis=-1)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            self.nhat_i = n_i / np.maximum(self.area_i, 1e-300)[..., None]
-            self.nhat_j = n_j / np.maximum(self.area_j, 1e-300)[..., None]
-        self.wall_normal = grid.n_j[:, 0, :] / np.maximum(
-            np.linalg.norm(grid.n_j[:, 0, :], axis=-1), 1e-300)[:, None]
-        self._eos = _FrozenMixtureEOS(self.mix)
         if chemistry_model not in self.PHYSICS_LADDER:
             raise InputError(f"chemistry_model must be one of "
                              f"{self.PHYSICS_LADDER}")
@@ -132,7 +122,6 @@ class ReactingEulerSolver(QuarantineMixin):
         if chemistry_model == "two_temperature":
             from repro.thermo.two_temperature import TwoTemperatureGas
             self.ttg = TwoTemperatureGas(self.db, self.mech)
-        self.U = None
         self.T = None
         #: Vibrational-electronic pool [J/kg] and its temperature
         #: (two-temperature starting rung only, else None).
@@ -142,13 +131,8 @@ class ReactingEulerSolver(QuarantineMixin):
         #: demoted below ``chemistry_model``); like the quarantine mask,
         #: deliberately outside get_state so rollbacks keep demotions.
         self.chem_rung = None
-        self.steps = 0
-        self.converged = False
-        self.residual_history: list[float] = []
 
-    #: Blunt-body domain: open boundaries, so the watchdog audits
-    #: species/entropy but not global budgets.
-    closed_domain = False
+    _error_label = "reacting euler2d"
 
     @property
     def state_layout(self):
@@ -172,7 +156,7 @@ class ReactingEulerSolver(QuarantineMixin):
         """
         state = {"U": self.U.copy(), "steps": self.steps,
                  "T": None if self.T is None else self.T.copy(),
-                 "U_inf": (None if getattr(self, "U_inf", None) is None
+                 "U_inf": (None if self.U_inf is None
                            else self.U_inf.copy()),
                  "residual_history": list(self.residual_history)}
         if self.ev is not None:
@@ -205,10 +189,6 @@ class ReactingEulerSolver(QuarantineMixin):
                               "n_reactions": len(self.mech.reactions)},
                 "chemistry_model": self.chemistry_model,
                 "grid": [int(self.grid.ni), int(self.grid.nj)]}
-
-    def persist_arrays(self):
-        """Constructor ndarrays persisted alongside the state."""
-        return {"grid_x": self.grid.x, "grid_y": self.grid.y}
 
     @classmethod
     def from_persist(cls, config, arrays):
@@ -263,8 +243,7 @@ class ReactingEulerSolver(QuarantineMixin):
 
     def conservation_totals(self):
         """Global mass, energy and element-mole totals (per radian)."""
-        totals = {"mass": float(np.sum(self.U[..., 0] * self.vol)),
-                  "energy": float(np.sum(self.U[..., 3] * self.vol))}
+        totals = super().conservation_totals()
         # element moles: comp_matrix @ (species partial moles); chemistry
         # must conserve every row exactly
         c = self.U[..., 4:] / self.db.molar_mass          # mol/m^3
@@ -310,7 +289,8 @@ class ReactingEulerSolver(QuarantineMixin):
     # ------------------------------------------------------------------
 
     def _decode(self, U):
-        """Primitive decomposition with the warm-started T solve."""
+        """The base decode's primitives plus mass fractions ``y``, with
+        T from (e, y) warm-started at the last residual's field."""
         rho = np.maximum(U[..., 0], 1e-300)
         u = U[..., 1] / rho
         v = U[..., 2] / rho
@@ -324,33 +304,8 @@ class ReactingEulerSolver(QuarantineMixin):
         T = self.mix.T_from_e(e, y, T_guess=T_guess)
         p = self.mix.pressure(rho, T, y)
         a = self.mix.sound_speed_frozen(T, y)
-        return {"rho": rho, "u": u, "v": v, "y": y, "e": e, "T": T,
+        return {"rho": rho, "vel": (u, v), "y": y, "e": e, "T": T,
                 "p": p, "a": a}
-
-    def _pad_i(self, U):
-        g = np.empty((U.shape[0] + 4,) + U.shape[1:], dtype=np.float64)
-        g[2:-2] = U
-        flip = np.ones(self.nv, dtype=np.float64)
-        flip[2] = -1.0
-        g[1] = U[0] * flip
-        g[0] = U[1] * flip
-        g[-2] = U[-1]
-        g[-1] = U[-1]
-        return g
-
-    def _pad_j(self, U):
-        g = np.empty((U.shape[0], U.shape[1] + 4, self.nv), dtype=np.float64)
-        g[:, 2:-2] = U
-        for k, src in ((1, 0), (0, 1)):
-            Uw = U[:, src].copy()
-            n = self.wall_normal
-            mn = Uw[:, 1] * n[:, 0] + Uw[:, 2] * n[:, 1]
-            Uw[:, 1] -= 2.0 * mn * n[:, 0]
-            Uw[:, 2] -= 2.0 * mn * n[:, 1]
-            g[:, k] = Uw
-        g[:, -2] = self.U_inf
-        g[:, -1] = self.U_inf
-        return g
 
     def _face_flux(self, UL, UR, nx, ny):
         """HLLE on the bulk + upwinded species transport."""
@@ -361,11 +316,11 @@ class ReactingEulerSolver(QuarantineMixin):
         # the wavespeed bounds; use the mean)
         yL = np.clip(UL[..., 4:] / np.maximum(UL[..., 0:1], 1e-300), 0, 1)
         yR = np.clip(UR[..., 4:] / np.maximum(UR[..., 0:1], 1e-300), 0, 1)
-        self._eos.bind(0.5 * (yL + yR)
-                       / np.maximum(np.sum(0.5 * (yL + yR), axis=-1,
-                                           keepdims=True), 1e-300),
-                       None)
-        Fb = hlle_flux(WL, WR, self._eos)
+        self.eos.bind(0.5 * (yL + yR)
+                      / np.maximum(np.sum(0.5 * (yL + yR), axis=-1,
+                                          keepdims=True), 1e-300),
+                      None)
+        Fb = self._flux(WL, WR)
         F = np.empty(Fb.shape[:-1] + (self.nv,), dtype=np.float64)
         F[..., :4] = rotate_from_normal(Fb, nx, ny)
         mdot = Fb[..., 0]
@@ -374,40 +329,11 @@ class ReactingEulerSolver(QuarantineMixin):
         return F
 
     def residual(self, U, w):
-        """dU/dt per cell; ``w`` is ``_decode(U)``."""
+        """dU/dt per cell; ``w["T"]`` warm-starts the next decode."""
         self.T = w["T"]
-        fo_i = fo_j = None
-        if self.quarantined_cells is not None:
-            fo_i = np.pad(self.quarantined_cells, ((2, 2), (0, 0)),
-                          mode="edge")
-            fo_j = np.pad(self.quarantined_cells, ((0, 0), (2, 2)),
-                          mode="edge")
-        gi = self._pad_i(U)
-        UL, UR = muscl_interface_states(gi, axis=0, order=self.order,
-                                        limiter=self.limiter,
-                                        first_order_mask=fo_i)
-        UL, UR = UL[1:-1], UR[1:-1]
-        F_i = self._face_flux(UL, UR, self.nhat_i[..., 0],
-                              self.nhat_i[..., 1])
-        F_i = F_i * self.area_i[..., None]
-        gj = self._pad_j(U)
-        VL, VR = muscl_interface_states(gj, axis=1, order=self.order,
-                                        limiter=self.limiter,
-                                        first_order_mask=fo_j)
-        VL, VR = VL[:, 1:-1], VR[:, 1:-1]
-        F_j = self._face_flux(VL, VR, self.nhat_j[..., 0],
-                              self.nhat_j[..., 1])
-        F_j = F_j * self.area_j[..., None]
-        div = (F_i[1:] - F_i[:-1]) + (F_j[:, 1:] - F_j[:, :-1])
-        R = -div / self.vol[..., None]
-        R[..., 2] += w["p"] * self.grid.area / self.vol
-        return R
+        return super().residual(U, w)
 
     # ------------------------------------------------------------------
-
-    def local_timestep(self, cfl, w):
-        speed = np.hypot(w["u"], w["v"]) + w["a"]
-        return cfl * self.grid.min_cell_size() / speed
 
     def _update_vibrational_pool(self, w, dt):
         """Operator-split relaxation of the vibrational-electronic pool.
@@ -439,11 +365,7 @@ class ReactingEulerSolver(QuarantineMixin):
         Returns the relative density-update residual (as the Euler
         solver does), so steady marches can monitor convergence.
         """
-        w = self._decode(self.U)
-        dt = self.local_timestep(cfl, w)
-        R = self.residual(self.U, w)
-        self.U = self.U + dt[..., None] * R
-        self._sanitise()
+        R, dt = self._update(cfl)
         rung = self.chem_rung
         frozen_idx = self.PHYSICS_LADDER.index("frozen")
         all_frozen = (self.chemistry_model == "frozen" if rung is None
@@ -465,35 +387,16 @@ class ReactingEulerSolver(QuarantineMixin):
             # total energy invariant on the formation basis: only the
             # species partition changes
             self.U[..., 4:] = w["rho"][..., None] * y_new
-        self.steps += 1
-        # catlint: disable=CAT002 -- mean of squares is >= 0
-        rho_res = float(np.sqrt(np.mean((R[..., 0] * dt) ** 2))
-                        / max(float(np.mean(self.U[..., 0])), 1e-300))
-        self.residual_history.append(rho_res)
-        return rho_res
+        return self._record_step(R, dt)
 
-    def _sanitise(self):
-        U = self.U
-        if not np.all(np.isfinite(U)):
-            first = tuple(int(i) for i in np.argwhere(~np.isfinite(U))[0])
-            comp = component_name(first[-1], self.nv, energy_index=3,
-                                  species_names=self.db.names)
-            raise StabilityError(
-                f"reacting euler2d: non-finite state at cell "
-                f"{first[:-1]}, component {comp}",
-                step=self.steps, cell=first[:-1], component=comp,
-                value=float(U[first]))
-        rho_floor = 1e-6 * float(self.U_inf[0])
-        bad = U[..., 0] < rho_floor
-        if np.any(bad):
-            U[bad, :] = self.U_inf
-        rho = U[..., 0]
-        ke = 0.5 * (U[..., 1] ** 2 + U[..., 2] ** 2) / rho
+    def _energy_floor(self, U):
+        """Heat of formation plus ~30 K of thermal energy per volume;
+        clips negative partial densities to zero first (in place)."""
         np.clip(U[..., 4:], 0.0, None, out=U[..., 4:])
         y = U[..., 4:] / np.maximum(
             np.sum(U[..., 4:], axis=-1, keepdims=True), 1e-300)
         hf = np.sum(y * self.db.hf0_mass, axis=-1)
-        U[..., 3] = np.maximum(U[..., 3], ke + rho * (hf + 3e4))
+        return U[..., 0] * (hf + 3e4)
 
     def run(self, *, n_steps=2000, cfl=0.35, chemistry=True, tol=None,
             resilience=None, faults=None, persist=None, watchdog=None,
@@ -515,16 +418,9 @@ class ReactingEulerSolver(QuarantineMixin):
     # ------------------------------------------------------------------
 
     def fields(self):
+        """Cell primitives, mass fractions ``y``, centres ``x``/``y_coord``."""
         w = self._decode(self.U)
+        w["u"], w["v"] = w.pop("vel")
         w["x"] = self.grid.xc
         w["y_coord"] = self.grid.yc
         return w
-
-    def stagnation_standoff(self, *, threshold=1.5):
-        f = self.fields()
-        rho_inf = float(self.U_inf[0])
-        mask = f["rho"][0] > threshold * rho_inf
-        idx = np.nonzero(mask)[0]
-        if not idx.size:
-            raise StabilityError("no shock on the stagnation ray")
-        return float(self.grid.x[0, 0] - f["x"][0, idx[-1]])

@@ -92,6 +92,12 @@ class TestBoundaries:
             Euler1DSolver(np.array([0.0, 0.0, 1.0]))
         with pytest.raises(InputError):
             Euler1DSolver(np.linspace(0, 1, 11), flux="magic")
+        # FVS and AUSM+ are ideal-gas algebra: refused on a real-gas EOS
+        from repro.thermo.eos_table import build_air_table
+        eos = TabulatedEOS(build_air_table(n_rho=24, n_e=32))
+        for flux in ("van_leer", "steger_warming", "ausm"):
+            with pytest.raises(InputError, match="ideal-gas"):
+                Euler1DSolver(np.linspace(0, 1, 11), eos=eos, flux=flux)
         s = Euler1DSolver(np.linspace(0, 1, 11))
         with pytest.raises(InputError):
             s.run(0.1)  # no initial condition

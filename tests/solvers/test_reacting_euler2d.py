@@ -64,6 +64,22 @@ class TestNonequilibriumShockLayer:
         # (with margin for the coarse grid)
         assert 0.01 < d / 0.3 < 0.20
 
+    def test_shock_and_wall_coordinates_are_cell_centres(self,
+                                                        noneq_solution):
+        # the Euler solver's diagnostics read coordinates off the grid:
+        # here fields()["y"] is the mass-fraction array, not the radius
+        s, g = noneq_solution, noneq_solution.grid
+        xs, ys = s.shock_location()
+        assert xs.shape == ys.shape == (g.ni,) and np.isfinite(xs[0])
+        for i in np.flatnonzero(np.isfinite(xs)):
+            [j] = np.flatnonzero(g.xc[i] == xs[i])
+            assert g.yc[i, j] == ys[i]
+        x_w, y_w, p_w = s.surface_pressure()
+        np.testing.assert_array_equal(x_w, g.xc[:, 0])
+        np.testing.assert_array_equal(y_w, g.yc[:, 0])
+        np.testing.assert_array_equal(p_w, s.fields()["p"][:, 0])
+        assert s.stagnation_standoff() == g.x[0, 0] - xs[0]
+
     def test_chemistry_toggle(self):
         # chemistry=False must leave the composition frozen everywhere
         body = Sphere(0.3)

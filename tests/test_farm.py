@@ -171,6 +171,50 @@ class TestLeases:
         fenced = [r for r in q.read_journal() if r["event"] == "fenced"]
         assert {f["action"] for f in fenced} == {"complete", "fail"}
 
+    def test_claim_skips_a_job_finished_after_ready(self, tmp_path,
+                                                    monkeypatch):
+        q = WorkQueue(tmp_path / "q", backoff=FAST)
+        q.enqueue(Job(id="a", kind="sleep"))
+        job, lease = q.claim("w0")
+        assert q.complete(job, lease, {"from": "w0"})
+        # w1 listed "a" as ready just before w0 completed it
+        monkeypatch.setattr(q, "ready", lambda now=None: ["a"])
+        assert q.claim("w1") is None
+        st = q.state("a")
+        assert st["status"] == "done" and st["attempts"] == 1
+        assert q.leases.holder("a") is None
+
+    def test_claim_fenced_when_its_lease_is_reaped_mid_claim(self,
+                                                             tmp_path):
+        """w0 stalls between reading the state and writing ``running``;
+        its lease expires and is reaped, and w1 claims and completes the
+        job.  w0's stale claim must not write over the finished job."""
+        now = [1000.0]
+        q = WorkQueue(tmp_path / "q", lease_ttl=5.0, backoff=FAST,
+                      clock=lambda: now[0])
+        q.enqueue(Job(id="a", kind="sleep"))
+        read_job, stalled = q.job, []
+
+        def job(job_id):
+            held = q.leases.holder(job_id)
+            if not stalled and held is not None and held["owner"] == "w0":
+                stalled.append(job_id)
+                now[0] += 10.0
+                assert q.reclaim_expired() == ["a"]
+                job1, lease1 = q.claim("w1")
+                assert q.complete(job1, lease1, {"from": "w1"})
+            return read_job(job_id)
+
+        q.job = job
+        assert q.claim("w0") is None
+        assert stalled == ["a"]
+        st = q.state("a")
+        assert st["status"] == "done" and st["attempts"] == 1
+        assert q.result("a")["result"] == {"from": "w1"}
+        fenced = [(r["worker"], r["action"]) for r in q.read_journal()
+                  if r["event"] == "fenced"]
+        assert fenced == [("w0", "claim")]
+
     def test_renew_extends_and_detects_loss(self, tmp_path):
         lm = LeaseManager(tmp_path / "leases", ttl=0.3)
         lease = lm.acquire("job", "w0")

@@ -590,8 +590,7 @@ class TestConcurrentCommit:
 
         def writer():
             solver = _factory("euler1d")()
-            store = SnapshotStore(PersistencePolicy(
-                dir=d, keep_last=100, fsync=False))
+            store = SnapshotStore(PersistencePolicy(dir=d, keep_last=100))
             barrier.wait()   # maximise overlap of the save loops
             for _ in range(n_saves):
                 store.save(solver)
