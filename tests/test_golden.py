@@ -2,13 +2,15 @@
 
 Runs every figure of the two figure workloads with the benchmark's own
 arguments (``stagnation-figs``: figs 2, 3 and 6 quick; ``marching-figs``:
-figs 1, 5, 8 and 9 quick) and the benchmark's two heavy service requests
+figs 1, 5, 8 and 9 quick), the benchmark's two heavy service requests
 (a VSL stagnation and a PNS windward request, the only ones that reach
-the boundary layer), and compares every numeric leaf with
-``perfbench/reference/figures.json`` and ``requests.json`` through the
-benchmark's gate, ``perfbench/check.py::compare`` (rtol 1e-4).  The
-perfbench files are only read here: a change that moves these answers
-must justify the diff rather than re-record the reference.
+the boundary layer) and its whole pool of light service requests
+(correlation and equilibrium, as one batch), and compares every numeric
+leaf with ``perfbench/reference/figures.json`` and ``requests.json``
+through the benchmark's gate, ``perfbench/check.py::compare`` (rtol
+1e-4).  The perfbench files are only read here: a change that moves
+these answers must justify the diff rather than re-record the
+reference.
 
 The runs the benchmark does not cover -- figs 4 and 7 quick, the
 reacting solver's chaos case and a 30-step two-temperature reacting
@@ -87,6 +89,24 @@ def test_heavy_request_matches_reference(request_references, name,
     assert env.status == "ok", env.error
     assert check.compare(name, env.result,
                          request_references[name]) is None
+
+
+def test_light_requests_match_reference(request_references):
+    """The 1,800 correlation and equilibrium requests of the service
+    workload's pool, sent as one batch with the benchmark's policy."""
+    pool = workloads.light_pool()
+    ids = sorted(pool)
+    result = workloads.batch.evaluate_batch([pool[i] for i in ids],
+                                            workloads.POLICY)
+    failed = {i: e.error for i, e in zip(ids, result.envelopes)
+              if e.status != "ok"}
+    assert not failed
+    mismatched = {}
+    for pid, env in zip(ids, result.envelopes):
+        why = check.compare(pid, env.result, request_references[pid])
+        if why is not None:
+            mismatched[pid] = why
+    assert not mismatched
 
 
 def _reacting_chaos_case():
