@@ -82,13 +82,13 @@ def degrade_demo():
     cascade is armed (quarantined first-order zone, chemistry demotion,
     automatic re-promotion — all recorded in the ledger).
 
-    API layer: ``on_failure="degrade"`` drops a failing stagnation
-    solve one model rung down to the correlation-level answer instead
-    of raising.
+    Service layer: ``evaluate_batch`` drops a failing stagnation solve
+    one model rung down to the correlation-level answer and records the
+    failure in the request's envelope instead of raising.
     """
-    from repro.core.api import stagnation_environment
     from repro.resilience import (DegradationPolicy, FaultInjector,
                                   RetryPolicy)
+    from repro.service import evaluate_batch
 
     print("\n--- graceful degradation demo ---")
     grid = blunt_body_grid(Sphere(0.05), n_s=9, n_normal=13,
@@ -107,13 +107,15 @@ def degrade_demo():
     print(f"fault-injected march completed {s.steps} steps; ledger:")
     print(s.degradation_ledger.summary())
 
-    # a subsonic "entry" fails the shock solve; the degrade mode answers
+    # a subsonic "entry" fails the shock solve; the batch service answers
     # with Sutton-Graves / Tauber-Sutton correlations instead of raising
-    env = stagnation_environment(V=10.0, h=60e3, nose_radius=1.0,
-                                 on_failure="degrade")
-    print(f"\nAPI model-ladder fallback: degraded={env['degraded']} "
-          f"(rung: {env['degradation']['rung']}), "
-          f"q_conv = {env['q_conv']:.3g} W/m^2")
+    [env] = evaluate_batch([{"method": "stagnation", "V": 10.0,
+                             "h": 60e3, "nose_radius": 1.0}]).envelopes
+    [failed] = env.degradation
+    print(f"\nservice model-ladder fallback: {env.status} "
+          f"(rung: {env.rung}; {failed['rung']} failed with "
+          f"{failed['error_type']}), "
+          f"q_conv = {env.result['q_conv']:.3g} W/m^2")
 
 
 if __name__ == "__main__":

@@ -20,7 +20,7 @@ def _bounded(cast, *, strict: bool = True):
     it above zero (at least zero when not ``strict``)."""
     def parse(text: str):
         value = cast(text)
-        if value < 0 or (strict and value == 0):
+        if not value >= 0 or (strict and value == 0):   # NaN fails too
             raise argparse.ArgumentTypeError(
                 f"must be {'positive' if strict else '>= 0'}, got {text}")
         return value
@@ -344,8 +344,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 def _read_jsonl_requests(path: str | None) -> list:
     """JSON-lines requests from a file or stdin.  A line that is not
-    valid JSON is kept as the raw string — the service turns it into a
-    typed invalid-request envelope instead of aborting the batch."""
+    valid JSON (or holds an integer too long to parse) is kept as the
+    raw string — the service turns it into a typed invalid-request
+    envelope instead of aborting the batch."""
     import json
     if path is None or path == "-":
         lines = sys.stdin.read().splitlines()
@@ -359,7 +360,7 @@ def _read_jsonl_requests(path: str | None) -> list:
             continue
         try:
             requests.append(json.loads(line))
-        except json.JSONDecodeError:
+        except ValueError:       # JSONDecodeError is a ValueError
             requests.append(line)
     return requests
 
@@ -386,11 +387,11 @@ def _cmd_batch(args: argparse.Namespace) -> int:
                                      evaluate_batch,
                                      evaluate_batch_farm)
     policy = BatchPolicy(deadline=args.deadline,
-                         shed_above=args.shed_above,
                          isolate=args.isolate,
                          allow_faults=args.allow_faults,
                          dedup=not args.no_dedup,
-                         **_given(args, "request_deadline", "chunk_size"))
+                         **_given(args, "request_deadline", "shed_above",
+                                  "chunk_size"))
     if farm:
         import tempfile
         qdir = args.queue_dir or tempfile.mkdtemp(prefix="batch-queue-")

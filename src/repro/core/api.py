@@ -10,22 +10,14 @@ full solver stack:
 * :func:`heat_pulse` — "what does the whole trajectory integrate to?"
   (correlation-level convective + radiative pulse and load).
 
-Failure semantics: every entry point accepts ``on_failure`` — ``"raise"``
-(default) propagates the typed :class:`~repro.errors.CatError` with its
-attached :class:`~repro.resilience.FailureReport`, ``"report"`` returns
-``{"ok": False, "error": ..., "report": ...}`` so service-style callers
-handling many conditions degrade per-condition instead of dying, and
-``"degrade"`` drops one rung down the model ladder instead of failing:
-the solver-level answer is replaced by the correlation-level one
-(Sutton-Graves convective + Tauber-Sutton radiative, the same physics
-:func:`heat_pulse` uses) and the result carries ``"degraded": True``
-plus a ``"degradation"`` record naming the fallback rung and wrapping
-the original failure report.
-
-Process isolation lives where its traffic is: the batch service
-(:func:`repro.service.evaluate_batch`) and the solve farm run a request
-or job in a sandboxed child process under a wall-clock deadline, an RSS
-memory budget and heartbeat stall detection.
+Failure semantics: :func:`stagnation_environment` and
+:func:`windward_heating` raise the typed :class:`~repro.errors.CatError`
+with its attached :class:`~repro.resilience.FailureReport`.  The model
+ladder lives where its traffic is: the batch service
+(:func:`repro.service.evaluate_batch`) drops a failed solve one rung
+down to the correlations, or records it in the request's envelope, and
+runs heavy requests in a sandboxed child process under a wall-clock
+deadline.
 """
 
 from __future__ import annotations
@@ -35,7 +27,7 @@ import threading
 import numpy as np
 
 from repro.atmosphere import EarthAtmosphere
-from repro.errors import CatError, InputError
+from repro.errors import InputError
 from repro.heating import sutton_graves_heating
 from repro.radiation.correlations import tauber_sutton_radiative
 from repro.thermo.equilibrium import (EquilibriumGas,
@@ -128,64 +120,25 @@ def clear_gas_cache() -> None:
         _GAS_CACHE.clear()
 
 
-_ON_FAILURE = ("raise", "report", "degrade")
-
-#: Sutton-Graves constant selector for each named gas model.
-_GAS_ATMOSPHERE = {"equilibrium-air": "earth", "titan": "titan",
-                   "jupiter": "jupiter"}
-
-
-def _check_on_failure(on_failure: str):
-    if on_failure not in _ON_FAILURE:
-        raise InputError(f"unknown on_failure {on_failure!r}; options: "
-                         f"{', '.join(_ON_FAILURE)}")
-
-
-def _failure_dict(err: CatError) -> dict:
-    return {"ok": False, "error": err,
-            "error_type": type(err).__name__,
-            "report": getattr(err, "report", None)}
-
-
-def _degradation_record(rung: str, err: CatError) -> dict:
-    """Ledger-style record attached to a model-ladder fallback result."""
-    return {"ladder": "model", "rung": rung,
-            "error_type": type(err).__name__, "reason": str(err),
-            "report": getattr(err, "report", None)}
-
-
 def stagnation_environment(*, V, h, nose_radius, atmosphere=None,
                            gas="equilibrium-air", T_wall=1500.0,
-                           quick=True, on_failure="raise") -> dict:
+                           quick=True) -> dict:
     """Full stagnation-point aerothermal environment at one condition.
 
     Returns a dict with the shock state, convective and radiative wall
     fluxes, shock standoff, stagnation pressure and the shock-layer
-    temperature/species profiles.  ``on_failure="report"`` returns the
-    failure dict instead of raising; ``on_failure="degrade"`` falls back
-    to the correlation-level fluxes (see the module docstring).
+    temperature/species profiles.
     """
     from repro.solvers.vsl import StagnationVSL
 
-    _check_on_failure(on_failure)
     atm = atmosphere or EarthAtmosphere()
     gas_model = make_gas(gas) if isinstance(gas, str) else gas
     vsl = StagnationVSL(gas_model, nose_radius=nose_radius)
-
-    try:
-        sol = vsl.solve(rho_inf=float(atm.density(h)),
-                        T_inf=float(atm.temperature(h)), V=float(V),
-                        T_wall=T_wall,
-                        n_profile=40 if quick else 100,
-                        n_lambda=150 if quick else 400)
-    except CatError as err:
-        if on_failure == "report":
-            return _failure_dict(err)
-        if on_failure == "degrade":
-            return _stagnation_correlation(atm, h=h, V=V,
-                                           nose_radius=nose_radius,
-                                           gas=gas, err=err)
-        raise
+    sol = vsl.solve(rho_inf=float(atm.density(h)),
+                    T_inf=float(atm.temperature(h)), V=float(V),
+                    T_wall=T_wall,
+                    n_profile=40 if quick else 100,
+                    n_lambda=150 if quick else 400)
     return {
         "ok": True,
         "q_conv": sol.q_conv,
@@ -200,56 +153,21 @@ def stagnation_environment(*, V, h, nose_radius, atmosphere=None,
     }
 
 
-def _stagnation_correlation(atm, *, h, V, nose_radius, gas, err) -> dict:
-    """Correlation rung of the model ladder for the stagnation point.
-
-    Sutton-Graves convective + Tauber-Sutton radiative (Earth only) on
-    the freestream condition — the same engineering physics
-    :func:`heat_pulse` uses.  Fields the correlations cannot provide
-    (standoff, edge state, profiles) come back ``None``.
-    """
-    key = _GAS_ATMOSPHERE.get(gas, "earth") if isinstance(gas, str) \
-        else "earth"
-    rho, V = float(atm.density(h)), float(V)
-    q_conv = float(sutton_graves_heating(rho, V, nose_radius,
-                                         atmosphere=key))
-    q_rad = (float(tauber_sutton_radiative(rho, V, nose_radius))
-             if key == "earth" else 0.0)
-    return {
-        "ok": True,
-        "degraded": True,
-        "degradation": _degradation_record("correlation", err),
-        "q_conv": q_conv,
-        "q_rad": q_rad,
-        "standoff": None,
-        # Newtonian impact pressure (Cp_max ~ 2): p_stag ~ rho V^2.
-        "p_stag": rho * V * V,
-        "T_edge": None,
-        "shock": None,
-        "profiles": None,
-        "solution": None,
-    }
-
-
 def windward_heating(*, V, h, alpha_deg, nose_radius=1.3, length=32.77,
                      atmosphere=None, gas="equilibrium-air",
                      T_wall=1200.0, catalytic_phi=1.0,
-                     n_stations=40, resilience=None,
-                     on_failure="raise") -> dict:
+                     n_stations=40, resilience=None) -> dict:
     """Windward-centerline heating distribution at one condition.
 
     ``gas`` is a named model, an :class:`EquilibriumGas`, or
     ``"ideal"`` / ``"ideal:<gamma>"`` for a perfect gas (gamma 1.4 when
     not given).  ``resilience`` enables the PNS per-station continuation
     fallback (degraded stations are listed in
-    ``result.degraded_stations``); ``on_failure="report"`` returns the
-    failure dict instead of raising; ``on_failure="degrade"`` falls back
-    to the correlation-level distribution (see the module docstring).
+    ``result.degraded_stations``).
     """
     from repro.geometry import OrbiterWindwardProfile
     from repro.solvers.pns import WindwardHeatingPNS
 
-    _check_on_failure(on_failure)
     if isinstance(catalytic_phi, tuple):
         raise InputError("windward_heating takes one catalytic_phi")
     atm = atmosphere or EarthAtmosphere()
@@ -260,20 +178,10 @@ def windward_heating(*, V, h, alpha_deg, nose_radius=1.3, length=32.77,
     else:
         gas_model = make_gas(gas) if isinstance(gas, str) else gas
         pns = WindwardHeatingPNS(body, gas=gas_model)
-    try:
-        res = pns.solve(rho_inf=float(atm.density(h)),
-                        T_inf=float(atm.temperature(h)), V=float(V),
-                        T_wall=T_wall, n_stations=n_stations,
-                        catalytic_phi=catalytic_phi, resilience=resilience)
-    except CatError as err:
-        if on_failure == "report":
-            return _failure_dict(err)
-        if on_failure == "degrade":
-            return _windward_correlation(atm, h=h, V=V,
-                                         nose_radius=nose_radius,
-                                         length=length,
-                                         n_stations=n_stations, err=err)
-        raise
+    res = pns.solve(rho_inf=float(atm.density(h)),
+                    T_inf=float(atm.temperature(h)), V=float(V),
+                    T_wall=T_wall, n_stations=n_stations,
+                    catalytic_phi=catalytic_phi, resilience=resilience)
     return {"ok": True, "x_over_L": res.x_over_L, "q": res.q,
             "q_stag": res.q_stag, "result": res}
 
@@ -292,26 +200,6 @@ def _ideal_gamma(spec: str) -> float:
         raise InputError(f"gas {spec!r}: expected 'ideal' or "
                          f"'ideal:<gamma>' with a number gamma > 1")
     return gamma
-
-
-def _windward_correlation(atm, *, h, V, nose_radius, length, n_stations,
-                          err) -> dict:
-    """Correlation rung of the model ladder for the windward centerline.
-
-    Sutton-Graves stagnation flux scaled by the classical laminar
-    running-length decay ``q/q_stag = 1/sqrt(1 + s/R_n)`` — recovers the
-    stagnation value at the nose and the flat-plate ``s**-0.5`` falloff
-    far downstream.
-    """
-    rho, V = float(atm.density(h)), float(V)
-    q_stag = float(sutton_graves_heating(rho, V, nose_radius))
-    x_over_L = np.linspace(0.0, 1.0, n_stations)
-    q = q_stag / np.sqrt(1.0 + x_over_L * length / nose_radius)
-    return {"ok": True,
-            "degraded": True,
-            "degradation": _degradation_record("correlation", err),
-            "x_over_L": x_over_L, "q": q, "q_stag": q_stag,
-            "result": None}
 
 
 def _point_failure(i, t, reason) -> dict:

@@ -117,32 +117,21 @@ class SolverError(CatError, RuntimeError):
 
 
 class OverloadError(CatError):
-    """The batch service refused work at admission time.
+    """The batch service refused a batch at the door.
 
-    Raised by the admission controller when accepting a batch would
-    exceed the configured queue depth, or recorded in a per-request
-    envelope when no in-flight slot frees up within the admission
-    timeout.  Carries enough context for the caller to implement
-    client-side backoff instead of a blind retry loop.
+    Raised by :func:`repro.service.evaluate_batch` (and its farm path)
+    when the batch is larger than the policy's ``shed_above``, before
+    any request runs.
 
     Attributes
     ----------
-    queued:
-        Requests already admitted and waiting when the rejection fired.
     limit:
         The configured bound that was exceeded.
-    retry_after:
-        Suggested wait [s] before retrying, if the service can estimate
-        one.
     """
 
-    def __init__(self, message: str, *, queued: int | None = None,
-                 limit: int | None = None,
-                 retry_after: float | None = None) -> None:
+    def __init__(self, message: str, *, limit: int | None = None) -> None:
         super().__init__(message)
-        self.queued = queued
         self.limit = limit
-        self.retry_after = retry_after
 
 
 class CheckpointError(CatError):

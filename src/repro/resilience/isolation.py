@@ -22,8 +22,8 @@ beyond the standard library and ``/proc``:
   ``deadline`` / ``crash``) every kill leaves behind;
 * :class:`IsolatedRunner` — executes any persist-protocol marching
   solver (:meth:`IsolatedRunner.run_solver`) or an arbitrary callable
-  (:meth:`IsolatedRunner.run_callable`, used by the figure suite and
-  the high-level API) in a supervised child process.  On a violation
+  (:meth:`IsolatedRunner.run_callable`, used by the batch service and
+  the solve farm) in a supervised child process.  On a violation
   the child is SIGCONT+SIGTERMed, then SIGKILLed after a grace period
   (its whole process group, so grandchildren die too), the event is
   recorded, and the solve is **auto-resumed in a fresh child from the
@@ -53,7 +53,7 @@ from dataclasses import dataclass
 
 import multiprocessing as mp
 
-from repro.errors import CheckpointError, SolverError
+from repro.errors import CatError, CheckpointError, SolverError
 from repro.resilience.report import FailureReport
 
 __all__ = ["Heartbeat", "IsolationEvent", "IsolationPolicy",
@@ -352,13 +352,20 @@ def _solver_child(factory, run_kwargs, ckpt_dir, hb_path, err_path,
 
 
 def _callable_child(fn, args, kwargs, res_path, hb_path, err_path):
-    """Run ``fn`` in the sandbox and pickle its result for the parent."""
+    """Run ``fn`` in the sandbox and pickle ``(raised, value)`` for the
+    parent: its result, or a :class:`~repro.errors.CatError` it raised,
+    which the parent re-raises.  Any other exception, or an error that
+    does not survive a pickle round trip, exits nonzero (a crash)."""
     _enter_sandbox(hb_path)
     try:
-        out = fn(*args, **dict(kwargs or {}))
+        try:
+            blob = pickle.dumps((False, fn(*args, **dict(kwargs or {}))))
+        except CatError as err:
+            blob = pickle.dumps((True, err))
+            pickle.loads(blob)      # the parent must be able to rebuild it
         tmp = f"{res_path}.tmp"
         with open(tmp, "wb") as f:
-            pickle.dump(out, f)
+            f.write(blob)
         os.replace(tmp, res_path)
         sys.exit(0)
     except SystemExit:
@@ -607,12 +614,14 @@ class IsolatedRunner:
         """Run ``fn(*args, **kwargs)`` sandboxed; return its (pickled)
         result.
 
-        Restarts call ``fn`` again from scratch — idempotent work only
-        (a farm job qualifies: its journal and durable solver snapshots
-        make re-entry cheap).  Hang detection applies only
-        when ``policy.stall_timeout`` is set *and* the callable beats
-        (every solver march inside it does, via the process
-        heartbeat).
+        A :class:`~repro.errors.CatError` that ``fn`` raises is re-raised
+        here, not restarted, with a ``FailureReport`` attached when it
+        carries none.  Restarts after a crash call ``fn`` again from
+        scratch — idempotent work only (a farm job qualifies: its
+        journal and durable solver snapshots make re-entry cheap).
+        Hang detection applies only when ``policy.stall_timeout`` is set
+        *and* the callable beats (every solver march inside it does, via
+        the process heartbeat).
         """
         pol = self.policy
         self.events = []
@@ -644,13 +653,23 @@ class IsolatedRunner:
                 if ev is None:
                     try:
                         with open(res_path, "rb") as f:
-                            return pickle.load(f)
+                            raised, value = pickle.load(f)
                     except (OSError, pickle.UnpicklingError, EOFError) \
                             as exc:
                         raise SolverError(
                             f"{self.label}: isolated child exited "
                             f"cleanly but its result could not be "
                             f"read back: {exc}") from exc
+                    if not raised:
+                        return value
+                    if value.report is None:
+                        value.report = FailureReport(
+                            label=self.label, error=str(value),
+                            attempts=[*(e.to_dict() for e in self.events),
+                                      {"attempt": attempt,
+                                       "error_type": type(value).__name__,
+                                       "message": str(value)}])
+                    raise value
                 if ev.kind == "crash":
                     tail = self._read_error_tail(err_path)
                     if tail:

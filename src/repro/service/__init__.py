@@ -1,11 +1,13 @@
-"""Batch evaluation service: the "millions of users" front door.
+"""Batch evaluation service: the front door for many flight conditions.
 
 ``evaluate_batch`` answers thousands of (vehicle, flight-condition,
 method) requests per call with production failure semantics: up-front
-validation into typed records, per-request outcome envelopes, admission
-control, deadline budgets, circuit breakers per method rung and
-idempotent request keys.  ``evaluate_batch_farm`` shards the same batch
-across the solve farm's durable work queue.  See DESIGN.md §8.
+validation into typed records, per-request outcome envelopes, the
+method's model ladder (a failed solver rung falls back to the
+correlations), load shedding, deadline budgets, circuit breakers per
+method rung and idempotent request keys.  ``evaluate_batch_farm``
+shards the same batch across the solve farm's durable work queue.  See
+DESIGN.md §8.
 
 :mod:`repro.service.jobs` is the *asynchronous* front door: a
 :class:`JobManager` whose ``submit`` returns a durable job id
@@ -13,8 +15,7 @@ immediately, with a crash-safe per-job state machine, live progress,
 cancellation with escalation and TTL-based GC.  See DESIGN.md §9.
 """
 
-from repro.service.batch import (ADMISSION, AdmissionController,
-                                 BatchPolicy, BatchResult, batch_jobs,
+from repro.service.batch import (BatchPolicy, BatchResult, batch_jobs,
                                  batch_bench_record, evaluate_batch,
                                  evaluate_batch_farm, shard_requests)
 from repro.service.breaker import BreakerBoard, BreakerPolicy
@@ -26,8 +27,7 @@ from repro.service.request import (Envelope, METHODS, Request,
                                    canonical_request, request_key,
                                    validate_request)
 
-__all__ = ["ADMISSION", "AdmissionController", "AsyncJob",
-           "BatchPolicy", "BatchResult", "BreakerBoard",
+__all__ = ["AsyncJob", "BatchPolicy", "BatchResult", "BreakerBoard",
            "BreakerPolicy", "Envelope", "JOB_STATES", "JOB_TERMINAL",
            "JOB_TRANSITIONS", "JobManager", "METHODS", "Request",
            "audit_job_transitions", "batch_bench_record", "batch_jobs",

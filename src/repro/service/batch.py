@@ -5,14 +5,15 @@ Production failure semantics, end to end:
 * every request is validated *up front* into a typed per-request
   :class:`~repro.errors.InputError` record — one malformed request
   never aborts the batch;
-* admission control bounds queue depth and in-flight requests with a
-  typed :class:`~repro.errors.OverloadError` (raised at the door for
-  queue-depth rejection, recorded in the envelope for a slot timeout)
-  — never a hang;
+* load shedding refuses a batch larger than ``shed_above`` at the
+  door with a typed :class:`~repro.errors.OverloadError`;
 * per-request and whole-batch wall-clock deadlines are threaded into
   :class:`~repro.resilience.isolation.IsolatedRunner` for sandboxed
   (heavy/fault-carrying) requests, so a hung solve is killed and
   recorded, not waited on;
+* a failed solve drops one rung down the method's model ladder (VSL or
+  PNS to the engineering correlations), and is recorded in the
+  request's envelope when no rung answers;
 * circuit breakers per method rung and condition class trip after K
   consecutive failures and route requests straight down the model
   ladder during cooldown (see :mod:`repro.service.breaker`);
@@ -21,26 +22,25 @@ Production failure semantics, end to end:
 
 Exactly one :class:`~repro.service.request.Envelope` comes back per
 request; the only exception ``evaluate_batch`` ever raises (beyond
-programming errors) is ``OverloadError`` at admission time, before any
-work starts.
+programming errors) is ``OverloadError`` at the door, before any work
+starts.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-import threading
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
+from numbers import Integral, Real
 
-from repro.errors import CatError, OverloadError, SolverError
+from repro.errors import CatError, InputError, OverloadError, SolverError
 from repro.service.breaker import BreakerBoard, BreakerPolicy
 from repro.service.request import Envelope, METHODS, validate_request
 
-__all__ = ["BatchPolicy", "BatchResult", "AdmissionController",
-           "evaluate_batch", "evaluate_batch_farm", "batch_jobs",
-           "shard_requests", "batch_bench_record"]
+__all__ = ["BatchPolicy", "BatchResult", "evaluate_batch",
+           "evaluate_batch_farm", "batch_jobs", "shard_requests",
+           "batch_bench_record"]
 
 
 # ----------------------------------------------------------------- policy
@@ -60,19 +60,9 @@ class BatchPolicy:
         sandbox attempt.  A request may carry its own ``deadline``
         field; the effective budget is the minimum of both and of the
         remaining batch budget.
-    max_in_flight:
-        Concurrent executing requests across every batch sharing the
-        admission controller.
-    admit_timeout:
-        Seconds a request waits for an in-flight slot before failing
-        with an ``overload`` envelope.
-    max_queued:
-        Queue-depth bound: admitting a batch that would push the
-        controller's admitted-but-unfinished count past this raises
-        :class:`~repro.errors.OverloadError` at the door.
     shed_above:
-        Reject any single batch larger than this outright (load
-        shedding), also via ``OverloadError``.
+        Reject any batch larger than this outright (load shedding) with
+        :class:`~repro.errors.OverloadError`; ``None`` takes any size.
     isolate:
         ``"auto"`` (default) sandboxes heavy solver rungs and any
         fault-carrying request; ``"always"``/``"never"`` force it.
@@ -91,32 +81,39 @@ class BatchPolicy:
 
     deadline: float | None = None
     request_deadline: float | None = 10.0
-    max_in_flight: int = 8
-    admit_timeout: float = 5.0
-    max_queued: int = 100_000
-    shed_above: int | None = None
+    shed_above: int | None = 100_000
     isolate: str = "auto"
     allow_faults: bool = False
     dedup: bool = True
-    memory_mb: float | None = None
     breaker: BreakerPolicy = field(default_factory=BreakerPolicy)
     chunk_size: int = 64
 
     def __post_init__(self):
         if self.isolate not in ("auto", "always", "never"):
-            raise ValueError(f"isolate must be auto/always/never, got "
+            raise InputError(f"isolate must be auto/always/never, got "
                              f"{self.isolate!r}")
+        for name in ("deadline", "request_deadline"):
+            v = getattr(self, name)
+            if v is not None and (isinstance(v, bool)
+                                  or not isinstance(v, Real)
+                                  or not (math.isfinite(v) and v > 0)):
+                raise InputError(f"{name} must be None or a finite "
+                                 f"number > 0, got {v!r}")
+        counts = {"chunk_size": self.chunk_size}
+        if self.shed_above is not None:
+            counts["shed_above"] = self.shed_above
+        for name, v in counts.items():
+            if isinstance(v, bool) or not isinstance(v, Integral) or v < 1:
+                raise InputError(f"{name} must be an integer >= 1, got "
+                                 f"{v!r}")
 
     def to_dict(self) -> dict:
         return {"deadline": self.deadline,
                 "request_deadline": self.request_deadline,
-                "max_in_flight": self.max_in_flight,
-                "admit_timeout": self.admit_timeout,
-                "max_queued": self.max_queued,
                 "shed_above": self.shed_above,
                 "isolate": self.isolate,
                 "allow_faults": self.allow_faults,
-                "dedup": self.dedup, "memory_mb": self.memory_mb,
+                "dedup": self.dedup,
                 "breaker": self.breaker.to_dict(),
                 "chunk_size": self.chunk_size}
 
@@ -128,97 +125,20 @@ class BatchPolicy:
         return cls(**{k: v for k, v in d.items() if k in known})
 
 
-# ------------------------------------------------------------- admission
-
-class AdmissionController:
-    """Process-wide admission gauge: queue depth + in-flight slots.
-
-    ``admit`` is the front door — it raises a typed
-    :class:`~repro.errors.OverloadError` when accepting the batch would
-    exceed the queue-depth bound (or the batch alone exceeds
-    ``shed_above``).  ``slot`` bounds concurrency: it waits up to
-    ``admit_timeout`` for an in-flight slot and raises ``OverloadError``
-    on timeout — a saturated service rejects, it never hangs.
-    """
-
-    def __init__(self):
-        self._cond = threading.Condition()
-        self.queued = 0
-        self.in_flight = 0
-        self.peak_queued = 0
-        self.peak_in_flight = 0
-        self.shed_batches = 0
-        self.slot_timeouts = 0
-
-    def admit(self, n: int, policy: BatchPolicy) -> None:
-        with self._cond:
-            if (policy.shed_above is not None
-                    and n > policy.shed_above):
-                self.shed_batches += 1
-                raise OverloadError(
-                    f"batch of {n} requests exceeds shed_above="
-                    f"{policy.shed_above}; split it or raise the limit",
-                    queued=self.queued, limit=policy.shed_above)
-            if self.queued + n > policy.max_queued:
-                self.shed_batches += 1
-                raise OverloadError(
-                    f"admitting {n} requests would push queue depth to "
-                    f"{self.queued + n} > max_queued="
-                    f"{policy.max_queued}",
-                    queued=self.queued, limit=policy.max_queued,
-                    retry_after=policy.request_deadline)
-            self.queued += n
-            self.peak_queued = max(self.peak_queued, self.queued)
-
-    def release(self, n: int) -> None:
-        with self._cond:
-            self.queued -= n
-            self._cond.notify_all()
-
-    @contextmanager
-    def slot(self, policy: BatchPolicy):
-        with self._cond:
-            got = self._cond.wait_for(
-                lambda: self.in_flight < policy.max_in_flight,
-                timeout=policy.admit_timeout)
-            if not got:
-                self.slot_timeouts += 1
-                raise OverloadError(
-                    f"no in-flight slot freed within "
-                    f"{policy.admit_timeout}s "
-                    f"(in_flight={self.in_flight}, "
-                    f"max_in_flight={policy.max_in_flight})",
-                    queued=self.queued, limit=policy.max_in_flight,
-                    retry_after=policy.admit_timeout)
-            self.in_flight += 1
-            self.peak_in_flight = max(self.peak_in_flight,
-                                      self.in_flight)
-        try:
-            yield
-        finally:
-            with self._cond:
-                self.in_flight -= 1
-                self._cond.notify_all()
-
-    def stats(self) -> dict:
-        with self._cond:
-            return {"queued": self.queued,
-                    "in_flight": self.in_flight,
-                    "peak_queued": self.peak_queued,
-                    "peak_in_flight": self.peak_in_flight,
-                    "shed_batches": self.shed_batches,
-                    "slot_timeouts": self.slot_timeouts}
-
-
-#: The process-wide controller every batch shares by default.
-ADMISSION = AdmissionController()
+def _shed(n: int, policy: BatchPolicy) -> None:
+    """Load shedding at the door: a batch above ``shed_above`` is
+    refused whole, before any request runs."""
+    if policy.shed_above is not None and n > policy.shed_above:
+        raise OverloadError(f"batch of {n} requests exceeds shed_above="
+                            f"{policy.shed_above}; split it or raise the "
+                            f"limit", limit=policy.shed_above)
 
 
 # ------------------------------------------------------------- executors
 
-def _atmosphere_key(gas: str) -> str:
-    from repro.core.api import _GAS_ATMOSPHERE
-    return _GAS_ATMOSPHERE.get(gas, "earth")
+#: Sutton-Graves constant selector for each named gas model.
+_GAS_ATMOSPHERE = {"equilibrium-air": "earth", "titan": "titan",
+                   "jupiter": "jupiter"}
 
 
 def _correlation_point(params: dict) -> dict:
@@ -226,7 +146,8 @@ def _correlation_point(params: dict) -> dict:
     from repro.atmosphere import EarthAtmosphere
     from repro.heating import sutton_graves_heating
     from repro.radiation.correlations import tauber_sutton_radiative
-    key = _atmosphere_key(params.get("gas", "equilibrium-air"))
+    key = _GAS_ATMOSPHERE.get(params.get("gas", "equilibrium-air"),
+                              "earth")
     rho = float(EarthAtmosphere().density(params["h"]))
     V, rn = params["V"], params["nose_radius"]
     q_conv = float(sutton_graves_heating(rho, V, rn, atmosphere=key))
@@ -243,7 +164,7 @@ def _exec_stagnation_vsl(params: dict) -> dict:
                                nose_radius=params["nose_radius"],
                                gas=params.get("gas", "equilibrium-air"),
                                T_wall=params.get("T_wall", 1500.0),
-                               quick=True, on_failure="raise")
+                               quick=True)
     return {"q_conv": float(r["q_conv"]), "q_rad": float(r["q_rad"]),
             "q_total": float(r["q_conv"]) + float(r["q_rad"]),
             "standoff": float(r["standoff"]),
@@ -257,8 +178,7 @@ def _exec_windward_pns(params: dict) -> dict:
                          alpha_deg=params["alpha_deg"],
                          nose_radius=params.get("nose_radius", 1.3),
                          length=params.get("length", 32.77),
-                         gas=params.get("gas", "equilibrium-air"),
-                         on_failure="raise")
+                         gas=params.get("gas", "equilibrium-air"))
     q = r["q"]
     return {"q_stag": float(r["q_stag"]), "q_max": float(max(q)),
             "q_tail": float(q[-1])}
@@ -374,7 +294,6 @@ def _run_one(req, rung: str, fault: dict | None, *,
         from repro.resilience.isolation import (IsolatedRunner,
                                                 IsolationPolicy)
         pol = IsolationPolicy(deadline=deadline,
-                              memory_mb=policy.memory_mb,
                               stall_timeout=None, max_restarts=0,
                               poll_interval=0.02, term_grace=0.5)
         label = f"batch[{req.index}]:{req.method}/{rung}"
@@ -447,15 +366,6 @@ def _deadline_envelope(req, message: str) -> Envelope:
                     status="failed",
                     error={"error_type": "SolverError",
                            "kind": "deadline", "message": message})
-
-
-def _overload_envelope(req, err: OverloadError) -> Envelope:
-    return Envelope(index=req.index, key=req.key, method=req.method,
-                    status="failed",
-                    error={"error_type": "OverloadError",
-                           "kind": "overload", "message": str(err),
-                           "queued": err.queued, "limit": err.limit,
-                           "retry_after": err.retry_after})
 
 
 def _copy_for_duplicate(src: Envelope, req) -> Envelope:
@@ -563,75 +473,59 @@ class BatchResult:
 
 
 def evaluate_batch(requests, policy: BatchPolicy | None = None, *,
-                   breakers: BreakerBoard | None = None,
-                   admission: AdmissionController | None = None,
-                   stream=None) -> BatchResult:
+                   breakers: BreakerBoard | None = None) -> BatchResult:
     """Evaluate a batch of requests with production failure semantics.
 
     Returns a :class:`BatchResult` with exactly one envelope per
     request, in request order.  Raises only
-    :class:`~repro.errors.OverloadError`, at admission time, before any
-    request runs; every later failure — invalid input, solver error,
-    hang, crash, deadline, slot exhaustion — is recorded in the
-    offending request's envelope.
+    :class:`~repro.errors.OverloadError`, at the door (``shed_above``),
+    before any request runs; every later failure — invalid input,
+    solver error, hang, crash, deadline — is recorded in the offending
+    request's envelope.
     """
     policy = policy or BatchPolicy()
     requests = list(requests)
     n = len(requests)
-    adm = admission if admission is not None else ADMISSION
-    adm.admit(n, policy)
+    _shed(n, policy)
     t0 = time.monotonic()
     board = breakers if breakers is not None \
         else BreakerBoard(policy.breaker)
     envelopes: list = [None] * n
     deduped = expired = 0
-    try:
-        run_list = []
-        primaries: dict = {}
-        dupes = []
-        for i, raw in enumerate(requests):
-            req, env = validate_request(
-                raw, index=i, allow_faults=policy.allow_faults)
-            if env is not None:
-                envelopes[i] = env
-            elif policy.dedup and req.key in primaries:
-                dupes.append((req, primaries[req.key]))
-            else:
-                primaries[req.key] = req.index
-                run_list.append(req)
-        for req in run_list:
-            remaining = None
-            if policy.deadline is not None:
-                remaining = policy.deadline - (time.monotonic() - t0)
-                if remaining <= 0.0:
-                    envelopes[req.index] = _deadline_envelope(
-                        req, "batch deadline exhausted before "
-                             "execution")
-                    expired += 1
-                    continue
-            t_req = time.monotonic()
-            try:
-                with adm.slot(policy):
-                    env = _execute_request(req, policy, board,
-                                           remaining)
-            except OverloadError as err:
-                env = _overload_envelope(req, err)
-            env.latency_s = time.monotonic() - t_req
-            envelopes[req.index] = env
-            if stream is not None and env.status != "ok":
-                print(f"[batch] #{req.index} {req.method}: "
-                      f"{env.status}", file=stream)
-        for req, primary_index in dupes:
-            envelopes[req.index] = _copy_for_duplicate(
-                envelopes[primary_index], req)
-            deduped += 1
-    finally:
-        adm.release(n)
+    run_list = []
+    primaries: dict = {}
+    dupes = []
+    for i, raw in enumerate(requests):
+        req, env = validate_request(
+            raw, index=i, allow_faults=policy.allow_faults)
+        if env is not None:
+            envelopes[i] = env
+        elif policy.dedup and req.key in primaries:
+            dupes.append((req, primaries[req.key]))
+        else:
+            primaries[req.key] = req.index
+            run_list.append(req)
+    for req in run_list:
+        remaining = None
+        if policy.deadline is not None:
+            remaining = policy.deadline - (time.monotonic() - t0)
+            if remaining <= 0.0:
+                envelopes[req.index] = _deadline_envelope(
+                    req, "batch deadline exhausted before execution")
+                expired += 1
+                continue
+        t_req = time.monotonic()
+        env = _execute_request(req, policy, board, remaining)
+        env.latency_s = time.monotonic() - t_req
+        envelopes[req.index] = env
+    for req, primary_index in dupes:
+        envelopes[req.index] = _copy_for_duplicate(
+            envelopes[primary_index], req)
+        deduped += 1
     wall = time.monotonic() - t0
     ledger = _build_batch_ledger(envelopes, wall=wall, deduped=deduped,
                                  breaker=board.snapshot(), policy=policy,
-                                 deadline_expired=expired,
-                                 admission=adm.stats())
+                                 deadline_expired=expired)
     return BatchResult(envelopes=envelopes, ledger=ledger)
 
 
@@ -718,57 +612,51 @@ def evaluate_batch_farm(requests, policy: BatchPolicy | None = None, *,
     policy = policy or BatchPolicy()
     requests = list(requests)
     n = len(requests)
-    # Admission applies at the front door of the farm path too.
-    ADMISSION.admit(n, policy)
-    try:
-        t0 = time.monotonic()
-        jobs = batch_jobs(requests, policy, chunk_size=chunk_size)
-        fpolicy = farm_policy or FarmPolicy(
-            n_workers=n_workers, max_wall_time=policy.deadline)
-        farm_ledger = run_campaign(queue_dir, jobs, policy=fpolicy,
-                                   label="batch", stream=stream)
-        queue = WorkQueue(queue_dir)
-        envelopes: list = [None] * n
-        chunk_ledgers = []
-        for job in jobs:
-            offset = job.payload["offset"]
-            chunk = job.payload["requests"]
-            rec = queue.result(job.id)
-            res = rec.get("result") if isinstance(rec, dict) else None
-            if not isinstance(res, dict) or "envelopes" not in res:
-                for i in range(offset, offset + len(chunk)):
-                    envelopes[i] = Envelope(
-                        index=i, key=None, method=None,
-                        status="failed",
-                        error={"error_type": "SolverError",
-                               "kind": "farm",
-                               "message": f"chunk job {job.id} did "
-                                          "not produce a result "
-                                          "(dead-lettered or lost)"})
-                continue
-            for d in res["envelopes"]:
-                env = Envelope.from_dict(d)
-                env.index += offset
-                if env.deduped_of is not None:
-                    env.deduped_of += offset
-                envelopes[env.index] = env
-            chunk_ledgers.append(res.get("ledger"))
-        wall = time.monotonic() - t0
-        audit = farm_ledger["exactly_once_audit"]
-        ledger = _build_batch_ledger(
-            envelopes, wall=wall,
-            deduped=sum((led or {}).get("deduped", 0)
-                        for led in chunk_ledgers),
-            breaker=_merge_chunk_breakers(chunk_ledgers), policy=policy,
-            ok=audit["ok"],
-            farm={"label": farm_ledger["label"],
-                  "wall_time": farm_ledger["wall_time"],
-                  "jobs": len(jobs),
-                  "n_workers": farm_ledger["n_workers"]},
-            audit=audit)
-        return BatchResult(envelopes=envelopes, ledger=ledger)
-    finally:
-        ADMISSION.release(n)
+    _shed(n, policy)
+    t0 = time.monotonic()
+    jobs = batch_jobs(requests, policy, chunk_size=chunk_size)
+    fpolicy = farm_policy or FarmPolicy(
+        n_workers=n_workers, max_wall_time=policy.deadline)
+    farm_ledger = run_campaign(queue_dir, jobs, policy=fpolicy,
+                               label="batch", stream=stream)
+    queue = WorkQueue(queue_dir)
+    envelopes: list = [None] * n
+    chunk_ledgers = []
+    for job in jobs:
+        offset = job.payload["offset"]
+        chunk = job.payload["requests"]
+        rec = queue.result(job.id)
+        res = rec.get("result") if isinstance(rec, dict) else None
+        if not isinstance(res, dict) or "envelopes" not in res:
+            for i in range(offset, offset + len(chunk)):
+                envelopes[i] = Envelope(
+                    index=i, key=None, method=None, status="failed",
+                    error={"error_type": "SolverError", "kind": "farm",
+                           "message": f"chunk job {job.id} did not "
+                                      "produce a result (dead-lettered "
+                                      "or lost)"})
+            continue
+        for d in res["envelopes"]:
+            env = Envelope.from_dict(d)
+            env.index += offset
+            if env.deduped_of is not None:
+                env.deduped_of += offset
+            envelopes[env.index] = env
+        chunk_ledgers.append(res.get("ledger"))
+    wall = time.monotonic() - t0
+    audit = farm_ledger["exactly_once_audit"]
+    ledger = _build_batch_ledger(
+        envelopes, wall=wall,
+        deduped=sum((led or {}).get("deduped", 0)
+                    for led in chunk_ledgers),
+        breaker=_merge_chunk_breakers(chunk_ledgers), policy=policy,
+        ok=audit["ok"],
+        farm={"label": farm_ledger["label"],
+              "wall_time": farm_ledger["wall_time"],
+              "jobs": len(jobs),
+              "n_workers": farm_ledger["n_workers"]},
+        audit=audit)
+    return BatchResult(envelopes=envelopes, ledger=ledger)
 
 
 def batch_bench_record(result: BatchResult, *, mode: str,

@@ -171,7 +171,7 @@ def _canonical_value(v):
     if isinstance(v, int):
         return int(v)
     if isinstance(v, dict):
-        return {str(k): _canonical_value(v[k]) for k in sorted(v)}
+        return {str(k): _canonical_value(v[k]) for k in sorted(v, key=str)}
     if isinstance(v, (list, tuple)):
         return [_canonical_value(x) for x in v]
     return v
@@ -179,16 +179,23 @@ def _canonical_value(v):
 
 def canonical_request(raw: dict) -> dict:
     """Canonical form of a request: volatile client tags dropped, keys
-    sorted, numbers normalized.  The ``fault`` field (chaos only) stays
-    in the key — an injected fault changes the answer."""
-    return {str(k): _canonical_value(v) for k, v in sorted(raw.items())
-            if k not in _VOLATILE_FIELDS}
+    sorted (by their string form, so a Python caller's non-string key
+    sorts too), numbers normalized.  The ``fault`` field (chaos only)
+    stays in the key — an injected fault changes the answer."""
+    return {str(k): _canonical_value(raw[k])
+            for k in sorted(raw, key=str) if k not in _VOLATILE_FIELDS}
 
 
 def request_key(raw: dict) -> str:
-    """sha256 hex digest of the canonicalized request."""
-    blob = json.dumps(canonical_request(raw), sort_keys=True,
-                      separators=(",", ":"))
+    """sha256 hex digest of the canonicalized request.  Never raises: a
+    value JSON cannot encode enters by its ``repr``; a request that
+    cannot be serialized at all (a recursive container, an integer too
+    long to print) is keyed by its identity."""
+    try:
+        blob = json.dumps(canonical_request(raw), sort_keys=True,
+                          separators=(",", ":"), default=repr)
+    except (ValueError, RecursionError):
+        blob = f"{type(raw).__name__}@{id(raw)}"
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
@@ -204,6 +211,22 @@ def _invalid(index: int, raw, problems: list) -> Envelope:
                     error={"error_type": type(err).__name__,
                            "kind": "invalid", "message": str(err),
                            "problems": list(problems)})
+
+
+def _number(name: str, v, problems: list) -> float | None:
+    """``v`` as a finite float, or None once the problem is recorded."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        problems.append(f"field {name!r} must be a number, got "
+                        f"{type(v).__name__}")
+        return None
+    try:
+        v = float(v)
+    except OverflowError:       # a JSON integer beyond the float range
+        v = math.inf if v > 0 else -math.inf
+    if not math.isfinite(v):
+        problems.append(f"field {name!r} must be finite, got {v!r}")
+        return None
+    return v
 
 
 def validate_request(raw, *, index: int,
@@ -233,14 +256,8 @@ def validate_request(raw, *, index: int,
             if required:
                 problems.append(f"missing required field {name!r}")
             continue
-        v = raw[name]
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            problems.append(f"field {name!r} must be a number, got "
-                            f"{type(v).__name__}")
-            continue
-        v = float(v)
-        if not math.isfinite(v):
-            problems.append(f"field {name!r} must be finite, got {v!r}")
+        v = _number(name, raw[name], problems)
+        if v is None:
             continue
         if lo is not None and v < lo:
             problems.append(f"field {name!r}={v:g} below {lo:g}")
@@ -266,14 +283,11 @@ def validate_request(raw, *, index: int,
 
     deadline = raw.get("deadline")
     if deadline is not None:
-        if isinstance(deadline, bool) or not isinstance(
-                deadline, (int, float)) or not math.isfinite(
-                float(deadline)) or float(deadline) <= 0.0:
-            problems.append(f"field 'deadline' must be a positive "
-                            f"number, got {deadline!r}")
+        deadline = _number("deadline", deadline, problems)
+        if deadline is not None and deadline <= 0.0:
+            problems.append(f"field 'deadline' must be positive, got "
+                            f"{deadline:g}")
             deadline = None
-        else:
-            deadline = float(deadline)
 
     fault = raw.get("fault")
     if fault is not None:

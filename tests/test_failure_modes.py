@@ -347,41 +347,25 @@ class TestRunnerResilience:
 
 
 class TestAPIOnFailure:
-    def test_stagnation_environment_report_mode(self, air_gas):
-        from repro.core.api import stagnation_environment
-        # subsonic "entry" is an InputError deep in the shock solve
-        res = stagnation_environment(V=10.0, h=60e3, gas=air_gas,
-                                     nose_radius=1.0,
-                                     on_failure="report")
-        assert res["ok"] is False
-        assert isinstance(res["error"], CatError)
-
     def test_default_mode_still_raises(self, air_gas):
         from repro.core.api import stagnation_environment
         with pytest.raises(CatError):
             stagnation_environment(V=10.0, h=60e3, gas=air_gas,
                                    nose_radius=1.0)
 
-    def test_degrade_mode_falls_back_to_correlation(self, air_gas):
-        from repro.core.api import stagnation_environment
-        res = stagnation_environment(V=10.0, h=60e3, gas=air_gas,
-                                     nose_radius=1.0,
-                                     on_failure="degrade")
-        assert res["ok"] is True
-        assert res["degraded"] is True
-        assert res["degradation"]["ladder"] == "model"
-        assert res["degradation"]["rung"] == "correlation"
-        assert res["degradation"]["error_type"]
-        assert np.isfinite(res["q_conv"]) and res["q_conv"] > 0
-        assert res["profiles"] is None       # correlations have no profile
-
-    def test_unknown_on_failure_rejected(self):
-        from repro.core.api import stagnation_environment
-        # sandboxing belongs to evaluate_batch and the farm, not this API
-        for mode in ("bogus", "isolate"):
-            with pytest.raises(InputError, match="on_failure"):
-                stagnation_environment(V=7000.0, h=60e3, nose_radius=1.0,
-                                       on_failure=mode)
+    def test_degrade_mode_falls_back_to_correlation(self):
+        from repro.service import evaluate_batch
+        # subsonic "entry" is an InputError deep in the shock solve; the
+        # sandboxed VSL rung must record it as such, not as a crash
+        [env] = evaluate_batch([{"method": "stagnation", "V": 10.0,
+                                 "h": 60e3, "nose_radius": 1.0}]).envelopes
+        assert env.status == "degraded"
+        assert env.rung == "correlation"
+        [rec] = env.degradation
+        assert rec["rung"] == "vsl"
+        assert rec["error_type"] == "InputError"
+        assert rec["kind"] == "solver"
+        assert np.isfinite(env.result["q_conv"]) and env.result["q_conv"] > 0
 
 
 class TestAdaptationOnPhysics:

@@ -29,7 +29,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.errors import SolverError
+from repro.errors import InputError, SolverError
 from repro.resilience import (FaultInjector, IsolatedRunner,
                               IsolationPolicy)
 from repro.resilience.chaos import (CASES, run_chaos, run_chaos_hosts,
@@ -263,6 +263,20 @@ class TestRunCallable:
         assert [e.kind for e in runner.events] == ["crash"]
         assert "scripted failure" in runner.events[0].message
         assert exc.value.report is not None
+
+    def test_typed_error_keeps_its_type_and_is_not_restarted(self):
+        def bad_input():
+            raise InputError("scripted input error")
+
+        policy = IsolationPolicy(max_restarts=2)
+        runner = IsolatedRunner(policy, label="typed")
+        with pytest.raises(InputError, match="scripted input error") as exc:
+            runner.run_callable(bad_input)
+        assert runner.events == []
+        assert exc.value.report.label == "typed"
+        assert exc.value.report.attempts == [
+            {"attempt": 0, "error_type": "InputError",
+             "message": "scripted input error"}]
 
 
 # ----------------------------------------------------------------------

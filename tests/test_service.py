@@ -1,17 +1,16 @@
-"""Batch evaluation service: envelopes, admission, deadlines, breakers,
-idempotency keys and the farm-sharded path."""
+"""Batch evaluation service: envelopes, load shedding, deadlines,
+breakers, idempotency keys and the farm-sharded path."""
 
 import json
-import threading
 
 import numpy as np
 import pytest
 
 from repro.errors import InputError, OverloadError
-from repro.service import (ADMISSION, AdmissionController, BatchPolicy,
-                           BreakerBoard, BreakerPolicy, canonical_request,
-                           evaluate_batch, evaluate_batch_farm,
-                           request_key, validate_request)
+from repro.service import (BatchPolicy, BreakerBoard, BreakerPolicy,
+                           canonical_request, evaluate_batch,
+                           evaluate_batch_farm, request_key,
+                           validate_request)
 from repro.service.batch import batch_jobs, shard_requests
 
 
@@ -60,8 +59,35 @@ class TestValidation:
         msgs = " ".join(env.error["problems"])
         assert "finite" in msgs and "bogus" in msgs
 
+    @pytest.mark.parametrize("raw, problem", [
+        (json.loads('{"method": "heat_point", "V": 1' + "0" * 400
+                    + ', "h": 5e4, "nose_radius": 1.0}'),
+         "field 'V' must be finite, got inf"),
+        (json.loads('{"method": "heat_point", "V": 7e3, "h": 5e4, '
+                    '"nose_radius": 1.0, "deadline": 1' + "0" * 400
+                    + '}'),
+         "field 'deadline' must be finite, got inf"),
+        ({**_good(), 7: "x"}, "unexpected field 7"),
+        (_good(V={1, 2}), "field 'V' must be a number, got set"),
+    ], ids=["huge-int-field", "huge-int-deadline", "non-string-name",
+            "unencodable-value"])
+    def test_malformed_request_is_a_record_not_an_exception(self, raw,
+                                                            problem):
+        req, env = validate_request(raw, index=0)
+        assert req is None
+        assert env.error["kind"] == "invalid"
+        assert env.error["problems"] == [problem]
+        assert len(env.key) == 64
+
 
 class TestRequestKeys:
+    def test_key_of_a_json_request_is_pinned(self):
+        # dedup and the farm's chunk ids depend on this exact digest
+        assert request_key({"method": "heat_point", "V": 7200.0,
+                            "h": 55e3, "nose_radius": 1.3}) == (
+            "66d1e925c8e5a92841a431f9987799a1c5235cda950030872569d6d1"
+            "77fac7a6")
+
     def test_key_ignores_volatile_tags_and_order(self):
         a = {"method": "heat_point", "V": 7.0e3, "h": 5.0e4,
              "nose_radius": 1.0, "id": "client-1"}
@@ -171,50 +197,44 @@ class TestBreakerStateMachine:
 
 class TestAdmissionControl:
     def test_shed_above_rejects_the_whole_batch(self):
-        adm = AdmissionController()
         with pytest.raises(OverloadError) as exc:
             evaluate_batch([_good(i) for i in range(5)],
-                           BatchPolicy(shed_above=3), admission=adm)
+                           BatchPolicy(shed_above=3))
         assert exc.value.limit == 3
-        assert adm.queued == 0          # nothing left admitted
 
-    def test_queue_depth_backpressure(self):
-        adm = AdmissionController()
-        pol = BatchPolicy(max_queued=10)
-        adm.admit(8, pol)
-        with pytest.raises(OverloadError) as exc:
-            evaluate_batch([_good(i) for i in range(5)], pol,
-                           admission=adm)
-        assert exc.value.queued == 8
-        assert exc.value.retry_after is not None
-        adm.release(8)
+    def test_farm_path_sheds_at_the_door(self, tmp_path):
+        with pytest.raises(OverloadError):
+            evaluate_batch_farm([_good(i) for i in range(5)],
+                                BatchPolicy(shed_above=3),
+                                queue_dir=str(tmp_path / "q"))
+        assert not (tmp_path / "q").exists()    # no job was enqueued
 
-    def test_slot_timeout_is_an_overload_envelope_not_a_hang(self):
-        adm = AdmissionController()
-        pol = BatchPolicy(max_in_flight=1, admit_timeout=0.05)
-        hold = threading.Event()
-        release = threading.Event()
+    def test_default_cap_is_one_hundred_thousand(self):
+        assert BatchPolicy().shed_above == 100_000
+        assert evaluate_batch([_good()],
+                              BatchPolicy(shed_above=1)).counts == {
+            "ok": 1}
 
-        def hog():
-            with adm.slot(pol):
-                hold.set()
-                release.wait(5.0)
 
-        t = threading.Thread(target=hog)
-        t.start()
-        assert hold.wait(5.0)
-        res = evaluate_batch([_good()], pol, admission=adm)
-        release.set()
-        t.join()
-        env = res.envelopes[0]
-        assert env.status == "failed"
-        assert env.error["kind"] == "overload"
-        assert env.error["error_type"] == "OverloadError"
+class TestBatchPolicyChecks:
+    @pytest.mark.parametrize("name, value", [
+        ("deadline", 0.0), ("deadline", float("nan")),
+        ("deadline", float("inf")), ("deadline", True),
+        ("request_deadline", 0.0), ("request_deadline", -1.0),
+        ("request_deadline", "10"), ("shed_above", 0),
+        ("shed_above", 2.5), ("shed_above", True), ("chunk_size", 0),
+        ("chunk_size", None), ("chunk_size", False),
+        ("isolate", "sometimes")])
+    def test_bad_budget_is_refused(self, name, value):
+        with pytest.raises(InputError, match=name):
+            BatchPolicy(**{name: value})
+        with pytest.raises(InputError, match=name):
+            BatchPolicy.from_dict({name: value})
 
-    def test_global_controller_is_clean_after_batches(self):
-        before = ADMISSION.stats()["queued"]
-        evaluate_batch([_good()])
-        assert ADMISSION.stats()["queued"] == before
+    def test_good_budgets_pass(self):
+        pol = BatchPolicy(deadline=5, request_deadline=None,
+                          shed_above=None, chunk_size=1)
+        assert BatchPolicy.from_dict(pol.to_dict()) == pol
 
 
 class TestDeadlines:
@@ -436,6 +456,18 @@ class TestBatchCLI:
         assert main(["batch", path, "--out",
                      str(tmp_path / "o.jsonl")]) == 1
 
+    def test_integer_too_large_for_a_float_is_one_invalid_envelope(
+            self, tmp_path):
+        from repro.__main__ import main
+        huge = ('{"method": "heat_point", "V": 1' + "0" * 400
+                + ', "h": 5e4, "nose_radius": 1.0}')
+        path = self._write(tmp_path, [huge, _good()])
+        out = tmp_path / "o.jsonl"
+        assert main(["batch", path, "--out", str(out)]) == 1
+        lines = [json.loads(x) for x in out.read_text().splitlines()]
+        assert [e["status"] for e in lines] == ["failed", "ok"]
+        assert lines[0]["error"]["kind"] == "invalid"
+
     def test_usage_errors_exit_two(self, tmp_path):
         from repro.__main__ import main
         path = self._write(tmp_path, [_good()])
@@ -444,6 +476,7 @@ class TestBatchCLI:
         # -j at its default value must still require --farm
         assert main(["batch", path, "-j", "2"]) == 2
         assert main(["batch", path, "--isolate", "sometimes"]) == 2
+        assert main(["batch", path, "--deadline", "nan"]) == 2
         assert main(["batch", str(tmp_path / "missing.jsonl")]) == 2
         assert main(["chaos", "--requests", "10"]) == 2
         assert main(["chaos", "--batch", "--requests", "5",
