@@ -347,18 +347,30 @@ def test_bench_kernel_eos_table_build(kernel_bench, monkeypatch, air_gas):
 
     ``EquilibriumEOSTable.build`` bypasses the disk cache, so every round
     is a cold build, the whole of marching-figs' set-up.  Recorded under
-    its trace span name; ``jacobian_rows`` counts the rows the Gibbs
-    Newton hands to ``numpy.linalg.solve`` over one build.
+    its trace span name.  Over one build, ``rho_T_states`` counts the
+    states the ``solve_rho_T`` calls hold, ``jacobian_rows`` the rows the
+    Gibbs Newton hands to ``numpy.linalg.solve``, ``newton_iterations``
+    those solve calls, and ``ladder_rows`` the rows handed to the
+    per-cell recovery ladder.
     """
     from repro.thermo.eos_table import EquilibriumEOSTable
     from repro.thermo.equilibrium import EquilibriumSolver
 
-    calls, rows = [], []
+    states, rows, ladder = [], [], []
     solve_rho_T, solve = EquilibriumSolver.solve_rho_T, np.linalg.solve
-    monkeypatch.setattr(EquilibriumSolver, "solve_rho_T",
-                        lambda self, *a, **kw: (calls.append(1)
-                                                or solve_rho_T(self, *a,
-                                                               **kw)))
+    recover = EquilibriumSolver._recover_cells
+
+    def counted_rho_T(self, rho, T, *a, **kw):
+        states.append(np.broadcast(rho, T).size)
+        return solve_rho_T(self, rho, T, *a, **kw)
+
+    def counted_recover(self, idx, *a, **kw):
+        ladder.append(idx.size)
+        return recover(self, idx, *a, **kw)
+
+    monkeypatch.setattr(EquilibriumSolver, "solve_rho_T", counted_rho_T)
+    monkeypatch.setattr(EquilibriumSolver, "_recover_cells",
+                        counted_recover)
     monkeypatch.setattr(np.linalg, "solve",
                         lambda a, b: rows.append(a.shape[0]) or solve(a, b))
     EquilibriumEOSTable.build(air_gas, n_rho=48, n_e=72)
@@ -366,8 +378,11 @@ def test_bench_kernel_eos_table_build(kernel_bench, monkeypatch, air_gas):
 
     tab = kernel_bench(EquilibriumEOSTable.build, air_gas, n_rho=48, n_e=72,
                        label="thermo.eos_table.build",
-                       meta={"states": 48 * 72, "rho_T_calls": len(calls),
-                             "jacobian_rows": sum(rows)})
+                       meta={"states": 48 * 72, "rho_T_calls": len(states),
+                             "rho_T_states": sum(states),
+                             "jacobian_rows": sum(rows),
+                             "newton_iterations": len(rows),
+                             "ladder_rows": sum(ladder)})
     assert tab.gamma.shape == (48, 72)
     assert np.all((tab.gamma > 1.0) & (tab.gamma < 1.7))
 

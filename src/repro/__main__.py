@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 solver/invariant failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from repro.errors import CatError
@@ -17,12 +18,13 @@ from repro.errors import CatError
 
 def _bounded(cast, *, strict: bool = True):
     """``type=`` callable for a number flag: ``cast`` the text and require
-    it above zero (at least zero when not ``strict``)."""
+    it finite and above zero (at least zero when not ``strict``)."""
     def parse(text: str):
         value = cast(text)
-        if not value >= 0 or (strict and value == 0):   # NaN fails too
+        if not 0 <= value < math.inf or (strict and value == 0):  # NaN fails
             raise argparse.ArgumentTypeError(
-                f"must be {'positive' if strict else '>= 0'}, got {text}")
+                f"must be finite and {'positive' if strict else '>= 0'}, "
+                f"got {text}")
         return value
     parse.__name__ = cast.__name__  # argparse says "invalid int value"
     return parse

@@ -76,6 +76,11 @@ def element_moles(db: SpeciesDB, y) -> np.ndarray:
 #: A state counts as converged once its scaled residual is below this.
 _CONV_TOL = 1e-6
 
+#: Every this many Newton iterations, a row whose scaled residual has not
+#: halved since the last check leaves the kernel unconverged, for the
+#: caller's recovery ladder.
+_STALL_ITERS = 10
+
 
 class EquilibriumSolver:
     """Batched Gibbs-minimisation solver over a fixed species set.
@@ -179,7 +184,10 @@ class EquilibriumSolver:
         scaled residual norm; states above ``tol`` simply did not
         converge (no raise — per-cell triage is the caller's job).
         Converged states leave the batch: each iteration runs on the
-        rows still above ``tol`` only.  With ``record`` (a list), the
+        rows still above ``tol`` only.  So does a stalled row: every
+        ``_STALL_ITERS`` iterations, a row whose ``fnorm`` is not below
+        half its value at the previous check leaves unconverged, rather
+        than running to ``max_iter``.  With ``record`` (a list), the
         per-iteration full-batch ``fnorm`` vectors are appended — the
         residual trajectories the failure diagnostics ship.
         """
@@ -202,8 +210,12 @@ class EquilibriumSolver:
             record.append(fnorm.copy())
         c_out, lam_out, fnorm_out = c, lam, fnorm  # full-batch results
         idx = np.arange(lam.shape[0])              # working set: batch rows
-        for _ in range(max_iter):
+        ref = fnorm.copy()                         # fnorm at the last check
+        for it in range(max_iter):
             keep = fnorm > tol
+            if it and not it % _STALL_ITERS:
+                keep &= fnorm < 0.5 * ref[idx]
+                ref[idx] = fnorm
             if not keep.all():
                 c_out[idx], lam_out[idx], fnorm_out[idx] = c, lam, fnorm
                 idx = idx[keep]
@@ -434,35 +446,53 @@ class EquilibriumSolver:
         """Equilibrium state at fixed density and specific internal energy.
 
         Returns ``(y, T)``.  ``e`` includes chemical formation energy on the
-        database 0 K basis.
+        database 0 K basis.  Each state leaves the temperature iteration at
+        its first iterate within ``tol``, with that iterate's (y, T): every
+        iteration solves the states still above ``tol`` only, so a state's
+        answer does not depend on its batch-mates.
         """
         rho_in = np.asarray(rho, dtype=float)
         e_in = np.asarray(e, dtype=float)
         shape = np.broadcast_shapes(rho_in.shape, e_in.shape)
-        rho_f = np.broadcast_to(rho_in, shape).astype(float)
-        e_f = np.broadcast_to(e_in, shape).astype(float)
-        b_arr = np.asarray(b, dtype=float)
-        T = (np.full(shape, 4000.0, dtype=np.float64) if T_guess is None
-             else np.array(np.broadcast_to(T_guess, shape), dtype=float))
+        rho_f = np.broadcast_to(rho_in, shape).reshape(-1)
+        e_f = np.broadcast_to(e_in, shape).reshape(-1)
+        b_f = np.broadcast_to(np.asarray(b, dtype=float),
+                              shape + (self.K,)).reshape(-1, self.K)
+        T = (np.full(rho_f.size, 4000.0, dtype=np.float64) if T_guess is None
+             else np.array(np.broadcast_to(T_guess, shape),
+                           dtype=float).reshape(-1))
         scale = np.maximum(np.abs(e_f), 1e4)
         # e_eq(T) at fixed rho is strictly increasing, so a bracketed Newton
         # on the *equilibrium* slope (frozen cv underestimates it by up to
         # ~5x through dissociation ridges and would oscillate) is globally
         # convergent.
-        T_lo = np.full(shape, 50.0, dtype=np.float64)
-        T_hi = np.full(shape, 1.0e5, dtype=np.float64)
+        T_lo = np.full(T.size, 50.0, dtype=np.float64)
+        T_hi = np.full(T.size, 1.0e5, dtype=np.float64)
         lam = None
+        y_out = np.zeros((T.size, self.db.n), dtype=np.float64)
+        T_out = np.zeros(T.size, dtype=np.float64)
+        act = np.arange(T.size)              # working set: flat state indices
+        rho_a, e_a, b_a = rho_f, e_f, b_f
 
+        # reads the current working set's rho_a, b_a
         def e_of(Tx, lam0):
-            y, lam1 = self.solve_rho_T(rho_f, Tx, b_arr, lam0=lam0,
+            y, lam1 = self.solve_rho_T(rho_a, Tx, b_a, lam0=lam0,
                                        return_lambda=True)
             return self.mix.e_mass(Tx, y), y, lam1
 
-        for it in range(max_iter):
+        for _ in range(max_iter):
             e_cur, y, lam = e_of(T, lam)
-            f = e_cur - e_f
-            if np.all(np.abs(f) < tol * scale):
-                return y, T
+            f = e_cur - e_a
+            done = np.abs(f) < tol * scale
+            if done.any():
+                y_out[act[done]], T_out[act[done]] = y[done], T[done]
+                keep = ~done
+                act = act[keep]
+                T, T_lo, T_hi, lam, f, e_cur, rho_a, e_a, b_a, scale = (
+                    a[keep] for a in (T, T_lo, T_hi, lam, f, e_cur, rho_a,
+                                      e_a, b_a, scale))
+            if not act.size:
+                break
             np.copyto(T_hi, T, where=f > 0)
             np.copyto(T_lo, T, where=f <= 0)
             dTfd = 0.01 * T
@@ -471,24 +501,27 @@ class EquilibriumSolver:
             T_new = T - f / cv_eq
             outside = (T_new <= T_lo) | (T_new >= T_hi)
             T = np.where(outside, 0.5 * (T_lo + T_hi), T_new)
-        # out of iterations: T moved after the last solve, so re-solve the
-        # composition at the final T before judging (and returning) it
-        e_cur, y, lam = e_of(T, lam)
-        f = np.abs(e_cur - e_f)
-        bad = f > 1e-5 * scale
-        if np.any(bad):
-            idx = np.nonzero(bad.reshape(-1))[0]
-            worst = idx[np.argsort(f.reshape(-1)[idx])[::-1]][:4]
-            raise ConvergenceError(
-                "solve_rho_e temperature iteration failed for "
-                f"{idx.size} state(s)",
-                iterations=max_iter, residual=float(np.max(f / scale)),
-                bad_indices=idx,
-                worst={"indices": worst.tolist(),
-                       "rho": rho_f.reshape(-1)[worst].tolist(),
-                       "e": e_f.reshape(-1)[worst].tolist(),
-                       "T": T.reshape(-1)[worst].tolist()})
-        return y, T
+        else:
+            # out of iterations: T moved after the last solve, so re-solve
+            # the composition at the final T before judging (and
+            # returning) it
+            e_cur, y, lam = e_of(T, lam)
+            y_out[act], T_out[act] = y, T
+            f = np.abs(e_cur - e_a)
+            bad = f > 1e-5 * scale
+            if np.any(bad):
+                idx = act[bad]
+                worst = idx[np.argsort(f[bad])[::-1]][:4]
+                raise ConvergenceError(
+                    "solve_rho_e temperature iteration failed for "
+                    f"{idx.size} state(s)",
+                    iterations=max_iter, residual=float(np.max(f / scale)),
+                    bad_indices=idx,
+                    worst={"indices": worst.tolist(),
+                           "rho": rho_f[worst].tolist(),
+                           "e": e_f[worst].tolist(),
+                           "T": T_out[worst].tolist()})
+        return y_out.reshape(shape + (self.db.n,)), T_out.reshape(shape)
 
 
 class EquilibriumGas:

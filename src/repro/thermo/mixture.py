@@ -135,11 +135,16 @@ class MixtureThermo:
             T = np.maximum(T + dT, 10.0)
             if np.all(np.abs(f) <= tol * scale + 1.0e-6):
                 return T
-        bad = np.abs(self.e_mass(T, y) - e) > 1e-5 * scale
+        # T moved after the last check: judge it by the same stop test
+        f = np.abs(self.e_mass(T, y) - e)
+        bad = f > tol * scale + 1.0e-6
+        if not np.any(bad):
+            return T
+        idx = np.nonzero(bad.reshape(-1))[0]
         raise ConvergenceError(
-            f"T_from_e failed for {int(np.count_nonzero(bad))} state(s)",
-            iterations=max_iter,
-            residual=float(np.max(np.abs(self.e_mass(T, y) - e) / scale)))
+            f"T_from_e failed for {idx.size} state(s)",
+            iterations=max_iter, residual=float(np.max(f / scale)),
+            bad_indices=idx)
 
     def T_from_h(self, h, y, *, T_guess=None, tol=1.0e-9, max_iter=60):
         """Invert h(T, y) for temperature (batched Newton)."""

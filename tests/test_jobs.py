@@ -519,6 +519,8 @@ class TestJobsCLI:
                          "-1") == 2
         assert self._run("jobs", "submit", "--queue-dir", qd, "sleep",
                          "--max-attempts", "0") == 2
+        assert self._run("jobs", "submit", "--queue-dir", qd, "sleep",
+                         "--deadline", "inf") == 2
         assert self._run("campaign", "--figures", "--kill-workers",
                          "-1") == 2
         capsys.readouterr()

@@ -477,6 +477,7 @@ class TestBatchCLI:
         assert main(["batch", path, "-j", "2"]) == 2
         assert main(["batch", path, "--isolate", "sometimes"]) == 2
         assert main(["batch", path, "--deadline", "nan"]) == 2
+        assert main(["batch", path, "--deadline", "inf"]) == 2
         assert main(["batch", str(tmp_path / "missing.jsonl")]) == 2
         assert main(["chaos", "--requests", "10"]) == 2
         assert main(["chaos", "--batch", "--requests", "5",

@@ -235,6 +235,26 @@ class TestActiveSetNewton:
         assert len(lstsq_calls) == raised[0]
         np.testing.assert_allclose(y_fb, y, rtol=0.0, atol=1e-9)
 
+    def test_stalled_row_leaves_early_and_is_rescued(self, air_gas):
+        from repro.thermo.equilibrium import _CONV_TOL, _STALL_ITERS
+        solver = air_gas.solver
+        rho, T = np.array([1e-3, 0.1]), np.array([3000.0, 7000.0])
+        y_cold, lam = solver.solve_rho_T(rho, T, air_gas.b,
+                                         return_lambda=True)
+        # a warm start with oxygen's potential collapsed: the O residual
+        # is the whole O target and the line search cannot move it
+        lam0 = lam.copy()
+        lam0[:, solver.db.elements.index("O")] = -1000.0
+        rec = []
+        solver._newton(lam0, *self._kernel_args(solver, rho, T, air_gas.b),
+                       self.TOL, 250, record=rec)
+        assert len(rec) == 1 + _STALL_ITERS
+        assert np.all(rec[-1] > _CONV_TOL)
+        # solve_rho_T hands both rows to the recovery ladder, whose cold
+        # restart converges them
+        y = solver.solve_rho_T(rho, T, air_gas.b, lam0=lam0)
+        np.testing.assert_allclose(y, y_cold, rtol=0.0, atol=1e-9)
+
 
 class TestSolveTP:
     def test_density_matches_state(self, air_gas):
@@ -263,6 +283,59 @@ class TestSolveTP:
 
 
 class TestSolveRhoE:
+    @pytest.fixture(scope="class")
+    def states(self, air_gas):
+        """Twelve (rho, e) states over the 48 x 72 table's range.  The
+        first eight start 0.1 % off their answers and pass the
+        temperature iteration's test at iteration 3-6; the last four start
+        from 4000 K, as the table build does, and pass at 16-22."""
+        rho = np.array([1e-6, 1e-4, 1e-2, 1.0, 3e-5, 0.3, 3e-3, 5.0])
+        T = np.array([600.0, 2500.0, 5000.0, 9000.0, 12000.0, 300.0,
+                      7000.0, 20000.0])
+        e = air_gas.state_rho_T(rho, T)["e"]
+        return (np.r_[rho, 2.4e-5, 1.8e-3, 3.94e-3, 0.134],
+                np.r_[e, 2.07e6, 3.24e6, 3.63e6, 2.47e7],
+                np.r_[1.001 * T, np.full(4, 4000.0)])
+
+    def test_answer_does_not_depend_on_batch_mates(self, air_gas, states):
+        rho, e, T_guess = states
+        solver = air_gas.solver
+        y, T = solver.solve_rho_e(rho, e, air_gas.b, T_guess=T_guess)
+        for i in range(rho.size):
+            one = slice(i, i + 1)
+            y_i, T_i = solver.solve_rho_e(rho[one], e[one], air_gas.b,
+                                          T_guess=T_guess[one])
+            # rtol, not bitwise: the BLAS caveat of
+            # test_batch_split_does_not_change_rows
+            np.testing.assert_allclose(T[one], T_i, rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(y[one], y_i, rtol=1e-12, atol=1e-15)
+
+    def test_solve_rho_T_sees_only_unconverged_states(self, air_gas,
+                                                      states, monkeypatch):
+        rho, e, T_guess = states
+        seen, solve_rho_T = [], EquilibriumSolver.solve_rho_T
+
+        def spy(self, rho_, T_, *args, **kwargs):
+            out = solve_rho_T(self, rho_, T_, *args, **kwargs)
+            seen.append((np.array(rho_), np.array(T_), out[0]))
+            return out
+
+        monkeypatch.setattr(EquilibriumSolver, "solve_rho_T", spy)
+        air_gas.solver.solve_rho_e(rho, e, air_gas.b, T_guess=T_guess)
+        assert seen[0][0].size == rho.size
+        where = {r: i for i, r in enumerate(rho)}
+        # the calls pair up: each iterate, then its forward-difference
+        # step; both of the next two calls get the states still above tol
+        for k in range(0, len(seen), 2):
+            rho_k, T_k, y_k = seen[k]
+            e_k = e[[where[r] for r in rho_k]]
+            f = air_gas.mix.e_mass(T_k, y_k) - e_k
+            above = ~(np.abs(f) < 1e-9 * np.maximum(np.abs(e_k), 1e4))
+            later = [r for r, _, _ in seen[k + 1:k + 3]]
+            assert len(later) == (2 if above.any() else 0)
+            assert all(np.array_equal(r, rho_k[above]) for r in later)
+        assert len(seen) > 20                  # the slow states ran on
+
     @given(T=st.floats(min_value=400.0, max_value=13000.0),
            lr=st.floats(min_value=-5.0, max_value=0.0))
     @settings(max_examples=25, deadline=None)

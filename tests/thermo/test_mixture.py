@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.constants import R_UNIVERSAL as R
+from repro.errors import ConvergenceError
 from repro.thermo.mixture import MixtureThermo
 from repro.thermo.species import species_set
 
@@ -104,3 +105,33 @@ class TestInverseLookups:
         e = mix.e_mass(np.array(5000.0), y)
         T = mix.T_from_e(e, y, T_guess=np.array(100.0))
         assert float(T) == pytest.approx(5000.0, rel=1e-6)
+
+    def test_T_from_e_failure_counts_the_states_it_stops_on(
+            self, mix, air11, monkeypatch):
+        # one state's e(T) jitters by +-3e-9 |e| from call to call: it
+        # never meets the stop test |f| <= 1e-9 |e| + 1e-6, though it is
+        # well inside 1e-5 |e|
+        y = air_y(air11)
+        e = mix.e_mass(np.array([800.0, 3000.0, 6000.0]), y)
+        e_mass, sign = mix.e_mass, [1.0]
+
+        def jitter(T, y_):
+            out = e_mass(T, y_)
+            sign[0] = -sign[0]
+            out[1] += sign[0] * 3e-9 * abs(out[1])
+            return out
+
+        monkeypatch.setattr(mix, "e_mass", jitter)
+        with pytest.raises(ConvergenceError,
+                           match=r"failed for 1 state\(s\)") as exc:
+            mix.T_from_e(e, y)
+        assert list(exc.value.bad_indices) == [1]
+
+    def test_T_from_e_judges_the_T_it_returns(self, mix, air11):
+        # the one iteration checks the guess (off by 1e-6) and steps
+        # from it; the stepped T meets the stop test, so it is returned
+        y = air_y(air11)
+        T_true = np.array([800.0, 3000.0, 6000.0])
+        e = mix.e_mass(T_true, y)
+        T = mix.T_from_e(e, y, T_guess=T_true * (1.0 + 1e-6), max_iter=1)
+        assert np.all(np.abs(mix.e_mass(T, y) - e) <= 1e-9 * np.abs(e))
