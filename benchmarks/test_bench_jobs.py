@@ -5,8 +5,9 @@ Two perf trajectories for the jobs layer, both written to
 from ``python -m repro chaos --jobs``):
 
 * **submit latency** — ``submit()`` must return a durable job id
-  without waiting for a worker, so its cost is one enqueue plus one
-  journaled state transition; a burst of submits measures that floor;
+  without waiting for a worker, so its cost is one journaled enqueue
+  and one read of the queue record; a burst of submits measures that
+  floor;
 * **async overhead** — wall-clock of a short solver march executed
   through submit -> farm -> result versus the same march called
   directly, bounding what the durability machinery (sandbox spawn,
@@ -41,7 +42,7 @@ def _percentile(sorted_xs, q):
 
 
 def test_bench_submit_latency(once, tmp_path):
-    """Durable-submit floor: enqueue + journaled pending transition."""
+    """Durable-submit floor: one journaled enqueue."""
     mgr = JobManager(tmp_path / "q")
 
     def burst(n=32):

@@ -13,7 +13,7 @@ import argparse
 import math
 import sys
 
-from repro.errors import CatError
+from repro.errors import CatError, InputError
 
 
 def _bounded(cast, *, strict: bool = True):
@@ -33,6 +33,16 @@ def _bounded(cast, *, strict: bool = True):
 _POS_INT, _POS_FLOAT = _bounded(int), _bounded(float)
 _NONNEG_INT = _bounded(int, strict=False)
 _NONNEG_FLOAT = _bounded(float, strict=False)
+
+
+def _job_id(text: str) -> str:
+    """``type=`` callable for a job id: the queue's id rule, so a
+    malformed id is a usage error before any path is built from it."""
+    from repro.resilience.queue import check_job_id
+    try:
+        return check_job_id(text)
+    except InputError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _given(args: argparse.Namespace, *names: str) -> dict:
@@ -325,6 +335,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import json
 
     from repro.resilience.farm import Farm, FarmPolicy
+    from repro.resilience.queue import TERMINAL
     policy = FarmPolicy(n_workers=args.n_workers, lease_ttl=args.lease_ttl,
                         poll_interval=args.poll, drain_when_idle=False,
                         host_id=args.host_id, max_skew=args.max_skew,
@@ -334,7 +345,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
           f"host {farm.host} (SIGTERM to drain)")
     ledger = farm.run()
     pending = sum(v for k, v in ledger["jobs"].items()
-                  if k not in ("done", "dead"))
+                  if k not in TERMINAL)
     print(f"serve: drained {ledger['jobs']} ({pending} job(s) left for "
           f"the next serve)")
     if args.ledger:
@@ -487,8 +498,7 @@ def _cmd_jobs(args: argparse.Namespace) -> int:
     if action == "result":
         return 0 if out.get("ready") and out["state"] != FAILED else 1
     if action == "ledger":
-        return 0 if (out["audit"]["ok"]
-                     and out["transitions_audit"]["ok"]) else 1
+        return 0 if out["audit"]["ok"] else 1
     return 0
 
 
@@ -660,7 +670,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("kind", metavar="KIND")
     p.add_argument("payload", nargs="?", metavar="JSON",
                    help="payload object, inline or @FILE")
-    p.add_argument("--id", dest="job_id", metavar="ID",
+    p.add_argument("--id", dest="job_id", type=_job_id, metavar="ID",
                    help="explicit id (default: content-addressed)")
     p.add_argument("--priority", type=int)
     p.add_argument("--max-attempts", type=_POS_INT, metavar="N")
@@ -681,8 +691,8 @@ def _build_parser() -> argparse.ArgumentParser:
             ("cancel", "cancel flag, then SIGTERM -> SIGKILL",
              ("--reason", "--escalate-after", "--wait", "--poll"))):
         p = command(acts, name, text, [queue])
-        p.add_argument("job", nargs="?", metavar="ID")
-        p.add_argument("--id", dest="job_id", metavar="ID",
+        p.add_argument("job", nargs="?", type=_job_id, metavar="ID")
+        p.add_argument("--id", dest="job_id", type=_job_id, metavar="ID",
                        help="same as ID")
         for flag in flags:
             p.add_argument(flag, type=job_flags[flag])

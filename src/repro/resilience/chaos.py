@@ -881,9 +881,9 @@ def run_chaos_jobs(*, n_steps: int = 400, deadline: float = 240.0,
        attempt resumes from the latest snapshot generation and
        finishes.
     4. Assert: final state bitwise-identical to the reference,
-       exactly-once completion from the merged journal, legal
-       state-machine history, cooperative cancellation works, and
-       after ``gc`` no job artifacts or orphan processes remain.
+       exactly-once completion and cancellation from the merged
+       journal, cooperative cancellation works, and after ``gc`` no
+       job artifacts or orphan processes remain.
 
     Writes ``chaos-ledger.json`` + ``BENCH_jobs.json`` under ``out``;
     returns a process exit code.
@@ -961,9 +961,6 @@ def run_chaos_jobs(*, n_steps: int = 400, deadline: float = 240.0,
         killed_pids = _kill_host(timeline, mgr.queue, "jobsA", procs[0])
 
         # -- 3. resume on a fresh host ---------------------------------
-        # a host is stopped only once the queue is terminal: the attempt
-        # commits the job's terminal state before the worker commits the
-        # queue completion, and a drain in between would requeue it
         procs.append(spawn("jobsB"))
         timeline.wait(mgr.queue.all_terminal, deadline)
         checks["resumed_done"] = mgr.sync("march-00").get("state") == DONE
@@ -998,7 +995,6 @@ def run_chaos_jobs(*, n_steps: int = 400, deadline: float = 240.0,
     # -- audits --------------------------------------------------------
     ledger = mgr.ledger()
     checks["exactly_once"] = bool(ledger["audit"]["ok"])
-    checks["legal_transitions"] = bool(ledger["transitions_audit"]["ok"])
 
     # -- gc: no leaked artifacts, no orphan processes ------------------
     swept = mgr.gc(ttl=0.0, include_failed=True)
@@ -1037,5 +1033,5 @@ def run_chaos_jobs(*, n_steps: int = 400, deadline: float = 240.0,
          "jobs_ledger": ledger},
         checks,
         f"killed the host mid-march, resumed bitwise-identical "
-        f"({ref_fp[:12]}…), exactly-once audit clean, transitions "
-        f"legal, cancel acknowledged, gc left nothing behind", stream)
+        f"({ref_fp[:12]}…), exactly-once audit clean, cancel "
+        f"acknowledged, gc left nothing behind", stream)

@@ -77,7 +77,7 @@ from repro.resilience.lease import (HostBeacon, default_host_id,
                                     estimate_skew, expired_indices,
                                     format_ages, heartbeat_ages,
                                     read_beacons)
-from repro.resilience.queue import BackoffPolicy, Job, WorkQueue
+from repro.resilience.queue import TERMINAL, BackoffPolicy, Job, WorkQueue
 
 __all__ = ["Farm", "FarmPolicy", "JOB_KINDS", "WorkerKillPlan",
            "audit_exactly_once", "bench_from_journal", "build_ledger",
@@ -92,9 +92,9 @@ __all__ = ["Farm", "FarmPolicy", "JOB_KINDS", "WorkerKillPlan",
 #: kind name -> ``fn(payload, ctx) -> JSON-able result`` executed in the
 #: sandbox child.  ``ctx`` carries ``workdir`` (durable, per-job),
 #: ``ckpt_dir`` (durable snapshot ladder — marches resume from here
-#: after a kill), ``queue_dir``, ``job_id``, the claiming lease's
-#: fencing credentials ``lease_token`` / ``worker``, and the worker's
-#: ``host_id`` (the journal file its records go to).
+#: after a kill), ``queue_dir`` and ``job_id``.  An executor commits
+#: nothing to the queue: its return value (or its exception) is what the
+#: worker's fenced ``complete``/``fail`` records.
 JOB_KINDS: dict = {}
 
 
@@ -201,10 +201,9 @@ def _job_sleep(payload: dict, ctx: dict) -> dict:
 @job_kind("async")
 def _job_async(payload: dict, ctx: dict) -> dict:
     """One attempt of a durable async job: payload ``{"kind": inner,
-    "payload": {...}}``.  The wrapper drives the inner kind under the
-    job's persisted state machine — fenced ``claimed → running →
-    checkpointing`` transitions, cancel-flag acknowledgement, progress
-    publication — see :mod:`repro.service.jobs`."""
+    "payload": {...}}``.  The wrapper acknowledges the job's cancel flag
+    or runs the inner kind under the cancel hook — see
+    :mod:`repro.service.jobs`."""
     from repro.service.jobs import run_async_attempt
     return run_async_attempt(payload, ctx)
 
@@ -237,19 +236,9 @@ def state_fingerprint(solver) -> str:
     return h.hexdigest()
 
 
-def _execute_job(queue_dir: str, job_id: str,
-                 lease_token: str | None = None,
-                 worker: str | None = None, host_id: str | None = None):
-    """Sandbox-child entry point: resolve the job and run its kind.
-
-    ``lease_token``/``worker`` are the fencing credentials of the
-    claiming worker's lease: executors that commit their own durable
-    records (the async-job state machine) validate every write against
-    the token on disk, so an attempt whose lease was reaped can never
-    clobber its successor's transitions.  ``host_id`` is the worker's
-    host, so those records land in that host's journal file.
-    """
-    queue = WorkQueue(queue_dir, host_id=host_id)
+def _execute_job(queue_dir: str, job_id: str):
+    """Sandbox-child entry point: resolve the job and run its kind."""
+    queue = WorkQueue(queue_dir)
     job = queue.job(job_id)
     fn = JOB_KINDS.get(job.kind)
     if fn is None:
@@ -258,9 +247,7 @@ def _execute_job(queue_dir: str, job_id: str,
     workdir = queue.job_workdir(job_id)
     ctx = {"workdir": workdir,
            "ckpt_dir": os.path.join(workdir, "ckpt"),
-           "queue_dir": queue_dir, "job_id": job_id,
-           "lease_token": lease_token, "worker": worker,
-           "host_id": host_id}
+           "queue_dir": queue_dir, "job_id": job_id}
     return fn(job.payload, ctx)
 
 
@@ -492,8 +479,7 @@ def _run_one(queue: WorkQueue, job: Job, lease, name: str, cfg: dict,
             if flags["draining"]:
                 raise _DrainRequested()
             result = runner.run_callable(
-                _execute_job,
-                (queue.dir, job.id, lease.token, name, queue.host_id),
+                _execute_job, (queue.dir, job.id),
                 workdir=os.path.join(workdir, "sandbox"),
                 on_spawn=on_spawn)
             outcome = "ok"
@@ -871,9 +857,7 @@ def build_ledger(queue: WorkQueue, *, wall_time: float, label: str,
             "exactly_once_audit": audit_exactly_once(queue),
             "throughput_jobs_per_s": (round(done / wall_time, 4)
                                       if wall_time > 0 else None),
-            "ok": done + len(dead) == n_jobs and not any(
-                counts.get(k) for k in ("pending", "running",
-                                        "unknown"))}
+            "ok": sum(counts.get(k, 0) for k in TERMINAL) == n_jobs}
 
 
 def bench_from_journal(queue: WorkQueue, *, wall_time: float,
@@ -911,26 +895,34 @@ def bench_from_journal(queue: WorkQueue, *, wall_time: float,
 
 def audit_exactly_once(queue: WorkQueue) -> dict:
     """Prove from the merged multi-host journal that every done job was
-    completed **exactly once**.
+    completed **exactly once**, and that no job was cancelled twice or
+    both cancelled and completed.
 
     A fenced commit (stale token rejected after a reclaim) journals
     ``fenced``, not ``complete``, so any job with two ``complete``
     lines — or a done job with none — is a real exactly-once violation,
-    whichever host wrote the lines.
+    whichever host wrote the lines.  A ``cancel`` line is written under
+    the job's lease like a claim, so it can meet neither another cancel
+    nor a completion.
     """
-    completes: dict[str, int] = {}
+    tally: dict[str, dict[str, int]] = {"complete": {}, "cancel": {}}
     for rec in queue.read_journal():
-        if rec.get("event") == "complete":
-            job = rec.get("job")
-            completes[job] = completes.get(job, 0) + 1
+        seen = tally.get(rec.get("event"))
+        if seen is not None:
+            seen[rec.get("job")] = seen.get(rec.get("job"), 0) + 1
+    completes, cancels = tally["complete"], tally["cancel"]
     double = {job: n for job, n in completes.items() if n > 1}
+    double_cancels = {job: n for job, n in cancels.items() if n > 1}
+    both = sorted(set(completes) & set(cancels))
     missing = [job_id for job_id in queue.job_ids()
                if queue.state(job_id).get("status") == "done"
                and completes.get(job_id, 0) == 0]
-    return {"ok": not double and not missing,
+    return {"ok": not (double or double_cancels or both or missing),
             "jobs_completed": len(completes),
             "double_completions": double,
-            "done_without_complete": sorted(missing)}
+            "done_without_complete": sorted(missing),
+            "double_cancels": double_cancels,
+            "cancelled_and_completed": both}
 
 
 def write_bench_json(path, record: dict) -> None:

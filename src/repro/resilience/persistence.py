@@ -54,33 +54,11 @@ import numpy as np
 from repro.errors import CheckpointError
 
 __all__ = ["MANIFEST_SCHEMA_VERSION", "PersistencePolicy", "SnapshotStore",
-           "LoadedSnapshot", "current_save_observer", "resume_run",
-           "set_save_observer", "solver_fingerprint"]
+           "LoadedSnapshot", "resume_run", "solver_fingerprint"]
 
 MANIFEST_SCHEMA_VERSION = 1
 
 _CKPT_RE = re.compile(r"^ckpt-(\d{8})\.json$")
-
-
-#: Process-global observer called around every SnapshotStore.save
-#: commit: ``fn(phase, store=, seq=, completed=)`` with phase
-#: ``"begin"`` (before the payload write; seq is None) and ``"end"``
-#: (after the commit; seq is the committed generation).  The async-job
-#: executor installs one so a marching job's state machine can journal
-#: fenced ``running → checkpointing → running`` transitions without the
-#: solver or supervisor knowing jobs exist.  Observers must not raise.
-_SAVE_OBSERVER = None
-
-
-def set_save_observer(fn) -> None:
-    """Install (or clear, with None) the process-global save observer."""
-    global _SAVE_OBSERVER
-    _SAVE_OBSERVER = fn
-
-
-def current_save_observer():
-    """The save observer installed for this process, if any."""
-    return _SAVE_OBSERVER
 
 
 @dataclass
@@ -338,9 +316,6 @@ class SnapshotStore:
         settle there, the loser retries on the next seq), directory
         fsync, *then* retention trims old generations.
         """
-        observer = _SAVE_OBSERVER
-        if observer is not None:
-            observer("begin", store=self, seq=None, completed=completed)
         config = solver.persist_config()
         construct = (solver.persist_arrays()
                      if hasattr(solver, "persist_arrays") else {})
@@ -382,8 +357,6 @@ class SnapshotStore:
         if self.faults is not None:
             self.faults.corrupt_snapshot(npz_path, man_path)
         self._retain()
-        if observer is not None:
-            observer("end", store=self, seq=seq, completed=completed)
         return seq
 
     def _retain(self):

@@ -15,8 +15,9 @@ queue-dir/
   dead/<id>.json      dead-letter record (error + FailureReport)
   dead/<id>-history.json   prior dead-letter records preserved across
                       ``retry_dead_letters`` requeues
-  work/<id>/          per-job workdir: ckpt/ (durable snapshots) and
-                      sandbox/ (isolation heartbeat + error notes)
+  work/<id>/          per-job workdir: ckpt/ (durable snapshots),
+                      sandbox/ (isolation heartbeat + error notes) and
+                      cancel.json (a cancel request for a leased job)
   hosts/<host>.json   advisory per-host clock beacon (see lease.py)
   quarantine/         torn/corrupt records moved aside, never parsed
   journal-<host>.jsonl  this host's append-only ledger (one per host)
@@ -25,7 +26,8 @@ queue-dir/
 A job moves through a small state machine::
 
     pending --claim--> running --complete--> done
-       ^                  |
+       ^  |               |
+       |  +--cancel--> cancelled
        |                  +--fail (attempts < max) --> pending
        |                  |     (not_before = now + backoff + jitter)
        |                  +--fail (attempts == max) --> dead
@@ -144,10 +146,7 @@ class Job:
     stall_timeout: float | None = None
 
     def __post_init__(self):
-        if (not self.id or "/" in self.id or self.id != self.id.strip()
-                or self.id.startswith(".")):
-            raise InputError(f"invalid job id {self.id!r} (must be a "
-                             f"clean filename fragment)")
+        check_job_id(self.id)
         n = self.max_attempts
         if n is not None and (isinstance(n, bool)
                               or not isinstance(n, Integral) or n < 1):
@@ -180,8 +179,21 @@ class Job:
                    stall_timeout=d.get("stall_timeout"))
 
 
+def check_job_id(job_id) -> str:
+    """``job_id`` when it is a clean filename fragment, else InputError
+    — checked before any path is built from it."""
+    if (not isinstance(job_id, str) or not job_id or "/" in job_id
+            or job_id != job_id.strip() or job_id.startswith(".")):
+        raise InputError(f"invalid job id {job_id!r} (must be a clean "
+                         f"filename fragment)")
+    return job_id
+
+
 #: terminal statuses — a campaign is over when every job reaches one
-TERMINAL = frozenset(("done", "dead"))
+TERMINAL = frozenset(("done", "dead", "cancelled"))
+
+#: the cancel-request flag in a job's workdir (see :meth:`WorkQueue.cancel`)
+CANCEL_FLAG = "cancel.json"
 
 
 def _safe_host(host: str) -> str:
@@ -434,6 +446,9 @@ class WorkQueue:
             elif ev == "dead-letter":
                 st.update(status="dead", owner=None,
                           last_error=rec.get("error"))
+            elif ev == "cancel":
+                st.update(status="cancelled", owner=None,
+                          reason=rec.get("reason"))
         return st
 
     def state(self, job_id: str) -> dict:
@@ -561,6 +576,29 @@ class WorkQueue:
                          attempt=st["attempts"])
             return job, lease
         return None
+
+    def cancel(self, job_id: str, reason: str) -> bool:
+        """Make a pending job ``cancelled``, a terminal no worker claims.
+
+        The lease is taken first, as a claim takes it, so a cancel and a
+        claim of one job are ordered by one ``O_EXCL`` create.  Returns
+        False when the job is leased or not pending: a running attempt
+        acknowledges the job's :data:`CANCEL_FLAG` instead.
+        """
+        lease = self.leases.acquire(job_id, f"{self.host_id}:cancel")
+        if lease is None:
+            return False
+        try:
+            st = self.state(job_id)
+            if st.get("status") != "pending" \
+                    or not self.leases.verify(lease):
+                return False
+            st.update(status="cancelled", owner=None, reason=reason)
+            self._write_json(self._state_path(job_id), st)
+            self.journal("cancel", job=job_id, reason=reason)
+            return True
+        finally:
+            self.leases.release(lease)
 
     # -- completion / failure / preemption ------------------------------
 
@@ -715,6 +753,12 @@ class WorkQueue:
                                            f"{job_id}.json"))
                 except OSError:
                     pass
+            # a fresh budget is a fresh life: a cancel flag the dead
+            # one never acknowledged must not cancel the retry
+            try:
+                os.remove(os.path.join(self.work_dir, job_id, CANCEL_FLAG))
+            except OSError:
+                pass
             st.update(status="pending", owner=None, attempts=0,
                       not_before=0.0)
             self._write_json(self._state_path(job_id), st)

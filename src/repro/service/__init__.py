@@ -11,8 +11,9 @@ DESIGN.md §8.
 
 :mod:`repro.service.jobs` is the *asynchronous* front door: a
 :class:`JobManager` whose ``submit`` returns a durable job id
-immediately, with a crash-safe per-job state machine, live progress,
-cancellation with escalation and TTL-based GC.  See DESIGN.md §9.
+immediately, whose job record is the work queue's own, with live
+progress, cancellation with escalation and TTL-based GC.  See
+DESIGN.md §9.
 """
 
 from repro.service.batch import (BatchPolicy, BatchResult, batch_jobs,
@@ -20,17 +21,14 @@ from repro.service.batch import (BatchPolicy, BatchResult, batch_jobs,
                                  evaluate_batch_farm, shard_requests)
 from repro.service.breaker import BreakerBoard, BreakerPolicy
 from repro.service.jobs import (AsyncJob, JOB_STATES, JOB_TERMINAL,
-                                JOB_TRANSITIONS, JobManager,
-                                audit_job_transitions,
-                                run_async_attempt)
+                                JobManager, run_async_attempt)
 from repro.service.request import (Envelope, METHODS, Request,
                                    canonical_request, request_key,
                                    validate_request)
 
 __all__ = ["AsyncJob", "BatchPolicy", "BatchResult", "BreakerBoard",
            "BreakerPolicy", "Envelope", "JOB_STATES", "JOB_TERMINAL",
-           "JOB_TRANSITIONS", "JobManager", "METHODS", "Request",
-           "audit_job_transitions", "batch_bench_record", "batch_jobs",
-           "canonical_request", "evaluate_batch",
+           "JobManager", "METHODS", "Request", "batch_bench_record",
+           "batch_jobs", "canonical_request", "evaluate_batch",
            "evaluate_batch_farm", "request_key", "run_async_attempt",
            "shard_requests", "validate_request"]

@@ -23,11 +23,12 @@ In memory, gamma, its two log-gradients and T are stacked into one
 gamma, p, a and T of a whole state set from one locate and one gather per
 cell corner; ``lookup``, ``pressure``, ``temperature`` and
 ``sound_speed`` are views of it.  The ``.npz`` file holds gamma and T
-only.
+only, plus the digest of the inputs that built them.
 """
 
 from __future__ import annotations
 
+import hashlib
 import os
 import tempfile
 
@@ -38,9 +39,16 @@ from repro.thermo.equilibrium import EquilibriumGas
 
 __all__ = ["EquilibriumEOSTable", "build_air_table"]
 
+#: default table bounds: density [kg/m^3] and specific energy [J/kg]
+_RHO_RANGE, _E_RANGE = (1e-7, 10.0), (5e4, 1.5e8)
+
 
 class EquilibriumEOSTable:
     """Bilinear (log rho, log e) lookup table for an equilibrium gas."""
+
+    #: digest of the inputs that built the table ("" when unknown),
+    #: saved and loaded with it
+    digest = ""
 
     def __init__(self, log_rho: np.ndarray, log_e: np.ndarray,
                  gamma: np.ndarray, T: np.ndarray, *, clamp: bool = True):
@@ -79,8 +87,8 @@ class EquilibriumEOSTable:
     # ------------------------------------------------------------------
 
     @classmethod
-    def build(cls, gas: EquilibriumGas, *, rho_range=(1e-7, 10.0),
-              e_range=(5e4, 1.5e8), n_rho=48,
+    def build(cls, gas: EquilibriumGas, *, rho_range=_RHO_RANGE,
+              e_range=_E_RANGE, n_rho=48,
               n_e=72) -> "EquilibriumEOSTable":
         """Fill the table by batched (rho, e) equilibrium solves.
 
@@ -115,14 +123,16 @@ class EquilibriumEOSTable:
     # ------------------------------------------------------------------
 
     def save(self, path: str) -> None:
-        """Write the table to an .npz file (atomic replace)."""
+        """Write the table and its digest to an .npz file (atomic
+        replace)."""
         d = os.path.dirname(os.path.abspath(path))
         os.makedirs(d, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=d, suffix=".npz")
         os.close(fd)
         try:
             np.savez(tmp, log_rho=self.log_rho, log_e=self.log_e,
-                     gamma=self.gamma, T=self.T)
+                     gamma=self.gamma, T=self.T,
+                     digest=np.array(self.digest))
             os.replace(tmp, path)
         finally:
             if os.path.exists(tmp):
@@ -131,7 +141,10 @@ class EquilibriumEOSTable:
     @classmethod
     def load(cls, path: str) -> "EquilibriumEOSTable":
         with np.load(path) as z:
-            return cls(z["log_rho"], z["log_e"], z["gamma"], z["T"])
+            tab = cls(z["log_rho"], z["log_e"], z["gamma"], z["T"])
+            if "digest" in z.files:
+                tab.digest = str(z["digest"])
+        return tab
 
     # ------------------------------------------------------------------
     # interpolation
@@ -206,30 +219,53 @@ class EquilibriumEOSTable:
 _AIR_TABLE_CACHE: dict[tuple, EquilibriumEOSTable] = {}
 
 
+def _build_digest(names, y_ref, n_rho: int, n_e: int) -> str:
+    """SHA-256 of a default-bounds build's inputs: the grid shape and
+    bounds, the species set, the reference composition and the source
+    of the ``repro.thermo`` modules the build runs."""
+    h = hashlib.sha256(repr((n_rho, n_e, _RHO_RANGE, _E_RANGE, list(names),
+                             np.asarray(y_ref).tolist())).encode())
+    for name in ("eos_table", "equilibrium", "mixture", "species",
+                 "statmech"):
+        with open(os.path.join(os.path.dirname(__file__), f"{name}.py"),
+                  "rb") as f:
+            h.update(f.read())
+    return h.hexdigest()
+
+
 def build_air_table(*, n_rho=48, n_e=72, cache_dir=None
                     ) -> EquilibriumEOSTable:
-    """Build (or load from disk cache) the standard equilibrium-air table."""
+    """Build (or load from disk cache) the standard equilibrium-air table.
+
+    The cache file is read back only when it carries the digest of this
+    build's inputs (:func:`_build_digest`): a table another version of
+    the solver built is rebuilt, never served.
+    """
     from repro.thermo.equilibrium import air_reference_mass_fractions
     from repro.thermo.species import species_set
 
     key = (n_rho, n_e)
     if key in _AIR_TABLE_CACHE:
         return _AIR_TABLE_CACHE[key]
+    db = species_set("air11")
+    y_ref = air_reference_mass_fractions(db)
+    digest = _build_digest(db.names, y_ref, n_rho, n_e)
     cache_dir = cache_dir or os.path.join(
         os.path.expanduser("~"), ".cache", "repro")
     path = os.path.join(cache_dir, f"air_eos_{n_rho}x{n_e}.npz")
     if os.path.exists(path):
         try:
             tab = EquilibriumEOSTable.load(path)
-            _AIR_TABLE_CACHE[key] = tab
-            return tab
+            if tab.digest == digest:
+                _AIR_TABLE_CACHE[key] = tab
+                return tab
         # catlint: disable=CAT012 -- deliberate: any unreadable/corrupt
         # cache file falls through to a fresh table build
         except Exception:
             pass  # rebuild on any cache corruption
-    db = species_set("air11")
-    gas = EquilibriumGas(db, air_reference_mass_fractions(db))
+    gas = EquilibriumGas(db, y_ref)
     tab = EquilibriumEOSTable.build(gas, n_rho=n_rho, n_e=n_e)
+    tab.digest = digest
     try:
         tab.save(path)
     except OSError:

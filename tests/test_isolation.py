@@ -345,14 +345,17 @@ class TestChaosHarness:
     def test_jobs_campaign_passes_and_leaves_no_orphans(self, tmp_path,
                                                          silent):
         """SIGKILL the job's host mid-march, resume it on a fresh host:
-        bitwise parity, exactly-once, legal transitions, clean gc."""
+        bitwise parity, exactly-once completion and cancellation, clean
+        gc."""
         rc = run_chaos_jobs(out=str(tmp_path), stream=silent)
         assert rc == 0, silent.getvalue()
         ledger = _chaos_ledger(tmp_path, "jobs", [
             "reached_mid_march", "resumed_done", "bitwise_match",
-            "cancelled", "exactly_once", "legal_transitions", "gc_clean",
-            "no_orphans"])
+            "cancelled", "exactly_once", "gc_clean", "no_orphans"])
         assert ledger["ok"]
+        audit = ledger["jobs_ledger"]["audit"]
+        assert not audit["double_cancels"]
+        assert not audit["cancelled_and_completed"]
         assert (tmp_path / "BENCH_jobs.json").exists()
         assert _no_orphans()
 

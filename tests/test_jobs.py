@@ -1,169 +1,211 @@
 """Asynchronous-job subsystem tests.
 
-The contract under test (ISSUE 10 acceptance criteria and DESIGN.md
-§9):
+The contract under test (DESIGN.md §9):
 
-* ``submit`` returns a durable job id immediately; the state record at
-  ``work/<id>/jobstate.json`` walks ``pending → claimed → running →
-  checkpointing → done | failed | cancelled`` atomically and every
-  transition is journaled,
-* transitions are fenced by the queue's lease tokens: a writer whose
-  lease was lost (or a client racing a live attempt) cannot commit,
-* terminal states are exclusive (at most one per life) and ``failed``
-  is resurrectable only through the dead-letter-retry edge,
-* cancellation is cooperative first (flag file acknowledged by the
-  marching supervisor, answered with a durable snapshot) and the job
-  ends ``cancelled``, not ``failed``,
+* ``submit`` returns a durable job id immediately; the job's record is
+  its work-queue record, and the job state reads off the queue status
+  (``dead`` reads ``failed``; ``done`` reads ``cancelled`` when the
+  attempt's result says so),
+* ``WorkQueue.cancel`` makes a pending job a journaled ``cancelled``
+  terminal under the job's lease, so it is refused while anyone holds
+  the lease and a stale worker cannot complete the job afterwards,
+* cancellation of a leased job is cooperative first (a flag file the
+  marching supervisor acknowledges with a durable snapshot) and the job
+  ends ``cancelled``, not ``failed``; escalation signals only the live
+  attempt's sandbox child,
+* the attempt writes nothing to the queue: the worker's fenced
+  ``complete``/``fail`` is its only commit,
 * dead attempts are detected by lease reaping and the requeued attempt
   auto-resumes from the latest snapshot generation, bitwise-identical
   to an uninterrupted reference,
 * ``gc`` removes finished-job artifacts past TTL honoring keep-last
   retention and never touches live jobs,
-* ``audit_job_transitions`` proves the merged journal history legal.
+* ``audit_exactly_once`` proves from the merged journal that no job was
+  completed twice, cancelled twice, or both.
 """
 
 import json
 import os
+import signal
+import subprocess
+import sys
 import time
 
 import pytest
 
 from repro.errors import InputError
-from repro.resilience.farm import Farm, FarmPolicy, state_fingerprint
-from repro.resilience.queue import BackoffPolicy, Job, WorkQueue
-from repro.service.jobs import (CANCELLED, CHECKPOINTING, CLAIMED, DONE,
-                                FAILED, JOB_TERMINAL, JOB_TRANSITIONS,
-                                PENDING, RUNNING, JobManager,
-                                audit_job_transitions, commit_transition,
-                                read_record, run_async_attempt)
+from repro.resilience.farm import (Farm, FarmPolicy, audit_exactly_once,
+                                   build_ledger, state_fingerprint)
+from repro.resilience.queue import CANCEL_FLAG, BackoffPolicy, Job, WorkQueue
+from repro.service.jobs import (CANCELLED, DONE, FAILED, PENDING, RUNNING,
+                                JobManager, run_async_attempt)
 
 FAST = BackoffPolicy(max_attempts=3, base=0.01, factor=2.0,
                      max_delay=0.05, jitter=0.5)
 
 
 def drain(queue_dir, **kw):
-    """Run a small farm until the queue is empty."""
+    """Run a small farm until the queue is empty; returns its ledger."""
     kw.setdefault("n_workers", 1)
     kw.setdefault("poll_interval", 0.05)
     kw.setdefault("lease_ttl", 5.0)
     kw.setdefault("backoff", FAST)
     with open(os.devnull, "w") as null:
-        Farm(queue_dir, FarmPolicy(**kw), label="test",
-             stream=null).run()
+        return Farm(queue_dir, FarmPolicy(**kw), label="test",
+                    stream=null).run()
+
+
+def _async_job(job_id, duration=0.01):
+    return Job(id=job_id, kind="async",
+               payload={"kind": "sleep",
+                        "payload": {"duration": duration}})
+
+
+def _ctx(q, job_id):
+    workdir = q.job_workdir(job_id)
+    return {"workdir": workdir, "ckpt_dir": os.path.join(workdir, "ckpt"),
+            "queue_dir": q.dir, "job_id": job_id}
 
 
 # ----------------------------------------------------------------------
-# state machine mechanics
+# the one state machine: the queue record is the job record
 # ----------------------------------------------------------------------
 
 
 class TestStateMachine:
-    def test_transition_table_shape(self):
-        # every state appears; terminals exit only via the resurrect
-        # edge (failed -> pending, the dead-letter retry)
-        assert JOB_TRANSITIONS[DONE] == frozenset()
-        assert JOB_TRANSITIONS[CANCELLED] == frozenset()
-        assert JOB_TRANSITIONS[FAILED] == frozenset((PENDING,))
-        for frm, tos in JOB_TRANSITIONS.items():
-            assert frm not in tos  # no self-loops
-
     def test_legal_walk_commits_and_journals(self, tmp_path):
+        mgr = JobManager(tmp_path / "q")
+        q = mgr.queue
+        mgr.submit("sleep", {"duration": 0.01}, job_id="j1")
+        assert mgr.status("j1")["state"] == PENDING
+        job, lease = q.claim("w0")
+        st = mgr.status("j1")
+        assert st["state"] == RUNNING and st["owner"] == "w0"
+        assert q.complete(job, lease, {"job": "j1", "cancelled": False,
+                                       "result": {"slept": 0.01}})
+        assert mgr.status("j1")["state"] == DONE
+        walked = [r["event"] for r in q.read_journal()
+                  if r.get("job") == "j1"]
+        assert walked == ["enqueue", "claim", "complete"]
+        assert audit_exactly_once(q)["ok"]
+
+    def test_cancel_makes_a_pending_job_terminal(self, tmp_path):
         q = WorkQueue(tmp_path / "q", backoff=FAST)
-        for to in (PENDING, CLAIMED, RUNNING, CHECKPOINTING, RUNNING,
-                   DONE):
-            assert commit_transition(q, "j1", to, by="t", kind="sleep")
-        rec = read_record(q, "j1")
-        assert rec["state"] == DONE
-        assert rec["transitions"] == 6
-        walked = [(r["frm"], r["to"]) for r in q.read_journal()
-                  if r.get("event") == "job-transition"]
-        assert walked[0] == (None, PENDING)
-        assert walked[-1] == (RUNNING, DONE)
-        assert audit_job_transitions(q)["ok"]
+        q.enqueue(Job(id="j1", kind="sleep"))
+        q.enqueue(Job(id="j2", kind="sleep"))
+        assert q.cancel("j1", "operator")
+        assert q.state("j1")["status"] == "cancelled"
+        assert q.leases.holder("j1") is None   # the cancel's own lease
+        cancels = [(r["job"], r["reason"]) for r in q.read_journal()
+                   if r.get("event") == "cancel"]
+        assert cancels == [("j1", "operator")]
+        # never claimed: the one claim goes to j2, then nothing is left
+        job, lease = q.claim("w0")
+        assert job.id == "j2" and q.claim("w0") is None
+        q.complete(job, lease, {})
+        assert q.all_terminal()
+        ledger = build_ledger(q, wall_time=1.0, label="t")
+        assert ledger["ok"] and ledger["jobs"] == {"cancelled": 1,
+                                                   "done": 1}
 
     def test_illegal_transition_refused_and_journaled(self, tmp_path):
-        q = WorkQueue(tmp_path / "q", backoff=FAST)
-        commit_transition(q, "j1", PENDING, by="t")
-        assert not commit_transition(q, "j1", CHECKPOINTING, by="t")
-        assert read_record(q, "j1")["state"] == PENDING
-        assert any(r.get("event") == "job-illegal"
-                   for r in q.read_journal())
-
-    def test_unknown_state_raises(self, tmp_path):
-        q = WorkQueue(tmp_path / "q", backoff=FAST)
-        with pytest.raises(InputError):
-            commit_transition(q, "j1", "paused", by="t")
+        # a worker whose lease was reaped cannot complete the job once it
+        # was cancelled: its commit is fenced and journaled as such
+        q = WorkQueue(tmp_path / "q", backoff=FAST, lease_ttl=0.2)
+        q.enqueue(Job(id="j1", kind="sleep"))
+        job, stale = q.claim("w0")
+        time.sleep(0.3)
+        assert q.reclaim_expired() == ["j1"]
+        assert q.cancel("j1", "operator")
+        assert not q.complete(job, stale, {"late": True})
+        assert q.state("j1")["status"] == "cancelled"
+        assert q.result("j1") is None
+        fenced = [r["action"] for r in q.read_journal()
+                  if r.get("event") == "fenced"]
+        assert fenced == ["complete"]
+        assert audit_exactly_once(q)["ok"]
 
     def test_terminal_is_exclusive(self, tmp_path):
         q = WorkQueue(tmp_path / "q", backoff=FAST)
-        for to in (PENDING, CLAIMED, RUNNING, DONE):
-            assert commit_transition(q, "j1", to, by="t")
-        # no edge leaves done; even a would-be second terminal writer
-        # bounces off the O_EXCL marker before legality is consulted
-        assert not commit_transition(q, "j1", CANCELLED, by="racer")
-        assert read_record(q, "j1")["state"] == DONE
-        audit = audit_job_transitions(q)
+        q.enqueue(Job(id="a-done", kind="sleep"))
+        q.enqueue(Job(id="b-gone", kind="sleep"))
+        job, lease = q.claim("w0")
+        assert job.id == "a-done" and q.complete(job, lease, {})
+        assert q.cancel("b-gone", "first")
+        # no terminal is left: no second cancel, no cancel of a done
+        # job, no claim of a cancelled one
+        assert not q.cancel("b-gone", "again")
+        assert not q.cancel("a-done", "late")
+        assert q.claim("w1") is None
+        assert q.state("a-done")["status"] == "done"
+        assert q.state("b-gone")["reason"] == "first"
+        audit = audit_exactly_once(q)
         assert audit["ok"], audit
 
     def test_lease_token_fences_stale_writer(self, tmp_path):
+        # the cancel takes the lease first, as a claim does: it is
+        # refused while anyone holds the job's lease
         q = WorkQueue(tmp_path / "q", backoff=FAST)
         q.enqueue(Job(id="j1", kind="sleep"))
-        commit_transition(q, "j1", PENDING, by="client")
+        q.enqueue(Job(id="j2", kind="sleep"))
         job, lease = q.claim("w0")
-        # the holder's token commits; a wrong token and the no-lease
-        # (client) credential are both fenced while the lease lives
-        assert commit_transition(q, "j1", CLAIMED, by="w0",
-                                 token=lease.token)
-        assert not commit_transition(q, "j1", RUNNING, by="stale",
-                                     token="deadbeef")
-        assert not commit_transition(q, "j1", RUNNING, by="client")
-        q.leases.release(lease)
-        # lease gone: the stale holder's token is now fenced too
-        assert not commit_transition(q, "j1", RUNNING, by="w0",
-                                     token=lease.token)
-        fenced = [r for r in q.read_journal()
-                  if r.get("event") == "job-fenced"]
-        assert len(fenced) == 3
+        assert job.id == "j1"
+        assert not q.cancel("j1", "too late")
+        assert q.state("j1")["status"] == "running"
+        assert q.leases.verify(lease)   # the holder's lease is untouched
+        assert q.complete(job, lease, {"ok": True})
+        mid_claim = q.leases.acquire("j2", "w1")   # a claim in flight
+        assert not q.cancel("j2", "racing")
+        assert q.state("j2")["status"] == "pending"
+        q.leases.release(mid_claim)
+        assert q.cancel("j2", "now")
+        assert [r["job"] for r in q.read_journal()
+                if r.get("event") == "cancel"] == ["j2"]
 
     def test_torn_record_rebuilt_from_journal(self, tmp_path):
         q = WorkQueue(tmp_path / "q", backoff=FAST)
-        for to in (PENDING, CLAIMED, RUNNING):
-            commit_transition(q, "j1", to, by="t", kind="sleep")
-        path = os.path.join(q.job_workdir("j1"), "jobstate.json")
-        with open(path, "w") as f:
-            f.write('{"id": "j1", "state": "runn')  # torn write
-        rec = read_record(q, "j1")
-        assert rec is not None and rec["state"] == RUNNING
-        assert rec["transitions"] == 3
-        assert any(r.get("event") == "job-state-rebuilt"
+        q.enqueue(Job(id="j1", kind="sleep"))
+        assert q.cancel("j1", "operator")
+        with open(q._state_path("j1"), "w") as f:
+            f.write('{"id": "j1", "status": "canc')   # torn write
+        st = q.state("j1")
+        assert st["status"] == "cancelled" and st["reason"] == "operator"
+        assert any(r.get("event") == "state-rebuilt"
                    for r in q.read_journal())
+        assert q.claim("w0") is None
 
     def test_resurrect_edge_rearms_terminal_gate(self, tmp_path):
-        q = WorkQueue(tmp_path / "q", backoff=FAST)
-        for to in (PENDING, CLAIMED, RUNNING, FAILED):
-            commit_transition(q, "j1", to, by="t")
-        marker = os.path.join(q.job_workdir("j1"), "terminal.lock")
-        assert os.path.exists(marker)
-        assert commit_transition(q, "j1", PENDING, by="retry")
-        assert not os.path.exists(marker)  # gate re-armed
-        for to in (CLAIMED, RUNNING, DONE):
-            assert commit_transition(q, "j1", to, by="t")
-        audit = audit_job_transitions(q)
-        assert audit["ok"], audit  # failed -> pending -> ... -> done
+        # a dead-letter retry is a fresh life: the cancel flag the dead
+        # attempt never acknowledged must not cancel the retried job
+        q = WorkQueue(tmp_path / "q",
+                      backoff=BackoffPolicy(max_attempts=1, base=0.0,
+                                            jitter=0.0))
+        q.enqueue(_async_job("a1"))
+        job, lease = q.claim("w0")
+        flag = os.path.join(q.job_workdir("a1"), CANCEL_FLAG)
+        with open(flag, "w") as f:
+            json.dump({"reason": "stale"}, f)
+        assert q.fail(job, lease, "SolverError: boom") == "dead"
+        assert q.retry_dead_letters() == ["a1"]
+        assert not os.path.exists(flag)
+        job, lease = q.claim("w1")
+        out = run_async_attempt(job.payload, _ctx(q, "a1"))
+        assert out["cancelled"] is False
+        assert out["result"] == {"slept": 0.01}
 
     def test_audit_flags_illegal_history(self, tmp_path):
         q = WorkQueue(tmp_path / "q", backoff=FAST)
-        # forge a journal with an illegal edge and a post-terminal write
-        q.journal("job-transition", job="bad", frm=None, to=PENDING)
-        q.journal("job-transition", job="bad", frm=PENDING,
-                  to=CHECKPOINTING)
-        q.journal("job-transition", job="worse", frm=None, to=PENDING)
-        q.journal("job-transition", job="worse", frm=PENDING, to=DONE)
-        q.journal("job-transition", job="worse", frm=DONE, to=RUNNING)
-        audit = audit_job_transitions(q)
+        for job_id in ("both", "twice"):
+            q.enqueue(Job(id=job_id, kind="sleep"))
+        # forge the histories no fenced writer can produce
+        q.journal("cancel", job="both", reason="x")
+        q.journal("complete", job="both", worker="w0")
+        q.journal("cancel", job="twice", reason="x")
+        q.journal("cancel", job="twice", reason="y")
+        audit = audit_exactly_once(q)
         assert not audit["ok"]
-        kinds = {v["kind"] for v in audit["violations"]}
-        assert "illegal-edge" in kinds and "after-terminal" in kinds
+        assert audit["cancelled_and_completed"] == ["both"]
+        assert audit["double_cancels"] == {"twice": 2}
 
 
 # ----------------------------------------------------------------------
@@ -194,6 +236,13 @@ class TestJobManager:
         mgr = JobManager(tmp_path / "q")
         with pytest.raises(InputError):
             mgr.status("nope")
+        # reads of unknown or malformed ids create nothing on disk
+        for read in (mgr.status, mgr.result, mgr.cancel):
+            for job_id in ("nope", "../../escape", ".hidden", ""):
+                with pytest.raises(InputError):
+                    read(job_id)
+        assert os.listdir(mgr.queue.work_dir) == []
+        assert not (tmp_path / "escape").exists()
 
     def test_submit_run_status_result(self, tmp_path):
         mgr = JobManager(tmp_path / "q")
@@ -206,8 +255,7 @@ class TestJobManager:
         res = mgr.result("s1")
         assert res["ready"] and res["result"] == {"slept": 0.02}
         led = mgr.ledger()
-        assert led["audit"]["ok"] and led["transitions_audit"]["ok"]
-        assert led["by_state"] == {DONE: 1}
+        assert led["audit"]["ok"] and led["by_state"] == {DONE: 1}
 
     def test_failed_job_reports_error(self, tmp_path):
         mgr = JobManager(tmp_path / "q")
@@ -224,13 +272,15 @@ class TestJobManager:
         mgr.submit("sleep", {"duration": 30.0}, job_id="c1")
         out = mgr.cancel("c1", reason="nevermind")
         assert out["state"] == CANCELLED and not out["escalated"]
-        # the queue still executes the attempt, which acknowledges the
-        # flag without burning compute, and the audits stay clean
-        drain(tmp_path / "q")
+        # the queue never hands a cancelled job to a worker, and a farm
+        # over it has nothing left to do
+        farm_ledger = drain(tmp_path / "q")
+        assert farm_ledger["ok"] and farm_ledger["attempts"] == 0
         res = mgr.result("c1")
         assert res["state"] == CANCELLED and res["reason"] == "nevermind"
+        assert mgr.status("c1")["attempts"] == 0
         led = mgr.ledger()
-        assert led["audit"]["ok"] and led["transitions_audit"]["ok"]
+        assert led["audit"]["ok"] and led["by_state"] == {CANCELLED: 1}
 
     def test_watch_streams_until_terminal(self, tmp_path, capsys):
         import io
@@ -270,36 +320,59 @@ class TestJobManager:
         q = WorkQueue(tmp_path / "q", backoff=FAST, lease_ttl=0.2)
         mgr = JobManager(tmp_path / "q", lease_ttl=0.2)
         mgr.submit("sleep", {"duration": 0.01}, job_id="d1")
-        job, lease = q.claim("doomed")
-        assert commit_transition(q, "d1", CLAIMED, by="doomed",
-                                 token=lease.token)
-        assert commit_transition(q, "d1", RUNNING, by="doomed",
-                                 token=lease.token)
+        q.claim("doomed")
+        assert mgr.sync("d1")["state"] == RUNNING
         # the holder dies silently; past the ttl sync() reaps the lease
-        # and folds the orphaned attempt state back to pending
+        # and the queue requeues the job
         time.sleep(0.3)
         rec = mgr.sync("d1")
-        assert rec["state"] == PENDING
+        assert rec["state"] == PENDING and rec["attempts"] == 1
         assert mgr.queue.state("d1")["status"] == "pending"
-        assert audit_job_transitions(mgr.queue)["ok"]
+        assert audit_exactly_once(mgr.queue)["ok"]
 
-    def test_sync_journals_the_edge_a_killed_attempt_left_unjournaled(
-            self, tmp_path, monkeypatch):
-        q = WorkQueue(tmp_path / "q", backoff=FAST, lease_ttl=0.2)
-        mgr = JobManager(tmp_path / "q", lease_ttl=0.2)
-        mgr.submit("sleep", {"duration": 0.01}, job_id="d1")
-        job, lease = q.claim("doomed")
-        for to in (CLAIMED, RUNNING):
-            commit_transition(q, "d1", to, by="doomed", token=lease.token)
-        with monkeypatch.context() as m:
-            # SIGKILLed between the record replace and the journal line
-            m.setattr(q, "journal", lambda *args, **kwargs: None)
-            commit_transition(q, "d1", CHECKPOINTING, by="doomed",
-                              token=lease.token)
-        assert read_record(q, "d1")["state"] == CHECKPOINTING
-        time.sleep(0.3)
-        assert mgr.sync("d1")["state"] == PENDING
-        assert audit_job_transitions(mgr.queue)["ok"]
+    def _leased_job_with_child(self, tmp_path, child_worker):
+        """Job e1 claimed by ``hostB:777``, whose sandbox is not spawned
+        yet, and a ``child.json`` naming ``child_worker`` and the pid of
+        a live process that leads its own process group."""
+        mgr = JobManager(tmp_path / "q")
+        mgr.submit("sleep", {"duration": 30.0}, job_id="e1")
+        mgr.queue.claim("hostB:777")
+        proc = subprocess.Popen(
+            [sys.executable, "-c", "import time; time.sleep(60)"],
+            preexec_fn=os.setpgrp)
+        with open(os.path.join(mgr.queue.job_workdir("e1"),
+                               "child.json"), "w") as f:
+            json.dump({"worker": child_worker, "job": "e1",
+                       "pid": proc.pid}, f)
+        return mgr, proc
+
+    def test_escalation_spares_the_pid_of_a_stale_child_file(
+            self, tmp_path):
+        # hostA:4242 died with the job; its child.json outlived it
+        mgr, bystander = self._leased_job_with_child(tmp_path,
+                                                     "hostA:4242")
+        try:
+            out = mgr.cancel("e1", escalate_after=0.0)
+            assert out["escalated"] and out["state"] == RUNNING
+            time.sleep(0.2)
+            assert bystander.poll() is None
+            skipped = [(r["worker"], r["owner"])
+                       for r in mgr.queue.read_journal()
+                       if r["event"] == "job-cancel-escalate-skipped"]
+            assert skipped == [("hostA:4242", "hostB:777")]
+        finally:
+            bystander.kill()
+            bystander.wait()
+
+    def test_escalation_signals_the_lease_owners_child(self, tmp_path):
+        mgr, child = self._leased_job_with_child(tmp_path, "hostB:777")
+        try:
+            assert mgr.cancel("e1", escalate_after=0.0)["escalated"]
+            assert child.wait(timeout=10.0) == -signal.SIGTERM
+        finally:
+            if child.poll() is None:
+                child.kill()
+                child.wait()
 
 
 # ----------------------------------------------------------------------
@@ -308,25 +381,19 @@ class TestJobManager:
 
 
 class TestRunAsyncAttempt:
-    def _ctx(self, q, job_id, lease=None):
-        workdir = q.job_workdir(job_id)
-        return {"workdir": workdir,
-                "ckpt_dir": os.path.join(workdir, "ckpt"),
-                "queue_dir": q.dir, "job_id": job_id,
-                "lease_token": lease.token if lease else None,
-                "worker": "t0"}
-
     def test_attempt_walks_the_state_machine(self, tmp_path):
+        # the attempt runs the inner kind and writes nothing to the
+        # queue: the worker's fenced complete is its only commit
         q = WorkQueue(tmp_path / "q", backoff=FAST)
-        q.enqueue(Job(id="a1", kind="async",
-                      payload={"kind": "sleep",
-                               "payload": {"duration": 0.01}}))
-        commit_transition(q, "a1", PENDING, by="client", kind="sleep")
+        q.enqueue(_async_job("a1"))
         job, lease = q.claim("t0")
-        out = run_async_attempt(job.payload, self._ctx(q, "a1", lease))
+        journal, state = q.read_journal(), q.state("a1")
+        out = run_async_attempt(job.payload, _ctx(q, "a1"))
         assert out["cancelled"] is False
         assert out["result"] == {"slept": 0.01}
-        assert read_record(q, "a1")["state"] == DONE
+        assert q.read_journal() == journal and q.state("a1") == state
+        assert q.complete(job, lease, out)
+        assert JobManager(q.dir).status("a1")["state"] == DONE
 
     def test_unknown_inner_kind_raises(self, tmp_path):
         from repro.errors import SolverError
@@ -335,53 +402,36 @@ class TestRunAsyncAttempt:
                       payload={"kind": "nope", "payload": {}}))
         job, lease = q.claim("t0")
         with pytest.raises(SolverError):
-            run_async_attempt(job.payload, self._ctx(q, "a1", lease))
+            run_async_attempt(job.payload, _ctx(q, "a1"))
 
     def test_cancel_flag_acknowledged_before_compute(self, tmp_path):
         q = WorkQueue(tmp_path / "q", backoff=FAST)
-        q.enqueue(Job(id="a1", kind="async",
-                      payload={"kind": "sleep",
-                               "payload": {"duration": 60.0}}))
-        commit_transition(q, "a1", PENDING, by="client", kind="sleep")
-        with open(os.path.join(q.job_workdir("a1"),
-                               "cancel.json"), "w") as f:
+        q.enqueue(_async_job("a1", duration=60.0))
+        with open(os.path.join(q.job_workdir("a1"), CANCEL_FLAG),
+                  "w") as f:
             json.dump({"reason": "late veto"}, f)
         job, lease = q.claim("t0")
         t0 = time.monotonic()
-        out = run_async_attempt(job.payload, self._ctx(q, "a1", lease))
+        out = run_async_attempt(job.payload, _ctx(q, "a1"))
         assert out["cancelled"] and time.monotonic() - t0 < 5.0
-        assert read_record(q, "a1")["state"] == CANCELLED
+        assert q.complete(job, lease, out)
+        res = JobManager(q.dir).result("a1")
+        assert res["state"] == CANCELLED and res["reason"] == "late veto"
 
     def test_stale_attempt_state_reconciled(self, tmp_path):
-        q = WorkQueue(tmp_path / "q", backoff=FAST)
-        q.enqueue(Job(id="a1", kind="async",
-                      payload={"kind": "sleep",
-                               "payload": {"duration": 0.01}}))
-        # a killed predecessor left the record mid-attempt
-        for to in (PENDING, CLAIMED, RUNNING):
-            commit_transition(q, "a1", to, by="ghost", kind="sleep")
+        # a killed predecessor committed nothing: the queue reclaims its
+        # expired lease and the next claim's attempt runs to done
+        q = WorkQueue(tmp_path / "q", backoff=FAST, lease_ttl=0.2)
+        q.enqueue(_async_job("a1"))
+        q.claim("ghost")
+        time.sleep(0.3)
+        assert q.reclaim_expired() == ["a1"]
         job, lease = q.claim("t0")
-        out = run_async_attempt(job.payload, self._ctx(q, "a1", lease))
-        assert out["cancelled"] is False
-        assert read_record(q, "a1")["state"] == DONE
-        assert audit_job_transitions(q)["ok"]
-
-    def test_unjournaled_edge_of_killed_attempt_reconciled(
-            self, tmp_path, monkeypatch):
-        q = WorkQueue(tmp_path / "q", backoff=FAST)
-        q.enqueue(Job(id="a1", kind="async",
-                      payload={"kind": "sleep",
-                               "payload": {"duration": 0.01}}))
-        for to in (PENDING, CLAIMED, RUNNING):
-            commit_transition(q, "a1", to, by="ghost", kind="sleep")
-        with monkeypatch.context() as m:
-            # SIGKILLed between the record replace and the journal line
-            m.setattr(q, "journal", lambda *args, **kwargs: None)
-            commit_transition(q, "a1", CHECKPOINTING, by="ghost")
-        job, lease = q.claim("t0")
-        run_async_attempt(job.payload, self._ctx(q, "a1", lease))
-        assert read_record(q, "a1")["state"] == DONE
-        assert audit_job_transitions(q)["ok"]
+        out = run_async_attempt(job.payload, _ctx(q, "a1"))
+        assert out["cancelled"] is False and q.complete(job, lease, out)
+        st = JobManager(q.dir).status("a1")
+        assert st["state"] == DONE and st["attempts"] == 2
+        assert audit_exactly_once(q)["ok"]
 
 
 # ----------------------------------------------------------------------
@@ -404,14 +454,7 @@ class TestMarchingJobs:
         prog = st["progress"]
         assert prog is not None and prog["step"] >= 1
         assert prog["label"]  # supervisor label made it to the channel
-        # checkpointing round-trips are journaled as real transitions
-        walked = [(r["frm"], r["to"])
-                  for r in mgr.queue.read_journal()
-                  if r.get("event") == "job-transition"
-                  and r.get("job") == "m1"]
-        assert (RUNNING, CHECKPOINTING) in walked
-        assert (CHECKPOINTING, RUNNING) in walked
-        assert audit_job_transitions(mgr.queue)["ok"]
+        assert audit_exactly_once(mgr.queue)["ok"]
         # and the march result is bitwise-identical to a direct run
         factory, run_kwargs, _, _ = CASES["euler1d"]
         ref = factory()
@@ -420,8 +463,8 @@ class TestMarchingJobs:
         assert res["result"]["state_sha256"] == state_fingerprint(ref)
 
     def test_attempt_journals_under_its_worker_host(self, tmp_path):
-        """The sandbox child appends the attempt's transitions to its
-        worker host's journal file, never to another host's."""
+        """The worker appends the attempt's claim and completion to its
+        own host's journal file, never to another host's."""
         q = tmp_path / "q"
         mgr = JobManager(q, host_id="client")
         mgr.submit("solver_case", {"case": "euler1d", "every_n_steps": 3},
@@ -435,8 +478,8 @@ class TestMarchingJobs:
             with open(q / name) as f:
                 for line in f:
                     rec = json.loads(line)
-                    if rec["event"] == "job-transition" \
-                            and str(rec["by"]).startswith("hX:"):
+                    if rec["event"] in ("claim", "complete") \
+                            and str(rec["worker"]).startswith("hX:"):
                         by_file[name] = by_file.get(name, 0) + 1
         assert list(by_file) == ["journal-hX.jsonl"], by_file
 
@@ -469,7 +512,7 @@ class TestJobsCLI:
         assert res["result"] == {"slept": 0.01}
         assert self._run("jobs", "ledger", "--queue-dir", qd) == 0
         led = json.loads(capsys.readouterr().out)
-        assert led["audit"]["ok"] and led["transitions_audit"]["ok"]
+        assert led["audit"]["ok"]
         assert self._run("jobs", "gc", "--queue-dir", qd, "--ttl",
                          "0") == 0
         swept = json.loads(capsys.readouterr().out)
@@ -530,6 +573,19 @@ class TestJobsCLI:
         for argv in (["campaign", "--kill-workers", "0", "--figures"],
                      ["chaos", "--farm", "--kill-workers", "0"]):
             assert _build_parser().parse_args(argv).kill_workers == 0
+
+    def test_malformed_job_id_is_a_usage_error_and_creates_nothing(
+            self, tmp_path, capsys):
+        qd = str(tmp_path / "q")
+        for action in ("status", "watch", "result", "cancel"):
+            assert self._run("jobs", action, "--queue-dir", qd,
+                             "../../escape") == 2
+            assert self._run("jobs", action, "--queue-dir", qd,
+                             "--id", "../../escape") == 2
+        assert self._run("jobs", "submit", "--queue-dir", qd, "sleep",
+                         "--id", "../../escape") == 2
+        assert "invalid job id" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
 
     def test_api_submit_async_handle(self, tmp_path):
         from repro.core import submit_async

@@ -146,6 +146,46 @@ class TestPersistence:
         with np.load(path) as z:
             np.testing.assert_array_equal(z["gamma"], tab.gamma)
 
+    def test_cache_file_from_other_inputs_is_rebuilt(self, tmp_path,
+                                                     monkeypatch):
+        from repro.thermo import eos_table
+        monkeypatch.setattr(eos_table, "_AIR_TABLE_CACHE", {})
+        fresh = eos_table.build_air_table(n_rho=6, n_e=8,
+                                          cache_dir=str(tmp_path))
+        path = tmp_path / "air_eos_6x8.npz"
+        with np.load(path) as z:
+            digest = str(z["digest"])
+        stale = {"log_rho": fresh.log_rho, "log_e": fresh.log_e,
+                 "gamma": fresh.gamma * 1.01, "T": fresh.T}
+        # a table another build wrote, tagged with its own digest, and
+        # one written before tables carried a digest
+        for tag in ({"digest": np.array("another build")}, {}):
+            np.savez(path, **stale, **tag)
+            monkeypatch.setattr(eos_table, "_AIR_TABLE_CACHE", {})
+            tab = eos_table.build_air_table(n_rho=6, n_e=8,
+                                            cache_dir=str(tmp_path))
+            np.testing.assert_array_equal(tab.gamma, fresh.gamma)
+            with np.load(path) as z:
+                assert str(z["digest"]) == digest
+                np.testing.assert_array_equal(z["gamma"], fresh.gamma)
+
+    def test_cache_file_with_this_builds_digest_loads_unbuilt(
+            self, tmp_path, monkeypatch):
+        from repro.thermo import eos_table
+        monkeypatch.setattr(eos_table, "_AIR_TABLE_CACHE", {})
+        built = eos_table.build_air_table(n_rho=6, n_e=8,
+                                          cache_dir=str(tmp_path))
+        monkeypatch.setattr(eos_table, "_AIR_TABLE_CACHE", {})
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("a matching cache file was rebuilt")
+
+        monkeypatch.setattr(EquilibriumEOSTable, "build", no_build)
+        tab = eos_table.build_air_table(n_rho=6, n_e=8,
+                                        cache_dir=str(tmp_path))
+        np.testing.assert_array_equal(tab.gamma, built.gamma)
+        np.testing.assert_array_equal(tab.T, built.T)
+
 
 def _clip_locate(table, lr, le):
     """The clamped locate written with ``np.clip``: (i, j, wi, wj)."""
