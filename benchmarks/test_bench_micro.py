@@ -13,8 +13,9 @@ perf trajectory: Gibbs equilibrium solve, kinetics source terms,
 MUSCL+flux sweep, tangent-slab radiation, NASA-7 evaluation, the
 species-profile interpolation and the standard Gibbs function g0/RT
 (loop vs vectorized ablations), one boundary-layer solve, one
-equilibrium normal shock, one cold 48 x 72 EOS-table build, one
-equilibrium-air Navier-Stokes step and fig 7's post-shock relaxation.
+equilibrium normal shock, one cold 48 x 72 EOS-table build, 24
+single-state (T, p) Gibbs solves, one equilibrium-air Navier-Stokes step
+and fig 7's post-shock relaxation.
 """
 
 import numpy as np
@@ -385,6 +386,54 @@ def test_bench_kernel_eos_table_build(kernel_bench, monkeypatch, air_gas):
                              "ladder_rows": sum(ladder)})
     assert tab.gamma.shape == (48, 72)
     assert np.all((tab.gamma > 1.0) & (tab.gamma < 1.7))
+
+
+def test_bench_kernel_equilibrium_T_p(kernel_bench, monkeypatch):
+    """Single-state (T, p) Gibbs solves, the service's equilibrium
+    requests and the VSL's edge states: eight per gas over the service
+    pool's range (300-12,000 K, 1e2-1e6 Pa) for equilibrium air, Titan
+    and Jupiter, 24 ``solve_T_p`` calls per round.
+
+    Recorded under the trace span name of ``solve_T_p``.  Over one
+    round, ``inner_solves`` counts the density passes' (rho, T) solves,
+    ``g0_calls`` the ``g0_over_RT`` evaluations and
+    ``newton_iterations`` the Gibbs Newton's ``numpy.linalg.solve``
+    calls.
+    """
+    from repro.core.api import make_gas
+    from repro.thermo.equilibrium import EquilibriumSolver
+    from repro.thermo.statmech import ThermoSet
+
+    u = (np.arange(8) + 0.5) / 8.0
+    v = ((3 * np.arange(8)) % 8 + 0.5) / 8.0
+    states = list(zip(300.0 + 11700.0 * u, 10.0 ** (2.0 + 4.0 * v)))
+    gases = [make_gas(name, cached=False)
+             for name in ("equilibrium-air", "titan", "jupiter")]
+
+    def solve_all():
+        return [gas.solver.solve_T_p(T, p, gas.b)
+                for gas in gases for T, p in states]
+
+    inner, g0, solves = [], [], []
+    flat, g0_over_RT = EquilibriumSolver._solve_flat, ThermoSet.g0_over_RT
+    solve = np.linalg.solve
+    monkeypatch.setattr(EquilibriumSolver, "_solve_flat",
+                        lambda self, *a: inner.append(1) or flat(self, *a))
+    monkeypatch.setattr(ThermoSet, "g0_over_RT",
+                        lambda self, T: g0.append(1) or g0_over_RT(self, T))
+    monkeypatch.setattr(np.linalg, "solve",
+                        lambda a, b: solves.append(1) or solve(a, b))
+    solve_all()
+    monkeypatch.undo()
+
+    out = kernel_bench(solve_all, label="thermo.equilibrium.T_p",
+                       meta={"solves": len(gases) * len(states),
+                             "inner_solves": len(inner),
+                             "g0_calls": len(g0),
+                             "newton_iterations": len(solves)})
+    assert len(g0) == len(out)
+    for y, rho in out:
+        assert np.isclose(y.sum(), 1.0) and rho > 0.0
 
 
 def test_bench_kernel_ns2d_step_tabulated(kernel_bench, monkeypatch):

@@ -81,7 +81,7 @@ from repro.resilience.queue import TERMINAL, BackoffPolicy, Job, WorkQueue
 
 __all__ = ["Farm", "FarmPolicy", "JOB_KINDS", "WorkerKillPlan",
            "audit_exactly_once", "bench_from_journal", "build_ledger",
-           "job_kind", "run_campaign",
+           "job_kind", "journal_lives", "run_campaign",
            "sweep_orphans", "write_bench_json"]
 
 
@@ -893,6 +893,33 @@ def bench_from_journal(queue: WorkQueue, *, wall_time: float,
             "per_job_latency_s": stats}
 
 
+def journal_lives(records) -> tuple[list, dict]:
+    """Fold journal records into per-life ``complete``/``cancel`` counts.
+
+    A ``job-gc`` line ends one life of its job id: it carries, under
+    ``retired``, the counts of the lines that life wrote.  Returns
+    ``(retired, live)``: ``retired`` lists ``(job, counts)`` per ended
+    life, and ``live`` maps each job id to the counts of its current
+    life (every line less those its ``job-gc`` lines retired).  Only
+    sums are taken, so the order in which skewed hosts' journals merge
+    cannot move a line from one life to another.
+    """
+    retired: list[tuple[str, dict[str, int]]] = []
+    live: dict[str, dict[str, int]] = {}
+    for rec in records:
+        event, job = rec.get("event"), rec.get("job")
+        if event in ("complete", "cancel"):
+            live.setdefault(job, {"complete": 0, "cancel": 0})[event] += 1
+        elif event == "job-gc":
+            ended = {ev: int((rec.get("retired") or {}).get(ev, 0))
+                     for ev in ("complete", "cancel")}
+            retired.append((job, ended))
+            counts = live.setdefault(job, {"complete": 0, "cancel": 0})
+            for ev, n in ended.items():
+                counts[ev] -= n
+    return retired, live
+
+
 def audit_exactly_once(queue: WorkQueue) -> dict:
     """Prove from the merged multi-host journal that every done job was
     completed **exactly once**, and that no job was cancelled twice or
@@ -900,25 +927,26 @@ def audit_exactly_once(queue: WorkQueue) -> dict:
 
     A fenced commit (stale token rejected after a reclaim) journals
     ``fenced``, not ``complete``, so any job with two ``complete``
-    lines — or a done job with none — is a real exactly-once violation,
-    whichever host wrote the lines.  A ``cancel`` line is written under
-    the job's lease like a claim, so it can meet neither another cancel
-    nor a completion.
+    lines in one life — or a done job with none — is a real
+    exactly-once violation, whichever host wrote the lines.  A
+    ``cancel`` line is written under the job's lease like a claim, so
+    it can meet neither another cancel nor a completion.  Each life of
+    a job id is judged on its own (:func:`journal_lives`): a collected
+    job resubmitted under its content-addressed id starts a new one.
     """
-    tally: dict[str, dict[str, int]] = {"complete": {}, "cancel": {}}
-    for rec in queue.read_journal():
-        seen = tally.get(rec.get("event"))
-        if seen is not None:
-            seen[rec.get("job")] = seen.get(rec.get("job"), 0) + 1
-    completes, cancels = tally["complete"], tally["cancel"]
-    double = {job: n for job, n in completes.items() if n > 1}
-    double_cancels = {job: n for job, n in cancels.items() if n > 1}
-    both = sorted(set(completes) & set(cancels))
+    retired, live = journal_lives(queue.read_journal())
+    lives = retired + list(live.items())
+    double = {job: n["complete"] for job, n in lives if n["complete"] > 1}
+    double_cancels = {job: n["cancel"] for job, n in lives
+                      if n["cancel"] > 1}
+    both = sorted({job for job, n in lives
+                   if n["complete"] > 0 and n["cancel"] > 0})
     missing = [job_id for job_id in queue.job_ids()
                if queue.state(job_id).get("status") == "done"
-               and completes.get(job_id, 0) == 0]
+               and live.get(job_id, {}).get("complete", 0) <= 0]
     return {"ok": not (double or double_cancels or both or missing),
-            "jobs_completed": len(completes),
+            "jobs_completed": len({job for job, n in lives
+                                   if n["complete"] > 0}),
             "double_completions": double,
             "done_without_complete": sorted(missing),
             "double_cancels": double_cancels,

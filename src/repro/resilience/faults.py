@@ -177,7 +177,8 @@ class FaultInjector:
                               persistent=False):
         """Corrupt the equilibrium Newton initial guess (element
         potentials) for the given batch indices at the given solver call
-        (0 = the next top-level ``solve_rho_T``)."""
+        (0 = the next (rho, T) solve: a ``solve_rho_T`` call or one
+        density pass of ``solve_T_p``)."""
         self.faults.append(Fault(kind="newton", call=int(call),
                                  cells=tuple(int(c) for c in cells),
                                  value=float(value),
@@ -342,7 +343,7 @@ class FaultInjector:
 
     def corrupt_lambda(self, lam: np.ndarray) -> np.ndarray:
         """Fire armed Newton faults against a batch of initial element
-        potentials (called once per top-level equilibrium solve)."""
+        potentials (called once per (rho, T) solve)."""
         call = self._newton_calls
         self._newton_calls += 1
         out = lam

@@ -417,32 +417,47 @@ class JobManager:
         finished.sort(reverse=True)
         retained = [j for _, j, _ in finished[:max(0, int(keep_last))]]
         collected: list[str] = []
+        # a collected job is terminal and unleased, and every commit
+        # journals its line before releasing the lease: the lines of
+        # the life this gc ends are all on disk now
+        from repro.resilience.farm import journal_lives
+        live = journal_lives(self.queue.read_journal())[1]
         for finished_at, job_id, state in finished[max(0, int(keep_last)):]:
             if state == FAILED and not include_failed:
                 continue
             if now - finished_at < ttl:
                 continue
-            self._remove_artifacts(job_id)
+            self._remove_artifacts(
+                job_id, live.get(job_id, {"complete": 0, "cancel": 0}))
             collected.append(job_id)
         return {"collected": sorted(collected),
                 "retained": sorted(retained),
                 "n_collected": len(collected)}
 
-    def _remove_artifacts(self, job_id: str) -> None:
+    def _remove_artifacts(self, job_id: str, retired: dict) -> None:
+        """Remove a finished job's files and journal ``job-gc`` with the
+        ``complete``/``cancel`` line counts of the life it ends, which
+        the exactly-once audit then judges apart from any later life of
+        the same id.  Only the gc that removes the state file journals,
+        so two concurrent sweeps retire a life once."""
         queue = self.queue
         shutil.rmtree(os.path.join(queue.work_dir, job_id),
                       ignore_errors=True)
+        state_path = queue._state_path(job_id)
+        ended_here = False
         for path in (
                 os.path.join(queue.jobs_dir, f"{job_id}.json"),
-                os.path.join(queue.state_dir, f"{job_id}.json"),
+                state_path,
                 os.path.join(queue.results_dir, f"{job_id}.json"),
                 os.path.join(queue.dead_dir, f"{job_id}.json"),
                 os.path.join(queue.dead_dir, f"{job_id}-history.json")):
             try:
                 os.remove(path)
             except OSError:
-                pass
-        queue.journal("job-gc", job=job_id)
+                continue
+            ended_here = ended_here or path == state_path
+        if ended_here:
+            queue.journal("job-gc", job=job_id, retired=retired)
 
     # -- fleet view -----------------------------------------------------
 

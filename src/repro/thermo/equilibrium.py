@@ -24,7 +24,8 @@ element ``k`` per kilogram of mixture.
 
 Fixed-(T, p) states run an outer fixed-point iteration on density around
 the (rho, T) kernel (``rho <- rho * p / p(rho, T)``, each pass a full
-warm-started (rho, T) solve); fixed-(rho, e) states run an outer bracketed
+warm-started (rho, T) solve; T is fixed, so g0/RT is evaluated once per
+call, not once per pass); fixed-(rho, e) states run an outer bracketed
 Newton iteration on temperature around the same kernel.
 """
 
@@ -51,6 +52,21 @@ _EXP_CLIP = 500.0
 _REF_MOLECULE = {"N": "N2", "O": "O2", "H": "H2", "C": "C2"}
 
 
+def _require_finite(name, x, *, positive=True):
+    """Raise :class:`InputError` naming ``name`` unless every entry of
+    ``x`` is finite (and > 0 with ``positive``).  A NaN state would
+    otherwise leave the Newton as converged: ``fnorm > tol`` is false for
+    a NaN residual."""
+    ok = np.isfinite(x)
+    if positive:
+        ok &= x > 0.0
+    if not ok.all():
+        bad = float(x[~ok].flat[0])
+        raise InputError(f"{name} must be finite"
+                         f"{' and positive' if positive else ''}, "
+                         f"got {bad!r}")
+
+
 def element_moles(db: SpeciesDB, y) -> np.ndarray:
     """Moles of each conservation constraint per kg of mixture.
 
@@ -75,6 +91,11 @@ def element_moles(db: SpeciesDB, y) -> np.ndarray:
 
 #: A state counts as converged once its scaled residual is below this.
 _CONV_TOL = 1e-6
+
+#: ``solve_rho_T``'s default tolerance and iteration cap, which the
+#: density passes of ``solve_T_p`` use too.
+_RHO_T_TOL = 1.0e-11
+_RHO_T_MAX_ITER = 250
 
 #: Every this many Newton iterations, a row whose scaled residual has not
 #: halved since the last check leaves the kernel unconverged, for the
@@ -108,6 +129,7 @@ class EquilibriumSolver:
         self.mix = MixtureThermo(self.db)
         self._A = self.db.comp_matrix          # (K, n)
         self.K = self._A.shape[0]
+        self._eye = np.eye(self.K)
         # index of the atomic / reference-molecule species used for guesses
         self._atom_idx: dict[int, int] = {}
         self._mol_idx: dict[int, tuple[int, int]] = {}
@@ -193,11 +215,13 @@ class EquilibriumSolver:
         """
         A = self._A
 
-        # both closures read the current working set's gt, c_ref, target
+        # both closures read the current working set's gt, c_ref, target;
+        # min(max()) and maximum.reduce are np.clip and np.max without
+        # their Python wrappers, element for element the same
         def concentrations(lam):
             expo = -gt + lam @ A                   # (B, n)
-            return c_ref[:, None] * np.exp(np.clip(expo, -_EXP_CLIP,
-                                                   _EXP_CLIP))
+            return c_ref[:, None] * np.exp(
+                np.minimum(np.maximum(expo, -_EXP_CLIP), _EXP_CLIP))
 
         def residual(c):
             return c @ A.T - target                # (B, K)
@@ -205,7 +229,7 @@ class EquilibriumSolver:
         lam = np.array(lam, dtype=float)           # never the caller's array
         c = concentrations(lam)
         F = residual(c)
-        fnorm = np.max(np.abs(F) / scale, axis=1)
+        fnorm = np.maximum.reduce(np.abs(F) / scale, axis=1)
         if record is not None:
             record.append(fnorm.copy())
         c_out, lam_out, fnorm_out = c, lam, fnorm  # full-batch results
@@ -231,28 +255,35 @@ class EquilibriumSolver:
             # from making the system numerically singular.
             trace = np.einsum("bkk->b", J)
             mu = 1e-14 * np.maximum(trace, 1e-30)
-            J = J + mu[:, None, None] * np.eye(self.K)
+            J = J + mu[:, None, None] * self._eye
             try:
                 dlam = np.linalg.solve(J, -F[:, :, None])[:, :, 0]
             except np.linalg.LinAlgError:
                 dlam = np.stack([np.linalg.lstsq(J[i], -F[i], rcond=None)[0]
                                  for i in range(idx.size)])
             # trust region on the potentials
-            mx = np.max(np.abs(dlam), axis=1, keepdims=True)
+            mx = np.maximum.reduce(np.abs(dlam), axis=1, keepdims=True)
             dlam *= np.minimum(1.0, 4.0 / np.maximum(mx, 1e-30))
-            # backtracking line search (vectorised)
+            # backtracking line search (vectorised); the accepted trial
+            # is the new iterate
             step = np.ones((idx.size, 1), dtype=np.float64)
             for _ls in range(8):
-                c_new = concentrations(lam + step * dlam)
-                f_new = np.max(np.abs(residual(c_new)) / scale, axis=1)
+                lam_new = lam + step * dlam
+                c_new = concentrations(lam_new)
+                F_new = residual(c_new)
+                f_new = np.maximum.reduce(np.abs(F_new) / scale, axis=1)
                 worse = f_new > fnorm * (1.0 - 1e-4 * step[:, 0])
-                if not np.any(worse):
+                if not worse.any():
+                    lam, c, F, fnorm = lam_new, c_new, F_new, f_new
                     break
                 step[worse] *= 0.5
-            lam = lam + step * dlam
-            c = concentrations(lam)
-            F = residual(c)
-            fnorm = np.max(np.abs(F) / scale, axis=1)
+            else:
+                # every halving spent: the worse rows' step moved after
+                # their last trial
+                lam = lam + step * dlam
+                c = concentrations(lam)
+                F = residual(c)
+                fnorm = np.maximum.reduce(np.abs(F) / scale, axis=1)
             if record is not None:
                 fnorm_out[idx] = fnorm
                 record.append(fnorm_out.copy())
@@ -319,15 +350,17 @@ class EquilibriumSolver:
             idx = idx[~ok]
         return idx
 
-    def solve_rho_T(self, rho, T, b, *, tol=1.0e-11, max_iter=250,
-                    lam0=None, return_lambda=False):
+    def solve_rho_T(self, rho, T, b, *, tol=_RHO_T_TOL,
+                    max_iter=_RHO_T_MAX_ITER, lam0=None,
+                    return_lambda=False):
         """Equilibrium composition at fixed density and temperature.
 
         Parameters
         ----------
         rho, T:
             Density [kg/m^3] and temperature [K]; any broadcast-compatible
-            shapes S.
+            shapes S.  Both must be finite and positive
+            (:class:`InputError` otherwise).
         b:
             Constraint moles per kg, shape S + (K,) or (K,) (broadcast).
         lam0:
@@ -346,17 +379,29 @@ class EquilibriumSolver:
         """
         rho_in = np.asarray(rho, dtype=float)
         T_in = np.asarray(T, dtype=float)
+        _require_finite("rho", rho_in)
+        _require_finite("T", T_in)
         shape = np.broadcast_shapes(rho_in.shape, T_in.shape)
         rho_f = np.broadcast_to(rho_in, shape).reshape(-1)
         T_f = np.broadcast_to(T_in, shape).reshape(-1)
-        b_in = np.asarray(b, dtype=float)
-        b_f = np.broadcast_to(b_in, shape + (self.K,)).reshape(-1, self.K)
-        if np.any(rho_f <= 0.0) or np.any(T_f <= 0.0):
-            raise InputError("rho and T must be positive")
+        b_f = np.broadcast_to(np.asarray(b, dtype=float),
+                              shape + (self.K,)).reshape(-1, self.K)
+        y, lam = self._solve_flat(rho_f, T_f, b_f,
+                                  self.thermo.g0_over_RT(T_f),
+                                  P_STANDARD / (_R * T_f), lam0, tol,
+                                  max_iter)
+        y = y.reshape(shape + (self.db.n,))
+        if return_lambda:
+            return y, lam.reshape(shape + (self.K,))
+        return y
 
+    def _solve_flat(self, rho_f, T_f, b_f, gt, c_ref, lam0, tol, max_iter):
+        """The (rho, T) solve on validated flat states: ``rho_f``,
+        ``T_f`` and ``c_ref`` = p0/(R T) of shape (B,), ``b_f`` (B, K),
+        ``gt`` = g0/RT (B, n).  ``lam0`` None starts from the analytic
+        guess.  Returns flat ``(y, lam)``; raises as :meth:`solve_rho_T`.
+        """
         B = rho_f.size
-        gt = self.thermo.g0_over_RT(T_f)          # (B, n)
-        c_ref = P_STANDARD / (_R * T_f)           # (B,)
         lam = (self._guess_lambda(rho_f, T_f, b_f, gt) if lam0 is None
                else np.array(np.broadcast_to(lam0, (B, self.K)), dtype=float))
         if self.faults is not None:
@@ -369,12 +414,12 @@ class EquilibriumSolver:
         c, lam, fnorm = self._newton(lam, gt, c_ref, target, scale, tol,
                                      max_iter)
         bad = fnorm > _CONV_TOL
-        if np.any(bad):
+        if bad.any():
             self._recover_cells(np.nonzero(bad)[0], rho_f, T_f, b_f, gt,
                                 c_ref, target, scale, tol, max_iter,
                                 c, lam, fnorm)
             bad = fnorm > _CONV_TOL
-        if np.any(bad):
+        if bad.any():
             idx = np.nonzero(bad)[0]
             worst = idx[np.argsort(fnorm[idx])[::-1]][:4]
             # replay the worst cells from their original seeds to capture
@@ -398,10 +443,7 @@ class EquilibriumSolver:
         # element conservation guarantees sum(y)=1 up to atomic-mass
         # consistency of the database; renormalise the leftover ppm.
         y /= np.sum(y, axis=1, keepdims=True)
-        y = y.reshape(shape + (self.db.n,))
-        if return_lambda:
-            return y, lam.reshape(shape + (self.K,))
-        return y
+        return y, lam
 
     # ------------------------------------------------------------------
     # (T, p) states — outer iteration on density
@@ -410,21 +452,32 @@ class EquilibriumSolver:
     def solve_T_p(self, T, p, b, *, tol=1.0e-10, max_iter=60):
         """Equilibrium composition and density at fixed (T, p).
 
-        Returns ``(y, rho)``.
+        Returns ``(y, rho)``.  T and p must be finite and positive
+        (:class:`InputError` otherwise).
         """
         T_in = np.asarray(T, dtype=float)
         p_in = np.asarray(p, dtype=float)
+        _require_finite("T", T_in)
+        _require_finite("p", p_in)
         shape = np.broadcast_shapes(T_in.shape, p_in.shape)
         T_f = np.broadcast_to(T_in, shape).astype(float)
         p_f = np.broadcast_to(p_in, shape).astype(float)
-        b_arr = np.asarray(b, dtype=float)
+        # T is fixed through the density passes: its g0/RT, p0/(R T) and
+        # the broadcast b serve every pass's (rho, T) solve
+        T_flat = T_f.reshape(-1)
+        b_f = np.broadcast_to(np.asarray(b, dtype=float),
+                              shape + (self.K,)).reshape(-1, self.K)
+        gt = self.thermo.g0_over_RT(T_flat)
+        c_ref = P_STANDARD / (_R * T_flat)
         # initial density from a cold-composition molar mass estimate
         mbar = 0.02  # kg/mol ballpark; corrected by the iteration
         rho = p_f * mbar / (_R * T_f)
         lam = None
         for it in range(max_iter):
-            y, lam = self.solve_rho_T(rho, T_f, b_arr, lam0=lam,
-                                      return_lambda=True)
+            y, lam = self._solve_flat(rho.reshape(-1), T_flat, b_f, gt,
+                                      c_ref, lam, _RHO_T_TOL,
+                                      _RHO_T_MAX_ITER)
+            y = y.reshape(shape + (self.db.n,))
             R_mix = self.mix.gas_constant(y)
             p_calc = rho * R_mix * T_f
             ratio = p_f / p_calc
@@ -446,13 +499,16 @@ class EquilibriumSolver:
         """Equilibrium state at fixed density and specific internal energy.
 
         Returns ``(y, T)``.  ``e`` includes chemical formation energy on the
-        database 0 K basis.  Each state leaves the temperature iteration at
-        its first iterate within ``tol``, with that iterate's (y, T): every
-        iteration solves the states still above ``tol`` only, so a state's
-        answer does not depend on its batch-mates.
+        database 0 K basis; rho must be finite and positive and e finite
+        (:class:`InputError` otherwise).  Each state leaves the temperature
+        iteration at its first iterate within ``tol``, with that iterate's
+        (y, T): every iteration solves the states still above ``tol`` only,
+        so a state's answer does not depend on its batch-mates.
         """
         rho_in = np.asarray(rho, dtype=float)
         e_in = np.asarray(e, dtype=float)
+        _require_finite("rho", rho_in)
+        _require_finite("e", e_in, positive=False)
         shape = np.broadcast_shapes(rho_in.shape, e_in.shape)
         rho_f = np.broadcast_to(rho_in, shape).reshape(-1)
         e_f = np.broadcast_to(e_in, shape).reshape(-1)

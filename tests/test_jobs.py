@@ -207,6 +207,30 @@ class TestStateMachine:
         assert audit["cancelled_and_completed"] == ["both"]
         assert audit["double_cancels"] == {"twice": 2}
 
+    def test_audit_judges_each_life_of_an_id(self, tmp_path):
+        q = WorkQueue(tmp_path / "q", backoff=FAST)
+        q.enqueue(Job(id="twice", kind="sleep"))
+        q.journal("complete", job="twice", worker="w0")
+        q.journal("complete", job="twice", worker="w1")
+        audit = audit_exactly_once(q)
+        assert not audit["ok"]
+        assert audit["double_completions"] == {"twice": 2}
+        # a job-gc line ends that life with both lines; the double
+        # completion stays on its record
+        q.journal("job-gc", job="twice",
+                  retired={"complete": 2, "cancel": 0})
+        audit = audit_exactly_once(q)
+        assert not audit["ok"]
+        assert audit["double_completions"] == {"twice": 2}
+        # one completion in each of two lives is no violation
+        q.enqueue(Job(id="again", kind="sleep"))
+        for _ in range(2):
+            q.journal("complete", job="again", worker="w0")
+            q.journal("job-gc", job="again",
+                      retired={"complete": 1, "cancel": 0})
+        audit = audit_exactly_once(q)
+        assert "again" not in audit["double_completions"]
+
 
 # ----------------------------------------------------------------------
 # the client surface
@@ -315,6 +339,24 @@ class TestJobManager:
         assert set(mgr.queue.job_ids()) == {"pending-one"}
         workdirs = os.listdir(mgr.queue.work_dir)
         assert set(workdirs) <= {"pending-one"}
+
+    def test_gc_then_resubmit_audits_clean(self, tmp_path):
+        mgr = JobManager(tmp_path / "q")
+        job = mgr.submit("sleep", {"duration": 0.01})["job"]
+        drain(tmp_path / "q")
+        assert mgr.gc(ttl=0.0)["collected"] == [job]
+        # the id is content-addressed: the same work comes back under it
+        assert mgr.submit("sleep", {"duration": 0.01})["job"] == job
+        drain(tmp_path / "q")
+        audit = mgr.ledger()["audit"]
+        assert audit["ok"], audit
+        assert audit["jobs_completed"] == 1
+        assert audit["double_completions"] == {}
+        mgr.gc(ttl=0.0)
+        gcs = [r["retired"] for r in mgr.queue.read_journal()
+               if r["event"] == "job-gc"]
+        assert gcs == [{"complete": 1, "cancel": 0}] * 2
+        assert audit_exactly_once(mgr.queue)["ok"]
 
     def test_dead_attempt_requeues_via_sync(self, tmp_path):
         q = WorkQueue(tmp_path / "q", backoff=FAST, lease_ttl=0.2)

@@ -97,6 +97,42 @@ class TestSolveRhoT:
             air_gas.composition_rho_T(np.array([-1.0]), np.array([300.0]))
 
 
+class TestNonFiniteInputs:
+    """Every Gibbs entry point refuses a non-finite (or, for rho, T and
+    p, non-positive) state input with an InputError naming it.  A NaN
+    state would otherwise come back NaN and "converged": ``fnorm > tol``
+    is false for a NaN residual."""
+
+    @pytest.mark.parametrize("rho, T, name", [
+        (np.nan, 3000.0, "rho"), (1e-3, np.inf, "T"),
+        (np.array([1e-3, np.nan, 0.1]), 3000.0, "rho"),
+        (1e-3, np.array([3000.0, -np.inf]), "T"), (0.0, 3000.0, "rho")])
+    def test_solve_rho_T(self, air_gas, rho, T, name):
+        with pytest.raises(InputError, match=f"^{name} must be finite"):
+            air_gas.solver.solve_rho_T(rho, T, air_gas.b)
+
+    @pytest.mark.parametrize("e", [np.nan, np.inf, -np.inf])
+    def test_solve_rho_e(self, air_gas, e):
+        with pytest.raises(InputError, match="^e must be finite"):
+            air_gas.solver.solve_rho_e(1e-3, e, air_gas.b)
+        with pytest.raises(InputError, match="^rho must be finite"):
+            air_gas.solver.solve_rho_e(e, 1e6, air_gas.b)
+
+    @pytest.mark.parametrize("T, p, name", [
+        (np.nan, 1e4, "T"), (3000.0, np.inf, "p"), (3000.0, -1.0, "p"),
+        (np.array([3000.0, np.nan]), 1e4, "T")])
+    def test_solve_T_p(self, air_gas, T, p, name, monkeypatch):
+        passes = []
+        newton = EquilibriumSolver._newton
+        monkeypatch.setattr(EquilibriumSolver, "_newton",
+                            lambda self, *a, **kw: (passes.append(1)
+                                                    or newton(self, *a,
+                                                              **kw)))
+        with pytest.raises(InputError, match=f"^{name} must be finite"):
+            air_gas.solver.solve_T_p(T, p, air_gas.b)
+        assert passes == []          # refused before the first pass
+
+
 class TestGibbsMinimality:
     """At fixed (rho, T) the converged composition minimises the mixture
     Helmholtz free energy (not Gibbs — volume, not pressure, is held)."""
@@ -254,6 +290,207 @@ class TestActiveSetNewton:
         # restart converges them
         y = solver.solve_rho_T(rho, T, air_gas.b, lam0=lam0)
         np.testing.assert_allclose(y, y_cold, rtol=0.0, atol=1e-9)
+
+    def test_matches_the_recomputing_kernel_bitwise(self, air_gas):
+        """The kernel keeps the accepted line-search trial as its iterate
+        and recomputes only when all eight halvings are spent; the
+        answers and trajectories are those of `_newton_recomputing`."""
+        solver = air_gas.solver
+        rho = np.array([1e-3, 0.1, 1e-2, 3e-4, 0.5, 2e-5, 1e-3, 0.1, 0.05,
+                        1e-4])
+        T = np.array([3000.0, 7000.0, 5000.0, 9000.0, 2500.0, 12000.0,
+                      3000.0, 7000.0, 4000.0, 6000.0])
+        _, lam = solver.solve_rho_T(rho, T, air_gas.b, return_lambda=True)
+        lam0 = lam.copy()
+        # rows 0-1: the stalled fixture, all eight halvings every
+        # iteration; 2-3: overflowing potentials, full steps to
+        # max_iter; 4-7: first trial accepted; 8-9: halve, then accept
+        lam0[0:2, solver.db.elements.index("O")] = -1000.0
+        lam0[2:4] = 150.0
+        lam0[4:6] += 0.5
+        lam0[6:8] = solver._guess_lambda(
+            rho[6:8], T[6:8], np.broadcast_to(air_gas.b, (2, solver.K)),
+            solver.thermo.g0_over_RT(T[6:8]))
+        lam0[8:] -= 3.0
+        args = self._kernel_args(solver, rho, T, air_gas.b)
+        # the whole batch, and the rows whose halvings end in an accepted
+        # trial with no row spending all eight beside them
+        for rows in (slice(None), slice(2, None)):
+            sub = [a[rows] for a in args]
+            for max_iter in (250, 7):
+                got, want = [], []
+                out = solver._newton(lam0[rows], *sub, self.TOL, max_iter,
+                                     record=got)
+                ref = _newton_recomputing(solver, lam0[rows], *sub,
+                                          self.TOL, max_iter, record=want)
+                for a, b in zip(out, ref):
+                    np.testing.assert_array_equal(a, b)
+                assert len(got) == len(want)
+                for a, b in zip(got, want):
+                    np.testing.assert_array_equal(a, b)
+
+
+def _newton_recomputing(solver, lam, gt, c_ref, target, scale, tol,
+                        max_iter, record=None):
+    """Reference for `EquilibriumSolver._newton`: the same damped Newton,
+    but every iteration recomputes c, F and fnorm after its line search,
+    through `np.clip`, `np.max`, `np.any` and a fresh identity."""
+    from repro.thermo.equilibrium import _EXP_CLIP, _STALL_ITERS
+    A = solver._A
+
+    def concentrations(lam):
+        expo = -gt + lam @ A
+        return c_ref[:, None] * np.exp(np.clip(expo, -_EXP_CLIP,
+                                               _EXP_CLIP))
+
+    def residual(c):
+        return c @ A.T - target
+
+    lam = np.array(lam, dtype=float)
+    c = concentrations(lam)
+    F = residual(c)
+    fnorm = np.max(np.abs(F) / scale, axis=1)
+    if record is not None:
+        record.append(fnorm.copy())
+    c_out, lam_out, fnorm_out = c, lam, fnorm
+    idx = np.arange(lam.shape[0])
+    ref = fnorm.copy()
+    for it in range(max_iter):
+        keep = fnorm > tol
+        if it and not it % _STALL_ITERS:
+            keep &= fnorm < 0.5 * ref[idx]
+            ref[idx] = fnorm
+        if not keep.all():
+            c_out[idx], lam_out[idx], fnorm_out[idx] = c, lam, fnorm
+            idx = idx[keep]
+            lam, c, F, fnorm, gt, c_ref, target, scale = (
+                a[keep] for a in (lam, c, F, fnorm, gt, c_ref, target,
+                                  scale))
+        if not idx.size:
+            break
+        Jc = c[:, None, :] * A[None, :, :]
+        J = Jc @ A.T
+        trace = np.einsum("bkk->b", J)
+        mu = 1e-14 * np.maximum(trace, 1e-30)
+        J = J + mu[:, None, None] * np.eye(solver.K)
+        dlam = np.linalg.solve(J, -F[:, :, None])[:, :, 0]
+        mx = np.max(np.abs(dlam), axis=1, keepdims=True)
+        dlam *= np.minimum(1.0, 4.0 / np.maximum(mx, 1e-30))
+        step = np.ones((idx.size, 1), dtype=np.float64)
+        for _ls in range(8):
+            c_new = concentrations(lam + step * dlam)
+            f_new = np.max(np.abs(residual(c_new)) / scale, axis=1)
+            worse = f_new > fnorm * (1.0 - 1e-4 * step[:, 0])
+            if not np.any(worse):
+                break
+            step[worse] *= 0.5
+        lam = lam + step * dlam
+        c = concentrations(lam)
+        F = residual(c)
+        fnorm = np.max(np.abs(F) / scale, axis=1)
+        if record is not None:
+            fnorm_out[idx] = fnorm
+            record.append(fnorm_out.copy())
+    c_out[idx], lam_out[idx], fnorm_out[idx] = c, lam, fnorm
+    return c_out, lam_out, fnorm_out
+
+
+def _solve_T_p_by_rho_T(solver, T, p, b, *, tol=1.0e-10, max_iter=60):
+    """The (T, p) density fixed point as a loop of public `solve_rho_T`
+    calls, each evaluating g0/RT afresh."""
+    from repro.constants import R_UNIVERSAL
+    T_in, p_in = np.asarray(T, dtype=float), np.asarray(p, dtype=float)
+    shape = np.broadcast_shapes(T_in.shape, p_in.shape)
+    T_f = np.broadcast_to(T_in, shape).astype(float)
+    p_f = np.broadcast_to(p_in, shape).astype(float)
+    rho = p_f * 0.02 / (R_UNIVERSAL * T_f)
+    lam = None
+    for _ in range(max_iter):
+        y, lam = solver.solve_rho_T(rho, T_f, b, lam0=lam,
+                                    return_lambda=True)
+        ratio = p_f / (rho * solver.mix.gas_constant(y) * T_f)
+        if np.all(np.abs(ratio - 1.0) < tol):
+            return y, rho
+        rho = rho * ratio
+    raise AssertionError("reference density iteration did not converge")
+
+
+#: (T, p) states of the service pool's range (300-12,000 K, 1e2-1e6 Pa)
+#: and fig 6's stagnation state, the T(h, p) secant's last iterate.
+_T_P_STATES = [(300.0, 1.0e5), (2200.0, 3.0e5), (3000.0, 1.0e4),
+               (5723.11605946, 3136.59660835), (9000.0, 1.0e3),
+               (12000.0, 1.0e2)]
+
+
+@pytest.fixture(scope="module", params=["equilibrium-air", "titan",
+                                        "jupiter"])
+def service_gas(request):
+    from repro.core.api import make_gas
+    return make_gas(request.param, cached=False)
+
+
+class TestSolveTPKernel:
+    """`solve_T_p` evaluates g0/RT once per call and runs its density
+    passes through the flat kernel; the answers are bitwise those of a
+    loop of public `solve_rho_T` calls."""
+
+    def test_single_states_match_the_rho_T_loop(self, service_gas):
+        solver, b = service_gas.solver, service_gas.b
+        for T, p in _T_P_STATES:
+            y, rho = solver.solve_T_p(T, p, b)
+            y_ref, rho_ref = _solve_T_p_by_rho_T(solver, T, p, b)
+            np.testing.assert_array_equal(y, y_ref)
+            np.testing.assert_array_equal(rho, rho_ref)
+
+    def test_batches_match_the_rho_T_loop(self, service_gas):
+        solver, b = service_gas.solver, service_gas.b
+        T, p = (np.array(x) for x in zip(*_T_P_STATES))
+        for rows in (slice(None), slice(1, 4), slice(3, 5)):
+            y, rho = solver.solve_T_p(T[rows], p[rows], b)
+            y_ref, rho_ref = _solve_T_p_by_rho_T(solver, T[rows], p[rows],
+                                                 b)
+            np.testing.assert_array_equal(y, y_ref)
+            np.testing.assert_array_equal(rho, rho_ref)
+        # a scalar broadcast against a column; the VSL and PNS tables
+        # solve a column of T at one pressure
+        for T_b, p_b in ((5723.11605946, p[2:5]), (T[1:5], 3136.59660835)):
+            y, rho = solver.solve_T_p(T_b, p_b, b)
+            y_ref, rho_ref = _solve_T_p_by_rho_T(solver, T_b, p_b, b)
+            np.testing.assert_array_equal(y, y_ref)
+            np.testing.assert_array_equal(rho, rho_ref)
+
+    def test_grid_of_states_matches_the_flat_solve(self, air_gas):
+        # the warm start stays flat between passes, so a 2-D (T, p)
+        # grid runs through the same kernel as its flattened states
+        T = np.array([[3000.0, 5723.11605946, 9000.0],
+                      [2200.0, 5000.0, 12000.0]])
+        p = np.array([[1.0e4], [3136.59660835]])
+        y, rho = air_gas.solver.solve_T_p(T, p, air_gas.b)
+        y_f, rho_f = air_gas.solver.solve_T_p(
+            T.ravel(), np.broadcast_to(p, T.shape).ravel(), air_gas.b)
+        assert y.shape == (2, 3, 11) and rho.shape == (2, 3)
+        np.testing.assert_array_equal(y.reshape(6, 11), y_f)
+        np.testing.assert_array_equal(rho.ravel(), rho_f)
+
+    def test_one_g0_evaluation_per_call(self, air_gas, monkeypatch):
+        from repro.thermo.statmech import ThermoSet
+        g0_calls, passes = [], []
+        g0, newton = ThermoSet.g0_over_RT, EquilibriumSolver._newton
+        monkeypatch.setattr(ThermoSet, "g0_over_RT", lambda self, T: (
+            g0_calls.append(1) or g0(self, T)))
+        monkeypatch.setattr(EquilibriumSolver, "_newton",
+                            lambda self, *a, **kw: (passes.append(1)
+                                                    or newton(self, *a,
+                                                              **kw)))
+        n_passes = []
+        for T, p in _T_P_STATES:
+            g0_calls.clear()
+            passes.clear()
+            air_gas.solver.solve_T_p(T, p, air_gas.b)
+            assert g0_calls == [1]
+            n_passes.append(len(passes))
+        # one Newton per density pass: 2 for frozen air, 10 at fig 6
+        assert n_passes == [2, 4, 7, 10, 8, 7]
 
 
 class TestSolveTP:
