@@ -12,13 +12,35 @@ session end — ``BENCH_kernels.json``, the ROADMAP item-2 perf
 trajectory.  Enable the artifact with ``--bench-kernels-json PATH`` or
 ``BENCH_KERNELS_JSON=PATH``; a session updates the kernels it timed and
 keeps the other records of an existing file.
+
+A shared host's speed drifts by up to 2x between processes, so each
+record also carries the host's speed while the kernel ran: perfbench's
+calibration kernel (``perfbench/speed.py::kernel``) runs ``MIN_ROUNDS``
+times before and after the kernel's rounds, ``calibration_s`` is its
+median duration and ``quiet_median_s`` rescales ``median_s`` to
+perfbench's quiet-host reference (``REF_S``), as perfbench does.
 """
 
+import importlib.util
 import json
 import os
+import statistics
 import time
 
 import pytest
+
+
+def _load_speed():
+    """``perfbench/speed.py`` as a module (perfbench is not a package)."""
+    path = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "perfbench", "speed.py")
+    spec = importlib.util.spec_from_file_location("perfbench_speed", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_SPEED = _load_speed()
 
 #: kernel name -> timing record, accumulated across the session.
 _KERNEL_RECORDS = {}
@@ -54,15 +76,26 @@ def kernel_bench(request):
     warms the kernel up once, then runs it repeatedly until ~0.2 s of
     clock (at least ``MIN_ROUNDS``, at most 200 rounds) and records
     min/median/mean seconds per call under ``label`` (default: the test
-    name minus its ``test_bench_`` prefix).  ``meta`` merges extra keys
-    (sizes, derived speedups) into the record.  Returns the kernel's
-    last result so the test can assert on it.
+    name minus its ``test_bench_`` prefix), with the calibration of the
+    module docstring.  ``meta`` merges extra keys (sizes, derived
+    speedups) into the record.  Returns the kernel's last result so the
+    test can assert on it.
     """
+
+    def calibrate():
+        runs = []
+        for _ in range(MIN_ROUNDS):
+            t0 = time.perf_counter()
+            _SPEED.kernel()
+            runs.append(time.perf_counter() - t0)
+        return runs
 
     def _run(fn, *args, label=None, meta=None, min_time=0.2,
              max_rounds=200, **kwargs):
         name = label or request.node.name.replace("test_bench_", "")
         result = fn(*args, **kwargs)          # warmup, untimed
+        _SPEED.kernel()                       # scipy's lazy set-up, untimed
+        calibration = calibrate()
         times = []
         deadline = time.perf_counter() + min_time
         while len(times) < max_rounds:
@@ -71,12 +104,17 @@ def kernel_bench(request):
             times.append(time.perf_counter() - t0)
             if len(times) >= MIN_ROUNDS and time.perf_counter() >= deadline:
                 break
+        calibration += calibrate()
         times.sort()
+        calibration_s = statistics.median(calibration)
         record = {
             "min_s": times[0],
             "median_s": times[len(times) // 2],
             "mean_s": sum(times) / len(times),
             "rounds": len(times),
+            "calibration_s": calibration_s,
+            "quiet_median_s": (times[len(times) // 2] * _SPEED.REF_S
+                               / calibration_s),
         }
         if meta:
             record.update(meta)

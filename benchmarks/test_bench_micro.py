@@ -482,21 +482,28 @@ def test_bench_kernel_shock_relaxation_solve(kernel_bench, monkeypatch):
     Recorded under its trace span name.  ``rhs_evals`` counts every call
     of the ODE right-hand side (the BDF's finite-difference Jacobian
     columns included, which ``solve_ivp``'s ``nfev`` leaves out);
-    ``wdot_per_rhs`` is the number of kinetics evaluations each makes.
+    ``wdot_per_rhs`` is the number of kinetics evaluations each makes;
+    ``newton_evals`` counts the Tv Newton's e_v evaluations over the
+    solve's ``Tv_from_ev`` calls (one per RHS and one per output
+    station).
     """
     from repro.experiments.fig7_shock_relaxation import CONDITION
     from repro.solvers.shock_relaxation import ShockRelaxationSolver
     from repro.thermo.kinetics import ReactionMechanism
+    from repro.thermo.statmech import ThermoSet
 
     solver = ShockRelaxationSolver("air11")
     kw = dict(CONDITION, x_end=0.02, n_out=120, rtol=1e-6)
-    closures, wdots = [], []
+    closures, wdots, evs = [], [], []
     closure, wdot = ShockRelaxationSolver._closure, ReactionMechanism.wdot
+    e_cv = ThermoSet.e_cv_vib_el_mass
     monkeypatch.setattr(ShockRelaxationSolver, "_closure",
                         lambda self, *a: closures.append(1) or closure(self,
                                                                        *a))
     monkeypatch.setattr(ReactionMechanism, "wdot",
                         lambda self, *a: wdots.append(1) or wdot(self, *a))
+    monkeypatch.setattr(ThermoSet, "e_cv_vib_el_mass",
+                        lambda self, Tv: evs.append(1) or e_cv(self, Tv))
     solver.solve(**kw)
     monkeypatch.undo()
 
@@ -504,6 +511,7 @@ def test_bench_kernel_shock_relaxation_solve(kernel_bench, monkeypatch):
     rhs_evals = len(closures) - (kw["n_out"] + 1)
     prof = kernel_bench(solver.solve, label="solvers.shock_relaxation.solve",
                         meta={"rhs_evals": rhs_evals,
-                              "wdot_per_rhs": len(wdots) / rhs_evals},
+                              "wdot_per_rhs": len(wdots) / rhs_evals,
+                              "newton_evals": len(evs)},
                         **kw)
     assert prof.T[-1] < 0.3 * prof.T[0]

@@ -14,7 +14,7 @@ from repro.constants import TORR
 from repro.postprocess.ascii_plot import ascii_plot
 from repro.solvers.shock_relaxation import ShockRelaxationSolver
 
-__all__ = ["run", "main", "CONDITION"]
+__all__ = ["run", "report", "main", "CONDITION"]
 
 #: The Ref. 22 shock-tube case.
 CONDITION = dict(u1=10000.0, p1=0.1 * TORR, T1=300.0)
@@ -34,8 +34,8 @@ def run(quick: bool = False) -> dict:
             "Tv_equilibrium": float(profile.Tv[-1])}
 
 
-def main(quick: bool = True) -> str:
-    res = run(quick)
+def report(res: dict) -> str:
+    """The figure's text from a :func:`run` result."""
     p = res["profile"]
     x_mm = p.x * 1e3
     keep = x_mm > 1e-4
@@ -56,6 +56,10 @@ def main(quick: bool = True) -> str:
     txt += (f"\nfrozen T = {res['T_frozen']:.0f} K -> equilibrium "
             f"T = Tv = {res['T_equilibrium']:.0f} K")
     return txt
+
+
+def main(quick: bool = True) -> str:
+    return report(run(quick))
 
 
 if __name__ == "__main__":

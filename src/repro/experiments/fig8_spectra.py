@@ -45,8 +45,8 @@ def run(quick: bool = False, *, profile=None) -> dict:
             "measured_rel": meas_rel, "log_correlation": corr}
 
 
-def main(quick: bool = True) -> str:
-    res = run(quick)
+def main(quick: bool = True, *, profile=None) -> str:
+    res = run(quick, profile=profile)
     txt = ascii_plot(
         [(res["wavelength"] * 1e6,
           np.maximum(res["smeared"] / res["smeared"].max(), 1e-5),

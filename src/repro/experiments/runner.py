@@ -79,6 +79,10 @@ def run_all(quick: bool = True, *, stream=None, keep_going: bool = True,
     snapshots); ``resume`` replays completed figures from their markers
     and lets marching figures continue from their latest on-disk
     snapshot instead of starting over.
+
+    Fig 8 radiates fig 7's relaxation profile: when fig 7 ran in this
+    call, fig 8 reuses its profile; otherwise (fig 7 replayed from its
+    marker, or failed) fig 8 solves the relaxation itself.
     """
     stream = stream or sys.stdout
     timings: dict[str, float] = {}
@@ -86,6 +90,7 @@ def run_all(quick: bool = True, *, stream=None, keep_going: bool = True,
     skipped: list[str] = []
     if checkpoint_dir is not None:
         os.makedirs(checkpoint_dir, exist_ok=True)
+    profile = None   # fig 7's relaxation profile, once fig 7 ran here
     for name, mod in _MODULES:
         done_path = (None if checkpoint_dir is None
                      else os.path.join(checkpoint_dir, f"{name}.done"))
@@ -109,9 +114,16 @@ def run_all(quick: bool = True, *, stream=None, keep_going: bool = True,
         if (checkpoint_dir is not None and "persist_dir"
                 in inspect.signature(mod.main).parameters):
             kwargs["persist_dir"] = os.path.join(checkpoint_dir, name)
+        if name == "fig8" and profile is not None:
+            kwargs["profile"] = profile
         t0 = time.perf_counter()
         try:
-            out = mod.main(**kwargs)
+            if name == "fig7":
+                res = mod.run(quick)
+                profile = res["profile"]
+                out = mod.report(res)
+            else:
+                out = mod.main(**kwargs)
             print(out, file=stream)
             if done_path is not None:
                 _write_done(done_path, out)

@@ -175,14 +175,17 @@ class ShockRelaxationSolver:
         H0 = h1 + 0.5 * u1**2
 
         ns = db.n
-        u_state = {"u": post["u2"]}
+        # the last RHS's u and Tv start the next RHS's closure and Tv
+        # Newton; ``integrate`` sets them to the shock state
+        warm = {}
 
         def rhs(x, z):
             y = np.clip(z[:ns], 0.0, 1.0)
             ev = z[ns]
-            u, rho, T, p = self._closure(y, ev, m0, P0, H0, u_state["u"])
-            u_state["u"] = u
-            Tv = float(self.tt.Tv_from_ev(np.array(ev), y[None, :])[0])
+            u, rho, T, p = self._closure(y, ev, m0, P0, H0, warm["u"])
+            Tv = float(self.tt.Tv_from_ev(np.array(ev), y[None, :],
+                                          Tv_guess=warm["Tv"])[0])
+            warm["u"], warm["Tv"] = u, Tv
             w, qv = self.tt.sources(np.array(rho), np.array(T),
                                     np.array(Tv), y[None, :])
             dz = np.empty(ns + 1, dtype=np.float64)
@@ -195,6 +198,10 @@ class ShockRelaxationSolver:
         x_eval = np.concatenate([[0.0], x_eval])
 
         def integrate(rtol=rtol, atol=atol, method="BDF"):
+            # the frozen jump's u and T1 (the pool is still at the
+            # freestream state), on every attempt, so that a retry rung's
+            # answer does not depend on where a failed attempt stopped
+            warm.update(u=post["u2"], Tv=T1)
             out = solve_ivp(rhs, (0.0, x_end), z0, method=method,
                             rtol=rtol, atol=atol, t_eval=x_eval,
                             dense_output=False)
@@ -225,15 +232,15 @@ class ShockRelaxationSolver:
         u = np.empty(nx, dtype=np.float64)
         p = np.empty(nx, dtype=np.float64)
         y_out = np.empty((nx, ns), dtype=np.float64)
-        u_run = post["u2"]
+        # each station starts from the previous one's u and Tv
+        u_i, Tv_i = post["u2"], T1
         for i in range(nx):
             y = np.clip(sol.y[:ns, i], 0.0, 1.0)
             ev = sol.y[ns, i]
-            u_i, rho_i, T_i, p_i = self._closure(y, ev, m0, P0, H0, u_run)
-            u_run = u_i
-            T[i], rho[i], u[i], p[i] = T_i, rho_i, u_i, p_i
-            Tv[i] = float(self.tt.Tv_from_ev(np.array(ev),
-                                             y[None, :])[0])
+            u_i, rho_i, T_i, p_i = self._closure(y, ev, m0, P0, H0, u_i)
+            Tv_i = float(self.tt.Tv_from_ev(np.array(ev), y[None, :],
+                                            Tv_guess=Tv_i)[0])
+            T[i], Tv[i], rho[i], u[i], p[i] = T_i, Tv_i, rho_i, u_i, p_i
             y_out[i] = y
         return RelaxationProfile(x=sol.t, T=T, Tv=Tv, y=y_out, rho=rho,
                                  u=u, p=p, db=db)

@@ -32,6 +32,14 @@ from repro.thermo.statmech import ThermoSet
 __all__ = ["TwoTemperatureGas"]
 
 
+def _start(guess, energy, y):
+    """A Newton's first iterate: ``guess`` as a float array of the
+    broadcast shape of ``energy``, ``y[..., 0]`` and ``guess``, so that
+    the result's shape does not depend on how many steps it takes."""
+    shape = np.broadcast(energy, y[..., 0], guess).shape
+    return np.array(np.broadcast_to(guess, shape), dtype=float)
+
+
 class TwoTemperatureGas:
     """Two-temperature gas: energies, inversions and exchange sources."""
 
@@ -93,9 +101,7 @@ class TwoTemperatureGas:
         """Invert the vibrational-electronic pool for Tv (batched Newton)."""
         ev = np.asarray(ev, dtype=float)
         y = np.asarray(y, dtype=float)
-        Tv = (np.full(ev.shape, 2000.0, dtype=np.float64) if Tv_guess is None
-              else np.array(np.broadcast_to(Tv_guess, ev.shape),
-                            dtype=float))
+        Tv = _start(2000.0 if Tv_guess is None else Tv_guess, ev, y)
         scale = np.maximum(np.abs(ev), 1e2)
         for _ in range(max_iter):
             e_s, cv_s = self.thermo.e_cv_vib_el_mass(Tv)
@@ -120,9 +126,7 @@ class TwoTemperatureGas:
         Tv = self.Tv_from_ev(ev, y)
         e_tr = np.asarray(e, dtype=float) - np.asarray(ev, dtype=float)
         y = np.asarray(y, dtype=float)
-        T = (np.full(e_tr.shape, 1000.0, dtype=np.float64) if T_guess is None
-             else np.array(np.broadcast_to(T_guess, e_tr.shape),
-                           dtype=float))
+        T = _start(1000.0 if T_guess is None else T_guess, e_tr, y)
         scale = np.maximum(np.abs(e_tr), 1e3)
         for _ in range(max_iter):
             f = self.e_tr_rot(T, y) - e_tr

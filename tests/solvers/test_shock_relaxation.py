@@ -1,10 +1,13 @@
 """Integration tests for the post-shock relaxation solver (Fig. 7 class)."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from repro.constants import TORR
 from repro.errors import InputError
+from repro.solvers import shock_relaxation
 from repro.solvers.shock_relaxation import ShockRelaxationSolver
 from repro.thermo.kinetics import ReactionMechanism
 from repro.thermo.statmech import ThermoSet
@@ -83,14 +86,22 @@ class TestInputs:
         assert p.T[-1] < p.T[0]
 
 
+#: A short fig 7 solve (≈800 RHS calls) for the work and warm-start tests.
+SHORT = dict(u1=10000.0, p1=0.1 * TORR, T1=300.0, x_end=2e-3, n_out=10,
+             rtol=1e-6)
+FIELDS = ("x", "T", "Tv", "y", "rho", "u", "p")
+
+
 class TestWorkPerRHS:
     def test_one_evaluation_of_each_quantity(self, monkeypatch):
         # per RHS one wdot (the production rates and the pool source
         # share it), three Arrhenius passes per wdot (k(T) feeds kf and
         # kb) and, inside the Tv Newton, one electronic-level pass per
-        # e_v evaluation (e_v and c_v,v come from the same pass)
+        # e_v evaluation (e_v and c_v,v come from the same pass); each
+        # inversion starts from the last Tv, so it takes at most three
+        # e_v evaluations on average (6.3 from the cold 2,000 K start)
         counts = {"closure": 0, "wdot": 0, "arrhenius": 0,
-                  "newton_e": 0, "newton_elec": 0}
+                  "newton_e": 0, "newton_elec": 0, "inversions": 0}
         in_newton = []
 
         def count(cls, name, key, only_in_newton=False):
@@ -111,6 +122,7 @@ class TestWorkPerRHS:
         newton = TwoTemperatureGas.Tv_from_ev
 
         def tracked(self, *a, **kw):
+            counts["inversions"] += 1
             in_newton.append(1)
             try:
                 return newton(self, *a, **kw)
@@ -118,14 +130,78 @@ class TestWorkPerRHS:
                 in_newton.pop()
         monkeypatch.setattr(TwoTemperatureGas, "Tv_from_ev", tracked)
 
-        n_out = 10
-        ShockRelaxationSolver("air11").solve(
-            u1=10000.0, p1=0.1 * TORR, T1=300.0, x_end=2e-3, n_out=n_out,
-            rtol=1e-6)
+        ShockRelaxationSolver("air11").solve(**SHORT)
         # the closure runs once per RHS and once per output station
-        rhs_evals = counts["closure"] - (n_out + 1)
+        rhs_evals = counts["closure"] - (SHORT["n_out"] + 1)
         assert rhs_evals > 100
+        assert counts["inversions"] == counts["closure"]
         assert counts["wdot"] == rhs_evals
         assert counts["arrhenius"] == 3 * counts["wdot"]
-        assert counts["newton_e"] > rhs_evals
+        assert counts["inversions"] < counts["newton_e"]
+        assert counts["newton_e"] <= 3 * counts["inversions"]
         assert counts["newton_elec"] == counts["newton_e"]
+
+
+class TestWarmStart:
+    """Each Tv inversion starts from the last Tv the solve took."""
+
+    def test_every_Tv_meets_the_stop_test_near_the_cold_answer(
+            self, monkeypatch):
+        taken = []
+        newton = TwoTemperatureGas.Tv_from_ev
+
+        def capture(self, ev, y, **kw):
+            Tv = newton(self, ev, y, **kw)
+            taken.append((float(ev), np.array(y), Tv.copy()))
+            return Tv
+        monkeypatch.setattr(TwoTemperatureGas, "Tv_from_ev", capture)
+        solver = ShockRelaxationSolver("air11")
+        solver.solve(**SHORT)
+        monkeypatch.undo()
+
+        assert len(taken) > 100
+        for ev, y, Tv in taken:
+            assert Tv.shape == (1,)
+            residual = abs(float(solver.tt.e_vib_el(Tv, y)[0]) - ev)
+            assert residual <= 1e-9 * max(abs(ev), 1e2)
+            cold = solver.tt.Tv_from_ev(ev, y)
+            np.testing.assert_allclose(Tv, cold, rtol=1e-8, atol=0.0)
+
+    def test_two_solves_are_byte_equal(self):
+        # the warm state lives inside one solve: a second solve on the
+        # same solver starts where the first did
+        solver = ShockRelaxationSolver("air11")
+        first, second = solver.solve(**SHORT), solver.solve(**SHORT)
+        for name in FIELDS:
+            np.testing.assert_array_equal(getattr(second, name),
+                                          getattr(first, name))
+
+    def test_retry_rung_equals_a_direct_solve(self, monkeypatch):
+        # the first attempt marches part of the zone and then fails; the
+        # retry rung must give what a direct solve at the rung's
+        # tolerances gives, not start where the failed attempt stopped
+        real = shock_relaxation.solve_ivp
+        attempts = []
+
+        def first_attempt_fails(fun, t_span, y0, **kw):
+            attempts.append(kw)
+            if len(attempts) > 1:
+                return real(fun, t_span, y0, **kw)
+            real(fun, (t_span[0], 0.5 * t_span[1]), y0,
+                 method=kw["method"], rtol=kw["rtol"], atol=kw["atol"])
+            return SimpleNamespace(success=False, message="injected stall")
+        monkeypatch.setattr(shock_relaxation, "solve_ivp",
+                            first_attempt_fails)
+        solver = ShockRelaxationSolver("air11")
+        retried = solver.solve(resilience=True, **SHORT)
+        monkeypatch.undo()
+
+        assert len(attempts) == 2
+        rung = dict(SHORT, rtol=max(SHORT["rtol"], 1e-8) * 100,
+                    atol=1e-11 * 100)
+        assert (attempts[1]["rtol"], attempts[1]["atol"]) == (
+            rung["rtol"], rung["atol"])
+        direct = solver.solve(**rung)
+        for name in FIELDS:
+            np.testing.assert_array_equal(getattr(retried, name),
+                                          getattr(direct, name))

@@ -79,21 +79,45 @@ class TestFig6:
                 == res["equilibrium"].T_e.tobytes())
 
 
+def _constant_profile(db, nx=25, T=10000.0):
+    """A synthetic constant-state relaxation profile: N2/N/O at ``T``."""
+    from repro.solvers.shock_relaxation import RelaxationProfile
+    y = np.zeros((nx, db.n))
+    y[:, db.index["N2"]] = 0.5
+    y[:, db.index["N"]] = 0.3
+    y[:, db.index["O"]] = 0.2
+    return RelaxationProfile(
+        x=np.linspace(0, 0.02, nx), T=np.full(nx, T), Tv=np.full(nx, T),
+        y=y, rho=np.full(nx, 5e-3), u=np.full(nx, 800.0),
+        p=np.full(nx, 1e4), db=db)
+
+
 class TestFig8Plumbing:
+    def test_run_all_reuses_fig7s_profile(self, air11, monkeypatch):
+        # fig 7 solves the relaxation once and fig 8 radiates that
+        # profile; its text is what fig 8 alone prints from its own solve
+        import io
+
+        from repro.experiments import fig7_shock_relaxation, runner
+        from repro.solvers.shock_relaxation import ShockRelaxationSolver
+        solves = []
+        monkeypatch.setattr(
+            ShockRelaxationSolver, "solve",
+            lambda self, **kw: solves.append(kw) or _constant_profile(air11))
+        monkeypatch.setattr(runner, "_MODULES",
+                            [("fig7", fig7_shock_relaxation),
+                             ("fig8", fig8_spectra)])
+        out = io.StringIO()
+        res = runner.run_all(quick=True, stream=out)
+        assert not res["failures"] and len(solves) == 1
+        alone = fig8_spectra.main(quick=True)
+        assert len(solves) == 2 and solves[1] == solves[0]
+        assert f"\n{alone}\n[fig8 completed in" in out.getvalue()
+
     def test_run_with_prebuilt_profile(self, air11):
         # a synthetic constant-state profile exercises the full fig8 path
         # without the expensive relaxation integration
-        from repro.solvers.shock_relaxation import RelaxationProfile
-        nx = 25
-        y = np.zeros((nx, air11.n))
-        y[:, air11.index["N2"]] = 0.5
-        y[:, air11.index["N"]] = 0.3
-        y[:, air11.index["O"]] = 0.2
-        prof = RelaxationProfile(
-            x=np.linspace(0, 0.02, nx), T=np.full(nx, 10000.0),
-            Tv=np.full(nx, 10000.0), y=y, rho=np.full(nx, 5e-3),
-            u=np.full(nx, 800.0), p=np.full(nx, 1e4), db=air11)
-        res = fig8_spectra.run(quick=True, profile=prof)
+        res = fig8_spectra.run(quick=True, profile=_constant_profile(air11))
         assert res["radiance"].shape == res["wavelength"].shape
         assert -1.0 <= res["log_correlation"] <= 1.0
 

@@ -78,6 +78,51 @@ class TestInversions:
         assert hits >= ({"-0.5 Tv", "2 Tv", "1e5 K"}
                         | ({"10 K"} if guess else set()))
 
+    # (energy shape, y batch shape, guess shape) -> result shape: the
+    # relaxation solver's one state, the reacting solver's grid, a flat
+    # state and a guess that sets the shape
+    SHAPES = [((), (1,), (), (1,)), ((), (1,), (1,), (1,)),
+              ((2, 3), (2, 3), (2, 3), (2, 3)), ((), (), (), ()),
+              ((), (), (4,), (4,))]
+    SHAPE_IDS = ["relaxation", "relaxation-1d-guess", "reacting-grid",
+                 "flat", "guess-sets-shape"]
+
+    @pytest.mark.parametrize("e_shape, y_shape, g_shape, out_shape",
+                             SHAPES, ids=SHAPE_IDS)
+    def test_Tv_from_ev_shape_does_not_depend_on_iterations(
+            self, tt, air11, e_shape, y_shape, g_shape, out_shape):
+        # cold, from a guess that already meets the tolerance (no Newton
+        # step) and from a guess that needs steps: one result shape
+        y = np.broadcast_to(frozen_air(air11)[0], y_shape + (air11.n,))
+        ev = np.full(e_shape, float(tt.e_vib_el(6000.0, y).flat[0]))
+        cold = tt.Tv_from_ev(ev, y)
+        warm = tt.Tv_from_ev(ev, y, Tv_guess=np.full(g_shape,
+                                                     cold.flat[0]))
+        stepped = tt.Tv_from_ev(ev, y, Tv_guess=np.full(g_shape, 3000.0))
+        assert cold.shape == np.broadcast_shapes(e_shape, y_shape)
+        assert warm.shape == stepped.shape == out_shape
+        np.testing.assert_array_equal(warm, cold.flat[0])
+        np.testing.assert_allclose(stepped, 6000.0, rtol=1e-8)
+
+    @pytest.mark.parametrize("e_shape, y_shape, g_shape, out_shape",
+                             SHAPES, ids=SHAPE_IDS)
+    def test_T_from_e_ev_shape_does_not_depend_on_iterations(
+            self, tt, air11, e_shape, y_shape, g_shape, out_shape):
+        y = np.broadcast_to(frozen_air(air11)[0], y_shape + (air11.n,))
+        e = np.full(e_shape, float(tt.e_total(7000.0, 6000.0, y).flat[0]))
+        ev = np.full(e_shape, float(tt.e_vib_el(6000.0, y).flat[0]))
+        T_cold, Tv_cold = tt.T_from_e_ev(e, ev, y)
+        T_warm, Tv_warm = tt.T_from_e_ev(
+            e, ev, y, T_guess=np.full(g_shape, T_cold.flat[0]))
+        T_step, Tv_step = tt.T_from_e_ev(e, ev, y,
+                                         T_guess=np.full(g_shape, 4000.0))
+        cold_shape = np.broadcast_shapes(e_shape, y_shape)
+        assert T_cold.shape == Tv_cold.shape == cold_shape
+        assert T_warm.shape == T_step.shape == out_shape
+        assert Tv_warm.shape == Tv_step.shape == cold_shape
+        np.testing.assert_array_equal(T_warm, T_cold.flat[0])
+        np.testing.assert_allclose(T_step, 7000.0, rtol=1e-8)
+
 
 def _two_pass_Tv_from_ev(tt, ev, y, Tv_guess, hits):
     """The Tv Newton as it was written with separate e_v and c_v,v
