@@ -86,8 +86,7 @@ def degrade_demo():
     one model rung down to the correlation-level answer and records the
     failure in the request's envelope instead of raising.
     """
-    from repro.resilience import (DegradationPolicy, FaultInjector,
-                                  RetryPolicy)
+    from repro.resilience import FaultInjector, RetryPolicy
     from repro.service import evaluate_batch
 
     print("\n--- graceful degradation demo ---")
@@ -102,8 +101,7 @@ def degrade_demo():
     s.run(n_steps=40, cfl=0.4,
           resilience=RetryPolicy(max_retries=1, cfl_backoff=0.8,
                                  cfl_min=0.2),
-          faults=faults, watchdog=True,
-          degradation=DegradationPolicy(promote_after=15))
+          faults=faults, watchdog=True, degradation=True)
     print(f"fault-injected march completed {s.steps} steps; ledger:")
     print(s.degradation_ledger.summary())
 

@@ -35,6 +35,17 @@ _NONNEG_INT = _bounded(int, strict=False)
 _NONNEG_FLOAT = _bounded(float, strict=False)
 
 
+def _finite_float(text: str) -> float:
+    """``type=`` callable for a signed number flag: any finite float."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return value
+
+
+_finite_float.__name__ = "float"  # argparse says "invalid float value"
+
+
 def _job_id(text: str) -> str:
     """``type=`` callable for a job id: the queue's id rule, so a
     malformed id is a usage error before any path is built from it."""
@@ -163,8 +174,7 @@ def _cmd_degrade_smoke(args: argparse.Namespace) -> int:
     """
     import json
 
-    from repro.resilience import (DegradationPolicy, FaultInjector,
-                                  RetryPolicy)
+    from repro.resilience import FaultInjector, RetryPolicy
     from repro.resilience.chaos import CASES
 
     make_solver = CASES["reacting_euler2d"][0]
@@ -194,8 +204,7 @@ def _cmd_degrade_smoke(args: argparse.Namespace) -> int:
     s = make_solver()
     try:
         s.run(n_steps=40, cfl=0.4, resilience=policy,
-              faults=make_faults(), watchdog=True,
-              degradation=DegradationPolicy(promote_after=15))
+              faults=make_faults(), watchdog=True, degradation=True)
     except CatError as err:
         print(f"  ERROR: degraded run still aborted: {err}",
               file=sys.stderr)
@@ -658,7 +667,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lease-ttl", type=_POS_FLOAT, default=15.0,
                    metavar="S")
     p.add_argument("--poll", type=_POS_FLOAT, default=0.25, metavar="S")
-    p.add_argument("--clock-offset", type=float, default=0.0,
+    p.add_argument("--clock-offset", type=_finite_float, default=0.0,
                    metavar="S", help="injected clock skew, either sign")
 
     jobs = command(sub, "jobs", "asynchronous jobs on a durable queue "

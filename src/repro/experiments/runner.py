@@ -36,6 +36,7 @@ from repro.experiments import (fig1_flight_domain, fig2_titan_heating,
                                fig6_windward_heating,
                                fig7_shock_relaxation, fig8_spectra,
                                fig9_n2_contours)
+from repro.resilience.persistence import atomic_write
 
 __all__ = ["run_all"]
 
@@ -50,18 +51,6 @@ _MODULES = [
     ("fig8", fig8_spectra),
     ("fig9", fig9_n2_contours),
 ]
-
-
-def _write_done(path: str, text: str) -> None:
-    """Atomic done-marker write (temp -> fsync -> rename), so a crash
-    mid-write never leaves a half-truthful completion record."""
-    tmp = os.path.join(os.path.dirname(path),
-                       f".tmp-{os.path.basename(path)}")
-    with open(tmp, "w") as f:
-        f.write(text)
-        f.flush()
-        os.fsync(f.fileno())
-    os.replace(tmp, path)
 
 
 def run_all(quick: bool = True, *, stream=None, keep_going: bool = True,
@@ -126,7 +115,9 @@ def run_all(quick: bool = True, *, stream=None, keep_going: bool = True,
                 out = mod.main(**kwargs)
             print(out, file=stream)
             if done_path is not None:
-                _write_done(done_path, out)
+                # a crash mid-write never leaves a half-truthful
+                # completion record
+                atomic_write(done_path, out, fsync=True)
         except Exception as err:
             if not keep_going:
                 raise

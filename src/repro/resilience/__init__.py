@@ -11,13 +11,14 @@ This package provides the machinery the solver stack wires through:
 * :class:`FailureReport` — the diagnostic bundle every exhausted retry
   ladder emits,
 * :class:`Checkpoint` — restorable solver snapshots,
-* :class:`FaultInjector` — deterministic NaN / perturbation / Newton /
-  crash / IO faults so every recovery path is exercised by tests,
-* :class:`ConservationWatchdog` / :class:`WatchdogPolicy` /
-  :class:`WatchdogEvent` — per-step auditing of conservation budgets,
-  species bounds, entropy monotonicity and invalid-state localization,
-* :class:`DegradationController` / :class:`DegradationPolicy` /
-  :class:`DegradationLedger` — the graceful-degradation cascade
+* :class:`FaultInjector` — deterministic NaN / perturbation / crash /
+  hang / memory / IO faults so every recovery path is exercised by
+  tests,
+* :class:`ConservationWatchdog` / :class:`WatchdogEvent` — per-step
+  auditing of conservation budgets, species bounds, entropy
+  monotonicity and invalid-state localization,
+* :class:`DegradationController` / :class:`DegradationLedger` — the
+  graceful-degradation cascade
   (quarantined first-order reconstruction, per-cell chemistry demotion,
   automatic re-promotion) slotted between rollback-retry and abort,
 * :class:`PersistencePolicy` / :class:`SnapshotStore` /
@@ -38,27 +39,24 @@ This package provides the machinery the solver stack wires through:
   exponential backoff, a dead-letter ledger, kill-and-resume campaigns
   and graceful drain (see :mod:`repro.resilience.farm`,
   :mod:`repro.resilience.queue` and :mod:`repro.resilience.lease`),
-* :class:`HostBeacon` / :func:`audit_exactly_once` — the multi-host
-  layer: several supervisors (each a ``host_id`` with ``host:pid``
-  workers) drain one shared queue directory under clock-skew-tolerant
-  leases, fenced commits, one append-only journal file per host and
-  advisory clock beacons; any host's campaign ledger folds every
-  host's journal and carries the exactly-once journal audit.
+* :func:`audit_exactly_once` — the multi-host layer: several
+  supervisors (each a ``host_id`` with ``host:pid`` workers) drain one
+  shared queue directory under clock-skew-tolerant leases, fenced
+  commits and one append-only journal file per host; any host's
+  campaign ledger folds every host's journal and carries the
+  exactly-once journal audit.
 """
 
 from repro.resilience.checkpoint import Checkpoint
 from repro.resilience.farm import (Farm, FarmPolicy, WorkerKillPlan,
                                    audit_exactly_once, run_campaign,
                                    sweep_orphans)
-from repro.resilience.lease import (HostBeacon, Lease, LeaseManager,
-                                    default_host_id, estimate_skew,
-                                    read_beacons)
+from repro.resilience.lease import Lease, LeaseManager, default_host_id
 from repro.resilience.queue import BackoffPolicy, Job, WorkQueue
 from repro.resilience.isolation import (Heartbeat, IsolatedRunner,
                                         IsolationEvent, IsolationPolicy)
 from repro.resilience.degradation import (DegradationController,
-                                          DegradationLedger,
-                                          DegradationPolicy)
+                                          DegradationLedger)
 from repro.resilience.faults import Fault, FaultInjector, SimulatedCrash
 from repro.resilience.persistence import (MANIFEST_SCHEMA_VERSION,
                                           LoadedSnapshot,
@@ -67,20 +65,17 @@ from repro.resilience.persistence import (MANIFEST_SCHEMA_VERSION,
 from repro.resilience.report import FailureReport, solver_config
 from repro.resilience.supervisor import (RetryPolicy, RunSupervisor,
                                          supervised_call)
-from repro.resilience.watchdog import (ConservationWatchdog,
-                                       WatchdogEvent, WatchdogPolicy)
+from repro.resilience.watchdog import ConservationWatchdog, WatchdogEvent
 
 __all__ = ["BackoffPolicy", "Checkpoint", "ConservationWatchdog",
-           "DegradationController", "DegradationLedger",
-           "DegradationPolicy", "Farm", "FarmPolicy", "Fault",
-           "FaultInjector", "FailureReport", "Heartbeat",
-           "HostBeacon", "IsolatedRunner", "IsolationEvent",
+           "DegradationController", "DegradationLedger", "Farm",
+           "FarmPolicy", "Fault", "FaultInjector", "FailureReport",
+           "Heartbeat", "IsolatedRunner", "IsolationEvent",
            "IsolationPolicy", "Job", "Lease", "LeaseManager",
            "LoadedSnapshot", "MANIFEST_SCHEMA_VERSION",
            "PersistencePolicy", "RetryPolicy", "RunSupervisor",
            "SimulatedCrash", "SnapshotStore", "WatchdogEvent",
-           "WatchdogPolicy", "WorkQueue", "WorkerKillPlan",
-           "audit_exactly_once", "default_host_id", "estimate_skew",
-           "read_beacons",
-           "resume_run", "run_campaign", "solver_config",
-           "solver_fingerprint", "supervised_call", "sweep_orphans"]
+           "WorkQueue", "WorkerKillPlan", "audit_exactly_once",
+           "default_host_id", "resume_run", "run_campaign",
+           "solver_config", "solver_fingerprint", "supervised_call",
+           "sweep_orphans"]

@@ -24,8 +24,8 @@ stack.  Five campaigns, one per layer, share this module:
   differ, but each is deterministic.
 * ``--farm --hosts N``: N supervisor processes ("hosts", each with its
   own ``host_id``, an optional ±skew clock offset and a per-host
-  journal) drain one shared queue.  The harness SIGSTOPs one host, its
-  clock beacon frozen, past the lease window (a network partition),
+  journal) drain one shared queue.  The harness SIGSTOPs one host's
+  whole process tree past the lease window (a network partition),
   heals it, then SIGKILLs another host outright.  Every job must finish
   exactly once and the solver jobs bitwise-equal to in-process
   references.
@@ -66,7 +66,6 @@ from repro.resilience.faults import FaultInjector
 from repro.resilience.isolation import (IsolatedRunner, IsolationPolicy,
                                         _read_rss_mb, kill_pid_tree,
                                         signal_group)
-from repro.resilience.lease import read_beacons
 from repro.resilience.queue import BackoffPolicy, Job, WorkQueue
 
 __all__ = ["CASES", "build_campaign_requests", "run_chaos",
@@ -219,9 +218,17 @@ def _spawn_host(timeline: _Timeline, queue_dir: str, policy: FarmPolicy):
 
 
 def _host_pids(queue: WorkQueue, host: str, proc) -> list[int]:
-    """The supervisor pid plus the worker pids its beacon lists."""
-    beacon = read_beacons(queue.hosts_dir).get(host) or {}
-    return [proc.pid] + [int(p) for p in beacon.get("workers") or []]
+    """The supervisor pid plus its live workers' pids, read off their
+    ``workers/<host>:<pid>.json`` heartbeat files (the farm deletes a
+    worker's file when it drops the worker)."""
+    try:
+        names = os.listdir(os.path.join(queue.dir, "workers"))
+    except OSError:
+        names = []
+    prefix = f"{host}:"
+    return [proc.pid] + sorted(
+        int(n[len(prefix):-len(".json")]) for n in names
+        if n.startswith(prefix) and n.endswith(".json"))
 
 
 def _kill_host(timeline: _Timeline, queue: WorkQueue, host: str,
@@ -550,8 +557,8 @@ def run_chaos_hosts(*, hosts: int = 2, rounds: int = 2,
     ``hosts`` supervisor processes (each its own ``host_id`` and, with
     ``skew``, an alternating ±skew wall-clock offset) drain one shared
     queue of ``rounds`` bitwise-verifiable solver jobs plus sleep
-    ballast.  With ``partition`` the campaign SIGSTOPs the last host
-    (its beacon frozen) long enough for its leases to be reaped, then
+    ballast.  With ``partition`` the campaign SIGSTOPs the last host's
+    process tree long enough for its leases to be reaped, then
     resumes it; then host 0 is SIGKILLed outright (supervisor, workers
     and sandbox children).  The survivors must finish every job
     **exactly once** — the audit of the journal fold
@@ -598,21 +605,20 @@ def run_chaos_hosts(*, hosts: int = 2, rounds: int = 2,
         worker_restart_budget=4, deadline=deadline / 2.0,
         backoff=BackoffPolicy(max_attempts=6, base=0.2, max_delay=2.0),
         drain_when_idle=False,   # serve mode: the campaign stops us
-        max_skew=max_skew, beacon_interval=0.2)
-    # the partitioned host also loses its beacon (frozen): advisory
-    # beacons must not get its leases reaped early
-    policies = [replace(base, host_id=names[i], clock_offset=offsets[i],
-                        freeze_beacon_after=(0.5 if partition
-                                             and i == survivor else None))
+        max_skew=max_skew)
+    policies = [replace(base, host_id=names[i], clock_offset=offsets[i])
                 for i in range(hosts)]
     procs = []
     drained = False
     try:
         for policy in policies:
             procs.append(_spawn_host(timeline, queue_dir, policy))
-        # let every host claim work before injecting anything
+        # let work be claimed, and every host list a worker, before
+        # injecting anything
         timeline.wait(lambda: any(r.get("event") == "claim"
-                                  for r in queue.read_journal()),
+                                  for r in queue.read_journal())
+                      and all(len(_host_pids(queue, n, p)) > 1
+                              for n, p in zip(names, procs)),
                       deadline / 4.0)
         if partition:
             # SIGSTOP the survivor's whole tree long enough for its
@@ -927,7 +933,7 @@ def run_chaos_jobs(*, n_steps: int = 400, deadline: float = 240.0,
     base = FarmPolicy(
         n_workers=1, lease_ttl=2.0, poll_interval=0.1,
         backoff=BackoffPolicy(max_attempts=8, base=0.1, max_delay=1.0),
-        max_skew=0.5, beacon_interval=0.2)
+        max_skew=0.5)
 
     def spawn(host: str):
         return _spawn_host(timeline, queue_dir,

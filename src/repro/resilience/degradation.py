@@ -19,7 +19,7 @@ rollback-retry and abort:
   solver's ``degrade_physics`` protocol.
 
 Every action lands in a :class:`DegradationLedger` (what, where, when,
-why), and after ``promote_after`` consecutive clean steps the most
+why), and after :data:`PROMOTE_AFTER` consecutive clean steps the most
 recent action is undone — automatic re-promotion, most-recent-first, so
 a transient upset leaves no permanent fidelity loss.
 
@@ -42,34 +42,18 @@ Solver protocol (duck-typed, all optional):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-__all__ = ["DegradationPolicy", "DegradationLedger",
-           "DegradationController", "as_degradation"]
+__all__ = ["DegradationLedger", "DegradationController"]
 
-
-@dataclass
-class DegradationPolicy:
-    """Knobs of the degradation cascade.
-
-    Attributes
-    ----------
-    quarantine_halo:
-        Cells around each flagged cell included in the quarantine zone
-        (and in per-cell physics demotion).
-    promote_after:
-        Consecutive clean steps before the most recent degradation is
-        undone.
-    max_actions:
-        Total demotions allowed before the cascade declares itself
-        exhausted (the supervisor then aborts with a report).
-    """
-
-    quarantine_halo: int = 3
-    promote_after: int = 25
-    max_actions: int = 20
+#: Cells around each flagged cell included in the quarantine zone (and
+#: in per-cell physics demotion).
+QUARANTINE_HALO = 3
+#: Consecutive clean steps before the most recent degradation is undone.
+PROMOTE_AFTER = 15
+#: Total demotions allowed before the cascade declares itself exhausted
+#: (the supervisor then aborts with a report).
+MAX_ACTIONS = 20
 
 
 class DegradationLedger:
@@ -144,14 +128,11 @@ class DegradationController:
     """Applies and (after clean steps) reverts degradation actions.
 
     One controller supervises one run; its :class:`DegradationLedger` is
-    the run's auditable fidelity record.  Created standalone or
-    normalised from a ``degradation=`` argument by
-    :func:`as_degradation`.
+    the run's auditable fidelity record.  Created standalone or by a
+    march's ``run(degradation=True)``.
     """
 
-    def __init__(self, policy: DegradationPolicy | None = None, *,
-                 label: str | None = None):
-        self.policy = policy if policy is not None else DegradationPolicy()
+    def __init__(self, *, label: str | None = None):
         self.ledger = DegradationLedger(label)
         self.clean_steps = 0
         self._stack: list[dict] = []
@@ -171,7 +152,7 @@ class DegradationController:
         shape = self._cell_shape(solver)
         if shape is None or not cells:
             return None          # None = whole domain
-        return _patch_mask(shape, cells, self.policy.quarantine_halo)
+        return _patch_mask(shape, cells, QUARANTINE_HALO)
 
     # ------------------------------------------------------------------
 
@@ -184,7 +165,7 @@ class DegradationController:
         The numerics rung (local first order) comes before the physics
         rung: it is cheaper, and reconstruction overshoots are the most
         common instability source."""
-        if len(self.ledger.demotions()) >= self.policy.max_actions:
+        if len(self.ledger.demotions()) >= MAX_ACTIONS:
             return False
         cells = [tuple(int(i) for i in c) for c in cells
                  if c is not None]
@@ -230,12 +211,12 @@ class DegradationController:
         self.clean_steps = 0
 
     def note_clean_step(self, solver, *, step: int):
-        """A step succeeded; after ``promote_after`` consecutive clean
-        steps, undo the most recent degradation (LIFO)."""
+        """A step succeeded; after :data:`PROMOTE_AFTER` consecutive
+        clean steps, undo the most recent degradation (LIFO)."""
         if not self._stack:
             return
         self.clean_steps += 1
-        if self.clean_steps < self.policy.promote_after:
+        if self.clean_steps < PROMOTE_AFTER:
             return
         entry = self._stack.pop()
         if entry["ladder"] == "numerics":
@@ -246,18 +227,3 @@ class DegradationController:
                            rung=entry["rung"], step=step,
                            reason=f"{self.clean_steps} clean steps")
         self.clean_steps = 0
-
-
-def as_degradation(spec) -> DegradationController | None:
-    """Normalise a ``degradation=`` argument: ``None`` | ``True``
-    (defaults) | :class:`DegradationPolicy` |
-    :class:`DegradationController`."""
-    if spec is None or isinstance(spec, DegradationController):
-        return spec
-    if spec is True:
-        return DegradationController()
-    if isinstance(spec, DegradationPolicy):
-        return DegradationController(spec)
-    raise TypeError(f"degradation must be None, True, a DegradationPolicy "
-                    f"or a DegradationController, not "
-                    f"{type(spec).__name__}")

@@ -19,8 +19,10 @@ This module assembles them:
   worker exits 0.
 
 * **The farm** (:class:`Farm`) spawns the workers, watches their
-  heartbeat files with the same liveness-by-silence helpers the
-  stencil pool uses (:mod:`repro.resilience.lease`), reaps expired job
+  heartbeat files (``workers/<host>:<pid>.json``, deleted when the farm
+  drops the worker, so the directory names only live workers) with the
+  same liveness-by-silence helpers the stencil pool uses
+  (:mod:`repro.resilience.lease`), reaps expired job
   leases so a dead worker's job is reclaimed within one ttl, replaces
   dead or stalled workers from a bounded restart budget, sweeps the
   orphaned sandbox children a SIGKILLed worker leaves behind, and —
@@ -35,11 +37,10 @@ This module assembles them:
   (``sleep``, ``flaky``) the tests and smoke campaigns lean on.
 
 The farm is **multi-host aware**: each supervisor runs under a
-``host_id`` (defaulting to the machine hostname), names its workers
-``host:pid`` so journal lines, leases, orphan sweeps and dead-letter
-reports attribute work to a machine, and publishes an advisory clock
-beacon (``hosts/<host>.json``) every ``beacon_interval`` seconds.
-Several supervisors on different machines can drain one shared
+``host_id`` (defaulting to the machine hostname) and names its workers
+``host:pid`` so journal lines, leases, heartbeat files, orphan sweeps
+and dead-letter reports attribute work to a machine.  Several
+supervisors on different machines can drain one shared
 (NFS-mounted) queue directory; cross-host lease reaping never compares
 wall clocks (see :mod:`repro.resilience.lease`), and
 :func:`audit_exactly_once` proves from the merged journal that no job
@@ -58,6 +59,7 @@ import hashlib
 import importlib
 import inspect
 import json
+import math
 import multiprocessing as mp
 import os
 import signal
@@ -73,10 +75,9 @@ from repro.resilience.isolation import (Heartbeat, IsolatedRunner,
                                         IsolationPolicy,
                                         current_process_heartbeat,
                                         kill_pid_tree, terminate_process)
-from repro.resilience.lease import (HostBeacon, default_host_id,
-                                    estimate_skew, expired_indices,
-                                    format_ages, heartbeat_ages,
-                                    read_beacons)
+from repro.resilience.lease import (default_host_id, expired_indices,
+                                    format_ages, heartbeat_ages)
+from repro.resilience.persistence import atomic_write
 from repro.resilience.queue import TERMINAL, BackoffPolicy, Job, WorkQueue
 
 __all__ = ["Farm", "FarmPolicy", "JOB_KINDS", "WorkerKillPlan",
@@ -289,15 +290,10 @@ class FarmPolicy:
     max_skew:
         Cross-host clock-skew bound [s] granted before reaping another
         host's lease (see :class:`~repro.resilience.lease.LeaseManager`).
-    beacon_interval:
-        Cadence [s] of the advisory ``hosts/<host>.json`` clock beacon.
     clock_offset:
-        Injected wall-clock skew [s] for this farm and its workers —
-        the chaos/testing knob for a machine whose clock is wrong.
-    freeze_beacon_after:
-        Chaos knob: stop refreshing the host beacon after this many
-        seconds of campaign time (a frozen beacon must *not* get the
-        host's leases reaped — beacons are advisory).
+        Injected wall-clock skew [s], finite, of either sign, for this
+        farm and its workers — the chaos/testing knob for a machine
+        whose clock is wrong.
     """
 
     n_workers: int = 2
@@ -312,9 +308,7 @@ class FarmPolicy:
     max_wall_time: float | None = None
     host_id: str | None = None
     max_skew: float = 2.0
-    beacon_interval: float = 2.0
     clock_offset: float = 0.0
-    freeze_beacon_after: float | None = None
 
     def __post_init__(self):
         if self.n_workers < 1:
@@ -324,6 +318,10 @@ class FarmPolicy:
                              "positive")
         if self.max_skew < 0.0:
             raise InputError("max_skew must be >= 0")
+        if not math.isfinite(self.clock_offset):
+            # a NaN clock never expires a lease or ends a backoff
+            raise InputError(f"clock_offset must be finite, got "
+                             f"{self.clock_offset!r}")
 
     def worker_config(self) -> dict:
         return {"lease_ttl": self.lease_ttl,
@@ -600,10 +598,6 @@ class Farm:
         self.label = label
         self.stream = stream or sys.stdout
         self.kill_plan = kill_plan
-        self.beacon = HostBeacon(self.queue.hosts_dir,
-                                 host_id=self.host,
-                                 interval=self.policy.beacon_interval,
-                                 clock=self.queue.clock)
         self._stop = False
         self._workers: list[dict] = []   # {proc, name, index, last_raw,
         #                                   last_change}
@@ -629,6 +623,16 @@ class Farm:
 
     def _hb_path(self, name: str) -> str:
         return os.path.join(self.queue.dir, "workers", f"{name}.json")
+
+    def _drop(self, rec: dict) -> None:
+        """Forget a worker that is gone (drained, dead or killed), and
+        its heartbeat file with it, so ``workers/`` names only live
+        workers and a reused pid is never taken for one of ours."""
+        self._workers.remove(rec)
+        try:
+            os.remove(self._hb_path(rec["name"]))
+        except OSError:
+            pass
 
     def _observe(self, rec: dict, now: float) -> None:
         """Age a worker's heartbeat with the farm's own clock (payload
@@ -660,7 +664,7 @@ class Farm:
               f"{reason})", file=self.stream)
 
     def _replace(self, rec: dict, restarts_left: int) -> int:
-        self._workers.remove(rec)
+        self._drop(rec)
         if restarts_left <= 0:
             print(f"[{self.label}] worker restart budget exhausted; "
                   f"not replacing {rec['name']}", file=self.stream)
@@ -698,8 +702,6 @@ class Farm:
         t0 = time.monotonic()
         self._workers = [self._spawn_worker(i)
                          for i in range(pol.n_workers)]
-        self.beacon.workers = [r["proc"].pid for r in self._workers]
-        self.beacon.write(force=True)
         restarts_left = pol.worker_restart_budget
         kill_times = (self.kill_plan.schedule()
                       if self.kill_plan is not None else [])
@@ -711,13 +713,6 @@ class Farm:
                 time.sleep(pol.poll_interval)
                 now = time.monotonic()
                 elapsed = now - t0
-                if (pol.freeze_beacon_after is not None
-                        and elapsed >= pol.freeze_beacon_after):
-                    self.beacon.frozen = True
-                self.beacon.workers = [r["proc"].pid
-                                       for r in self._workers
-                                       if r["proc"].is_alive()]
-                self.beacon.write()
                 for job_id in self.queue.reclaim_expired():
                     print(f"[{self.label}] lease expired: job "
                           f"{job_id} reclaimed", file=self.stream)
@@ -738,7 +733,7 @@ class Farm:
                     self._observe(rec, now)
                     if not proc.is_alive():
                         if proc.exitcode == 0:
-                            self._workers.remove(rec)   # drained
+                            self._drop(rec)   # drained
                             continue
                         self.queue.journal(
                             "worker-death", worker=rec["name"],
@@ -748,7 +743,7 @@ class Farm:
                             restarts_left = self._replace(
                                 rec, restarts_left)
                         else:
-                            self._workers.remove(rec)
+                            self._drop(rec)
                         continue
                     ages = heartbeat_ages([rec["last_change"]], now)
                     if expired_indices(ages, _WORKER_STALL_TIMEOUT):
@@ -791,13 +786,13 @@ class Farm:
                 except (ProcessLookupError, OSError):
                     pass
         deadline = time.monotonic() + 15.0
-        for rec in self._workers:
+        for rec in list(self._workers):
             proc = rec["proc"]
             proc.join(max(0.1, deadline - time.monotonic()))
             if proc.is_alive():
                 terminate_process(proc, grace=1.0)
                 self._sweep_orphans(rec["name"])
-        self._workers = []
+            self._drop(rec)
 
 
 # ----------------------------------------------------------------------
@@ -827,8 +822,6 @@ def build_ledger(queue: WorkQueue, *, wall_time: float, label: str,
         if ev == "worker-kill":
             kills.append({k: rec.get(k)
                           for k in ("worker", "pid", "kind", "reason")})
-    skews = estimate_skew(read_beacons(queue.hosts_dir),
-                          host_id=queue.host_id, clock=queue.clock)
     counts = queue.counts()
     dead = []
     for job_id in queue.job_ids():
@@ -843,8 +836,6 @@ def build_ledger(queue: WorkQueue, *, wall_time: float, label: str,
             "n_workers": n_workers,
             "host": queue.host_id,
             "hosts": by_host,
-            "skew_estimates": {h: round(s, 3)
-                               for h, s in skews.items()},
             "jobs": counts, "n_jobs": n_jobs,
             "attempts": by_event.get("claim", 0),
             "requeues": by_event.get("requeue", 0),
@@ -958,10 +949,7 @@ def write_bench_json(path, record: dict) -> None:
     record = dict(record)
     record.setdefault("bench", "farm")
     record.setdefault("created", time.time())
-    tmp = f"{os.fspath(path)}.tmp-{os.getpid()}"
-    with open(tmp, "w") as f:
-        json.dump(record, f, indent=1)
-    os.replace(tmp, os.fspath(path))
+    atomic_write(path, json.dumps(record, indent=1))
 
 
 # ----------------------------------------------------------------------

@@ -3,9 +3,8 @@
 Recovery code that is never exercised is recovery code that does not
 work.  A :class:`FaultInjector` arms a scripted set of faults — NaNs or
 multiplicative perturbations in the conserved field at chosen steps and
-cells, or corrupted Newton initial guesses in the equilibrium solver at
-chosen calls and batch indices — and the supervised marching loops apply
-them at exactly the scripted moment.  Every fault is deterministic and
+cells — and the supervised marching loops apply them at exactly the
+scripted moment.  Every fault is deterministic and
 logged, so a test can assert both that the fault fired and that the
 recovery path survived it.
 
@@ -75,16 +74,14 @@ class SimulatedCrash(BaseException):
 class Fault:
     """One scripted fault."""
 
-    kind: str                     #: "nan"|"perturb"|"newton"|"crash"|
-                                  #: "io"|"hang"|"memory_balloon"
+    kind: str                     #: "nan"|"perturb"|"crash"|"io"|
+                                  #: "hang"|"memory_balloon"
     step: int | None = None       #: step to fire at (nan/perturb/crash/
                                   #: hang/memory_balloon)
     cell: tuple | int | None = None
     component: int = 0
     factor: float = 10.0          #: multiplier for "perturb"
-    call: int = 0                 #: Newton call / snapshot-write index
-    cells: tuple = ()             #: batch indices to poison ("newton")
-    value: float = 120.0          #: poisoned element potential ("newton")
+    call: int = 0                 #: snapshot-write index ("io")
     io_kind: str | None = None    #: "truncate" | "bitflip" | "torn" ("io")
     duration: float = 600.0       #: hang sleep / balloon hold [s]
     mb: float = 256.0             #: balloon size [MiB]
@@ -97,7 +94,6 @@ class Fault:
         d.pop("fired")
         if isinstance(d["cell"], tuple):
             d["cell"] = list(d["cell"])
-        d["cells"] = list(d["cells"])
         return d
 
     @classmethod
@@ -107,7 +103,6 @@ class Fault:
         d.pop("fired", None)
         if isinstance(d.get("cell"), list):
             d["cell"] = tuple(d["cell"])
-        d["cells"] = tuple(d.get("cells") or ())
         return cls(**d)
 
     def __repr__(self) -> str:
@@ -121,14 +116,13 @@ class Fault:
 
 
 class FaultInjector:
-    """Deterministic, scripted fault source shared by the supervised
-    loops (flow-state faults) and the equilibrium solver (Newton
-    faults)."""
+    """Deterministic, scripted fault source of the supervised loops
+    (flow-state, crash, hang and balloon faults) and the snapshot store
+    (IO faults)."""
 
     def __init__(self):
         self.faults: list[Fault] = []
         self.log: list[dict] = []
-        self._newton_calls = 0
         self._snapshot_writes = 0
         self._balloons: list = []   # keeps balloon pages resident
 
@@ -170,18 +164,6 @@ class FaultInjector:
         self.faults.append(Fault(kind="perturb", step=int(step), cell=cell,
                                  component=int(component),
                                  factor=float(factor),
-                                 persistent=persistent))
-        return self
-
-    def inject_newton_failure(self, *, call=0, cells=(), value=120.0,
-                              persistent=False):
-        """Corrupt the equilibrium Newton initial guess (element
-        potentials) for the given batch indices at the given solver call
-        (0 = the next (rho, T) solve: a ``solve_rho_T`` call or one
-        density pass of ``solve_T_p``)."""
-        self.faults.append(Fault(kind="newton", call=int(call),
-                                 cells=tuple(int(c) for c in cells),
-                                 value=float(value),
                                  persistent=persistent))
         return self
 
@@ -341,25 +323,6 @@ class FaultInjector:
                              "write": write})
         return fired
 
-    def corrupt_lambda(self, lam: np.ndarray) -> np.ndarray:
-        """Fire armed Newton faults against a batch of initial element
-        potentials (called once per (rho, T) solve)."""
-        call = self._newton_calls
-        self._newton_calls += 1
-        out = lam
-        for f in self.faults:
-            if f.kind != "newton" or f.call != call:
-                continue
-            if f.fired and not f.persistent:
-                continue
-            out = np.array(out, dtype=float)
-            cells = [c for c in f.cells if c < out.shape[0]]
-            out[cells] = f.value
-            f.fired += 1
-            self.log.append({"kind": "newton", "call": call,
-                             "cells": tuple(cells)})
-        return out
-
     # -- bookkeeping ----------------------------------------------------
 
     @property
@@ -371,7 +334,6 @@ class FaultInjector:
         for f in self.faults:
             f.fired = 0
         self.log.clear()
-        self._newton_calls = 0
         self._snapshot_writes = 0
         self._balloons.clear()
         return self

@@ -54,6 +54,7 @@ from dataclasses import dataclass
 import multiprocessing as mp
 
 from repro.errors import CatError, CheckpointError, SolverError
+from repro.resilience.persistence import atomic_write
 from repro.resilience.report import FailureReport
 
 __all__ = ["Heartbeat", "IsolationEvent", "IsolationPolicy",
@@ -146,11 +147,8 @@ class Heartbeat:
             payload["progress"] = self._progress
         if self.host is not None:
             payload["host"] = self.host
-        tmp = f"{self.path}.tmp-{os.getpid()}"
         try:
-            with open(tmp, "w") as f:
-                json.dump(payload, f)
-            os.replace(tmp, self.path)
+            atomic_write(self.path, json.dumps(payload))
         except OSError:
             pass  # liveness is advisory; never kill the solve over it
 
@@ -363,10 +361,7 @@ def _callable_child(fn, args, kwargs, res_path, hb_path, err_path):
         except CatError as err:
             blob = pickle.dumps((True, err))
             pickle.loads(blob)      # the parent must be able to rebuild it
-        tmp = f"{res_path}.tmp"
-        with open(tmp, "wb") as f:
-            f.write(blob)
-        os.replace(tmp, res_path)
+        atomic_write(res_path, blob)
         sys.exit(0)
     except SystemExit:
         raise

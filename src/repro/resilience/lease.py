@@ -30,14 +30,6 @@ claimants live on **different machines with different clocks**:
   waits out one full observation window before touching anything,
   which is the safe direction to fail.
 
-* :class:`HostBeacon` / :func:`read_beacons` / :func:`estimate_skew` —
-  each farm supervisor periodically writes ``hosts/<host>.json``
-  containing its wall clock, monotonic clock, epoch counter and live
-  worker pids.  Beacons are advisory: skew estimates feed diagnostics
-  and cross-host ledger merging, never reaping decisions (a frozen
-  beacon must not get a healthy host's jobs reaped — lease epochs, not
-  beacons, prove liveness).
-
 * :func:`heartbeat_ages` / :func:`stalest_index` /
   :func:`expired_indices` — the one liveness-by-silence code path
   shared by the farm supervisor (worker heartbeat files), the stencil
@@ -60,13 +52,13 @@ import os
 import secrets
 import socket
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import InputError
+from repro.resilience.persistence import atomic_write
 
-__all__ = ["HostBeacon", "Lease", "LeaseManager", "default_host_id",
-           "estimate_skew", "expired_indices", "format_ages",
-           "heartbeat_ages", "read_beacons", "stalest_index"]
+__all__ = ["Lease", "LeaseManager", "default_host_id", "expired_indices",
+           "format_ages", "heartbeat_ages", "stalest_index"]
 
 
 # ----------------------------------------------------------------------
@@ -142,10 +134,6 @@ class Lease:
     renewed: float   # holder's wall clock at the last renewal
     host: str = ""
     epoch: int = 0
-
-    @property
-    def expires_at(self) -> float:
-        return self.renewed + self.ttl
 
     def to_payload(self) -> dict:
         return {"job_id": self.job_id, "owner": self.owner,
@@ -239,11 +227,9 @@ class LeaseManager:
             return False
         lease.renewed = self.clock()
         lease.epoch += 1
-        tmp = f"{self._path(lease.job_id)}.tmp-{os.getpid()}"
         try:
-            with open(tmp, "w") as f:
-                json.dump(lease.to_payload(), f)
-            os.replace(tmp, self._path(lease.job_id))
+            atomic_write(self._path(lease.job_id),
+                         json.dumps(lease.to_payload()))
         except OSError:
             return False
         return True
@@ -333,109 +319,3 @@ class LeaseManager:
             if job_id not in live:
                 del self._observed[job_id]
         return freed
-
-
-# ----------------------------------------------------------------------
-# per-host clock beacons
-# ----------------------------------------------------------------------
-
-@dataclass
-class HostBeacon:
-    """Advisory per-host presence record in ``<queue>/hosts/``.
-
-    The farm supervisor writes it every ``interval``; the payload
-    carries the host's wall clock, monotonic clock, a change epoch and
-    its live worker pids.  Consumers use it for skew *estimates*
-    (diagnostics, cross-host ledger merging) and for host inventory
-    (the distributed chaos harness reads worker pids from here to
-    simulate whole-machine death).  Liveness decisions never depend on
-    it — a frozen beacon is a diagnostic, not a death sentence.
-    """
-
-    dir: str
-    host_id: str = ""
-    interval: float = 2.0
-    clock: object = None
-    workers: list = field(default_factory=list)
-
-    def __post_init__(self):
-        self.dir = os.fspath(self.dir)
-        self.host_id = self.host_id or default_host_id()
-        self.clock = self.clock or time.time
-        self._epoch = 0
-        self._last = 0.0
-        self.frozen = False
-        os.makedirs(self.dir, exist_ok=True)
-
-    @property
-    def path(self) -> str:
-        return os.path.join(self.dir, f"{self.host_id}.json")
-
-    def write(self, *, force: bool = False) -> None:
-        """Atomically (re)write the beacon, throttled to ``interval``.
-
-        A frozen beacon (chaos ``--partition`` injects this) silently
-        skips the write — the file goes stale while the host keeps
-        working, which reapers must tolerate.
-        """
-        now = time.monotonic()
-        if self.frozen or (not force and now - self._last < self.interval):
-            return
-        self._last = now
-        self._epoch += 1
-        payload = {"host": self.host_id, "pid": os.getpid(),
-                   "epoch": self._epoch, "wall": self.clock(),
-                   "mono": now, "workers": list(self.workers)}
-        tmp = f"{self.path}.tmp-{os.getpid()}"
-        try:
-            with open(tmp, "w") as f:
-                json.dump(payload, f)
-            os.replace(tmp, self.path)
-        except OSError:
-            pass   # advisory: never take the farm down over a beacon
-
-
-def read_beacons(dir) -> dict:
-    """Every ``hosts/<host>.json`` payload, keyed by host id."""
-    out: dict[str, dict] = {}
-    try:
-        names = os.listdir(os.fspath(dir))
-    except OSError:
-        return out
-    for name in sorted(names):
-        if not name.endswith(".json") or name.startswith("."):
-            continue
-        try:
-            with open(os.path.join(os.fspath(dir), name)) as f:
-                payload = json.load(f)
-        except (OSError, ValueError):
-            continue
-        host = payload.get("host") or name[:-len(".json")]
-        out[host] = payload
-    return out
-
-
-def estimate_skew(beacons: dict, *, host_id: str | None = None,
-                  clock=None) -> dict:
-    """Per-host wall-clock offset estimates, seconds, *relative to this
-    process's clock* (positive = that host's clock runs ahead of ours).
-
-    The estimate is ``beacon.wall - our wall at read`` and is therefore
-    only a bound: it includes however long the beacon sat on disk
-    (up to its write interval, or forever for a frozen beacon — which
-    is why skew estimates feed diagnostics and ledger merging, never
-    reaping).  Our own host reads as 0.0 by definition.
-    """
-    clock = clock or time.time
-    host_id = host_id or default_host_id()
-    now = clock()
-    out: dict[str, float] = {}
-    for host, payload in beacons.items():
-        if host == host_id:
-            out[host] = 0.0
-            continue
-        try:
-            out[host] = round(float(payload["wall"]) - now, 3)
-        except (KeyError, TypeError, ValueError):
-            continue
-    return out

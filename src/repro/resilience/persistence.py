@@ -47,14 +47,16 @@ import os
 import re
 import time
 import zipfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
 from repro.errors import CheckpointError
 
 __all__ = ["MANIFEST_SCHEMA_VERSION", "PersistencePolicy", "SnapshotStore",
-           "LoadedSnapshot", "resume_run", "solver_fingerprint"]
+           "LoadedSnapshot", "atomic_write", "resume_run",
+           "solver_fingerprint"]
 
 MANIFEST_SCHEMA_VERSION = 1
 
@@ -75,16 +77,14 @@ class PersistencePolicy:
         Generations retained on disk; older pairs are deleted after each
         commit.  Must be >= 2 for corruption fall-back to have somewhere
         to land.
-    resume:
-        When True (default) a supervised march first looks for a valid
-        snapshot in ``dir`` and continues from it instead of starting
-        over.
+
+    A supervised march always first looks for a valid snapshot in
+    ``dir`` and continues from it instead of starting over.
     """
 
     dir: str | os.PathLike
     every_n_steps: int = 50
     keep_last: int = 3
-    resume: bool = True
 
 
 @dataclass
@@ -114,6 +114,32 @@ class LoadedSnapshot:
     @property
     def run_kwargs(self) -> dict:
         return dict(self.manifest.get("run") or {})
+
+
+# ----------------------------------------------------------------------
+# atomic file writes
+# ----------------------------------------------------------------------
+
+def _tmp_path(path: str) -> str:
+    """Per-process temp name beside ``path``: writers racing one target
+    never rename each other's temp file away."""
+    return os.path.join(os.path.dirname(path),
+                        f".tmp-{os.getpid()}-{os.path.basename(path)}")
+
+
+def atomic_write(path, data, *, fsync: bool = False) -> None:
+    """Replace ``path`` with ``data`` (str or bytes) in one rename, so a
+    reader sees the old file or the new one, never a torn one.  With
+    ``fsync`` the data reaches the disk before the rename (the durable
+    records: queue state, snapshots, done markers)."""
+    path = os.fspath(path)
+    tmp = _tmp_path(path)
+    with open(tmp, "wb" if isinstance(data, bytes) else "w") as f:
+        f.write(data)
+        if fsync:
+            f.flush()
+            os.fsync(f.fileno())
+    os.replace(tmp, path)
 
 
 # ----------------------------------------------------------------------
@@ -236,6 +262,10 @@ class SnapshotStore:
         if policy.keep_last < 2:
             raise CheckpointError("keep_last must be >= 2 (corruption "
                                   "fall-back needs a previous generation)")
+        n = policy.every_n_steps
+        if isinstance(n, bool) or not isinstance(n, Integral) or n < 1:
+            raise CheckpointError(f"every_n_steps must be an integer >= 1, "
+                                  f"got {n!r}")
         self.policy = policy
         self.dir = os.fspath(policy.dir)
         self.faults = faults
@@ -267,17 +297,6 @@ class SnapshotStore:
         finally:
             os.close(fd)
 
-    def _atomic_write(self, path: str, data: bytes):
-        # per-process temp name: writers racing one seq must not rename
-        # each other's temp file away
-        tmp = os.path.join(self.dir,
-                           f".tmp-{os.getpid()}-{os.path.basename(path)}")
-        with open(tmp, "wb") as f:
-            f.write(data)
-            f.flush()
-            os.fsync(f.fileno())
-        os.replace(tmp, path)
-
     def _commit_exclusive(self, path: str, data: bytes) -> bool:
         """Commit ``data`` at ``path`` only if no one else has: the
         ``os.link`` fails on an existing target, so of two concurrent
@@ -286,8 +305,7 @@ class SnapshotStore:
         co-writers: an orphaned sandbox child still marching while its
         reclaimed job's successor marches the same deterministic
         trajectory into the same store.)"""
-        tmp = os.path.join(self.dir,
-                           f".tmp-{os.getpid()}-{os.path.basename(path)}")
+        tmp = _tmp_path(path)
         with open(tmp, "wb") as f:
             f.write(data)
             f.flush()
@@ -327,7 +345,7 @@ class SnapshotStore:
         np.savez(buf, **arrays)
         while True:
             npz_path, man_path = self._paths(seq)
-            self._atomic_write(npz_path, buf.getvalue())
+            atomic_write(npz_path, buf.getvalue(), fsync=True)
             manifest = {
                 "schema_version": MANIFEST_SCHEMA_VERSION,
                 "seq": seq,

@@ -18,7 +18,7 @@ queue-dir/
   work/<id>/          per-job workdir: ckpt/ (durable snapshots),
                       sandbox/ (isolation heartbeat + error notes) and
                       cancel.json (a cancel request for a leased job)
-  hosts/<host>.json   advisory per-host clock beacon (see lease.py)
+  workers/<host>:<pid>.json   a live worker's heartbeat (see farm.py)
   quarantine/         torn/corrupt records moved aside, never parsed
   journal-<host>.jsonl  this host's append-only ledger (one per host)
 ```
@@ -71,6 +71,7 @@ from numbers import Integral, Real
 
 from repro.errors import InputError, SolverError
 from repro.resilience.lease import Lease, LeaseManager, default_host_id
+from repro.resilience.persistence import atomic_write
 
 __all__ = ["BackoffPolicy", "Job", "WorkQueue"]
 
@@ -79,12 +80,20 @@ __all__ = ["BackoffPolicy", "Job", "WorkQueue"]
 # retry / backoff
 # ----------------------------------------------------------------------
 
+#: Delay growth per failed attempt, and the largest jitter fraction
+#: added on top of a delay.
+_BACKOFF_FACTOR, _JITTER = 2.0, 0.5
+
+#: Transient-OSError retries around every queue read/write (exponential
+#: backoff from 50 ms), for stale-NFS-handle and EIO-class blips.
+_IO_RETRIES = 3
+
 @dataclass
 class BackoffPolicy:
     """Exponential backoff with deterministic, job-seeded jitter.
 
     Delay before attempt ``n+1`` (after ``n`` failed attempts) is
-    ``min(max_delay, base * factor**(n-1)) * (1 + jitter * u)`` where
+    ``min(max_delay, base * 2**(n-1)) * (1 + 0.5 * u)`` where
     ``u`` in [0, 1) is a pure function of (job id, attempt) — never of
     process or host state — so the same campaign replays with the same
     requeue times on any host, retry schedules computed independently
@@ -94,17 +103,13 @@ class BackoffPolicy:
 
     max_attempts: int = 3
     base: float = 0.5
-    factor: float = 2.0
     max_delay: float = 30.0
-    jitter: float = 0.5
 
     def __post_init__(self):
         if self.max_attempts < 1:
             raise InputError("max_attempts must be >= 1")
-        if self.base < 0.0 or self.max_delay < 0.0 or self.jitter < 0.0:
-            raise InputError("backoff delays and jitter must be >= 0")
-        if self.factor < 1.0:
-            raise InputError("backoff factor must be >= 1")
+        if self.base < 0.0 or self.max_delay < 0.0:
+            raise InputError("backoff delays must be >= 0")
 
     @staticmethod
     def jitter_u(job_id: str, attempt: int) -> float:
@@ -117,8 +122,9 @@ class BackoffPolicy:
         """Requeue delay after ``attempt`` (1-based) failed attempts."""
         if attempt < 1:
             return 0.0
-        raw = min(self.max_delay, self.base * self.factor ** (attempt - 1))
-        return raw * (1.0 + self.jitter * self.jitter_u(job_id, attempt))
+        raw = min(self.max_delay,
+                  self.base * _BACKOFF_FACTOR ** (attempt - 1))
+        return raw * (1.0 + _JITTER * self.jitter_u(job_id, attempt))
 
 
 # ----------------------------------------------------------------------
@@ -222,31 +228,27 @@ class WorkQueue:
         :class:`~repro.resilience.lease.LeaseManager`).
     clock:
         Injectable wall clock (skew tests / chaos).
-    io_retries:
-        Transient-OSError retries around every queue read/write
-        (exponential backoff from 50 ms), for stale-NFS-handle and
-        EIO-class blips.
+
+    Every read and write retries transient OSErrors
+    (:data:`_IO_RETRIES` times).
     """
 
     def __init__(self, dir, *, lease_ttl: float = 15.0,
                  backoff: BackoffPolicy | None = None,
                  host_id: str | None = None,
-                 max_skew: float = 2.0, clock=None, io_retries: int = 3):
+                 max_skew: float = 2.0, clock=None):
         self.dir = os.fspath(dir)
         self.backoff = backoff or BackoffPolicy()
         self.host_id = host_id or default_host_id()
         self.clock = clock or time.time
-        self.io_retries = max(0, int(io_retries))
         self.jobs_dir = os.path.join(self.dir, "jobs")
         self.state_dir = os.path.join(self.dir, "state")
         self.results_dir = os.path.join(self.dir, "results")
         self.dead_dir = os.path.join(self.dir, "dead")
         self.work_dir = os.path.join(self.dir, "work")
-        self.hosts_dir = os.path.join(self.dir, "hosts")
         self.quarantine_dir = os.path.join(self.dir, "quarantine")
         for d in (self.jobs_dir, self.state_dir, self.results_dir,
-                  self.dead_dir, self.work_dir, self.hosts_dir,
-                  self.quarantine_dir):
+                  self.dead_dir, self.work_dir, self.quarantine_dir):
             os.makedirs(d, exist_ok=True)
         self.leases = LeaseManager(os.path.join(self.dir, "leases"),
                                    ttl=lease_ttl, host_id=self.host_id,
@@ -260,27 +262,19 @@ class WorkQueue:
         """Run a filesystem operation, retrying transient OSErrors with
         exponential backoff (stale NFS handles heal on reopen)."""
         delay = 0.05
-        for attempt in range(self.io_retries + 1):
+        for attempt in range(_IO_RETRIES + 1):
             try:
                 return op()
             except OSError:
-                if attempt >= self.io_retries:
+                if attempt >= _IO_RETRIES:
                     raise
                 time.sleep(delay)
                 delay *= 2.0
 
     def _write_json(self, path: str, obj: dict) -> None:
-        def op():
-            tmp = os.path.join(
-                os.path.dirname(path),
-                f".tmp-{os.getpid()}-{os.path.basename(path)}")
-            with open(tmp, "w") as f:
-                json.dump(obj, f, indent=1, default=str)
-                f.flush()
-                os.fsync(f.fileno())
-            os.replace(tmp, path)
-
-        self._with_retries(op, f"write {path}")
+        text = json.dumps(obj, indent=1, default=str)
+        self._with_retries(lambda: atomic_write(path, text, fsync=True),
+                           f"write {path}")
 
     def _read_json_checked(self, path: str) -> tuple[dict | None, bool]:
         """``(payload, torn)``: torn means the file exists but does not

@@ -12,21 +12,20 @@ failing step's own error through.  An armed march recovers instead:
 3. automatic rollback to the last good checkpoint on
    :class:`~repro.errors.StabilityError`, with exponential CFL backoff
    through a bounded retry ladder,
-4. a :class:`~repro.resilience.report.FailureReport` diagnostic bundle on
-   exhaustion — either attached to the raised error or, with
-   ``return_best=True``, delivered alongside the best-so-far state
-   flagged ``converged=False``.
+4. a :class:`~repro.resilience.report.FailureReport` diagnostic bundle
+   attached to the error raised on exhaustion.
 
 Between rollback-retry and abort sits the **degradation rung**: with a
 :class:`~repro.resilience.degradation.DegradationController` attached
-(``degradation=``), an exhausted CFL ladder first tries falling down the
-fidelity ladder — local first-order reconstruction in a quarantine zone
-around the flagged cells, then per-cell chemistry-model demotion — rolls
-back, restores the original CFL and retries with a fresh ladder.  Only
-when the cascade itself is exhausted does the march abort.  A
-:class:`~repro.resilience.watchdog.ConservationWatchdog` (``watchdog=``)
-audits every clean step (conservation budgets, species bounds, entropy)
-and its events seed the quarantine zone and land in the report.
+(``degradation=True``), an exhausted CFL ladder first tries falling down
+the fidelity ladder — local first-order reconstruction in a quarantine
+zone around the flagged cells, then per-cell chemistry-model demotion —
+rolls back, restores the original CFL and retries with a fresh ladder.
+Only when the cascade itself is exhausted does the march abort.  A
+:class:`~repro.resilience.watchdog.ConservationWatchdog`
+(``watchdog=True``) audits every clean step (conservation budgets,
+species bounds, entropy) and its events seed the quarantine zone and
+land in the report.
 
 One-shot solves (PNS stations, VSL, the shock-relaxation BDF integration)
 use :func:`supervised_call`, the same bounded-ladder idea expressed as a
@@ -34,9 +33,9 @@ sequence of parameter adjustments instead of CFL backoff.
 
 With ``persist=PersistencePolicy(dir, every_n_steps)`` the supervisor
 additionally commits **durable** snapshots to disk through a
-:class:`~repro.resilience.persistence.SnapshotStore`, and — unless the
-policy disables resume — first looks for a valid on-disk snapshot and
-continues from it, so a SIGKILLed run picks up where it died (see
+:class:`~repro.resilience.persistence.SnapshotStore`, and first looks
+for a valid on-disk snapshot and continues from it, so a SIGKILLed run
+picks up where it died (see
 :func:`repro.resilience.persistence.resume_run`).
 """
 
@@ -49,11 +48,24 @@ from repro.errors import (CancelledError, CatError, ConvergenceError,
                           StabilityError)
 from repro.numerics.time_integration import check_state
 from repro.resilience.checkpoint import Checkpoint
-from repro.resilience.degradation import as_degradation
+from repro.resilience.degradation import DegradationController
 from repro.resilience.report import FailureReport, solver_config
-from repro.resilience.watchdog import as_watchdog
+from repro.resilience.watchdog import ConservationWatchdog
 
 __all__ = ["RetryPolicy", "RunSupervisor", "supervised_call"]
+
+#: Successful steps between in-memory rollback checkpoints.
+CHECKPOINT_INTERVAL = 25
+
+
+def _switch(name: str, value) -> bool:
+    """An on/off supervision keyword: ``None`` and ``False`` are off."""
+    if value is None or value is False:
+        return False
+    if value is True:
+        return True
+    raise TypeError(f"{name} must be None, False or True, not "
+                    f"{type(value).__name__}")
 
 
 @dataclass
@@ -68,22 +80,13 @@ class RetryPolicy:
         Multiplier applied to the CFL number at each rollback.
     cfl_min:
         Ladder floor: a retry that would drop CFL below this gives up.
-    checkpoint_interval:
-        Steps between checkpoint captures.
-    max_wall_time:
-        Optional wall-clock budget [s]; on expiry the march stops and
-        returns the current (best-so-far) state with ``converged=False``.
-    return_best:
-        On retry exhaustion, restore the last good checkpoint and return
-        it flagged ``converged=False`` instead of raising.
+
+    Checkpoints are captured every :data:`CHECKPOINT_INTERVAL` steps.
     """
 
     max_retries: int = 4
     cfl_backoff: float = 0.5
     cfl_min: float = 1e-3
-    checkpoint_interval: int = 25
-    max_wall_time: float | None = None
-    return_best: bool = False
 
 
 class RunSupervisor:
@@ -106,7 +109,8 @@ class RunSupervisor:
 
     resilience:
         A :class:`RetryPolicy`, or ``True`` for the defaults: the
-        rollback / CFL-backoff retry ladder.
+        rollback / CFL-backoff retry ladder.  ``None`` and ``False``
+        leave it off.
     faults:
         Optional :class:`~repro.resilience.faults.FaultInjector`; armed
         faults are applied after every successful step so that the guard
@@ -118,21 +122,22 @@ class RunSupervisor:
         in-memory rollback ladder, resumed from after a crash (see
         :func:`~repro.resilience.persistence.resume_run`).
     watchdog:
-        ``True`` (defaults), a
-        :class:`~repro.resilience.watchdog.WatchdogPolicy` or a
+        ``True`` arms a
         :class:`~repro.resilience.watchdog.ConservationWatchdog`:
         per-step conservation/species/entropy auditing; events are
         surfaced on the solver (``watchdog_events``) and in any report.
+        ``None`` and ``False`` leave it off.
     degradation:
-        ``True`` (defaults), a
-        :class:`~repro.resilience.degradation.DegradationPolicy` or a
+        ``True`` arms a
         :class:`~repro.resilience.degradation.DegradationController`:
         the graceful-degradation rung between rollback-retry and abort;
         the ledger lands on the solver as ``degradation_ledger``.
+        ``None`` and ``False`` leave it off.
 
-    Retry is armed when any of the five is given: ``resilience`` is
-    used when it is a :class:`RetryPolicy`, the default
-    ``RetryPolicy()`` otherwise.  With none given the march is bare
+    Retry is armed when any of the five is given (``False`` counts as
+    not given): ``resilience`` is used when it is a
+    :class:`RetryPolicy`, the default ``RetryPolicy()`` otherwise.  With
+    none given the march is bare
     (``policy`` is None): a failing step's own exception propagates
     unchanged — no rollback, no report, no snapshot.
 
@@ -149,20 +154,20 @@ class RunSupervisor:
                  degradation=None):
         from repro.resilience.isolation import current_process_heartbeat
         self.solver = solver
-        armed = any(v is not None for v in (resilience, faults, persist,
-                                            watchdog, degradation))
+        self.label = label or type(solver).__name__
+        self.watchdog = (ConservationWatchdog()
+                         if _switch("watchdog", watchdog) else None)
+        self.degradation = (DegradationController(label=self.label)
+                            if _switch("degradation", degradation)
+                            else None)
+        armed = any(v is not None and v is not False for v in (
+            resilience, faults, persist, self.watchdog, self.degradation))
         self.policy = (resilience if isinstance(resilience, RetryPolicy)
                        else RetryPolicy() if armed else None)
         self.faults = faults
         self.heartbeat = current_process_heartbeat()
-        self.label = label or type(solver).__name__
         self.attempts: list[dict] = []
         self.report: FailureReport | None = None
-        self.watchdog = as_watchdog(watchdog)
-        self.degradation = as_degradation(degradation)
-        if self.degradation is not None \
-                and self.degradation.ledger.label is None:
-            self.degradation.ledger.label = self.label
         self.store = None
         if persist is not None:
             from repro.resilience.persistence import SnapshotStore
@@ -231,22 +236,19 @@ class RunSupervisor:
         reaches it; ``tol`` ends it when the returned residual drops
         below it (steady runs).  Returns the converged flag, which is
         also set on ``solver.converged``.  On an exhausted retry ladder
-        it either raises :class:`StabilityError` carrying a
-        :class:`FailureReport` or — with ``return_best=True`` — restores
-        the last good checkpoint and returns False.
+        it raises :class:`StabilityError` carrying a
+        :class:`FailureReport`.
 
         With a durable store attached (``persist=``), the march first
-        resumes from the newest valid on-disk snapshot (when the policy
-        allows), commits a snapshot every ``every_n_steps`` successful
-        steps, and commits a final one marked ``completed`` when the
-        march ends for any reason other than the wall-clock budget —
+        resumes from the newest valid on-disk snapshot, commits a
+        snapshot every ``every_n_steps`` successful steps, and commits a
+        final one marked ``completed`` when the march ends —
         ``run_kwargs`` is embedded in each manifest so
         :func:`~repro.resilience.persistence.resume_run` can re-enter
         the same ``run(...)`` call.
         """
         from repro.resilience.isolation import current_process_cancel
-        solver, store = self.solver, self.store
-        pol = self.policy or RetryPolicy()   # bare: default cadence only
+        solver, store, pol = self.solver, self.store, self.policy
         cfl_now = float(cfl)
         retries = 0
         t0 = time.monotonic()
@@ -260,7 +262,7 @@ class RunSupervisor:
                        run=dict(run_kwargs or {}), completed=completed,
                        converged=converged, label=self.label)
 
-        if store is not None and store.policy.resume:
+        if store is not None:
             snap = store.load_latest(solver=solver)
             if snap is not None:
                 if snap.completed:
@@ -293,16 +295,6 @@ class RunSupervisor:
             if stop is not None and stop():
                 converged = True
                 break
-            if (pol.max_wall_time is not None
-                    and time.monotonic() - t0 > pol.max_wall_time):
-                # budget exhausted: best-so-far, converged=False; a
-                # durable snapshot (not marked completed) lets a later
-                # resume_run continue the march
-                if store is not None:
-                    commit(completed=False, converged=False)
-                solver.converged = False
-                self._expose()
-                return False
             try:
                 res = step_fn(cfl_now)
                 last_res = res
@@ -316,7 +308,7 @@ class RunSupervisor:
                         solver, step=int(getattr(solver, "steps", k)
                                          or k))
             except (StabilityError, ConvergenceError) as err:
-                if self.policy is None:   # bare: the step's own error
+                if pol is None:   # bare: the step's own error
                     raise
                 # ConvergenceError mid-march means an implicit sub-solve
                 # (T(e) Newton, point-implicit chemistry) died on a
@@ -354,10 +346,6 @@ class RunSupervisor:
                             continue
                     self.report = self._build_report(err, ckpt, t0)
                     self._expose()
-                    if pol.return_best:
-                        ckpt.restore(solver)
-                        solver.converged = False
-                        return False
                     exhausted = StabilityError(
                         f"{self.label}: retry ladder exhausted after "
                         f"{retries} attempt(s): {err}",
@@ -377,7 +365,7 @@ class RunSupervisor:
                 break
             if store is not None and k % store.policy.every_n_steps == 0:
                 commit(completed=False, converged=False)
-            if k % pol.checkpoint_interval == 0:
+            if k % CHECKPOINT_INTERVAL == 0:
                 ckpt = Checkpoint.capture(solver)
                 ckpt_k = k
         # the step budget may run out on the very step that reaches stop

@@ -20,11 +20,9 @@ and records structured :class:`WatchdogEvent` s:
   offending cell, component, value and a local state-neighbourhood
   snapshot.
 
-Events are *observations*, not errors: by default they are recorded and
-surfaced through :class:`~repro.resilience.report.FailureReport` (and on
-the solver as ``watchdog_events`` after a supervised run).  A policy can
-escalate chosen kinds into :class:`~repro.errors.StabilityError` so they
-enter the retry/degradation ladder like any other instability.
+Events are *observations*, not errors: they are recorded and surfaced
+through :class:`~repro.resilience.report.FailureReport` (and on the
+solver as ``watchdog_events`` after a supervised run).
 
 Solver hooks (all optional, duck-typed):
 
@@ -45,13 +43,33 @@ import numpy as np
 
 from repro.errors import StabilityError
 
-__all__ = ["WatchdogEvent", "WatchdogPolicy", "ConservationWatchdog",
-           "as_watchdog", "snapshot_neighborhood"]
+__all__ = ["WatchdogEvent", "ConservationWatchdog",
+           "snapshot_neighborhood"]
 
 #: Event kinds the watchdog can emit.
 EVENT_KINDS = ("mass_budget", "energy_budget", "element_budget",
                "species_bounds", "species_sum", "entropy_decrease",
                "state_invalid")
+
+#: Sliding-window length [steps] of the conservation budgets: the newest
+#: totals are compared against the totals this many steps back.
+WINDOW = 10
+#: Steps skipped before budget and entropy auditing starts
+#: (impulsive-start transients).
+WARMUP = 2
+#: Relative drift tolerated over the window by the mass, energy and
+#: element budgets.
+BUDGET_TOL = 1e-6
+#: Slack outside ``[0, 1]`` tolerated for raw mass fractions.
+Y_BOUND_TOL = 1e-9
+#: Tolerated ``|sum(Y) - 1|`` drift.
+Y_SUM_TOL = 1e-6
+#: Tolerated relative decrease of the total entropy functional per step.
+ENTROPY_TOL = 1e-8
+#: Recording cap: past it the audit stops appending (but keeps counting
+#: in ``n_suppressed``), so a persistent drift cannot grow an unbounded
+#: event list.
+MAX_EVENTS = 200
 
 
 @dataclass
@@ -94,50 +112,6 @@ class WatchdogEvent:
                 "data": dict(self.data)}
 
 
-@dataclass
-class WatchdogPolicy:
-    """Audit tolerances and escalation rules.
-
-    Attributes
-    ----------
-    window:
-        Sliding-window length [steps] for the conservation budgets: the
-        newest totals are compared against the totals ``window`` steps
-        back.
-    warmup:
-        Steps skipped before budget auditing starts (impulsive-start
-        transients).
-    mass_tol, energy_tol, element_tol:
-        Relative drift tolerances over the window; ``None`` disables the
-        corresponding budget.
-    y_bound_tol:
-        Slack outside ``[0, 1]`` tolerated for raw mass fractions.
-    y_sum_tol:
-        Tolerated ``|sum(Y) - 1|`` drift.
-    entropy_tol:
-        Tolerated *relative* decrease of the total entropy functional per
-        step; ``None`` disables the entropy audit.
-    raise_on:
-        Event kinds escalated to :class:`~repro.errors.StabilityError`
-        (entering the supervisor's retry/degradation ladder).
-    max_events:
-        Recording cap — the audit stops appending (but keeps counting in
-        ``n_suppressed``) once reached, so a persistent drift cannot grow
-        an unbounded event list.
-    """
-
-    window: int = 10
-    warmup: int = 2
-    mass_tol: float | None = 1e-6
-    energy_tol: float | None = 1e-6
-    element_tol: float | None = 1e-6
-    y_bound_tol: float = 1e-9
-    y_sum_tol: float = 1e-6
-    entropy_tol: float | None = 1e-8
-    raise_on: tuple = ()
-    max_events: int = 200
-
-
 def snapshot_neighborhood(U, cell, halo: int = 1) -> dict:
     """Local state patch around ``cell`` (inclusive ``halo`` in every
     grid direction), JSON-able, for post-mortem triage."""
@@ -153,19 +127,18 @@ def snapshot_neighborhood(U, cell, halo: int = 1) -> dict:
 class ConservationWatchdog:
     """Per-step runtime auditor feeding :class:`WatchdogEvent` s.
 
-    Use standalone (``wd.audit(solver)`` after each step) or hand it to
-    :class:`~repro.resilience.supervisor.RunSupervisor` / any solver's
-    ``run(watchdog=...)``, which audits automatically and surfaces the
-    events on the solver and in any :class:`FailureReport`.
+    Use standalone (``wd.audit(solver)`` after each step) or arm it
+    through any solver's ``run(watchdog=True)``: the
+    :class:`~repro.resilience.supervisor.RunSupervisor` then audits
+    automatically and surfaces the events on the solver and in any
+    :class:`FailureReport`.
     """
 
-    def __init__(self, policy: WatchdogPolicy | None = None, *,
-                 label: str | None = None):
-        self.policy = policy if policy is not None else WatchdogPolicy()
+    def __init__(self, *, label: str | None = None):
         self.label = label
         self.events: list[WatchdogEvent] = []
         self.n_suppressed = 0
-        self._totals = deque(maxlen=max(self.policy.window, 1) + 1)
+        self._totals = deque(maxlen=WINDOW + 1)
         self._entropy_prev: tuple[int, float] | None = None
 
     # ------------------------------------------------------------------
@@ -189,27 +162,21 @@ class ConservationWatchdog:
     # ------------------------------------------------------------------
 
     def _emit(self, event: WatchdogEvent) -> WatchdogEvent:
-        if len(self.events) < self.policy.max_events:
+        if len(self.events) < MAX_EVENTS:
             self.events.append(event)
         else:
             self.n_suppressed += 1
-        if event.kind in self.policy.raise_on:
-            raise StabilityError(
-                f"watchdog[{event.kind}]: {event.message}",
-                step=event.step, cell=event.cell,
-                component=event.component, value=event.value)
         return event
 
     # -- budget audits --------------------------------------------------
 
-    def _budget_kind(self, name: str) -> tuple[str, float | None]:
-        if name == "mass":
-            return "mass_budget", self.policy.mass_tol
-        if name == "energy":
-            return "energy_budget", self.policy.energy_tol
+    @staticmethod
+    def _budget_kind(name: str) -> str | None:
+        if name in ("mass", "energy"):
+            return f"{name}_budget"
         if name.startswith("element:"):
-            return "element_budget", self.policy.element_tol
-        return "mass_budget", None          # unknown totals: not audited
+            return "element_budget"
+        return None                          # unknown totals: not audited
 
     def _audit_budgets(self, solver, step: int, out: list):
         totals_fn = getattr(solver, "conservation_totals", None)
@@ -218,16 +185,16 @@ class ConservationWatchdog:
             return
         totals = {k: float(v) for k, v in totals_fn().items()}
         self._totals.append((step, totals))
-        if step < self.policy.warmup or len(self._totals) < 2:
+        if step < WARMUP or len(self._totals) < 2:
             return
         old_step, old = self._totals[0]
         for name, new_val in totals.items():
-            kind, tol = self._budget_kind(name)
-            if tol is None or name not in old:
+            kind = self._budget_kind(name)
+            if kind is None or name not in old:
                 continue
             ref = max(abs(old[name]), 1e-300)
             drift = abs(new_val - old[name]) / ref
-            if drift > tol:
+            if drift > BUDGET_TOL:
                 out.append(self._emit(WatchdogEvent(
                     kind=kind, step=step, value=drift,
                     component=name,
@@ -248,8 +215,7 @@ class ConservationWatchdog:
             return
         y = np.asarray(y)
         names = getattr(getattr(solver, "db", None), "names", None)
-        tol = self.policy.y_bound_tol
-        bad = (y < -tol) | (y > 1.0 + tol)
+        bad = (y < -Y_BOUND_TOL) | (y > 1.0 + Y_BOUND_TOL)
         if np.any(bad):
             first = tuple(int(i) for i in np.argwhere(bad)[0])
             s = first[-1]
@@ -263,7 +229,7 @@ class ConservationWatchdog:
                          f"({int(bad.sum())} offending entr"
                          f"{'y' if bad.sum() == 1 else 'ies'})"))))
         ysum = np.sum(y, axis=-1)
-        off = np.abs(ysum - 1.0) > self.policy.y_sum_tol
+        off = np.abs(ysum - 1.0) > Y_SUM_TOL
         if np.any(off):
             first = tuple(int(i) for i in np.argwhere(off)[0])
             out.append(self._emit(WatchdogEvent(
@@ -271,13 +237,11 @@ class ConservationWatchdog:
                 component="sum(Y)", value=float(ysum[first]),
                 message=(f"sum(Y) = {float(ysum[first]):.9f} at cell "
                          f"{first} ({int(off.sum())} cell(s) beyond "
-                         f"{self.policy.y_sum_tol:g})"))))
+                         f"{Y_SUM_TOL:g})"))))
 
     # -- entropy audit --------------------------------------------------
 
     def _audit_entropy(self, solver, step: int, out: list):
-        if self.policy.entropy_tol is None:
-            return
         s_fn = getattr(solver, "total_entropy", None)
         if s_fn is None:
             return
@@ -287,11 +251,11 @@ class ConservationWatchdog:
         s_now = float(s_now)
         prev = self._entropy_prev
         self._entropy_prev = (step, s_now)
-        if prev is None or step <= self.policy.warmup:
+        if prev is None or step <= WARMUP:
             return
         prev_step, s_prev = prev
         drop = (s_prev - s_now) / max(abs(s_prev), 1e-300)
-        if drop > self.policy.entropy_tol:
+        if drop > ENTROPY_TOL:
             out.append(self._emit(WatchdogEvent(
                 kind="entropy_decrease", step=step,
                 component="total_entropy", value=drop,
@@ -331,22 +295,4 @@ class ConservationWatchdog:
             message=str(err), cell=cell,
             component=getattr(err, "component", None),
             value=getattr(err, "value", None), data=data)
-        # never escalate here — we are already inside error handling
-        if len(self.events) < self.policy.max_events:
-            self.events.append(event)
-        else:
-            self.n_suppressed += 1
-        return event
-
-
-def as_watchdog(spec) -> ConservationWatchdog | None:
-    """Normalise a ``watchdog=`` argument: ``None`` | ``True`` (defaults)
-    | :class:`WatchdogPolicy` | :class:`ConservationWatchdog`."""
-    if spec is None or isinstance(spec, ConservationWatchdog):
-        return spec
-    if spec is True:
-        return ConservationWatchdog()
-    if isinstance(spec, WatchdogPolicy):
-        return ConservationWatchdog(spec)
-    raise TypeError(f"watchdog must be None, True, a WatchdogPolicy or a "
-                    f"ConservationWatchdog, not {type(spec).__name__}")
+        return self._emit(event)

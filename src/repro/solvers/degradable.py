@@ -51,10 +51,6 @@ class QuarantineMixin:
         self.quarantined_cells = self.quarantined_cells | mask
         return int(new.sum())
 
-    def clear_quarantine(self):
-        """Lift the quarantine entirely (full re-promotion)."""
-        self.quarantined_cells = None
-
     def progress(self) -> dict:
         """Live march-progress snapshot for the heartbeat channel."""
         out = {"steps": int(getattr(self, "steps", 0) or 0),

@@ -29,8 +29,8 @@ only, plus the digest of the inputs that built them.
 from __future__ import annotations
 
 import hashlib
+import io
 import os
-import tempfile
 
 import numpy as np
 
@@ -125,18 +125,12 @@ class EquilibriumEOSTable:
     def save(self, path: str) -> None:
         """Write the table and its digest to an .npz file (atomic
         replace)."""
-        d = os.path.dirname(os.path.abspath(path))
-        os.makedirs(d, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=d, suffix=".npz")
-        os.close(fd)
-        try:
-            np.savez(tmp, log_rho=self.log_rho, log_e=self.log_e,
-                     gamma=self.gamma, T=self.T,
-                     digest=np.array(self.digest))
-            os.replace(tmp, path)
-        finally:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
+        from repro.resilience.persistence import atomic_write
+        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+        buf = io.BytesIO()
+        np.savez(buf, log_rho=self.log_rho, log_e=self.log_e,
+                 gamma=self.gamma, T=self.T, digest=np.array(self.digest))
+        atomic_write(path, buf.getvalue())
 
     @classmethod
     def load(cls, path: str) -> "EquilibriumEOSTable":

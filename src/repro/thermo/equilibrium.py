@@ -116,15 +116,10 @@ class EquilibriumSolver:
     ----------
     db:
         Species set (name or :class:`SpeciesDB`).
-    faults:
-        Optional :class:`repro.resilience.FaultInjector`; armed Newton
-        faults corrupt initial element potentials deterministically so
-        tests can exercise the recovery ladder.
     """
 
-    def __init__(self, db: SpeciesDB | str, *, faults=None):
+    def __init__(self, db: SpeciesDB | str):
         self.db = db if isinstance(db, SpeciesDB) else species_set(db)
-        self.faults = faults
         self.thermo = ThermoSet(self.db)
         self.mix = MixtureThermo(self.db)
         self._A = self.db.comp_matrix          # (K, n)
@@ -404,8 +399,6 @@ class EquilibriumSolver:
         B = rho_f.size
         lam = (self._guess_lambda(rho_f, T_f, b_f, gt) if lam0 is None
                else np.array(np.broadcast_to(lam0, (B, self.K)), dtype=float))
-        if self.faults is not None:
-            lam = self.faults.corrupt_lambda(lam)
         lam_start = lam.copy()                    # for failure forensics
         target = rho_f[:, None] * b_f             # (B, K)
         scale = np.maximum(np.max(np.abs(target), axis=1, keepdims=True),
@@ -593,12 +586,9 @@ class EquilibriumGas:
     y_reference:
         Reference (e.g. freestream) mass fractions that fix the elemental
         composition, either a dict of name->Y or an array over the set.
-    faults:
-        Optional fault injector forwarded to the
-        :class:`EquilibriumSolver` (resilience testing).
     """
 
-    def __init__(self, db: SpeciesDB | str, y_reference, *, faults=None):
+    def __init__(self, db: SpeciesDB | str, y_reference):
         self.db = db if isinstance(db, SpeciesDB) else species_set(db)
         if isinstance(y_reference, dict):
             y = np.zeros(self.db.n, dtype=np.float64)
@@ -613,7 +603,7 @@ class EquilibriumGas:
             raise InputError("reference mass fractions must sum to 1")
         self.y_ref = y / np.sum(y)
         self.b = element_moles(self.db, self.y_ref)
-        self.solver = EquilibriumSolver(self.db, faults=faults)
+        self.solver = EquilibriumSolver(self.db)
         self.mix = self.solver.mix
 
     # -- state evaluations ----------------------------------------------------

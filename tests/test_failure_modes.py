@@ -164,8 +164,7 @@ class TestRunSupervisor:
         s = _m8_solver()
         faults = FaultInjector()
         faults.inject_nan(step=40, cell=(5, 8), component=0)
-        s.run(n_steps=3000, cfl=0.4, tol=1e-3,
-              resilience=RetryPolicy(checkpoint_interval=20),
+        s.run(n_steps=3000, cfl=0.4, tol=1e-3, resilience=RetryPolicy(),
               faults=faults)
         assert faults.n_fired == 1
         assert s.converged is True
@@ -190,26 +189,15 @@ class TestRunSupervisor:
         assert "retry ladder exhausted" in str(exc.value)
         assert rep.label in rep.summary()
 
-    def test_persistent_fault_return_best(self):
-        # a fault that refires after every rollback exhausts the ladder;
-        # return_best hands back the last good state instead of raising
-        s = _m8_solver()
-        faults = FaultInjector()
-        faults.inject_nan(step=40, cell=(5, 8), persistent=True)
-        s.run(n_steps=3000, cfl=0.4, tol=1e-3,
-              resilience=RetryPolicy(max_retries=2, return_best=True),
-              faults=faults)
-        assert s.converged is False
-        assert np.all(np.isfinite(s.U))    # checkpoint, not poisoned state
-
     def test_cfl_backoff_ladder_trace(self):
+        # a fault that refires after every rollback exhausts the ladder
         s = _m8_solver(n_s=9, n_normal=11)
         faults = FaultInjector()
         faults.inject_nan(step=5, cell=(2, 3), persistent=True)
-        sup = RunSupervisor(s, RetryPolicy(max_retries=2, cfl_backoff=0.5,
-                                           return_best=True),
+        sup = RunSupervisor(s, RetryPolicy(max_retries=2, cfl_backoff=0.5),
                             faults=faults, label="ladder-test")
-        sup.march(s.step, n_steps=100, cfl=0.4, tol=1e-12)
+        with pytest.raises(StabilityError, match="retry ladder"):
+            sup.march(s.step, n_steps=100, cfl=0.4, tol=1e-12)
         cfls = [a["cfl"] for a in sup.attempts]
         assert cfls == pytest.approx([0.4, 0.2, 0.1])
         assert sup.report is not None and sup.report.label == "ladder-test"
@@ -223,8 +211,7 @@ class TestRunSupervisor:
                       np.where(xc < 0.5, 1.0, 0.1))
         faults = FaultInjector()
         faults.inject_nan(step=30, cell=50, component=2)
-        s.run(0.2, cfl=0.45, resilience=RetryPolicy(checkpoint_interval=10),
-              faults=faults)
+        s.run(0.2, cfl=0.45, resilience=RetryPolicy(), faults=faults)
         assert s.converged is True
         assert s.t == pytest.approx(0.2, abs=1e-12)
         assert np.all(np.isfinite(s.U))
@@ -277,20 +264,6 @@ class TestEquilibriumPerCellRecovery:
         bad = np.arange(0, 200, 10)        # every 10th cell = 10%
         lam0[bad] = 150.0                  # exp(150) overflows the Newton
         y2 = solver.solve_rho_T(rho, T, air_gas.b, lam0=lam0)
-        assert np.allclose(y2, y_clean, atol=1e-7)
-
-    def test_fault_injected_newton_failures_recover(self, air11, batch):
-        from repro.thermo.equilibrium import (EquilibriumGas,
-                                              air_reference_mass_fractions)
-        rho, T = batch
-        y_ref = air_reference_mass_fractions(air11)
-        y_clean = EquilibriumGas(air11, y_ref).composition_rho_T(rho, T)
-        faults = FaultInjector()
-        faults.inject_newton_failure(call=0, cells=tuple(range(0, 200, 10)),
-                                     value=150.0)
-        gas = EquilibriumGas(air11, y_ref, faults=faults)
-        y2 = gas.composition_rho_T(rho, T)
-        assert faults.n_fired == 1
         assert np.allclose(y2, y_clean, atol=1e-7)
 
     def test_unreachable_energy_error_is_enriched(self, air_gas):
@@ -453,19 +426,19 @@ class TestDegradationLadder:
     """Ladder mechanics: demote, march clean, re-promote (LIFO)."""
 
     def test_numerics_round_trip_euler1d(self):
-        from repro.resilience import (DegradationController,
-                                      DegradationPolicy)
+        from repro.resilience import DegradationController
+        from repro.resilience.degradation import PROMOTE_AFTER
         from repro.solvers.euler1d import Euler1DSolver
         s = Euler1DSolver(np.linspace(0.0, 1.0, 41))
         s.set_initial(1.0, 0.0, 1.0)
-        ctl = DegradationController(
-            DegradationPolicy(promote_after=3, quarantine_halo=1))
+        ctl = DegradationController()
         assert ctl.degrade(s, step=5, cells=[(10,)], reason="test")
         assert s.quarantined_cells is not None
-        assert int(s.quarantined_cells.sum()) == 3   # cell + halo 1
+        assert int(s.quarantined_cells.sum()) == 7   # cell + halo 3
         assert ctl.active
-        for k in range(3):
+        for k in range(PROMOTE_AFTER):
             s.steps = 6 + k
+            assert ctl.active
             ctl.note_clean_step(s, step=s.steps)
         # LIFO restore: the pre-demotion mask (None) is back
         assert s.quarantined_cells is None
@@ -477,18 +450,20 @@ class TestDegradationLadder:
         assert led["entries"][0]["rung"] == "first_order"
 
     def test_failure_resets_clean_counter(self):
-        from repro.resilience import (DegradationController,
-                                      DegradationPolicy)
+        from repro.resilience import DegradationController
+        from repro.resilience.degradation import PROMOTE_AFTER
         from repro.solvers.euler1d import Euler1DSolver
         s = Euler1DSolver(np.linspace(0.0, 1.0, 21))
         s.set_initial(1.0, 0.0, 1.0)
-        ctl = DegradationController(DegradationPolicy(promote_after=2))
+        ctl = DegradationController()
         ctl.degrade(s, step=0, cells=[(5,)], reason="test")
-        ctl.note_clean_step(s, step=1)
+        for k in range(PROMOTE_AFTER - 1):
+            ctl.note_clean_step(s, step=1 + k)
         ctl.note_failure()                # resets the clean-step count
-        ctl.note_clean_step(s, step=2)
+        for k in range(PROMOTE_AFTER - 1):
+            ctl.note_clean_step(s, step=PROMOTE_AFTER + k)
         assert s.quarantined_cells is not None   # not yet re-promoted
-        ctl.note_clean_step(s, step=3)
+        ctl.note_clean_step(s, step=2 * PROMOTE_AFTER)
         assert s.quarantined_cells is None
 
     def test_physics_ladder_reacting(self):
@@ -500,10 +475,9 @@ class TestDegradationLadder:
         assert s.degrade_physics() is None    # ladder exhausted
 
     def test_controller_tries_numerics_then_physics(self):
-        from repro.resilience import (DegradationController,
-                                      DegradationPolicy)
+        from repro.resilience import DegradationController
         s = _make_reacting_small()
-        ctl = DegradationController(DegradationPolicy(quarantine_halo=2))
+        ctl = DegradationController()
         assert ctl.degrade(s, step=1, cells=[(4, 6)], reason="a")
         assert s.quarantined_cells is not None
         assert s.chem_rung is None            # physics untouched so far
@@ -514,14 +488,19 @@ class TestDegradationLadder:
         assert ladders == ["numerics", "physics"]
 
     def test_max_actions_bounds_cascade(self):
-        from repro.resilience import (DegradationController,
-                                      DegradationPolicy)
+        from repro.resilience import DegradationController
+        from repro.resilience.degradation import MAX_ACTIONS
         from repro.solvers.euler1d import Euler1DSolver
-        s = Euler1DSolver(np.linspace(0.0, 1.0, 21))
+        s = Euler1DSolver(np.linspace(0.0, 1.0, 201))
         s.set_initial(1.0, 0.0, 1.0)
-        ctl = DegradationController(DegradationPolicy(max_actions=1))
-        assert ctl.degrade(s, step=0, cells=[(5,)], reason="one")
-        assert not ctl.degrade(s, step=1, cells=[(15,)], reason="two")
+        ctl = DegradationController()
+        # cells 9 apart: each halo-3 zone is new, so every call demotes
+        for k in range(MAX_ACTIONS):
+            assert ctl.degrade(s, step=k, cells=[(5 + 9 * k,)],
+                               reason="one more")
+        assert not ctl.degrade(s, step=MAX_ACTIONS,
+                               cells=[(5 + 9 * MAX_ACTIONS,)],
+                               reason="one too many")
 
 
 class TestDegradationCascadeAcceptance:
@@ -548,11 +527,9 @@ class TestDegradationCascadeAcceptance:
         assert getattr(ei.value, "report", None) is not None
 
     def test_completes_with_degradation(self):
-        from repro.resilience import DegradationPolicy
         s = _make_reacting_small()
         s.run(n_steps=40, cfl=0.4, resilience=RetryPolicy(**self.POLICY),
-              faults=self._faults(), watchdog=True,
-              degradation=DegradationPolicy(promote_after=15))
+              faults=self._faults(), watchdog=True, degradation=True)
         assert s.steps == 40
         led = s.degradation_ledger.to_dict()
         assert led["n_demotions"] >= 1

@@ -39,8 +39,7 @@ from repro.resilience.lease import (LeaseManager, expired_indices,
                                     stalest_index)
 from repro.resilience.queue import BackoffPolicy, Job, WorkQueue
 
-FAST = BackoffPolicy(max_attempts=3, base=0.01, factor=2.0,
-                     max_delay=0.05, jitter=0.5)
+FAST = BackoffPolicy(max_attempts=3, base=0.01, max_delay=0.05)
 
 
 def fast_policy(**kw):
@@ -98,8 +97,7 @@ class TestQueue:
             Job(id="", kind="sleep")
 
     def test_backoff_is_deterministic_and_bounded(self):
-        pol = BackoffPolicy(max_attempts=5, base=0.5, factor=2.0,
-                            max_delay=4.0, jitter=0.5)
+        pol = BackoffPolicy(max_attempts=5, base=0.5, max_delay=4.0)
         d1 = [pol.delay("job-x", n) for n in range(1, 6)]
         d2 = [pol.delay("job-x", n) for n in range(1, 6)]
         assert d1 == d2  # same job+attempt -> same jitter
@@ -110,8 +108,7 @@ class TestQueue:
 
     def test_fail_requeues_with_backoff_then_dead_letters(self, tmp_path):
         q = WorkQueue(tmp_path / "q",
-                      backoff=BackoffPolicy(max_attempts=2, base=5.0,
-                                            jitter=0.0))
+                      backoff=BackoffPolicy(max_attempts=2, base=5.0))
         q.enqueue(Job(id="a", kind="sleep"))
         job, lease = q.claim("w0")
         assert q.fail(job, lease, "boom 1") == "pending"
@@ -230,8 +227,7 @@ class TestLeases:
         """A job whose every attempt kills its worker never reaches
         fail(); the attempt budget must still end it, at claim time."""
         q = WorkQueue(tmp_path / "q", lease_ttl=0.1,
-                      backoff=BackoffPolicy(max_attempts=2, base=0.0,
-                                            jitter=0.0))
+                      backoff=BackoffPolicy(max_attempts=2, base=0.0))
         q.enqueue(Job(id="a", kind="sleep"))
         for _ in range(2):  # two claims, two owner deaths
             assert q.claim("w0") is not None
@@ -495,8 +491,10 @@ class TestPolicy:
             FarmPolicy(lease_ttl=0.0)
         with pytest.raises(InputError):
             BackoffPolicy(max_attempts=0)
-        with pytest.raises(InputError):
-            BackoffPolicy(factor=0.5)
+        # a NaN clock never expires a lease; inf never ends a backoff
+        for offset in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(InputError, match="clock_offset"):
+                FarmPolicy(clock_offset=offset)
 
     def test_unknown_job_kind_dead_letters(self, tmp_path, silent):
         jobs = [Job(id="x", kind="no-such-kind", max_attempts=1)]
@@ -656,8 +654,7 @@ class TestRetryDeadLetters:
     def test_retry_restores_budget_and_preserves_history(self,
                                                          tmp_path):
         q = WorkQueue(tmp_path / "q",
-                      backoff=BackoffPolicy(max_attempts=1, base=0.0,
-                                            jitter=0.0))
+                      backoff=BackoffPolicy(max_attempts=1, base=0.0))
         q.enqueue(Job(id="a", kind="sleep", max_attempts=1))
         job, lease = q.claim("w0")
         assert q.fail(job, lease, "boom",
@@ -678,8 +675,7 @@ class TestRetryDeadLetters:
 
     def test_retry_is_selective_and_skips_live_jobs(self, tmp_path):
         q = WorkQueue(tmp_path / "q",
-                      backoff=BackoffPolicy(max_attempts=1, base=0.0,
-                                            jitter=0.0))
+                      backoff=BackoffPolicy(max_attempts=1, base=0.0))
         for jid in ("dead1", "dead2", "ok"):
             q.enqueue(Job(id=jid, kind="sleep", max_attempts=1))
         for jid in ("dead1", "dead2"):
@@ -769,8 +765,8 @@ class TestRetryDeadLetters:
         assert BackoffPolicy.jitter_u("case-01", 2) != u
         # two policy instances (two hosts, in real life) agree on the
         # whole delay schedule
-        a = BackoffPolicy(max_attempts=5, jitter=0.5)
-        b = BackoffPolicy(max_attempts=5, jitter=0.5)
+        a = BackoffPolicy(max_attempts=5)
+        b = BackoffPolicy(max_attempts=5)
         assert [a.delay("j", n) for n in (1, 2, 3)] \
             == [b.delay("j", n) for n in (1, 2, 3)]
 
@@ -797,8 +793,7 @@ class TestTwoHostCampaign:
 
         def serve(host, offset):
             pol = fast_policy(n_workers=1, lease_ttl=3.0, host_id=host,
-                              max_skew=1.0, clock_offset=offset,
-                              beacon_interval=0.2)
+                              max_skew=1.0, clock_offset=offset)
             farm = Farm(WorkQueue(qdir, lease_ttl=3.0, backoff=FAST,
                                   host_id=host, max_skew=1.0,
                                   clock=pol.clock()),
@@ -823,6 +818,4 @@ class TestTwoHostCampaign:
         assert fold["ok"] and fold["jobs"] == {"done": 8}
         assert sum(h.get("complete", 0)
                    for h in fold["hosts"].values()) == 8
-        # each host saw the other's beacon ~10 s ahead/behind itself
-        assert ledgers["hostB"]["skew_estimates"]["hostA"] > 5.0
-        assert ledgers["hostA"]["skew_estimates"]["hostB"] < -5.0
+        assert set(ledgers) == {"hostA", "hostB"}

@@ -61,6 +61,17 @@ def _chaos_ledger(out, mode, check_names):
     return ledger
 
 
+def _assert_host_pids(ledger, kinds):
+    """Each ``kinds`` timeline event names its host's supervisor pid
+    first and at least one worker pid after it."""
+    up = {e["host"]: e["pid"] for e in ledger["events"]
+          if e["event"] == "host-up"}
+    events = [e for e in ledger["events"] if e["event"] in kinds]
+    assert sorted(e["event"] for e in events) == sorted(kinds)
+    for e in events:
+        assert e["pids"][0] == up[e["host"]] and len(e["pids"]) >= 2, e
+
+
 # ----------------------------------------------------------------------
 # real hang: SIGSTOP mid-march
 # ----------------------------------------------------------------------
@@ -340,6 +351,7 @@ class TestChaosHarness:
             "drained", "exactly_once", "no_dead_letters",
             "bitwise_match"])
         assert ledger["ok"]
+        _assert_host_pids(ledger, ["partition", "host-kill"])
         assert _no_orphans()
 
     def test_jobs_campaign_passes_and_leaves_no_orphans(self, tmp_path,
@@ -353,6 +365,7 @@ class TestChaosHarness:
             "reached_mid_march", "resumed_done", "bitwise_match",
             "cancelled", "exactly_once", "gc_clean", "no_orphans"])
         assert ledger["ok"]
+        _assert_host_pids(ledger, ["host-kill"])
         audit = ledger["jobs_ledger"]["audit"]
         assert not audit["double_cancels"]
         assert not audit["cancelled_and_completed"]
@@ -408,6 +421,20 @@ class TestCLIExitCodes:
             assert main(argv) == 2, argv
             err = capsys.readouterr().err
             assert "usage:" in err, argv
+
+    def test_serve_clock_offset_must_be_finite(self, capsys):
+        """A NaN or infinite offset would stop lease expiry and backoff
+        on its host; parse only, so a bad flag runs no pool."""
+        from repro.__main__ import _build_parser
+        parser = _build_parser()
+        argv = ["serve", "--queue-dir", "q"]
+        for bad in ("nan", "inf", "-inf", "x"):
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args([*argv, f"--clock-offset={bad}"])
+            assert exc.value.code == 2, bad
+            assert "usage:" in capsys.readouterr().err, bad
+        for good in ("-5", "+5", "0.25"):   # either sign parses
+            parser.parse_args([*argv, "--clock-offset", good])
 
     def test_help_exits_0(self, capsys):
         from repro.__main__ import main

@@ -40,8 +40,7 @@ from repro.resilience.queue import CANCEL_FLAG, BackoffPolicy, Job, WorkQueue
 from repro.service.jobs import (CANCELLED, DONE, FAILED, PENDING, RUNNING,
                                 JobManager, run_async_attempt)
 
-FAST = BackoffPolicy(max_attempts=3, base=0.01, factor=2.0,
-                     max_delay=0.05, jitter=0.5)
+FAST = BackoffPolicy(max_attempts=3, base=0.01, max_delay=0.05)
 
 
 def drain(queue_dir, **kw):
@@ -178,8 +177,7 @@ class TestStateMachine:
         # a dead-letter retry is a fresh life: the cancel flag the dead
         # attempt never acknowledged must not cancel the retried job
         q = WorkQueue(tmp_path / "q",
-                      backoff=BackoffPolicy(max_attempts=1, base=0.0,
-                                            jitter=0.0))
+                      backoff=BackoffPolicy(max_attempts=1, base=0.0))
         q.enqueue(_async_job("a1"))
         job, lease = q.claim("w0")
         flag = os.path.join(q.job_workdir("a1"), CANCEL_FLAG)

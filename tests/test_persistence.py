@@ -98,6 +98,22 @@ class TestOneMarchLoop:
         assert "retry ladder exhausted" not in msg
         assert exc.value.report is None
 
+    @pytest.mark.parametrize("switch",
+                             ["resilience", "watchdog", "degradation"])
+    def test_false_switch_leaves_the_march_bare(self, switch):
+        """``False``, like ``None``, leaves a supervision switch off."""
+        s = _factory("euler1d")()
+        with np.errstate(all="ignore"), \
+                pytest.raises(StabilityError) as exc:
+            s.run(0.1, cfl=5.0, **{switch: False})
+        assert "retry ladder exhausted" not in str(exc.value)
+        assert exc.value.report is None
+
+    @pytest.mark.parametrize("switch", ["watchdog", "degradation"])
+    def test_audit_switches_take_only_booleans(self, switch):
+        with pytest.raises(TypeError, match=switch):
+            _factory("euler1d")().run(0.1, cfl=0.4, **{switch: 1})
+
     @pytest.mark.parametrize("kw", [{}, {"resilience": True}])
     def test_budget_spent_on_the_final_step_is_converged(self, kw):
         factory, run_kwargs, _n, _b = CHAOS_CASES["euler1d"]
@@ -300,6 +316,14 @@ class TestStoreMechanics:
     def test_keep_last_below_two_is_refused(self, tmp_path):
         with pytest.raises(CheckpointError):
             SnapshotStore(PersistencePolicy(tmp_path, keep_last=1))
+
+    @pytest.mark.parametrize("every", [0, -1, 2.5, True, "3"])
+    def test_cadence_below_one_is_refused(self, tmp_path, every):
+        """A cadence is an integer >= 1: 0 would divide by zero after
+        the first step and -1 would snapshot every step.  A farm job's
+        payload sets it, so the store checks it when it is built."""
+        with pytest.raises(CheckpointError, match="every_n_steps"):
+            SnapshotStore(PersistencePolicy(tmp_path, every_n_steps=every))
 
     def test_manifest_schema_fields(self, tmp_path):
         d = tmp_path / "ck"
