@@ -23,8 +23,7 @@ import numpy as np
 
 from repro.errors import ConvergenceError, InputError
 
-__all__ = ["GasEOS", "IdealGasEOS", "TabulatedEOS", "eos_spec",
-           "eos_from_spec"]
+__all__ = ["GasEOS", "IdealGasEOS", "TabulatedEOS", "eos_spec"]
 
 
 @runtime_checkable
@@ -149,11 +148,9 @@ class TabulatedEOS:
 
 
 def eos_spec(eos) -> dict:
-    """JSON-able descriptor of an EOS for durable-checkpoint manifests.
-
-    Unknown EOS classes still fingerprint (by class name) but cannot be
-    rebuilt by :func:`eos_from_spec`.
-    """
+    """JSON-able descriptor of an EOS for durable-checkpoint manifests
+    (part of the solver fingerprint); unknown EOS classes fingerprint by
+    class name."""
     if isinstance(eos, IdealGasEOS):
         return {"kind": "ideal", "gamma": eos.gamma, "R": eos.R}
     if isinstance(eos, TabulatedEOS):
@@ -164,15 +161,3 @@ def eos_spec(eos) -> dict:
                 else {"kind": "tabulated", "n_rho": n_rho, "n_e": n_e})
     return {"kind": type(eos).__name__}
 
-
-def eos_from_spec(spec: dict):
-    """Inverse of :func:`eos_spec` for the two stock EOS models."""
-    kind = spec.get("kind")
-    if kind == "ideal":
-        return IdealGasEOS(spec["gamma"], spec["R"])
-    if kind == "tabulated":
-        from repro.thermo.eos_table import build_air_table
-        return TabulatedEOS(build_air_table(
-            **{k: spec[k] for k in ("n_rho", "n_e") if k in spec}))
-    raise InputError(f"cannot rebuild EOS from spec {spec!r}; only the "
-                     f"stock ideal/tabulated models are reconstructible")

@@ -21,10 +21,11 @@ This package provides the machinery the solver stack wires through:
   graceful-degradation cascade
   (quarantined first-order reconstruction, per-cell chemistry demotion,
   automatic re-promotion) slotted between rollback-retry and abort,
-* :class:`PersistencePolicy` / :class:`SnapshotStore` /
-  :func:`resume_run` — durable, crash-safe snapshots on disk (atomic
-  writes, SHA-256 verified loads, keep-last-K retention) so a SIGKILLed
-  march resumes bit-identical from its latest valid generation,
+* :class:`PersistencePolicy` / :class:`SnapshotStore` — durable,
+  crash-safe snapshots on disk (atomic writes, SHA-256 verified loads,
+  keep-last-K retention) so a SIGKILLed march, re-run with the same
+  ``run(..., persist=dir)``, resumes bit-identical from its latest
+  valid generation,
 * :class:`IsolatedRunner` / :class:`IsolationPolicy` /
   :class:`IsolationEvent` / :class:`Heartbeat` — process-level
   isolation: solves run in supervised child processes under wall-clock
@@ -61,7 +62,7 @@ from repro.resilience.faults import Fault, FaultInjector, SimulatedCrash
 from repro.resilience.persistence import (MANIFEST_SCHEMA_VERSION,
                                           LoadedSnapshot,
                                           PersistencePolicy, SnapshotStore,
-                                          resume_run, solver_fingerprint)
+                                          solver_fingerprint)
 from repro.resilience.report import FailureReport, solver_config
 from repro.resilience.supervisor import (RetryPolicy, RunSupervisor,
                                          supervised_call)
@@ -76,6 +77,6 @@ __all__ = ["BackoffPolicy", "Checkpoint", "ConservationWatchdog",
            "PersistencePolicy", "RetryPolicy", "RunSupervisor",
            "SimulatedCrash", "SnapshotStore", "WatchdogEvent",
            "WorkQueue", "WorkerKillPlan", "audit_exactly_once",
-           "default_host_id", "resume_run", "run_campaign",
+           "default_host_id", "run_campaign",
            "solver_config", "solver_fingerprint", "supervised_call",
            "sweep_orphans"]

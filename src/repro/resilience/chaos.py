@@ -235,7 +235,9 @@ def _kill_host(timeline: _Timeline, queue: WorkQueue, host: str,
                proc) -> list[int]:
     """SIGKILL a whole host: the supervisor and its workers with their
     process trees, then the sandbox children that live in their own
-    process groups (the orphan sweep).  Returns the killed pids.
+    process groups (the orphan sweep).  The dead supervisor cannot drop
+    its workers' heartbeat files, so this deletes them.  Returns the
+    killed pids.
 
     The sweep comes before the join: a sandbox child inherits the
     supervisor's exit pipe, so joining first would let it finish its
@@ -243,6 +245,12 @@ def _kill_host(timeline: _Timeline, queue: WorkQueue, host: str,
     pids = _host_pids(queue, host, proc)
     for pid in pids:
         kill_pid_tree(pid)
+    for pid in pids[1:]:
+        try:
+            os.remove(os.path.join(queue.dir, "workers",
+                                   f"{host}:{pid}.json"))
+        except OSError:
+            pass
     swept = sweep_orphans(queue, host=host)
     proc.join(10.0)
     timeline.note("host-kill", host=host, pids=pids,

@@ -20,7 +20,8 @@ The durable-persistence layer adds two more fault families:
   :class:`SimulatedCrash` — a ``BaseException``, so neither the retry
   ladder nor ``except Exception`` handlers absorb it, exactly like a
   SIGKILL — after a chosen marching step, leaving whatever snapshots the
-  run had persisted on disk for ``resume_run`` to pick up;
+  run had persisted on disk for a re-run of the same
+  ``run(..., persist=dir)`` to resume from;
 * **IO faults** (:meth:`FaultInjector.inject_io_fault`) corrupt the n-th
   committed snapshot on disk (truncated ``.npz``, flipped byte, torn
   manifest) so the checksum-verify / fall-back-a-generation load path is

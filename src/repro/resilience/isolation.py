@@ -265,7 +265,7 @@ class IsolationPolicy:
         Seconds between SIGTERM and SIGKILL escalation.
     every_n_steps:
         Durable snapshot cadence the child marches with (the resume
-        granularity after a kill).
+        granularity after a kill); an integer >= 1.
     """
 
     deadline: float | None = None
@@ -325,17 +325,13 @@ def _write_error(err_path, exc):
         pass
 
 
-def _solver_child(factory, run_kwargs, ckpt_dir, hb_path, err_path,
-                  faults, resilience, watchdog, degradation,
-                  every_n_steps):
+def _solver_child(factory, run_kwargs, persist, hb_path, err_path,
+                  faults, resilience, watchdog, degradation):
     """Build the solver and march it durably inside the sandbox."""
-    from repro.resilience.persistence import PersistencePolicy
     _enter_sandbox(hb_path)
     try:
         solver = factory()
-        policy = PersistencePolicy(dir=ckpt_dir,
-                                   every_n_steps=int(every_n_steps))
-        solver.run(**dict(run_kwargs or {}), persist=policy,
+        solver.run(**dict(run_kwargs or {}), persist=persist,
                    faults=faults, resilience=resilience,
                    watchdog=watchdog, degradation=degradation)
         sys.exit(0)
@@ -526,8 +522,9 @@ class IsolatedRunner:
         factory:
             Zero-argument callable building a fresh, initialised
             persist-protocol solver (euler1d, euler2d/ns2d,
-            reacting_euler2d).  Runs inside the child (fork start
-            method: no pickling needed).
+            reacting_euler2d).  Runs inside each child (fork start
+            method: no pickling needed), and once in the parent to
+            take the final snapshot.
         run_kwargs:
             Keyword arguments for ``solver.run``.
         workdir:
@@ -546,27 +543,32 @@ class IsolatedRunner:
             each child starts (ops/testing: pin, trace or — in the test
             suite — SIGSTOP it).
 
-        Returns the completed solver, rebuilt bit-for-bit from the
-        final durable snapshot, with ``solver.isolation_events`` set.
-        Raises :class:`~repro.errors.SolverError` (with a
+        Returns a fresh ``factory()`` solver holding the final durable
+        snapshot's state (fingerprint-checked), with
+        ``solver.isolation_events`` set.  Raises
+        :class:`~repro.errors.SolverError` (with a
         :class:`~repro.resilience.report.FailureReport`) only when the
-        restart budget is exhausted.
+        restart budget is exhausted, and the store's
+        :class:`~repro.errors.CheckpointError` before any child starts
+        when ``policy.every_n_steps`` is not an integer >= 1.
         """
         from repro.resilience.persistence import (PersistencePolicy,
-                                                  SnapshotStore,
-                                                  rebuild_solver)
+                                                  SnapshotStore)
         pol = self.policy
         self.events = []
         workdir = os.fspath(workdir)
         os.makedirs(workdir, exist_ok=True)
         ckpt_dir = os.path.join(workdir, "ckpt")
+        persist = PersistencePolicy(dir=ckpt_dir,
+                                    every_n_steps=pol.every_n_steps)
+        store = SnapshotStore(persist)
         hb_path = os.path.join(workdir, "heartbeat.json")
         for attempt in range(pol.max_restarts + 1):
             err_path = os.path.join(workdir, f"attempt-{attempt}.err")
             proc = self._spawn(_solver_child, (
-                factory, run_kwargs, ckpt_dir, hb_path, err_path,
+                factory, run_kwargs, persist, hb_path, err_path,
                 faults if attempt == 0 else None, resilience, watchdog,
-                degradation, pol.every_n_steps))
+                degradation))
             try:
                 if on_spawn is not None:
                     on_spawn(proc.pid, attempt)
@@ -575,13 +577,12 @@ class IsolatedRunner:
                 if proc.is_alive():   # supervisor itself raised
                     self._kill(proc)
             if ev is None:
-                store = SnapshotStore(PersistencePolicy(dir=ckpt_dir))
+                solver = factory()
                 try:
-                    snap = store.load_latest()
+                    snap = store.load_latest(solver=solver)
                 except CheckpointError:
                     snap = None
                 if snap is not None and snap.completed:
-                    solver = rebuild_solver(snap)
                     solver.converged = snap.converged
                     solver.isolation_events = [e.to_dict()
                                                for e in self.events]

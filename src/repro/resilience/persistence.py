@@ -7,11 +7,10 @@ hypersonic codes do, by treating restart files as first-class state.
 
 A durable snapshot is two files in a checkpoint directory:
 
-* ``ckpt-<seq>.npz`` — every array of the solver's marching state plus
-  the constructor arrays needed to rebuild it (grid nodes, cell edges),
+* ``ckpt-<seq>.npz`` — every array of the solver's marching state,
 * ``ckpt-<seq>.json`` — the manifest: schema version, fully-qualified
   solver class, a JSON config whose SHA-256 **fingerprint** guards
-  against resuming the wrong run, step/time clocks, march/run bookkeeping
+  against resuming the wrong run, step/time clocks, march bookkeeping
   and a per-array SHA-256 checksum table.
 
 Writes are atomic and ordered (payload → fsync → rename, then manifest →
@@ -24,23 +23,18 @@ any corruption (torn write, truncation, bit flip — each scripted by
 :meth:`~repro.resilience.faults.FaultInjector.inject_io_fault` so every
 recovery path is tested).
 
-Solvers opt in through a three-method protocol —
-
-* ``persist_config()`` → JSON-able constructor fingerprint,
-* ``persist_arrays()`` → constructor ndarrays (grid nodes, ...),
-* ``from_persist(config, arrays)`` → rebuilt, state-less instance —
-
-on top of the PR-1 ``get_state()``/``set_state()`` round-trip, which must
-be *complete*: a restored solver replays the exact trajectory bit for
-bit.  :func:`resume_run` is the user-facing entry point: point it at a
-checkpoint directory and it rebuilds the solver from the manifest and
-keeps marching where the dead process stopped.
+Solvers opt in with ``persist_config()`` (the JSON-able constructor
+fingerprint) on top of the ``get_state()``/``set_state()`` round-trip,
+which must be *complete*: a restored solver replays the exact trajectory
+bit for bit.  A march resumes one way: build the solver as before and
+call the same ``run(..., persist=dir)`` again; the march loads the
+newest verified snapshot and keeps marching where the dead process
+stopped.
 """
 
 from __future__ import annotations
 
 import hashlib
-import importlib
 import io
 import json
 import os
@@ -55,8 +49,7 @@ import numpy as np
 from repro.errors import CheckpointError
 
 __all__ = ["MANIFEST_SCHEMA_VERSION", "PersistencePolicy", "SnapshotStore",
-           "LoadedSnapshot", "atomic_write", "resume_run",
-           "solver_fingerprint"]
+           "LoadedSnapshot", "atomic_write", "solver_fingerprint"]
 
 MANIFEST_SCHEMA_VERSION = 1
 
@@ -93,7 +86,6 @@ class LoadedSnapshot:
 
     manifest: dict
     state: dict
-    construct_arrays: dict
 
     @property
     def seq(self) -> int:
@@ -110,10 +102,6 @@ class LoadedSnapshot:
     @property
     def march(self) -> dict:
         return dict(self.manifest.get("march") or {})
-
-    @property
-    def run_kwargs(self) -> dict:
-        return dict(self.manifest.get("run") or {})
 
 
 # ----------------------------------------------------------------------
@@ -157,7 +145,7 @@ def _canonical_json(obj) -> str:
 def solver_fingerprint(solver_or_cls, config: dict | None = None) -> str:
     """SHA-256 over the solver class path + canonical persist config.
 
-    Two runs share a fingerprint iff they would rebuild the same solver;
+    Two runs share a fingerprint iff they build the same solver;
     resuming into a mismatched directory is refused, not silently wrong.
     """
     if config is None:
@@ -174,8 +162,8 @@ def _sha256_array(a: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
 
 
-def _encode_payload(state: dict, construct: dict):
-    """Split solver state + constructor arrays into (arrays, entry table).
+def _encode_payload(state: dict):
+    """Split solver state into (arrays, entry table).
 
     Every value lands in the ``.npz`` as an ndarray (scalars as 0-d, float
     lists as 1-d) so restores are lossless down to the bit; the manifest
@@ -183,58 +171,61 @@ def _encode_payload(state: dict, construct: dict):
     """
     arrays: dict[str, np.ndarray] = {}
     entries: dict[str, dict] = {}
-    for section, mapping in (("state", state), ("construct", construct)):
-        for name, v in mapping.items():
-            key = f"{section}::{name}"
-            if v is None:
-                entries[key] = {"type": "none"}
-                continue
-            if isinstance(v, np.ndarray):
-                a, typ = v, "ndarray"
-            elif isinstance(v, bool):
-                a, typ = np.asarray(v), "bool"
-            elif isinstance(v, (int, np.integer)):
-                a, typ = np.asarray(int(v)), "int"
-            elif isinstance(v, (float, np.floating)):
-                a, typ = np.asarray(float(v)), "float"
-            elif isinstance(v, (list, tuple)):
-                a, typ = np.asarray(v, dtype=float), "list"
-            else:
-                raise CheckpointError(
-                    f"cannot persist {section} entry {name!r} of type "
-                    f"{type(v).__name__}")
-            arrays[key] = a
-            entries[key] = {"type": typ, "sha256": _sha256_array(a),
-                            "shape": list(a.shape), "dtype": str(a.dtype)}
+    for name, v in state.items():
+        key = f"state::{name}"
+        if v is None:
+            entries[key] = {"type": "none"}
+            continue
+        if isinstance(v, np.ndarray):
+            a, typ = v, "ndarray"
+        elif isinstance(v, bool):
+            a, typ = np.asarray(v), "bool"
+        elif isinstance(v, (int, np.integer)):
+            a, typ = np.asarray(int(v)), "int"
+        elif isinstance(v, (float, np.floating)):
+            a, typ = np.asarray(float(v)), "float"
+        elif isinstance(v, (list, tuple)):
+            a, typ = np.asarray(v, dtype=float), "list"
+        else:
+            raise CheckpointError(
+                f"cannot persist state entry {name!r} of type "
+                f"{type(v).__name__}")
+        arrays[key] = a
+        entries[key] = {"type": typ, "sha256": _sha256_array(a),
+                        "shape": list(a.shape), "dtype": str(a.dtype)}
     return arrays, entries
 
 
-def _decode_payload(npz, entries: dict):
-    """Inverse of :func:`_encode_payload` (checksums already verified)."""
+def _decode_payload(npz, entries: dict) -> dict:
+    """Inverse of :func:`_encode_payload` (checksums already verified).
+
+    Only ``state::`` entries are restored; any other section an older
+    writer left in the table is verified by the caller and skipped.
+    """
     state: dict = {}
-    construct: dict = {}
     for key, meta in entries.items():
         section, name = key.split("::", 1)
-        out = state if section == "state" else construct
+        if section != "state":
+            continue
         typ = meta["type"]
         if typ == "none":
-            out[name] = None
+            state[name] = None
             continue
         a = npz[key]
         if typ == "ndarray":
-            out[name] = a
+            state[name] = a
         elif typ == "bool":
-            out[name] = bool(a)
+            state[name] = bool(a)
         elif typ == "int":
-            out[name] = int(a)
+            state[name] = int(a)
         elif typ == "float":
-            out[name] = float(a)
+            state[name] = float(a)
         elif typ == "list":
-            out[name] = [float(x) for x in np.atleast_1d(a)]
+            state[name] = [float(x) for x in np.atleast_1d(a)]
         else:
             raise CheckpointError(f"unknown payload type {typ!r} for "
                                   f"{key!r}")
-    return state, construct
+    return state
 
 
 # ----------------------------------------------------------------------
@@ -324,8 +315,8 @@ class SnapshotStore:
     # -- save -----------------------------------------------------------
 
     def save(self, solver, *, march: dict | None = None,
-             run: dict | None = None, completed: bool = False,
-             converged: bool = False, label: str | None = None) -> int:
+             completed: bool = False, converged: bool = False,
+             label: str | None = None) -> int:
         """Commit one durable snapshot of ``solver``; returns its seq.
 
         Ordering makes the write crash-safe: payload tempfile → fsync →
@@ -335,9 +326,7 @@ class SnapshotStore:
         fsync, *then* retention trims old generations.
         """
         config = solver.persist_config()
-        construct = (solver.persist_arrays()
-                     if hasattr(solver, "persist_arrays") else {})
-        arrays, entries = _encode_payload(solver.get_state(), construct)
+        arrays, entries = _encode_payload(solver.get_state())
         os.makedirs(self.dir, exist_ok=True)
         seqs = self.sequences()
         seq = (seqs[-1] + 1) if seqs else 0
@@ -356,7 +345,6 @@ class SnapshotStore:
                 "step": int(getattr(solver, "steps", 0) or 0),
                 "t": float(getattr(solver, "t", 0.0) or 0.0),
                 "march": dict(march or {}),
-                "run": dict(run or {}),
                 "completed": bool(completed),
                 "converged": bool(converged),
                 "payload": entries,
@@ -411,9 +399,8 @@ class SnapshotStore:
             if _sha256_array(a) != meta["sha256"]:
                 raise CheckpointError(f"payload array {key!r} failed its "
                                       f"SHA-256 checksum")
-        state, construct = _decode_payload(loaded, entries)
-        return LoadedSnapshot(manifest=manifest, state=state,
-                              construct_arrays=construct)
+        return LoadedSnapshot(manifest=manifest,
+                              state=_decode_payload(loaded, entries))
 
     def load_latest(self, *, solver=None) -> LoadedSnapshot | None:
         """Newest snapshot that verifies, or None for an empty/virgin dir.
@@ -455,57 +442,3 @@ class SnapshotStore:
             solver.set_state(snap.state)
         return snap
 
-
-# ----------------------------------------------------------------------
-# resume
-# ----------------------------------------------------------------------
-
-def _import_class(path: str):
-    mod_name, _, qualname = path.partition(":")
-    obj = importlib.import_module(mod_name)
-    for part in qualname.split("."):
-        obj = getattr(obj, part)
-    return obj
-
-
-def rebuild_solver(snap: LoadedSnapshot):
-    """Reconstruct a state-loaded solver instance from a snapshot."""
-    cls = _import_class(snap.manifest["solver_class"])
-    if not hasattr(cls, "from_persist"):
-        raise CheckpointError(
-            f"{snap.manifest['solver_class']} does not implement the "
-            f"persistence protocol (from_persist)")
-    solver = cls.from_persist(snap.manifest["config"],
-                              snap.construct_arrays)
-    solver.set_state(snap.state)
-    return solver
-
-
-def resume_run(dir, *, policy: PersistencePolicy | None = None,
-               resilience=None, faults=None):
-    """Reconstruct the solver persisted in ``dir`` and keep marching.
-
-    Loads the newest valid snapshot (checksum-verified, falling back a
-    generation on corruption), rebuilds the solver class named in the
-    manifest via ``from_persist``, restores its state and — unless the
-    snapshot is marked completed — re-enters the recorded ``run(...)``
-    call under the same persistence policy, so the continued march keeps
-    checkpointing and lands bit-identical to an uninterrupted run.
-
-    Returns the solver (marched to completion, or as-loaded when the
-    run had already completed).
-    """
-    if policy is None:
-        policy = PersistencePolicy(dir=dir)
-    store = SnapshotStore(policy, faults=faults)
-    snap = store.load_latest()
-    if snap is None:
-        raise CheckpointError(f"no snapshot found in {os.fspath(dir)!r}",
-                              path=os.fspath(dir))
-    solver = rebuild_solver(snap)
-    if snap.completed:
-        solver.converged = snap.converged
-        return solver
-    solver.run(**snap.run_kwargs, resilience=resilience, faults=faults,
-               persist=policy)
-    return solver

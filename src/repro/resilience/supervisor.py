@@ -34,9 +34,9 @@ sequence of parameter adjustments instead of CFL backoff.
 With ``persist=PersistencePolicy(dir, every_n_steps)`` the supervisor
 additionally commits **durable** snapshots to disk through a
 :class:`~repro.resilience.persistence.SnapshotStore`, and first looks
-for a valid on-disk snapshot and continues from it, so a SIGKILLed run
-picks up where it died (see
-:func:`repro.resilience.persistence.resume_run`).
+for a valid on-disk snapshot and continues from it.  That is the one
+way a march resumes: after a SIGKILL, build the solver as before and
+call the same ``run(..., persist=dir)`` again.
 """
 
 from __future__ import annotations
@@ -117,10 +117,9 @@ class RunSupervisor:
         and rollback paths are exercised deterministically.
     persist:
         Optional :class:`~repro.resilience.persistence.PersistencePolicy`
-        (or a :class:`~repro.resilience.persistence.SnapshotStore`, or a
-        bare directory path): durable, crash-safe snapshots on top of the
-        in-memory rollback ladder, resumed from after a crash (see
-        :func:`~repro.resilience.persistence.resume_run`).
+        (or a bare directory path): durable, crash-safe snapshots on top
+        of the in-memory rollback ladder; re-running the same ``run()``
+        on a freshly built solver resumes from them after a crash.
     watchdog:
         ``True`` arms a
         :class:`~repro.resilience.watchdog.ConservationWatchdog`:
@@ -171,8 +170,7 @@ class RunSupervisor:
         self.store = None
         if persist is not None:
             from repro.resilience.persistence import SnapshotStore
-            self.store = (persist if isinstance(persist, SnapshotStore)
-                          else SnapshotStore(persist, faults=faults))
+            self.store = SnapshotStore(persist, faults=faults)
 
     # ------------------------------------------------------------------
 
@@ -226,8 +224,8 @@ class RunSupervisor:
 
     # ------------------------------------------------------------------
 
-    def march(self, step_fn, *, n_steps, cfl, tol=None, stop=None,
-              run_kwargs=None) -> bool:
+    def march(self, step_fn, *, n_steps, cfl, tol=None,
+              stop=None) -> bool:
         """Advance ``step_fn(cfl) -> residual | None`` up to ``n_steps``
         successful steps, with rollback-retry when armed.
 
@@ -240,12 +238,10 @@ class RunSupervisor:
         :class:`FailureReport`.
 
         With a durable store attached (``persist=``), the march first
-        resumes from the newest valid on-disk snapshot, commits a
-        snapshot every ``every_n_steps`` successful steps, and commits a
-        final one marked ``completed`` when the march ends —
-        ``run_kwargs`` is embedded in each manifest so
-        :func:`~repro.resilience.persistence.resume_run` can re-enter
-        the same ``run(...)`` call.
+        resumes from the newest valid on-disk snapshot, re-entering the
+        retry ladder where it stood (step, CFL and retries spent),
+        commits a snapshot every ``every_n_steps`` successful steps, and
+        commits a final one marked ``completed`` when the march ends.
         """
         from repro.resilience.isolation import current_process_cancel
         solver, store, pol = self.solver, self.store, self.policy
@@ -259,8 +255,8 @@ class RunSupervisor:
         def commit(*, completed, converged):
             store.save(solver, march={"k": k, "cfl": cfl_now,
                                       "retries": retries},
-                       run=dict(run_kwargs or {}), completed=completed,
-                       converged=converged, label=self.label)
+                       completed=completed, converged=converged,
+                       label=self.label)
 
         if store is not None:
             snap = store.load_latest(solver=solver)
@@ -270,6 +266,7 @@ class RunSupervisor:
                     return solver.converged
                 k = ckpt_k = int(snap.march.get("k", 0))
                 cfl_now = float(snap.march.get("cfl", cfl_now))
+                retries = int(snap.march.get("retries", 0))
         ckpt = Checkpoint.capture(solver)
         if store is not None and not store.sequences():
             commit(completed=False, converged=False)

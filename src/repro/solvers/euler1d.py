@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.gas import GasEOS, IdealGasEOS, eos_from_spec, eos_spec
+from repro.core.gas import GasEOS, IdealGasEOS, eos_spec
 from repro.errors import InputError
 from repro.numerics.fluxes import hlle_flux, primitives
 from repro.numerics.limiters import minmod
@@ -115,19 +115,6 @@ class Euler1DSolver(QuarantineMixin):
                 "limiter": self.limiter.__name__, "bc": list(self.bc),
                 "n": int(self.n), "eos": eos_spec(self.eos)}
 
-    def persist_arrays(self):
-        """Constructor ndarrays persisted alongside the state."""
-        return {"x_nodes": self.x_nodes}
-
-    @classmethod
-    def from_persist(cls, config, arrays):
-        """Rebuild a state-less instance from a snapshot manifest."""
-        from repro.numerics import limiters as _limiters
-        return cls(arrays["x_nodes"], eos_from_spec(config["eos"]),
-                   flux=config["flux"], order=config["order"],
-                   limiter=getattr(_limiters, config["limiter"]),
-                   bc=tuple(config["bc"]))
-
     # ------------------------------------------------------------------
 
     def set_initial(self, rho, u, p):
@@ -216,9 +203,7 @@ class Euler1DSolver(QuarantineMixin):
                       persist=persist, watchdog=watchdog,
                       degradation=degradation).march(
             advance, n_steps=max_steps, cfl=cfl,
-            stop=lambda: self.t >= t_final - 1e-15,
-            run_kwargs={"t_final": t_final, "cfl": cfl,
-                        "max_steps": max_steps})
+            stop=lambda: self.t >= t_final - 1e-15)
         return self
 
     # ------------------------------------------------------------------

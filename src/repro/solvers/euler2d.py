@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.gas import GasEOS, IdealGasEOS, eos_from_spec, eos_spec
+from repro.core.gas import GasEOS, IdealGasEOS, eos_spec
 from repro.errors import InputError, StabilityError
 from repro.grid.structured import StructuredGrid2D
 from repro.numerics.fluxes import (hlle_flux, primitives,
@@ -117,11 +117,8 @@ class AxisymmetricEulerSolver(QuarantineMixin):
         return float(np.sum(w["rho"] * s * self.vol))
 
     def get_state(self):
-        """Restorable marching state (see repro.resilience).
-
-        Complete for durable restarts: includes the freestream vector so
-        a solver rebuilt from a manifest needs no ``set_freestream``.
-        """
+        """Restorable marching state (see repro.resilience), freestream
+        vector included."""
         return {"U": self.U.copy(), "t": self.t, "steps": self.steps,
                 "U_inf": None if self.U_inf is None else self.U_inf.copy(),
                 "residual_history": list(self.residual_history)}
@@ -140,20 +137,6 @@ class AxisymmetricEulerSolver(QuarantineMixin):
                 "limiter": self.limiter.__name__,
                 "grid": [int(self.grid.ni), int(self.grid.nj)],
                 "eos": eos_spec(self.eos)}
-
-    def persist_arrays(self):
-        """Constructor ndarrays persisted alongside the state."""
-        return {"grid_x": self.grid.x, "grid_y": self.grid.y}
-
-    @classmethod
-    def from_persist(cls, config, arrays):
-        """Rebuild a state-less instance from a snapshot manifest."""
-        from repro.numerics import limiters as _limiters
-        grid = StructuredGrid2D(arrays["grid_x"], arrays["grid_y"])
-        return cls(grid, eos_from_spec(config["eos"]),
-                   order=config["order"],
-                   limiter=getattr(_limiters, config["limiter"]),
-                   flux=config["flux"])
 
     # ------------------------------------------------------------------
 
@@ -328,8 +311,7 @@ class AxisymmetricEulerSolver(QuarantineMixin):
         RunSupervisor(self, resilience, faults=faults,
                       label=type(self).__name__, persist=persist,
                       watchdog=watchdog, degradation=degradation).march(
-            self.step, n_steps=n_steps, cfl=cfl, tol=tol,
-            run_kwargs={"n_steps": n_steps, "cfl": cfl, "tol": tol})
+            self.step, n_steps=n_steps, cfl=cfl, tol=tol)
         return self
 
     # ------------------------------------------------------------------

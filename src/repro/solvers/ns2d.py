@@ -76,17 +76,6 @@ class AxisymmetricNSSolver(AxisymmetricEulerSolver):
         cfg["prandtl"] = float(self.prandtl)
         return cfg
 
-    @classmethod
-    def from_persist(cls, config, arrays):
-        from repro.core.gas import eos_from_spec
-        from repro.grid.structured import StructuredGrid2D
-        from repro.numerics import limiters as _limiters
-        grid = StructuredGrid2D(arrays["grid_x"], arrays["grid_y"])
-        return cls(grid, eos_from_spec(config["eos"]),
-                   T_wall=config["T_wall"], prandtl=config["prandtl"],
-                   order=config["order"],
-                   limiter=getattr(_limiters, config["limiter"]))
-
     # ------------------------------------------------------------------
     # wall ghost states: no-slip + thermal condition
     # ------------------------------------------------------------------

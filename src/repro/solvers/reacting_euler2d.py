@@ -151,8 +151,7 @@ class ReactingEulerSolver(AxisymmetricEulerSolver):
         """Restorable marching state (see repro.resilience).
 
         Complete for durable restarts: the temperature field is the
-        Newton warm start, so replays stay bit-identical; ``U_inf`` makes
-        a manifest-rebuilt solver runnable without ``set_freestream``.
+        Newton warm start, so replays stay bit-identical.
         """
         state = {"U": self.U.copy(), "steps": self.steps,
                  "T": None if self.T is None else self.T.copy(),
@@ -178,9 +177,9 @@ class ReactingEulerSolver(AxisymmetricEulerSolver):
     def persist_config(self):
         """JSON-able constructor fingerprint (durable checkpoints).
 
-        Only the stock (Park air) mechanism is reconstructible; a custom
-        mechanism still fingerprints through its reaction count so a
-        mismatched resume is refused rather than silently rebuilt wrong.
+        The mechanism fingerprints through its class and reaction count,
+        so resuming a directory marched with another mechanism is
+        refused.
         """
         return {"order": int(self.order),
                 "limiter": self.limiter.__name__,
@@ -189,25 +188,6 @@ class ReactingEulerSolver(AxisymmetricEulerSolver):
                               "n_reactions": len(self.mech.reactions)},
                 "chemistry_model": self.chemistry_model,
                 "grid": [int(self.grid.ni), int(self.grid.nj)]}
-
-    @classmethod
-    def from_persist(cls, config, arrays):
-        """Rebuild a state-less instance (default Park-air mechanism)."""
-        from repro.numerics import limiters as _limiters
-        grid = StructuredGrid2D(arrays["grid_x"], arrays["grid_y"])
-        db = species_set(tuple(config["db"]))
-        solver = cls(grid, db, order=config["order"],
-                     limiter=getattr(_limiters, config["limiter"]),
-                     chemistry_model=config.get("chemistry_model",
-                                                "finite_rate"))
-        rebuilt = solver.persist_config()["mechanism"]
-        if rebuilt != config["mechanism"]:
-            from repro.errors import CheckpointError
-            raise CheckpointError(
-                f"snapshot used mechanism {config['mechanism']}, the "
-                f"default rebuild gives {rebuilt}; pass the original "
-                f"mechanism and rebuild manually")
-        return solver
 
     # ------------------------------------------------------------------
 
@@ -410,9 +390,7 @@ class ReactingEulerSolver(AxisymmetricEulerSolver):
                       label="reacting_euler2d", persist=persist,
                       watchdog=watchdog, degradation=degradation).march(
             lambda c: self.step(c, chemistry=chemistry),
-            n_steps=n_steps, cfl=cfl, tol=tol,
-            run_kwargs={"n_steps": n_steps, "cfl": cfl,
-                        "chemistry": chemistry, "tol": tol})
+            n_steps=n_steps, cfl=cfl, tol=tol)
         return self
 
     # ------------------------------------------------------------------

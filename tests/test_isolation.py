@@ -29,7 +29,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.errors import InputError, SolverError
+from repro.errors import CheckpointError, InputError, SolverError
 from repro.resilience import (FaultInjector, IsolatedRunner,
                               IsolationPolicy)
 from repro.resilience.chaos import (CASES, run_chaos, run_chaos_hosts,
@@ -70,6 +70,12 @@ def _assert_host_pids(ledger, kinds):
     assert sorted(e["event"] for e in events) == sorted(kinds)
     for e in events:
         assert e["pids"][0] == up[e["host"]] and len(e["pids"]) >= 2, e
+
+
+def _worker_files(queue_dir, host):
+    """``host``'s worker heartbeat files left in the queue directory."""
+    return sorted(n for n in os.listdir(queue_dir / "workers")
+                  if n.startswith(f"{host}:"))
 
 
 # ----------------------------------------------------------------------
@@ -226,6 +232,21 @@ class TestRestartBudget:
         assert "isolation kills" in report.summary()
         assert _no_orphans()
 
+    @pytest.mark.parametrize("every", [0, 2.5])
+    def test_bad_cadence_is_refused_before_any_spawn(self, tmp_path,
+                                                     every):
+        """The parent builds the snapshot store, so a cadence the store
+        refuses raises before any child starts instead of crashing
+        every child and spending the restart budget."""
+        factory, run_kwargs, _, _ = CASES["euler1d"]
+        spawned = []
+        runner = IsolatedRunner(IsolationPolicy(
+            every_n_steps=every, deadline=30.0, max_restarts=2))
+        with pytest.raises(CheckpointError, match="every_n_steps"):
+            runner.run_solver(factory, run_kwargs, workdir=tmp_path,
+                              on_spawn=lambda pid, a: spawned.append(pid))
+        assert spawned == [] and runner.events == []
+
     def test_callable_exhaustion(self):
         policy = IsolationPolicy(stall_timeout=0.5, max_restarts=1,
                                  term_grace=0.5)
@@ -352,6 +373,7 @@ class TestChaosHarness:
             "bitwise_match"])
         assert ledger["ok"]
         _assert_host_pids(ledger, ["partition", "host-kill"])
+        assert _worker_files(tmp_path / "farm-queue", "host0") == []
         assert _no_orphans()
 
     def test_jobs_campaign_passes_and_leaves_no_orphans(self, tmp_path,
@@ -370,6 +392,7 @@ class TestChaosHarness:
         assert not audit["double_cancels"]
         assert not audit["cancelled_and_completed"]
         assert (tmp_path / "BENCH_jobs.json").exists()
+        assert _worker_files(tmp_path / "jobs-queue", "jobsA") == []
         assert _no_orphans()
 
 

@@ -2,8 +2,8 @@
 
 The contract under test (see DESIGN.md "Durable persistence"):
 
-* save -> kill -> resume reproduces the uninterrupted trajectory **bit
-  for bit** on every marching solver,
+* save -> kill -> re-run on the same directory reproduces the
+  uninterrupted trajectory **bit for bit** on every marching solver,
 * corruption of the latest snapshot (truncation, bit flip, torn
   manifest) is detected by SHA-256 verification and recovery proceeds
   from the previous generation,
@@ -14,6 +14,7 @@ The contract under test (see DESIGN.md "Durable persistence"):
   ones.
 """
 
+import hashlib
 import json
 import os
 import signal
@@ -27,8 +28,9 @@ import pytest
 
 from repro.errors import CancelledError, CheckpointError, StabilityError
 from repro.resilience import (Checkpoint, FaultInjector, Heartbeat,
-                              PersistencePolicy, SimulatedCrash,
-                              SnapshotStore, resume_run, solver_fingerprint)
+                              PersistencePolicy, RetryPolicy,
+                              SimulatedCrash, SnapshotStore,
+                              solver_fingerprint)
 from repro.resilience.chaos import CASES as CHAOS_CASES
 from repro.resilience.isolation import (set_process_cancel,
                                         set_process_heartbeat)
@@ -124,9 +126,10 @@ class TestOneMarchLoop:
     def test_budget_spent_on_the_final_step_resumes_converged(
             self, tmp_path):
         factory, run_kwargs, _n, _b = CHAOS_CASES["euler1d"]
-        factory().run(**run_kwargs, max_steps=20,
-                      persist=PersistencePolicy(tmp_path))
-        assert resume_run(tmp_path).converged is True
+        policy = PersistencePolicy(tmp_path)
+        factory().run(**run_kwargs, max_steps=20, persist=policy)
+        again = factory().run(**run_kwargs, max_steps=20, persist=policy)
+        assert again.converged is True
 
     def test_bare_march_beats_process_heartbeat(self, tmp_path,
                                                 process_hooks):
@@ -166,8 +169,8 @@ class TestCrashResumeRoundTrip:
                 persist=PersistencePolicy(d, every_n_steps=4))
         assert faults.n_fired == 1
 
-        resumed = resume_run(d)
-        assert type(resumed) is type(ref)
+        resumed = factory()
+        run(resumed, persist=PersistencePolicy(d, every_n_steps=4))
         ref_state, res_state = _state_bytes(ref), _state_bytes(resumed)
         assert sorted(ref_state) == sorted(res_state)
         for key in ref_state:
@@ -179,9 +182,12 @@ class TestCrashResumeRoundTrip:
         d = tmp_path / name
         done = factory()
         run(done, persist=PersistencePolicy(d, every_n_steps=4))
-        again = resume_run(d)
+        seqs = SnapshotStore(PersistencePolicy(d)).sequences()
+        again = factory()
+        run(again, persist=PersistencePolicy(d, every_n_steps=4))
         assert again.steps == done.steps
         assert again.U.tobytes() == done.U.tobytes()
+        assert SnapshotStore(PersistencePolicy(d)).sequences() == seqs
 
     def test_rerun_with_same_dir_continues_mid_march(self, tmp_path):
         """Re-entering run(persist=dir) after a crash (the figure-suite
@@ -199,6 +205,85 @@ class TestCrashResumeRoundTrip:
         assert s2.U.tobytes() == ref.U.tobytes()
         # the resumed march must not have replayed from step 0
         assert len(s2.residual_history) == len(ref.residual_history)
+
+    def test_resumed_march_keeps_its_spent_retries(self, tmp_path):
+        """The snapshot records the retries spent, and a re-run
+        re-enters the ladder with them: a second NaN after the resume
+        exhausts a one-retry budget exactly as it does uninterrupted,
+        while a march whose budget is not exhausted still resumes
+        bitwise."""
+        factory, run_kwargs, _n, _b = CHAOS_CASES["euler1d"]
+        policy = RetryPolicy(max_retries=1)
+
+        def nans(*steps):
+            faults = FaultInjector()
+            for step in steps:
+                faults.inject_nan(step=step, cell=(20,))
+            return faults
+
+        with pytest.raises(StabilityError) as ref_exc:
+            factory().run(**run_kwargs, resilience=policy,
+                          faults=nans(5, 30))
+        assert "retry ladder exhausted after 2 attempt(s)" in \
+            str(ref_exc.value)
+
+        d = PersistencePolicy(tmp_path / "ck", every_n_steps=4)
+        with pytest.raises(SimulatedCrash):
+            factory().run(**run_kwargs, resilience=policy, persist=d,
+                          faults=nans(5).inject_crash(step=14))
+        assert SnapshotStore(d).load_latest().march["retries"] == 1
+        with pytest.raises(StabilityError) as exc:
+            factory().run(**run_kwargs, resilience=policy, persist=d,
+                          faults=nans(30))
+        assert str(exc.value) == str(ref_exc.value)
+
+        ref = factory().run(**run_kwargs, resilience=policy,
+                            faults=nans(5))
+        d = PersistencePolicy(tmp_path / "one", every_n_steps=4)
+        with pytest.raises(SimulatedCrash):
+            factory().run(**run_kwargs, resilience=policy, persist=d,
+                          faults=nans(5).inject_crash(step=14))
+        resumed = factory().run(**run_kwargs, resilience=policy,
+                                persist=d)
+        assert _state_bytes(resumed) == _state_bytes(ref)
+
+    def test_parent_format_snapshot_resumes(self, tmp_path):
+        """A generation written with the constructor arrays and ``run``
+        entry of the older manifest format still verifies and resumes
+        bitwise: every payload entry is checksummed, only ``state::``
+        entries are restored."""
+        factory, run, _n, crash_step = CASES["euler2d"]
+        ref = factory()
+        run(ref)
+        d = tmp_path / "ck"
+        s = factory()
+        with pytest.raises(SimulatedCrash):
+            run(s, faults=FaultInjector().inject_crash(step=crash_step),
+                persist=PersistencePolicy(d, every_n_steps=4))
+        store = SnapshotStore(PersistencePolicy(d))
+        seq = store.sequences()[-1]
+        npz, man = store._paths(seq)
+        with np.load(npz) as z:
+            arrays = {k: np.array(z[k]) for k in z.files}
+        grid_x = np.ascontiguousarray(s.grid.x)
+        arrays["construct::grid_x"] = grid_x
+        np.savez(npz, **arrays)
+        with open(man) as f:
+            m = json.load(f)
+        m["run"] = {"n_steps": 24, "cfl": 0.3, "tol": 1e-8}
+        m["payload"]["construct::grid_x"] = {
+            "type": "ndarray",
+            "sha256": hashlib.sha256(grid_x.tobytes()).hexdigest(),
+            "shape": list(grid_x.shape), "dtype": str(grid_x.dtype)}
+        with open(man, "w") as f:
+            json.dump(m, f)
+
+        snap = store.load_latest()
+        assert snap.seq == seq and store.recovery_log == []
+        assert "grid_x" not in snap.state
+        resumed = factory()
+        run(resumed, persist=PersistencePolicy(d, every_n_steps=4))
+        assert resumed.U.tobytes() == ref.U.tobytes()
 
 
 # ----------------------------------------------------------------------
@@ -277,7 +362,8 @@ class TestCorruptionRecovery:
                     persist=PersistencePolicy(d, every_n_steps=4))
             kinds = [e["kind"] for e in faults.log]
             assert "io" in kinds and "crash" in kinds
-            resumed = resume_run(d)
+            resumed = factory()
+            run(resumed, persist=PersistencePolicy(d, every_n_steps=4))
             assert resumed.U.tobytes() == ref.U.tobytes(), kind
 
     def test_all_generations_corrupt_raises_with_trail(self, tmp_path):
@@ -333,9 +419,10 @@ class TestStoreMechanics:
         with open(man) as f:
             m = json.load(f)
         for key in ("schema_version", "seq", "solver_class", "config",
-                    "fingerprint", "step", "march", "run", "completed",
+                    "fingerprint", "step", "march", "completed",
                     "converged", "payload", "npz"):
             assert key in m, key
+        assert all(k.startswith("state::") for k in m["payload"])
         assert m["schema_version"] == 1
         assert m["solver_class"].startswith("repro.solvers.")
         for entry in m["payload"].values():
@@ -357,6 +444,8 @@ class TestStoreMechanics:
             store.load_latest(solver=other)
 
     def test_fingerprint_stable_across_rebuild(self, tmp_path):
+        """A freshly built solver carries the fingerprint its crashed
+        march wrote, so re-running it on the directory resumes."""
         for name in ("euler1d", "euler2d", "ns2d", "reacting_euler2d"):
             factory, run, _n, crash = CASES[name]
             d = tmp_path / name
@@ -364,10 +453,8 @@ class TestStoreMechanics:
             with pytest.raises(SimulatedCrash):
                 run(s, faults=FaultInjector().inject_crash(step=crash),
                     persist=PersistencePolicy(d, every_n_steps=4))
-            from repro.resilience.persistence import rebuild_solver
             snap = SnapshotStore(PersistencePolicy(d)).load_latest()
-            rebuilt = rebuild_solver(snap)
-            assert solver_fingerprint(rebuilt) == \
+            assert solver_fingerprint(factory()) == \
                 snap.manifest["fingerprint"], name
 
     @staticmethod
@@ -394,19 +481,15 @@ class TestStoreMechanics:
         assert eos_spec(default.eos) == {"kind": "tabulated"}
 
     def test_tabulated_run_rebuilds_onto_its_table(self, tmp_path):
-        from repro.resilience.persistence import rebuild_solver
         s = self._tabulated_ns(24, 32)
         s.run(n_steps=4, cfl=0.3,
               persist=PersistencePolicy(tmp_path, every_n_steps=2))
-        snap = SnapshotStore(PersistencePolicy(tmp_path)).load_latest()
-        rebuilt = rebuild_solver(snap)
-        assert rebuilt.eos.table.gamma.shape == (24, 32)
-        assert solver_fingerprint(rebuilt) == snap.manifest["fingerprint"]
-        assert rebuilt.U.tobytes() == s.U.tobytes()
-
-    def test_resume_empty_dir_raises(self, tmp_path):
-        with pytest.raises(CheckpointError):
-            resume_run(tmp_path / "nothing-here")
+        fresh = self._tabulated_ns(24, 32)
+        snap = SnapshotStore(PersistencePolicy(tmp_path)).load_latest(
+            solver=fresh)
+        assert snap.completed
+        assert fresh.eos.table.gamma.shape == (24, 32)
+        assert fresh.U.tobytes() == s.U.tobytes()
 
 
 # ----------------------------------------------------------------------
@@ -500,7 +583,8 @@ class TestRealSigkill:
         finally:
             if proc.poll() is None:
                 proc.kill()
-        resumed = resume_run(d)
+        resumed = factory()
+        run(resumed, persist=PersistencePolicy(d, every_n_steps=2))
         assert resumed.U.tobytes() == ref.U.tobytes()
         assert resumed.t == ref.t
         assert resumed.steps == ref.steps
@@ -547,7 +631,7 @@ class TestFigureSuiteResume:
         assert "figA output" in out.getvalue()
         assert not res["failures"]
 
-    def test_non_resume_run_clears_stale_state(self, tmp_path,
+    def test_run_without_resume_clears_stale_state(self, tmp_path,
                                                monkeypatch):
         import io
 
