@@ -351,15 +351,17 @@ def test_bench_kernel_eos_table_build(kernel_bench, monkeypatch, air_gas):
     its trace span name.  Over one build, ``rho_T_states`` counts the
     states the ``solve_rho_T`` calls hold, ``jacobian_rows`` the rows the
     Gibbs Newton hands to ``numpy.linalg.solve``, ``newton_iterations``
-    those solve calls, and ``ladder_rows`` the rows handed to the
-    per-cell recovery ladder.
+    those solve calls, ``slope_rows`` the rows of the temperature
+    slope's solves (``_T_slope``, counted apart from the Newton), and
+    ``ladder_rows`` the rows handed to the per-cell recovery ladder.
     """
     from repro.thermo.eos_table import EquilibriumEOSTable
     from repro.thermo.equilibrium import EquilibriumSolver
 
-    states, rows, ladder = [], [], []
+    states, rows, slope_rows, ladder, in_slope = [], [], [], [], []
     solve_rho_T, solve = EquilibriumSolver.solve_rho_T, np.linalg.solve
-    recover = EquilibriumSolver._recover_cells
+    recover, T_slope = (EquilibriumSolver._recover_cells,
+                        EquilibriumSolver._T_slope)
 
     def counted_rho_T(self, rho, T, *a, **kw):
         states.append(np.broadcast(rho, T).size)
@@ -369,11 +371,22 @@ def test_bench_kernel_eos_table_build(kernel_bench, monkeypatch, air_gas):
         ladder.append(idx.size)
         return recover(self, idx, *a, **kw)
 
+    def counted_slope(self, *a):
+        in_slope.append(1)
+        try:
+            return T_slope(self, *a)
+        finally:
+            in_slope.pop()
+
+    def counted_solve(a, b):
+        (slope_rows if in_slope else rows).append(a.shape[0])
+        return solve(a, b)
+
     monkeypatch.setattr(EquilibriumSolver, "solve_rho_T", counted_rho_T)
     monkeypatch.setattr(EquilibriumSolver, "_recover_cells",
                         counted_recover)
-    monkeypatch.setattr(np.linalg, "solve",
-                        lambda a, b: rows.append(a.shape[0]) or solve(a, b))
+    monkeypatch.setattr(EquilibriumSolver, "_T_slope", counted_slope)
+    monkeypatch.setattr(np.linalg, "solve", counted_solve)
     EquilibriumEOSTable.build(air_gas, n_rho=48, n_e=72)
     monkeypatch.undo()
 
@@ -383,6 +396,7 @@ def test_bench_kernel_eos_table_build(kernel_bench, monkeypatch, air_gas):
                              "rho_T_states": sum(states),
                              "jacobian_rows": sum(rows),
                              "newton_iterations": len(rows),
+                             "slope_rows": sum(slope_rows),
                              "ladder_rows": sum(ladder)})
     assert tab.gamma.shape == (48, 72)
     assert np.all((tab.gamma > 1.0) & (tab.gamma < 1.7))

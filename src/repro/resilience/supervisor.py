@@ -81,7 +81,8 @@ class RetryPolicy:
     cfl_min:
         Ladder floor: a retry that would drop CFL below this gives up.
 
-    Checkpoints are captured every :data:`CHECKPOINT_INTERVAL` steps.
+    An armed march captures a rollback checkpoint at its start and every
+    :data:`CHECKPOINT_INTERVAL` steps; a bare march captures none.
     """
 
     max_retries: int = 4
@@ -267,7 +268,8 @@ class RunSupervisor:
                 k = ckpt_k = int(snap.march.get("k", 0))
                 cfl_now = float(snap.march.get("cfl", cfl_now))
                 retries = int(snap.march.get("retries", 0))
-        ckpt = Checkpoint.capture(solver)
+        # only an armed march rolls back: a bare one keeps no checkpoint
+        ckpt = Checkpoint.capture(solver) if pol is not None else None
         if store is not None and not store.sequences():
             commit(completed=False, converged=False)
         while k < n_steps:
@@ -362,7 +364,7 @@ class RunSupervisor:
                 break
             if store is not None and k % store.policy.every_n_steps == 0:
                 commit(completed=False, converged=False)
-            if k % CHECKPOINT_INTERVAL == 0:
+            if pol is not None and k % CHECKPOINT_INTERVAL == 0:
                 ckpt = Checkpoint.capture(solver)
                 ckpt_k = k
         # the step budget may run out on the very step that reaches stop

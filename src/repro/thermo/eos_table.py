@@ -113,7 +113,13 @@ class EquilibriumEOSTable:
         rho = np.exp(LR).ravel()
         # catlint: disable=CAT004 -- same round-trip bound for e_range
         e = np.exp(LE).ravel()
-        st = gas.state_rho_e(rho, e)
+        # the reference (undissociated) composition spends none of e on
+        # chemistry, so its temperature bounds the equilibrium T from
+        # above: start there, at most at the solver's 4000 K.  It depends
+        # on e only, so the first rho row's inversion serves every row.
+        T_frozen = gas.mix.T_from_e(e[:n_e], gas.y_ref)
+        st = gas.state_rho_e(rho, e, T_guess=np.minimum(
+            np.tile(T_frozen, n_rho), 4000.0))
         gamma = (1.0 + st["p"] / (rho * e)).reshape(n_rho, n_e)
         T = st["T"].reshape(n_rho, n_e)
         return cls(log_rho, log_e, gamma, T)

@@ -26,7 +26,9 @@ Fixed-(T, p) states run an outer fixed-point iteration on density around
 the (rho, T) kernel (``rho <- rho * p / p(rho, T)``, each pass a full
 warm-started (rho, T) solve; T is fixed, so g0/RT is evaluated once per
 call, not once per pass); fixed-(rho, e) states run an outer bracketed
-Newton iteration on temperature around the same kernel.
+Newton iteration on temperature around the same kernel, on the
+equilibrium slope de/dT that the element-potential system gives
+analytically at each solved state.
 """
 
 from __future__ import annotations
@@ -145,7 +147,9 @@ class EquilibriumSolver:
     def _guess_lambda(self, rho, T, b, gt):
         """Initial element potentials: elementwise min of an "all atoms" and
         an "all reference molecules" estimate (the equilibrium potential can
-        exceed neither)."""
+        exceed neither).  With ions, the charge potential then makes the
+        start charge-neutral at those element potentials (DESIGN §23.1).
+        """
         B = rho.shape[0]
         lam = np.zeros((B, self.K), dtype=np.float64)
         # catlint: disable=CAT001 -- T > 0 on the solver bracket and
@@ -191,7 +195,27 @@ class EquilibriumSolver:
                     lam[:, k] = np.where(good,
                                          np.minimum(lam[:, k], cand),
                                          lam[:, k])
+        if self.db.has_ions:
+            # every ion is singly charged, so a charge potential lam_q
+            # scales the cations by exp(lam_q) and the electrons by
+            # exp(-lam_q): neutrality fixes it in closed form
+            beta = lam[:, :n_el] @ self._A[:n_el] - gt
+            z = self.db.charge
+            lam[:, n_el] = 0.5 * (
+                np.logaddexp.reduce(beta[:, z < 0], axis=1)
+                - np.logaddexp.reduce(beta[:, z > 0], axis=1))
         return lam
+
+    def _jacobian(self, c):
+        """The element-potential Jacobian J_km = sum_j a_kj a_mj c_j
+        (symmetric PSD) of concentrations ``c`` (B, n), shape (B, K, K).
+        Tikhonov regularisation keeps rows for absent/frozen elements
+        from making the system numerically singular."""
+        A = self._A
+        J = (c[:, None, :] * A[None, :, :]) @ A.T
+        trace = np.einsum("bkk->b", J)
+        mu = 1e-14 * np.maximum(trace, 1e-30)
+        return J + mu[:, None, None] * self._eye
 
     def _newton(self, lam, gt, c_ref, target, scale, tol, max_iter,
                 record=None):
@@ -243,14 +267,7 @@ class EquilibriumSolver:
                                       scale))
             if not idx.size:
                 break
-            # Jacobian J_km = sum_j a_kj a_mj c_j  (symmetric PSD)
-            Jc = c[:, None, :] * A[None, :, :]       # (B, K, n)
-            J = Jc @ A.T                             # (B, K, K)
-            # Tikhonov regularisation keeps rows for absent/frozen elements
-            # from making the system numerically singular.
-            trace = np.einsum("bkk->b", J)
-            mu = 1e-14 * np.maximum(trace, 1e-30)
-            J = J + mu[:, None, None] * self._eye
+            J = self._jacobian(c)
             try:
                 dlam = np.linalg.solve(J, -F[:, :, None])[:, :, 0]
             except np.linalg.LinAlgError:
@@ -487,6 +504,28 @@ class EquilibriumSolver:
     # (rho, e) states — outer iteration on temperature
     # ------------------------------------------------------------------
 
+    def _T_slope(self, rho, T, y):
+        """Temperature slopes of converged (rho, T) states at fixed rho.
+
+        Returns ``(de_dT, dlam_dT)``: the equilibrium de/dT [J/(kg K)],
+        shape (B,), and the element potentials' dλ/dT [1/K], (B, K).
+        With c_j = (p0/RT) exp(-g0_j/RT + sum_k a_kj λ_k) and
+        d(g0_j/RT)/dT = -h_j/(R T²), holding sum_j a_kj c_j = rho b_k
+        gives J dλ/dT = -A (c ∘ e_j/(R T²)) with ``_newton``'s Jacobian
+        (e_j = h_j - R T molar); then d ln c_j/dT = e_j/(R T²) +
+        (Aᵀ dλ/dT)_j and de/dT = sum_j c_j (c_v,j + e_j d ln c_j/dT)/rho
+        (DESIGN §23.2).
+        """
+        c = rho[:, None] * y / self.db.molar_mass       # mol/m^3, (B, n)
+        RT = _R * T[:, None]
+        e_j = self.thermo.h(T) - RT
+        dlnc = e_j / (RT * T[:, None])
+        dlam = np.linalg.solve(self._jacobian(c),
+                               -((c * dlnc) @ self._A.T)[:, :, None])[:, :, 0]
+        dlnc = dlnc + dlam @ self._A
+        cv_j = self.thermo.cp(T) - _R
+        return np.sum(c * (cv_j + e_j * dlnc), axis=1) / rho, dlam
+
     def solve_rho_e(self, rho, e, b, *, T_guess=None, tol=1.0e-9,
                     max_iter=80):
         """Equilibrium state at fixed density and specific internal energy.
@@ -514,9 +553,11 @@ class EquilibriumSolver:
         # e_eq(T) at fixed rho is strictly increasing, so a bracketed Newton
         # on the *equilibrium* slope (frozen cv underestimates it by up to
         # ~5x through dissociation ridges and would oscillate) is globally
-        # convergent.
+        # convergent; _T_slope takes that slope from each solved state.
         T_lo = np.full(T.size, 50.0, dtype=np.float64)
         T_hi = np.full(T.size, 1.0e5, dtype=np.float64)
+        # |last step| and |the step before it|, the bracket's width at first
+        step1, step2 = T_hi - T_lo, T_hi - T_lo
         lam = None
         y_out = np.zeros((T.size, self.db.n), dtype=np.float64)
         T_out = np.zeros(T.size, dtype=np.float64)
@@ -537,19 +578,29 @@ class EquilibriumSolver:
                 y_out[act[done]], T_out[act[done]] = y[done], T[done]
                 keep = ~done
                 act = act[keep]
-                T, T_lo, T_hi, lam, f, e_cur, rho_a, e_a, b_a, scale = (
-                    a[keep] for a in (T, T_lo, T_hi, lam, f, e_cur, rho_a,
-                                      e_a, b_a, scale))
+                (T, T_lo, T_hi, step1, step2, lam, f, y, rho_a, e_a, b_a,
+                 scale) = (a[keep] for a in (T, T_lo, T_hi, step1, step2,
+                                             lam, f, y, rho_a, e_a, b_a,
+                                             scale))
             if not act.size:
                 break
             np.copyto(T_hi, T, where=f > 0)
             np.copyto(T_lo, T, where=f <= 0)
-            dTfd = 0.01 * T
-            e_pert, _, _ = e_of(T + dTfd, lam)
-            cv_eq = np.maximum((e_pert - e_cur) / dTfd, 10.0)
-            T_new = T - f / cv_eq
-            outside = (T_new <= T_lo) | (T_new >= T_hi)
-            T = np.where(outside, 0.5 * (T_lo + T_hi), T_new)
+            cv_eq, dlam = self._T_slope(rho_a, T, y)
+            T_new = T - f / np.maximum(cv_eq, 10.0)
+            # bisect a Newton step that leaves the bracket, or that is not
+            # below half the step before last: an exact slope can 2-cycle
+            # across the inflection of a dissociation ridge
+            bisect = ((T_new <= T_lo) | (T_new >= T_hi)
+                      | (2.0 * np.abs(T_new - T) > step2))
+            T_new = np.where(bisect, 0.5 * (T_lo + T_hi), T_new)
+            dT = T_new - T
+            step1, step2 = np.abs(dT), step1
+            # predict the next start along the potentials' slope; a step
+            # as large as T itself is no tangent step
+            lam = np.where((step1 < T)[:, None], lam + dlam * dT[:, None],
+                           lam)
+            T = T_new
         else:
             # out of iterations: T moved after the last solve, so re-solve
             # the composition at the final T before judging (and

@@ -91,6 +91,21 @@ class TestOneMarchLoop:
             states.append(_state_bytes(s))
         assert all(st == states[0] for st in states[1:])
 
+    @pytest.mark.parametrize("kw, captures",
+                             [({}, 0), ({"resilience": True}, 3)])
+    def test_only_an_armed_march_keeps_rollback_checkpoints(
+            self, kw, captures, monkeypatch):
+        # an armed march captures at its start and every
+        # CHECKPOINT_INTERVAL (25) steps; a bare one re-raises a failing
+        # step's error and never rolls back, so it captures nothing
+        calls, capture = [], Checkpoint.capture
+        monkeypatch.setattr(Checkpoint, "capture", staticmethod(
+            lambda solver: calls.append(1) or capture(solver)))
+        s = _factory("euler2d")()
+        s.run(n_steps=60, cfl=0.3, **kw)
+        assert s.steps == 60
+        assert len(calls) == captures
+
     def test_bare_failure_is_the_steps_own_error(self):
         s = _factory("euler1d")()
         with pytest.raises(StabilityError) as exc:

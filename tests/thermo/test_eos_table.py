@@ -108,6 +108,21 @@ class TestAccuracy:
         assert float(T) == pytest.approx(small_table.T[i, j], rel=1e-12)
 
 
+class TestColdBuild:
+    def test_every_state_meets_the_energy_stop_test(self, air_gas_module):
+        # the default table, its composition re-solved at the stored T:
+        # twice the temperature iteration's tol, for the re-solve's last
+        # digits
+        from repro.thermo.eos_table import build_air_table
+        tab = build_air_table()
+        rho = np.exp(np.broadcast_to(tab.log_rho[:, None], tab.T.shape))
+        e = np.exp(np.broadcast_to(tab.log_e, tab.T.shape))
+        gas = air_gas_module
+        y = gas.solver.solve_rho_T(rho, tab.T, gas.b)
+        err = np.abs(gas.mix.e_mass(tab.T, y) - e)
+        assert np.all(err < 2e-9 * np.maximum(np.abs(e), 1e4))
+
+
 class TestRangeHandling:
     def test_clamped_lookup(self, small_table):
         # default clamps: extreme inputs return boundary values

@@ -519,13 +519,72 @@ class TestSolveTP:
         assert y_lo[0, jO] > y_hi[0, jO]
 
 
+class TestChargeNeutralStart:
+    """`_guess_lambda` sets the charge potential so that the cold start is
+    charge-neutral at its element potentials (DESIGN §23.1)."""
+
+    @pytest.mark.parametrize("name", ["air7", "air9", "air11"])
+    def test_start_is_charge_neutral(self, name):
+        db = species_set(name)
+        solver = EquilibriumSolver(db)
+        b = element_moles(db, air_reference_mass_fractions(db))
+        rho, T = (a.ravel() for a in np.meshgrid(
+            np.geomspace(1e-6, 5.0, 8), np.geomspace(300.0, 20000.0, 30)))
+        gt = solver.thermo.g0_over_RT(T)
+        lam = solver._guess_lambda(rho, T,
+                                   np.broadcast_to(b, (rho.size, solver.K)),
+                                   gt)
+        # ln(c_j RT/p0) of the charged species, shifted per state so that
+        # a cold state's ions do not underflow; the shift and p0/RT cancel
+        # in the ratio
+        q = db.charge != 0
+        x = (lam @ solver._A - gt)[:, q]
+        c = np.exp(x - x.max(axis=1, keepdims=True))
+        z = db.charge[q]
+        assert np.all(np.abs(c @ z) <= 1e-12 * (c @ np.abs(z)))
+
+
+class TestColdNewtonBudget:
+    """A cold `solve_rho_T` starts near its answer: a zero charge
+    potential costs 27-44 Newton iterations on these batches, the
+    charge-neutral start 5-10 (DESIGN §23.1)."""
+
+    BUDGET = 12
+
+    @staticmethod
+    def _iterations(gas, rho, T):
+        calls, solve = [], np.linalg.solve
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np.linalg, "solve",
+                       lambda a, b: calls.append(1) or solve(a, b))
+            gas.solver.solve_rho_T(rho, T, gas.b)
+        return len(calls)
+
+    def test_default_table_states(self, air_gas):
+        from repro.thermo.eos_table import build_air_table
+        tab = build_air_table()
+        rho = np.exp(np.broadcast_to(tab.log_rho[:, None], tab.T.shape))
+        assert self._iterations(air_gas, rho, tab.T) <= self.BUDGET
+
+    def test_table_densities_at_4000K(self, air_gas):
+        from repro.thermo.eos_table import build_air_table
+        rho = np.exp(build_air_table().log_rho)
+        assert self._iterations(air_gas, rho, 4000.0) <= self.BUDGET
+
+    @pytest.mark.parametrize("rho", [1e-6, 1e-4, 1e-2, 1.0, 5.0])
+    def test_temperature_sweep(self, air_gas, rho):
+        T = np.geomspace(300.0, 20000.0, 100)
+        assert self._iterations(air_gas, rho, T) <= self.BUDGET
+
+
 class TestSolveRhoE:
     @pytest.fixture(scope="class")
     def states(self, air_gas):
         """Twelve (rho, e) states over the 48 x 72 table's range.  The
         first eight start 0.1 % off their answers and pass the
-        temperature iteration's test at iteration 3-6; the last four start
-        from 4000 K, as the table build does, and pass at 16-22."""
+        temperature iteration's test at its third iterate; the last four
+        start from 4000 K, the solver's default start, and pass at
+        7-10."""
         rho = np.array([1e-6, 1e-4, 1e-2, 1.0, 3e-5, 0.3, 3e-3, 5.0])
         T = np.array([600.0, 2500.0, 5000.0, 9000.0, 12000.0, 300.0,
                       7000.0, 20000.0])
@@ -561,17 +620,53 @@ class TestSolveRhoE:
         air_gas.solver.solve_rho_e(rho, e, air_gas.b, T_guess=T_guess)
         assert seen[0][0].size == rho.size
         where = {r: i for i, r in enumerate(rho)}
-        # the calls pair up: each iterate, then its forward-difference
-        # step; both of the next two calls get the states still above tol
-        for k in range(0, len(seen), 2):
-            rho_k, T_k, y_k = seen[k]
+        # one call per temperature iterate (the slope is analytic): the
+        # next call gets exactly the states this one left above tol
+        for k, (rho_k, T_k, y_k) in enumerate(seen):
             e_k = e[[where[r] for r in rho_k]]
             f = air_gas.mix.e_mass(T_k, y_k) - e_k
             above = ~(np.abs(f) < 1e-9 * np.maximum(np.abs(e_k), 1e4))
-            later = [r for r, _, _ in seen[k + 1:k + 3]]
-            assert len(later) == (2 if above.any() else 0)
-            assert all(np.array_equal(r, rho_k[above]) for r in later)
-        assert len(seen) > 20                  # the slow states ran on
+            if k + 1 < len(seen):
+                assert np.array_equal(seen[k + 1][0], rho_k[above])
+            else:
+                assert not above.any()
+        assert len(seen) > 3                   # the slow states ran on
+
+    def test_newton_two_cycle_is_bisected(self, titan_gas):
+        # Titan states on the methane-pyrolysis ridge, where the bracketed
+        # Newton alternated between two temperatures (1,412 and 2,672 K,
+        # 594 and 936 K), each step landing inside the bracket, until it
+        # ran out of iterations
+        rho, e = np.array([1.6e-6, 6.3e-7]), np.array([2.89e6, 6.99e5])
+        y, T = titan_gas.solver.solve_rho_e(rho, e, titan_gas.b)
+        err = np.abs(titan_gas.mix.e_mass(T, y) - e)
+        assert np.all(err < 1e-9 * np.maximum(np.abs(e), 1e4))
+
+    def test_slope_matches_a_central_difference(self, air_gas):
+        # through O2 and N2 dissociation and into ionization
+        rho = np.array([1e-2, 1e-2, 1e-2, 1e-2, 1e-5, 1e-5, 1.0, 1.0,
+                        1e-3, 1e-3])
+        T = np.array([2500.0, 3500.0, 6000.0, 12000.0, 2000.0, 9000.0,
+                      4000.0, 15000.0, 7500.0, 20000.0])
+        solver = air_gas.solver
+        y = solver.solve_rho_T(rho, T, air_gas.b)
+        de_dT, dlam_dT = solver._T_slope(rho, T, y)
+        h = 1e-5 * T
+
+        def solve(Tx):
+            y_x, lam_x = solver.solve_rho_T(rho, Tx, air_gas.b,
+                                            return_lambda=True)
+            return air_gas.mix.e_mass(Tx, y_x), lam_x
+
+        (e_p, lam_p), (e_m, lam_m) = solve(T + h), solve(T - h)
+        np.testing.assert_allclose(de_dT, (e_p - e_m) / (2.0 * h),
+                                   rtol=1e-7, atol=0.0)
+        # the element potentials' slope (the charge potential of a state
+        # with trace ions is set by the solve's tolerance, not its slope)
+        n_el = len(air_gas.db.elements)
+        fd = ((lam_p - lam_m) / (2.0 * h[:, None]))[:, :n_el]
+        assert np.all(np.abs(dlam_dT[:, :n_el] - fd)
+                      <= 1e-7 * np.abs(fd).max(axis=1, keepdims=True))
 
     @given(T=st.floats(min_value=400.0, max_value=13000.0),
            lr=st.floats(min_value=-5.0, max_value=0.0))
