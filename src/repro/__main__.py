@@ -571,9 +571,9 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="replay done figures, resume interrupted marches")
 
     p = command(sub, "stagnation", "stagnation environment")
-    p.add_argument("V", type=float, help="flight speed [m/s]")
-    p.add_argument("H", type=float, help="altitude [m]")
-    p.add_argument("RN", type=float, help="nose radius [m]")
+    p.add_argument("V", type=_POS_FLOAT, help="flight speed [m/s]")
+    p.add_argument("H", type=_finite_float, help="altitude [m]")
+    p.add_argument("RN", type=_POS_FLOAT, help="nose radius [m]")
 
     p = command(sub, "degrade-smoke", "fault-injected reacting march: "
                 "must abort without the degradation cascade and complete "

@@ -23,7 +23,7 @@ from repro.analysis.pragmas import PragmaIndex
 RULES: dict[str, "Rule"] = {}
 
 #: Source subtrees where dtype discipline is enforced (CAT021 et al.).
-HOT_PATH_PARTS = ("solvers", "numerics", "parallel", "thermo", "transport")
+HOT_PATH_PARTS = ("solvers", "numerics", "thermo", "transport")
 
 
 def register(rule_cls: type["Rule"]) -> type["Rule"]:

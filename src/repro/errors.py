@@ -94,25 +94,18 @@ class StabilityError(CatError):
 
 
 class SolverError(CatError, RuntimeError):
-    """A solver subsystem failed structurally (dead worker process,
-    broken parallel pool, unusable execution environment).
+    """A solver subsystem failed structurally (dead sandbox child,
+    unknown job kind, unusable execution environment).
 
     Attributes
     ----------
-    worker:
-        Index of the offending worker process, if known.
-    step:
-        Marching step at which the failure was detected, if known.
     exitcode:
-        Exit code of the dead worker, if known.
+        Exit code of the dead sandbox child, if known.
     """
 
-    def __init__(self, message: str, *, worker: int | None = None,
-                 step: int | None = None,
+    def __init__(self, message: str, *,
                  exitcode: int | None = None) -> None:
         super().__init__(message)
-        self.worker = worker
-        self.step = step
         self.exitcode = exitcode
 
 

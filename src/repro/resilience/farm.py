@@ -21,8 +21,8 @@ This module assembles them:
 * **The farm** (:class:`Farm`) spawns the workers, watches their
   heartbeat files (``workers/<host>:<pid>.json``, deleted when the farm
   drops the worker, so the directory names only live workers) with the
-  same liveness-by-silence helpers the stencil pool uses
-  (:mod:`repro.resilience.lease`), reaps expired job
+  liveness-by-silence test lease expiry uses
+  (:func:`~repro.resilience.lease.expired_indices`), reaps expired job
   leases so a dead worker's job is reclaimed within one ttl, replaces
   dead or stalled workers from a bounded restart budget, sweeps the
   orphaned sandbox children a SIGKILLed worker leaves behind, and —
@@ -75,8 +75,7 @@ from repro.resilience.isolation import (Heartbeat, IsolatedRunner,
                                         IsolationPolicy,
                                         current_process_heartbeat,
                                         kill_pid_tree, terminate_process)
-from repro.resilience.lease import (default_host_id, expired_indices,
-                                    format_ages, heartbeat_ages)
+from repro.resilience.lease import default_host_id, expired_indices
 from repro.resilience.persistence import atomic_write
 from repro.resilience.queue import TERMINAL, BackoffPolicy, Job, WorkQueue
 
@@ -745,12 +744,11 @@ class Farm:
                         else:
                             self._drop(rec)
                         continue
-                    ages = heartbeat_ages([rec["last_change"]], now)
-                    if expired_indices(ages, _WORKER_STALL_TIMEOUT):
+                    age = now - rec["last_change"]
+                    if expired_indices([age], _WORKER_STALL_TIMEOUT):
                         self._kill_worker(
                             rec, kind="stall",
-                            reason=f"no heartbeat for {ages[0]:.1f} s "
-                                   f"({format_ages(ages)})")
+                            reason=f"no heartbeat for {age:.1f} s")
                         restarts_left = self._replace(rec,
                                                       restarts_left)
                         continue

@@ -30,13 +30,10 @@ claimants live on **different machines with different clocks**:
   waits out one full observation window before touching anything,
   which is the safe direction to fail.
 
-* :func:`heartbeat_ages` / :func:`stalest_index` /
-  :func:`expired_indices` — the one liveness-by-silence code path
-  shared by the farm supervisor (worker heartbeat files), the stencil
-  pool (:mod:`repro.parallel.executor` names its stalest worker with
-  these) and lease expiry itself.  "Dead" always means the same thing:
-  silent longer than the timeout, aged against the observer's own
-  clock.
+* :func:`expired_indices` — the one liveness-by-silence test, shared
+  by the farm supervisor (worker heartbeat files) and lease expiry
+  itself.  "Dead" always means the same thing: silent longer than the
+  timeout, aged against the observer's own clock.
 
 Every clock consumer here takes an injectable ``clock`` (default
 ``time.time``).  Skew between hosts is injected per farm through
@@ -57,8 +54,7 @@ from dataclasses import dataclass
 from repro.errors import InputError
 from repro.resilience.persistence import atomic_write
 
-__all__ = ["Lease", "LeaseManager", "default_host_id", "expired_indices",
-           "format_ages", "heartbeat_ages", "stalest_index"]
+__all__ = ["Lease", "LeaseManager", "default_host_id", "expired_indices"]
 
 
 # ----------------------------------------------------------------------
@@ -76,39 +72,14 @@ def default_host_id() -> str:
 
 
 # ----------------------------------------------------------------------
-# liveness by silence (shared helpers)
+# liveness by silence (shared helper)
 # ----------------------------------------------------------------------
-
-def heartbeat_ages(last_beats, now: float | None = None) -> list[float]:
-    """Age of each heartbeat against ``now`` (monotonic seconds).
-
-    A beat of 0.0 (or negative) means "never beat" and ages to
-    ``inf`` — a member that never reported is always the prime suspect.
-    """
-    if now is None:
-        now = time.monotonic()
-    return [(now - b) if b > 0.0 else float("inf") for b in last_beats]
-
-
-def stalest_index(ages: list[float]) -> int:
-    """Index of the member silent the longest."""
-    if not ages:
-        raise InputError("stalest_index needs at least one member")
-    return max(range(len(ages)), key=ages.__getitem__)
-
 
 def expired_indices(ages: list[float], timeout: float) -> list[int]:
     """Members silent past ``timeout`` — the declared-dead set."""
     if timeout <= 0.0:
         raise InputError("liveness timeout must be positive")
     return [i for i, a in enumerate(ages) if a > timeout]
-
-
-def format_ages(ages: list[float]) -> str:
-    """``w0=1.2s, w1=never`` summary used in diagnostics."""
-    return ", ".join(
-        f"w{i}={'never' if a == float('inf') else f'{a:.1f}s'}"
-        for i, a in enumerate(ages))
 
 
 # ----------------------------------------------------------------------

@@ -219,6 +219,14 @@ class TestCLI:
         from repro.__main__ import main
         assert main(["teleport"]) == 2
 
-    def test_stagnation_usage(self, capsys):
+    def test_stagnation_usage(self, capsys, monkeypatch):
+        import repro.core
         from repro.__main__ import main
-        assert main(["stagnation", "1"]) == 2
+
+        def never(**kw):
+            raise AssertionError("stagnation_environment was called")
+
+        monkeypatch.setattr(repro.core, "stagnation_environment", never)
+        for argv in (["1"], ["nan", "50e3", "1"], ["7000", "inf", "1"],
+                     ["7000", "50e3", "0"], ["-5000", "50e3", "1"]):
+            assert main(["stagnation", *argv]) == 2, argv

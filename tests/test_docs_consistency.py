@@ -71,6 +71,33 @@ class TestReadme:
             assert (ROOT / "examples" / name).exists(), name
 
 
+def _tree(name):
+    """The ``src/repro/`` tree in a document: {package: [.py names]},
+    with ``""`` for the top-level modules."""
+    block = re.search(r"```\n(src/repro/\n.*?)```", _doc(name), re.S)
+    tree, pkg = {}, ""
+    for line in block.group(1).splitlines()[1:]:
+        head = re.match(r"  (\S+)", line)
+        if head:   # a package line or a top-level module line
+            pkg = head.group(1)[:-1] if head.group(1).endswith("/") else ""
+            tree.setdefault(pkg, [])
+        tree[pkg] += re.findall(r"\b\w+\.py\b", line)
+    return tree
+
+
+class TestArchitectureTrees:
+    @pytest.mark.parametrize("name", ["README.md", "DESIGN.md"])
+    def test_tree_matches_src(self, name):
+        src = ROOT / "src" / "repro"
+        tree = _tree(name)
+        packages = {p.name for p in src.iterdir()
+                    if (p / "__init__.py").exists()}
+        assert set(tree) - {""} == packages
+        for pkg, modules in tree.items():
+            for module in modules:
+                assert (src / pkg / module).exists(), f"{pkg}/{module}"
+
+
 class TestExamplesCompile:
     @pytest.mark.parametrize("path", sorted(
         (ROOT / "examples").glob("*.py")), ids=lambda p: p.name)

@@ -19,10 +19,13 @@ The contract under test (ISSUE 6 acceptance criteria and DESIGN.md
 """
 
 import json
+import multiprocessing as mp
 import os
+import re
 import signal
 import subprocess
 import sys
+import threading
 import time
 
 import numpy as np
@@ -34,9 +37,7 @@ from repro.resilience.farm import (Farm, FarmPolicy, WorkerKillPlan,
                                    audit_exactly_once, bench_from_journal,
                                    build_ledger, run_campaign,
                                    state_fingerprint, write_bench_json)
-from repro.resilience.lease import (LeaseManager, expired_indices,
-                                    format_ages, heartbeat_ages,
-                                    stalest_index)
+from repro.resilience.lease import LeaseManager, expired_indices
 from repro.resilience.queue import BackoffPolicy, Job, WorkQueue
 
 FAST = BackoffPolicy(max_attempts=3, base=0.01, max_delay=0.05)
@@ -237,14 +238,9 @@ class TestLeases:
         assert q.state("a")["status"] == "dead"
         assert "attempt budget" in q.dead_letter("a")["error"]
 
-    def test_liveness_helpers_shared_with_executor(self):
-        ages = heartbeat_ages([10.0, 0.0, 12.0], now=13.0)
-        # catlint: disable=CAT010 -- 13.0 - 10.0 is exact in binary fp,
-        # and inf compares exactly by definition
-        assert ages[0] == 3.0 and ages[1] == float("inf")
-        assert stalest_index(ages) == 1
+    def test_expired_indices_names_the_silent_members(self):
+        ages = [3.0, float("inf"), 1.0]
         assert expired_indices(ages, 2.5) == [0, 1]
-        assert format_ages(ages) == "w0=3.0s, w1=never, w2=1.0s"
 
 
 # ----------------------------------------------------------------------
@@ -309,6 +305,15 @@ class TestCampaign:
 # ----------------------------------------------------------------------
 # kill-and-resume: the acceptance scenario
 # ----------------------------------------------------------------------
+
+
+def _running(pid):
+    """``pid`` is alive: its ``/proc`` entry exists and is no zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
 
 
 def _reference_fingerprints(names):
@@ -388,6 +393,53 @@ class TestKillAndResume:
         events = {r["event"] for r in
                   WorkQueue(tmp_path / "q").read_journal()}
         assert "worker-kill" in events
+
+    def test_stalled_worker_is_killed_and_replaced(self, tmp_path, silent,
+                                                   monkeypatch):
+        """SIGSTOP the first worker to claim a job: its heartbeat falls
+        silent, the farm kills it as stalled and starts a replacement,
+        and its job's lease expires so another worker finishes it once."""
+        from repro.resilience import farm
+        monkeypatch.setattr(farm, "_WORKER_STALL_TIMEOUT", 2.0)
+        q = WorkQueue(tmp_path / "q")
+        jobs = [Job(id=f"s{i}", kind="sleep", payload={"duration": 1.0},
+                    max_attempts=5) for i in range(6)]
+        policy = fast_policy(
+            n_workers=2, lease_ttl=1.0, worker_restart_budget=2,
+            backoff=BackoffPolicy(max_attempts=5, base=0.02,
+                                  max_delay=0.1))
+        stopped = []
+
+        def stop_first_claimant():
+            deadline = time.monotonic() + 30.0
+            while not stopped and time.monotonic() < deadline:
+                for rec in q.read_journal():
+                    if rec["event"] == "claim":
+                        pid = int(rec["worker"].rsplit(":", 1)[1])
+                        os.kill(pid, signal.SIGSTOP)
+                        stopped.append(rec["worker"])
+                        break
+                time.sleep(0.02)
+
+        watcher = threading.Thread(target=stop_first_claimant, daemon=True)
+        watcher.start()
+        ledger = run_campaign(tmp_path / "q", jobs, policy=policy,
+                              stream=silent)
+        watcher.join()
+        assert stopped, "no worker claimed a job"
+        journal = q.read_journal()
+        [kill] = [r for r in journal if r["event"] == "worker-kill"]
+        assert kill["kind"] == "stall" and kill["worker"] == stopped[0]
+        assert re.fullmatch(r"no heartbeat for \d+\.\d s", kill["reason"])
+        starts = [r for r in journal if r["event"] == "worker-start"]
+        assert len(starts) == 3
+        assert journal.index(starts[-1]) > journal.index(kill)
+        assert ledger["ok"] and ledger["jobs"] == {"done": 6}
+        assert ledger["exactly_once_audit"]["ok"]
+        pids = [r["pid"] for r in journal
+                if r["event"] in ("worker-start", "orphan-sweep")]
+        assert not mp.active_children()
+        assert not [pid for pid in pids if _running(pid)]
 
 
 # ----------------------------------------------------------------------
