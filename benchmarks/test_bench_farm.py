@@ -6,7 +6,7 @@ via ``python -m repro campaign --bench``):
 
 * **scheduling throughput** — a burst of near-zero-work jobs measures
   the queue's requests/sec ceiling (claim + sandbox spawn + fenced
-  commit per job) at several worker counts;
+  commit per job) at several `-j` values;
 * **suite scaling** — a figure-shaped workload (the three fast figures,
   farm vs serial) quantifies what ``campaign --figures -j N`` buys over the
   serial runner.

@@ -334,7 +334,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
           f"({ledger['attempts']} attempt(s), "
           f"{ledger['requeues']} requeue(s), "
           f"{ledger['reclaims']} reclaim(s), "
-          f"{len(ledger['worker_kills'])} worker kill(s))"
+          f"{len(ledger['worker_kills'])} sandbox kill(s))"
           + (f", speedup vs serial {ledger['speedup_vs_serial']}x"
              if serial_wall is not None else ""))
     return 0 if ledger["ok"] and not n_dead else 1
@@ -350,8 +350,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                         host_id=args.host_id, max_skew=args.max_skew,
                         clock_offset=args.clock_offset)
     farm = Farm(args.queue_dir, policy, label="serve")
-    print(f"serve: {args.n_workers} worker(s) on {args.queue_dir} as "
-          f"host {farm.host} (SIGTERM to drain)")
+    print(f"serve: up to {args.n_workers} job(s) at once on "
+          f"{args.queue_dir} as {farm.name} (SIGTERM to drain)")
     ledger = farm.run()
     pending = sum(v for k, v in ledger["jobs"].items()
                   if k not in TERMINAL)
@@ -530,9 +530,9 @@ def _build_parser() -> argparse.ArgumentParser:
     at the default" and fills the real default in after its checks."""
     farm = argparse.ArgumentParser(add_help=False)
     farm.add_argument("--farm", action="store_true",
-                      help="run on the solve farm (sandboxed workers)")
+                      help="run on the solve farm (one sandbox per job)")
     farm.add_argument("-j", dest="n_workers", type=_POS_INT, metavar="N",
-                      help="farm worker count")
+                      help="farm jobs run at once, one sandbox each")
     farm.add_argument("--queue-dir", metavar="D",
                       help="durable farm queue (reuse D to resume)")
     hosts = argparse.ArgumentParser(add_help=False)
@@ -596,7 +596,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="report directory")
     p.add_argument("--deadline", type=_POS_FLOAT, metavar="S")
     p.add_argument("--kill-workers", type=_NONNEG_INT, metavar="K",
-                   help="scheduled worker SIGKILLs (0 disables)")
+                   help="scheduled SIGKILLs of running sandboxes "
+                   "(0 disables)")
     p.add_argument("--hosts", type=_POS_INT, metavar="N",
                    help="N supervisor hosts on one queue; one is killed")
     p.add_argument("--skew", type=_POS_FLOAT, nargs="?", const=5.0,
@@ -646,7 +647,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--retry-dead-letters", action="store_true",
                    help="requeue --queue-dir's dead letters and re-run")
     p.add_argument("-j", dest="n_workers", type=_POS_INT, default=4,
-                   metavar="N", help="worker count (default 4)")
+                   metavar="N", help="jobs run at once, one sandbox each "
+                   "(default 4)")
     p.add_argument("--full", action="store_true", help="paper resolution")
     p.add_argument("--queue-dir", metavar="D",
                    help="durable queue (default: a fresh temp dir)")
@@ -654,16 +656,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--compare-serial", action="store_true",
                    help="also time the serial suite (--figures only)")
     p.add_argument("--kill-workers", type=_NONNEG_INT, default=0,
-                   metavar="K", help="SIGKILL K workers at seeded times")
+                   metavar="K", help="SIGKILL K running sandboxes at "
+                   "seeded times")
     p.add_argument("--seed", type=int, default=0, metavar="S")
     p.add_argument("--deadline", type=_POS_FLOAT, metavar="S",
                    help="per-job wall-clock budget")
 
-    p = command(sub, "serve", "long-running worker pool: drains the "
+    p = command(sub, "serve", "long-running farm supervisor: drains the "
                 "queue until SIGTERM/SIGINT", [queue, hosts, ledger],
                 epilog="Defaults: -j 2, --lease-ttl 15 s, --poll 0.25 s.")
     p.add_argument("-j", dest="n_workers", type=_POS_INT, default=2,
-                   metavar="N", help="worker count (default 2)")
+                   metavar="N", help="jobs run at once, one sandbox each "
+                   "(default 2)")
     p.add_argument("--lease-ttl", type=_POS_FLOAT, default=15.0,
                    metavar="S")
     p.add_argument("--poll", type=_POS_FLOAT, default=0.25, metavar="S")

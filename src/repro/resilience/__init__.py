@@ -36,12 +36,13 @@ This package provides the machinery the solver stack wires through:
 * :class:`Farm` / :class:`FarmPolicy` / :class:`WorkQueue` /
   :class:`Job` / :class:`BackoffPolicy` / :class:`LeaseManager` — the
   fault-tolerant solve farm: a durable filesystem work queue drained by
-  N supervised workers under lease-based ownership, retry with
-  exponential backoff, a dead-letter ledger, kill-and-resume campaigns
-  and graceful drain (see :mod:`repro.resilience.farm`,
+  one supervisor running up to N jobs at once, each in its own
+  sandbox, under lease-based ownership, retry with exponential
+  backoff, a dead-letter ledger, kill-and-resume campaigns and
+  graceful drain (see :mod:`repro.resilience.farm`,
   :mod:`repro.resilience.queue` and :mod:`repro.resilience.lease`),
 * :func:`audit_exactly_once` — the multi-host layer: several
-  supervisors (each a ``host_id`` with ``host:pid`` workers) drain one
+  supervisors (each a ``host_id``, named ``host:pid``) drain one
   shared queue directory under clock-skew-tolerant leases, fenced
   commits and one append-only journal file per host; any host's
   campaign ledger folds every host's journal and carries the

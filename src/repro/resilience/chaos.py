@@ -17,11 +17,12 @@ stack.  Five campaigns, one per layer, share this module:
   the same ``--seed`` yields the same solvers, schedules and outcomes.
 * ``--farm``: the rounds become ``chaos_round`` jobs on the
   :mod:`~repro.resilience.farm` queue while the farm SIGKILLs its own
-  workers on a seeded schedule, so the campaign also proves lease
-  reclaim, retry/backoff and worker replacement.  Farm rounds seed
-  per-round rngs (``[seed, index]``) so they are order-independent
-  across workers; the serial and farm schedules for one seed therefore
-  differ, but each is deterministic.
+  running sandboxes on a seeded schedule, so the campaign also proves
+  retry/backoff and resume from snapshots, and that no sandbox
+  outlives the campaign.  Farm rounds seed per-round rngs (``[seed,
+  index]``) so they are order-independent across sandboxes; the serial
+  and farm schedules for one seed therefore differ, but each is
+  deterministic.
 * ``--farm --hosts N``: N supervisor processes ("hosts", each with its
   own ``host_id``, an optional ±skew clock offset and a per-host
   journal) drain one shared queue.  The harness SIGSTOPs one host's
@@ -60,8 +61,8 @@ import numpy as np
 from repro.errors import SolverError
 from repro.resilience.farm import (Farm, FarmPolicy, WorkerKillPlan,
                                    build_ledger, run_campaign,
-                                   state_fingerprint, sweep_orphans,
-                                   write_bench_json)
+                                   sandbox_records, state_fingerprint,
+                                   sweep_orphans, write_bench_json)
 from repro.resilience.faults import FaultInjector
 from repro.resilience.isolation import (IsolatedRunner, IsolationPolicy,
                                         _read_rss_mb, kill_pid_tree,
@@ -198,8 +199,9 @@ def _queue_dir(queue_dir: str | None, out: str | None, name: str) -> str:
 
 
 def _host_main(queue_dir: str, policy: FarmPolicy) -> None:
-    """One chaos "host": a farm supervisor in its own process group,
-    draining ``queue_dir`` under ``policy``."""
+    """One chaos "host": a farm supervisor in its own process group
+    (each of its sandboxes leads another), draining ``queue_dir`` under
+    ``policy``."""
     try:
         os.setpgid(0, 0)
     except OSError:
@@ -218,44 +220,38 @@ def _spawn_host(timeline: _Timeline, queue_dir: str, policy: FarmPolicy):
 
 
 def _host_pids(queue: WorkQueue, host: str, proc) -> list[int]:
-    """The supervisor pid plus its live workers' pids, read off their
-    ``workers/<host>:<pid>.json`` heartbeat files (the farm deletes a
-    worker's file when it drops the worker)."""
-    try:
-        names = os.listdir(os.path.join(queue.dir, "workers"))
-    except OSError:
-        names = []
-    prefix = f"{host}:"
-    return [proc.pid] + sorted(
-        int(n[len(prefix):-len(".json")]) for n in names
-        if n.startswith(prefix) and n.endswith(".json"))
+    """The supervisor pid plus its running sandboxes' pids, read off
+    their ``work/<job>/child.json`` presence records."""
+    return [proc.pid] + sorted(int(rec["pid"]) for rec in
+                               sandbox_records(queue, host))
 
 
 def _kill_host(timeline: _Timeline, queue: WorkQueue, host: str,
                proc) -> list[int]:
-    """SIGKILL a whole host: the supervisor and its workers with their
-    process trees, then the sandbox children that live in their own
-    process groups (the orphan sweep).  The dead supervisor cannot drop
-    its workers' heartbeat files, so this deletes them.  Returns the
-    killed pids.
+    """SIGKILL a whole host: the supervisor's process group first, so
+    it starts no more sandboxes, then its sandboxes, each leading its
+    own group (the orphan sweep, which also deletes their presence
+    records the dead supervisor cannot).  Returns the killed pids.
 
-    The sweep comes before the join: a sandbox child inherits the
+    The sweep comes before the join: a sandbox inherits the
     supervisor's exit pipe, so joining first would let it finish its
     march before it dies."""
-    pids = _host_pids(queue, host, proc)
-    for pid in pids:
-        kill_pid_tree(pid)
-    for pid in pids[1:]:
-        try:
-            os.remove(os.path.join(queue.dir, "workers",
-                                   f"{host}:{pid}.json"))
-        except OSError:
-            pass
+    kill_pid_tree(proc.pid)
     swept = sweep_orphans(queue, host=host)
     proc.join(10.0)
+    pids = [proc.pid] + sorted(int(rec["pid"]) for rec in swept)
     timeline.note("host-kill", host=host, pids=pids,
                   orphans_swept=len(swept))
     return pids
+
+
+def _alive(pid) -> bool:
+    """Does ``pid`` name a live process?"""
+    try:
+        os.kill(int(pid), 0)
+    except OSError:
+        return False
+    return True
 
 
 def _stop_hosts(procs) -> None:
@@ -373,9 +369,7 @@ def run_round(index: int, rng, *, out_dir: str | None = None,
         deadline=deadline,
         memory_mb=None if base_rss is None
         else base_rss + _MEMORY_MARGIN_MB,
-        stall_timeout=stall_timeout,
-        max_restarts=3, poll_interval=0.05, term_grace=1.0,
-        every_n_steps=3)
+        stall_timeout=stall_timeout, max_restarts=3, every_n_steps=3)
     runner = IsolatedRunner(policy, label=f"chaos[{case_name}]")
 
     report: dict = {"round": index, "case": case_name,
@@ -469,7 +463,7 @@ def run_chaos(*, rounds: int = 5, seed: int = 0, out: str | None =
 
 
 # ----------------------------------------------------------------------
-# farm: rounds as queue jobs, chaos kills the workers too
+# farm: rounds as queue jobs, chaos kills their sandboxes too
 # ----------------------------------------------------------------------
 
 def run_chaos_farm(*, rounds: int = 5, seed: int = 0, out: str | None =
@@ -478,17 +472,17 @@ def run_chaos_farm(*, rounds: int = 5, seed: int = 0, out: str | None =
                    queue_dir: str | None = None, stream=None) -> int:
     """Run the chaos campaign on the solve farm; returns an exit code.
 
-    Every round is a ``chaos_round`` job; while workers drain them the
-    farm delivers ``kill_workers`` scheduled SIGKILLs to its own
-    workers.  A killed worker's round is reclaimed when its lease
-    expires and retried elsewhere, so the campaign must still end with
-    every round done (invariants checked as in serial mode) or
-    dead-lettered with a failure report.
+    Every round is a ``chaos_round`` job, ``n_workers`` of them running
+    at once; meanwhile the farm delivers ``kill_workers`` scheduled
+    SIGKILLs to its running sandboxes.  A killed round fails, backs off
+    and is retried, so the campaign must still end with every round
+    done (invariants checked as in serial mode) or dead-lettered with a
+    failure report, and with no sandbox the journal names still alive.
     """
     stream = stream or sys.stdout
     queue_dir = _queue_dir(queue_dir, out, "farm-queue")
-    print(f"chaos farm: {rounds} round(s) on {n_workers} worker(s), "
-          f"seed {seed}, {kill_workers} scheduled worker kill(s), "
+    print(f"chaos farm: {rounds} round(s), {n_workers} at once, "
+          f"seed {seed}, {kill_workers} scheduled sandbox kill(s), "
           f"queue {queue_dir}", file=stream)
     # a round may burn several inner attempts (max_restarts=3) of
     # `deadline` each before it settles; budget the outer sandbox for
@@ -503,7 +497,6 @@ def run_chaos_farm(*, rounds: int = 5, seed: int = 0, out: str | None =
     policy = FarmPolicy(
         n_workers=n_workers, lease_ttl=10.0, poll_interval=0.2,
         stall_timeout=None, deadline=round_budget,
-        worker_restart_budget=2 * rounds + 4,
         backoff=BackoffPolicy(max_attempts=3, base=0.5, max_delay=5.0))
     plan = None
     if kill_workers > 0:
@@ -529,14 +522,18 @@ def run_chaos_farm(*, rounds: int = 5, seed: int = 0, out: str | None =
             with open(os.path.join(out, f"round-{i:03d}.json"),
                       "w") as f:
                 json.dump(report, f, indent=1, default=str)
+    orphans = [rec.get("pid") for rec in queue.read_journal()
+               if rec.get("event") == "worker-start"
+               and _alive(rec.get("pid"))]
     checks = {"rounds_ok": not failed, "drained": farm_ledger["ok"],
               "dead_letters_reported": all(
                   (queue.dead_letter(f"round-{i:03d}") or {}).get(
-                      "report") is not None for i in dead)}
+                      "report") is not None for i in dead),
+              "no_orphans": not orphans}
     return _verdict(
         "farm", out,
         {"rounds": rounds, "seed": seed, "failed_rounds": failed,
-         "dead_rounds": dead,
+         "dead_rounds": dead, "orphans": orphans,
          "kills": sum(len(r.get("events") or []) for r in reports),
          "worker_kills": farm_ledger["worker_kills"],
          "reclaims": farm_ledger["reclaims"],
@@ -546,9 +543,9 @@ def run_chaos_farm(*, rounds: int = 5, seed: int = 0, out: str | None =
                   ("wall_time", "n_workers", "attempts", "jobs", "ok")}},
         checks,
         f"all {rounds} round(s) held under "
-        f"{len(farm_ledger['worker_kills'])} worker kill(s) "
-        f"({farm_ledger['reclaims']} lease reclaim(s), "
-        f"{farm_ledger['requeues']} requeue(s))", stream)
+        f"{len(farm_ledger['worker_kills'])} sandbox kill(s) "
+        f"({farm_ledger['requeues']} requeue(s)), no sandbox left "
+        f"behind", stream)
 
 
 # ----------------------------------------------------------------------
@@ -567,8 +564,8 @@ def run_chaos_hosts(*, hosts: int = 2, rounds: int = 2,
     queue of ``rounds`` bitwise-verifiable solver jobs plus sleep
     ballast.  With ``partition`` the campaign SIGSTOPs the last host's
     process tree long enough for its leases to be reaped, then
-    resumes it; then host 0 is SIGKILLed outright (supervisor, workers
-    and sandbox children).  The survivors must finish every job
+    resumes it; then host 0 is SIGKILLed outright (supervisor and
+    sandboxes).  The survivors must finish every job
     **exactly once** — the audit of the journal fold
     (:func:`~repro.resilience.farm.build_ledger`, kept under ``ledger``)
     finds no double completion, every stale commit is fenced, no job is
@@ -586,7 +583,7 @@ def run_chaos_hosts(*, hosts: int = 2, rounds: int = 2,
     if skew:
         # alternating ±skew: host clocks disagree by up to 2*skew
         offsets = [skew if i % 2 == 0 else -skew for i in range(hosts)]
-    print(f"chaos hosts: {hosts} host(s) x {n_workers} worker(s), "
+    print(f"chaos hosts: {hosts} host(s) x {n_workers} job(s) at once, "
           f"{rounds} solver round(s), skew {offsets}, "
           f"partition {partition}, queue {queue_dir}", file=stream)
     timeline = _Timeline(stream)
@@ -610,7 +607,7 @@ def run_chaos_hosts(*, hosts: int = 2, rounds: int = 2,
     names = [f"host{i}" for i in range(hosts)]
     base = FarmPolicy(
         n_workers=n_workers, lease_ttl=lease_ttl, poll_interval=0.1,
-        worker_restart_budget=4, deadline=deadline / 2.0,
+        deadline=deadline / 2.0,
         backoff=BackoffPolicy(max_attempts=6, base=0.2, max_delay=2.0),
         drain_when_idle=False,   # serve mode: the campaign stops us
         max_skew=max_skew)
@@ -621,7 +618,7 @@ def run_chaos_hosts(*, hosts: int = 2, rounds: int = 2,
     try:
         for policy in policies:
             procs.append(_spawn_host(timeline, queue_dir, policy))
-        # let work be claimed, and every host list a worker, before
+        # let work be claimed, and every host run a sandbox, before
         # injecting anything
         timeline.wait(lambda: any(r.get("event") == "claim"
                                   for r in queue.read_journal())
@@ -630,11 +627,13 @@ def run_chaos_hosts(*, hosts: int = 2, rounds: int = 2,
                       deadline / 4.0)
         if partition:
             # SIGSTOP the survivor's whole tree long enough for its
-            # leases to expire on the other hosts' monotonic clocks
+            # leases to expire on the other hosts' monotonic clocks:
+            # the supervisor first, so it starts no sandbox unstopped
             host = names[survivor]
+            signal_group(procs[survivor].pid, signal.SIGSTOP)
             pids = _host_pids(queue, host, procs[survivor])
             hold = lease_ttl + max_skew + 1.0
-            for pid in pids:
+            for pid in pids[1:]:
                 signal_group(pid, signal.SIGSTOP)
             timeline.note("partition", host=host, pids=pids, hold=hold)
             time.sleep(hold)
@@ -888,7 +887,7 @@ def run_chaos_jobs(*, n_steps: int = 400, deadline: float = 240.0,
        process → the reference state fingerprint.
     2. ``submit`` the same march as an async job (benchmarking submit
        latency on ballast submissions first), start a host, and
-       SIGKILL the whole host (supervisor, worker, sandbox child) once
+       SIGKILL the whole host (supervisor and sandbox) once
        live progress and ≥ 1 durable snapshot prove the march is
        mid-flight.
     3. Start a second host: lease reaping requeues the dead job, the
@@ -1021,13 +1020,7 @@ def run_chaos_jobs(*, n_steps: int = 400, deadline: float = 240.0,
                 leaked.append(path)
     checks["gc_clean"] = (not leaked
                           and swept["n_collected"] >= 2)
-    orphans = []
-    for pid in killed_pids:
-        try:
-            os.kill(int(pid), 0)
-        except OSError:
-            continue
-        orphans.append(int(pid))
+    orphans = [int(pid) for pid in killed_pids if _alive(pid)]
     checks["no_orphans"] = not orphans
     timeline.note("gc", collected=swept["n_collected"], leaked=len(leaked),
                   orphans=len(orphans))

@@ -1,5 +1,5 @@
-"""Fault-tolerant solve farm: N supervised workers draining a durable
-work queue.
+"""Fault-tolerant solve farm: one supervisor running sandboxed jobs off
+a durable work queue.
 
 The farm is the job scheduler the resilience stack was built toward:
 :class:`~repro.resilience.isolation.IsolatedRunner` sandboxes one
@@ -8,26 +8,25 @@ killed march resumable, and the :mod:`~repro.resilience.queue` /
 :mod:`~repro.resilience.lease` pair make *ownership* of work durable.
 This module assembles them:
 
-* **Workers** (:func:`_worker_main`) claim jobs off the shared
-  :class:`~repro.resilience.queue.WorkQueue`, execute them inside an
-  isolation sandbox under the job's wall-clock deadline, RSS budget and
-  heartbeat stall timeout, renew their lease from a background thread
-  while the job runs, and commit the result fenced by the lease token.
-  SIGTERM drains gracefully: the current attempt is checkpointed (the
-  sandbox child is killed — its durable snapshots survive), the job is
-  preempted back to the queue *without* charging an attempt, and the
-  worker exits 0.
-
-* **The farm** (:class:`Farm`) spawns the workers, watches their
-  heartbeat files (``workers/<host>:<pid>.json``, deleted when the farm
-  drops the worker, so the directory names only live workers) with the
-  liveness-by-silence test lease expiry uses
-  (:func:`~repro.resilience.lease.expired_indices`), reaps expired job
-  leases so a dead worker's job is reclaimed within one ttl, replaces
-  dead or stalled workers from a bounded restart budget, sweeps the
-  orphaned sandbox children a SIGKILLed worker leaves behind, and —
-  when a :class:`WorkerKillPlan` is armed — SIGKILLs its own workers on
-  a deterministic schedule (the chaos harness's ``--farm`` mode).
+* **The supervisor** (:class:`Farm`) is one process and one loop.  It
+  claims up to ``n_workers`` (``-j``) jobs off the shared
+  :class:`~repro.resilience.queue.WorkQueue` and forks each into its
+  own isolation :class:`~repro.resilience.isolation.Sandbox` under the
+  job's wall-clock deadline, RSS budget and heartbeat stall timeout.
+  Each pass renews every lease it holds, polls every sandbox against
+  its budgets (a kill spans passes, so no pass blocks long enough to
+  lose a lease), reaps expired leases so a dead host's jobs are
+  reclaimed within one ttl, and commits each finished attempt fenced
+  by its lease token; between passes it sleeps until a sandbox exits
+  or ``poll_interval`` passes.  An attempt whose renewal failed never
+  commits.  A failing claim or commit is journaled (``farm-error``) and
+  the loop goes on.  SIGTERM drains gracefully: the sandboxes are
+  killed (their durable snapshots survive), their jobs are preempted
+  back to the queue *without* charging an attempt, and the supervisor
+  returns its ledger.  With a :class:`WorkerKillPlan` armed it SIGKILLs
+  running sandboxes on a deterministic schedule (the chaos harness's
+  ``--farm`` mode); such a job fails, backs off and resumes from its
+  snapshot.
 
 * **Job kinds** (:data:`JOB_KINDS`) map a job's ``kind`` string to the
   function that executes its payload inside the sandbox child: paper
@@ -37,14 +36,15 @@ This module assembles them:
   (``sleep``, ``flaky``) the tests and smoke campaigns lean on.
 
 The farm is **multi-host aware**: each supervisor runs under a
-``host_id`` (defaulting to the machine hostname) and names its workers
-``host:pid`` so journal lines, leases, heartbeat files, orphan sweeps
-and dead-letter reports attribute work to a machine.  Several
-supervisors on different machines can drain one shared
-(NFS-mounted) queue directory; cross-host lease reaping never compares
-wall clocks (see :mod:`repro.resilience.lease`), and
-:func:`audit_exactly_once` proves from the merged journal that no job
-was completed twice.
+``host_id`` (defaulting to the machine hostname) and is named
+``host:pid`` — the ``worker`` of its journal lines, leases and
+dead-letter reports.  Its one presence record per running sandbox is
+``work/<job>/child.json`` (supervisor name, job, sandbox pid), which
+chaos host kills and ``jobs cancel --escalate-after`` read.  Several
+supervisors on different machines can drain one shared (NFS-mounted)
+queue directory; cross-host lease reaping never compares wall clocks
+(see :mod:`repro.resilience.lease`), and :func:`audit_exactly_once`
+proves from the merged journal that no job was completed twice.
 
 Every attempt, kill, requeue, reclaim, preemption and dead-letter is a
 line in the queue's crash-safe journal; :func:`build_ledger` folds the
@@ -60,28 +60,26 @@ import importlib
 import inspect
 import json
 import math
-import multiprocessing as mp
 import os
 import signal
 import sys
-import threading
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
+from multiprocessing.connection import wait
 
 import numpy as np
 
-from repro.errors import CatError, InputError, SolverError
-from repro.resilience.isolation import (Heartbeat, IsolatedRunner,
-                                        IsolationPolicy,
-                                        current_process_heartbeat,
-                                        kill_pid_tree, terminate_process)
-from repro.resilience.lease import default_host_id, expired_indices
+from repro.errors import InputError, SolverError
+from repro.resilience.isolation import (IsolatedRunner, IsolationPolicy,
+                                        Sandbox, current_process_heartbeat,
+                                        kill_pid_tree)
+from repro.resilience.lease import Lease, default_host_id
 from repro.resilience.persistence import atomic_write
 from repro.resilience.queue import TERMINAL, BackoffPolicy, Job, WorkQueue
 
 __all__ = ["Farm", "FarmPolicy", "JOB_KINDS", "WorkerKillPlan",
            "audit_exactly_once", "bench_from_journal", "build_ledger",
-           "job_kind", "journal_lives", "run_campaign",
+           "job_kind", "journal_lives", "run_campaign", "sandbox_records",
            "sweep_orphans", "write_bench_json"]
 
 
@@ -94,7 +92,7 @@ __all__ = ["Farm", "FarmPolicy", "JOB_KINDS", "WorkerKillPlan",
 #: ``ckpt_dir`` (durable snapshot ladder — marches resume from here
 #: after a kill), ``queue_dir`` and ``job_id``.  An executor commits
 #: nothing to the queue: its return value (or its exception) is what the
-#: worker's fenced ``complete``/``fail`` records.
+#: supervisor's fenced ``complete``/``fail`` records.
 JOB_KINDS: dict = {}
 
 
@@ -144,9 +142,10 @@ def _job_chaos_round(payload: dict, ctx: dict) -> dict:
     """One chaos round with its own spawned rng (``seed`` is a sequence
     like ``[campaign_seed, index]`` so rounds are order-independent).
 
-    The round supervises its *own* inner sandbox, so jobs of this kind
-    must run with the outer ``stall_timeout`` disabled: the outer child
-    blocks in the inner supervision loop and never beats.
+    The round supervises its *own* inner sandbox, which stays in the
+    job sandbox's process group, so a kill of the job ends it too.  Jobs
+    of this kind must run with the outer ``stall_timeout`` disabled: the
+    outer child blocks in the inner supervision loop and never beats.
     """
     from repro.resilience.chaos import run_round
     rng = np.random.default_rng(payload["seed"])
@@ -163,7 +162,7 @@ def _job_batch(payload: dict, ctx: dict) -> dict:
     ``{"requests": [...], "policy": {...}, "offset": N}``.
 
     The chunk runs :func:`repro.service.batch.evaluate_batch` inside
-    the worker's sandbox; envelopes come back with chunk-local indices
+    the job's sandbox; envelopes come back with chunk-local indices
     (the merger re-offsets them).  Chunk job ids derive from the batch
     content key, so retry after preemption re-executes the same
     requests idempotently and the exactly-once audit still holds.
@@ -262,15 +261,15 @@ class FarmPolicy:
     Attributes
     ----------
     n_workers:
-        Supervised worker processes draining the queue.
+        Jobs the supervisor runs at once (``-j``), one sandbox each.
     lease_ttl:
-        Job-lease time to live [s]; a worker renews every ttl/3, so a
-        dead worker's job is reclaimed within roughly one ttl.
+        Job-lease time to live [s]; the supervisor renews every held
+        lease each ttl/3, so a dead host's jobs are reclaimed within
+        roughly one ttl.
     poll_interval:
-        Idle-worker and farm-supervision poll period [s].
-    worker_restart_budget:
-        Replacement workers the farm may spawn campaign-wide after
-        deaths/kills before it stops replacing.
+        Longest sleep of the supervision loop [s] between passes (it
+        wakes at once when a sandbox exits): the period of its budget
+        checks, claims and lease reaping.
     deadline, memory_mb, stall_timeout:
         Per-job isolation budgets applied when the job spec leaves them
         None.
@@ -278,27 +277,27 @@ class FarmPolicy:
         The queue's retry :class:`~repro.resilience.queue.BackoffPolicy`
         (max attempts, exponential delay, deterministic jitter).
     drain_when_idle:
-        Campaign mode: workers exit once every job is terminal.  The
-        ``serve`` loop sets this False and waits for new work instead.
+        Campaign mode: the supervisor returns once every job is
+        terminal.  The ``serve`` loop sets this False and waits for new
+        work instead.
     max_wall_time:
         Campaign wall-clock budget [s]; None = unbounded.
     host_id:
         This supervisor's identity in the shared queue directory;
-        defaults to the machine hostname.  Workers are named
+        defaults to the machine hostname.  The supervisor is named
         ``host_id:pid``.
     max_skew:
         Cross-host clock-skew bound [s] granted before reaping another
         host's lease (see :class:`~repro.resilience.lease.LeaseManager`).
     clock_offset:
         Injected wall-clock skew [s], finite, of either sign, for this
-        farm and its workers — the chaos/testing knob for a machine
-        whose clock is wrong.
+        farm — the chaos/testing knob for a machine whose clock is
+        wrong.
     """
 
     n_workers: int = 2
     lease_ttl: float = 15.0
     poll_interval: float = 0.25
-    worker_restart_budget: int = 8
     deadline: float | None = None
     memory_mb: float | None = None
     stall_timeout: float | None = None
@@ -322,42 +321,25 @@ class FarmPolicy:
             raise InputError(f"clock_offset must be finite, got "
                              f"{self.clock_offset!r}")
 
-    def worker_config(self) -> dict:
-        return {"lease_ttl": self.lease_ttl,
-                "poll_interval": self.poll_interval,
-                "deadline": self.deadline, "memory_mb": self.memory_mb,
-                "stall_timeout": self.stall_timeout,
-                "backoff": asdict(self.backoff),
-                "drain_when_idle": self.drain_when_idle,
-                "host_id": self.host_id or default_host_id(),
-                "max_skew": self.max_skew,
-                "clock_offset": self.clock_offset}
-
     def clock(self):
-        """Wall clock for this farm, honouring ``clock_offset``."""
-        return _offset_clock(self.clock_offset)
-
-
-#: worker-heartbeat silence [s] after which the farm kills and replaces
-#: the worker (its job lease then expires and reclaims)
-_WORKER_STALL_TIMEOUT = 60.0
-
-
-def _offset_clock(offset: float):
-    """A ``time.time``-alike shifted by ``offset`` seconds (0 → None,
-    which every clock consumer reads as plain ``time.time``)."""
-    if not offset:
-        return None
-    return lambda: time.time() + offset
+        """Wall clock for this farm, honouring ``clock_offset`` (None,
+        which every clock consumer reads as plain ``time.time``, when
+        there is no offset)."""
+        offset = self.clock_offset
+        if not offset:
+            return None
+        return lambda: time.time() + offset
 
 
 @dataclass
 class WorkerKillPlan:
-    """Deterministic worker-SIGKILL schedule (chaos ``--farm`` mode).
+    """Deterministic sandbox-SIGKILL schedule (chaos ``--farm`` mode).
 
-    ``kills`` SIGKILLs are delivered to randomly-chosen live workers at
-    intervals drawn uniformly from [min_interval, max_interval] — all
-    of it a pure function of ``seed``, so a failing campaign replays.
+    ``kills`` SIGKILLs are delivered to randomly-chosen running
+    sandboxes at intervals drawn uniformly from [min_interval,
+    max_interval] — all of it a pure function of ``seed``, so a failing
+    campaign replays.  A kill that falls due while no sandbox runs
+    waits for the next one to start.
     """
 
     seed: int = 0
@@ -374,202 +356,72 @@ class WorkerKillPlan:
 
 
 # ----------------------------------------------------------------------
-# the worker process
+# presence records
 # ----------------------------------------------------------------------
 
-class _DrainRequested(Exception):
-    """Raised by the worker's SIGTERM handler mid-job: checkpoint,
-    preempt the job back to the queue, exit clean."""
+def _child_pid_path(queue: WorkQueue, job_id: str) -> str:
+    return os.path.join(queue.work_dir, job_id, "child.json")
 
 
-def _renew_loop(queue: WorkQueue, lease, stop: threading.Event,
-                lost: threading.Event, hb: Heartbeat) -> None:
-    """Background renewal while the job runs: keep the lease fresh and
-    the worker's heartbeat visible; flag the lease as lost (fenced) the
-    moment renewal fails."""
-    interval = max(0.05, lease.ttl / 3.0)
-    while not stop.wait(interval):
-        hb.beat(force=True)
-        if not queue.leases.renew(lease):
-            lost.set()
-            return
-
-
-def _child_pid_path(workdir: str) -> str:
-    return os.path.join(workdir, "child.json")
-
-
-def sweep_orphans(queue: WorkQueue, *, worker: str | None = None,
-                  host: str | None = None) -> list[dict]:
-    """SIGKILL the sandbox children a dead worker (or a whole dead
-    host) left behind — they live in their own process groups, so
-    killing the worker's group does not reach them.
-
-    Matches the advertised ``work/<job>/child.json`` records against
-    ``worker`` (exact ``host:pid`` identity) or ``host`` (every worker
-    whose name carries that host prefix).  Returns the swept records.
-    """
-    swept = []
+def sandbox_records(queue: WorkQueue, host: str) -> list[dict]:
+    """The ``work/<job>/child.json`` presence records of ``host``'s
+    running sandboxes (``worker``, ``job``, ``pid``).  The supervisor
+    writes one when it starts a sandbox and deletes it when it settles
+    the attempt, so only a dead supervisor leaves one behind."""
+    out = []
     for job_id in queue.job_ids():
-        path = _child_pid_path(os.path.join(queue.work_dir, job_id))
         try:
-            with open(path) as f:
+            with open(_child_pid_path(queue, job_id)) as f:
                 rec = json.load(f)
         except (OSError, ValueError):
             continue
-        owner = str(rec.get("worker") or "")
-        if worker is not None and owner != worker:
-            continue
-        if host is not None and not owner.startswith(f"{host}:"):
-            continue
+        if str(rec.get("worker") or "").startswith(f"{host}:"):
+            out.append(rec)
+    return out
+
+
+def sweep_orphans(queue: WorkQueue, *, host: str) -> list[dict]:
+    """SIGKILL the sandboxes a dead host's supervisor left behind — each
+    leads its own process group, so killing the supervisor's group does
+    not reach them — and delete their presence records.  Returns the
+    swept records."""
+    swept = sandbox_records(queue, host)
+    for rec in swept:
         kill_pid_tree(rec.get("pid"))
         try:
-            os.remove(path)
+            os.remove(_child_pid_path(queue, rec.get("job")))
         except OSError:
             pass
-        queue.journal("orphan-sweep", worker=owner,
+        queue.journal("orphan-sweep", worker=rec.get("worker"),
                       job=rec.get("job"), pid=rec.get("pid"))
-        swept.append(rec)
     return swept
-
-
-def _run_one(queue: WorkQueue, job: Job, lease, name: str, cfg: dict,
-             flags: dict, hb: Heartbeat) -> None:
-    """Execute one claimed job attempt end to end (sandbox, renewal
-    thread, fenced commit / requeue / preemption)."""
-    if job.kind not in JOB_KINDS:
-        # fail fast without burning a sandbox spawn on every retry
-        queue.fail(job, lease, f"farm: unknown job kind {job.kind!r} "
-                   f"(registered: {sorted(JOB_KINDS)})")
-        return
-    workdir = queue.job_workdir(job.id)
-    policy = IsolationPolicy(
-        deadline=(job.deadline if job.deadline is not None
-                  else cfg["deadline"]),
-        memory_mb=(job.memory_mb if job.memory_mb is not None
-                   else cfg["memory_mb"]),
-        stall_timeout=(job.stall_timeout if job.stall_timeout is not None
-                       else cfg["stall_timeout"]),
-        max_restarts=0,   # retries belong to the queue, not the sandbox
-        term_grace=1.0)
-    runner = IsolatedRunner(policy, label=f"{name}:{job.id}")
-
-    def on_spawn(pid, attempt):
-        # advertise the sandbox child so the farm can sweep it if this
-        # worker is SIGKILLed out from under it
-        try:
-            with open(_child_pid_path(workdir), "w") as f:
-                json.dump({"worker": name, "job": job.id, "pid": pid},
-                          f)
-        except OSError:
-            pass
-
-    stop, lost = threading.Event(), threading.Event()
-    renewer = threading.Thread(target=_renew_loop,
-                               args=(queue, lease, stop, lost, hb),
-                               daemon=True)
-    renewer.start()
-    outcome, err_obj, result = "drain", None, None
-    try:
-        flags["raise_on_term"] = True
-        try:
-            if flags["draining"]:
-                raise _DrainRequested()
-            result = runner.run_callable(
-                _execute_job, (queue.dir, job.id),
-                workdir=os.path.join(workdir, "sandbox"),
-                on_spawn=on_spawn)
-            outcome = "ok"
-        except _DrainRequested:
-            outcome = "drain"
-            flags["draining"] = True
-        except CatError as err:
-            outcome, err_obj = "fail", err
-        # catlint: disable=CAT012 -- worker boundary: an exotic job
-        # exception must dead-letter the job, never kill the worker
-        # loop; SimulatedCrash is a BaseException and still propagates
-        except Exception as err:
-            outcome, err_obj = "fail", err
-        finally:
-            flags["raise_on_term"] = False
-        if outcome == "ok":
-            for ev in runner.events:
-                queue.journal("isolation-event", job=job.id, worker=name,
-                              kind=ev.kind, message=ev.message)
-            queue.complete(job, lease, result)
-        elif outcome == "drain":
-            queue.preempt(job, lease)
-        else:
-            report = getattr(err_obj, "report", None)
-            queue.fail(job, lease,
-                       f"{type(err_obj).__name__}: {err_obj}",
-                       report=None if report is None
-                       else report.to_dict())
-    finally:
-        stop.set()
-        renewer.join(timeout=5.0)
-        try:
-            os.remove(_child_pid_path(workdir))
-        except OSError:
-            pass
-
-
-def worker_name(host_id: str, pid: int) -> str:
-    """The canonical ``host:pid`` worker identity — computed the same
-    way by the supervisor (from the spawned pid) and by the worker
-    itself (from ``os.getpid()``), so both sides agree without an IPC
-    handshake."""
-    return f"{host_id}:{pid}"
-
-
-def _worker_main(queue_dir: str, cfg: dict) -> None:
-    """A worker process: claim → sandbox → commit, until drained."""
-    try:
-        os.setpgid(0, 0)
-    except OSError:
-        pass
-    host = cfg.get("host_id") or default_host_id()
-    name = worker_name(host, os.getpid())
-    queue = WorkQueue(queue_dir, lease_ttl=cfg["lease_ttl"],
-                      backoff=BackoffPolicy(**cfg["backoff"]),
-                      host_id=host,
-                      max_skew=float(cfg.get("max_skew", 2.0)),
-                      clock=_offset_clock(
-                          float(cfg.get("clock_offset", 0.0))))
-    workers_dir = os.path.join(queue.dir, "workers")
-    os.makedirs(workers_dir, exist_ok=True)
-    hb = Heartbeat(os.path.join(workers_dir, f"{name}.json"),
-                   min_interval=0.02, host=host)
-    flags = {"draining": False, "raise_on_term": False}
-
-    def on_term(signum, frame):
-        flags["draining"] = True
-        if flags["raise_on_term"]:
-            raise _DrainRequested()
-
-    signal.signal(signal.SIGTERM, on_term)
-    signal.signal(signal.SIGINT, on_term)
-    queue.journal("worker-start", worker=name, pid=os.getpid())
-    while not flags["draining"]:
-        hb.beat(force=True)
-        claimed = queue.claim(name)
-        if claimed is None:
-            if cfg["drain_when_idle"] and queue.all_terminal():
-                break
-            time.sleep(cfg["poll_interval"])
-            continue
-        job, lease = claimed
-        _run_one(queue, job, lease, name, cfg, flags, hb)
-    queue.journal("worker-exit", worker=name, pid=os.getpid(),
-                  drained=flags["draining"])
 
 
 # ----------------------------------------------------------------------
 # the farm
 # ----------------------------------------------------------------------
 
+#: Longest wait [s] for the drain's stopped sandboxes to die (each is
+#: SIGKILLed a grace after its SIGTERM); one still alive then is left
+#: to its lease.
+_DRAIN_WAIT = 10.0
+
+
+@dataclass
+class _Attempt:
+    """One claimed job running in its sandbox."""
+
+    job: Job
+    lease: Lease
+    sandbox: Sandbox
+    renewed: float            # monotonic time of the last renewal
+    lost: bool = False        # a renewal failed: never commit
+    drained: bool = False     # stopped by the drain: preempt
+
+
 class Farm:
-    """Spawn, supervise and (when chaos demands) kill the workers.
+    """The supervisor: claim jobs, run each in its own sandbox, renew
+    their leases and commit their attempts, in one loop.
 
     Parameters
     ----------
@@ -580,7 +432,7 @@ class Farm:
         A :class:`FarmPolicy` (defaults apply when None).
     kill_plan:
         Optional :class:`WorkerKillPlan` — the farm SIGKILLs its own
-        workers on the plan's deterministic schedule.
+        running sandboxes on the plan's deterministic schedule.
     """
 
     def __init__(self, queue, policy: FarmPolicy | None = None, *,
@@ -597,81 +449,135 @@ class Farm:
         self.label = label
         self.stream = stream or sys.stdout
         self.kill_plan = kill_plan
+        self.name = f"{self.host}:{os.getpid()}"
         self._stop = False
-        self._workers: list[dict] = []   # {proc, name, index, last_raw,
-        #                                   last_change}
-        self._spawned = 0
+        self._running: list[_Attempt] = []
 
-    # -- worker lifecycle ----------------------------------------------
+    # -- one pass ------------------------------------------------------
 
-    def _spawn_worker(self, index: int) -> dict:
-        self._spawned += 1
-        ctx = mp.get_context("fork")
-        proc = ctx.Process(target=_worker_main,
-                           args=(self.queue.dir,
-                                 self.policy.worker_config()),
-                           daemon=False)
-        proc.start()
-        # the worker derives the same host:pid name from os.getpid()
-        name = worker_name(self.host, proc.pid)
-        rec = {"proc": proc, "name": name, "index": index,
-               "last_raw": None, "last_change": time.monotonic()}
-        print(f"[{self.label}] worker {name} started (pid {proc.pid})",
-              file=self.stream)
-        return rec
-
-    def _hb_path(self, name: str) -> str:
-        return os.path.join(self.queue.dir, "workers", f"{name}.json")
-
-    def _drop(self, rec: dict) -> None:
-        """Forget a worker that is gone (drained, dead or killed), and
-        its heartbeat file with it, so ``workers/`` names only live
-        workers and a reused pid is never taken for one of ours."""
-        self._workers.remove(rec)
+    def _guarded(self, action: str, job_id, fn, *args):
+        """Run one claim or commit.  An exception is journaled
+        (``farm-error``) and the loop goes on: a job whose lease is no
+        longer renewed expires and is reclaimed."""
         try:
-            os.remove(self._hb_path(rec["name"]))
+            return fn(*args)
+        # catlint: disable=CAT012 -- supervisor boundary: one job's
+        # claim or commit must not end the loop that runs every other
+        # job; SimulatedCrash is a BaseException and still propagates
+        except Exception as err:
+            msg = f"{type(err).__name__}: {err}"
+            print(f"[{self.label}] {action} failed (job {job_id}): {msg}",
+                  file=self.stream)
+            try:
+                self.queue.journal("farm-error", worker=self.name,
+                                   job=job_id, action=action, error=msg)
+            except OSError:
+                pass
+            return None
+
+    def _claim(self) -> bool:
+        """Claim one ready job and start its sandbox; False when nothing
+        is claimable now."""
+        claimed = self.queue.claim(self.name)
+        if claimed is None:
+            return False
+        job, lease = claimed
+        if job.kind not in JOB_KINDS:
+            # fail fast without burning a sandbox spawn on every retry
+            self.queue.fail(job, lease, f"farm: unknown job kind "
+                            f"{job.kind!r} (registered: "
+                            f"{sorted(JOB_KINDS)})")
+            return True
+        pol = self.policy
+        runner = IsolatedRunner(IsolationPolicy(
+            deadline=(job.deadline if job.deadline is not None
+                      else pol.deadline),
+            memory_mb=(job.memory_mb if job.memory_mb is not None
+                       else pol.memory_mb),
+            stall_timeout=(job.stall_timeout
+                           if job.stall_timeout is not None
+                           else pol.stall_timeout)),
+            label=f"{self.name}:{job.id}")
+        sb = runner.start(_execute_job, (self.queue.dir, job.id),
+                          workdir=os.path.join(
+                              self.queue.job_workdir(job.id), "sandbox"))
+        self._running.append(_Attempt(job, lease, sb,
+                                      renewed=time.monotonic()))
+        self.queue.journal("worker-start", worker=self.name, pid=sb.pid,
+                           job=job.id)
+        atomic_write(_child_pid_path(self.queue, job.id), json.dumps(
+            {"worker": self.name, "job": job.id, "pid": sb.pid}))
+        return True
+
+    def _settle(self, att: _Attempt) -> None:
+        """Commit a finished attempt, fenced by its lease: its result,
+        its failure (the queue backs off or dead-letters), or — for a
+        sandbox the drain stopped — a preemption that charges no
+        attempt."""
+        job, lease, sb = att.job, att.lease, att.sandbox
+        runner = sb.runner
+        try:
+            os.remove(_child_pid_path(self.queue, job.id))
         except OSError:
             pass
-
-    def _observe(self, rec: dict, now: float) -> None:
-        """Age a worker's heartbeat with the farm's own clock (payload
-        change detection, same convention as IsolatedRunner)."""
+        if att.lost:
+            return   # fenced when its renewal failed
+        if att.drained and sb.event is None and sb.exitcode != 0:
+            self.queue.preempt(job, lease)
+            return
         try:
-            with open(self._hb_path(rec["name"]), "rb") as f:
-                raw = f.read()
-        except OSError:
-            raw = None
-        if raw != rec["last_raw"]:
-            rec["last_raw"], rec["last_change"] = raw, now
+            result, err = runner.result(sb), None
+        # catlint: disable=CAT012 -- supervisor boundary: an exotic job
+        # exception must dead-letter the job, never end the loop;
+        # SimulatedCrash is a BaseException and still propagates
+        except Exception as exc:
+            result, err = None, exc
+        for ev in runner.events:
+            self.queue.journal("isolation-event", job=job.id,
+                               worker=self.name, kind=ev.kind,
+                               message=ev.message)
+        if err is None:
+            self.queue.complete(job, lease, result)
+            return
+        report = getattr(err, "report", None)
+        self.queue.fail(job, lease, f"{type(err).__name__}: {err}",
+                        report=None if report is None else report.to_dict())
 
-    def _sweep_orphans(self, victim: str) -> None:
-        sweep_orphans(self.queue, worker=victim)
+    def _tend(self, now: float) -> None:
+        """Renew every lease due (ttl/3), poll every sandbox and settle
+        the ones that are gone."""
+        every = self.queue.leases.ttl / 3.0
+        for att in list(self._running):
+            if not att.lost and now - att.renewed >= every:
+                att.renewed = now
+                if not self.queue.leases.renew(att.lease):
+                    # a successor may own the job now: never commit
+                    att.lost = True
+                    self.queue.journal("fenced", job=att.job.id,
+                                       worker=self.name, action="renew")
+                    att.sandbox.stop()
+            if att.sandbox.poll(now):
+                self._running.remove(att)
+                self._guarded("commit", att.job.id, self._settle, att)
 
-    def _kill_worker(self, rec: dict, *, kind: str, reason: str) -> None:
-        proc = rec["proc"]
-        pid = proc.pid
-        if kind == "chaos":
-            # the whole point: an abrupt SIGKILL, no graceful path
-            kill_pid_tree(pid)
-            proc.join(10.0)
-        else:
-            terminate_process(proc, grace=1.0)
-        self._sweep_orphans(rec["name"])
-        self.queue.journal("worker-kill", worker=rec["name"], pid=pid,
-                           kind=kind, reason=reason)
-        print(f"[{self.label}] killed worker {rec['name']} ({kind}: "
-              f"{reason})", file=self.stream)
+    def _chaos_kill(self, att: _Attempt) -> None:
+        """The whole point: an abrupt SIGKILL of a running sandbox, no
+        graceful path; its job fails and retries from its snapshot."""
+        pid = att.sandbox.pid
+        kill_pid_tree(pid)
+        self.queue.journal("worker-kill", worker=self.name, pid=pid,
+                           job=att.job.id, kind="chaos",
+                           reason="scheduled chaos kill")
+        print(f"[{self.label}] killed sandbox {pid} of job {att.job.id} "
+              f"(chaos)", file=self.stream)
 
-    def _replace(self, rec: dict, restarts_left: int) -> int:
-        self._drop(rec)
-        if restarts_left <= 0:
-            print(f"[{self.label}] worker restart budget exhausted; "
-                  f"not replacing {rec['name']}", file=self.stream)
-            return restarts_left
-        self._workers.append(self._spawn_worker(rec["index"]))
-        return restarts_left - 1
+    def _wait(self) -> None:
+        """Sleep until a sandbox exits or the next pass is due (never
+        past the next lease renewal)."""
+        wait([att.sandbox.sentinel for att in self._running],
+             min(self.policy.poll_interval, self.queue.leases.ttl / 3.0))
 
-    # -- supervision loop ----------------------------------------------
+    # -- the loop ------------------------------------------------------
 
     def _install_signals(self):
         def on_term(signum, frame):
@@ -688,8 +594,8 @@ class Farm:
 
         Exits when every job is terminal (``drain_when_idle``), when the
         wall-clock budget runs out, or on SIGTERM/SIGINT — always
-        through the graceful drain (workers SIGTERMed, current attempts
-        checkpointed and preempted) and always with a ledger.  Without
+        through the graceful drain (sandboxes killed, their jobs
+        preempted) and always with a ledger.  Without
         ``drain_when_idle`` (``serve``) it keeps draining jobs other
         processes enqueue until the signal.
         """
@@ -699,9 +605,6 @@ class Farm:
                            n_workers=pol.n_workers,
                            jobs=len(self.queue.job_ids()))
         t0 = time.monotonic()
-        self._workers = [self._spawn_worker(i)
-                         for i in range(pol.n_workers)]
-        restarts_left = pol.worker_restart_budget
         kill_times = (self.kill_plan.schedule()
                       if self.kill_plan is not None else [])
         kill_rng = (np.random.default_rng(self.kill_plan.seed + 1)
@@ -709,64 +612,34 @@ class Farm:
         next_kill = 0
         try:
             while True:
-                time.sleep(pol.poll_interval)
                 now = time.monotonic()
-                elapsed = now - t0
+                if (next_kill < len(kill_times) and self._running
+                        and now - t0 >= kill_times[next_kill]):
+                    self._chaos_kill(self._running[int(kill_rng.integers(
+                        0, len(self._running)))])
+                    next_kill += 1
+                # renew before reaping, so a late pass never reaps a
+                # lease of its own
+                self._tend(now)
                 for job_id in self.queue.reclaim_expired():
                     print(f"[{self.label}] lease expired: job "
                           f"{job_id} reclaimed", file=self.stream)
-                # chaos kills on schedule
-                while (next_kill < len(kill_times)
-                        and elapsed >= kill_times[next_kill]):
-                    alive = [r for r in self._workers
-                             if r["proc"].is_alive()]
-                    if alive:
-                        victim = alive[int(kill_rng.integers(
-                            0, len(alive)))]
-                        self._kill_worker(victim, kind="chaos",
-                                          reason="scheduled chaos kill")
-                    next_kill += 1
-                # worker liveness
-                for rec in list(self._workers):
-                    proc = rec["proc"]
-                    self._observe(rec, now)
-                    if not proc.is_alive():
-                        if proc.exitcode == 0:
-                            self._drop(rec)   # drained
-                            continue
-                        self.queue.journal(
-                            "worker-death", worker=rec["name"],
-                            exitcode=proc.exitcode)
-                        self._sweep_orphans(rec["name"])
-                        if not self.queue.all_terminal():
-                            restarts_left = self._replace(
-                                rec, restarts_left)
-                        else:
-                            self._drop(rec)
-                        continue
-                    age = now - rec["last_change"]
-                    if expired_indices([age], _WORKER_STALL_TIMEOUT):
-                        self._kill_worker(
-                            rec, kind="stall",
-                            reason=f"no heartbeat for {age:.1f} s")
-                        restarts_left = self._replace(rec,
-                                                      restarts_left)
-                        continue
                 if self._stop:
                     break
                 if (pol.max_wall_time is not None
-                        and elapsed > pol.max_wall_time):
+                        and now - t0 > pol.max_wall_time):
                     self.queue.journal("campaign-timeout",
-                                       elapsed=round(elapsed, 2))
+                                       elapsed=round(now - t0, 2))
                     break
-                if pol.drain_when_idle and self.queue.all_terminal():
+                while (len(self._running) < pol.n_workers and not self._stop
+                       and self._guarded("claim", None, self._claim)):
+                    pass
+                if (pol.drain_when_idle and not self._running
+                        and self.queue.all_terminal()):
                     break
-                if pol.drain_when_idle and not self._workers:
-                    # every worker gone and none replaceable: jobs left
-                    # unclaimed would wait forever — stop with a ledger
-                    break
+                self._wait()
         finally:
-            self._drain_workers()
+            self._drain()
         wall = time.monotonic() - t0
         ledger = build_ledger(self.queue, wall_time=wall,
                               label=self.label, n_workers=pol.n_workers)
@@ -774,23 +647,17 @@ class Farm:
                            wall=round(wall, 2), ok=ledger["ok"])
         return ledger
 
-    def _drain_workers(self) -> None:
-        """SIGTERM every worker (finish-or-checkpoint), then escalate."""
-        for rec in self._workers:
-            proc = rec["proc"]
-            if proc.is_alive():
-                try:
-                    os.kill(proc.pid, signal.SIGTERM)
-                except (ProcessLookupError, OSError):
-                    pass
-        deadline = time.monotonic() + 15.0
-        for rec in list(self._workers):
-            proc = rec["proc"]
-            proc.join(max(0.1, deadline - time.monotonic()))
-            if proc.is_alive():
-                terminate_process(proc, grace=1.0)
-                self._sweep_orphans(rec["name"])
-            self._drop(rec)
+    def _drain(self) -> None:
+        """Stop every running sandbox and preempt its job, renewing the
+        leases of the ones still dying; one that finished meanwhile
+        commits as usual."""
+        for att in self._running:
+            att.drained = True
+            att.sandbox.stop()
+        t_end = time.monotonic() + _DRAIN_WAIT
+        while self._running and time.monotonic() < t_end:
+            self._wait()
+            self._tend(time.monotonic())
 
 
 # ----------------------------------------------------------------------

@@ -17,22 +17,33 @@ beyond the standard library and ``/proc``:
   **memory budget** (polled from ``/proc/<pid>/status``, falling back
   to the child's self-reported ``getrusage`` numbers), heartbeat
   **stall timeout** (a hang is declared after silence, not just total
-  elapsed time) and a bounded **restart budget**;
+  elapsed time) and, for marching solves, a bounded **restart budget**;
 * :class:`IsolationEvent` — the typed record (``hang`` / ``oom`` /
   ``deadline`` / ``crash``) every kill leaves behind;
+* :class:`Sandbox` — one running child, checked against the budgets by
+  each non-blocking :meth:`Sandbox.poll`, so one supervisor (the solve
+  farm) can watch many;
 * :class:`IsolatedRunner` — executes any persist-protocol marching
   solver (:meth:`IsolatedRunner.run_solver`) or an arbitrary callable
-  (:meth:`IsolatedRunner.run_callable`, used by the batch service and
-  the solve farm) in a supervised child process.  On a violation
-  the child is SIGCONT+SIGTERMed, then SIGKILLed after a grace period
-  (its whole process group, so grandchildren die too), the event is
-  recorded, and the solve is **auto-resumed in a fresh child from the
-  durable** :class:`~repro.resilience.persistence.SnapshotStore` —
-  optionally down a tightened ladder (lower CFL, degradation
-  pre-armed).  A wedged solve becomes a resumed solve, not an abort;
-  only restart-budget exhaustion raises, and then with a
+  (:meth:`IsolatedRunner.run_callable`, used by the batch service; the
+  solve farm calls its two halves, :meth:`~IsolatedRunner.start` and
+  :meth:`~IsolatedRunner.result`, around its own supervision loop) in a
+  supervised child process.  On a violation the child's group is
+  killed and the event recorded.  A marching solve is then
+  **auto-resumed in a fresh child from the durable**
+  :class:`~repro.resilience.persistence.SnapshotStore` — optionally
+  down a tightened ladder (lower CFL, degradation pre-armed) — so a
+  wedged solve becomes a resumed solve, not an abort; only
+  restart-budget exhaustion raises, and then with a
   :class:`~repro.resilience.report.FailureReport` carrying every
   isolation event (and the exact fault schedule, when one was armed).
+  A callable runs once: its kill raises at once, with the same report.
+
+A sandbox started inside a sandbox (a farm ``chaos_round`` job's inner
+march, a farm ``batch`` chunk's sandboxed request) stays in the
+enclosing sandbox's process group — only a top-level sandbox calls
+``setpgid`` — so the one group kill that ends the outer sandbox ends
+every sandbox inside it.
 
 The chaos harness (:mod:`repro.resilience.chaos`, ``python -m repro
 chaos``) drives random fault schedules through this runner and asserts
@@ -41,7 +52,9 @@ the invariants hold round after round.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import math
 import os
 import pickle
 import signal
@@ -50,6 +63,7 @@ import tempfile
 import time
 import traceback
 from dataclasses import dataclass
+from multiprocessing.connection import wait
 
 import multiprocessing as mp
 
@@ -58,10 +72,23 @@ from repro.resilience.persistence import atomic_write
 from repro.resilience.report import FailureReport
 
 __all__ = ["Heartbeat", "IsolationEvent", "IsolationPolicy",
-           "IsolatedRunner", "current_process_cancel",
+           "IsolatedRunner", "Sandbox", "current_process_cancel",
            "current_process_heartbeat", "set_process_cancel",
-           "set_process_heartbeat", "signal_group", "kill_pid_tree",
-           "terminate_process"]
+           "set_process_heartbeat", "signal_group", "kill_pid_tree"]
+
+#: Budget-check period [s] of the blocking supervision loop
+#: (:meth:`IsolatedRunner.run_solver`, :meth:`IsolatedRunner.run_callable`);
+#: the loop still wakes at once when the child exits.
+_POLL_INTERVAL = 0.02
+
+#: Seconds between the SIGTERM that starts a kill and the SIGKILL that
+#: ends it.  Only a child that ignores SIGTERM (a chaos hang fault)
+#: waits it out.
+_TERM_GRACE = 1.0
+
+#: True in a sandbox child, and through fork in every sandbox it
+#: starts: only a top-level sandbox leaves its parent's process group.
+_IN_SANDBOX = False
 
 
 # ----------------------------------------------------------------------
@@ -108,16 +135,12 @@ class Heartbeat:
     it watches the payload *change* and timestamps changes with its own
     monotonic clock, so no cross-process time agreement is needed.
 
-    The payload attributes the beat to its writer (``pid``, plus an
-    optional ``host``) so a shared-directory farm can tell *whose*
-    heartbeat file it is looking at after workers die and are replaced.
+    The payload names its writer's ``pid``.
     """
 
-    def __init__(self, path, *, min_interval: float = 0.02,
-                 host: str | None = None):
+    def __init__(self, path, *, min_interval: float = 0.02):
         self.path = os.fspath(path)
         self.min_interval = float(min_interval)
-        self.host = host
         self._last = 0.0
         self._seq = 0
         self._progress: dict | None = None
@@ -145,8 +168,6 @@ class Heartbeat:
                    "pid": os.getpid()}
         if self._progress is not None:
             payload["progress"] = self._progress
-        if self.host is not None:
-            payload["host"] = self.host
         try:
             atomic_write(self.path, json.dumps(payload))
         except OSError:
@@ -208,28 +229,10 @@ def signal_group(pid: int | None, sig: int) -> None:
             pass
 
 
-def terminate_process(proc, *, grace: float = 2.0) -> None:
-    """SIGTERM -> grace -> SIGKILL a ``multiprocessing.Process`` and its
-    whole group; SIGCONT alongside so a SIGSTOPped tree still dies.
-
-    Used by :class:`IsolatedRunner` on budget violations and by the
-    farm supervisor (:mod:`repro.resilience.farm`) on worker kills —
-    the same escalation everywhere a child must die.
-    """
-    signal_group(proc.pid, signal.SIGTERM)
-    signal_group(proc.pid, signal.SIGCONT)
-    proc.join(grace)
-    if proc.is_alive():
-        signal_group(proc.pid, signal.SIGKILL)
-        signal_group(proc.pid, signal.SIGCONT)
-        proc.join(10.0)
-    proc.join(0.1)   # reap
-
-
 def kill_pid_tree(pid: int | None) -> None:
-    """SIGKILL a process group we cannot ``join`` (not our direct
-    child): the farm uses this to take down the orphaned sandbox
-    children of a SIGKILLed worker."""
+    """SIGKILL a process group, with SIGCONT so a stopped group dies
+    too: a sandbox's end, a chaos kill, a dead host's orphan sweep and
+    the job layer's cancel escalation all take a tree down this way."""
     signal_group(pid, signal.SIGKILL)
     signal_group(pid, signal.SIGCONT)
 
@@ -257,12 +260,9 @@ class IsolationPolicy:
         that never beat); marching solves under
         :meth:`IsolatedRunner.run_solver` beat every step.
     max_restarts:
-        Fresh children spawned after kills before the runner gives up
-        and raises with a report.  0 = one attempt, no resume.
-    poll_interval:
-        Parent supervision poll period [s].
-    term_grace:
-        Seconds between SIGTERM and SIGKILL escalation.
+        Fresh children :meth:`IsolatedRunner.run_solver` spawns after
+        kills before it gives up and raises with a report.  0 = one
+        attempt, no resume.  A callable always runs once.
     every_n_steps:
         Durable snapshot cadence the child marches with (the resume
         granularity after a kill); an integer >= 1.
@@ -272,8 +272,6 @@ class IsolationPolicy:
     memory_mb: float | None = None
     stall_timeout: float | None = None
     max_restarts: int = 2
-    poll_interval: float = 0.05
-    term_grace: float = 2.0
     every_n_steps: int = 10
 
 
@@ -309,11 +307,18 @@ class IsolationEvent:
 # ----------------------------------------------------------------------
 
 def _enter_sandbox(hb_path):
-    """Common child prologue: own process group + process heartbeat."""
-    try:
-        os.setpgid(0, 0)   # so the parent can kill the whole group
-    except OSError:
-        pass
+    """Common child prologue: the process group (see the module
+    docstring's nesting rule), the default SIGTERM action — a kill must
+    end the child, not run a handler it inherited through fork, such as
+    the farm supervisor's drain flag — and the process heartbeat."""
+    global _IN_SANDBOX
+    if not _IN_SANDBOX:
+        _IN_SANDBOX = True
+        try:
+            os.setpgid(0, 0)
+        except OSError:
+            pass
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     set_process_heartbeat(Heartbeat(hb_path))
 
 
@@ -325,7 +330,7 @@ def _write_error(err_path, exc):
         pass
 
 
-def _solver_child(factory, run_kwargs, persist, hb_path, err_path,
+def _solver_child(hb_path, err_path, factory, run_kwargs, persist,
                   faults, resilience, watchdog, degradation):
     """Build the solver and march it durably inside the sandbox."""
     _enter_sandbox(hb_path)
@@ -345,7 +350,7 @@ def _solver_child(factory, run_kwargs, persist, hb_path, err_path,
         sys.exit(70)
 
 
-def _callable_child(fn, args, kwargs, res_path, hb_path, err_path):
+def _callable_child(hb_path, err_path, fn, args, kwargs, res_path):
     """Run ``fn`` in the sandbox and pickle ``(raised, value)`` for the
     parent: its result, or a :class:`~repro.errors.CatError` it raised,
     which the parent re-raises.  Any other exception, or an error that
@@ -367,6 +372,162 @@ def _callable_child(fn, args, kwargs, res_path, hb_path, err_path):
     except BaseException as exc:
         _write_error(err_path, exc)
         sys.exit(70)
+
+
+# ----------------------------------------------------------------------
+# one sandbox, watched without blocking
+# ----------------------------------------------------------------------
+
+def _read_beat(hb_path):
+    try:
+        with open(hb_path, "rb") as f:
+            return f.read()
+    except OSError:
+        return None
+
+
+def _parse_beat(raw) -> dict:
+    if not raw:
+        return {}
+    try:
+        return json.loads(raw.decode())
+    except (ValueError, UnicodeDecodeError):
+        return {}
+
+
+def _read_error_tail(err_path) -> str:
+    try:
+        with open(err_path) as f:
+            lines = f.read().strip().splitlines()
+        return lines[-1] if lines else ""
+    except OSError:
+        return ""
+
+
+def _exited(pid: int) -> bool:
+    """Has our child ``pid`` exited?  Peeks without reaping, so the pid
+    — and with it the child's process group id — stays reserved for
+    one more group signal."""
+    try:
+        return os.waitid(os.P_PID, pid, os.WEXITED | os.WNOHANG
+                         | os.WNOWAIT) is not None
+    except ChildProcessError:
+        return True   # reaped already: Process.start reaps its siblings
+
+
+class Sandbox:
+    """One running sandbox child, supervised without blocking.
+
+    :meth:`IsolatedRunner.start` (or :meth:`IsolatedRunner.run_solver`)
+    forks it into ``workdir``, where it keeps its heartbeat
+    (``heartbeat.json``) and error notes (``attempt-N.err``).  Each
+    :meth:`poll` checks it once against the runner's budgets and returns
+    True once the child is gone.  A violation, or :meth:`stop`, starts
+    the kill, which spans polls: SIGTERM and SIGCONT (a stopped child
+    must be continued to hear anything) to the child's process group
+    now, SIGKILL to the group once the child has exited or
+    :data:`_TERM_GRACE` has passed.  The group is SIGKILLed whenever its
+    leader ends, so nothing the sandbox started outlives it.
+
+    After the last poll :attr:`exitcode` is the child's exit code and
+    :attr:`event` the recorded :class:`IsolationEvent` (also appended to
+    the runner's ``events``) — None for a clean exit or a :meth:`stop`.
+    Wait on :attr:`sentinel` (``multiprocessing.connection.wait``) to
+    wake when the child exits.
+    """
+
+    def __init__(self, runner, workdir: str, attempt: int, target,
+                 *args):
+        self.runner = runner
+        self.workdir = workdir
+        self.attempt = attempt
+        self.hb_path = os.path.join(workdir, "heartbeat.json")
+        self.err_path = os.path.join(workdir, f"attempt-{attempt}.err")
+        self._raw = _read_beat(self.hb_path)
+        self.proc = mp.get_context("fork").Process(
+            target=target, args=(self.hb_path, self.err_path, *args),
+            daemon=False)
+        self.proc.start()
+        self.pid = self.proc.pid
+        self.sentinel = self.proc.sentinel
+        self.t0 = self._changed = time.monotonic()
+        self._kill_at: float | None = None
+        self.event: IsolationEvent | None = None
+        self.exitcode: int | None = None
+        self.done = False
+
+    def stop(self, event: IsolationEvent | None = None) -> None:
+        """Start killing the child and return at once; later polls end
+        the kill.  ``event`` records why; None (a stop on the caller's
+        behalf) records nothing."""
+        if self.done or self._kill_at is not None:
+            return
+        if event is not None:
+            self.event = event
+            self.runner.events.append(event)
+        signal_group(self.pid, signal.SIGTERM)
+        signal_group(self.pid, signal.SIGCONT)
+        self._kill_at = time.monotonic() + _TERM_GRACE
+
+    def poll(self, now: float | None = None) -> bool:
+        """Check the child once, without blocking; True once it is gone
+        (exited and reaped)."""
+        if self.done:
+            return True
+        now = time.monotonic() if now is None else now
+        raw = _read_beat(self.hb_path)
+        if raw != self._raw:
+            self._raw, self._changed = raw, now
+        beat = _parse_beat(self._raw)
+        if not _exited(self.pid):
+            if self._kill_at is None:
+                self._check_budgets(now, beat)
+            elif now >= self._kill_at:
+                kill_pid_tree(self.pid)
+                self._kill_at = math.inf
+            return False
+        kill_pid_tree(self.pid)   # before the reap frees the group id
+        self.proc.join()          # the child is a zombie: returns at once
+        self.exitcode = code = self.proc.exitcode
+        self.done = True
+        if self.event is not None:
+            self.event.exitcode = code
+        elif code != 0 and self._kill_at is None:
+            sig_note = (f"signal {-code}" if code is not None and code < 0
+                        else f"exit code {code}")
+            self.event = IsolationEvent(
+                kind="crash", attempt=self.attempt, elapsed=now - self.t0,
+                step=beat.get("step"), rss_mb=beat.get("rss_mb"),
+                exitcode=code,
+                message=f"{self.runner.label}: child died with {sig_note}")
+            self.runner.events.append(self.event)
+        return True
+
+    def _check_budgets(self, now: float, beat: dict) -> None:
+        """Start the kill on a violation: deadline, then RSS, then
+        heartbeat silence."""
+        pol, label = self.runner.policy, self.runner.label
+        rss = _read_rss_mb(self.pid)
+        if rss is None:
+            rss = beat.get("rss_mb")
+        silent = now - self._changed
+        if pol.deadline is not None and now - self.t0 > pol.deadline:
+            kind, msg = ("deadline", f"{label}: wall-clock deadline "
+                                     f"{pol.deadline:.1f} s exceeded")
+        elif (pol.memory_mb is not None and rss is not None
+                and rss > pol.memory_mb):
+            kind, msg = ("oom", f"{label}: RSS {rss:.0f} MiB exceeds "
+                                f"budget {pol.memory_mb:.0f} MiB")
+        elif pol.stall_timeout is not None and silent > pol.stall_timeout:
+            kind, msg = ("hang", f"{label}: no heartbeat for {silent:.1f} "
+                                 f"s (stall timeout "
+                                 f"{pol.stall_timeout:.1f} s)")
+        else:
+            return
+        self.stop(IsolationEvent(kind=kind, attempt=self.attempt,
+                                 elapsed=now - self.t0,
+                                 step=beat.get("step"), rss_mb=rss,
+                                 message=msg))
 
 
 # ----------------------------------------------------------------------
@@ -395,118 +556,38 @@ class IsolatedRunner:
 
     # -- supervision core ----------------------------------------------
 
-    def _spawn(self, target, args):
-        ctx = mp.get_context("fork")
-        proc = ctx.Process(target=target, args=args, daemon=False)
-        proc.start()
-        return proc
-
-    def _kill(self, proc):
-        """SIGTERM -> grace -> SIGKILL; SIGCONT first so a stopped
-        (SIGSTOPped) child can actually receive the termination."""
-        terminate_process(proc, grace=self.policy.term_grace)
-
-    def _read_beat(self, hb_path):
+    def _supervise(self, sb: Sandbox, on_spawn=None) -> IsolationEvent | None:
+        """Poll ``sb`` until it is gone, waking when it exits or every
+        :data:`_POLL_INTERVAL`; returns its event (None: clean exit).
+        When the hook or the loop raises, the child is killed first."""
         try:
-            with open(hb_path, "rb") as f:
-                return f.read()
-        except OSError:
-            return None
+            if on_spawn is not None:
+                on_spawn(sb.pid, sb.attempt)
+            while not sb.poll():
+                wait([sb.sentinel], _POLL_INTERVAL)
+        finally:
+            if not sb.done:
+                sb.stop()
+                while not sb.poll():
+                    wait([sb.sentinel], _POLL_INTERVAL)
+        return sb.event
 
-    def _parse_beat(self, raw):
-        if not raw:
-            return {}
-        try:
-            return json.loads(raw.decode())
-        except (ValueError, UnicodeDecodeError):
-            return {}
-
-    def _supervise(self, proc, hb_path, attempt) -> IsolationEvent | None:
-        """Watch one child until clean exit (None) or violation/death
-        (the recorded :class:`IsolationEvent`; the child is dead on
-        return either way)."""
-        pol = self.policy
-        t0 = time.monotonic()
-        last_raw = self._read_beat(hb_path)
-        last_change = t0
-        while True:
-            proc.join(pol.poll_interval)
-            now = time.monotonic()
-            raw = self._read_beat(hb_path)
-            if raw != last_raw:
-                last_raw, last_change = raw, now
-            beat = self._parse_beat(last_raw)
-            if not proc.is_alive():
-                if proc.exitcode == 0:
-                    return None
-                code = proc.exitcode
-                sig_note = (f"signal {-code}" if code is not None
-                            and code < 0 else f"exit code {code}")
-                ev = IsolationEvent(
-                    kind="crash", attempt=attempt, elapsed=now - t0,
-                    step=beat.get("step"), rss_mb=beat.get("rss_mb"),
-                    exitcode=code,
-                    message=f"{self.label}: child died with {sig_note}")
-                self.events.append(ev)
-                return ev
-            rss = _read_rss_mb(proc.pid)
-            if rss is None:
-                rss = beat.get("rss_mb")
-            violation = None
-            if pol.deadline is not None and now - t0 > pol.deadline:
-                violation = ("deadline",
-                             f"{self.label}: wall-clock deadline "
-                             f"{pol.deadline:.1f} s exceeded")
-            elif (pol.memory_mb is not None and rss is not None
-                    and rss > pol.memory_mb):
-                violation = ("oom",
-                             f"{self.label}: RSS {rss:.0f} MiB exceeds "
-                             f"budget {pol.memory_mb:.0f} MiB")
-            elif (pol.stall_timeout is not None
-                    and now - last_change > pol.stall_timeout):
-                violation = ("hang",
-                             f"{self.label}: no heartbeat for "
-                             f"{now - last_change:.1f} s (stall timeout "
-                             f"{pol.stall_timeout:.1f} s)")
-            if violation is None:
-                continue
-            kind, msg = violation
-            self._kill(proc)
-            ev = IsolationEvent(kind=kind, attempt=attempt,
-                                elapsed=now - t0, step=beat.get("step"),
-                                rss_mb=rss, exitcode=proc.exitcode,
-                                message=msg)
-            self.events.append(ev)
-            return ev
-
-    def _read_error_tail(self, err_path) -> str:
-        try:
-            with open(err_path) as f:
-                lines = f.read().strip().splitlines()
-            return lines[-1] if lines else ""
-        except OSError:
-            return ""
-
-    def _exhausted(self, faults=None) -> SolverError:
-        """Typed abort: restart budget gone; report carries the events
-        (and, when a fault injector was armed, its exact schedule)."""
+    def _killed(self, message: str, faults=None) -> SolverError:
+        """Typed abort; its report carries every event (and, when a
+        fault injector was armed, its exact schedule)."""
         last = self.events[-1] if self.events else None
         report = FailureReport(
             label=self.label,
             error=(last.message if last is not None
-                   else f"{self.label}: isolation budget exhausted"),
+                   else f"{self.label}: {message}"),
             step=None if last is None else last.step,
             attempts=[e.to_dict() for e in self.events],
             isolation=[e.to_dict() for e in self.events],
             fault_schedule=(None if faults is None
                             or not hasattr(faults, "to_json")
                             else faults.to_json()))
-        err = SolverError(
-            f"{self.label}: isolated solve killed "
-            f"{len(self.events)} time(s) "
-            f"({'/'.join(e.kind for e in self.events)}) and the restart "
-            f"budget ({self.policy.max_restarts}) is exhausted",
-            exitcode=None if last is None else last.exitcode)
+        err = SolverError(f"{self.label}: {message}",
+                          exitcode=None if last is None else last.exitcode)
         err.report = report
         return err
 
@@ -562,20 +643,12 @@ class IsolatedRunner:
         persist = PersistencePolicy(dir=ckpt_dir,
                                     every_n_steps=pol.every_n_steps)
         store = SnapshotStore(persist)
-        hb_path = os.path.join(workdir, "heartbeat.json")
         for attempt in range(pol.max_restarts + 1):
-            err_path = os.path.join(workdir, f"attempt-{attempt}.err")
-            proc = self._spawn(_solver_child, (
-                factory, run_kwargs, persist, hb_path, err_path,
-                faults if attempt == 0 else None, resilience, watchdog,
-                degradation))
-            try:
-                if on_spawn is not None:
-                    on_spawn(proc.pid, attempt)
-                ev = self._supervise(proc, hb_path, attempt)
-            finally:
-                if proc.is_alive():   # supervisor itself raised
-                    self._kill(proc)
+            sb = Sandbox(self, workdir, attempt, _solver_child, factory,
+                         run_kwargs, persist,
+                         faults if attempt == 0 else None, resilience,
+                         watchdog, degradation)
+            ev = self._supervise(sb, on_spawn)
             if ev is None:
                 solver = factory()
                 try:
@@ -591,86 +664,89 @@ class IsolatedRunner:
                 # failed verification (e.g. a torn/corrupt tail): treat
                 # like a crash and let a fresh child re-march from the
                 # newest valid snapshot
-                ev = IsolationEvent(
+                self.events.append(IsolationEvent(
                     kind="crash", attempt=attempt, elapsed=0.0,
                     exitcode=0,
                     message=(f"{self.label}: child exited cleanly but "
                              f"left no completed snapshot in "
-                             f"{ckpt_dir!r} (corrupt or missing tail)"))
-                self.events.append(ev)
+                             f"{ckpt_dir!r} (corrupt or missing tail)")))
                 continue
             if ev.kind == "crash":
-                tail = self._read_error_tail(err_path)
+                tail = _read_error_tail(sb.err_path)
                 if tail:
                     ev.message = f"{ev.message}: {tail}"
-        raise self._exhausted(faults)
+        raise self._killed(
+            f"isolated solve killed {len(self.events)} time(s) "
+            f"({'/'.join(e.kind for e in self.events)}) and the restart "
+            f"budget ({pol.max_restarts}) is exhausted", faults)
+
+    def start(self, fn, args: tuple = (), kwargs: dict | None = None, *,
+              workdir) -> Sandbox:
+        """Fork ``fn(*args, **kwargs)`` into a sandbox and return it at
+        once: poll it until it is gone, then read its outcome with
+        :meth:`result`.  ``workdir`` holds the heartbeat, the pickled
+        result and the error notes; this runner's :attr:`events`
+        restart empty."""
+        self.events = []
+        workdir = os.fspath(workdir)
+        os.makedirs(workdir, exist_ok=True)
+        res_path = os.path.join(workdir, "result.pkl")
+        try:
+            os.remove(res_path)
+        except OSError:
+            pass
+        return Sandbox(self, workdir, 0, _callable_child, fn, args, kwargs,
+                       res_path)
+
+    def result(self, sb: Sandbox):
+        """What a finished :meth:`start` sandbox returned.
+
+        Re-raises the :class:`~repro.errors.CatError` ``fn`` raised (not
+        restarted), with a ``FailureReport`` attached when it carries
+        none; a killed, crashed or stopped child raises
+        :class:`~repro.errors.SolverError` with the report of its event.
+        """
+        if sb.event is not None or sb.exitcode != 0:
+            ev = sb.event
+            if ev is not None and ev.kind == "crash":
+                tail = _read_error_tail(sb.err_path)
+                if tail:
+                    ev.message = f"{ev.message}: {tail}"
+            raise self._killed(
+                "sandboxed call stopped" if ev is None
+                else f"sandboxed call killed ({ev.kind})")
+        try:
+            with open(os.path.join(sb.workdir, "result.pkl"), "rb") as f:
+                raised, value = pickle.load(f)
+        except (OSError, pickle.UnpicklingError, EOFError) as exc:
+            raise SolverError(
+                f"{self.label}: isolated child exited cleanly but its "
+                f"result could not be read back: {exc}") from exc
+        if not raised:
+            return value
+        if value.report is None:
+            value.report = FailureReport(
+                label=self.label, error=str(value),
+                attempts=[*(e.to_dict() for e in self.events),
+                          {"attempt": sb.attempt,
+                           "error_type": type(value).__name__,
+                           "message": str(value)}])
+        raise value
 
     def run_callable(self, fn, args: tuple = (), kwargs: dict | None
                      = None, *, workdir=None, on_spawn=None):
-        """Run ``fn(*args, **kwargs)`` sandboxed; return its (pickled)
-        result.
+        """Run ``fn(*args, **kwargs)`` sandboxed, once; return its
+        (pickled) result — :meth:`start`, supervised to the end, then
+        :meth:`result`.
 
-        A :class:`~repro.errors.CatError` that ``fn`` raises is re-raised
-        here, not restarted, with a ``FailureReport`` attached when it
-        carries none.  Restarts after a crash call ``fn`` again from
-        scratch — idempotent work only (a farm job qualifies: its
-        journal and durable solver snapshots make re-entry cheap).
         Hang detection applies only when ``policy.stall_timeout`` is set
         *and* the callable beats (every solver march inside it does, via
-        the process heartbeat).
+        the process heartbeat).  Without ``workdir`` the sandbox keeps
+        its files in a temporary directory removed on return.
         """
-        pol = self.policy
-        self.events = []
-        own_tmp = None
-        if workdir is None:
-            own_tmp = tempfile.TemporaryDirectory(prefix="repro-isolate-")
-            workdir = own_tmp.name
-        workdir = os.fspath(workdir)
-        os.makedirs(workdir, exist_ok=True)
-        hb_path = os.path.join(workdir, "heartbeat.json")
-        res_path = os.path.join(workdir, "result.pkl")
-        try:
-            for attempt in range(pol.max_restarts + 1):
-                err_path = os.path.join(workdir,
-                                        f"attempt-{attempt}.err")
-                try:
-                    os.remove(res_path)
-                except OSError:
-                    pass
-                proc = self._spawn(_callable_child, (
-                    fn, args, kwargs, res_path, hb_path, err_path))
-                try:
-                    if on_spawn is not None:
-                        on_spawn(proc.pid, attempt)
-                    ev = self._supervise(proc, hb_path, attempt)
-                finally:
-                    if proc.is_alive():
-                        self._kill(proc)
-                if ev is None:
-                    try:
-                        with open(res_path, "rb") as f:
-                            raised, value = pickle.load(f)
-                    except (OSError, pickle.UnpicklingError, EOFError) \
-                            as exc:
-                        raise SolverError(
-                            f"{self.label}: isolated child exited "
-                            f"cleanly but its result could not be "
-                            f"read back: {exc}") from exc
-                    if not raised:
-                        return value
-                    if value.report is None:
-                        value.report = FailureReport(
-                            label=self.label, error=str(value),
-                            attempts=[*(e.to_dict() for e in self.events),
-                                      {"attempt": attempt,
-                                       "error_type": type(value).__name__,
-                                       "message": str(value)}])
-                    raise value
-                if ev.kind == "crash":
-                    tail = self._read_error_tail(err_path)
-                    if tail:
-                        ev.message = f"{ev.message}: {tail}"
-            raise self._exhausted()
-        finally:
-            if own_tmp is not None:
-                own_tmp.cleanup()
+        with (tempfile.TemporaryDirectory(prefix="repro-isolate-")
+              if workdir is None else contextlib.nullcontext(workdir)) \
+                as wd:
+            sb = self.start(fn, args, kwargs, workdir=wd)
+            self._supervise(sb, on_spawn)
+            return self.result(sb)

@@ -5,17 +5,18 @@ job, and are they still alive?*  This module gives both halves a single
 implementation — and, since PR 7, an answer that stays correct when the
 claimants live on **different machines with different clocks**:
 
-* :class:`LeaseManager` — filesystem leases.  A worker claims a job by
-  exclusively creating ``lease-<job>.json`` (``O_CREAT | O_EXCL`` — the
-  kernel arbitrates, so exactly one claimant wins no matter how many
-  race), embeds a random fencing ``token``, its ``host`` identity and a
-  monotonic heartbeat ``epoch``, and renews by atomically rewriting the
-  file with the epoch incremented.  A worker that dies simply stops
-  renewing; any process may then :meth:`~LeaseManager.reap` the expired
-  lease and the job returns to the pending pool.  The token fences late
-  writers: a worker that lost its lease (reaped while stalled or
-  partitioned) discovers the token mismatch before committing a result
-  and abandons it instead of double-completing.
+* :class:`LeaseManager` — filesystem leases.  A farm supervisor claims
+  a job by exclusively creating ``lease-<job>.json`` (``O_CREAT |
+  O_EXCL`` — the kernel arbitrates, so exactly one claimant wins no
+  matter how many race), embeds a random fencing ``token``, its
+  ``host`` identity and a monotonic heartbeat ``epoch``, and renews by
+  atomically rewriting the file with the epoch incremented.  A holder
+  that dies simply stops renewing; any process may then
+  :meth:`~LeaseManager.reap` the expired lease and the job returns to
+  the pending pool.  The token fences late writers: a holder that lost
+  its lease (reaped while stalled or partitioned) discovers the token
+  mismatch before committing a result and abandons it instead of
+  double-completing.
 
 * **Clock-skew-tolerant expiry.**  Same-host leases age on the shared
   wall clock as before.  A *cross-host* lease is never aged by
@@ -29,11 +30,6 @@ claimants live on **different machines with different clocks**:
   for ``ttl + max_skew`` seconds; a freshly started reaper therefore
   waits out one full observation window before touching anything,
   which is the safe direction to fail.
-
-* :func:`expired_indices` — the one liveness-by-silence test, shared
-  by the farm supervisor (worker heartbeat files) and lease expiry
-  itself.  "Dead" always means the same thing: silent longer than the
-  timeout, aged against the observer's own clock.
 
 Every clock consumer here takes an injectable ``clock`` (default
 ``time.time``).  Skew between hosts is injected per farm through
@@ -54,7 +50,7 @@ from dataclasses import dataclass
 from repro.errors import InputError
 from repro.resilience.persistence import atomic_write
 
-__all__ = ["Lease", "LeaseManager", "default_host_id", "expired_indices"]
+__all__ = ["Lease", "LeaseManager", "default_host_id"]
 
 
 # ----------------------------------------------------------------------
@@ -69,17 +65,6 @@ def default_host_id() -> str:
     logical "hosts" share a box (tests, containers).
     """
     return socket.gethostname() or "localhost"
-
-
-# ----------------------------------------------------------------------
-# liveness by silence (shared helper)
-# ----------------------------------------------------------------------
-
-def expired_indices(ages: list[float], timeout: float) -> list[int]:
-    """Members silent past ``timeout`` — the declared-dead set."""
-    if timeout <= 0.0:
-        raise InputError("liveness timeout must be positive")
-    return [i for i, a in enumerate(ages) if a > timeout]
 
 
 # ----------------------------------------------------------------------
@@ -172,7 +157,7 @@ class LeaseManager:
         """Exclusively claim ``job_id``; None when someone else holds it.
 
         The ``O_CREAT | O_EXCL`` create is the arbitration point: of N
-        racing workers exactly one syscall succeeds.
+        racing claimants exactly one syscall succeeds.
         """
         lease = Lease(job_id=job_id, owner=owner,
                       token=secrets.token_hex(8), ttl=self.ttl,
@@ -246,8 +231,7 @@ class LeaseManager:
             if now is None:
                 now = self.clock()
             age = now - float(held.get("renewed", 0.0))
-            return bool(expired_indices(
-                [age], float(held.get("ttl", self.ttl))))
+            return age > float(held.get("ttl", self.ttl))
         key = (held.get("token"), held.get("epoch"))
         mono = time.monotonic()
         seen = self._observed.get(job_id)
@@ -261,9 +245,10 @@ class LeaseManager:
     def reap(self, now: float | None = None) -> list[str]:
         """Remove every expired lease; returns the freed job ids.
 
-        Any process may reap — the farm supervisor does it each poll,
-        so a SIGKILLed worker's jobs return to the pool within one ttl
-        (plus ``max_skew`` when the dead holder lived on another host).
+        Any process may reap — the farm supervisor does it each pass,
+        so a SIGKILLed supervisor's jobs return to the pool within one
+        ttl (plus ``max_skew`` when the dead holder lived on another
+        host).
         Concurrent reapers race on the ``os.remove``; the kernel picks
         exactly one winner per lease.
         """

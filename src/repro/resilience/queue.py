@@ -2,7 +2,7 @@
 retry/backoff requeue and a dead-letter ledger — safe for many hosts.
 
 The queue is a directory; every mutation is an atomic filesystem
-operation, so any number of worker processes **on any number of hosts
+operation, so any number of farm supervisors **on any number of hosts
 mounting the directory** can share it and a crash at any instant
 leaves a state the survivors can read:
 
@@ -16,9 +16,10 @@ queue-dir/
   dead/<id>-history.json   prior dead-letter records preserved across
                       ``retry_dead_letters`` requeues
   work/<id>/          per-job workdir: ckpt/ (durable snapshots),
-                      sandbox/ (isolation heartbeat + error notes) and
-                      cancel.json (a cancel request for a leased job)
-  workers/<host>:<pid>.json   a live worker's heartbeat (see farm.py)
+                      sandbox/ (isolation heartbeat + error notes),
+                      child.json (the running sandbox's pid, see
+                      farm.py) and cancel.json (a cancel request for a
+                      leased job)
   quarantine/         torn/corrupt records moved aside, never parsed
   journal-<host>.jsonl  this host's append-only ledger (one per host)
 ```
@@ -37,9 +38,9 @@ A job moves through a small state machine::
 
 Claims are arbitrated by the lease file (exactly one ``O_CREAT|O_EXCL``
 create wins, kernel-arbitrated even over NFS); completion, failure and
-preemption are all fenced by the lease token so a worker that lost its
-lease mid-job — died, stalled, or **partitioned and healed** — cannot
-clobber its successor.  Multi-host safety rests on three rules:
+preemption are all fenced by the lease token so a supervisor that lost
+its lease mid-job — died, stalled, or **partitioned and healed** —
+cannot clobber its successor.  Multi-host safety rests on three rules:
 
 * **one journal file per host.**  ``O_APPEND`` writes are atomic on a
   local filesystem but *not* across NFS clients; giving each host its
@@ -138,7 +139,7 @@ class Job:
     ``kind`` names a registered executor in
     :data:`repro.resilience.farm.JOB_KINDS`; ``payload`` is its
     JSON-able argument.  The three budget fields become the per-job
-    :class:`~repro.resilience.isolation.IsolationPolicy` the worker
+    :class:`~repro.resilience.isolation.IsolationPolicy` the farm
     sandboxes the job under (None = farm default).
     """
 
@@ -214,9 +215,9 @@ def _safe_host(host: str) -> str:
 class WorkQueue:
     """Shared, durable job queue rooted at ``dir``.
 
-    Every process (enqueuer, N workers, the supervising farm, a reaper)
-    — on this host or any other host mounting the directory — opens its
-    own ``WorkQueue``; there is no in-memory authority to lose.
+    Every process (enqueuer, farm supervisors, a reaper) — on this host
+    or any other host mounting the directory — opens its own
+    ``WorkQueue``; there is no in-memory authority to lose.
 
     Parameters beyond PR 6:
 
@@ -532,7 +533,7 @@ class WorkQueue:
                 continue
             st = self.state(job_id)
             if st.get("status") != "pending":
-                # finished by another worker since ready() listed it
+                # finished by another claimant since ready() listed it
                 self.leases.release(lease)
                 continue
             job = self.job(job_id)
@@ -545,16 +546,16 @@ class WorkQueue:
                              action="claim")
                 continue
             if int(st.get("attempts", 0)) >= limit:
-                # poison job: every past attempt took its worker down
-                # (reclaims charge the attempt but never reach fail()),
-                # so it must dead-letter here or loop forever
+                # poison job: every past attempt took its supervisor
+                # down (reclaims charge the attempt but never reach
+                # fail()), so it must dead-letter here or loop forever
                 self._write_json(
                     os.path.join(self.dead_dir, f"{job_id}.json"),
                     {"id": job_id, "attempts": st["attempts"],
                      "worker": owner, "report": None, "t": self.clock(),
                      "error": (st.get("last_error")
                                or "attempt budget exhausted: every "
-                                  "attempt lost its worker (lease "
+                                  "attempt lost its supervisor (lease "
                                   "reclaimed, no failure recorded)")})
                 st.update(status="dead", owner=None)
                 self._write_json(self._state_path(job_id), st)
@@ -572,7 +573,7 @@ class WorkQueue:
         return None
 
     def cancel(self, job_id: str, reason: str) -> bool:
-        """Make a pending job ``cancelled``, a terminal no worker claims.
+        """Make a pending job ``cancelled``, a terminal nothing claims.
 
         The lease is taken first, as a claim takes it, so a cancel and a
         claim of one job are ordered by one ``O_EXCL`` create.  Returns
@@ -604,7 +605,7 @@ class WorkQueue:
 
         The token is checked **twice**: before staging the result and
         again before publishing it, so a holder that is reaped while
-        writing (a partitioned worker healing mid-commit) is caught in
+        writing (a partitioned supervisor healing mid-commit) is caught in
         the narrowest possible window.  The residual race — reaped
         between the second check and the rename — is bounded by one
         write and is exactly what the journal's exactly-once audit
@@ -684,7 +685,8 @@ class WorkQueue:
 
     def preempt(self, job: Job, lease: Lease) -> None:
         """Return a job to the pool without charging an attempt (the
-        graceful-drain path: the worker checkpointed and is exiting).
+        graceful-drain path: the supervisor stopped the sandbox, whose
+        durable snapshots survive, and is exiting).
         Fenced like complete/fail — a preempt racing a reclaim must not
         clobber the successor's running state."""
         if not self.leases.verify(lease):
@@ -703,7 +705,7 @@ class WorkQueue:
 
     def reclaim_expired(self, now: float | None = None) -> list[str]:
         """Reap expired leases and return their jobs to the pending
-        pool (attempt already charged at claim).  The dead worker's
+        pool (attempt already charged at claim).  The dead holder's
         durable snapshots remain under ``work/<id>/ckpt``, so the next
         attempt resumes the march instead of restarting it."""
         freed = self.leases.reap(now)

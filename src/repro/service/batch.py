@@ -293,11 +293,9 @@ def _run_one(req, rung: str, fault: dict | None, *,
     if sandbox:
         from repro.resilience.isolation import (IsolatedRunner,
                                                 IsolationPolicy)
-        pol = IsolationPolicy(deadline=deadline,
-                              stall_timeout=None, max_restarts=0,
-                              poll_interval=0.02, term_grace=0.5)
         label = f"batch[{req.index}]:{req.method}/{rung}"
-        result = IsolatedRunner(pol, label=label).run_callable(
+        result = IsolatedRunner(IsolationPolicy(deadline=deadline),
+                                label=label).run_callable(
             _run_rung_child, args=(req.method, rung, req.params, fault))
     else:
         result = _run_rung_child(req.method, rung, req.params, fault)
@@ -575,7 +573,7 @@ def _merge_chunk_breakers(chunk_ledgers: list) -> dict:
 
     Chunk boards number their transitions per-process, so bare ``seq``
     values collide across chunks and concatenation order depends on
-    worker scheduling.  Keying by ``(cell, origin, seq)`` — origin is
+    farm scheduling.  Keying by ``(cell, origin, seq)`` — origin is
     the writing board's ``host:pid`` — and stable-sorting makes the
     merged ledger a pure function of the chunk set, whatever order the
     farm finished them in.
@@ -599,13 +597,13 @@ def evaluate_batch_farm(requests, policy: BatchPolicy | None = None, *,
                         farm_policy=None, stream=None) -> BatchResult:
     """Shard a batch across the solve farm as ``batch`` chunk jobs.
 
-    Each chunk runs :func:`evaluate_batch` inside a farm worker (its
-    own sandboxed process, lease-protected, retried with backoff on
+    Each chunk runs :func:`evaluate_batch` as a farm job (its own
+    sandboxed process, lease-protected, retried with backoff on
     preemption); chunk envelopes merge back in request order and the
     farm ledger's exactly-once audit is attached to the merged ledger.
     A chunk that dead-letters still yields one ``failed`` envelope per
-    request — the one-envelope-per-request invariant survives worker
-    loss.
+    request — the one-envelope-per-request invariant survives a lost
+    sandbox or supervisor.
     """
     from repro.resilience.farm import FarmPolicy, run_campaign
     from repro.resilience.queue import WorkQueue

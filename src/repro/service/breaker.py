@@ -40,7 +40,7 @@ CLOSED, OPEN, HALF_OPEN = "closed", "open", "half_open"
 
 def _default_origin() -> str:
     """``host:pid`` identity of this board's writer process — the same
-    convention as farm worker names."""
+    convention as farm supervisor names."""
     from repro.resilience.lease import default_host_id
     return f"{default_host_id()}:{os.getpid()}"
 

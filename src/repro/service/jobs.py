@@ -26,9 +26,9 @@ claim is.  A leased one is cancelled cooperatively: a flag file the
 supervisor's process-global cancel hook polls every march iteration,
 answered with a final durable snapshot and a cancelled result — then,
 on request, the existing SIGTERM → SIGKILL kill path against the live
-attempt's sandbox child.  Dead jobs (killed supervisors/workers) are
-detected by lease reaping and requeued automatically; the next attempt
-resumes from the latest durable snapshot generation.  ``gc`` applies a
+attempt's sandbox child.  Dead jobs (killed supervisors) are detected
+by lease reaping and requeued automatically; the next attempt resumes
+from the latest durable snapshot generation.  ``gc`` applies a
 TTL + keep-last retention policy to finished-job artifacts.
 """
 
@@ -99,8 +99,8 @@ def run_async_attempt(payload: dict, ctx: dict) -> dict:
     inner job kind under the cancel hook.  A cooperative
     :class:`~repro.errors.CancelledError` becomes a clean
     ``{"cancelled": True}`` result.  The attempt writes nothing to the
-    queue: the worker's fenced ``complete``/``fail`` is its only commit,
-    and the job reads ``cancelled`` off that result.
+    queue: the supervisor's fenced ``complete``/``fail`` is its only
+    commit, and the job reads ``cancelled`` off that result.
     """
     from repro.resilience.farm import JOB_KINDS
     job_id = ctx["job_id"]
@@ -361,7 +361,8 @@ class JobManager:
 
         ``child.json`` outlives a SIGKILLed host, and by then its pid
         may name an unrelated process: the child is signalled only when
-        the file's worker holds the job's lease now.
+        the file's ``worker`` (the supervisor) holds the job's lease
+        now.
         """
         child = self.queue._read_json(os.path.join(
             self.queue.work_dir, job_id, "child.json"))

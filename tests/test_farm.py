@@ -12,16 +12,19 @@ The contract under test (ISSUE 6 acceptance criteria and DESIGN.md
 * retry/backoff: a failing job requeues with deterministic jittered
   exponential backoff and dead-letters at ``max_attempts`` with its
   :class:`~repro.resilience.FailureReport` attached,
-* SIGKILLing a random worker mid-campaign still completes the campaign
+* SIGKILLing random sandboxes mid-campaign still completes the campaign
   with solver results **bitwise identical** to an unkilled reference,
+* the supervisor enforces each job's budgets itself, keeps every lease
+  it holds while a kill is under way, and survives a failing claim or
+  commit,
 * graceful drain: SIGTERM preempts the running job back to the queue
-  (attempt uncharged) and the worker exits 0.
+  (attempt uncharged) and the supervisor returns its ledger.
 """
 
+import ast
 import json
 import multiprocessing as mp
 import os
-import re
 import signal
 import subprocess
 import sys
@@ -33,11 +36,15 @@ import pytest
 
 from repro.errors import InputError
 from repro.resilience.chaos import CASES
-from repro.resilience.farm import (Farm, FarmPolicy, WorkerKillPlan,
-                                   audit_exactly_once, bench_from_journal,
-                                   build_ledger, run_campaign,
-                                   state_fingerprint, write_bench_json)
-from repro.resilience.lease import LeaseManager, expired_indices
+from repro.resilience import farm as farm_module
+from repro.resilience.farm import (JOB_KINDS, Farm, FarmPolicy,
+                                   WorkerKillPlan, audit_exactly_once,
+                                   bench_from_journal, build_ledger,
+                                   run_campaign, sandbox_records,
+                                   state_fingerprint, sweep_orphans,
+                                   write_bench_json)
+from repro.resilience.isolation import kill_pid_tree
+from repro.resilience.lease import LeaseManager
 from repro.resilience.queue import BackoffPolicy, Job, WorkQueue
 
 FAST = BackoffPolicy(max_attempts=3, base=0.01, max_delay=0.05)
@@ -238,10 +245,6 @@ class TestLeases:
         assert q.state("a")["status"] == "dead"
         assert "attempt budget" in q.dead_letter("a")["error"]
 
-    def test_expired_indices_names_the_silent_members(self):
-        ages = [3.0, float("inf"), 1.0]
-        assert expired_indices(ages, 2.5) == [0, 1]
-
 
 # ----------------------------------------------------------------------
 # campaigns end to end
@@ -342,7 +345,7 @@ class TestKillAndResume:
                 + [Job(id=f"pad{i}", kind="sleep", max_attempts=8,
                        payload={"duration": 0.5}) for i in range(6)])
         policy = fast_policy(
-            n_workers=2, lease_ttl=1.5, worker_restart_budget=8,
+            n_workers=2, lease_ttl=1.5,
             backoff=BackoffPolicy(max_attempts=8, base=0.02,
                                   max_delay=0.1))
         plan = WorkerKillPlan(seed=3, kills=2, min_interval=0.25,
@@ -351,6 +354,11 @@ class TestKillAndResume:
                               stream=silent, kill_plan=plan)
         assert ledger["ok"], ledger
         assert ledger["worker_kills"], "no kill landed — tune the plan"
+        # another host rebuilds the same kills from the journal alone
+        rebuilt = build_ledger(WorkQueue(tmp_path / "q",
+                                         host_id="post-mortem"),
+                               wall_time=0.0, label="post-mortem")
+        assert rebuilt["worker_kills"] == ledger["worker_kills"]
         q = WorkQueue(tmp_path / "q")
         for n in names:
             res = q.result(f"case-{n}")
@@ -367,79 +375,213 @@ class TestKillAndResume:
 
     def test_worker_death_reclaims_via_lease_expiry(self, tmp_path,
                                                     silent):
-        """Kill the *only* worker's claim path directly: a SIGKILLed
-        worker never completes its job, the lease expires, the farm
-        reclaims and a replacement worker finishes."""
-        jobs = [Job(id=f"s{i}", kind="sleep",
-                    payload={"duration": 0.6}, max_attempts=5)
-                for i in range(2)]
-        policy = fast_policy(
-            n_workers=1, lease_ttl=1.0, worker_restart_budget=4,
-            backoff=BackoffPolicy(max_attempts=5, base=0.02,
-                                  max_delay=0.1))
-        plan = WorkerKillPlan(seed=11, kills=1, min_interval=0.3,
-                              max_interval=0.4)
-        ledger = run_campaign(tmp_path / "q", jobs, policy=policy,
-                              stream=silent, kill_plan=plan)
-        assert ledger["ok"] and ledger["jobs"] == {"done": 2}
-        assert len(ledger["worker_kills"]) == 1
-        # another host rebuilds the same kills from the journal alone
-        rebuilt = build_ledger(WorkQueue(tmp_path / "q",
-                                         host_id="post-mortem"),
-                               wall_time=0.0, label="post-mortem")
-        assert rebuilt["worker_kills"] == ledger["worker_kills"]
-        # the killed worker's job came back through reclaim or the
-        # poison-guard; either way the journal shows the recovery
-        events = {r["event"] for r in
-                  WorkQueue(tmp_path / "q").read_journal()}
-        assert "worker-kill" in events
+        """SIGKILL a whole supervisor (the claim line's ``worker``) and
+        its sandbox mid-job: it never commits, its lease expires, and a
+        second supervisor reclaims and finishes the job once."""
+        qdir = tmp_path / "q"
+        queue = WorkQueue(qdir, lease_ttl=1.0, backoff=FAST)
+        queue.enqueue(Job(id="s0", kind="sleep", payload={"duration": 1.5},
+                          max_attempts=5))
+        policy = fast_policy(n_workers=1, lease_ttl=1.0,
+                             drain_when_idle=False)
 
-    def test_stalled_worker_is_killed_and_replaced(self, tmp_path, silent,
-                                                   monkeypatch):
-        """SIGSTOP the first worker to claim a job: its heartbeat falls
-        silent, the farm kills it as stalled and starts a replacement,
-        and its job's lease expires so another worker finishes it once."""
-        from repro.resilience import farm
-        monkeypatch.setattr(farm, "_WORKER_STALL_TIMEOUT", 2.0)
+        def host():
+            os.setpgid(0, 0)
+            with open(os.devnull, "w") as quiet:
+                Farm(str(qdir), policy, stream=quiet).run()
+
+        proc = mp.get_context("fork").Process(target=host)
+        proc.start()
+        try:
+            deadline = time.monotonic() + 30.0
+            while (not sandbox_records(queue, queue.host_id)
+                   and time.monotonic() < deadline):
+                time.sleep(0.02)
+            [rec] = sandbox_records(queue, queue.host_id)
+        finally:
+            kill_pid_tree(proc.pid)
+            swept = sweep_orphans(queue, host=queue.host_id)
+            proc.join(10.0)
+        assert [r["pid"] for r in swept] == [rec["pid"]]
+        assert rec["worker"] == f"{queue.host_id}:{proc.pid}"
+        ledger = run_campaign(qdir, [], policy=fast_policy(lease_ttl=1.0),
+                              stream=silent)
+        assert ledger["ok"] and ledger["jobs"] == {"done": 1}
+        journal = queue.read_journal()
+        assert [r["worker"] for r in journal if r["event"] == "reclaim"] \
+            == [rec["worker"]]
+        assert [r["attempt"] for r in journal
+                if r["event"] == "complete"] == [2]
+        assert ledger["exactly_once_audit"]["ok"]
+        assert not _running(rec["pid"])
+
+    def test_stalled_sandbox_is_killed_and_retried(self, tmp_path,
+                                                   silent):
+        """SIGSTOP the first sandbox the farm starts: its heartbeat falls
+        silent, the supervisor kills it with a typed ``hang`` event, and
+        the job is retried and completes exactly once."""
         q = WorkQueue(tmp_path / "q")
-        jobs = [Job(id=f"s{i}", kind="sleep", payload={"duration": 1.0},
-                    max_attempts=5) for i in range(6)]
-        policy = fast_policy(
-            n_workers=2, lease_ttl=1.0, worker_restart_budget=2,
-            backoff=BackoffPolicy(max_attempts=5, base=0.02,
-                                  max_delay=0.1))
+        jobs = [Job(id=f"s{i}", kind="sleep", payload={"duration": 0.5},
+                    max_attempts=3, stall_timeout=1.0) for i in range(3)]
         stopped = []
 
-        def stop_first_claimant():
+        def stop_first_sandbox():
             deadline = time.monotonic() + 30.0
             while not stopped and time.monotonic() < deadline:
                 for rec in q.read_journal():
-                    if rec["event"] == "claim":
-                        pid = int(rec["worker"].rsplit(":", 1)[1])
-                        os.kill(pid, signal.SIGSTOP)
-                        stopped.append(rec["worker"])
+                    if rec["event"] == "worker-start":
+                        os.kill(rec["pid"], signal.SIGSTOP)
+                        stopped.append(rec)
                         break
-                time.sleep(0.02)
+                time.sleep(0.01)
 
-        watcher = threading.Thread(target=stop_first_claimant, daemon=True)
+        watcher = threading.Thread(target=stop_first_sandbox, daemon=True)
         watcher.start()
-        ledger = run_campaign(tmp_path / "q", jobs, policy=policy,
+        ledger = run_campaign(tmp_path / "q", jobs, policy=fast_policy(),
                               stream=silent)
-        watcher.join()
-        assert stopped, "no worker claimed a job"
+        watcher.join(30.0)
+        assert stopped, "the farm started no sandbox"
+        job = stopped[0]["job"]
         journal = q.read_journal()
-        [kill] = [r for r in journal if r["event"] == "worker-kill"]
-        assert kill["kind"] == "stall" and kill["worker"] == stopped[0]
-        assert re.fullmatch(r"no heartbeat for \d+\.\d s", kill["reason"])
-        starts = [r for r in journal if r["event"] == "worker-start"]
-        assert len(starts) == 3
-        assert journal.index(starts[-1]) > journal.index(kill)
-        assert ledger["ok"] and ledger["jobs"] == {"done": 6}
+        [hang] = [r for r in journal if r["event"] == "isolation-event"]
+        assert hang["job"] == job and hang["kind"] == "hang"
+        assert "no heartbeat" in hang["message"]
+        assert [r["job"] for r in journal if r["event"] == "requeue"] \
+            == [job]
+        assert ledger["ok"] and ledger["jobs"] == {"done": 3}
         assert ledger["exactly_once_audit"]["ok"]
-        pids = [r["pid"] for r in journal
-                if r["event"] in ("worker-start", "orphan-sweep")]
+        assert not ledger["worker_kills"]
         assert not mp.active_children()
-        assert not [pid for pid in pids if _running(pid)]
+        assert not _running(stopped[0]["pid"])
+
+    def test_job_past_its_deadline_dead_letters_with_the_events(
+            self, tmp_path, silent):
+        jobs = [Job(id="slow", kind="sleep", payload={"duration": 30.0},
+                    max_attempts=2, deadline=0.5)]
+        ledger = run_campaign(tmp_path / "q", jobs, policy=fast_policy(),
+                              stream=silent)
+        assert ledger["jobs"] == {"dead": 1}
+        q = WorkQueue(tmp_path / "q")
+        report = q.dead_letter("slow")["report"]
+        assert [e["kind"] for e in report["isolation"]] == ["deadline"]
+        assert [r["kind"] for r in q.read_journal()
+                if r["event"] == "isolation-event"] == ["deadline"] * 2
+
+    def test_a_slow_kill_costs_no_other_job_its_lease(self, tmp_path,
+                                                      silent, monkeypatch):
+        """One sandbox ignores the SIGTERM of its deadline kill and dies
+        only at the SIGKILL a grace later; the loop keeps renewing the
+        other running job's short lease meanwhile."""
+        def stubborn(payload, ctx):
+            signal.signal(signal.SIGTERM, signal.SIG_IGN)
+            time.sleep(60.0)
+
+        monkeypatch.setitem(JOB_KINDS, "stubborn", stubborn)
+        jobs = [Job(id="stubborn", kind="stubborn", deadline=0.3,
+                    max_attempts=1),
+                Job(id="steady", kind="sleep", payload={"duration": 2.5})]
+        ledger = run_campaign(tmp_path / "q", jobs,
+                              policy=fast_policy(lease_ttl=1.0),
+                              stream=silent)
+        assert ledger["jobs"] == {"dead": 1, "done": 1}
+        journal = WorkQueue(tmp_path / "q").read_journal()
+        [kill] = [r for r in journal if r["event"] == "isolation-event"]
+        assert kill["job"] == "stubborn" and kill["kind"] == "deadline"
+        assert not [r for r in journal
+                    if r["event"] in ("reclaim", "fenced")]
+        assert [r["attempt"] for r in journal if r["event"] == "complete"] \
+            == [1]
+
+    def test_an_exit_is_committed_without_waiting_out_the_poll(
+            self, tmp_path, silent):
+        jobs = [Job(id="s0", kind="sleep", payload={"duration": 0.1})]
+        t0 = time.monotonic()
+        ledger = run_campaign(tmp_path / "q", jobs, policy=fast_policy(
+            poll_interval=10.0, lease_ttl=60.0), stream=silent)
+        assert ledger["jobs"] == {"done": 1}
+        assert time.monotonic() - t0 < 5.0
+
+    def test_a_failing_claim_or_commit_is_journaled_and_survived(
+            self, tmp_path, silent, monkeypatch):
+        claim, complete = WorkQueue.claim, WorkQueue.complete
+        raised = []
+
+        def once(fn, action):
+            def wrapped(self, *a, **kw):
+                if action not in raised:
+                    raised.append(action)
+                    raise OSError(f"scripted {action} failure")
+                return fn(self, *a, **kw)
+            return wrapped
+
+        monkeypatch.setattr(WorkQueue, "claim", once(claim, "claim"))
+        monkeypatch.setattr(WorkQueue, "complete",
+                            once(complete, "commit"))
+        jobs = [Job(id=f"s{i}", kind="sleep", payload={"duration": 0.05})
+                for i in range(2)]
+        ledger = run_campaign(tmp_path / "q", jobs,
+                              policy=fast_policy(lease_ttl=1.0),
+                              stream=silent)
+        assert ledger["ok"] and ledger["jobs"] == {"done": 2}
+        journal = WorkQueue(tmp_path / "q").read_journal()
+        errors = [(r["action"], r["error"]) for r in journal
+                  if r["event"] == "farm-error"]
+        assert errors == [("claim", "OSError: scripted claim failure"),
+                          ("commit", "OSError: scripted commit failure")]
+        # the uncommitted job came back when its lease expired
+        assert len([r for r in journal if r["event"] == "reclaim"]) == 1
+        assert ledger["exactly_once_audit"]["ok"]
+
+    def test_an_attempt_that_lost_its_lease_never_commits(
+            self, tmp_path, silent, monkeypatch):
+        renew = LeaseManager.renew
+        failed = []
+
+        def renew_fails_once(self, lease):
+            if not failed:
+                failed.append(lease.job_id)
+                return False
+            return renew(self, lease)
+
+        monkeypatch.setattr(LeaseManager, "renew", renew_fails_once)
+        jobs = [Job(id="s0", kind="sleep", payload={"duration": 1.0},
+                    max_attempts=3)]
+        ledger = run_campaign(tmp_path / "q", jobs,
+                              policy=fast_policy(lease_ttl=1.5),
+                              stream=silent)
+        assert failed == ["s0"]
+        assert ledger["ok"] and ledger["jobs"] == {"done": 1}
+        journal = WorkQueue(tmp_path / "q").read_journal()
+        assert [(r["event"], r.get("action")) for r in journal
+                if r["event"] in ("fenced", "complete")] == [
+            ("fenced", "renew"), ("complete", None)]
+        assert [r["attempt"] for r in journal
+                if r["event"] == "complete"] == [2]
+
+
+class TestProcessModel:
+    def test_a_job_runs_in_a_sandbox_the_supervisor_forked(self, tmp_path,
+                                                           silent):
+        jobs = [Job(id="ppid", kind="callable",
+                    payload={"module": "os", "func": "getppid"})]
+        ledger = run_campaign(tmp_path / "q", jobs, policy=fast_policy(),
+                              stream=silent)
+        assert ledger["jobs"] == {"done": 1}
+        q = WorkQueue(tmp_path / "q")
+        assert q.result("ppid")["result"] == {"result": os.getpid()}
+        assert not (tmp_path / "q" / "workers").exists()
+        assert sandbox_records(q, q.host_id) == []   # settled, removed
+
+    def test_the_farm_module_starts_no_thread(self):
+        with open(farm_module.__file__) as f:
+            tree = ast.parse(f.read())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                imported.add(node.module)
+        assert "threading" not in imported
 
 
 # ----------------------------------------------------------------------

@@ -13,6 +13,8 @@ ISSUE acceptance criteria):
 * restart-budget exhaustion raises a typed :class:`SolverError`
   carrying a :class:`FailureReport` with every isolation event and the
   exact fault schedule for replay,
+* a sandbox started inside a sandbox dies with it, even when it
+  ignores SIGTERM,
 * the chaos harness is deterministic (same seed → same schedules →
   same outcomes) and leaves no orphan processes,
 * the CLI exits 0 on success, 1 on solver failure, 2 on usage errors.
@@ -32,9 +34,12 @@ import pytest
 from repro.errors import CheckpointError, InputError, SolverError
 from repro.resilience import (FaultInjector, IsolatedRunner,
                               IsolationPolicy)
-from repro.resilience.chaos import (CASES, run_chaos, run_chaos_hosts,
-                                    run_chaos_jobs, sample_schedule)
+from repro.resilience.chaos import (CASES, run_chaos, run_chaos_farm,
+                                    run_chaos_hosts, run_chaos_jobs,
+                                    sample_schedule)
+from repro.resilience.farm import sandbox_records
 from repro.resilience.isolation import _read_rss_mb
+from repro.resilience.queue import WorkQueue
 
 
 def _state_bytes(solver):
@@ -61,21 +66,44 @@ def _chaos_ledger(out, mode, check_names):
     return ledger
 
 
-def _assert_host_pids(ledger, kinds):
+def _assert_host_pids(ledger, kinds, queue_dir):
     """Each ``kinds`` timeline event names its host's supervisor pid
-    first and at least one worker pid after it."""
+    first, then only sandboxes that supervisor's ``worker-start``
+    journal lines name; returns the events."""
     up = {e["host"]: e["pid"] for e in ledger["events"]
           if e["event"] == "host-up"}
+    started = {}
+    for rec in WorkQueue(queue_dir, host_id="test").read_journal():
+        if rec["event"] == "worker-start":
+            started.setdefault(rec["worker"], set()).add(rec["pid"])
     events = [e for e in ledger["events"] if e["event"] in kinds]
     assert sorted(e["event"] for e in events) == sorted(kinds)
     for e in events:
-        assert e["pids"][0] == up[e["host"]] and len(e["pids"]) >= 2, e
+        supervisor = f"{e['host']}:{up[e['host']]}"
+        assert e["pids"][0] == up[e["host"]], e
+        assert set(e["pids"][1:]) <= started.get(supervisor, set()), e
+    return events
 
 
-def _worker_files(queue_dir, host):
-    """``host``'s worker heartbeat files left in the queue directory."""
-    return sorted(n for n in os.listdir(queue_dir / "workers")
-                  if n.startswith(f"{host}:"))
+def _presence(queue_dir, host):
+    """``host``'s sandbox presence records left in the queue
+    directory; none once every supervisor is drained or swept."""
+    assert not (queue_dir / "workers").exists()
+    return sandbox_records(WorkQueue(queue_dir, host_id="test"), host)
+
+
+def _ignore_term_and_sleep():
+    signal.signal(signal.SIGTERM, signal.SIG_IGN)
+    time.sleep(60.0)
+
+
+def _running(pid):
+    """``pid`` is alive: its ``/proc`` entry exists and is no zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
 
 
 # ----------------------------------------------------------------------
@@ -120,8 +148,7 @@ class TestSigstopHang:
             threading.Thread(target=watch, daemon=True).start()
 
         policy = IsolationPolicy(stall_timeout=1.0, max_restarts=2,
-                                 term_grace=1.0, every_n_steps=3,
-                                 poll_interval=0.05)
+                                 every_n_steps=3)
         runner = IsolatedRunner(policy, label="sigstop")
         solver = runner.run_solver(factory, run_kwargs,
                                    workdir=tmp_path, on_spawn=stopper)
@@ -155,7 +182,7 @@ class TestMemoryBalloon:
                                                        hold=600.0)
         policy = IsolationPolicy(memory_mb=base + 250.0,
                                  stall_timeout=None, max_restarts=2,
-                                 term_grace=1.0, every_n_steps=3)
+                                 every_n_steps=3)
         runner = IsolatedRunner(policy, label="balloon")
         solver = runner.run_solver(factory, run_kwargs,
                                    workdir=tmp_path, faults=faults)
@@ -184,8 +211,7 @@ class TestDeadline:
         # kill must escalate to SIGKILL past the ignored SIGTERM
         faults = FaultInjector().inject_hang(step=7, duration=600.0)
         policy = IsolationPolicy(deadline=2.0, stall_timeout=None,
-                                 max_restarts=1, term_grace=0.5,
-                                 every_n_steps=3)
+                                 max_restarts=1, every_n_steps=3)
         runner = IsolatedRunner(policy, label="deadline")
         t0 = time.monotonic()
         solver = runner.run_solver(factory, run_kwargs,
@@ -214,7 +240,7 @@ class TestRestartBudget:
             os.kill(pid, signal.SIGSTOP)   # every attempt wedges at birth
 
         policy = IsolationPolicy(stall_timeout=0.5, max_restarts=2,
-                                 term_grace=0.5, every_n_steps=3)
+                                 every_n_steps=3)
         runner = IsolatedRunner(policy, label="wedged")
         with pytest.raises(SolverError) as exc:
             runner.run_solver(factory, run_kwargs, workdir=tmp_path,
@@ -248,12 +274,13 @@ class TestRestartBudget:
         assert spawned == [] and runner.events == []
 
     def test_callable_exhaustion(self):
-        policy = IsolationPolicy(stall_timeout=0.5, max_restarts=1,
-                                 term_grace=0.5)
+        """A callable runs once: its kill raises at once, whatever
+        ``max_restarts`` says."""
+        policy = IsolationPolicy(stall_timeout=0.5, max_restarts=1)
         runner = IsolatedRunner(policy, label="sleeper")
         with pytest.raises(SolverError) as exc:
             runner.run_callable(time.sleep, (600.0,))
-        assert len(exc.value.report.isolation) == 2
+        assert [e["kind"] for e in exc.value.report.isolation] == ["hang"]
         assert _no_orphans()
 
 
@@ -268,20 +295,58 @@ class TestRunCallable:
         assert runner.run_callable(sum, ([1, 2, 3],)) == 6
         assert runner.events == []
 
-    def test_idempotent_retry_after_deadline(self, tmp_path):
-        marker = tmp_path / "first-attempt"
+    def test_deadline_kills_the_one_attempt(self, tmp_path):
+        calls = tmp_path / "calls"
 
-        def flaky():
-            if marker.exists():
-                return 42
-            marker.write_text("x")
+        def slow():
+            with open(calls, "a") as f:
+                f.write("x")
             time.sleep(600.0)
 
-        policy = IsolationPolicy(deadline=1.0, max_restarts=1,
-                                 term_grace=0.5)
-        runner = IsolatedRunner(policy, label="flaky")
-        assert runner.run_callable(flaky) == 42
+        policy = IsolationPolicy(deadline=1.0, max_restarts=1)
+        runner = IsolatedRunner(policy, label="slow")
+        with pytest.raises(SolverError, match=r"killed \(deadline\)") \
+                as exc:
+            runner.run_callable(slow)
         assert [e.kind for e in runner.events] == ["deadline"]
+        assert exc.value.report.isolation[0]["kind"] == "deadline"
+        assert calls.read_text() == "x"
+        assert _no_orphans()
+
+    def test_a_kill_ends_the_child_despite_the_parents_handler(self):
+        """A farm supervisor handles SIGTERM itself (it drains); the
+        sandboxes it forks must not inherit that handler, or every kill
+        would wait out the grace for its SIGKILL."""
+        previous = signal.signal(signal.SIGTERM, lambda signum, frame: None)
+        try:
+            runner = IsolatedRunner(IsolationPolicy(deadline=0.3))
+            with pytest.raises(SolverError, match="deadline"):
+                runner.run_callable(time.sleep, (30.0,))
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+        assert runner.events[0].exitcode == -signal.SIGTERM
+
+    @pytest.mark.parametrize("inner", [(time.sleep, (60.0,)),
+                                       (_ignore_term_and_sleep, ())],
+                             ids=["sleeper", "ignores-sigterm"])
+    def test_nested_sandbox_dies_with_its_parent(self, tmp_path, inner):
+        """The outer sandbox's deadline kill must take the sandbox it
+        started down too, even one that ignores SIGTERM."""
+        pid_file = tmp_path / "inner.pid"
+
+        def outer():
+            IsolatedRunner(label="inner").run_callable(
+                *inner, on_spawn=lambda pid, attempt:
+                pid_file.write_text(str(pid)))
+
+        policy = IsolationPolicy(deadline=2.0, max_restarts=0)
+        with pytest.raises(SolverError, match="deadline"):
+            IsolatedRunner(policy, label="outer").run_callable(outer)
+        inner_pid = int(pid_file.read_text())
+        deadline = time.monotonic() + 5.0
+        while _running(inner_pid) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not _running(inner_pid)
         assert _no_orphans()
 
     def test_child_exception_becomes_crash_event(self):
@@ -372,8 +437,29 @@ class TestChaosHarness:
             "drained", "exactly_once", "no_dead_letters",
             "bitwise_match"])
         assert ledger["ok"]
-        _assert_host_pids(ledger, ["partition", "host-kill"])
-        assert _worker_files(tmp_path / "farm-queue", "host0") == []
+        queue_dir = tmp_path / "farm-queue"
+        _assert_host_pids(ledger, ["partition", "host-kill"], queue_dir)
+        assert _presence(queue_dir, "host0") == []
+        assert _presence(queue_dir, "host1") == []
+        assert _no_orphans()
+
+    def test_farm_campaign_passes_and_leaves_no_orphans(self, tmp_path,
+                                                         silent):
+        """Two chaos rounds as farm jobs with one scheduled sandbox
+        SIGKILL: every round holds its invariants and no sandbox the
+        journal names outlives the campaign."""
+        rc = run_chaos_farm(rounds=2, seed=7, out=str(tmp_path),
+                            n_workers=2, kill_workers=1, deadline=30.0,
+                            stream=silent)
+        assert rc == 0, silent.getvalue()
+        ledger = _chaos_ledger(tmp_path, "farm", [
+            "rounds_ok", "drained", "dead_letters_reported",
+            "no_orphans"])
+        assert ledger["ok"] and ledger["orphans"] == []
+        assert len(ledger["worker_kills"]) == 1
+        assert sorted(ledger["outcomes"]) == ["0", "1"]
+        queue_dir = tmp_path / "farm-queue"
+        assert _presence(queue_dir, WorkQueue(queue_dir).host_id) == []
         assert _no_orphans()
 
     def test_jobs_campaign_passes_and_leaves_no_orphans(self, tmp_path,
@@ -387,12 +473,15 @@ class TestChaosHarness:
             "reached_mid_march", "resumed_done", "bitwise_match",
             "cancelled", "exactly_once", "gc_clean", "no_orphans"])
         assert ledger["ok"]
-        _assert_host_pids(ledger, ["host-kill"])
+        # the kill lands mid-march: it takes the march's sandbox too
+        [kill] = _assert_host_pids(ledger, ["host-kill"],
+                                   tmp_path / "jobs-queue")
+        assert len(kill["pids"]) == 2
         audit = ledger["jobs_ledger"]["audit"]
         assert not audit["double_cancels"]
         assert not audit["cancelled_and_completed"]
         assert (tmp_path / "BENCH_jobs.json").exists()
-        assert _worker_files(tmp_path / "jobs-queue", "jobsA") == []
+        assert _presence(tmp_path / "jobs-queue", "jobsA") == []
         assert _no_orphans()
 
 
