@@ -9,9 +9,12 @@ gas" modes:
   of the era's production codes.
 
 Both implement :class:`GasEOS`: the flux routines call
-``p_a_T(rho, e) -> (p, a, T)`` once per set of states, and the NS wall
-ghosts call ``temperature(rho, e)`` once per step, on both wall rows at
-e and e + de; ``e`` is specific *internal* energy (no kinetic part).
+``p_a_T(rho, e) -> (p, a, T, gamma)`` once per set of states, gamma
+being the ratio each model forms on the way to the sound speed (the
+effective 1 + p/(rho e) for both models here; the NS conductivity reads
+it from the cell decode), and the NS wall ghosts call
+``temperature(rho, e)`` once per step, on both wall rows at e and
+e + de; ``e`` is specific *internal* energy (no kinetic part).
 Each also has ``pressure(rho, e)``, which ``e_from_p_rho`` inverts.
 """
 
@@ -58,9 +61,12 @@ class IdealGasEOS:
         return np.asarray(e, float) / self.cv
 
     def p_a_T(self, rho, e):
-        """(p, a, T) at (rho, e)."""
+        """(p, a, T, gamma) at (rho, e); gamma is the constant one, in
+        the broadcast shape of the states."""
         return (self.pressure(rho, e), self.sound_speed(rho, e),
-                self.temperature(rho, e))
+                self.temperature(rho, e),
+                np.full(np.broadcast_shapes(np.shape(rho), np.shape(e)),
+                        self.gamma))
 
     def e_from_T(self, T):
         """Internal energy at temperature T [J/kg]."""
@@ -69,10 +75,6 @@ class IdealGasEOS:
     def e_from_p_rho(self, p, rho):
         return np.asarray(p, float) / ((self.gamma - 1.0)
                                        * np.asarray(rho, float))
-
-    def gamma_eff(self, rho, e):
-        return np.full(np.broadcast_shapes(np.shape(rho), np.shape(e)),
-                       self.gamma)
 
 
 class TabulatedEOS:
@@ -92,9 +94,9 @@ class TabulatedEOS:
         self.table = table
 
     def p_a_T(self, rho, e):
-        """(p, a, T) at (rho, e) from one table evaluation."""
-        _, p, a, T = self.table.evaluate(rho, e)
-        return p, a, T
+        """(p, a, T, gamma_eff) at (rho, e) from one table evaluation."""
+        gamma, p, a, T = self.table.evaluate(rho, e)
+        return p, a, T, gamma
 
     def pressure(self, rho, e):
         return self.table.pressure(rho, e)
@@ -142,9 +144,6 @@ class TabulatedEOS:
             f"e_from_p_rho: {bad.size} state(s) unconverged after "
             f"{max_iter} iterations", iterations=max_iter,
             residual=float(np.max(rel[todo])), bad_indices=bad)
-
-    def gamma_eff(self, rho, e):
-        return self.table.lookup(rho, e)[0]
 
 
 def eos_spec(eos) -> dict:

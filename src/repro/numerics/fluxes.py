@@ -5,6 +5,15 @@ Conserved-variable layout (trailing axis):
 * 1-D: ``[rho, rho*u, rho*E]``
 * 2-D: ``[rho, rho*u, rho*v, rho*E]``
 
+Every kernel takes and returns component-last arrays, but computes on
+component rows: :func:`component_rows` views ``U[..., k]`` as row ``k``,
+results are allocated component-first and returned as component-last
+views (:func:`component_last`).  Given component-first memory, as the
+2-D frame hands them, each row is contiguous, so NumPy runs every
+elementwise operation as one long inner loop; any other layout gives
+the same values, since elementwise arithmetic rounds the same whatever
+the strides.
+
 All face fluxes here are *normal-direction* fluxes: 2-D callers rotate the
 momentum into the face frame with :func:`rotate_to_normal`, call the 1-D-
 like flux (the tangential momentum rides along as a passively advected
@@ -20,15 +29,27 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = ["primitives", "euler_flux", "hlle_flux", "rotate_to_normal",
-           "rotate_from_normal"]
+           "rotate_from_normal", "component_rows", "component_last"]
+
+
+def component_rows(U):
+    """The (nv, ...) view of a component-last (..., nv) array: row ``k``
+    is component ``k``.  No copy is made."""
+    return U.transpose((U.ndim - 1,) + tuple(range(U.ndim - 1)))
+
+
+def component_last(R):
+    """The (..., nv) view of component rows (nv, ...), the inverse of
+    :func:`component_rows`."""
+    return R.transpose(tuple(range(1, R.ndim)) + (0,))
 
 
 def primitives(U, eos):
     """Unpack conserved variables.
 
-    Returns dict with rho, velocity components, e (internal), p, a and T,
-    the last three from one ``eos.p_a_T`` call.  Works for both 1-D
-    (3-component) and 2-D (4-component) layouts.
+    Returns dict with rho, velocity components, e (internal), p, a, T
+    and the effective gamma, the last four from one ``eos.p_a_T`` call.
+    Works for both 1-D (3-component) and 2-D (4-component) layouts.
     """
     U = np.asarray(U, dtype=float)
     m = U.shape[-1]
@@ -45,8 +66,9 @@ def primitives(U, eos):
     else:
         raise ValueError(f"unsupported state vector length {m}")
     e = np.maximum(U[..., -1] / rho - ke, 1e-30)
-    p, a, T = eos.p_a_T(rho, e)
-    return {"rho": rho, "vel": vel, "e": e, "p": p, "a": a, "T": T}
+    p, a, T, gamma = eos.p_a_T(rho, e)
+    return {"rho": rho, "vel": vel, "e": e, "p": p, "a": a, "T": T,
+            "gamma": gamma}
 
 
 def euler_flux(U, p):
@@ -54,15 +76,20 @@ def euler_flux(U, p):
 
     ``p`` must be consistent with ``U`` through the EOS.
     """
-    U = np.asarray(U, dtype=float)
-    rho = np.maximum(U[..., 0], 1e-300)
-    un = U[..., 1] / rho
-    F = np.empty_like(U)
-    F[..., 0] = U[..., 1]
-    F[..., 1] = U[..., 1] * un + p
-    if U.shape[-1] == 4:
-        F[..., 2] = U[..., 2] * un          # tangential momentum advection
-    F[..., -1] = (U[..., -1] + p) * un
+    Ur = component_rows(np.asarray(U, dtype=float))
+    un = Ur[1] / np.maximum(Ur[0], 1e-300)
+    return component_last(_flux_rows(Ur, un, p))
+
+
+def _flux_rows(Ur, un, p):
+    """The Euler flux as component rows, from the state rows ``Ur``, the
+    normal velocity and the pressure."""
+    F = np.empty(Ur.shape, dtype=np.float64)
+    F[0] = Ur[1]
+    F[1] = Ur[1] * un + p
+    if Ur.shape[0] == 4:
+        F[2] = Ur[2] * un                   # tangential momentum advection
+    F[-1] = (Ur[-1] + p) * un
     return F
 
 
@@ -86,12 +113,13 @@ def hlle_flux(UL, UR, eos):
     a_hat = (sl * al + sr * ar) / (sl + sr)
     b_minus = np.minimum(np.minimum(ul - al, u_hat - a_hat), 0.0)
     b_plus = np.maximum(np.maximum(ur + ar, u_hat + a_hat), 0.0)
-    FL = euler_flux(UL, wl["p"])
-    FR = euler_flux(UR, wr["p"])
+    # the face-normal velocity primitives() formed is euler_flux's
+    UL, UR = component_rows(UL), component_rows(UR)
+    FL = _flux_rows(UL, ul, wl["p"])
+    FR = _flux_rows(UR, ur, wr["p"])
     denom = np.maximum(b_plus - b_minus, 1e-12)
-    bp = b_plus[..., None]
-    bm = b_minus[..., None]
-    return ((bp * FL - bm * FR) + (bp * bm) * (UR - UL)) / denom[..., None]
+    return component_last(((b_plus * FL - b_minus * FR)
+                           + (b_plus * b_minus) * (UR - UL)) / denom)
 
 
 def rotate_to_normal(U, nx, ny):
@@ -99,19 +127,21 @@ def rotate_to_normal(U, nx, ny):
 
     ``nx, ny`` is the unit face normal.  Density and energy are invariant.
     """
-    U = np.asarray(U, dtype=float)
-    out = U.copy()
-    mu, mv = U[..., 1], U[..., 2]
-    out[..., 1] = mu * nx + mv * ny
-    out[..., 2] = -mu * ny + mv * nx
-    return out
+    Ur = component_rows(np.asarray(U, dtype=float))
+    out = np.empty(Ur.shape, dtype=np.float64)
+    out[0] = Ur[0]
+    out[1] = Ur[1] * nx + Ur[2] * ny
+    out[2] = -Ur[1] * ny + Ur[2] * nx
+    out[3:] = Ur[3:]
+    return component_last(out)
 
 
 def rotate_from_normal(F, nx, ny):
     """Rotate a face-frame flux back to the global frame."""
-    F = np.asarray(F, dtype=float)
-    out = F.copy()
-    fn, ft = F[..., 1], F[..., 2]
-    out[..., 1] = fn * nx - ft * ny
-    out[..., 2] = fn * ny + ft * nx
-    return out
+    Fr = component_rows(np.asarray(F, dtype=float))
+    out = np.empty(Fr.shape, dtype=np.float64)
+    out[0] = Fr[0]
+    out[1] = Fr[1] * nx - Fr[2] * ny
+    out[2] = Fr[1] * ny + Fr[2] * nx
+    out[3:] = Fr[3:]
+    return component_last(out)

@@ -39,30 +39,30 @@ def muscl_interface_states(W, *, axis: int = 0, limiter=minmod,
     -------
     (WL, WR):
         States on the left/right side of each of the ``n-1`` interior
-        faces (arrays with ``n-1`` entries along ``axis``).
+        faces (arrays with ``n-1`` entries along ``axis``).  Every
+        operation is elementwise, so the states keep the memory layout
+        of ``W``: component-first memory stays component-first.
     """
     W = np.asarray(W, dtype=float)
-    W = np.moveaxis(W, axis, 0)
-    n = W.shape[0]
+    n = W.shape[axis]
     if n < 2:
         raise ValueError("need at least two cells to form a face")
+    lead = (slice(None),) * (axis % W.ndim)
+    lo, hi = lead + (slice(None, -1),), lead + (slice(1, None),)
     if order == 1 or n < 3:
-        WL = W[:-1]
-        WR = W[1:]
-    else:
-        d = W[1:] - W[:-1]                      # n-1 differences
-        # limited slope per interior cell (cells 1..n-2)
-        slope = limiter(d[:-1], d[1:])          # n-2 slopes
-        slopes = np.concatenate([np.zeros_like(W[:1]), slope,
-                                 np.zeros_like(W[:1])], axis=0)
-        if first_order_mask is not None:
-            mask = np.asarray(first_order_mask, dtype=bool)
-            if mask.ndim > 1:
-                mask = np.moveaxis(mask, axis, 0)
-            # broadcast over any axes the mask doesn't carry (trailing
-            # variable axis, and cross-axes for a 1-D mask)
-            mask = mask.reshape(mask.shape + (1,) * (W.ndim - mask.ndim))
-            slopes = np.where(mask, 0.0, slopes)
-        WL = W[:-1] + 0.5 * slopes[:-1]
-        WR = W[1:] - 0.5 * slopes[1:]
-    return (np.moveaxis(WL, 0, axis), np.moveaxis(WR, 0, axis))
+        return W[lo], W[hi]
+    d = W[hi] - W[lo]                           # n-1 differences
+    # limited slope per interior cell (cells 1..n-2), zero at both ends
+    slopes = np.zeros_like(W)
+    slopes[lead + (slice(1, -1),)] = limiter(d[lo], d[hi])
+    if first_order_mask is not None:
+        mask = np.asarray(first_order_mask, dtype=bool)
+        if mask.ndim == 1:
+            # along ``axis``: broadcast over every other axis
+            mask = mask.reshape((1,) * len(lead) + mask.shape)
+        # broadcast over any trailing axes the mask doesn't carry (the
+        # trailing variable axis, and cross-axes for a 1-D mask)
+        mask = mask.reshape(mask.shape + (1,) * (W.ndim - mask.ndim))
+        np.copyto(slopes, 0.0, where=mask)
+    half = 0.5 * slopes
+    return W[lo] + half[lo], W[hi] - half[hi]

@@ -7,12 +7,14 @@ written for the calorically perfect gas; real-gas runs use HLLE (see
 gamma (the bench_upwind ablation compares both).
 
 All routines take face-normal-frame states (see fluxes.py layout) and
-return the face flux.
+return the face flux, computed on component rows as there.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from repro.numerics.fluxes import component_last, component_rows, euler_flux
 
 __all__ = ["steger_warming_flux", "van_leer_flux", "ausm_plus_flux"]
 
@@ -61,14 +63,14 @@ def _sw_split(U, gamma, sign):
     fE = pref * ((g - 1.0) * l1 * un**2
                  + 0.5 * l2 * (un + a) ** 2 + 0.5 * l3 * (un - a) ** 2
                  + (3.0 - g) * (l2 + l3) * a**2 / (2.0 * (g - 1.0)))
-    F = np.empty_like(np.asarray(U, dtype=float))
-    F[..., 0] = f0
-    F[..., 1] = f1
+    F = np.empty((np.shape(U)[-1],) + np.shape(f0), dtype=np.float64)
+    F[0] = f0
+    F[1] = f1
     if ut is not None:
-        F[..., 2] = f0 * ut
+        F[2] = f0 * ut
         fE = fE + 0.5 * ut**2 * f0
-    F[..., -1] = fE
-    return F
+    F[-1] = fE
+    return component_last(F)
 
 
 def steger_warming_flux(UL, UR, gamma=1.4):
@@ -80,17 +82,12 @@ def _vl_split(U, gamma, sign):
     """One-sided van Leer flux."""
     rho, un, ut, p, a, H = _unpack_ideal(U, gamma)
     M = un / a
-    F = np.zeros_like(np.asarray(U, dtype=float))
     sup_pos = M >= 1.0
     sup_neg = M <= -1.0
     sub = ~(sup_pos | sup_neg)
     # supersonic: one-sided full flux or zero
-    from repro.numerics.fluxes import euler_flux
-    full = euler_flux(U, p)
-    if sign > 0:
-        F = np.where(sup_pos[..., None], full, F)
-    else:
-        F = np.where(sup_neg[..., None], full, F)
+    full = component_rows(euler_flux(U, p))
+    F = np.where(sup_pos if sign > 0 else sup_neg, full, 0.0)
     # subsonic split
     fm = sign * 0.25 * rho * a * (M + sign) ** 2
     fmom = fm * ((gamma - 1.0) * un + sign * 2.0 * a) / gamma
@@ -99,13 +96,13 @@ def _vl_split(U, gamma, sign):
         / (2.0 * (gamma**2 - 1.0))
     ke_t = 0.0 if ut is None else 0.5 * ut**2
     fE = fm * (u_term + ke_t)
-    Fs = np.zeros_like(F)
-    Fs[..., 0] = fm
-    Fs[..., 1] = fmom
+    Fs = np.zeros(F.shape, dtype=np.float64)
+    Fs[0] = fm
+    Fs[1] = fmom
     if ut is not None:
-        Fs[..., 2] = fm * ut
-    Fs[..., -1] = fE
-    return np.where(sub[..., None], Fs, F)
+        Fs[2] = fm * ut
+    Fs[-1] = fE
+    return component_last(np.where(sub, Fs, F))
 
 
 def van_leer_flux(UL, UR, gamma=1.4):
@@ -147,17 +144,14 @@ def ausm_plus_flux(UL, UR, gamma=1.4):
     p12 = p_plus(Ml) * pl + p_minus(Mr) * pr
     mdot = a12 * np.where(m12 > 0, m12 * rl, m12 * rr)
     # upwinded transported quantities
-    UL_ = np.asarray(UL, dtype=float)
-    UR_ = np.asarray(UR, dtype=float)
-    m = UL_.shape[-1]
-    psiL = np.empty_like(UL_)
-    psiR = np.empty_like(UR_)
-    psiL[..., 0], psiR[..., 0] = 1.0, 1.0
-    psiL[..., 1], psiR[..., 1] = ul, ur
+    m = np.shape(UL)[-1]
+    psiL = np.empty((m,) + np.shape(ul), dtype=np.float64)
+    psiR = np.empty((m,) + np.shape(ur), dtype=np.float64)
+    psiL[0], psiR[0] = 1.0, 1.0
+    psiL[1], psiR[1] = ul, ur
     if m == 4:
-        psiL[..., 2], psiR[..., 2] = tl, tr
-    psiL[..., -1], psiR[..., -1] = Hl, Hr
-    F = np.where((mdot > 0)[..., None], mdot[..., None] * psiL,
-                 mdot[..., None] * psiR)
-    F[..., 1] += p12
-    return F
+        psiL[2], psiR[2] = tl, tr
+    psiL[-1], psiR[-1] = Hl, Hr
+    F = np.where(mdot > 0, mdot * psiL, mdot * psiR)
+    F[1] += p12
+    return component_last(F)

@@ -579,15 +579,19 @@ class Farm:
 
     # -- the loop ------------------------------------------------------
 
-    def _install_signals(self):
+    def _install_signals(self) -> dict:
+        """Route SIGTERM and SIGINT to the graceful stop; returns the
+        handlers they replace, for :meth:`run` to restore."""
         def on_term(signum, frame):
             self._stop = True
 
+        previous = {}
         try:
-            signal.signal(signal.SIGTERM, on_term)
-            signal.signal(signal.SIGINT, on_term)
+            for sig in (signal.SIGTERM, signal.SIGINT):
+                previous[sig] = signal.signal(sig, on_term)
         except ValueError:
             pass   # not the main thread (tests drive run() directly)
+        return previous
 
     def run(self) -> dict:
         """Drive a campaign to completion; returns the campaign ledger.
@@ -600,7 +604,7 @@ class Farm:
         processes enqueue until the signal.
         """
         pol = self.policy
-        self._install_signals()
+        previous = self._install_signals()
         self.queue.journal("campaign-start", label=self.label,
                            n_workers=pol.n_workers,
                            jobs=len(self.queue.job_ids()))
@@ -640,6 +644,10 @@ class Farm:
                 self._wait()
         finally:
             self._drain()
+            # a finished farm no longer owns the process's signals
+            for sig, handler in previous.items():
+                if handler is not None:    # None: not set from Python
+                    signal.signal(sig, handler)
         wall = time.monotonic() - t0
         ledger = build_ledger(self.queue, wall_time=wall,
                               label=self.label, n_workers=pol.n_workers)

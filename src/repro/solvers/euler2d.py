@@ -22,7 +22,8 @@ import numpy as np
 from repro.core.gas import GasEOS, IdealGasEOS, eos_spec
 from repro.errors import InputError, StabilityError
 from repro.grid.structured import StructuredGrid2D
-from repro.numerics.fluxes import (hlle_flux, primitives,
+from repro.numerics.fluxes import (component_last, component_rows,
+                                   hlle_flux, primitives,
                                    rotate_from_normal, rotate_to_normal)
 from repro.numerics.limiters import minmod
 from repro.numerics.muscl import muscl_interface_states
@@ -67,14 +68,16 @@ class AxisymmetricEulerSolver(QuarantineMixin):
         self.flux_name = flux
         self.vol = grid.axisymmetric_volumes()
         # radius-weighted face normals (the NS viscous fluxes read them
-        # too), their unit normals and radius-weighted areas
-        self.normal_i, self.normal_j = grid.axisymmetric_face_metrics()
-        n_i, n_j = self.normal_i, self.normal_j
+        # too), their unit normals and radius-weighted areas; the normals
+        # are stored as (2, ...) component rows, as the residual uses them
+        n_i, n_j = grid.axisymmetric_face_metrics()
         self.area_i = np.linalg.norm(n_i, axis=-1)
         self.area_j = np.linalg.norm(n_j, axis=-1)
+        self.normal_i = np.ascontiguousarray(component_rows(n_i))
+        self.normal_j = np.ascontiguousarray(component_rows(n_j))
         with np.errstate(invalid="ignore", divide="ignore"):
-            self.nhat_i = n_i / np.maximum(self.area_i, 1e-300)[..., None]
-            self.nhat_j = n_j / np.maximum(self.area_j, 1e-300)[..., None]
+            self.nhat_i = self.normal_i / np.maximum(self.area_i, 1e-300)
+            self.nhat_j = self.normal_j / np.maximum(self.area_j, 1e-300)
         # plane-geometry face normals for wall ghost mirroring
         self.wall_normal = grid.n_j[:, 0, :] / np.maximum(
             np.linalg.norm(grid.n_j[:, 0, :], axis=-1), 1e-300)[:, None]
@@ -157,28 +160,33 @@ class AxisymmetricEulerSolver(QuarantineMixin):
     # ------------------------------------------------------------------
 
     def _pad_i(self, U):
-        """Ghosts along i: axis mirror at i=0, extrapolation at i=ni."""
-        g = np.empty((U.shape[0] + 4,) + U.shape[1:], dtype=np.float64)
-        g[2:-2] = U
+        """Ghosts along i: axis mirror at i=0, extrapolation at i=ni.
+
+        The padded states live in component-first memory; the (ni+4, nj,
+        nv) view over it is returned, as for :meth:`_pad_j`."""
+        nv = U.shape[-1]
+        g = np.empty((nv, U.shape[0] + 4) + U.shape[1:-1], dtype=np.float64)
+        Ur = component_rows(U)
+        g[:, 2:-2] = Ur
         # axis symmetry: mirror with radial momentum flipped
-        flip = np.ones(U.shape[-1], dtype=np.float64)
+        flip = np.ones((nv, 1), dtype=np.float64)
         flip[2] = -1.0
-        g[1] = U[0] * flip
-        g[0] = U[1] * flip
-        g[-2] = U[-1]
-        g[-1] = U[-1]
-        return g
+        g[:, 1] = Ur[:, 0] * flip
+        g[:, 0] = Ur[:, 1] * flip
+        g[:, -2] = Ur[:, -1]
+        g[:, -1] = Ur[:, -1]
+        return component_last(g)
 
     def _pad_j(self, U):
         """Ghosts along j: :meth:`_wall_ghosts` at j=0, freestream at
         j=nj."""
-        g = np.empty((U.shape[0], U.shape[1] + 4, U.shape[-1]),
-                     dtype=np.float64)
-        g[:, 2:-2] = U
+        nv = U.shape[-1]
+        g = np.empty((nv, U.shape[0], U.shape[1] + 4), dtype=np.float64)
+        g[:, :, 2:-2] = component_rows(U)
         # ghost row 1 mirrors cell row 0, ghost row 0 cell row 1
-        g[:, 1::-1] = self._wall_ghosts(U[:, :2])
-        g[:, -2:] = self.U_inf
-        return g
+        g[:, :, 1::-1] = component_rows(self._wall_ghosts(U[:, :2]))
+        g[:, :, -2:] = self.U_inf[:, None, None]
+        return component_last(g)
 
     def _wall_ghosts(self, Uw):
         """Slip wall: the two wall-adjacent cell rows ``Uw`` (ni, 2, 4)
@@ -207,6 +215,16 @@ class AxisymmetricEulerSolver(QuarantineMixin):
     def residual(self, U, w=None):
         """dU/dt per cell (axisymmetric FV with hoop-pressure source);
         ``w`` is ``_decode(U)`` when the caller has it already."""
+        if w is None:
+            w = self._decode(U)
+        return component_last(self._residual_rows(U, w))
+
+    def _residual_rows(self, U, w):
+        """:meth:`residual` as (nv, ni, nj) component rows.
+
+        The padded states, the face states and fluxes and the divergence
+        all live in component-first memory, so each component is one
+        contiguous row; the kernels see component-last views of it."""
         fo_i = fo_j = None
         if self.quarantined_cells is not None:
             fo_i = np.pad(self.quarantined_cells, ((2, 2), (0, 0)),
@@ -214,29 +232,25 @@ class AxisymmetricEulerSolver(QuarantineMixin):
             fo_j = np.pad(self.quarantined_cells, ((0, 0), (2, 2)),
                           mode="edge")
         # ---- i-direction fluxes ----
-        gi = self._pad_i(U)
-        UL, UR = muscl_interface_states(gi, axis=0, order=self.order,
+        UL, UR = muscl_interface_states(self._pad_i(U), axis=0,
+                                        order=self.order,
                                         limiter=self.limiter,
                                         first_order_mask=fo_i)
-        UL, UR = UL[1:-1], UR[1:-1]          # (ni+1, nj, nv) faces
-        F_i = self._face_flux(UL, UR, self.nhat_i[..., 0],
-                              self.nhat_i[..., 1])
-        F_i = F_i * self.area_i[..., None]
+        F_i = component_rows(self._face_flux(      # (nv, ni+1, nj) faces
+            UL[1:-1], UR[1:-1], self.nhat_i[0], self.nhat_i[1]))
+        F_i = F_i * self.area_i
         # ---- j-direction fluxes ----
-        gj = self._pad_j(U)
-        VL, VR = muscl_interface_states(gj, axis=1, order=self.order,
+        VL, VR = muscl_interface_states(self._pad_j(U), axis=1,
+                                        order=self.order,
                                         limiter=self.limiter,
                                         first_order_mask=fo_j)
-        VL, VR = VL[:, 1:-1], VR[:, 1:-1]    # (ni, nj+1, nv)
-        F_j = self._face_flux(VL, VR, self.nhat_j[..., 0],
-                              self.nhat_j[..., 1])
-        F_j = F_j * self.area_j[..., None]
+        F_j = component_rows(self._face_flux(      # (nv, ni, nj+1)
+            VL[:, 1:-1], VR[:, 1:-1], self.nhat_j[0], self.nhat_j[1]))
+        F_j = F_j * self.area_j
         # ---- divergence + axisymmetric source ----
-        div = (F_i[1:] - F_i[:-1]) + (F_j[:, 1:] - F_j[:, :-1])
-        R = -div / self.vol[..., None]
-        if w is None:
-            w = self._decode(U)
-        R[..., 2] += w["p"] * self.grid.area / self.vol
+        div = (F_i[:, 1:] - F_i[:, :-1]) + (F_j[:, :, 1:] - F_j[:, :, :-1])
+        R = -div / self.vol
+        R[2] += w["p"] * self.grid.area / self.vol
         return R
 
     # ------------------------------------------------------------------

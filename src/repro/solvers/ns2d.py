@@ -29,7 +29,7 @@ import numpy as np
 from repro.core.gas import GasEOS
 from repro.errors import InputError
 from repro.grid.structured import StructuredGrid2D
-from repro.numerics.fluxes import primitives
+from repro.numerics.fluxes import component_rows, primitives
 from repro.solvers.euler2d import AxisymmetricEulerSolver
 from repro.transport.viscosity import sutherland_viscosity
 
@@ -58,12 +58,16 @@ class AxisymmetricNSSolver(AxisymmetricEulerSolver):
         super().__init__(grid, eos, **kwargs)
         self.T_wall = T_wall
         self.prandtl = prandtl
-        # offsets between j-adjacent cell centroids and their squared
-        # lengths (for the directional gradient correction)
+        # offsets between j-adjacent cell centroids as (2, ni, nj-1)
+        # rows and their squared lengths (for the directional gradient
+        # correction)
         self._d_j = np.stack([np.diff(grid.xc, axis=1),
-                              np.diff(grid.yc, axis=1)], axis=-1)
-        self._dist2_j = np.maximum(np.sum(self._d_j * self._d_j, axis=-1),
+                              np.diff(grid.yc, axis=1)])
+        self._dist2_j = np.maximum(np.sum(self._d_j * self._d_j, axis=0),
                                    1e-300)
+        # plane-geometry face normals as (2, ...) rows (Green-Gauss)
+        self._plane_normal_i = np.ascontiguousarray(component_rows(grid.n_i))
+        self._plane_normal_j = np.ascontiguousarray(component_rows(grid.n_j))
 
     # ------------------------------------------------------------------
     # persistence protocol (durable checkpoints)
@@ -108,118 +112,76 @@ class AxisymmetricNSSolver(AxisymmetricEulerSolver):
     # viscous fluxes
     # ------------------------------------------------------------------
 
+    def _decode(self, U):
+        """The base decode plus the Sutherland viscosity ``mu``, which
+        the timestep and the viscous residual both read."""
+        w = super()._decode(U)
+        w["mu"] = sutherland_viscosity(w["T"])
+        return w
+
     def _cell_gradients(self, phi):
-        """Green-Gauss gradient of a cell field (ni, nj) -> (ni, nj, 2).
+        """Green-Gauss gradients of stacked cell fields (m, ni, nj) ->
+        (m, 2, ni, nj), x and y derivative rows.
 
         Boundary faces use the ghost-free one-sided closure (copy cell
         value), which is first order at boundaries and second elsewhere.
         """
-        g = self.grid
-        # face values by averaging (interior), cell value at boundaries
-        f_i = np.empty((g.ni + 1, g.nj), dtype=np.float64)
-        f_i[1:-1] = 0.5 * (phi[1:] + phi[:-1])
-        f_i[0] = phi[0]
-        f_i[-1] = phi[-1]
-        f_j = np.empty((g.ni, g.nj + 1), dtype=np.float64)
-        f_j[:, 1:-1] = 0.5 * (phi[:, 1:] + phi[:, :-1])
-        f_j[:, 0] = phi[:, 0]
-        f_j[:, -1] = phi[:, -1]
-        flux = (f_i[1:, :, None] * g.n_i[1:] - f_i[:-1, :, None]
-                * g.n_i[:-1]
-                + f_j[:, 1:, None] * g.n_j[:, 1:] - f_j[:, :-1, None]
-                * g.n_j[:, :-1])
-        return flux / g.area[..., None]
+        f_i, f_j = _face_avg_i(phi)[:, None], _face_avg_j(phi)[:, None]
+        n_i, n_j = self._plane_normal_i, self._plane_normal_j
+        flux = (f_i[:, :, 1:] * n_i[:, 1:] - f_i[:, :, :-1] * n_i[:, :-1]
+                + f_j[..., 1:] * n_j[..., 1:]
+                - f_j[..., :-1] * n_j[..., :-1])
+        return flux / self.grid.area
 
-    def _viscous_residual(self, w):
-        """Viscous contribution to dU/dt (per-radian axisymmetric FV) from
-        the cell primitives ``w``."""
-        g = self.grid
+    def _viscous_rows(self, w):
+        """Viscous contribution to dU/dt (per-radian axisymmetric FV) as
+        (4, ni, nj) component rows, from the cell primitives ``w``.
+
+        u, v and T are differentiated in one stacked Green-Gauss pass,
+        and every cell quantity the faces need is averaged onto the i
+        and the j faces in one pass each."""
+        ni, nj = self.grid.ni, self.grid.nj
         u, v = w["vel"]
-        T = w["T"]
-        mu = sutherland_viscosity(T)
+        T, mu = w["T"], w["mu"]
         # conductivity from constant Prandtl and a local cp estimate
-        gamma = (self.eos.gamma_eff(w["rho"], w["e"])
-                 if hasattr(self.eos, "gamma_eff") else 1.4)
+        gamma = w["gamma"]
         cp = gamma / np.maximum(gamma - 1.0, 1e-3) * w["p"] \
             / (w["rho"] * T)
         k = mu * cp / self.prandtl
-        du = self._cell_gradients(u)
-        dv = self._cell_gradients(v)
-        dT = self._cell_gradients(T)
-
-        def face_avg_i(q):
-            out = np.empty((g.ni + 1,) + q.shape[1:], dtype=np.float64)
-            out[1:-1] = 0.5 * (q[1:] + q[:-1])
-            out[0] = q[0]
-            out[-1] = q[-1]
-            return out
-
-        def face_avg_j(q):
-            out = np.empty((q.shape[0], g.nj + 1) + q.shape[2:], dtype=np.float64)
-            out[:, 1:-1] = 0.5 * (q[:, 1:] + q[:, :-1])
-            out[:, 0] = q[:, 0]
-            out[:, -1] = q[:, -1]
-            return out
-
-        def visc_face_flux(mu_f, k_f, du_f, dv_f, dT_f, u_f, v_f, n_area):
-            """Viscous flux vector through faces with area-scaled normals."""
-            nx, ny = n_area[..., 0], n_area[..., 1]
-            div = du_f[..., 0] + dv_f[..., 1]
-            txx = mu_f * (2.0 * du_f[..., 0] - 2.0 / 3.0 * div)
-            tyy = mu_f * (2.0 * dv_f[..., 1] - 2.0 / 3.0 * div)
-            txy = mu_f * (du_f[..., 1] + dv_f[..., 0])
-            Fv = np.zeros(nx.shape + (4,), dtype=np.float64)
-            Fv[..., 1] = txx * nx + txy * ny
-            Fv[..., 2] = txy * nx + tyy * ny
-            Fv[..., 3] = ((txx * u_f + txy * v_f + k_f * dT_f[..., 0]) * nx
-                          + (txy * u_f + tyy * v_f
-                             + k_f * dT_f[..., 1]) * ny)
-            return Fv
-
-        # directional correction for j-face gradients (wall-normal
-        # resolution is what heating depends on)
-        def corrected_j(phi, dphi_f):
-            d = self._d_j
-            ddir = (phi[:, 1:] - phi[:, :-1])
-            corr = (ddir - np.sum(dphi_f[:, 1:-1] * d, axis=-1)) \
-                / self._dist2_j
-            out = dphi_f.copy()
-            out[:, 1:-1] += corr[..., None] * d
-            return out
-
+        phi = np.stack([u, v, T])
+        # rows: mu, k, u, v, then d/dx and d/dy of u, v and T
+        q = np.empty((10, ni, nj), dtype=np.float64)
+        q[0], q[1], q[2:4] = mu, k, phi[:2]
+        q[4:] = self._cell_gradients(phi).reshape(6, ni, nj)
         # i faces (radius-weighted areas)
-        Fv_i = visc_face_flux(face_avg_i(mu), face_avg_i(k),
-                              face_avg_i(du), face_avg_i(dv),
-                              face_avg_i(dT), face_avg_i(u),
-                              face_avg_i(v), self.normal_i)
-        dT_jf = corrected_j(T, face_avg_j(dT))
-        du_jf = corrected_j(u, face_avg_j(du))
-        dv_jf = corrected_j(v, face_avg_j(dv))
-        u_jf = face_avg_j(u)
-        v_jf = face_avg_j(v)
-        mu_jf = face_avg_j(mu)
-        k_jf = face_avg_j(k)
-        # wall faces: no-slip velocity and wall temperature gradient
-        u_jf[:, 0] = 0.0
-        v_jf[:, 0] = 0.0
-        Fv_j = visc_face_flux(mu_jf, k_jf, du_jf, dv_jf, dT_jf,
-                              u_jf, v_jf, self.normal_j)
-        div = (Fv_i[1:] - Fv_i[:-1]) + (Fv_j[:, 1:] - Fv_j[:, :-1])
-        return div / self.vol[..., None]
+        qi = _face_avg_i(q)
+        Fv_i = _visc_face_flux(qi, self.normal_i)
+        # j faces: directional correction of the face gradients against
+        # odd-even decoupling (wall-normal resolution is what heating
+        # depends on), then no-slip velocity on the wall faces
+        qj = _face_avg_j(q)
+        grad_j = qj[4:].reshape(3, 2, ni, nj + 1)
+        d = self._d_j
+        ddir = phi[..., 1:] - phi[..., :-1]
+        corr = (ddir - np.sum(grad_j[..., 1:-1] * d, axis=1)) \
+            / self._dist2_j
+        grad_j[..., 1:-1] += corr[:, None] * d
+        qj[2:4, :, 0] = 0.0
+        Fv_j = _visc_face_flux(qj, self.normal_j)
+        div = (Fv_i[:, 1:] - Fv_i[:, :-1]) \
+            + (Fv_j[:, :, 1:] - Fv_j[:, :, :-1])
+        return div / self.vol
 
-    def residual(self, U, w=None):
-        if w is None:
-            w = primitives(U, self.eos)
-        return super().residual(U, w) + self._viscous_residual(w)
+    def _residual_rows(self, U, w):
+        return super()._residual_rows(U, w) + self._viscous_rows(w)
 
     def local_timestep(self, cfl, w=None):
         """Convective + viscous stability limit."""
         if w is None:
-            w = primitives(self.U, self.eos)
+            w = self._decode(self.U)
         dt_c = super().local_timestep(cfl, w)
-        mu = sutherland_viscosity(w["T"])
         h = self.grid.min_cell_size()
-        dt_v = 0.25 * w["rho"] * h * h / np.maximum(mu, 1e-300)
+        dt_v = 0.25 * w["rho"] * h * h / np.maximum(w["mu"], 1e-300)
         return np.minimum(dt_c, cfl * dt_v)
 
     # ------------------------------------------------------------------
@@ -238,8 +200,7 @@ class AxisymmetricNSSolver(AxisymmetricEulerSolver):
                      self.grid.yc[:, 0] - self.grid.ym_j[:, 0])
         T_face = 0.5 * (T1 + self.T_wall)
         mu_w = sutherland_viscosity(T_face)
-        gamma = (self.eos.gamma_eff(w["rho"][:, 0], w["e"][:, 0])
-                 if hasattr(self.eos, "gamma_eff") else 1.4)
+        gamma = w["gamma"][:, 0]
         cp = gamma / np.maximum(gamma - 1.0, 1e-3) * w["p"][:, 0] \
             / (w["rho"][:, 0] * T1)
         k_w = mu_w * cp / self.prandtl
@@ -255,3 +216,47 @@ class AxisymmetricNSSolver(AxisymmetricEulerSolver):
         T_face = (0.5 * (T1 + self.T_wall) if self.T_wall is not None
                   else T1)
         return sutherland_viscosity(T_face) * speed / d
+
+
+# ----------------------------------------------------------------------
+# face kernels on stacked (m, ni, nj) cell rows
+# ----------------------------------------------------------------------
+
+def _face_avg_i(q):
+    """Cell rows (m, ni, nj) averaged onto the i faces (m, ni+1, nj);
+    the boundary faces copy their cell."""
+    out = np.empty((q.shape[0], q.shape[1] + 1, q.shape[2]),
+                   dtype=np.float64)
+    out[:, 1:-1] = 0.5 * (q[:, 1:] + q[:, :-1])
+    out[:, 0] = q[:, 0]
+    out[:, -1] = q[:, -1]
+    return out
+
+
+def _face_avg_j(q):
+    """Cell rows (m, ni, nj) averaged onto the j faces (m, ni, nj+1);
+    the boundary faces copy their cell."""
+    out = np.empty(q.shape[:2] + (q.shape[2] + 1,), dtype=np.float64)
+    out[:, :, 1:-1] = 0.5 * (q[:, :, 1:] + q[:, :, :-1])
+    out[:, :, 0] = q[:, :, 0]
+    out[:, :, -1] = q[:, :, -1]
+    return out
+
+
+def _visc_face_flux(qf, n_area):
+    """Viscous flux rows (4, ...) through faces with area-scaled normal
+    rows ``n_area``, from the face rows ``qf`` (mu, k, u, v, then the x
+    and y derivatives of u, v and T)."""
+    mu_f, k_f, u_f, v_f = qf[:4]
+    dudx, dudy, dvdx, dvdy, dTdx, dTdy = qf[4:]
+    nx, ny = n_area
+    div = dudx + dvdy
+    txx = mu_f * (2.0 * dudx - 2.0 / 3.0 * div)
+    tyy = mu_f * (2.0 * dvdy - 2.0 / 3.0 * div)
+    txy = mu_f * (dudy + dvdx)
+    Fv = np.zeros((4,) + nx.shape, dtype=np.float64)
+    Fv[1] = txx * nx + txy * ny
+    Fv[2] = txy * nx + tyy * ny
+    Fv[3] = ((txx * u_f + txy * v_f + k_f * dTdx) * nx
+             + (txy * u_f + tyy * v_f + k_f * dTdy) * ny)
+    return Fv

@@ -28,7 +28,8 @@ import numpy as np
 
 from repro.errors import InputError
 from repro.grid.structured import StructuredGrid2D
-from repro.numerics.fluxes import rotate_from_normal, rotate_to_normal
+from repro.numerics.fluxes import (component_last, component_rows,
+                                   rotate_from_normal, rotate_to_normal)
 from repro.numerics.implicit import point_implicit_species_update
 from repro.numerics.limiters import minmod
 from repro.solvers.euler2d import AxisymmetricEulerSolver
@@ -40,7 +41,8 @@ __all__ = ["ReactingEulerSolver"]
 
 
 class _FrozenMixtureEOS:
-    """Adapter: (rho, e) -> (p, a, T) at a frozen composition snapshot.
+    """Adapter: (rho, e) -> (p, a, T, gamma) at a frozen composition
+    snapshot.
 
     The HLLE flux needs an EOS; during one residual evaluation the
     composition field is frozen, so the adapter carries the current mass
@@ -67,10 +69,13 @@ class _FrozenMixtureEOS:
         return self.mix.T_from_e(e_eff, self.y, T_guess=self.T_guess)
 
     def p_a_T(self, rho, e):
-        """(p, frozen a, T) from one temperature inversion."""
+        """(p, frozen a, T, frozen gamma) from one temperature
+        inversion; a is ``mix.sound_speed_frozen``'s expression."""
         T = self._temperature(e)
-        return (self.mix.pressure(rho, T, self.y),
-                self.mix.sound_speed_frozen(T, self.y), T)
+        gamma = self.mix.gamma_frozen(T, self.y)
+        # catlint: disable=CAT002 -- gamma > 1, R > 0 and T_from_e's T > 0
+        a = np.sqrt(gamma * self.mix.gas_constant(self.y) * T)
+        return self.mix.pressure(rho, T, self.y), a, T, gamma
 
 
 class ReactingEulerSolver(AxisymmetricEulerSolver):
@@ -296,22 +301,25 @@ class ReactingEulerSolver(AxisymmetricEulerSolver):
         # the wavespeed bounds; use the mean)
         yL = np.clip(UL[..., 4:] / np.maximum(UL[..., 0:1], 1e-300), 0, 1)
         yR = np.clip(UR[..., 4:] / np.maximum(UR[..., 0:1], 1e-300), 0, 1)
-        self.eos.bind(0.5 * (yL + yR)
-                      / np.maximum(np.sum(0.5 * (yL + yR), axis=-1,
-                                          keepdims=True), 1e-300),
+        # species-last memory: NumPy's pairwise sum then adds the species
+        # in one order whatever the layout of the face states (past 8
+        # terms a reduction over a strided axis would reorder them)
+        y_mean = np.ascontiguousarray(0.5 * (yL + yR))
+        self.eos.bind(y_mean / np.maximum(np.sum(y_mean, axis=-1,
+                                                 keepdims=True), 1e-300),
                       None)
         Fb = self._flux(WL, WR)
-        F = np.empty(Fb.shape[:-1] + (self.nv,), dtype=np.float64)
-        F[..., :4] = rotate_from_normal(Fb, nx, ny)
+        F = np.empty((self.nv,) + Fb.shape[:-1], dtype=np.float64)
+        F[:4] = component_rows(rotate_from_normal(Fb, nx, ny))
         mdot = Fb[..., 0]
-        y_up = np.where((mdot > 0.0)[..., None], yL, yR)
-        F[..., 4:] = mdot[..., None] * y_up
-        return F
+        F[4:] = mdot * component_rows(np.where((mdot > 0.0)[..., None],
+                                               yL, yR))
+        return component_last(F)
 
-    def residual(self, U, w):
-        """dU/dt per cell; ``w["T"]`` warm-starts the next decode."""
+    def _residual_rows(self, U, w):
+        """The base rows; ``w["T"]`` warm-starts the next decode."""
         self.T = w["T"]
-        return super().residual(U, w)
+        return super()._residual_rows(U, w)
 
     # ------------------------------------------------------------------
 

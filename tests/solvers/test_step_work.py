@@ -1,14 +1,17 @@
 """Equation-of-state and grid work per marching step.
 
 Each step evaluates the EOS once per set of states: the cell centres
-once, each face set once, plus the NS extras (one ``gamma_eff`` and one
-call for both wall-ghost rows).  The grid never changes, so a step
-computes none of its metrics.  The counts are exact properties of the
-step sequence, not timings.
+once, each face set once, plus the NS wall ghosts (one call for both
+rows); the NS conductivity takes its gamma from the cell evaluation.
+The NS step also evaluates Sutherland's law once and makes one stacked
+Green-Gauss pass.  The grid never changes, so a step computes none of
+its metrics.  The counts are exact properties of the step sequence, not
+timings.
 """
 
 import numpy as np
 
+import repro.solvers.ns2d as ns2d
 from repro.atmosphere import EarthAtmosphere
 from repro.core.gas import TabulatedEOS
 from repro.geometry import Hemisphere
@@ -62,13 +65,30 @@ def test_eos_work_per_step(monkeypatch):
     inversions = _counting(monkeypatch, MixtureThermo, "T_from_e")
     s = solvers["reacting_euler2d"]
     per_step["reacting_euler2d"] = _calls_per_step(s, inversions)
-    # cells 1 + faces 4 + gamma_eff 1 + wall ghosts 1; cells 1 + faces 4;
-    # cell decode 1 + faces 4 + decode after chemistry 1 (23, 12 and 11
-    # when the timestep and the residual each decoded the cells, and p
-    # and a each made their own table locate or temperature inversion)
-    budget = {"ns2d": 7, "euler2d": 5, "reacting_euler2d": 6}
+    # cells 1 + faces 4 + wall ghosts 1; cells 1 + faces 4; cell decode
+    # 1 + faces 4 + decode after chemistry 1 (23, 12 and 11 when the
+    # timestep and the residual each decoded the cells, and p and a each
+    # made their own table locate or temperature inversion; NS 7 while
+    # its conductivity looked gamma up in the table apart)
+    budget = {"ns2d": 6, "euler2d": 5, "reacting_euler2d": 6}
     assert all(per_step[k] <= budget[k] for k in budget), per_step
     assert np.all(np.isfinite(s.U))
+
+
+def test_ns_step_viscosity_and_gradients_once(monkeypatch):
+    """One Sutherland evaluation serves the timestep and the viscous
+    residual, and u, v and T share one Green-Gauss pass (2 and 3 when
+    each computed its own)."""
+    s = _solvers()["ns2d"]
+    mu_calls = []
+    sutherland = ns2d.sutherland_viscosity
+    monkeypatch.setattr(ns2d, "sutherland_viscosity",
+                        lambda T: mu_calls.append(1) or sutherland(T))
+    gradients = _counting(monkeypatch, AxisymmetricNSSolver,
+                          "_cell_gradients")
+    per_step = {"sutherland": _calls_per_step(s, mu_calls)}
+    per_step["green_gauss"] = _calls_per_step(s, gradients)
+    assert per_step == {"sutherland": 1, "green_gauss": 1}, per_step
 
 
 def test_step_computes_no_grid_metrics(monkeypatch):

@@ -288,6 +288,18 @@ class TestCampaign:
                               policy=fast_policy(), stream=silent)
         assert ledger["ok"] and ledger["attempts"] == 3  # not 6
 
+    def test_campaign_restores_signal_handlers(self, tmp_path, silent):
+        """An in-process campaign hands SIGTERM and SIGINT back: after it
+        the process's own handlers run again, not the finished farm's
+        stop flag."""
+        sigs = (signal.SIGTERM, signal.SIGINT)
+        before = {sig: signal.getsignal(sig) for sig in sigs}
+        ledger = run_campaign(tmp_path / "q", [
+            Job(id="s", kind="sleep", payload={"duration": 0.01})],
+            policy=fast_policy(), stream=silent)
+        assert ledger["ok"]
+        assert {sig: signal.getsignal(sig) for sig in sigs} == before
+
     def test_bench_record_from_journal(self, tmp_path, silent):
         jobs = [Job(id=f"s{i}", kind="sleep",
                     payload={"duration": 0.02}) for i in range(4)]

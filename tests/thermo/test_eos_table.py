@@ -289,9 +289,11 @@ class TestOneEvaluation:
     def _assert_bitwise(table, rho, e):
         from repro.core.gas import TabulatedEOS
         gamma, p, a, T = _reference(table, rho, e)
-        for got, ref in zip(TabulatedEOS(table).p_a_T(rho, e), (p, a, T)):
-            np.testing.assert_array_equal(got, ref)
-            assert np.shape(got) == np.shape(ref)
+        got = TabulatedEOS(table).p_a_T(rho, e)
+        assert len(got) == 4
+        for value, ref in zip(got, (p, a, T, gamma)):
+            np.testing.assert_array_equal(value, ref)
+            assert np.shape(value) == np.shape(ref)
         g, t = table.lookup(rho, e)
         np.testing.assert_array_equal(g, gamma)
         np.testing.assert_array_equal(t, T)
@@ -338,10 +340,13 @@ class TestOneEvaluation:
         rng = np.random.default_rng(4)
         rho = rng.uniform(1e-4, 2.0, (7, 9))
         e = rng.uniform(1e4, 1e7, (7, 9))
-        for got, ref in zip(eos.p_a_T(rho, e),
-                            (eos.pressure(rho, e), eos.sound_speed(rho, e),
-                             eos.temperature(rho, e))):
-            np.testing.assert_array_equal(got, ref)
+        got = eos.p_a_T(rho, e)
+        assert len(got) == 4
+        for value, ref in zip(got, (eos.pressure(rho, e),
+                                    eos.sound_speed(rho, e),
+                                    eos.temperature(rho, e),
+                                    np.full(rho.shape, 1.3))):
+            np.testing.assert_array_equal(value, ref)
 
     def test_frozen_mixture_p_a_T_inverts_once(self, monkeypatch):
         from repro.solvers.reacting_euler2d import _FrozenMixtureEOS
@@ -367,8 +372,9 @@ class TestOneEvaluation:
                             lambda self, *a, **kw: (calls.append(1)
                                                     or T_from_e(self, *a,
                                                                 **kw)))
-        p, a, T = eos.p_a_T(rho, e)
+        p, a, T, gamma = eos.p_a_T(rho, e)
         assert len(calls) == 1
         np.testing.assert_array_equal(p, mix.pressure(rho, T_p, y))
         np.testing.assert_array_equal(a, mix.sound_speed_frozen(T_a, y))
         np.testing.assert_array_equal(T, T_p)
+        np.testing.assert_array_equal(gamma, mix.gamma_frozen(T_p, y))
