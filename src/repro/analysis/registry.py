@@ -50,7 +50,8 @@ API_SIGNATURES: dict[str, Signature] = {
     "h_mass": Signature([("T", "K")], "J/kg"),
     "e_mass": Signature([("T", "K")], "J/kg"),
     "s_mass": Signature([("T", "K"), ("p", "Pa"), ("y", "-")], "J/(kg K)"),
-    "sound_speed_frozen": Signature([("T", "K"), ("y", "-")], "m/s"),
+    "sound_speed_frozen": Signature([("T", "K"), ("y", "-"), ("gamma", "-")],
+                                    "m/s"),
     "gamma_frozen": Signature([("T", "K"), ("y", "-")], "-"),
     "T_from_e": Signature([("e", "J/kg"), ("y", "-")], "K"),
     "T_from_h": Signature([("h", "J/kg"), ("y", "-")], "K"),

@@ -605,16 +605,16 @@ class Farm:
         """
         pol = self.policy
         previous = self._install_signals()
-        self.queue.journal("campaign-start", label=self.label,
-                           n_workers=pol.n_workers,
-                           jobs=len(self.queue.job_ids()))
-        t0 = time.monotonic()
-        kill_times = (self.kill_plan.schedule()
-                      if self.kill_plan is not None else [])
-        kill_rng = (np.random.default_rng(self.kill_plan.seed + 1)
-                    if self.kill_plan is not None else None)
-        next_kill = 0
         try:
+            self.queue.journal("campaign-start", label=self.label,
+                               n_workers=pol.n_workers,
+                               jobs=len(self.queue.job_ids()))
+            t0 = time.monotonic()
+            kill_times = (self.kill_plan.schedule()
+                          if self.kill_plan is not None else [])
+            kill_rng = (np.random.default_rng(self.kill_plan.seed + 1)
+                        if self.kill_plan is not None else None)
+            next_kill = 0
             while True:
                 now = time.monotonic()
                 if (next_kill < len(kill_times) and self._running
@@ -643,11 +643,13 @@ class Farm:
                     break
                 self._wait()
         finally:
-            self._drain()
-            # a finished farm no longer owns the process's signals
-            for sig, handler in previous.items():
-                if handler is not None:    # None: not set from Python
-                    signal.signal(sig, handler)
+            try:
+                self._drain()
+            finally:
+                # a finished farm no longer owns the process's signals
+                for sig, handler in previous.items():
+                    if handler is not None:    # None: not set from Python
+                        signal.signal(sig, handler)
         wall = time.monotonic() - t0
         ledger = build_ledger(self.queue, wall_time=wall,
                               label=self.label, n_workers=pol.n_workers)

@@ -70,11 +70,10 @@ class _FrozenMixtureEOS:
 
     def p_a_T(self, rho, e):
         """(p, frozen a, T, frozen gamma) from one temperature
-        inversion; a is ``mix.sound_speed_frozen``'s expression."""
+        inversion."""
         T = self._temperature(e)
         gamma = self.mix.gamma_frozen(T, self.y)
-        # catlint: disable=CAT002 -- gamma > 1, R > 0 and T_from_e's T > 0
-        a = np.sqrt(gamma * self.mix.gas_constant(self.y) * T)
+        a = self.mix.sound_speed_frozen(T, self.y, gamma)
         return self.mix.pressure(rho, T, self.y), a, T, gamma
 
 

@@ -85,10 +85,13 @@ class MixtureThermo:
         # (translational cv >= 1.5 R)
         return cp / (cp - self.gas_constant(y))
 
-    def sound_speed_frozen(self, T, y):
-        """Frozen speed of sound [m/s]."""
+    def sound_speed_frozen(self, T, y, gamma=None):
+        """Frozen speed of sound [m/s]; ``gamma`` is ``gamma_frozen(T,
+        y)``, computed here unless the caller already has it."""
+        if gamma is None:
+            gamma = self.gamma_frozen(T, y)
         # catlint: disable=CAT002 -- gamma > 1, R > 0 and physical T > 0
-        return np.sqrt(self.gamma_frozen(T, y) * self.gas_constant(y)
+        return np.sqrt(gamma * self.gas_constant(y)
                        * np.asarray(T, dtype=float))
 
     def pressure(self, rho, T, y):

@@ -300,6 +300,25 @@ class TestCampaign:
         assert ledger["ok"]
         assert {sig: signal.getsignal(sig) for sig in sigs} == before
 
+    @pytest.mark.parametrize("fails", ["journal", "_drain"])
+    def test_failed_run_restores_signal_handlers(self, tmp_path, silent,
+                                                 monkeypatch, fails):
+        """A run that raises, whether writing ``campaign-start`` or
+        draining, still hands SIGTERM and SIGINT back."""
+        sigs = (signal.SIGTERM, signal.SIGINT)
+        before = {sig: signal.getsignal(sig) for sig in sigs}
+        farm = Farm(WorkQueue(tmp_path / "q", backoff=FAST), fast_policy(),
+                    stream=silent)
+
+        def broken(*args, **kwargs):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(farm.queue if fails == "journal" else farm,
+                            fails, broken)
+        with pytest.raises(OSError, match="disk full"):
+            farm.run()
+        assert {sig: signal.getsignal(sig) for sig in sigs} == before
+
     def test_bench_record_from_journal(self, tmp_path, silent):
         jobs = [Job(id=f"s{i}", kind="sleep",
                     payload={"duration": 0.02}) for i in range(4)]
