@@ -14,8 +14,8 @@ MUSCL+flux sweep, tangent-slab radiation, NASA-7 evaluation, the
 species-profile interpolation and the standard Gibbs function g0/RT
 (loop vs vectorized ablations), one boundary-layer solve, one
 equilibrium normal shock, one cold 48 x 72 EOS-table build, 24
-single-state (T, p) Gibbs solves, one equilibrium-air Navier-Stokes step
-and fig 7's post-shock relaxation.
+single-state (T, p) Gibbs solves, fig 6's equilibrium windward march, one
+equilibrium-air Navier-Stokes step and fig 7's post-shock relaxation.
 """
 
 import numpy as np
@@ -448,6 +448,44 @@ def test_bench_kernel_equilibrium_T_p(kernel_bench, monkeypatch):
     assert len(g0) == len(out)
     for y, rho in out:
         assert np.isclose(y.sum(), 1.0) and rho > 0.0
+
+
+def test_bench_kernel_pns_solve(kernel_bench, monkeypatch, air_gas):
+    """Fig 6's equilibrium windward march at the STS-3 point.
+
+    30 stations, the fully and the partially catalytic wall from one
+    march, as fig 6 quick asks.  Recorded under the trace span name of
+    ``solve``; ``T_p_calls`` is the number of ``solve_T_p`` calls one
+    march makes.
+    """
+    from repro.atmosphere import EarthAtmosphere
+    from repro.experiments.fig6_windward_heating import CONDITION
+    from repro.geometry import OrbiterWindwardProfile
+    from repro.solvers.pns import WindwardHeatingPNS
+    from repro.thermo.equilibrium import EquilibriumSolver
+
+    atm = EarthAtmosphere()
+    point = dict(rho_inf=float(atm.density(CONDITION["h"])),
+                 T_inf=float(atm.temperature(CONDITION["h"])),
+                 V=CONDITION["V"], T_wall=CONDITION["T_wall"],
+                 n_stations=30, catalytic_phi=(1.0, 0.15))
+    pns = WindwardHeatingPNS(OrbiterWindwardProfile(
+        alpha_deg=CONDITION["alpha_deg"], nose_radius=1.3), gas=air_gas)
+
+    calls = []
+    solve_T_p = EquilibriumSolver.solve_T_p
+    monkeypatch.setattr(EquilibriumSolver, "solve_T_p",
+                        lambda self, *a, **kw: (calls.append(1)
+                                                or solve_T_p(self, *a,
+                                                             **kw)))
+    pns.solve(**point)
+    monkeypatch.undo()
+
+    eq, partial = kernel_bench(pns.solve, label="solvers.pns.solve",
+                               meta={"stations": 30,
+                                     "T_p_calls": len(calls)},
+                               **point)
+    assert np.all(partial.q < eq.q)
 
 
 def test_bench_kernel_ns2d_step_tabulated(kernel_bench, monkeypatch):

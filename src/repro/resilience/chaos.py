@@ -477,7 +477,8 @@ def run_chaos_farm(*, rounds: int = 5, seed: int = 0, out: str | None =
     SIGKILLs to its running sandboxes.  A killed round fails, backs off
     and is retried, so the campaign must still end with every round
     done (invariants checked as in serial mode) or dead-lettered with a
-    failure report, and with no sandbox the journal names still alive.
+    failure report, with every scheduled kill landed and with no
+    sandbox the journal names still alive.
     """
     stream = stream or sys.stdout
     queue_dir = _queue_dir(queue_dir, out, "farm-queue")
@@ -500,8 +501,9 @@ def run_chaos_farm(*, rounds: int = 5, seed: int = 0, out: str | None =
         backoff=BackoffPolicy(max_attempts=3, base=0.5, max_delay=5.0))
     plan = None
     if kill_workers > 0:
+        # kills 1-4 s apart fall due while the rounds still run
         plan = WorkerKillPlan(seed=seed + 1000, kills=kill_workers,
-                              min_interval=2.0, max_interval=10.0)
+                              min_interval=1.0, max_interval=4.0)
     farm_ledger = run_campaign(queue_dir, jobs, policy=policy,
                                label="chaos-farm", stream=stream,
                                kill_plan=plan)
@@ -529,7 +531,9 @@ def run_chaos_farm(*, rounds: int = 5, seed: int = 0, out: str | None =
               "dead_letters_reported": all(
                   (queue.dead_letter(f"round-{i:03d}") or {}).get(
                       "report") is not None for i in dead),
-              "no_orphans": not orphans}
+              "no_orphans": not orphans,
+              "kills_landed": (len(farm_ledger["worker_kills"])
+                               == kill_workers)}
     return _verdict(
         "farm", out,
         {"rounds": rounds, "seed": seed, "failed_rounds": failed,

@@ -193,8 +193,7 @@ class WindwardHeatingPNS:
         shock = equilibrium_normal_shock(gas, rho_inf, T_inf, V)
         h0 = shock["h1"] + 0.5 * V**2
         p_stag = shock["p2"] + shock["rho2"] * shock["u2"] ** 2
-        T0 = _solve_T_of_h_p(gas, h0, p_stag, shock["T2"])
-        y0, rho0 = gas.composition_T_p(np.array(T0), np.array(p_stag))
+        T0, y0, rho0 = _solve_T_of_h_p(gas, h0, p_stag, shock["T2"])
         rho0 = float(rho0)
         mu0 = float(self.transport.viscosity(np.array(T0), y0))
         # dissociation enthalpy content of the stagnation gas
@@ -247,20 +246,28 @@ class WindwardHeatingPNS:
         solve warm-starts from the previous one, and under ``resilience``
         a failed station falls back to the upstream edge temperature
         (recorded in ``degraded``) so the march survives.
+
+        ``held`` is the (p, T, s) of the last entropy evaluation, first
+        the stagnation state's: a station that starts at that very
+        (p, T) takes its s instead of solving the state again.
         """
         gas = self.gas
         T_e = np.empty_like(p_e)
         T_guess = stag["T0"]
+        held = (stag["p_stag"], stag["T0"], stag["s_stag"])
         for i, p in enumerate(p_e):
+            p, T_start = float(p), min(T_guess, stag["T0"])
             try:
-                T_guess = self._T_of_s_p(stag["s_stag"], float(p),
-                                         min(T_guess, stag["T0"]))
+                T_guess, s = self._T_of_s_p(
+                    stag["s_stag"], p, T_start,
+                    s_guess=held[2] if held[:2] == (p, T_start) else None)
+                held = (p, T_guess, s)
             except ConvergenceError as err:
                 if not resilience:
                     from repro.resilience import FailureReport
                     err.report = FailureReport(
                         label="pns", error=str(err), step=i,
-                        config={"station": i, "p_e": float(p),
+                        config={"station": i, "p_e": p,
                                 "T_guess": float(T_guess),
                                 "s_stag": float(stag["s_stag"]),
                                 "mode": self.mode})
@@ -275,7 +282,14 @@ class WindwardHeatingPNS:
         mu_e = self.transport.viscosity(T_e, y_e)
         return T_e, np.asarray(rho_e), u_e, mu_e
 
-    def _T_of_s_p(self, s_target, p, T_guess, *, tol=1e-9, max_iter=60):
+    def _T_of_s_p(self, s_target, p, T_guess, *, s_guess=None, tol=1e-9,
+                  max_iter=60):
+        """Invert s_eq(T, p) = s_target for T (bracketed secant).
+
+        ``s_guess``, when given, must be s_eq(T_guess, p) as this method
+        computes it; it stands in for the first entropy evaluation.
+        Returns ``(T, s)`` with s = s_eq(T, p), the last evaluation.
+        """
         gas = self.gas
         T = float(T_guess)
         T_lo, T_hi = 100.0, 5.0e4
@@ -284,10 +298,11 @@ class WindwardHeatingPNS:
             y, _ = gas.composition_T_p(np.array(T), np.array(p))
             return float(gas.mix.s_mass(np.array(T), np.array(p), y))
 
-        f = s_of(T) - s_target
+        s = s_of(T) if s_guess is None else s_guess
+        f = s - s_target
         for _ in range(max_iter):
             if abs(f) < tol * abs(s_target):
-                return T
+                return T, s
             if f > 0:
                 T_hi = T
             else:
@@ -298,6 +313,7 @@ class WindwardHeatingPNS:
             if not (T_lo < T_new < T_hi):
                 T_new = 0.5 * (T_lo + T_hi)
             T = T_new
-            f = s_of(T) - s_target
+            s = s_of(T)
+            f = s - s_target
         raise ConvergenceError("T(s, p) inversion failed",
                                iterations=max_iter)

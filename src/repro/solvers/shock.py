@@ -262,28 +262,34 @@ def equilibrium_normal_shock(gas: EquilibriumGas, rho1, T1, u1, *,
 
 def _solve_T_of_h_p(gas: EquilibriumGas, h_target, p, T_guess, *,
                     tol=1e-10, max_iter=60):
-    """Invert h_eq(T, p) = h for T (monotone; guarded secant)."""
+    """Invert h_eq(T, p) = h for T (monotone; guarded secant).
+
+    Returns ``(T, y, rho)``: the root and the equilibrium composition
+    and density at (T, p) that the last enthalpy evaluation solved, so
+    the caller needs no second (T, p) solve (DESIGN §25).
+    """
     T = float(T_guess)
 
     def h_of(T):
-        y, _ = gas.composition_T_p(np.array(T), np.array(p))
-        return float(gas.mix.h_mass(np.array(T), y)[0]) \
-            if np.ndim(y) > 1 else float(gas.mix.h_mass(np.array(T), y))
+        y, rho = gas.composition_T_p(np.array(T), np.array(p))
+        return float(gas.mix.h_mass(np.array(T), y)), y, rho
 
     T_lo, T_hi = 50.0, 1.0e5
-    f = h_of(T) - h_target
+    h, y, rho = h_of(T)
+    f = h - h_target
     for _ in range(max_iter):
         if abs(f) < tol * max(abs(h_target), 1e4):
-            return T
+            return T, y, rho
         if f > 0:
             T_hi = T
         else:
             T_lo = T
         dT = 0.01 * T
-        slope = (h_of(T + dT) - (f + h_target)) / dT
+        slope = (h_of(T + dT)[0] - (f + h_target)) / dT
         T_new = T - f / max(slope, 1.0)
         if not (T_lo < T_new < T_hi):
             T_new = 0.5 * (T_lo + T_hi)
         T = T_new
-        f = h_of(T) - h_target
+        h, y, rho = h_of(T)
+        f = h - h_target
     raise ConvergenceError("T(h, p) inversion failed", iterations=max_iter)

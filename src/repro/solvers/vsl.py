@@ -125,10 +125,8 @@ class StagnationVSL:
         p_stag = shock["p2"] + shock["rho2"] * shock["u2"] ** 2
         # stagnation-edge state at (h0, p_stag)
         from repro.solvers.shock import _solve_T_of_h_p
-        T_e = _solve_T_of_h_p(gas, h0, p_stag, shock["T2"])
-        y_e, rho_e_arr = gas.composition_T_p(np.array(T_e),
-                                             np.array(p_stag))
-        rho_e = float(rho_e_arr)
+        T_e, y_e, rho_e = _solve_T_of_h_p(gas, h0, p_stag, shock["T2"])
+        rho_e = float(rho_e)
         mu_e = float(self.transport.viscosity(np.array(T_e), y_e))
         # shock standoff from the density-ratio correlation
         eps = shock["eps"]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.atmosphere import EarthAtmosphere, TitanAtmosphere
-from repro.errors import InputError
+from repro.errors import ConvergenceError, InputError
 from repro.geometry import OrbiterWindwardProfile
 from repro.solvers.pns import PNSResult, WindwardHeatingPNS
 from repro.solvers.vsl import StagnationVSL
@@ -170,3 +170,59 @@ class TestPNS:
         with pytest.raises(InputError):
             WindwardHeatingPNS(body, gas=air_gas).solve(
                 rho_inf=1e-4, T_inf=220.0, V=-5.0)
+
+
+class TestStationFallback:
+    """A station whose T(s, p) inversion fails: the resilient march
+    carries the upstream edge temperature, a strict one names it."""
+
+    @staticmethod
+    def fail_station(monkeypatch, station, targets):
+        """Make the ``station``-th ``_T_of_s_p`` call (one per station)
+        raise; every call's entropy target lands in ``targets``."""
+        T_of_s_p = WindwardHeatingPNS._T_of_s_p
+
+        def flaky(self, s_target, p, T_guess, **kwargs):
+            targets.append(s_target)
+            if len(targets) == station + 1:
+                raise ConvergenceError("T(s, p) inversion failed",
+                                       iterations=60)
+            return T_of_s_p(self, s_target, p, T_guess, **kwargs)
+
+        monkeypatch.setattr(WindwardHeatingPNS, "_T_of_s_p", flaky)
+
+    # station 1 is the first off the nose, so it carries the stagnation
+    # T; station 7 sits on the constant-pressure run, where the next
+    # station takes the entropy its upstream neighbour handed back
+    @pytest.mark.parametrize("station", [1, 7])
+    def test_resilient_march_carries_the_upstream_state(
+            self, monkeypatch, sts3_point, air_gas, station):
+        targets = []
+        self.fail_station(monkeypatch, station, targets)
+        pns = WindwardHeatingPNS(OrbiterWindwardProfile(40.0, 1.3),
+                                 gas=air_gas)
+        res = pns.solve(n_stations=15, resilience=True, **sts3_point)
+        assert len(targets) == 15 and len(set(targets)) == 1
+        assert res.degraded_stations == [station]
+        assert res.T_e[station] == res.T_e[station - 1]
+        assert np.all(np.isfinite(res.q))
+        s_stag = targets[0]
+        for i in range(15):
+            if i == station:
+                continue
+            T, p = np.array(res.T_e[i]), np.array(res.p_e[i])
+            y, _ = air_gas.composition_T_p(T, p)
+            s = float(air_gas.mix.s_mass(T, p, y))
+            assert abs(s - s_stag) < 1e-9 * abs(s_stag), i
+
+    def test_strict_march_reports_the_station(self, monkeypatch,
+                                              sts3_point, air_gas):
+        self.fail_station(monkeypatch, 7, [])
+        pns = WindwardHeatingPNS(OrbiterWindwardProfile(40.0, 1.3),
+                                 gas=air_gas)
+        with pytest.raises(ConvergenceError) as info:
+            pns.solve(n_stations=15, **sts3_point)
+        report = info.value.report
+        assert report is not None and report.label == "pns"
+        assert report.step == 7 and report.config["station"] == 7
+        assert report.config["mode"] == "equilibrium"

@@ -411,11 +411,13 @@ class TestMixtureEntropy:
         body = OrbiterWindwardProfile(40.0, 1.3)
         pns = WindwardHeatingPNS(body, gas=air_gas)
         s_target = 9000.0
-        T = pns._T_of_s_p(s_target, 2000.0, 4000.0)
+        T, s = pns._T_of_s_p(s_target, 2000.0, 4000.0)
         y, _ = air_gas.composition_T_p(np.array(T), np.array(2000.0))
         s_back = float(air_gas.mix.s_mass(np.array(T), np.array(2000.0),
                                           y))
         assert s_back == pytest.approx(s_target, rel=1e-6)
+        # the secant hands back the entropy of the T it returns
+        assert s == s_back
 
 
 #: 9x13 Mach-10 reacting hemisphere (the degradation test case)

@@ -446,15 +446,15 @@ class TestChaosHarness:
     def test_farm_campaign_passes_and_leaves_no_orphans(self, tmp_path,
                                                          silent):
         """Two chaos rounds as farm jobs with one scheduled sandbox
-        SIGKILL: every round holds its invariants and no sandbox the
-        journal names outlives the campaign."""
+        SIGKILL: every round holds its invariants, the kill lands and no
+        sandbox the journal names outlives the campaign."""
         rc = run_chaos_farm(rounds=2, seed=7, out=str(tmp_path),
                             n_workers=2, kill_workers=1, deadline=30.0,
                             stream=silent)
         assert rc == 0, silent.getvalue()
         ledger = _chaos_ledger(tmp_path, "farm", [
             "rounds_ok", "drained", "dead_letters_reported",
-            "no_orphans"])
+            "no_orphans", "kills_landed"])
         assert ledger["ok"] and ledger["orphans"] == []
         assert len(ledger["worker_kills"]) == 1
         assert sorted(ledger["outcomes"]) == ["0", "1"]
