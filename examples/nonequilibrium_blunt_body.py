@@ -75,42 +75,21 @@ def main():
 
 
 def degrade_demo():
-    """Graceful degradation, both layers of it.
+    """Graceful degradation at the service layer.
 
-    Solver layer: a fault-injected reacting march that the plain
-    rollback ladder cannot survive completes once the degradation
-    cascade is armed (quarantined first-order zone, chemistry demotion,
-    automatic re-promotion — all recorded in the ledger).
-
-    Service layer: ``evaluate_batch`` drops a failing stagnation solve
-    one model rung down to the correlation-level answer and records the
-    failure in the request's envelope instead of raising.
+    ``evaluate_batch`` drops a failing stagnation solve one model rung
+    down to the correlation-level answer and records the failure in the
+    request's envelope instead of raising.
     """
-    from repro.resilience import FaultInjector, RetryPolicy
     from repro.service import evaluate_batch
 
     print("\n--- graceful degradation demo ---")
-    grid = blunt_body_grid(Sphere(0.05), n_s=9, n_normal=13,
-                           density_ratio=0.12, margin=2.5)
-    s = ReactingEulerSolver(grid, "air5")
-    y0 = np.zeros(5)
-    y0[0], y0[1] = 0.767, 0.233
-    s.set_freestream(1e-3, 5000.0, 250.0, y0)
-    faults = FaultInjector().inject_perturbation(
-        step=10, cell=(4, 6), component=0, factor=1e-4, persistent=True)
-    s.run(n_steps=40, cfl=0.4,
-          resilience=RetryPolicy(max_retries=1, cfl_backoff=0.8,
-                                 cfl_min=0.2),
-          faults=faults, watchdog=True, degradation=True)
-    print(f"fault-injected march completed {s.steps} steps; ledger:")
-    print(s.degradation_ledger.summary())
-
     # a subsonic "entry" fails the shock solve; the batch service answers
     # with Sutton-Graves / Tauber-Sutton correlations instead of raising
     [env] = evaluate_batch([{"method": "stagnation", "V": 10.0,
                              "h": 60e3, "nose_radius": 1.0}]).envelopes
     [failed] = env.degradation
-    print(f"\nservice model-ladder fallback: {env.status} "
+    print(f"service model-ladder fallback: {env.status} "
           f"(rung: {env.rung}; {failed['rung']} failed with "
           f"{failed['error_type']}), "
           f"q_conv = {env.result['q_conv']:.3g} W/m^2")

@@ -162,74 +162,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
                            deadline=deadline or 30.0)
 
 
-def _cmd_degrade_smoke(args: argparse.Namespace) -> int:
-    """Degradation-cascade smoke: a persistent density fault that kills
-    the plain rollback ladder must complete once the cascade is armed.
-
-    The scenario is the acceptance case for
-    :mod:`repro.resilience.degradation`: a Mach-10 reacting blunt-body
-    march with a persistent single-cell density corruption that
-    second-order reconstruction cannot march through (the T(e) Newton
-    dies) but a quarantined first-order zone can.
-    """
-    import json
-
-    from repro.resilience import FaultInjector, RetryPolicy
-    from repro.resilience.chaos import CASES
-
-    make_solver = CASES["reacting_euler2d"][0]
-
-    def make_faults():
-        fi = FaultInjector()
-        fi.inject_perturbation(step=10, cell=(4, 6), component=0,
-                               factor=1e-4, persistent=True)
-        return fi
-
-    policy = RetryPolicy(max_retries=1, cfl_backoff=0.8, cfl_min=0.2)
-
-    print("degrade-smoke: fault-injected march WITHOUT degradation "
-          "(must abort) ...")
-    try:
-        make_solver().run(n_steps=40, cfl=0.4, resilience=policy,
-                          faults=make_faults())
-    except CatError as err:
-        print(f"  aborted as expected: {type(err).__name__}")
-    else:
-        print("  ERROR: run completed without degradation — the fault "
-              "no longer exercises the cascade", file=sys.stderr)
-        return 1
-
-    print("degrade-smoke: same march WITH degradation (must complete) "
-          "...")
-    s = make_solver()
-    try:
-        s.run(n_steps=40, cfl=0.4, resilience=policy,
-              faults=make_faults(), watchdog=True, degradation=True)
-    except CatError as err:
-        print(f"  ERROR: degraded run still aborted: {err}",
-              file=sys.stderr)
-        return 1
-    ledger = s.degradation_ledger.to_dict()
-    n_q = (0 if s.quarantined_cells is None
-           else int(s.quarantined_cells.sum()))
-    print(f"  completed {s.steps} steps: "
-          f"{ledger['n_demotions']} demotion(s), "
-          f"{ledger['n_promotions']} re-promotion(s), "
-          f"{n_q} cell(s) quarantined, "
-          f"{len(s.watchdog_events)} watchdog event(s)")
-    with open(args.out, "w") as f:
-        json.dump({"ledger": ledger,
-                   "quarantined_cells": n_q,
-                   "n_watchdog_events": len(s.watchdog_events),
-                   "steps": int(s.steps)}, f, indent=2)
-    print(f"  ledger written to {args.out}")
-    if not ledger["n_demotions"]:
-        print("  ERROR: completed without any demotion — the fault no "
-              "longer exercises the cascade", file=sys.stderr)
-        return 1
-    return 0
-
-
 def _cmd_campaign(args: argparse.Namespace) -> int:
     error = args.parser.error
     figures, jobs_file, full = args.figures, args.jobs, args.full
@@ -514,7 +446,6 @@ def _cmd_jobs(args: argparse.Namespace) -> int:
 _COMMANDS = {
     "figures": _cmd_figures,
     "stagnation": _cmd_stagnation,
-    "degrade-smoke": _cmd_degrade_smoke,
     "chaos": _cmd_chaos,
     "batch": _cmd_batch,
     "campaign": _cmd_campaign,
@@ -574,12 +505,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("V", type=_POS_FLOAT, help="flight speed [m/s]")
     p.add_argument("H", type=_finite_float, help="altitude [m]")
     p.add_argument("RN", type=_POS_FLOAT, help="nose radius [m]")
-
-    p = command(sub, "degrade-smoke", "fault-injected reacting march: "
-                "must abort without the degradation cascade and complete "
-                "with it")
-    p.add_argument("--out", default="degradation_ledger.json",
-                   metavar="FILE", help="ledger JSON (default %(default)s)")
 
     p = command(sub, "chaos", "randomized fault campaign under process "
                 "isolation", [farm], epilog="--jobs, --batch, --farm and "

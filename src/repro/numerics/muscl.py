@@ -16,7 +16,7 @@ __all__ = ["muscl_interface_states"]
 
 
 def muscl_interface_states(W, *, axis: int = 0, limiter=minmod,
-                           order: int = 2, first_order_mask=None):
+                           order: int = 2):
     """Left/right states at the interior faces along ``axis``.
 
     Parameters
@@ -28,12 +28,6 @@ def muscl_interface_states(W, *, axis: int = 0, limiter=minmod,
         Slope limiter (two-argument form).
     order:
         1 (piecewise constant) or 2 (MUSCL).
-    first_order_mask:
-        Optional boolean cell mask (indexed like ``W`` *without* the
-        trailing variable axis, or 1-D along ``axis``).  Slopes of masked
-        cells are zeroed, degrading reconstruction to first order locally
-        — the resilience layer's quarantine zone around watchdog-flagged
-        cells.  ``None`` (the default) adds no work.
 
     Returns
     -------
@@ -55,14 +49,5 @@ def muscl_interface_states(W, *, axis: int = 0, limiter=minmod,
     # limited slope per interior cell (cells 1..n-2), zero at both ends
     slopes = np.zeros_like(W)
     slopes[lead + (slice(1, -1),)] = limiter(d[lo], d[hi])
-    if first_order_mask is not None:
-        mask = np.asarray(first_order_mask, dtype=bool)
-        if mask.ndim == 1:
-            # along ``axis``: broadcast over every other axis
-            mask = mask.reshape((1,) * len(lead) + mask.shape)
-        # broadcast over any trailing axes the mask doesn't carry (the
-        # trailing variable axis, and cross-axes for a 1-D mask)
-        mask = mask.reshape(mask.shape + (1,) * (W.ndim - mask.ndim))
-        np.copyto(slopes, 0.0, where=mask)
     half = 0.5 * slopes
     return W[lo] + half[lo], W[hi] - half[hi]

@@ -17,10 +17,6 @@ This package provides the machinery the solver stack wires through:
 * :class:`ConservationWatchdog` / :class:`WatchdogEvent` — per-step
   auditing of conservation budgets, species bounds, entropy
   monotonicity and invalid-state localization,
-* :class:`DegradationController` / :class:`DegradationLedger` — the
-  graceful-degradation cascade
-  (quarantined first-order reconstruction, per-cell chemistry demotion,
-  automatic re-promotion) slotted between rollback-retry and abort,
 * :class:`PersistencePolicy` / :class:`SnapshotStore` — durable,
   crash-safe snapshots on disk (atomic writes, SHA-256 verified loads,
   keep-last-K retention) so a SIGKILLed march, re-run with the same
@@ -57,8 +53,6 @@ from repro.resilience.lease import Lease, LeaseManager, default_host_id
 from repro.resilience.queue import BackoffPolicy, Job, WorkQueue
 from repro.resilience.isolation import (Heartbeat, IsolatedRunner,
                                         IsolationEvent, IsolationPolicy)
-from repro.resilience.degradation import (DegradationController,
-                                          DegradationLedger)
 from repro.resilience.faults import Fault, FaultInjector, SimulatedCrash
 from repro.resilience.persistence import (MANIFEST_SCHEMA_VERSION,
                                           LoadedSnapshot,
@@ -70,8 +64,7 @@ from repro.resilience.supervisor import (RetryPolicy, RunSupervisor,
 from repro.resilience.watchdog import ConservationWatchdog, WatchdogEvent
 
 __all__ = ["BackoffPolicy", "Checkpoint", "ConservationWatchdog",
-           "DegradationController", "DegradationLedger", "Farm",
-           "FarmPolicy", "Fault", "FaultInjector", "FailureReport",
+           "Farm", "FarmPolicy", "Fault", "FaultInjector", "FailureReport",
            "Heartbeat", "IsolatedRunner", "IsolationEvent",
            "IsolationPolicy", "Job", "Lease", "LeaseManager",
            "LoadedSnapshot", "MANIFEST_SCHEMA_VERSION",

@@ -76,7 +76,7 @@ __all__ = ["CASES", "build_campaign_requests", "run_chaos",
 
 # ----------------------------------------------------------------------
 # solver case matrix (small, fast, persist-protocol instances): the one
-# definition of these four marches, reused by degrade-smoke and the tests
+# definition of these four marches, reused by the farm and the tests
 # ----------------------------------------------------------------------
 
 def _make_euler1d():

@@ -1,8 +1,8 @@
 """Process-level isolation: sandboxed solves under deadline, memory
 budget and heartbeat supervision.
 
-The in-process resilience ladder (rollback-retry, degradation,
-durable persistence) recovers from *numerical* and *crash* failures —
+The in-process resilience ladder (rollback-retry, durable
+persistence) recovers from *numerical* and *crash* failures —
 but a solve that **hangs** (livelocked implicit sub-solve, a process
 SIGSTOPped by an operator, a stuck Newton continuation) or **leaks
 memory** until the kernel OOM killer fires still takes the whole
@@ -31,8 +31,8 @@ beyond the standard library and ``/proc``:
   supervised child process.  On a violation the child's group is
   killed and the event recorded.  A marching solve is then
   **auto-resumed in a fresh child from the durable**
-  :class:`~repro.resilience.persistence.SnapshotStore` — optionally
-  down a tightened ladder (lower CFL, degradation pre-armed) — so a
+  :class:`~repro.resilience.persistence.SnapshotStore`, with the
+  caller's own ``resilience`` and ``watchdog`` and no faults, so a
   wedged solve becomes a resumed solve, not an abort; only
   restart-budget exhaustion raises, and then with a
   :class:`~repro.resilience.report.FailureReport` carrying every
@@ -331,14 +331,14 @@ def _write_error(err_path, exc):
 
 
 def _solver_child(hb_path, err_path, factory, run_kwargs, persist,
-                  faults, resilience, watchdog, degradation):
+                  faults, resilience, watchdog):
     """Build the solver and march it durably inside the sandbox."""
     _enter_sandbox(hb_path)
     try:
         solver = factory()
         solver.run(**dict(run_kwargs or {}), persist=persist,
                    faults=faults, resilience=resilience,
-                   watchdog=watchdog, degradation=degradation)
+                   watchdog=watchdog)
         sys.exit(0)
     except SystemExit:
         raise
@@ -595,7 +595,7 @@ class IsolatedRunner:
 
     def run_solver(self, factory, run_kwargs: dict | None = None, *,
                    workdir, faults=None, resilience=None, watchdog=None,
-                   degradation=None, on_spawn=None):
+                   on_spawn=None):
         """March ``factory()`` to completion inside supervised children.
 
         Parameters
@@ -617,7 +617,7 @@ class IsolatedRunner:
             armed **only for the first attempt** — the model is a
             transient upset; restarted children run clean and replay
             from the last durable snapshot.
-        resilience, watchdog, degradation:
+        resilience, watchdog:
             Passed through to ``solver.run`` in the child.
         on_spawn:
             Optional ``on_spawn(pid, attempt)`` hook called right after
@@ -647,7 +647,7 @@ class IsolatedRunner:
             sb = Sandbox(self, workdir, attempt, _solver_child, factory,
                          run_kwargs, persist,
                          faults if attempt == 0 else None, resilience,
-                         watchdog, degradation)
+                         watchdog)
             ev = self._supervise(sb, on_spawn)
             if ev is None:
                 solver = factory()

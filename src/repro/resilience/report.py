@@ -80,9 +80,6 @@ class FailureReport:
     watchdog_events:
         :class:`~repro.resilience.watchdog.WatchdogEvent` dicts recorded
         by an attached watchdog (``None`` when none was attached).
-    degradation:
-        :class:`~repro.resilience.degradation.DegradationLedger` dict of
-        an attached degradation controller (``None`` when none).
     isolation:
         :class:`~repro.resilience.isolation.IsolationEvent` dicts — one
         per kill the supervising parent performed before giving up
@@ -105,7 +102,6 @@ class FailureReport:
     state: dict | None = None
     wall_time: float = 0.0
     watchdog_events: list[dict] | None = None
-    degradation: dict | None = None
     isolation: list[dict] | None = None
     fault_schedule: dict | None = None
 
@@ -127,8 +123,6 @@ class FailureReport:
                 "wall_time": self.wall_time,
                 "watchdog_events": (None if self.watchdog_events is None
                                     else list(self.watchdog_events)),
-                "degradation": (None if self.degradation is None
-                                else dict(self.degradation)),
                 "isolation": (None if self.isolation is None
                               else list(self.isolation)),
                 "fault_schedule": (None if self.fault_schedule is None
@@ -162,11 +156,6 @@ class FailureReport:
             for e in self.watchdog_events[-5:]:
                 lines.append(f"    - [{e.get('kind')}] step "
                              f"{e.get('step')}: {e.get('message')}")
-        if self.degradation and self.degradation.get("entries"):
-            d = self.degradation
-            lines.append(f"  degradation: {d.get('n_demotions', 0)} "
-                         f"demotion(s), {d.get('n_promotions', 0)} "
-                         f"re-promotion(s)")
         if self.isolation:
             kinds = "/".join(e.get("kind", "?") for e in self.isolation)
             lines.append(f"  isolation kills: {len(self.isolation)} "

@@ -15,17 +15,9 @@ failing step's own error through.  An armed march recovers instead:
 4. a :class:`~repro.resilience.report.FailureReport` diagnostic bundle
    attached to the error raised on exhaustion.
 
-Between rollback-retry and abort sits the **degradation rung**: with a
-:class:`~repro.resilience.degradation.DegradationController` attached
-(``degradation=True``), an exhausted CFL ladder first tries falling down
-the fidelity ladder — local first-order reconstruction in a quarantine
-zone around the flagged cells, then per-cell chemistry-model demotion —
-rolls back, restores the original CFL and retries with a fresh ladder.
-Only when the cascade itself is exhausted does the march abort.  A
-:class:`~repro.resilience.watchdog.ConservationWatchdog`
+A :class:`~repro.resilience.watchdog.ConservationWatchdog`
 (``watchdog=True``) audits every clean step (conservation budgets,
-species bounds, entropy) and its events seed the quarantine zone and
-land in the report.
+species bounds, entropy) and its events land in the report.
 
 One-shot solves (PNS stations, VSL, the shock-relaxation BDF integration)
 use :func:`supervised_call`, the same bounded-ladder idea expressed as a
@@ -48,7 +40,6 @@ from repro.errors import (CancelledError, CatError, ConvergenceError,
                           StabilityError)
 from repro.numerics.time_integration import check_state
 from repro.resilience.checkpoint import Checkpoint
-from repro.resilience.degradation import DegradationController
 from repro.resilience.report import FailureReport, solver_config
 from repro.resilience.watchdog import ConservationWatchdog
 
@@ -103,7 +94,7 @@ class RunSupervisor:
     label:
         Name used in errors, reports, ledgers and manifests.
 
-    The remaining five are the supervision keywords of every marching
+    The remaining four are the supervision keywords of every marching
     ``run()`` (``Euler1DSolver``, ``AxisymmetricEulerSolver`` /
     ``AxisymmetricNSSolver``, ``ReactingEulerSolver``), forwarded here
     unchanged:
@@ -127,14 +118,8 @@ class RunSupervisor:
         per-step conservation/species/entropy auditing; events are
         surfaced on the solver (``watchdog_events``) and in any report.
         ``None`` and ``False`` leave it off.
-    degradation:
-        ``True`` arms a
-        :class:`~repro.resilience.degradation.DegradationController`:
-        the graceful-degradation rung between rollback-retry and abort;
-        the ledger lands on the solver as ``degradation_ledger``.
-        ``None`` and ``False`` leave it off.
 
-    Retry is armed when any of the five is given (``False`` counts as
+    Retry is armed when any of the four is given (``False`` counts as
     not given): ``resilience`` is used when it is a
     :class:`RetryPolicy`, the default ``RetryPolicy()`` otherwise.  With
     none given the march is bare
@@ -150,18 +135,14 @@ class RunSupervisor:
     """
 
     def __init__(self, solver, resilience=None, *, faults=None,
-                 label: str | None = None, persist=None, watchdog=None,
-                 degradation=None):
+                 label: str | None = None, persist=None, watchdog=None):
         from repro.resilience.isolation import current_process_heartbeat
         self.solver = solver
         self.label = label or type(solver).__name__
         self.watchdog = (ConservationWatchdog()
                          if _switch("watchdog", watchdog) else None)
-        self.degradation = (DegradationController(label=self.label)
-                            if _switch("degradation", degradation)
-                            else None)
         armed = any(v is not None and v is not False for v in (
-            resilience, faults, persist, self.watchdog, self.degradation))
+            resilience, faults, persist, self.watchdog))
         self.policy = (resilience if isinstance(resilience, RetryPolicy)
                        else RetryPolicy() if armed else None)
         self.faults = faults
@@ -197,30 +178,31 @@ class RunSupervisor:
             state=dict(ckpt.payload),
             wall_time=time.monotonic() - t0,
             watchdog_events=(None if self.watchdog is None
-                             else self.watchdog.events_as_dicts()),
-            degradation=(None if self.degradation is None
-                         else self.degradation.ledger.to_dict()))
+                             else self.watchdog.events_as_dicts()))
 
     def _expose(self):
         """Surface audit artefacts on the solver after any march end."""
         if self.watchdog is not None:
             self.solver.watchdog_events = self.watchdog.events
-        if self.degradation is not None:
-            self.solver.degradation_ledger = self.degradation.ledger
 
     def _progress_payload(self, k, n_steps, cfl_now, retries,
                           res) -> dict:
         """March progress published through the heartbeat channel so a
         supervising parent (``jobs status``/``watch``) sees step / time
-        / residual without ever touching this process."""
+        / residual without ever touching this process.  ``steps``,
+        ``t`` and ``residual`` are the solver's own clocks and latest
+        logged residual, where it keeps them."""
+        solver = self.solver
         p = {"label": self.label, "step": int(k),
              "n_steps": int(n_steps), "cfl": float(cfl_now),
              "retries": int(retries)}
         if res is not None:
             p["residual"] = float(res)
-        hook = getattr(self.solver, "progress", None)
-        if callable(hook):
-            p.update(hook() or {})
+        p["steps"] = int(getattr(solver, "steps", 0) or 0)
+        p["t"] = float(getattr(solver, "t", 0.0) or 0.0)
+        hist = getattr(solver, "residual_history", None)
+        if hist is not None and len(hist):
+            p["residual"] = float(hist[-1])
         return p
 
     # ------------------------------------------------------------------
@@ -302,17 +284,13 @@ class RunSupervisor:
                 self._guard()
                 if self.watchdog is not None:
                     self.watchdog.audit(solver)
-                if self.degradation is not None:
-                    self.degradation.note_clean_step(
-                        solver, step=int(getattr(solver, "steps", k)
-                                         or k))
             except (StabilityError, ConvergenceError) as err:
                 if pol is None:   # bare: the step's own error
                     raise
                 # ConvergenceError mid-march means an implicit sub-solve
                 # (T(e) Newton, point-implicit chemistry) died on a
                 # corrupted state — same pathology as a NaN, same cure:
-                # roll back, back off, degrade
+                # roll back, back off
                 retries += 1
                 self.attempts.append(
                     {"retry": retries, "cfl": cfl_now,
@@ -320,29 +298,8 @@ class RunSupervisor:
                      "error": str(err)})
                 if self.watchdog is not None:
                     self.watchdog.record_error(err, solver)
-                if self.degradation is not None:
-                    self.degradation.note_failure()
                 next_cfl = cfl_now * pol.cfl_backoff
                 if retries > pol.max_retries or next_cfl < pol.cfl_min:
-                    # degradation rung: before aborting, try falling
-                    # down the fidelity ladder and re-running the
-                    # retry ladder from the original CFL
-                    if self.degradation is not None:
-                        cells = [getattr(err, "cell", None)]
-                        if self.watchdog is not None:
-                            cells += self.watchdog.event_cells(last_n=5)
-                        if self.degradation.degrade(
-                                solver,
-                                step=int(getattr(err, "step", None)
-                                         or k),
-                                cells=[c for c in cells
-                                       if c is not None],
-                                reason=str(err)):
-                            ckpt.restore(solver)
-                            k = ckpt_k
-                            retries = 0
-                            cfl_now = float(cfl)
-                            continue
                     self.report = self._build_report(err, ckpt, t0)
                     self._expose()
                     exhausted = StabilityError(

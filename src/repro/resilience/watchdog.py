@@ -154,11 +154,6 @@ class ConservationWatchdog:
     def events_as_dicts(self) -> list[dict]:
         return [e.to_dict() for e in self.events]
 
-    def event_cells(self, *, last_n: int | None = None) -> list[tuple]:
-        """Cells named by recent events (degradation quarantine seeds)."""
-        evs = self.events if last_n is None else self.events[-last_n:]
-        return [e.cell for e in evs if e.cell is not None]
-
     # ------------------------------------------------------------------
 
     def _emit(self, event: WatchdogEvent) -> WatchdogEvent:

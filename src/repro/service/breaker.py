@@ -13,11 +13,10 @@ state machine is the classical three-state breaker:
 * ``half_open`` — exactly one probe is allowed through; success
   re-closes the cell, failure re-opens it (and restarts the cooldown).
 
-Every transition is appended to a ledger (mirroring the existing
-:class:`~repro.resilience.degradation.DegradationLedger` idiom) with a
-monotone sequence number and the request index that caused it, so a
-chaos campaign can assert the exact open/close history.  The clock is
-injectable for fake-clock tests.
+Every transition is appended to a ledger with a monotone sequence
+number and the request index that caused it, so a chaos campaign can
+assert the exact open/close history.  The clock is injectable for
+fake-clock tests.
 
 Sequence numbers are per-board (per-process): two farm chunks both
 count 0, 1, 2, ...  Each transition therefore also carries an

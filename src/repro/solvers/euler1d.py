@@ -19,7 +19,6 @@ from repro.numerics.time_integration import (cfl_timestep_1d, check_state,
                                              ssp_rk2_step)
 from repro.numerics.upwind import (ausm_plus_flux, steger_warming_flux,
                                    van_leer_flux)
-from repro.solvers.degradable import QuarantineMixin
 
 __all__ = ["Euler1DSolver"]
 
@@ -27,7 +26,7 @@ _FLUXES = {"hlle": None, "van_leer": van_leer_flux,
            "steger_warming": steger_warming_flux, "ausm": ausm_plus_flux}
 
 
-class Euler1DSolver(QuarantineMixin):
+class Euler1DSolver:
     """Shock-capturing 1-D Euler solver on a fixed node grid.
 
     Parameters
@@ -70,7 +69,6 @@ class Euler1DSolver(QuarantineMixin):
         self.t = 0.0
         self.steps = 0
         self.converged = False
-        self.quarantined_cells = None
 
     # ------------------------------------------------------------------
     # resilience protocol
@@ -158,13 +156,8 @@ class Euler1DSolver(QuarantineMixin):
         return g
 
     def _face_flux(self, U):
-        g = self._ghost(U)
-        fo = None
-        if self.quarantined_cells is not None:
-            fo = np.pad(self.quarantined_cells, 2, mode="edge")
-        WL, WR = muscl_interface_states(g, order=self.order,
-                                        limiter=self.limiter,
-                                        first_order_mask=fo)
+        WL, WR = muscl_interface_states(self._ghost(U), order=self.order,
+                                        limiter=self.limiter)
         # faces of interest: between cells -1|0 ... n-1|n (n+1 faces) —
         # the ghost array has n+4 cells and n+3 faces; drop the outermost
         WL = WL[1:-1]
@@ -187,7 +180,7 @@ class Euler1DSolver(QuarantineMixin):
         check_state(self.U, step=self.steps, label="euler1d")
 
     def run(self, t_final, *, cfl=0.45, max_steps=100000, resilience=None,
-            faults=None, persist=None, watchdog=None, degradation=None):
+            faults=None, persist=None, watchdog=None):
         """Advance to ``t_final`` in at most ``max_steps`` CFL-limited
         steps; :class:`~repro.resilience.RunSupervisor` documents the rest."""
         from repro.resilience import RunSupervisor
@@ -200,8 +193,7 @@ class Euler1DSolver(QuarantineMixin):
             self.step(min(dt, t_final - self.t))
 
         RunSupervisor(self, resilience, faults=faults, label="euler1d",
-                      persist=persist, watchdog=watchdog,
-                      degradation=degradation).march(
+                      persist=persist, watchdog=watchdog).march(
             advance, n_steps=max_steps, cfl=cfl,
             stop=lambda: self.t >= t_final - 1e-15)
         return self

@@ -29,12 +29,11 @@ from repro.numerics.limiters import minmod
 from repro.numerics.muscl import muscl_interface_states
 from repro.numerics.time_integration import component_name
 from repro.numerics.upwind import steger_warming_flux, van_leer_flux
-from repro.solvers.degradable import QuarantineMixin
 
 __all__ = ["AxisymmetricEulerSolver"]
 
 
-class AxisymmetricEulerSolver(QuarantineMixin):
+class AxisymmetricEulerSolver:
     """Blunt-body Euler solver on a body-fitted (i: surface, j: normal)
     grid.
 
@@ -87,7 +86,6 @@ class AxisymmetricEulerSolver(QuarantineMixin):
         self.steps = 0
         self.converged = False
         self.residual_history: list[float] = []
-        self.quarantined_cells = None
 
     #: Blunt-body domains exchange mass/energy through the inflow and
     #: outflow boundaries, so global budgets are not invariants here and
@@ -225,25 +223,17 @@ class AxisymmetricEulerSolver(QuarantineMixin):
         The padded states, the face states and fluxes and the divergence
         all live in component-first memory, so each component is one
         contiguous row; the kernels see component-last views of it."""
-        fo_i = fo_j = None
-        if self.quarantined_cells is not None:
-            fo_i = np.pad(self.quarantined_cells, ((2, 2), (0, 0)),
-                          mode="edge")
-            fo_j = np.pad(self.quarantined_cells, ((0, 0), (2, 2)),
-                          mode="edge")
         # ---- i-direction fluxes ----
         UL, UR = muscl_interface_states(self._pad_i(U), axis=0,
                                         order=self.order,
-                                        limiter=self.limiter,
-                                        first_order_mask=fo_i)
+                                        limiter=self.limiter)
         F_i = component_rows(self._face_flux(      # (nv, ni+1, nj) faces
             UL[1:-1], UR[1:-1], self.nhat_i[0], self.nhat_i[1]))
         F_i = F_i * self.area_i
         # ---- j-direction fluxes ----
         VL, VR = muscl_interface_states(self._pad_j(U), axis=1,
                                         order=self.order,
-                                        limiter=self.limiter,
-                                        first_order_mask=fo_j)
+                                        limiter=self.limiter)
         F_j = component_rows(self._face_flux(      # (nv, ni, nj+1)
             VL[:, 1:-1], VR[:, 1:-1], self.nhat_j[0], self.nhat_j[1]))
         F_j = F_j * self.area_j
@@ -316,7 +306,7 @@ class AxisymmetricEulerSolver(QuarantineMixin):
         return 1e-8 * float(self.U_inf[3])
 
     def run(self, *, n_steps=4000, cfl=0.4, tol=1e-8, resilience=None,
-            faults=None, persist=None, watchdog=None, degradation=None):
+            faults=None, persist=None, watchdog=None):
         """March up to ``n_steps`` until the residual drops below ``tol``;
         :class:`~repro.resilience.RunSupervisor` documents the rest."""
         from repro.resilience import RunSupervisor
@@ -324,7 +314,7 @@ class AxisymmetricEulerSolver(QuarantineMixin):
             raise InputError("call set_freestream first")
         RunSupervisor(self, resilience, faults=faults,
                       label=type(self).__name__, persist=persist,
-                      watchdog=watchdog, degradation=degradation).march(
+                      watchdog=watchdog).march(
             self.step, n_steps=n_steps, cfl=cfl, tol=tol)
         return self
 

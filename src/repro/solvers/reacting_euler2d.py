@@ -93,18 +93,14 @@ class ReactingEulerSolver(AxisymmetricEulerSolver):
     order:
         MUSCL order for the bulk variables.
     chemistry_model:
-        Starting rung of the physics ladder: ``"two_temperature"``
+        Chemistry model: ``"two_temperature"``
         (Park Ta = sqrt(T Tv) dissociation control with an operator-split
         Landau-Teller-relaxed vibrational-electronic pool),
         ``"finite_rate"`` (default, single-temperature kinetics) or
-        ``"frozen"`` (no chemistry).  The degradation cascade demotes
-        flagged cells down the same ladder at runtime (per-cell
-        ``chem_rung`` tags, recorded in a
-        :class:`~repro.resilience.DegradationLedger`).
+        ``"frozen"`` (no chemistry).
     """
 
-    #: Physics fidelity ladder, highest first; ``chem_rung`` holds
-    #: per-cell indices into this tuple once any cell is demoted.
+    #: The ``chemistry_model`` values, highest fidelity first.
     PHYSICS_LADDER = ("two_temperature", "finite_rate", "frozen")
 
     def __init__(self, grid: StructuredGrid2D, db: SpeciesDB | str = "air5",
@@ -128,13 +124,9 @@ class ReactingEulerSolver(AxisymmetricEulerSolver):
             self.ttg = TwoTemperatureGas(self.db, self.mech)
         self.T = None
         #: Vibrational-electronic pool [J/kg] and its temperature
-        #: (two-temperature starting rung only, else None).
+        #: (two-temperature model only, else None).
         self.ev = None
         self.Tv = None
-        #: Per-cell physics-ladder indices (None until any cell is
-        #: demoted below ``chemistry_model``); like the quarantine mask,
-        #: deliberately outside get_state so rollbacks keep demotions.
-        self.chem_rung = None
 
     _error_label = "reacting euler2d"
 
@@ -250,27 +242,6 @@ class ReactingEulerSolver(AxisymmetricEulerSolver):
         return float(np.sum(rho * s * self.vol))
 
     # ------------------------------------------------------------------
-    # physics-ladder degradation protocol
-    # ------------------------------------------------------------------
-
-    def degrade_physics(self, mask=None):
-        """Demote the chemistry model one rung in the masked cells
-        (``None`` = whole domain).  Returns the name of the rung demoted
-        *to*, or ``None`` when every masked cell is already frozen."""
-        ni, nj = self.grid.ni, self.grid.nj
-        if self.chem_rung is None:
-            start = self.PHYSICS_LADDER.index(self.chemistry_model)
-            self.chem_rung = np.full((ni, nj), start, dtype=np.int8)
-        sel = (np.ones((ni, nj), dtype=bool) if mask is None
-               else np.asarray(mask, dtype=bool))
-        bottom = len(self.PHYSICS_LADDER) - 1
-        cur = self.chem_rung[sel]
-        if not np.any(cur < bottom):
-            return None
-        self.chem_rung[sel] = np.minimum(cur + 1, bottom)
-        return self.PHYSICS_LADDER[int(self.chem_rung[sel].max())]
-
-    # ------------------------------------------------------------------
 
     def _decode(self, U):
         """The base decode's primitives plus mass fractions ``y``, with
@@ -344,33 +315,22 @@ class ReactingEulerSolver(AxisymmetricEulerSolver):
     def step(self, cfl=0.35, *, chemistry=True):
         """One forward-Euler flow step + point-implicit chemistry split.
 
-        The chemistry sub-step honours the physics ladder: cells at the
-        ``two_temperature`` rung drive rates with the relaxed Tv pool,
-        ``finite_rate`` cells use single-temperature kinetics, and
-        ``frozen`` cells skip the composition update entirely.
+        The chemistry sub-step follows ``chemistry_model``:
+        ``two_temperature`` drives rates with the relaxed Tv pool,
+        ``finite_rate`` uses single-temperature kinetics, and ``frozen``
+        skips the composition update entirely.
 
         Returns the relative density-update residual (as the Euler
         solver does), so steady marches can monitor convergence.
         """
         R, dt = self._update(cfl)
-        rung = self.chem_rung
-        frozen_idx = self.PHYSICS_LADDER.index("frozen")
-        all_frozen = (self.chemistry_model == "frozen" if rung is None
-                      else bool(np.all(rung == frozen_idx)))
-        if chemistry and not all_frozen:
+        if chemistry and self.chemistry_model != "frozen":
             w = self._decode(self.U)
             self.T = w["T"]
-            Tv = None
-            if self.ev is not None:
-                Tv = self._update_vibrational_pool(w, dt)
-                if rung is not None:
-                    # demoted cells fall back to single-T rates
-                    Tv = np.where(rung == 0, Tv, w["T"])
+            Tv = (None if self.ev is None
+                  else self._update_vibrational_pool(w, dt))
             y_new = point_implicit_species_update(
                 self.mech, w["rho"], w["T"], w["y"], dt, Tv=Tv)
-            if rung is not None:
-                y_new = np.where((rung == frozen_idx)[..., None],
-                                 w["y"], y_new)
             # total energy invariant on the formation basis: only the
             # species partition changes
             self.U[..., 4:] = w["rho"][..., None] * y_new
@@ -386,8 +346,7 @@ class ReactingEulerSolver(AxisymmetricEulerSolver):
         return U[..., 0] * (hf + 3e4)
 
     def run(self, *, n_steps=2000, cfl=0.35, chemistry=True, tol=None,
-            resilience=None, faults=None, persist=None, watchdog=None,
-            degradation=None):
+            resilience=None, faults=None, persist=None, watchdog=None):
         """March ``n_steps`` (or to ``tol`` when given);
         :class:`~repro.resilience.RunSupervisor` documents the rest."""
         from repro.resilience import RunSupervisor
@@ -395,7 +354,7 @@ class ReactingEulerSolver(AxisymmetricEulerSolver):
             raise InputError("call set_freestream first")
         RunSupervisor(self, resilience, faults=faults,
                       label="reacting_euler2d", persist=persist,
-                      watchdog=watchdog, degradation=degradation).march(
+                      watchdog=watchdog).march(
             lambda c: self.step(c, chemistry=chemistry),
             n_steps=n_steps, cfl=cfl, tol=tol)
         return self

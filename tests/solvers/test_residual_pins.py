@@ -48,9 +48,6 @@ from repro.thermo.eos_table import build_air_table
 GOLDEN = pathlib.Path(__file__).resolve().parents[1] / "golden" \
     / "residuals.npz"
 
-#: quarantine zone of the ``quarantine`` case (rows i, columns j)
-_MASK = (slice(2, 5), slice(3, 8))
-
 
 def _grid():
     return blunt_body_grid(Hemisphere(0.1), n_s=9, n_normal=13,
@@ -72,8 +69,6 @@ FACTORIES = {
         _grid(), _table_eos(), T_wall=1500.0),
     "ns_adiabatic": lambda: AxisymmetricNSSolver(
         _grid(), _table_eos(), T_wall=None),
-    "quarantine": lambda: AxisymmetricNSSolver(
-        _grid(), _table_eos(), T_wall=1500.0),
     "order1": lambda: AxisymmetricEulerSolver(
         _grid(), IdealGasEOS(1.4), order=1),
 }
@@ -99,9 +94,6 @@ def _at_freestream(name):
     T = float(atm.temperature(20e3))
     s.set_freestream(rho, 20.0 * float(atm.sound_speed(20e3)),
                      rho * atm.gas_constant * T)
-    if name == "quarantine":
-        s.quarantined_cells = np.zeros((s.grid.ni, s.grid.nj), dtype=bool)
-        s.quarantined_cells[_MASK] = True
     return s
 
 

@@ -420,95 +420,13 @@ class TestMixtureEntropy:
         assert s == s_back
 
 
-#: 9x13 Mach-10 reacting hemisphere (the degradation test case)
+#: 9x13 Mach-10 reacting hemisphere (the retry-exhaustion test case)
 _make_reacting_small = CASES["reacting_euler2d"][0]
 
 
-class TestDegradationLadder:
-    """Ladder mechanics: demote, march clean, re-promote (LIFO)."""
-
-    def test_numerics_round_trip_euler1d(self):
-        from repro.resilience import DegradationController
-        from repro.resilience.degradation import PROMOTE_AFTER
-        from repro.solvers.euler1d import Euler1DSolver
-        s = Euler1DSolver(np.linspace(0.0, 1.0, 41))
-        s.set_initial(1.0, 0.0, 1.0)
-        ctl = DegradationController()
-        assert ctl.degrade(s, step=5, cells=[(10,)], reason="test")
-        assert s.quarantined_cells is not None
-        assert int(s.quarantined_cells.sum()) == 7   # cell + halo 3
-        assert ctl.active
-        for k in range(PROMOTE_AFTER):
-            s.steps = 6 + k
-            assert ctl.active
-            ctl.note_clean_step(s, step=s.steps)
-        # LIFO restore: the pre-demotion mask (None) is back
-        assert s.quarantined_cells is None
-        assert not ctl.active
-        led = ctl.ledger.to_dict()
-        assert led["n_demotions"] == 1
-        assert led["n_promotions"] == 1
-        assert led["fully_promoted"] is True
-        assert led["entries"][0]["rung"] == "first_order"
-
-    def test_failure_resets_clean_counter(self):
-        from repro.resilience import DegradationController
-        from repro.resilience.degradation import PROMOTE_AFTER
-        from repro.solvers.euler1d import Euler1DSolver
-        s = Euler1DSolver(np.linspace(0.0, 1.0, 21))
-        s.set_initial(1.0, 0.0, 1.0)
-        ctl = DegradationController()
-        ctl.degrade(s, step=0, cells=[(5,)], reason="test")
-        for k in range(PROMOTE_AFTER - 1):
-            ctl.note_clean_step(s, step=1 + k)
-        ctl.note_failure()                # resets the clean-step count
-        for k in range(PROMOTE_AFTER - 1):
-            ctl.note_clean_step(s, step=PROMOTE_AFTER + k)
-        assert s.quarantined_cells is not None   # not yet re-promoted
-        ctl.note_clean_step(s, step=2 * PROMOTE_AFTER)
-        assert s.quarantined_cells is None
-
-    def test_physics_ladder_reacting(self):
-        s = _make_reacting_small()
-        assert s.chemistry_model == "finite_rate"
-        rung = s.degrade_physics()            # whole domain, one rung down
-        assert rung == "frozen"
-        assert int(s.chem_rung.max()) == s.PHYSICS_LADDER.index("frozen")
-        assert s.degrade_physics() is None    # ladder exhausted
-
-    def test_controller_tries_numerics_then_physics(self):
-        from repro.resilience import DegradationController
-        s = _make_reacting_small()
-        ctl = DegradationController()
-        assert ctl.degrade(s, step=1, cells=[(4, 6)], reason="a")
-        assert s.quarantined_cells is not None
-        assert s.chem_rung is None            # physics untouched so far
-        # same cells again: quarantine adds nothing, falls to physics
-        assert ctl.degrade(s, step=2, cells=[(4, 6)], reason="b")
-        assert s.chem_rung is not None
-        ladders = [e["ladder"] for e in ctl.ledger.to_dict()["entries"]]
-        assert ladders == ["numerics", "physics"]
-
-    def test_max_actions_bounds_cascade(self):
-        from repro.resilience import DegradationController
-        from repro.resilience.degradation import MAX_ACTIONS
-        from repro.solvers.euler1d import Euler1DSolver
-        s = Euler1DSolver(np.linspace(0.0, 1.0, 201))
-        s.set_initial(1.0, 0.0, 1.0)
-        ctl = DegradationController()
-        # cells 9 apart: each halo-3 zone is new, so every call demotes
-        for k in range(MAX_ACTIONS):
-            assert ctl.degrade(s, step=k, cells=[(5 + 9 * k,)],
-                               reason="one more")
-        assert not ctl.degrade(s, step=MAX_ACTIONS,
-                               cells=[(5 + 9 * MAX_ACTIONS,)],
-                               reason="one too many")
-
-
-class TestDegradationCascadeAcceptance:
-    """The PR's acceptance scenario: a persistent density corruption
-    that kills the plain rollback ladder must complete end-to-end once
-    the degradation cascade is armed."""
+class TestRetryLadderExhaustion:
+    """A persistent density corruption that the rollback ladder cannot
+    march through: the march raises, with its report."""
 
     POLICY = dict(max_retries=1, cfl_backoff=0.8, cfl_min=0.2)
 
@@ -527,20 +445,6 @@ class TestDegradationCascadeAcceptance:
                   faults=self._faults())
         # the exhausted ladder attaches its FailureReport
         assert getattr(ei.value, "report", None) is not None
-
-    def test_completes_with_degradation(self):
-        s = _make_reacting_small()
-        s.run(n_steps=40, cfl=0.4, resilience=RetryPolicy(**self.POLICY),
-              faults=self._faults(), watchdog=True, degradation=True)
-        assert s.steps == 40
-        led = s.degradation_ledger.to_dict()
-        assert led["n_demotions"] >= 1
-        assert led["entries"][0]["ladder"] == "numerics"
-        assert led["entries"][0]["rung"] == "first_order"
-        assert led["entries"][0]["n_cells"] > 0
-        assert led["n_promotions"] >= 1          # re-promotion recorded
-        assert s.quarantined_cells is not None
-        assert s.watchdog_events                 # audit trail present
 
     def test_convergence_error_enters_retry_ladder(self):
         """A mid-march ConvergenceError (implicit sub-solve dying on a

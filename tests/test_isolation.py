@@ -507,7 +507,6 @@ class TestCLIExitCodes:
             ["figures", "-j", "4"],
             ["stagnation", "1", "2"],
             ["stagnation", "a", "b", "c"],
-            ["degrade-smoke", "--what"],
             ["chaos", "--rounds", "0"],
             ["chaos", "--rounds", "x"],
             ["chaos", "--seed"],
