@@ -99,13 +99,12 @@ def _cmd_stagnation(args: argparse.Namespace) -> int:
 
 
 #: The flags each ``chaos`` campaign reads besides --out and --deadline
-#: (argparse dests).  --jobs, --batch and --farm [--hosts N] select the
-#: campaign; any other flag that was given is a usage error.
+#: (argparse dests).  --jobs, --batch and --hosts N select the campaign,
+#: the rounds campaign runs without one; any other flag that was given
+#: is a usage error.
 _CHAOS_FLAGS = {
-    "serial": ("rounds", "seed"),
-    "farm": ("farm", "rounds", "seed", "n_workers", "kill_workers",
-             "queue_dir"),
-    "hosts": ("farm", "hosts", "rounds", "n_workers", "skew", "partition",
+    "rounds": ("rounds", "seed", "n_workers", "kill_workers", "queue_dir"),
+    "hosts": ("hosts", "rounds", "n_workers", "skew", "partition",
               "queue_dir"),
     "batch": ("batch", "requests", "faulted", "seed"),
     "jobs": ("jobs", "steps", "queue_dir"),
@@ -115,8 +114,7 @@ _CHAOS_FLAGS = {
 def _cmd_chaos(args: argparse.Namespace) -> int:
     error = args.parser.error
     mode = ("jobs" if args.jobs else "batch" if args.batch
-            else ("hosts" if args.hosts else "farm") if args.farm
-            else "serial")
+            else "hosts" if args.hosts else "rounds")
     known = {dest for flags in _CHAOS_FLAGS.values() for dest in flags}
     stray = [("-j" if dest == "n_workers"
               else "--" + dest.replace("_", "-"))
@@ -140,7 +138,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         return chaos.run_chaos_batch(requests=requests, faulted=faulted,
                                      seed=seed, out=args.out,
                                      deadline=deadline or 120.0)
-    n_workers = args.n_workers or 2
     if mode == "hosts":
         if args.hosts < 2:
             error(f"--hosts {args.hosts}: need at least 2 hosts")
@@ -148,18 +145,14 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         # bounds the whole campaign
         return chaos.run_chaos_hosts(
             hosts=args.hosts, rounds=rounds, out=args.out,
-            n_workers=n_workers, skew=args.skew or 0.0,
+            n_workers=args.n_workers or 2, skew=args.skew or 0.0,
             partition=args.partition, deadline=deadline or 240.0,
             queue_dir=args.queue_dir)
-    if mode == "farm":
-        return chaos.run_chaos_farm(
-            rounds=rounds, seed=seed, out=args.out,
-            deadline=deadline or 30.0, n_workers=n_workers,
-            kill_workers=(2 if args.kill_workers is None
-                          else args.kill_workers),
-            queue_dir=args.queue_dir)
     return chaos.run_chaos(rounds=rounds, seed=seed, out=args.out,
-                           deadline=deadline or 30.0)
+                           deadline=deadline or 30.0,
+                           n_workers=args.n_workers or 1,
+                           kill_workers=args.kill_workers or 0,
+                           queue_dir=args.queue_dir)
 
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
@@ -460,8 +453,6 @@ def _build_parser() -> argparse.ArgumentParser:
     mode defaults to None, so the command can tell "given" from "left
     at the default" and fills the real default in after its checks."""
     farm = argparse.ArgumentParser(add_help=False)
-    farm.add_argument("--farm", action="store_true",
-                      help="run on the solve farm (one sandbox per job)")
     farm.add_argument("-j", dest="n_workers", type=_POS_INT, metavar="N",
                       help="farm jobs run at once, one sandbox each")
     farm.add_argument("--queue-dir", metavar="D",
@@ -507,12 +498,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("RN", type=_POS_FLOAT, help="nose radius [m]")
 
     p = command(sub, "chaos", "randomized fault campaign under process "
-                "isolation", [farm], epilog="--jobs, --batch, --farm and "
-                "--farm --hosts N select the campaign; a flag the chosen "
-                "campaign does not read is a usage error.  With --farm, "
-                "-j and --kill-workers default to 2.  --deadline: 30 s "
-                "per round, or 240 s (--hosts, --jobs) or 120 s "
-                "(--batch) for the whole campaign.")
+                "isolation", [farm], epilog="--jobs, --batch and --hosts "
+                "N select the campaign; without one, chaos runs its "
+                "rounds as farm jobs.  A flag the chosen campaign does "
+                "not read is a usage error.  -j defaults to 1 (2 with "
+                "--hosts), --kill-workers to 0.  --deadline: 30 s per "
+                "round, or 240 s (--hosts, --jobs) or 120 s (--batch) "
+                "for the whole campaign.")
     p.add_argument("--rounds", type=_POS_INT, metavar="N",
                    help="rounds, or solver jobs with --hosts (default 5)")
     p.add_argument("--seed", type=int, metavar="S",
@@ -544,6 +536,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = command(sub, "batch", "batch evaluation service: JSON-lines "
                 "requests in, one envelope per line out", [farm, ledger],
                 epilog="-j defaults to 2.")
+    p.add_argument("--farm", action="store_true",
+                   help="run on the solve farm (one sandbox per job)")
     p.add_argument("file", nargs="?", metavar="FILE",
                    help="requests (default: stdin)")
     p.add_argument("--out", metavar="FILE", help="envelopes (or stdout)")

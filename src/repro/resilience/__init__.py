@@ -25,16 +25,17 @@ This package provides the machinery the solver stack wires through:
 * :class:`IsolatedRunner` / :class:`IsolationPolicy` /
   :class:`IsolationEvent` / :class:`Heartbeat` — process-level
   isolation: solves run in supervised child processes under wall-clock
-  deadlines, RSS memory budgets and heartbeat stall detection, killed
-  (SIGTERM → SIGKILL) and auto-resumed from the durable snapshots when
-  they hang, balloon or crash (see :mod:`repro.resilience.isolation`
-  and the chaos harness in :mod:`repro.resilience.chaos`),
+  deadlines, RSS memory budgets and heartbeat stall detection, and are
+  killed (SIGTERM → SIGKILL) when they hang, balloon or crash (see
+  :mod:`repro.resilience.isolation` and the chaos harness in
+  :mod:`repro.resilience.chaos`),
 * :class:`Farm` / :class:`FarmPolicy` / :class:`WorkQueue` /
   :class:`Job` / :class:`BackoffPolicy` / :class:`LeaseManager` — the
   fault-tolerant solve farm: a durable filesystem work queue drained by
   one supervisor running up to N jobs at once, each in its own
   sandbox, under lease-based ownership, retry with exponential
-  backoff, a dead-letter ledger, kill-and-resume campaigns and
+  backoff — the one way a killed march resumes from its durable
+  snapshots — a dead-letter ledger, kill-and-resume campaigns and
   graceful drain (see :mod:`repro.resilience.farm`,
   :mod:`repro.resilience.queue` and :mod:`repro.resilience.lease`),
 * :func:`audit_exactly_once` — the multi-host layer: several

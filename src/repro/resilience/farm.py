@@ -25,14 +25,16 @@ This module assembles them:
   back to the queue *without* charging an attempt, and the supervisor
   returns its ledger.  With a :class:`WorkerKillPlan` armed it SIGKILLs
   running sandboxes on a deterministic schedule (the chaos harness's
-  ``--farm`` mode); such a job fails, backs off and resumes from its
-  snapshot.
+  ``--kill-workers``); such a job fails, backs off and resumes from its
+  snapshot.  The queue's retry is the one way a killed march resumes:
+  a sandbox never restarts itself.
 
 * **Job kinds** (:data:`JOB_KINDS`) map a job's ``kind`` string to the
   function that executes its payload inside the sandbox child: paper
   figures, persist-protocol solver marches (which auto-resume from the
   latest durable snapshot generation when a killed attempt is
-  retried), chaos rounds, arbitrary callables, and two scripted kinds
+  retried, and carry a chaos round's fault schedule), batch-service
+  chunks, async jobs, arbitrary callables, and two scripted kinds
   (``sleep``, ``flaky``) the tests and smoke campaigns lean on.
 
 The farm is **multi-host aware**: each supervisor runs under a
@@ -75,7 +77,8 @@ from repro.resilience.isolation import (IsolatedRunner, IsolationPolicy,
                                         kill_pid_tree)
 from repro.resilience.lease import Lease, default_host_id
 from repro.resilience.persistence import atomic_write
-from repro.resilience.queue import TERMINAL, BackoffPolicy, Job, WorkQueue
+from repro.resilience.queue import (TERMINAL, BackoffPolicy, Job,
+                                    WorkQueue, check_budgets)
 
 __all__ = ["Farm", "FarmPolicy", "JOB_KINDS", "WorkerKillPlan",
            "audit_exactly_once", "bench_from_journal", "build_ledger",
@@ -90,7 +93,8 @@ __all__ = ["Farm", "FarmPolicy", "JOB_KINDS", "WorkerKillPlan",
 #: kind name -> ``fn(payload, ctx) -> JSON-able result`` executed in the
 #: sandbox child.  ``ctx`` carries ``workdir`` (durable, per-job),
 #: ``ckpt_dir`` (durable snapshot ladder — marches resume from here
-#: after a kill), ``queue_dir`` and ``job_id``.  An executor commits
+#: after a kill), ``queue_dir``, ``job_id`` and ``attempt`` (1 for the
+#: first, as the claim counted it).  An executor commits
 #: nothing to the queue: its return value (or its exception) is what the
 #: supervisor's fenced ``complete``/``fail`` records.
 JOB_KINDS: dict = {}
@@ -121,39 +125,31 @@ def _job_figure(payload: dict, ctx: dict) -> dict:
 
 @job_kind("solver_case")
 def _job_solver_case(payload: dict, ctx: dict) -> dict:
-    """March one chaos-matrix solver case durably; returns a SHA-256
-    fingerprint of the final marching state, so kill-and-resume
-    campaigns can assert bitwise identity against a reference run."""
+    """March one chaos-matrix solver case durably, under the retry
+    ladder and the conservation watchdog; returns a SHA-256 fingerprint
+    of the final marching state, so kill-and-resume campaigns can assert
+    bitwise identity against a reference run.
+
+    ``payload["faults"]`` (a :meth:`FaultInjector.to_json` schedule, a
+    chaos round's) is armed on the first attempt only: a fault is a
+    transient upset, and a retried attempt resumes clean from the
+    snapshots the killed one left."""
     from repro.resilience.chaos import CASES
+    from repro.resilience.faults import FaultInjector
     from repro.resilience.persistence import PersistencePolicy
     factory, run_kwargs, _, _ = CASES[payload["case"]]
+    faults = payload.get("faults")
     solver = factory()
     kwargs = dict(run_kwargs)
     kwargs.update(payload.get("run_kwargs") or {})
     solver.run(**kwargs, persist=PersistencePolicy(
         dir=ctx["ckpt_dir"],
-        every_n_steps=int(payload.get("every_n_steps", 3))))
+        every_n_steps=int(payload.get("every_n_steps", 3))),
+        faults=(FaultInjector.from_json(faults)
+                if faults and ctx["attempt"] == 1 else None),
+        resilience=True, watchdog=True)
     return {"case": payload["case"], "steps": int(solver.steps),
             "state_sha256": state_fingerprint(solver)}
-
-
-@job_kind("chaos_round")
-def _job_chaos_round(payload: dict, ctx: dict) -> dict:
-    """One chaos round with its own spawned rng (``seed`` is a sequence
-    like ``[campaign_seed, index]`` so rounds are order-independent).
-
-    The round supervises its *own* inner sandbox, which stays in the
-    job sandbox's process group, so a kill of the job ends it too.  Jobs
-    of this kind must run with the outer ``stall_timeout`` disabled: the
-    outer child blocks in the inner supervision loop and never beats.
-    """
-    from repro.resilience.chaos import run_round
-    rng = np.random.default_rng(payload["seed"])
-    report = run_round(
-        int(payload["index"]), rng,
-        out_dir=os.path.join(ctx["workdir"], "reports"),
-        deadline=float(payload.get("deadline", 30.0)))
-    return {"report": report}
 
 
 @job_kind("batch")
@@ -235,7 +231,7 @@ def state_fingerprint(solver) -> str:
     return h.hexdigest()
 
 
-def _execute_job(queue_dir: str, job_id: str):
+def _execute_job(queue_dir: str, job_id: str, attempt: int):
     """Sandbox-child entry point: resolve the job and run its kind."""
     queue = WorkQueue(queue_dir)
     job = queue.job(job_id)
@@ -246,7 +242,7 @@ def _execute_job(queue_dir: str, job_id: str):
     workdir = queue.job_workdir(job_id)
     ctx = {"workdir": workdir,
            "ckpt_dir": os.path.join(workdir, "ckpt"),
-           "queue_dir": queue_dir, "job_id": job_id}
+           "queue_dir": queue_dir, "job_id": job_id, "attempt": attempt}
     return fn(job.payload, ctx)
 
 
@@ -272,7 +268,8 @@ class FarmPolicy:
         checks, claims and lease reaping.
     deadline, memory_mb, stall_timeout:
         Per-job isolation budgets applied when the job spec leaves them
-        None.
+        None; each None or a finite number > 0, as on a
+        :class:`~repro.resilience.queue.Job`.
     backoff:
         The queue's retry :class:`~repro.resilience.queue.BackoffPolicy`
         (max attempts, exponential delay, deterministic jitter).
@@ -281,7 +278,8 @@ class FarmPolicy:
         terminal.  The ``serve`` loop sets this False and waits for new
         work instead.
     max_wall_time:
-        Campaign wall-clock budget [s]; None = unbounded.
+        Campaign wall-clock budget [s]; None = unbounded, else a finite
+        number > 0.
     host_id:
         This supervisor's identity in the shared queue directory;
         defaults to the machine hostname.  The supervisor is named
@@ -320,6 +318,10 @@ class FarmPolicy:
             # a NaN clock never expires a lease or ends a backoff
             raise InputError(f"clock_offset must be finite, got "
                              f"{self.clock_offset!r}")
+        check_budgets("farm policy", deadline=self.deadline,
+                      memory_mb=self.memory_mb,
+                      stall_timeout=self.stall_timeout,
+                      max_wall_time=self.max_wall_time)
 
     def clock(self):
         """Wall clock for this farm, honouring ``clock_offset`` (None,
@@ -333,7 +335,7 @@ class FarmPolicy:
 
 @dataclass
 class WorkerKillPlan:
-    """Deterministic sandbox-SIGKILL schedule (chaos ``--farm`` mode).
+    """Deterministic sandbox-SIGKILL schedule (chaos ``--kill-workers``).
 
     ``kills`` SIGKILLs are delivered to randomly-chosen running
     sandboxes at intervals drawn uniformly from [min_interval,
@@ -413,6 +415,7 @@ class _Attempt:
 
     job: Job
     lease: Lease
+    attempt: int              # the claim's count, 1 for the first
     sandbox: Sandbox
     renewed: float            # monotonic time of the last renewal
     lost: bool = False        # a renewal failed: never commit
@@ -489,6 +492,8 @@ class Farm:
                             f"{sorted(JOB_KINDS)})")
             return True
         pol = self.policy
+        # the lease keeps every other claimant off this state record
+        attempt = int(self.queue.state(job.id).get("attempts") or 1)
         runner = IsolatedRunner(IsolationPolicy(
             deadline=(job.deadline if job.deadline is not None
                       else pol.deadline),
@@ -498,10 +503,10 @@ class Farm:
                            if job.stall_timeout is not None
                            else pol.stall_timeout)),
             label=f"{self.name}:{job.id}")
-        sb = runner.start(_execute_job, (self.queue.dir, job.id),
+        sb = runner.start(_execute_job, (self.queue.dir, job.id, attempt),
                           workdir=os.path.join(
                               self.queue.job_workdir(job.id), "sandbox"))
-        self._running.append(_Attempt(job, lease, sb,
+        self._running.append(_Attempt(job, lease, attempt, sb,
                                       renewed=time.monotonic()))
         self.queue.journal("worker-start", worker=self.name, pid=sb.pid,
                            job=job.id)
@@ -534,8 +539,8 @@ class Farm:
             result, err = None, exc
         for ev in runner.events:
             self.queue.journal("isolation-event", job=job.id,
-                               worker=self.name, kind=ev.kind,
-                               message=ev.message)
+                               worker=self.name, attempt=att.attempt,
+                               **ev.to_dict())
         if err is None:
             self.queue.complete(job, lease, result)
             return

@@ -15,39 +15,36 @@ beyond the standard library and ``/proc``:
   touches every marching step (throttled, atomic writes);
 * :class:`IsolationPolicy` — the budgets: wall-clock **deadline**, RSS
   **memory budget** (polled from ``/proc/<pid>/status``, falling back
-  to the child's self-reported ``getrusage`` numbers), heartbeat
+  to the child's self-reported ``getrusage`` numbers) and heartbeat
   **stall timeout** (a hang is declared after silence, not just total
-  elapsed time) and, for marching solves, a bounded **restart budget**;
+  elapsed time);
 * :class:`IsolationEvent` — the typed record (``hang`` / ``oom`` /
   ``deadline`` / ``crash``) every kill leaves behind;
 * :class:`Sandbox` — one running child, checked against the budgets by
   each non-blocking :meth:`Sandbox.poll`, so one supervisor (the solve
   farm) can watch many;
-* :class:`IsolatedRunner` — executes any persist-protocol marching
-  solver (:meth:`IsolatedRunner.run_solver`) or an arbitrary callable
-  (:meth:`IsolatedRunner.run_callable`, used by the batch service; the
-  solve farm calls its two halves, :meth:`~IsolatedRunner.start` and
-  :meth:`~IsolatedRunner.result`, around its own supervision loop) in a
-  supervised child process.  On a violation the child's group is
-  killed and the event recorded.  A marching solve is then
-  **auto-resumed in a fresh child from the durable**
-  :class:`~repro.resilience.persistence.SnapshotStore`, with the
-  caller's own ``resilience`` and ``watchdog`` and no faults, so a
-  wedged solve becomes a resumed solve, not an abort; only
-  restart-budget exhaustion raises, and then with a
-  :class:`~repro.resilience.report.FailureReport` carrying every
-  isolation event (and the exact fault schedule, when one was armed).
-  A callable runs once: its kill raises at once, with the same report.
+* :class:`IsolatedRunner` — runs one call in a supervised child
+  process, once: :meth:`~IsolatedRunner.run_callable` (used by the
+  batch service) supervises it to the end; the solve farm calls its two
+  halves, :meth:`~IsolatedRunner.start` and
+  :meth:`~IsolatedRunner.result`, around its own supervision loop.  On
+  a violation the child's group is killed, the event recorded, and the
+  call raises with a :class:`~repro.resilience.report.FailureReport`
+  carrying it.
 
-A sandbox started inside a sandbox (a farm ``chaos_round`` job's inner
-march, a farm ``batch`` chunk's sandboxed request) stays in the
-enclosing sandbox's process group — only a top-level sandbox calls
-``setpgid`` — so the one group kill that ends the outer sandbox ends
-every sandbox inside it.
+A sandbox never restarts itself.  A killed march resumes as a farm job
+does: the queue retries the job, and the next attempt's march resumes
+from the durable snapshots in its ``work/<id>/ckpt`` directory (see
+:mod:`repro.resilience.farm`).
+
+A sandbox started inside a sandbox (a farm ``batch`` chunk's sandboxed
+request) stays in the enclosing sandbox's process group — only a
+top-level sandbox calls ``setpgid`` — so the one group kill that ends
+the outer sandbox ends every sandbox inside it.
 
 The chaos harness (:mod:`repro.resilience.chaos`, ``python -m repro
-chaos``) drives random fault schedules through this runner and asserts
-the invariants hold round after round.
+chaos``) drives random fault schedules through farm sandboxes and
+asserts the invariants hold round after round.
 """
 
 from __future__ import annotations
@@ -67,7 +64,7 @@ from multiprocessing.connection import wait
 
 import multiprocessing as mp
 
-from repro.errors import CatError, CheckpointError, SolverError
+from repro.errors import CatError, SolverError
 from repro.resilience.persistence import atomic_write
 from repro.resilience.report import FailureReport
 
@@ -77,8 +74,8 @@ __all__ = ["Heartbeat", "IsolationEvent", "IsolationPolicy",
            "set_process_heartbeat", "signal_group", "kill_pid_tree"]
 
 #: Budget-check period [s] of the blocking supervision loop
-#: (:meth:`IsolatedRunner.run_solver`, :meth:`IsolatedRunner.run_callable`);
-#: the loop still wakes at once when the child exits.
+#: (:meth:`IsolatedRunner.run_callable`); the loop still wakes at once
+#: when the child exits.
 _POLL_INTERVAL = 0.02
 
 #: Seconds between the SIGTERM that starts a kill and the SIGKILL that
@@ -243,7 +240,7 @@ def kill_pid_tree(pid: int | None) -> None:
 
 @dataclass
 class IsolationPolicy:
-    """Budgets and knobs of a sandboxed solve.
+    """The three budgets of a sandboxed call.
 
     Attributes
     ----------
@@ -257,22 +254,12 @@ class IsolationPolicy:
     stall_timeout:
         Heartbeat silence [s] after which the child is declared hung.
         None disables hang detection (the right default for callables
-        that never beat); marching solves under
-        :meth:`IsolatedRunner.run_solver` beat every step.
-    max_restarts:
-        Fresh children :meth:`IsolatedRunner.run_solver` spawns after
-        kills before it gives up and raises with a report.  0 = one
-        attempt, no resume.  A callable always runs once.
-    every_n_steps:
-        Durable snapshot cadence the child marches with (the resume
-        granularity after a kill); an integer >= 1.
+        that never beat); every solver march beats every step.
     """
 
     deadline: float | None = None
     memory_mb: float | None = None
     stall_timeout: float | None = None
-    max_restarts: int = 2
-    every_n_steps: int = 10
 
 
 @dataclass
@@ -286,7 +273,6 @@ class IsolationEvent:
     """
 
     kind: str
-    attempt: int
     elapsed: float
     message: str
     step: int | None = None
@@ -294,7 +280,7 @@ class IsolationEvent:
     exitcode: int | None = None
 
     def to_dict(self) -> dict:
-        return {"kind": self.kind, "attempt": int(self.attempt),
+        return {"kind": self.kind,
                 "elapsed": round(float(self.elapsed), 3),
                 "message": self.message, "step": self.step,
                 "rss_mb": (None if self.rss_mb is None
@@ -330,26 +316,6 @@ def _write_error(err_path, exc):
         pass
 
 
-def _solver_child(hb_path, err_path, factory, run_kwargs, persist,
-                  faults, resilience, watchdog):
-    """Build the solver and march it durably inside the sandbox."""
-    _enter_sandbox(hb_path)
-    try:
-        solver = factory()
-        solver.run(**dict(run_kwargs or {}), persist=persist,
-                   faults=faults, resilience=resilience,
-                   watchdog=watchdog)
-        sys.exit(0)
-    except SystemExit:
-        raise
-    # catlint: disable=CAT012 -- sandbox child boundary: every failure,
-    # *including* SimulatedCrash, must become a written traceback plus a
-    # nonzero exit so the supervising parent sees a crash, not a hang
-    except BaseException as exc:
-        _write_error(err_path, exc)
-        sys.exit(70)
-
-
 def _callable_child(hb_path, err_path, fn, args, kwargs, res_path):
     """Run ``fn`` in the sandbox and pickle ``(raised, value)`` for the
     parent: its result, or a :class:`~repro.errors.CatError` it raised,
@@ -366,9 +332,9 @@ def _callable_child(hb_path, err_path, fn, args, kwargs, res_path):
         sys.exit(0)
     except SystemExit:
         raise
-    # catlint: disable=CAT012 -- sandbox child boundary: every failure
-    # must become a written traceback plus a nonzero exit (see
-    # _solver_child)
+    # catlint: disable=CAT012 -- sandbox child boundary: every failure,
+    # *including* SimulatedCrash, must become a written traceback plus a
+    # nonzero exit so the supervising parent sees a crash, not a hang
     except BaseException as exc:
         _write_error(err_path, exc)
         sys.exit(70)
@@ -418,9 +384,9 @@ def _exited(pid: int) -> bool:
 class Sandbox:
     """One running sandbox child, supervised without blocking.
 
-    :meth:`IsolatedRunner.start` (or :meth:`IsolatedRunner.run_solver`)
-    forks it into ``workdir``, where it keeps its heartbeat
-    (``heartbeat.json``) and error notes (``attempt-N.err``).  Each
+    :meth:`IsolatedRunner.start` forks it into ``workdir``, where it
+    keeps its heartbeat (``heartbeat.json``) and error notes
+    (``child.err``).  Each
     :meth:`poll` checks it once against the runner's budgets and returns
     True once the child is gone.  A violation, or :meth:`stop`, starts
     the kill, which spans polls: SIGTERM and SIGCONT (a stopped child
@@ -436,13 +402,11 @@ class Sandbox:
     wake when the child exits.
     """
 
-    def __init__(self, runner, workdir: str, attempt: int, target,
-                 *args):
+    def __init__(self, runner, workdir: str, target, *args):
         self.runner = runner
         self.workdir = workdir
-        self.attempt = attempt
         self.hb_path = os.path.join(workdir, "heartbeat.json")
-        self.err_path = os.path.join(workdir, f"attempt-{attempt}.err")
+        self.err_path = os.path.join(workdir, "child.err")
         self._raw = _read_beat(self.hb_path)
         self.proc = mp.get_context("fork").Process(
             target=target, args=(self.hb_path, self.err_path, *args),
@@ -496,7 +460,7 @@ class Sandbox:
             sig_note = (f"signal {-code}" if code is not None and code < 0
                         else f"exit code {code}")
             self.event = IsolationEvent(
-                kind="crash", attempt=self.attempt, elapsed=now - self.t0,
+                kind="crash", elapsed=now - self.t0,
                 step=beat.get("step"), rss_mb=beat.get("rss_mb"),
                 exitcode=code,
                 message=f"{self.runner.label}: child died with {sig_note}")
@@ -524,8 +488,7 @@ class Sandbox:
                                  f"{pol.stall_timeout:.1f} s)")
         else:
             return
-        self.stop(IsolationEvent(kind=kind, attempt=self.attempt,
-                                 elapsed=now - self.t0,
+        self.stop(IsolationEvent(kind=kind, elapsed=now - self.t0,
                                  step=beat.get("step"), rss_mb=rss,
                                  message=msg))
 
@@ -535,7 +498,7 @@ class Sandbox:
 # ----------------------------------------------------------------------
 
 class IsolatedRunner:
-    """Supervised, sandboxed execution with auto-resume.
+    """Supervised, sandboxed execution of one call at a time.
 
     Parameters
     ----------
@@ -544,8 +507,8 @@ class IsolatedRunner:
     label:
         Name used in events, errors and reports.
 
-    After a run, :attr:`events` holds every :class:`IsolationEvent`
-    observed (empty for an undisturbed solve).
+    After a run, :attr:`events` holds the :class:`IsolationEvent` of
+    its kill (empty for an undisturbed call).
     """
 
     def __init__(self, policy: IsolationPolicy | None = None, *,
@@ -554,27 +517,8 @@ class IsolatedRunner:
         self.label = label or "isolated"
         self.events: list[IsolationEvent] = []
 
-    # -- supervision core ----------------------------------------------
-
-    def _supervise(self, sb: Sandbox, on_spawn=None) -> IsolationEvent | None:
-        """Poll ``sb`` until it is gone, waking when it exits or every
-        :data:`_POLL_INTERVAL`; returns its event (None: clean exit).
-        When the hook or the loop raises, the child is killed first."""
-        try:
-            if on_spawn is not None:
-                on_spawn(sb.pid, sb.attempt)
-            while not sb.poll():
-                wait([sb.sentinel], _POLL_INTERVAL)
-        finally:
-            if not sb.done:
-                sb.stop()
-                while not sb.poll():
-                    wait([sb.sentinel], _POLL_INTERVAL)
-        return sb.event
-
-    def _killed(self, message: str, faults=None) -> SolverError:
-        """Typed abort; its report carries every event (and, when a
-        fault injector was armed, its exact schedule)."""
+    def _killed(self, message: str) -> SolverError:
+        """Typed abort; its report carries the kill's event."""
         last = self.events[-1] if self.events else None
         report = FailureReport(
             label=self.label,
@@ -582,103 +526,13 @@ class IsolatedRunner:
                    else f"{self.label}: {message}"),
             step=None if last is None else last.step,
             attempts=[e.to_dict() for e in self.events],
-            isolation=[e.to_dict() for e in self.events],
-            fault_schedule=(None if faults is None
-                            or not hasattr(faults, "to_json")
-                            else faults.to_json()))
+            isolation=[e.to_dict() for e in self.events])
         err = SolverError(f"{self.label}: {message}",
                           exitcode=None if last is None else last.exitcode)
         err.report = report
         return err
 
     # -- public API -----------------------------------------------------
-
-    def run_solver(self, factory, run_kwargs: dict | None = None, *,
-                   workdir, faults=None, resilience=None, watchdog=None,
-                   on_spawn=None):
-        """March ``factory()`` to completion inside supervised children.
-
-        Parameters
-        ----------
-        factory:
-            Zero-argument callable building a fresh, initialised
-            persist-protocol solver (euler1d, euler2d/ns2d,
-            reacting_euler2d).  Runs inside each child (fork start
-            method: no pickling needed), and once in the parent to
-            take the final snapshot.
-        run_kwargs:
-            Keyword arguments for ``solver.run``.
-        workdir:
-            Directory for the durable snapshot ladder, heartbeat file
-            and error notes.  The snapshots are what a fresh child
-            resumes from after a kill.
-        faults:
-            Optional :class:`~repro.resilience.faults.FaultInjector`
-            armed **only for the first attempt** — the model is a
-            transient upset; restarted children run clean and replay
-            from the last durable snapshot.
-        resilience, watchdog:
-            Passed through to ``solver.run`` in the child.
-        on_spawn:
-            Optional ``on_spawn(pid, attempt)`` hook called right after
-            each child starts (ops/testing: pin, trace or — in the test
-            suite — SIGSTOP it).
-
-        Returns a fresh ``factory()`` solver holding the final durable
-        snapshot's state (fingerprint-checked), with
-        ``solver.isolation_events`` set.  Raises
-        :class:`~repro.errors.SolverError` (with a
-        :class:`~repro.resilience.report.FailureReport`) only when the
-        restart budget is exhausted, and the store's
-        :class:`~repro.errors.CheckpointError` before any child starts
-        when ``policy.every_n_steps`` is not an integer >= 1.
-        """
-        from repro.resilience.persistence import (PersistencePolicy,
-                                                  SnapshotStore)
-        pol = self.policy
-        self.events = []
-        workdir = os.fspath(workdir)
-        os.makedirs(workdir, exist_ok=True)
-        ckpt_dir = os.path.join(workdir, "ckpt")
-        persist = PersistencePolicy(dir=ckpt_dir,
-                                    every_n_steps=pol.every_n_steps)
-        store = SnapshotStore(persist)
-        for attempt in range(pol.max_restarts + 1):
-            sb = Sandbox(self, workdir, attempt, _solver_child, factory,
-                         run_kwargs, persist,
-                         faults if attempt == 0 else None, resilience,
-                         watchdog)
-            ev = self._supervise(sb, on_spawn)
-            if ev is None:
-                solver = factory()
-                try:
-                    snap = store.load_latest(solver=solver)
-                except CheckpointError:
-                    snap = None
-                if snap is not None and snap.completed:
-                    solver.converged = snap.converged
-                    solver.isolation_events = [e.to_dict()
-                                               for e in self.events]
-                    return solver
-                # clean exit but the completed generation is missing or
-                # failed verification (e.g. a torn/corrupt tail): treat
-                # like a crash and let a fresh child re-march from the
-                # newest valid snapshot
-                self.events.append(IsolationEvent(
-                    kind="crash", attempt=attempt, elapsed=0.0,
-                    exitcode=0,
-                    message=(f"{self.label}: child exited cleanly but "
-                             f"left no completed snapshot in "
-                             f"{ckpt_dir!r} (corrupt or missing tail)")))
-                continue
-            if ev.kind == "crash":
-                tail = _read_error_tail(sb.err_path)
-                if tail:
-                    ev.message = f"{ev.message}: {tail}"
-        raise self._killed(
-            f"isolated solve killed {len(self.events)} time(s) "
-            f"({'/'.join(e.kind for e in self.events)}) and the restart "
-            f"budget ({pol.max_restarts}) is exhausted", faults)
 
     def start(self, fn, args: tuple = (), kwargs: dict | None = None, *,
               workdir) -> Sandbox:
@@ -695,7 +549,7 @@ class IsolatedRunner:
             os.remove(res_path)
         except OSError:
             pass
-        return Sandbox(self, workdir, 0, _callable_child, fn, args, kwargs,
+        return Sandbox(self, workdir, _callable_child, fn, args, kwargs,
                        res_path)
 
     def result(self, sb: Sandbox):
@@ -727,8 +581,7 @@ class IsolatedRunner:
         if value.report is None:
             value.report = FailureReport(
                 label=self.label, error=str(value),
-                attempts=[*(e.to_dict() for e in self.events),
-                          {"attempt": sb.attempt,
+                attempts=[{"attempt": 0,
                            "error_type": type(value).__name__,
                            "message": str(value)}])
         raise value
@@ -736,17 +589,29 @@ class IsolatedRunner:
     def run_callable(self, fn, args: tuple = (), kwargs: dict | None
                      = None, *, workdir=None, on_spawn=None):
         """Run ``fn(*args, **kwargs)`` sandboxed, once; return its
-        (pickled) result — :meth:`start`, supervised to the end, then
-        :meth:`result`.
+        (pickled) result — :meth:`start`, polled until the child is
+        gone (waking when it exits or every :data:`_POLL_INTERVAL`),
+        then :meth:`result`.
 
         Hang detection applies only when ``policy.stall_timeout`` is set
         *and* the callable beats (every solver march inside it does, via
-        the process heartbeat).  Without ``workdir`` the sandbox keeps
-        its files in a temporary directory removed on return.
+        the process heartbeat).  ``on_spawn(pid)``, when given, is
+        called right after the child starts; when it or the loop raises,
+        the child is killed first.  Without ``workdir`` the sandbox
+        keeps its files in a temporary directory removed on return.
         """
         with (tempfile.TemporaryDirectory(prefix="repro-isolate-")
               if workdir is None else contextlib.nullcontext(workdir)) \
                 as wd:
             sb = self.start(fn, args, kwargs, workdir=wd)
-            self._supervise(sb, on_spawn)
+            try:
+                if on_spawn is not None:
+                    on_spawn(sb.pid)
+                while not sb.poll():
+                    wait([sb.sentinel], _POLL_INTERVAL)
+            finally:
+                if not sb.done:
+                    sb.stop()
+                    while not sb.poll():
+                        wait([sb.sentinel], _POLL_INTERVAL)
             return self.result(sb)

@@ -159,13 +159,9 @@ class Job:
                               or not isinstance(n, Integral) or n < 1):
             raise InputError(f"job {self.id!r}: max_attempts must be an "
                              f"integer >= 1, got {n!r}")
-        for name in ("deadline", "memory_mb", "stall_timeout"):
-            v = getattr(self, name)
-            if v is not None and (isinstance(v, bool)
-                                  or not isinstance(v, Real)
-                                  or not (math.isfinite(v) and v > 0)):
-                raise InputError(f"job {self.id!r}: {name} must be a "
-                                 f"finite number > 0, got {v!r}")
+        check_budgets(f"job {self.id!r}", deadline=self.deadline,
+                      memory_mb=self.memory_mb,
+                      stall_timeout=self.stall_timeout)
 
     def to_dict(self) -> dict:
         return {"id": self.id, "kind": self.kind,
@@ -184,6 +180,19 @@ class Job:
                    deadline=d.get("deadline"),
                    memory_mb=d.get("memory_mb"),
                    stall_timeout=d.get("stall_timeout"))
+
+
+def check_budgets(owner: str, **budgets) -> None:
+    """Each of ``budgets`` (a wall-clock or RSS budget) must be None or
+    a finite number > 0, a bool refused; InputError naming ``owner``
+    otherwise.  A negative deadline would kill every attempt as it
+    starts, a NaN memory budget is never exceeded."""
+    for name, v in budgets.items():
+        if v is not None and (isinstance(v, bool)
+                              or not isinstance(v, Real)
+                              or not (math.isfinite(v) and v > 0)):
+            raise InputError(f"{owner}: {name} must be None or a finite "
+                             f"number > 0, got {v!r}")
 
 
 def check_job_id(job_id) -> str:

@@ -81,9 +81,9 @@ class FailureReport:
         :class:`~repro.resilience.watchdog.WatchdogEvent` dicts recorded
         by an attached watchdog (``None`` when none was attached).
     isolation:
-        :class:`~repro.resilience.isolation.IsolationEvent` dicts — one
-        per kill the supervising parent performed before giving up
-        (``None`` when the run was not sandboxed).
+        :class:`~repro.resilience.isolation.IsolationEvent` dicts — the
+        kill the supervising parent performed (``None`` when the run
+        was not sandboxed).
     fault_schedule:
         Exact :meth:`~repro.resilience.faults.FaultInjector.to_json`
         schedule that was armed (``None`` when none) — enough for a
@@ -161,8 +161,8 @@ class FailureReport:
             lines.append(f"  isolation kills: {len(self.isolation)} "
                          f"({kinds})")
             for e in self.isolation[-5:]:
-                lines.append(f"    - [{e.get('kind')}] attempt "
-                             f"{e.get('attempt')}: {e.get('message')}")
+                lines.append(f"    - [{e.get('kind')}] step "
+                             f"{e.get('step')}: {e.get('message')}")
         if self.fault_schedule and self.fault_schedule.get("faults"):
             lines.append(f"  fault schedule: "
                          f"{len(self.fault_schedule['faults'])} armed "

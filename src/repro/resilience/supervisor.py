@@ -49,13 +49,16 @@ __all__ = ["RetryPolicy", "RunSupervisor", "supervised_call"]
 CHECKPOINT_INTERVAL = 25
 
 
-def _switch(name: str, value) -> bool:
-    """An on/off supervision keyword: ``None`` and ``False`` are off."""
+def _switch(name: str, value, policy: type | None = None) -> bool:
+    """An on/off supervision keyword: ``None`` and ``False`` are off;
+    ``True``, or an instance of ``policy`` when one is named, is on."""
     if value is None or value is False:
         return False
-    if value is True:
+    if value is True or (policy is not None and isinstance(value, policy)):
         return True
-    raise TypeError(f"{name} must be None, False or True, not "
+    allowed = ("None, False or True" if policy is None
+               else f"None, False, True or a {policy.__name__}")
+    raise TypeError(f"{name} must be {allowed}, not "
                     f"{type(value).__name__}")
 
 
@@ -102,7 +105,7 @@ class RunSupervisor:
     resilience:
         A :class:`RetryPolicy`, or ``True`` for the defaults: the
         rollback / CFL-backoff retry ladder.  ``None`` and ``False``
-        leave it off.
+        leave it off; any other value raises :class:`TypeError`.
     faults:
         Optional :class:`~repro.resilience.faults.FaultInjector`; armed
         faults are applied after every successful step so that the guard
@@ -141,8 +144,9 @@ class RunSupervisor:
         self.label = label or type(solver).__name__
         self.watchdog = (ConservationWatchdog()
                          if _switch("watchdog", watchdog) else None)
-        armed = any(v is not None and v is not False for v in (
-            resilience, faults, persist, self.watchdog))
+        armed = _switch("resilience", resilience, RetryPolicy) or any(
+            v is not None and v is not False
+            for v in (faults, persist, self.watchdog))
         self.policy = (resilience if isinstance(resilience, RetryPolicy)
                        else RetryPolicy() if armed else None)
         self.faults = faults

@@ -437,20 +437,13 @@ class TestRetryLadderExhaustion:
                                factor=1e-4, persistent=True)
         return fi
 
-    def test_aborts_without_degradation(self):
-        s = _make_reacting_small()
-        with pytest.raises(CatError) as ei:
-            s.run(n_steps=40, cfl=0.4,
-                  resilience=RetryPolicy(**self.POLICY),
-                  faults=self._faults())
-        # the exhausted ladder attaches its FailureReport
-        assert getattr(ei.value, "report", None) is not None
-
     def test_convergence_error_enters_retry_ladder(self):
         """A mid-march ConvergenceError (implicit sub-solve dying on a
-        corrupted state) must be retryable, not a raw abort."""
+        corrupted state) must be retryable, not a raw abort: the march
+        ends on the exhausted ladder's StabilityError, report attached."""
         s = _make_reacting_small()
-        with pytest.raises(StabilityError, match="retry ladder"):
+        with pytest.raises(StabilityError, match="retry ladder") as ei:
             s.run(n_steps=40, cfl=0.4,
                   resilience=RetryPolicy(**self.POLICY),
                   faults=self._faults())
+        assert ei.value.report is not None

@@ -720,6 +720,15 @@ class TestPolicy:
         for offset in (float("nan"), float("inf"), -float("inf")):
             with pytest.raises(InputError, match="clock_offset"):
                 FarmPolicy(clock_offset=offset)
+        # budgets follow Job's rule: None or a finite number > 0, no
+        # bools — a negative deadline kills every attempt as it starts,
+        # a NaN memory budget is never exceeded
+        for name in ("deadline", "memory_mb", "stall_timeout",
+                     "max_wall_time"):
+            for bad in (-1.0, 0.0, float("nan"), float("inf"), True, "5"):
+                with pytest.raises(InputError, match=name):
+                    FarmPolicy(**{name: bad})
+            FarmPolicy(**{name: 2.5})
 
     def test_unknown_job_kind_dead_letters(self, tmp_path, silent):
         jobs = [Job(id="x", kind="no-such-kind", max_attempts=1)]

@@ -1,20 +1,20 @@
 """Process-isolation tests.
 
-The contract under test (see DESIGN.md "Process isolation" and
-ISSUE acceptance criteria):
+The contract under test (see DESIGN.md "Process isolation"):
 
-* a genuinely SIGSTOPped child (real OS stop, not a simulation) is
-  declared hung via heartbeat silence, killed through the
-  SIGCONT+SIGTERM→SIGKILL escalation and auto-resumed from the latest
+* a genuinely SIGSTOPped sandbox (real OS stop, not a simulation) is
+  declared hung via heartbeat silence and killed through the
+  SIGCONT+SIGTERM→SIGKILL escalation; the farm retries its
+  ``solver_case`` job, whose next attempt resumes from the latest
   durable snapshot to a **bitwise-identical** final state,
-* a child that actually balloons its RSS past the budget is killed with
-  an ``oom`` event and likewise resumed bitwise,
+* a sandbox that actually balloons its RSS past the budget is killed
+  with an ``oom`` event and likewise resumed bitwise,
 * a wall-clock deadline expiring mid-march kills and resumes,
-* restart-budget exhaustion raises a typed :class:`SolverError`
-  carrying a :class:`FailureReport` with every isolation event and the
-  exact fault schedule for replay,
-* a sandbox started inside a sandbox dies with it, even when it
-  ignores SIGTERM,
+* attempt-budget exhaustion dead-letters the job with a
+  :class:`FailureReport` carrying the isolation event, one journal line
+  per killed attempt,
+* a sandboxed callable runs once; a sandbox started inside a sandbox
+  dies with it, even when it ignores SIGTERM,
 * the chaos harness is deterministic (same seed → same schedules →
   same outcomes) and leaves no orphan processes,
 * the CLI exits 0 on success, 1 on solver failure, 2 on usage errors.
@@ -31,22 +31,19 @@ import time
 import numpy as np
 import pytest
 
-from repro.errors import CheckpointError, InputError, SolverError
+from repro.errors import InputError, SolverError
 from repro.resilience import (FaultInjector, IsolatedRunner,
                               IsolationPolicy)
-from repro.resilience.chaos import (CASES, run_chaos, run_chaos_farm,
-                                    run_chaos_hosts, run_chaos_jobs,
-                                    sample_schedule)
-from repro.resilience.farm import sandbox_records
+from repro.resilience.chaos import (CASES, run_chaos, run_chaos_hosts,
+                                    run_chaos_jobs, sample_schedule)
+from repro.resilience.farm import (FarmPolicy, run_campaign,
+                                   sandbox_records, state_fingerprint)
 from repro.resilience.isolation import _read_rss_mb
-from repro.resilience.queue import WorkQueue
+from repro.resilience.queue import BackoffPolicy, Job, WorkQueue
 
-
-def _state_bytes(solver):
-    out = {}
-    for k, v in solver.get_state().items():
-        out[k] = v.tobytes() if isinstance(v, np.ndarray) else v
-    return out
+#: the rounds campaign's checks, whatever its -j and --kill-workers
+ROUNDS_CHECKS = ["rounds_ok", "drained", "dead_letters_reported",
+                 "no_orphans", "kills_landed"]
 
 
 def _no_orphans():
@@ -106,59 +103,81 @@ def _running(pid):
         return False
 
 
+def _reference(case, **run_kwargs):
+    """Fingerprint of ``case`` marched uninterrupted in this process."""
+    factory, kwargs, _, _ = CASES[case]
+    solver = factory()
+    solver.run(**{**kwargs, **run_kwargs})
+    return state_fingerprint(solver)
+
+
+def _march_on_farm(tmp_path, silent, case, *, run_kwargs=None,
+                   faults=None, max_attempts=3, **budgets):
+    """Run ``case`` as the one ``solver_case`` job (id ``march``) of an
+    in-process farm, ``faults`` armed on its first attempt and
+    ``budgets`` its isolation budgets; returns the queue, the job's
+    ``isolation-event`` journal lines and its result fingerprint (None
+    when it dead-lettered)."""
+    payload = {"case": case, "every_n_steps": 3,
+               "run_kwargs": dict(run_kwargs or {})}
+    if faults is not None:
+        payload["faults"] = faults.to_json()
+    job = Job(id="march", kind="solver_case", payload=payload,
+              max_attempts=max_attempts, **budgets)
+    run_campaign(tmp_path / "q", [job], policy=FarmPolicy(
+        n_workers=1, lease_ttl=10.0, poll_interval=0.05,
+        backoff=BackoffPolicy(base=0.05, max_delay=0.2)), stream=silent)
+    queue = WorkQueue(tmp_path / "q")
+    events = [rec for rec in queue.read_journal()
+              if rec["event"] == "isolation-event"]
+    res = queue.result("march")
+    return queue, events, (None if res is None
+                           else res["result"]["state_sha256"])
+
+
 # ----------------------------------------------------------------------
 # real hang: SIGSTOP mid-march
 # ----------------------------------------------------------------------
 
 
 class TestSigstopHang:
-    def test_stopped_child_killed_and_resumed_bitwise(self, tmp_path):
-        """SIGSTOP a marching child once it has durable snapshots; the
-        runner must see heartbeat silence, kill through the SIGCONT
-        escalation, and resume to the uninterrupted answer."""
-        factory, _, _, _ = CASES["euler2d"]
+    def test_stopped_child_killed_and_resumed_bitwise(self, tmp_path,
+                                                      silent):
+        """SIGSTOP a marching sandbox once it has durable snapshots; the
+        farm must see heartbeat silence, kill through the SIGCONT
+        escalation, and the retried job resume to the uninterrupted
+        answer."""
         run_kwargs = {"n_steps": 40, "cfl": 0.3}
-        ref = factory()
-        ref.run(**run_kwargs)
-
-        hb_path = tmp_path / "heartbeat.json"
+        hb_path = tmp_path / "q" / "work" / "march" / "sandbox" \
+            / "heartbeat.json"
         stopped = []
 
-        def stopper(pid, attempt):
-            if attempt != 0:
-                return
-
-            def watch():
-                deadline = time.monotonic() + 60.0
-                while time.monotonic() < deadline:
+        def watch():
+            deadline = time.monotonic() + 60.0
+            while not stopped and time.monotonic() < deadline:
+                try:
+                    beat = json.loads(hb_path.read_text())
+                except (OSError, ValueError):
+                    beat = {}
+                if (beat.get("step") or 0) >= 8:
                     try:
-                        with open(hb_path) as f:
-                            beat = json.load(f)
-                    except (OSError, ValueError):
-                        beat = {}
-                    if (beat.get("step") or 0) >= 8:
-                        try:
-                            os.kill(pid, signal.SIGSTOP)
-                        except ProcessLookupError:
-                            return
-                        stopped.append(beat["step"])
+                        os.kill(beat["pid"], signal.SIGSTOP)
+                    except ProcessLookupError:
                         return
-                    time.sleep(0.005)
+                    stopped.append(beat["step"])
+                time.sleep(0.005)
 
-            threading.Thread(target=watch, daemon=True).start()
-
-        policy = IsolationPolicy(stall_timeout=1.0, max_restarts=2,
-                                 every_n_steps=3)
-        runner = IsolatedRunner(policy, label="sigstop")
-        solver = runner.run_solver(factory, run_kwargs,
-                                   workdir=tmp_path, on_spawn=stopper)
+        watcher = threading.Thread(target=watch, daemon=True)
+        watcher.start()
+        _, events, got = _march_on_farm(tmp_path, silent, "euler2d",
+                                        run_kwargs=run_kwargs,
+                                        stall_timeout=1.0)
+        watcher.join(60.0)
 
         assert stopped, "watcher never caught the march to SIGSTOP it"
-        kinds = [e.kind for e in runner.events]
-        assert kinds == ["hang"], kinds
-        assert runner.events[0].attempt == 0
-        assert _state_bytes(solver) == _state_bytes(ref)
-        assert solver.isolation_events[0]["kind"] == "hang"
+        assert [(e["kind"], e["attempt"]) for e in events] == \
+            [("hang", 1)], events
+        assert got == _reference("euler2d", **run_kwargs)
         assert _no_orphans()
 
 
@@ -168,11 +187,8 @@ class TestSigstopHang:
 
 
 class TestMemoryBalloon:
-    def test_ballooning_child_killed_as_oom_and_resumed(self, tmp_path):
-        factory, run_kwargs, _, _ = CASES["euler1d"]
-        ref = factory()
-        ref.run(**run_kwargs)
-
+    def test_ballooning_child_killed_as_oom_and_resumed(self, tmp_path,
+                                                        silent):
         base = _read_rss_mb()
         assert base is not None, "RSS introspection unavailable"
         # a fork child shares the parent's resident pages, so the budget
@@ -180,18 +196,14 @@ class TestMemoryBalloon:
         # straight through the 250 MiB headroom
         faults = FaultInjector().inject_memory_balloon(step=9, mb=500.0,
                                                        hold=600.0)
-        policy = IsolationPolicy(memory_mb=base + 250.0,
-                                 stall_timeout=None, max_restarts=2,
-                                 every_n_steps=3)
-        runner = IsolatedRunner(policy, label="balloon")
-        solver = runner.run_solver(factory, run_kwargs,
-                                   workdir=tmp_path, faults=faults)
+        budget = base + 250.0
+        _, events, got = _march_on_farm(tmp_path, silent, "euler1d",
+                                        faults=faults, memory_mb=budget)
 
-        kinds = [e.kind for e in runner.events]
-        assert kinds == ["oom"], kinds
-        ev = runner.events[0]
-        assert ev.rss_mb is not None and ev.rss_mb > policy.memory_mb
-        assert _state_bytes(solver) == _state_bytes(ref)
+        assert [e["kind"] for e in events] == ["oom"], events
+        assert events[0]["rss_mb"] is not None
+        assert events[0]["rss_mb"] > budget
+        assert got == _reference("euler1d")
         assert _no_orphans()
 
 
@@ -201,82 +213,59 @@ class TestMemoryBalloon:
 
 
 class TestDeadline:
-    def test_deadline_expiry_kills_and_resumes(self, tmp_path):
-        factory, run_kwargs, _, _ = CASES["euler1d"]
-        ref = factory()
-        ref.run(**run_kwargs)
-
+    def test_deadline_expiry_kills_and_resumes(self, tmp_path, silent):
         # the hang fault parks the march mid-way with SIGTERM ignored:
         # the deadline (stall detection off) is what must fire, and the
         # kill must escalate to SIGKILL past the ignored SIGTERM
         faults = FaultInjector().inject_hang(step=7, duration=600.0)
-        policy = IsolationPolicy(deadline=2.0, stall_timeout=None,
-                                 max_restarts=1, every_n_steps=3)
-        runner = IsolatedRunner(policy, label="deadline")
         t0 = time.monotonic()
-        solver = runner.run_solver(factory, run_kwargs,
-                                   workdir=tmp_path, faults=faults)
+        _, events, got = _march_on_farm(tmp_path, silent, "euler1d",
+                                        faults=faults, deadline=2.0)
         elapsed = time.monotonic() - t0
 
-        kinds = [e.kind for e in runner.events]
-        assert kinds == ["deadline"], kinds
-        assert _state_bytes(solver) == _state_bytes(ref)
+        assert [e["kind"] for e in events] == ["deadline"], events
+        assert got == _reference("euler1d")
         # deadline + grace + resume, not the fault's 600 s sleep
         assert elapsed < 30.0
         assert _no_orphans()
 
 
 # ----------------------------------------------------------------------
-# restart-budget exhaustion -> typed abort
+# attempt-budget exhaustion -> dead letter with a report
 # ----------------------------------------------------------------------
 
 
 class TestRestartBudget:
-    def test_exhaustion_raises_with_report_and_schedule(self, tmp_path):
-        factory, run_kwargs, _, _ = CASES["euler1d"]
-        faults = FaultInjector().inject_crash(step=99)  # never fires
+    def test_exhaustion_dead_letters_with_report(self, tmp_path, silent,
+                                                 monkeypatch):
+        """Every attempt wedges at birth (SIGSTOP right after the fork):
+        each is killed as hung, and the job dead-letters once its
+        attempt budget is spent, with the last kill's report."""
+        start = IsolatedRunner.start
 
-        def stopper(pid, attempt):
-            os.kill(pid, signal.SIGSTOP)   # every attempt wedges at birth
+        def start_stopped(runner, *args, **kwargs):
+            sb = start(runner, *args, **kwargs)
+            os.kill(sb.pid, signal.SIGSTOP)
+            return sb
 
-        policy = IsolationPolicy(stall_timeout=0.5, max_restarts=2,
-                                 every_n_steps=3)
-        runner = IsolatedRunner(policy, label="wedged")
-        with pytest.raises(SolverError) as exc:
-            runner.run_solver(factory, run_kwargs, workdir=tmp_path,
-                              faults=faults, on_spawn=stopper)
-        err = exc.value
-        assert "restart budget" in str(err)
-        report = err.report
+        monkeypatch.setattr(IsolatedRunner, "start", start_stopped)
+        queue, events, got = _march_on_farm(tmp_path, silent, "euler1d",
+                                            stall_timeout=0.5)
+        assert got is None
+        assert queue.state("march")["status"] == "dead"
+        assert [(e["kind"], e["attempt"]) for e in events] == \
+            [("hang", 1), ("hang", 2), ("hang", 3)]
+        rec = queue.dead_letter("march")
+        assert rec["attempts"] == 3
+        report = rec["report"]
         assert report is not None
-        assert len(report.isolation) == policy.max_restarts + 1
-        assert all(e["kind"] == "hang" for e in report.isolation)
-        assert report.fault_schedule == faults.to_json()
-        # the embedded schedule re-arms for deterministic replay
-        clone = FaultInjector.from_json(report.fault_schedule)
-        assert clone.to_json() == faults.to_json()
-        assert "isolation kills" in report.summary()
+        assert [e["kind"] for e in report["isolation"]] == ["hang"]
+        assert "no heartbeat" in report["error"]
         assert _no_orphans()
 
-    @pytest.mark.parametrize("every", [0, 2.5])
-    def test_bad_cadence_is_refused_before_any_spawn(self, tmp_path,
-                                                     every):
-        """The parent builds the snapshot store, so a cadence the store
-        refuses raises before any child starts instead of crashing
-        every child and spending the restart budget."""
-        factory, run_kwargs, _, _ = CASES["euler1d"]
-        spawned = []
-        runner = IsolatedRunner(IsolationPolicy(
-            every_n_steps=every, deadline=30.0, max_restarts=2))
-        with pytest.raises(CheckpointError, match="every_n_steps"):
-            runner.run_solver(factory, run_kwargs, workdir=tmp_path,
-                              on_spawn=lambda pid, a: spawned.append(pid))
-        assert spawned == [] and runner.events == []
-
     def test_callable_exhaustion(self):
-        """A callable runs once: its kill raises at once, whatever
-        ``max_restarts`` says."""
-        policy = IsolationPolicy(stall_timeout=0.5, max_restarts=1)
+        """A callable runs once: its kill raises at once."""
+        policy = IsolationPolicy(stall_timeout=0.5)
         runner = IsolatedRunner(policy, label="sleeper")
         with pytest.raises(SolverError) as exc:
             runner.run_callable(time.sleep, (600.0,))
@@ -303,7 +292,7 @@ class TestRunCallable:
                 f.write("x")
             time.sleep(600.0)
 
-        policy = IsolationPolicy(deadline=1.0, max_restarts=1)
+        policy = IsolationPolicy(deadline=1.0)
         runner = IsolatedRunner(policy, label="slow")
         with pytest.raises(SolverError, match=r"killed \(deadline\)") \
                 as exc:
@@ -336,10 +325,9 @@ class TestRunCallable:
 
         def outer():
             IsolatedRunner(label="inner").run_callable(
-                *inner, on_spawn=lambda pid, attempt:
-                pid_file.write_text(str(pid)))
+                *inner, on_spawn=lambda pid: pid_file.write_text(str(pid)))
 
-        policy = IsolationPolicy(deadline=2.0, max_restarts=0)
+        policy = IsolationPolicy(deadline=2.0)
         with pytest.raises(SolverError, match="deadline"):
             IsolatedRunner(policy, label="outer").run_callable(outer)
         inner_pid = int(pid_file.read_text())
@@ -353,8 +341,7 @@ class TestRunCallable:
         def boom():
             raise RuntimeError("scripted failure")
 
-        policy = IsolationPolicy(max_restarts=0)
-        runner = IsolatedRunner(policy, label="boom")
+        runner = IsolatedRunner(label="boom")
         with pytest.raises(SolverError) as exc:
             runner.run_callable(boom)
         assert [e.kind for e in runner.events] == ["crash"]
@@ -365,8 +352,7 @@ class TestRunCallable:
         def bad_input():
             raise InputError("scripted input error")
 
-        policy = IsolationPolicy(max_restarts=2)
-        runner = IsolatedRunner(policy, label="typed")
+        runner = IsolatedRunner(label="typed")
         with pytest.raises(InputError, match="scripted input error") as exc:
             runner.run_callable(bad_input)
         assert runner.events == []
@@ -400,9 +386,9 @@ class TestChaosHarness:
 
     def test_campaign_deterministic_and_leaves_no_orphans(self,
                                                           tmp_path):
-        """Two euler1d-only campaigns with the same seed must sample the
-        same schedules, reach the same outcomes, exit 0 and leave no
-        children behind."""
+        """Two euler1d-only ``-j 1`` campaigns with the same seed must
+        sample the same schedules, reach the same outcomes and kills,
+        exit 0 and leave no children behind."""
         outs = [tmp_path / "a", tmp_path / "b"]
         for out in outs:
             rc = run_chaos(rounds=2, seed=11, out=str(out),
@@ -421,10 +407,12 @@ class TestChaosHarness:
             assert [e["kind"] for e in a["events"]] == \
                 [e["kind"] for e in b["events"]]
             assert a["ok"] and b["ok"]
-        ledgers = [_chaos_ledger(out, "serial", ["rounds_ok"])
+        ledgers = [_chaos_ledger(out, "rounds", ROUNDS_CHECKS)
                    for out in outs]
-        assert ledgers[0] == ledgers[1]
-        assert ledgers[0]["ok"]
+        for key in ("checks", "outcomes", "kills", "failed_rounds",
+                    "dead_rounds", "worker_kills"):
+            assert ledgers[0][key] == ledgers[1][key], key
+        assert ledgers[0]["ok"] and ledgers[0]["orphans"] == []
 
     def test_hosts_campaign_passes_and_leaves_no_orphans(self, tmp_path,
                                                           silent):
@@ -445,16 +433,13 @@ class TestChaosHarness:
 
     def test_farm_campaign_passes_and_leaves_no_orphans(self, tmp_path,
                                                          silent):
-        """Two chaos rounds as farm jobs with one scheduled sandbox
-        SIGKILL: every round holds its invariants, the kill lands and no
-        sandbox the journal names outlives the campaign."""
-        rc = run_chaos_farm(rounds=2, seed=7, out=str(tmp_path),
-                            n_workers=2, kill_workers=1, deadline=30.0,
-                            stream=silent)
+        """Two chaos rounds at once with one scheduled sandbox SIGKILL:
+        every round holds its invariants, the kill lands and no sandbox
+        the journal names outlives the campaign."""
+        rc = run_chaos(rounds=2, seed=7, out=str(tmp_path), n_workers=2,
+                       kill_workers=1, deadline=30.0, stream=silent)
         assert rc == 0, silent.getvalue()
-        ledger = _chaos_ledger(tmp_path, "farm", [
-            "rounds_ok", "drained", "dead_letters_reported",
-            "no_orphans", "kills_landed"])
+        ledger = _chaos_ledger(tmp_path, "rounds", ROUNDS_CHECKS)
         assert ledger["ok"] and ledger["orphans"] == []
         assert len(ledger["worker_kills"]) == 1
         assert sorted(ledger["outcomes"]) == ["0", "1"]
@@ -511,9 +496,8 @@ class TestCLIExitCodes:
             ["chaos", "--rounds", "x"],
             ["chaos", "--seed"],
             ["chaos", "--deadline", "-1"],
+            ["chaos", "--farm"],                      # rounds are farm jobs
             # mode-only flags are rejected even at their default values
-            ["chaos", "-j", "2"],                     # needs --farm
-            ["chaos", "--kill-workers", "2"],         # needs --farm
             ["chaos", "--steps", "40"],               # needs --jobs
             ["chaos", "--requests", "200"],           # needs --batch
             ["chaos", "--faulted", "20"],             # needs --batch
@@ -525,8 +509,9 @@ class TestCLIExitCodes:
             ["chaos", "--batch", "-j", "3"],
             ["chaos", "--batch", "--partition"],
             ["chaos", "--batch", "--rounds", "9", "--kill-workers", "1"],
-            ["chaos", "--farm", "--hosts", "2", "--kill-workers", "5"],
-            ["chaos", "--farm", "--hosts", "1"],      # needs >= 2 hosts
+            ["chaos", "--hosts", "2", "--kill-workers", "5"],
+            ["chaos", "--hosts", "2", "--seed", "3"],
+            ["chaos", "--hosts", "1"],                # needs >= 2 hosts
         ]
         for argv in bad:
             assert main(argv) == 2, argv

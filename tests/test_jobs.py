@@ -611,7 +611,7 @@ class TestJobsCLI:
         # campaign runs)
         from repro.__main__ import _build_parser
         for argv in (["campaign", "--kill-workers", "0", "--figures"],
-                     ["chaos", "--farm", "--kill-workers", "0"]):
+                     ["chaos", "--kill-workers", "0"]):
             assert _build_parser().parse_args(argv).kill_workers == 0
 
     def test_malformed_job_id_is_a_usage_error_and_creates_nothing(

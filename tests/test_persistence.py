@@ -126,10 +126,13 @@ class TestOneMarchLoop:
         assert "retry ladder exhausted" not in str(exc.value)
         assert exc.value.report is None
 
-    @pytest.mark.parametrize("switch", ["watchdog"])
+    @pytest.mark.parametrize("switch", ["watchdog", "resilience"])
     def test_audit_switches_take_only_booleans(self, switch):
-        with pytest.raises(TypeError, match=switch):
-            _factory("euler1d")().run(0.1, cfl=0.4, **{switch: 1})
+        """Anything but None, False, True (or, for ``resilience``, a
+        RetryPolicy) is refused, not read as "on"."""
+        for value in (1, 0, "off", []):
+            with pytest.raises(TypeError, match=switch):
+                _factory("euler1d")().run(0.1, cfl=0.4, **{switch: value})
 
     @pytest.mark.parametrize("kw", [{}, {"resilience": True}])
     def test_budget_spent_on_the_final_step_is_converged(self, kw):
