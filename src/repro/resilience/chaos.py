@@ -45,6 +45,7 @@ Every campaign ends in :func:`_verdict`: its ledger carries ``mode``,
 
 from __future__ import annotations
 
+import contextlib
 import json
 import multiprocessing as mp
 import os
@@ -326,17 +327,23 @@ def sample_schedule(rng, case_name: str) -> tuple[FaultInjector, dict]:
                                        component=0,
                                        factor=float(rng.choice(
                                            (1e-3, 1e3))))
-    schedule = {"case": case_name, "faults": fi.to_json()["faults"],
-                "resumable": all(k in _RESUMABLE for k in kinds)}
-    return fi, schedule
+    return fi, _describe(case_name, fi.to_json())
+
+
+def _describe(case: str, faults: dict) -> dict:
+    """A round's schedule: ``faults`` (:meth:`FaultInjector.to_json`) on
+    ``case``, resumable when no fault touches the marching state."""
+    return {"case": case, "faults": faults["faults"],
+            "resumable": all(f["kind"] in _RESUMABLE
+                             for f in faults["faults"])}
 
 
 def _round_report(queue: WorkQueue, journal: list, index: int,
-                  schedule: dict, policy: dict, refs: dict) -> dict:
+                  refs: dict) -> dict:
     """Round ``index``'s (JSON-able) report, built from its settled job:
-    the result or dead letter, and the job's ``isolation-event`` and
-    ``worker-kill`` journal lines.  ``refs`` caches the in-process
-    reference fingerprint per case.
+    its spec (case, schedule, budgets), its result or dead letter, and
+    its ``isolation-event`` and ``worker-kill`` journal lines.  ``refs``
+    caches the in-process reference fingerprint per case.
 
     The round passes (``report["ok"]``) when every kill left a typed
     event and the march completed — bitwise onto a crash-free
@@ -345,6 +352,8 @@ def _round_report(queue: WorkQueue, journal: list, index: int,
     that embeds the exact schedule for replay.
     """
     job_id = f"round-{index:03d}"
+    job = queue.job(job_id)
+    schedule = _describe(job.payload["case"], job.payload["faults"])
     case = schedule["case"]
     lines = [rec for rec in journal if rec.get("job") == job_id]
     events = [rec for rec in lines if rec.get("event") == "isolation-event"]
@@ -356,7 +365,8 @@ def _round_report(queue: WorkQueue, journal: list, index: int,
              if rec.get("event") in ("complete", "dead-letter")]
     report: dict = {
         "round": index, "case": case, "schedule": schedule,
-        "policy": policy,
+        "policy": {k: getattr(job, k) for k in (
+            "deadline", "memory_mb", "stall_timeout", "max_attempts")},
         "outcome": {"done": "completed", "dead": "aborted"}.get(status,
                                                                 status),
         "attempts": len(t_claim),
@@ -364,8 +374,8 @@ def _round_report(queue: WorkQueue, journal: list, index: int,
                     if t_claim and t_end else None),
         "events": events}
     if dead is not None and dead.get("report") is not None:
-        report["failure_report"] = {**dead["report"], "fault_schedule": {
-            "faults": schedule["faults"]}}
+        report["failure_report"] = {**dead["report"],
+                                    "fault_schedule": job.payload["faults"]}
 
     checks: dict = {"every_kill_reported": (
         all(e.get("kind") in ("hang", "oom", "deadline", "crash")
@@ -411,39 +421,33 @@ def run_chaos(*, rounds: int = 5, seed: int = 0, out: str | None =
     snapshots, with ``4 + kill_workers`` attempts before it
     dead-letters.  The campaign must end drained, with every round's
     invariants held (:func:`_round_report`), every dead letter carrying
-    a report, every scheduled kill landed and no sandbox the journal
-    names still alive.
+    a report, this run's scheduled kills all landed and no sandbox the
+    journal names still alive.
 
     Each ``round-NNN.json`` is built after the farm drains and lands in
-    ``out`` with the campaign's ``chaos-ledger.json``; the queue is
-    ``queue_dir``, else ``<out>/farm-queue`` (reuse it to resume).
+    ``out`` with the campaign's ``chaos-ledger.json``.  The queue is
+    ``queue_dir`` (reuse one to resume: the reports describe its jobs),
+    else a temporary directory removed at the end.
     """
     stream = stream or sys.stdout
-    queue_dir = _queue_dir(queue_dir, out, "farm-queue")
     print(f"chaos rounds: {rounds} round(s), {n_workers} at once, seed "
           f"{seed}, deadline {deadline:.0f} s, stall {stall_timeout:.1f} "
           f"s, {kill_workers} scheduled sandbox kill(s), queue "
-          f"{queue_dir}", file=stream)
+          f"{queue_dir or 'temporary'}", file=stream)
     base_rss = _read_rss_mb()
     max_attempts = 4 + kill_workers
-    budgets = {"deadline": deadline,
-               "memory_mb": (None if base_rss is None
-                             else base_rss + _MEMORY_MARGIN_MB),
-               "stall_timeout": stall_timeout}
     names = sorted(cases or CASES)
-    schedules, jobs = [], []
+    jobs = []
     for i in range(rounds):
         rng = np.random.default_rng([seed, i])
-        faults, schedule = sample_schedule(rng, str(rng.choice(names)))
-        schedules.append(schedule)
+        case = str(rng.choice(names))
+        faults, _ = sample_schedule(rng, case)
         jobs.append(Job(id=f"round-{i:03d}", kind="solver_case",
-                        payload={"case": schedule["case"],
-                                 "faults": faults.to_json(),
-                                 "every_n_steps": 3},
-                        max_attempts=max_attempts, **budgets))
-        print(f"round {i}: {schedule['case']} with fault(s) "
-              f"{'+'.join(f['kind'] for f in schedule['faults'])}",
-              file=stream)
+                        payload={"case": case, "faults": faults.to_json()},
+                        max_attempts=max_attempts, deadline=deadline,
+                        memory_mb=(None if base_rss is None
+                                   else base_rss + _MEMORY_MARGIN_MB),
+                        stall_timeout=stall_timeout))
     policy = FarmPolicy(
         n_workers=n_workers, lease_ttl=10.0, poll_interval=0.1,
         backoff=BackoffPolicy(max_attempts=max_attempts, base=0.2,
@@ -455,22 +459,29 @@ def run_chaos(*, rounds: int = 5, seed: int = 0, out: str | None =
         # sandbox for stall_timeout plus the 1 s TERM grace
         plan = WorkerKillPlan(seed=seed + 1000, kills=kill_workers,
                               min_interval=0.5, max_interval=2.0)
-    farm_ledger = run_campaign(queue_dir, jobs, policy=policy,
-                               label="chaos-rounds", stream=stream,
-                               kill_plan=plan)
-
-    queue = WorkQueue(queue_dir)
-    journal = queue.read_journal()
-    refs: dict = {}
-    reports = [_round_report(queue, journal, i, schedule,
-                             {**budgets, "max_attempts": max_attempts},
-                             refs)
-               for i, schedule in enumerate(schedules)]
+    with (tempfile.TemporaryDirectory(prefix="chaos-rounds-")
+          if queue_dir is None else contextlib.nullcontext(queue_dir)) \
+            as qdir:
+        farm_ledger = run_campaign(qdir, jobs, policy=policy,
+                                   label="chaos-rounds", stream=stream,
+                                   kill_plan=plan)
+        queue = WorkQueue(qdir)
+        journal = queue.read_journal()
+        refs: dict = {}
+        reports = [_round_report(queue, journal, i, refs)
+                   for i in range(rounds)]
+    # this run's kills: a reused queue's journal holds earlier runs too
+    start = max((i for i, rec in enumerate(journal)
+                 if rec.get("event") == "campaign-start"), default=0)
+    worker_kills = [rec for rec in journal[start:]
+                    if rec.get("event") == "worker-kill"]
     for r in reports:
         kinds = "/".join(e["kind"] for e in r["events"]) or "none"
-        print(f"round {r['round']}: {r['outcome']} in {r['elapsed']} s "
-              f"after {r['attempts']} attempt(s), kills: {kinds}, "
-              f"invariants: {'ok' if r['ok'] else 'FAILED'}", file=stream)
+        armed = "+".join(f["kind"] for f in r["schedule"]["faults"])
+        print(f"round {r['round']}: {r['case']} with fault(s) {armed}: "
+              f"{r['outcome']} in {r['elapsed']} s after {r['attempts']} "
+              f"attempt(s), kills: {kinds}, invariants: "
+              f"{'ok' if r['ok'] else 'FAILED'}", file=stream)
         if out is not None:
             os.makedirs(out, exist_ok=True)
             with open(os.path.join(out, f"round-{r['round']:03d}.json"),
@@ -485,15 +496,14 @@ def run_chaos(*, rounds: int = 5, seed: int = 0, out: str | None =
               "dead_letters_reported": all(
                   d["has_report"] for d in farm_ledger["dead_letter"]),
               "no_orphans": not orphans,
-              "kills_landed": (len(farm_ledger["worker_kills"])
-                               == kill_workers)}
+              "kills_landed": len(worker_kills) == kill_workers}
     return _verdict(
         "rounds", out,
         {"rounds": rounds, "seed": seed, "failed_rounds": failed,
          "dead_rounds": [r["round"] for r in reports
                          if r["outcome"] == "aborted"],
          "orphans": orphans, "kills": kills,
-         "worker_kills": farm_ledger["worker_kills"],
+         "worker_kills": worker_kills,
          "reclaims": farm_ledger["reclaims"],
          "requeues": farm_ledger["requeues"],
          "outcomes": {r["round"]: r["outcome"] for r in reports},
@@ -501,8 +511,8 @@ def run_chaos(*, rounds: int = 5, seed: int = 0, out: str | None =
                   ("wall_time", "n_workers", "attempts", "jobs", "ok")}},
         checks,
         f"all {rounds} round(s) held every invariant ({kills} kill(s) "
-        f"recovered, {len(farm_ledger['worker_kills'])} of them "
-        f"scheduled), no sandbox left behind", stream)
+        f"recovered, {len(worker_kills)} of them scheduled), no sandbox "
+        f"left behind", stream)
 
 
 # ----------------------------------------------------------------------

@@ -125,10 +125,10 @@ def _job_figure(payload: dict, ctx: dict) -> dict:
 
 @job_kind("solver_case")
 def _job_solver_case(payload: dict, ctx: dict) -> dict:
-    """March one chaos-matrix solver case durably, under the retry
-    ladder and the conservation watchdog; returns a SHA-256 fingerprint
-    of the final marching state, so kill-and-resume campaigns can assert
-    bitwise identity against a reference run.
+    """March one chaos-matrix solver case durably (persistence arms the
+    retry ladder), under the conservation watchdog; returns a SHA-256
+    fingerprint of the final marching state, so kill-and-resume
+    campaigns can assert bitwise identity against a reference run.
 
     ``payload["faults"]`` (a :meth:`FaultInjector.to_json` schedule, a
     chaos round's) is armed on the first attempt only: a fault is a
@@ -147,7 +147,7 @@ def _job_solver_case(payload: dict, ctx: dict) -> dict:
         every_n_steps=int(payload.get("every_n_steps", 3))),
         faults=(FaultInjector.from_json(faults)
                 if faults and ctx["attempt"] == 1 else None),
-        resilience=True, watchdog=True)
+        watchdog=True)
     return {"case": payload["case"], "steps": int(solver.steps),
             "state_sha256": state_fingerprint(solver)}
 
@@ -341,7 +341,8 @@ class WorkerKillPlan:
     sandboxes at intervals drawn uniformly from [min_interval,
     max_interval] — all of it a pure function of ``seed``, so a failing
     campaign replays.  A kill that falls due while no sandbox runs
-    waits for the next one to start.
+    waits for the next one to start, and one that finds its sandbox
+    already exiting is tried again on the next pass.
     """
 
     seed: int = 0
@@ -414,8 +415,7 @@ class _Attempt:
     """One claimed job running in its sandbox."""
 
     job: Job
-    lease: Lease
-    attempt: int              # the claim's count, 1 for the first
+    lease: Lease              # carries the claim's attempt
     sandbox: Sandbox
     renewed: float            # monotonic time of the last renewal
     lost: bool = False        # a renewal failed: never commit
@@ -492,8 +492,6 @@ class Farm:
                             f"{sorted(JOB_KINDS)})")
             return True
         pol = self.policy
-        # the lease keeps every other claimant off this state record
-        attempt = int(self.queue.state(job.id).get("attempts") or 1)
         runner = IsolatedRunner(IsolationPolicy(
             deadline=(job.deadline if job.deadline is not None
                       else pol.deadline),
@@ -503,10 +501,11 @@ class Farm:
                            if job.stall_timeout is not None
                            else pol.stall_timeout)),
             label=f"{self.name}:{job.id}")
-        sb = runner.start(_execute_job, (self.queue.dir, job.id, attempt),
+        sb = runner.start(_execute_job,
+                          (self.queue.dir, job.id, lease.attempt),
                           workdir=os.path.join(
                               self.queue.job_workdir(job.id), "sandbox"))
-        self._running.append(_Attempt(job, lease, attempt, sb,
+        self._running.append(_Attempt(job, lease, sb,
                                       renewed=time.monotonic()))
         self.queue.journal("worker-start", worker=self.name, pid=sb.pid,
                            job=job.id)
@@ -539,7 +538,7 @@ class Farm:
             result, err = None, exc
         for ev in runner.events:
             self.queue.journal("isolation-event", job=job.id,
-                               worker=self.name, attempt=att.attempt,
+                               worker=self.name, attempt=lease.attempt,
                                **ev.to_dict())
         if err is None:
             self.queue.complete(job, lease, result)
@@ -565,16 +564,26 @@ class Farm:
                 self._running.remove(att)
                 self._guarded("commit", att.job.id, self._settle, att)
 
-    def _chaos_kill(self, att: _Attempt) -> None:
+    def _chaos_kill(self, att: _Attempt) -> bool:
         """The whole point: an abrupt SIGKILL of a running sandbox, no
-        graceful path; its job fails and retries from its snapshot."""
+        graceful path; its job fails and retries from its snapshot.
+        Returns whether it landed: a sandbox already exiting ends as it
+        would have, and the kill goes unjournaled."""
         pid = att.sandbox.pid
         kill_pid_tree(pid)
+        try:
+            # prompt either way; WNOWAIT leaves the zombie to the poll
+            end = os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
+        except ChildProcessError:
+            return False   # reaped already: it had exited on its own
+        if end.si_code != os.CLD_KILLED or end.si_status != signal.SIGKILL:
+            return False
         self.queue.journal("worker-kill", worker=self.name, pid=pid,
                            job=att.job.id, kind="chaos",
                            reason="scheduled chaos kill")
         print(f"[{self.label}] killed sandbox {pid} of job {att.job.id} "
               f"(chaos)", file=self.stream)
+        return True
 
     def _wait(self) -> None:
         """Sleep until a sandbox exits or the next pass is due (never
@@ -622,14 +631,14 @@ class Farm:
             next_kill = 0
             while True:
                 now = time.monotonic()
-                if (next_kill < len(kill_times) and self._running
-                        and now - t0 >= kill_times[next_kill]):
-                    self._chaos_kill(self._running[int(kill_rng.integers(
-                        0, len(self._running)))])
-                    next_kill += 1
                 # renew before reaping, so a late pass never reaps a
                 # lease of its own
                 self._tend(now)
+                if (next_kill < len(kill_times) and self._running
+                        and now - t0 >= kill_times[next_kill]
+                        and self._chaos_kill(self._running[int(
+                            kill_rng.integers(0, len(self._running)))])):
+                    next_kill += 1
                 for job_id in self.queue.reclaim_expired():
                     print(f"[{self.label}] lease expired: job "
                           f"{job_id} reclaimed", file=self.stream)

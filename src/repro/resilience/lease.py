@@ -90,6 +90,7 @@ class Lease:
     renewed: float   # holder's wall clock at the last renewal
     host: str = ""
     epoch: int = 0
+    attempt: int = 0  # the count of the claim that granted it; not on disk
 
     def to_payload(self) -> dict:
         return {"job_id": self.job_id, "owner": self.owner,

@@ -578,6 +578,7 @@ class WorkQueue:
             self._write_json(self._state_path(job_id), st)
             self.journal("claim", job=job_id, worker=owner,
                          attempt=st["attempts"])
+            lease.attempt = st["attempts"]
             return job, lease
         return None
 

@@ -32,9 +32,10 @@ import hashlib
 import math
 import time
 from dataclasses import dataclass, field, replace
-from numbers import Integral, Real
+from numbers import Integral
 
 from repro.errors import CatError, InputError, OverloadError, SolverError
+from repro.resilience.queue import check_budgets
 from repro.service.breaker import BreakerBoard, BreakerPolicy
 from repro.service.request import Envelope, METHODS, validate_request
 
@@ -92,13 +93,8 @@ class BatchPolicy:
         if self.isolate not in ("auto", "always", "never"):
             raise InputError(f"isolate must be auto/always/never, got "
                              f"{self.isolate!r}")
-        for name in ("deadline", "request_deadline"):
-            v = getattr(self, name)
-            if v is not None and (isinstance(v, bool)
-                                  or not isinstance(v, Real)
-                                  or not (math.isfinite(v) and v > 0)):
-                raise InputError(f"{name} must be None or a finite "
-                                 f"number > 0, got {v!r}")
+        check_budgets("batch policy", deadline=self.deadline,
+                      request_deadline=self.request_deadline)
         counts = {"chunk_size": self.chunk_size}
         if self.shed_above is not None:
             counts["shed_above"] = self.shed_above

@@ -397,6 +397,23 @@ class TestKillAndResume:
             assert res["result"]["state_sha256"] == ref[n], \
                 f"{n}: resumed state differs from unkilled reference"
 
+    def test_a_due_kill_spares_a_sandbox_that_has_exited(self, tmp_path,
+                                                         silent):
+        """The kill falls due while the one sandbox has exited but is
+        not yet settled (the loop wakes only at its exit): it must wait
+        for a running sandbox, not land on the exited one — here none
+        comes, so the job completes and no kill is journaled."""
+        jobs = [Job(id="s0", kind="sleep", payload={"duration": 0.3})]
+        plan = WorkerKillPlan(seed=0, kills=1, min_interval=0.01,
+                              max_interval=0.02)
+        ledger = run_campaign(tmp_path / "q", jobs, policy=fast_policy(
+            poll_interval=10.0, lease_ttl=60.0), stream=silent,
+            kill_plan=plan)
+        assert ledger["jobs"] == {"done": 1}
+        assert ledger["worker_kills"] == []
+        assert not [r for r in WorkQueue(tmp_path / "q").read_journal()
+                    if r["event"] == "isolation-event"]
+
     def test_kill_plan_is_deterministic(self):
         a = WorkerKillPlan(seed=5, kills=4).schedule()
         b = WorkerKillPlan(seed=5, kills=4).schedule()

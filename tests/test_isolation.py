@@ -16,7 +16,8 @@ The contract under test (see DESIGN.md "Process isolation"):
 * a sandboxed callable runs once; a sandbox started inside a sandbox
   dies with it, even when it ignores SIGTERM,
 * the chaos harness is deterministic (same seed → same schedules →
-  same outcomes) and leaves no orphan processes,
+  same outcomes), reports each run's own rounds and kills, and leaves
+  no orphan processes,
 * the CLI exits 0 on success, 1 on solver failure, 2 on usage errors.
 """
 
@@ -34,12 +35,15 @@ import pytest
 from repro.errors import InputError, SolverError
 from repro.resilience import (FaultInjector, IsolatedRunner,
                               IsolationPolicy)
-from repro.resilience.chaos import (CASES, run_chaos, run_chaos_hosts,
-                                    run_chaos_jobs, sample_schedule)
+from repro.resilience.chaos import (CASES, _round_report, run_chaos,
+                                    run_chaos_hosts, run_chaos_jobs,
+                                    sample_schedule)
 from repro.resilience.farm import (FarmPolicy, run_campaign,
                                    sandbox_records, state_fingerprint)
-from repro.resilience.isolation import _read_rss_mb
+from repro.resilience.isolation import (_read_rss_mb,
+                                        current_process_heartbeat)
 from repro.resilience.queue import BackoffPolicy, Job, WorkQueue
+from repro.resilience.report import FailureReport
 
 #: the rounds campaign's checks, whatever its -j and --kill-workers
 ROUNDS_CHECKS = ["rounds_ok", "drained", "dead_letters_reported",
@@ -118,8 +122,7 @@ def _march_on_farm(tmp_path, silent, case, *, run_kwargs=None,
     ``budgets`` its isolation budgets; returns the queue, the job's
     ``isolation-event`` journal lines and its result fingerprint (None
     when it dead-lettered)."""
-    payload = {"case": case, "every_n_steps": 3,
-               "run_kwargs": dict(run_kwargs or {})}
+    payload = {"case": case, "run_kwargs": dict(run_kwargs or {})}
     if faults is not None:
         payload["faults"] = faults.to_json()
     job = Job(id="march", kind="solver_case", payload=payload,
@@ -290,6 +293,7 @@ class TestRunCallable:
         def slow():
             with open(calls, "a") as f:
                 f.write("x")
+            current_process_heartbeat().beat(step=5, force=True)
             time.sleep(600.0)
 
         policy = IsolationPolicy(deadline=1.0)
@@ -299,6 +303,11 @@ class TestRunCallable:
             runner.run_callable(slow)
         assert [e.kind for e in runner.events] == ["deadline"]
         assert exc.value.report.isolation[0]["kind"] == "deadline"
+        # the triage summary lists the kill with the step it caught
+        summary = exc.value.report.summary()
+        assert "isolation kills: 1 (deadline)" in summary
+        assert "    - [deadline] step 5: slow: wall-clock deadline" \
+            in summary
         assert calls.read_text() == "x"
         assert _no_orphans()
 
@@ -414,6 +423,52 @@ class TestChaosHarness:
             assert ledgers[0][key] == ledgers[1][key], key
         assert ledgers[0]["ok"] and ledgers[0]["orphans"] == []
 
+    def test_a_rerun_in_the_same_out_runs_its_own_rounds(self, tmp_path):
+        """Without a queue directory every run starts afresh: a second
+        campaign with another seed in the same ``out`` runs and reports
+        its own round (a torn snapshot write, no kill), not the first
+        run's (a scripted crash, one kill, two attempts)."""
+        for seed in (26, 1):
+            rc = run_chaos(rounds=1, seed=seed, out=str(tmp_path),
+                           deadline=30.0, cases=["euler1d"],
+                           stream=io.StringIO())
+            assert rc == 0
+            with open(tmp_path / "round-000.json") as f:
+                report = json.load(f)
+            rng = np.random.default_rng([seed, 0])
+            rng.choice(["euler1d"])
+            assert report["schedule"] == sample_schedule(rng, "euler1d")[1]
+        assert [f["kind"] for f in report["schedule"]["faults"]] == ["io"]
+        assert report["events"] == [] and report["attempts"] == 1
+        assert report["ok"] and _no_orphans()
+
+    def test_dead_lettered_round_embeds_its_exact_schedule(self,
+                                                           tmp_path):
+        """A round that dead-letters reports its abort with the failure
+        report, which embeds the exact schedule the job ran: a replay
+        rebuilds the same injector."""
+        faults = (FaultInjector().inject_hang(step=5, duration=600.0)
+                  .inject_nan(step=3, cell=7, component=0))
+        q = WorkQueue(tmp_path / "q")
+        q.enqueue(Job(id="round-000", kind="solver_case", max_attempts=1,
+                      payload={"case": "euler1d",
+                               "faults": faults.to_json()}))
+        job, lease = q.claim("w0")
+        q.journal("isolation-event", job=job.id, kind="hang",
+                  attempt=lease.attempt)
+        q.fail(job, lease, "SolverError: killed (hang)",
+               report=FailureReport(label="round", error="killed (hang)",
+                                    isolation=[{"kind": "hang"}]).to_dict())
+        report = _round_report(q, q.read_journal(), 0, {})
+        assert report["outcome"] == "aborted" and report["ok"]
+        assert report["checks"] == {"every_kill_reported": True,
+                                    "completed": True,
+                                    "abort_has_report": True}
+        assert report["schedule"]["faults"] == faults.to_json()["faults"]
+        replay = FaultInjector.from_json(
+            report["failure_report"]["fault_schedule"])
+        assert replay.to_json() == faults.to_json()
+
     def test_hosts_campaign_passes_and_leaves_no_orphans(self, tmp_path,
                                                           silent):
         """Two skewed hosts, one partitioned and healed, one SIGKILLed:
@@ -436,16 +491,27 @@ class TestChaosHarness:
         """Two chaos rounds at once with one scheduled sandbox SIGKILL:
         every round holds its invariants, the kill lands and no sandbox
         the journal names outlives the campaign."""
+        queue_dir = tmp_path / "farm-queue"
         rc = run_chaos(rounds=2, seed=7, out=str(tmp_path), n_workers=2,
-                       kill_workers=1, deadline=30.0, stream=silent)
+                       kill_workers=1, deadline=30.0,
+                       queue_dir=str(queue_dir), stream=silent)
         assert rc == 0, silent.getvalue()
         ledger = _chaos_ledger(tmp_path, "rounds", ROUNDS_CHECKS)
         assert ledger["ok"] and ledger["orphans"] == []
         assert len(ledger["worker_kills"]) == 1
         assert sorted(ledger["outcomes"]) == ["0", "1"]
-        queue_dir = tmp_path / "farm-queue"
         assert _presence(queue_dir, WorkQueue(queue_dir).host_id) == []
         assert _no_orphans()
+        # resuming the drained queue runs nothing: the earlier run's
+        # kill is not this run's, so the kill check fails
+        rc = run_chaos(rounds=2, seed=7, out=str(tmp_path / "again"),
+                       n_workers=2, kill_workers=1, deadline=30.0,
+                       queue_dir=str(queue_dir), stream=silent)
+        assert rc == 1
+        again = _chaos_ledger(tmp_path / "again", "rounds", ROUNDS_CHECKS)
+        assert again["worker_kills"] == []
+        assert [k for k, ok in again["checks"].items() if not ok] == \
+            ["kills_landed"]
 
     def test_jobs_campaign_passes_and_leaves_no_orphans(self, tmp_path,
                                                          silent):
