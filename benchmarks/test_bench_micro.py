@@ -553,7 +553,8 @@ def test_bench_kernel_shock_relaxation_solve(kernel_bench, monkeypatch):
                         lambda self, *a: closures.append(1) or closure(self,
                                                                        *a))
     monkeypatch.setattr(ReactionMechanism, "wdot",
-                        lambda self, *a: wdots.append(1) or wdot(self, *a))
+                        lambda self, *a, **k: wdots.append(1)
+                        or wdot(self, *a, **k))
     monkeypatch.setattr(ThermoSet, "e_cv_vib_el_mass",
                         lambda self, Tv: evs.append(1) or e_cv(self, Tv))
     solver.solve(**kw)
@@ -567,3 +568,49 @@ def test_bench_kernel_shock_relaxation_solve(kernel_bench, monkeypatch):
                               "newton_evals": len(evs)},
                         **kw)
     assert prof.T[-1] < 0.3 * prof.T[0]
+
+
+def test_bench_kernel_entry_integrate(kernel_bench, monkeypatch):
+    """Fig 1's three quick entry trajectories (shuttle, AOTV, TAV).
+
+    Recorded under its trace span name: the kernel is the three
+    ``integrate_entry`` calls of ``fig1_flight_domain.run(quick=True)``.
+    ``rhs_evals`` counts the RK45 right-hand-side calls over the three,
+    ``layer_lookups`` the USSA76 layer lookups those calls make (one per
+    ``density`` call).
+    """
+    from repro.atmosphere import EarthAtmosphere
+    from repro.experiments import fig1_flight_domain
+    from repro.trajectory import AOTV, SHUTTLE, TAV, integrate_entry
+
+    atm = EarthAtmosphere()
+    cases = ((SHUTTLE, dict(h0=120e3, V0=7800.0, gamma0_deg=-1.2)),
+             (AOTV, dict(h0=122e3, V0=9800.0, gamma0_deg=-4.7,
+                         t_max=1200.0)),
+             (TAV, dict(h0=80e3, V0=6500.0, gamma0_deg=-0.5, t_max=1500.0,
+                        V_stop=800.0)))
+
+    def three():
+        return [integrate_entry(veh, atm, rtol=1e-6, **kw)
+                for veh, kw in cases]
+
+    densities, lookups = [], []
+    density, lookup = EarthAtmosphere.density, EarthAtmosphere._layer_index
+    monkeypatch.setattr(EarthAtmosphere, "density",
+                        lambda self, h: densities.append(1)
+                        or density(self, h))
+    monkeypatch.setattr(EarthAtmosphere, "_layer_index",
+                        lambda self, hgp: lookups.append(1)
+                        or lookup(self, hgp))
+    three()
+    monkeypatch.undo()
+
+    trajectories = kernel_bench(three, label="trajectory.entry.integrate",
+                                meta={"trajectories": len(cases),
+                                      "rhs_evals": len(densities),
+                                      "layer_lookups": len(lookups)})
+    reference = fig1_flight_domain.run(quick=True)["vehicles"]["shuttle"]
+    np.testing.assert_array_equal(
+        trajectories[0].V[(trajectories[0].h < 125e3)
+                          & (trajectories[0].mach > 0.5)],
+        reference["velocity"])

@@ -21,6 +21,8 @@ __all__ = ["EarthAtmosphere"]
 _H_BASE = np.array([0.0, 11000.0, 20000.0, 32000.0, 47000.0, 51000.0,
                     71000.0, 84852.0])
 _LAPSE = np.array([-6.5e-3, 0.0, 1.0e-3, 2.8e-3, 0.0, -2.8e-3, -2.0e-3])
+#: the layer tops, which a layer lookup searches
+_H_TOPS = _H_BASE[1:]
 
 _R_AIR = 287.0528
 _T0 = 288.15
@@ -45,6 +47,10 @@ def _precompute():
 
 
 _T_BASE, _P_BASE = _precompute()
+#: per layer: whether T has a gradient, and the power law's exponent
+#: -g0 / (L R) (1 stands in for an isothermal layer's zero L)
+_GRADIENT = np.abs(_LAPSE) > 1e-12
+_EXPONENT = -G0_EARTH / (np.where(_GRADIENT, _LAPSE, 1.0) * _R_AIR)
 
 
 class EarthAtmosphere(Atmosphere):
@@ -60,33 +66,47 @@ class EarthAtmosphere(Atmosphere):
         return R_EARTH * h / (R_EARTH + h)
 
     def _layer_index(self, hgp):
-        return np.clip(np.searchsorted(_H_BASE[1:], hgp, side="right"),
-                       0, len(_LAPSE) - 1)
+        # the table's top itself falls in the last layer
+        return np.minimum(np.searchsorted(_H_TOPS, hgp, side="right"),
+                          len(_LAPSE) - 1)
 
-    def temperature(self, h):
-        hgp = self._geopotential(h)
-        i = self._layer_index(np.minimum(hgp, _H_BASE[-1]))
-        T = _T_BASE[i] + _LAPSE[i] * (np.minimum(hgp, _H_BASE[-1])
-                                      - _H_BASE[i])
-        # isothermal above 86 km geometric (~84.852 km geopotential)
-        return np.where(hgp > _H_BASE[-1], _T_BASE[-1], T)
-
-    def pressure(self, h):
+    def _layer(self, h):
+        """The one layer lookup behind T and p, scalar or array alike:
+        (geopotential altitude, layer index, height above the layer
+        base, the layer's T there), the table capped at its top."""
         hgp = self._geopotential(h)
         hc = np.minimum(hgp, _H_BASE[-1])
         i = self._layer_index(hc)
-        Tb = _T_BASE[i]
-        pb = _P_BASE[i]
-        L = _LAPSE[i]
         dz = hc - _H_BASE[i]
-        T = Tb + L * dz
-        grad = np.where(np.abs(L) > 1e-12,
-                        (np.maximum(T, 1.0) / Tb)
-                        ** (-G0_EARTH / (np.where(np.abs(L) > 1e-12, L, 1.0)
-                                         * _R_AIR)),
+        return hgp, i, dz, _T_BASE[i] + _LAPSE[i] * dz
+
+    @staticmethod
+    def _temperature(hgp, T):
+        # isothermal above 86 km geometric (~84.852 km geopotential)
+        return np.where(hgp > _H_BASE[-1], _T_BASE[-1], T)
+
+    @staticmethod
+    def _pressure(hgp, i, dz, T):
+        Tb = _T_BASE[i]
+        grad = np.where(_GRADIENT[i],
+                        (np.maximum(T, 1.0) / Tb) ** _EXPONENT[i],
                         np.exp(-G0_EARTH * dz / (_R_AIR * Tb)))
-        p = pb * grad
+        p = _P_BASE[i] * grad
         # exponential tail above the table
         tail = np.exp(-G0_EARTH * (hgp - _H_BASE[-1])
                       / (_R_AIR * _T_BASE[-1]))
         return np.where(hgp > _H_BASE[-1], _P_BASE[-1] * tail, p)
+
+    def temperature(self, h):
+        hgp, _, _, T = self._layer(h)
+        return self._temperature(hgp, T)
+
+    def pressure(self, h):
+        return self._pressure(*self._layer(h))
+
+    def density(self, h):
+        """Ambient density [kg/m^3]: the ideal-gas law on the T and p of
+        one layer lookup."""
+        hgp, i, dz, T = self._layer(h)
+        return self._pressure(hgp, i, dz, T) / (
+            self.gas_constant * self._temperature(hgp, T))

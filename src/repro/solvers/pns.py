@@ -103,9 +103,9 @@ class WindwardHeatingPNS:
 
         With ``resilience`` truthy, a station whose equilibrium
         isentropic-expansion inversion fails is recovered by continuation
-        from the previous station's edge state instead of aborting the
-        march; recovered stations are listed in
-        ``PNSResult.degraded_stations``.  Without it the
+        from the previous station's edge state, and reads that station's
+        heating, instead of aborting the march; recovered stations are
+        listed in ``PNSResult.degraded_stations``.  Without it the
         :class:`ConvergenceError` is raised, enriched with a
         :class:`~repro.resilience.FailureReport` naming the station.
         """
@@ -139,6 +139,12 @@ class WindwardHeatingPNS:
         # Lees distribution normalised at the stagnation point
         ratio = lees_distribution(s, np.maximum(r, 1e-9), rho_e, mu_e,
                                   u_e, stag["due_dx"])
+        # a degraded station reads its upstream neighbour's heating: the
+        # carried edge state alone would give station 1 the stagnation
+        # point's u_e ≈ 0, and so q ≈ 0
+        for i in degraded:
+            if i:
+                ratio[i] = ratio[i - 1]
         q_fc = stag["q_stag"] * ratio
         x_over_L = (body.point(s)[0]
                     / (getattr(body, "length", None) or body.point(
@@ -244,14 +250,17 @@ class WindwardHeatingPNS:
         secant on the monotone entropy), then the velocity from the
         enthalpy deficit.  This is the PNS space march: each station's
         solve warm-starts from the previous one, and under ``resilience``
-        a failed station falls back to the upstream edge temperature
-        (recorded in ``degraded``) so the march survives.
+        a failed station (recorded in ``degraded``) carries its upstream
+        neighbour's edge state — T, ρ_e, u_e and μ_e at its own p_e — so
+        the march survives (and :meth:`solve` gives the station its
+        neighbour's heating).
 
         ``held`` is the (p, T, s) of the last entropy evaluation, first
         the stagnation state's: a station that starts at that very
         (p, T) takes its s instead of solving the state again.
         """
         gas = self.gas
+        degraded = [] if degraded is None else degraded
         T_e = np.empty_like(p_e)
         T_guess = stag["T0"]
         held = (stag["p_stag"], stag["T0"], stag["s_stag"])
@@ -273,14 +282,20 @@ class WindwardHeatingPNS:
                                 "mode": self.mode})
                     raise
                 # continuation fallback: carry the upstream edge state
-                if degraded is not None:
-                    degraded.append(i)
+                degraded.append(i)
             T_e[i] = T_guess
         y_e, rho_e = gas.composition_T_p(T_e, p_e)
+        rho_e = np.asarray(rho_e)
         h_e = gas.mix.h_mass(T_e, y_e)
         u_e = np.sqrt(np.maximum(2.0 * (stag["h0"] - h_e), 0.0))
         mu_e = self.transport.viscosity(T_e, y_e)
-        return T_e, np.asarray(rho_e), u_e, mu_e
+        # T0 at a degraded station's own, lower p_e gives h_e >= h0 and
+        # u_e = 0; station 0 has no upstream station and keeps its own
+        for i in degraded:
+            if i:
+                for f in (rho_e, u_e, mu_e):
+                    f[i] = f[i - 1]
+        return T_e, rho_e, u_e, mu_e
 
     def _T_of_s_p(self, s_target, p, T_guess, *, s_guess=None, tol=1e-9,
                   max_iter=60):

@@ -303,9 +303,12 @@ class ReactingEulerSolver(AxisymmetricEulerSolver):
         the updated Tv field.
         """
         T, y, rho = w["T"], w["y"], w["rho"]
-        Tv = self.ttg.Tv_from_ev(self.ev, y, Tv_guess=self.Tv)
-        q = self.ttg.sources(rho, T, Tv, y)[1]
-        ev_eq = self.ttg.e_vib_el(T, y)
+        # the Newton hands ``sources`` its e_v,s(Tv), and ``sources``
+        # leaves the e_v,s(T) of its one pass at T for ev_eq
+        pool = {}
+        Tv = self.ttg.Tv_from_ev(self.ev, y, Tv_guess=self.Tv, pool=pool)
+        q = self.ttg.sources(rho, T, Tv, y, pool=pool)[1]
+        ev_eq = np.add.reduce(y * pool["T"], axis=-1)
         lo = np.minimum(self.ev, ev_eq)
         hi = np.maximum(self.ev, ev_eq)
         self.ev = np.clip(self.ev + dt * q / rho, lo, hi)

@@ -95,11 +95,11 @@ class ShockRelaxationSolver:
 
         Subsonic (post-shock) branch Newton iteration on u.
         """
-        R_mix = R_UNIVERSAL * float(np.sum(y / self.db.molar_mass))
+        R_mix = R_UNIVERSAL * float(np.add.reduce(y / self.db.molar_mass))
         # h_tr_rot is linear in T: h = sum y (hf + c T), with the
         # T-independent tr-rot cp c [J/kg/K]
-        hf = float(np.sum(y * self.db.hf0_mass))
-        c = float(np.sum(y * self.tt.thermo.cp_tr_rot_mass()))
+        hf = float(np.add.reduce(y * self.db.hf0_mass))
+        c = float(np.add.reduce(y * self.tt.thermo.cp_tr_rot_mass()))
 
         def T_of_u(u):
             # h = h_tr_rot(T, y) + ev_pool; energy: h = H0 - u^2/2
@@ -119,7 +119,7 @@ class ShockRelaxationSolver:
             dT_du = -u / c
             dF = (-m0 / u**2) * R_mix * T + (m0 / u) * R_mix * dT_du + m0
             du = -F / dF
-            u_new = u + np.clip(du, -0.4 * u, 0.4 * u)
+            u_new = u + np.minimum(np.maximum(du, -0.4 * u), 0.4 * u)
             if abs(u_new - u) < 1e-12 * max(u, 1.0):
                 u = u_new
                 break
@@ -180,14 +180,17 @@ class ShockRelaxationSolver:
         warm = {}
 
         def rhs(x, z):
-            y = np.clip(z[:ns], 0.0, 1.0)
+            y = np.minimum(np.maximum(z[:ns], 0.0), 1.0)
             ev = z[ns]
             u, rho, T, p = self._closure(y, ev, m0, P0, H0, warm["u"])
+            # the Newton hands ``sources`` its e_v,s at the Tv it returns
+            pool = {}
             Tv = float(self.tt.Tv_from_ev(np.array(ev), y[None, :],
-                                          Tv_guess=warm["Tv"])[0])
+                                          Tv_guess=warm["Tv"],
+                                          pool=pool)[0])
             warm["u"], warm["Tv"] = u, Tv
             w, qv = self.tt.sources(np.array(rho), np.array(T),
-                                    np.array(Tv), y[None, :])
+                                    np.array(Tv), y[None, :], pool=pool)
             dz = np.empty(ns + 1, dtype=np.float64)
             dz[:ns] = w[0] / (rho * u)
             dz[ns] = qv[0] / (rho * u)
@@ -235,7 +238,7 @@ class ShockRelaxationSolver:
         # each station starts from the previous one's u and Tv
         u_i, Tv_i = post["u2"], T1
         for i in range(nx):
-            y = np.clip(sol.y[:ns, i], 0.0, 1.0)
+            y = np.minimum(np.maximum(sol.y[:ns, i], 0.0), 1.0)
             ev = sol.y[ns, i]
             u_i, rho_i, T_i, p_i = self._closure(y, ev, m0, P0, H0, u_i)
             Tv_i = float(self.tt.Tv_from_ev(np.array(ev), y[None, :],

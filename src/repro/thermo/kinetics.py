@@ -172,11 +172,16 @@ class ReactionMechanism:
         """
         return self._kf_kT(T, Tv)[0]
 
-    def Kc(self, T):
-        """Concentration equilibrium constants [(mol/m^3)^dnu], (..., nr)."""
+    def Kc(self, T, *, g0_rt=None):
+        """Concentration equilibrium constants [(mol/m^3)^dnu], (..., nr).
+
+        ``g0_rt``, the species' g0/RT at T (..., ns), is evaluated here
+        unless the caller already has it.
+        """
         T = np.asarray(T, dtype=float)
-        g_rt = self.thermo.g0_over_RT(T)            # (..., ns)
-        dG = np.einsum("rs,...s->...r", self.dnu, g_rt)
+        if g0_rt is None:
+            g0_rt = self.thermo.g0_over_RT(T)
+        dG = np.einsum("rs,...s->...r", self.dnu, g0_rt)
         ln_kp = -dG
         # catlint: disable=CAT001 -- T > 0 by solver state sanitisation
         ln_kc = ln_kp + self._dnu_tot * np.log(
@@ -191,13 +196,16 @@ class ReactionMechanism:
     # production rates
     # ------------------------------------------------------------------
 
-    def rates_of_progress(self, rho, T, y, Tv=None):
-        """Net molar rates of progress q_r [mol/(m^3 s)], (..., nr)."""
+    def rates_of_progress(self, rho, T, y, Tv=None, *, g0_rt=None):
+        """Net molar rates of progress q_r [mol/(m^3 s)], (..., nr).
+
+        ``g0_rt`` is handed to :meth:`Kc`.
+        """
         rho = np.asarray(rho, dtype=float)
         y = np.asarray(y, dtype=float)
         c = np.maximum(rho[..., None] * y / self.db.molar_mass, 0.0)
         kf, k_T = self._kf_kT(T, Tv)
-        kb = k_T / self.Kc(T)
+        kb = k_T / self.Kc(T, g0_rt=g0_rt)
         # products of concentrations: exp(sum nu log c) with c=0 handled
         logc = np.log(np.maximum(c, 1e-300))
         # catlint: disable=CAT004 -- exponent = sum(nu log c) with nu <= 3
@@ -222,9 +230,12 @@ class ReactionMechanism:
             q = np.where(self.is_tb, q * cm, q)
         return q
 
-    def wdot(self, rho, T, y, Tv=None):
-        """Species mass production rates [kg/(m^3 s)], shape (..., ns)."""
-        q = self.rates_of_progress(rho, T, y, Tv)
+    def wdot(self, rho, T, y, Tv=None, *, g0_rt=None):
+        """Species mass production rates [kg/(m^3 s)], shape (..., ns).
+
+        ``g0_rt`` is handed to :meth:`Kc`.
+        """
+        q = self.rates_of_progress(rho, T, y, Tv, g0_rt=g0_rt)
         return np.einsum("...r,rs->...s", q, self.dnu) * self.db.molar_mass
 
     def jacobian_y(self, rho, T, y, Tv=None, *, eps=1e-7):

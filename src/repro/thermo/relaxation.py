@@ -118,17 +118,19 @@ class VibrationalRelaxation:
         T = np.asarray(T, dtype=float)
         y = np.asarray(y, dtype=float)
         x = self.db.mass_to_mole(np.maximum(y, 1e-30))
-        n_total = rho * np.sum(y / self.db.molar_mass, axis=-1) * N_AVOGADRO
+        n_total = (rho * np.add.reduce(y / self.db.molar_mass, axis=-1)
+                   * N_AVOGADRO)
         p = n_total * K_BOLTZMANN * T
         p_atm = np.maximum(p / P_ATM, 1e-300)
         # pairwise MW times: shape (..., n_vib, n_heavy)
         t13 = T[..., None, None] ** (-1.0 / 3.0)
-        expo = self._a_sr * (t13 - 0.015 * self._mu ** 0.25) - 18.42
-        tau_sr = np.exp(np.clip(expo, -300.0, 300.0)) / p_atm[..., None,
-                                                              None]
+        expo = self._a_sr * (t13 - self._b_sr) - 18.42
+        tau_sr = (np.exp(np.minimum(np.maximum(expo, -300.0), 300.0))
+                  / p_atm[..., None, None])
         x_r = x[..., self.heavy_idx]
-        x_sum = np.maximum(np.sum(x_r, axis=-1, keepdims=True), 1e-30)
-        inv_tau = np.sum(x_r[..., None, :] / tau_sr, axis=-1) / x_sum
+        x_sum = np.maximum(np.add.reduce(x_r, axis=-1, keepdims=True),
+                           1e-30)
+        inv_tau = np.add.reduce(x_r[..., None, :] / tau_sr, axis=-1) / x_sum
         tau = 1.0 / np.maximum(inv_tau, 1e-300)
         if park:
             n_d = n_total[..., None]

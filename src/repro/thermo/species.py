@@ -331,7 +331,7 @@ class SpeciesDB:
 
         y = np.asarray(y, dtype=float)
         w = y / self.molar_mass
-        return w / np.sum(w, axis=-1, keepdims=True)
+        return w / np.add.reduce(w, axis=-1, keepdims=True)
 
     def mean_molar_mass(self, y):
         """Mixture molar mass [kg/mol] from mass fractions (..., n)."""

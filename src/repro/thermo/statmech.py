@@ -19,6 +19,13 @@ mutually consistent by construction.
 All public methods are vectorised over temperature (scalar in → scalar-like
 0-d array out; array in → array out) and return **molar** quantities
 (J/mol/K, J/mol).  Per-mass helpers divide by the molar mass.
+
+:class:`ThermoSet` evaluates a whole species set at once, bitwise equal to
+looping :class:`SpeciesThermo` over it: each vibrational or electronic
+pass is one level-first (levels, ..., n) block of in-place ufuncs, summed
+over its levels in order, and ``g0_over_RT_e_vib_el_mass`` gives a
+two-temperature source both of its quantities at T from one pass
+(DESIGN §11, §26).
 """
 
 from __future__ import annotations
@@ -228,12 +235,12 @@ class SpeciesThermo:
         return self.cv_vib_el(Tv) / self.M
 
 
-def _padded_columns(rows):
-    """Ragged per-species ``(θ, g)`` rows as a tuple of ``(θ, g)`` columns.
+def _padded_levels(rows):
+    """Ragged per-species ``(θ, g)`` rows as two (width, n) level tables.
 
-    Each column holds one mode/level slot across all species, shape (n,);
-    species with fewer slots are padded with ``θ = 0, g = 0``, whose term
-    is an exact zero in every sum (DESIGN §11).
+    Row k holds the k-th mode/level slot of every species; species with
+    fewer slots are padded with ``θ = 0, g = 0``, whose term is an exact
+    zero in every sum (DESIGN §11).
     """
     width = max((len(r) for r in rows), default=0)
     th = np.zeros((width, len(rows)), dtype=np.float64)
@@ -241,7 +248,26 @@ def _padded_columns(rows):
     for j, row in enumerate(rows):
         if row:
             th[:len(row), j], g[:len(row), j] = zip(*row)
-    return tuple(zip(th, g))
+    return th, g
+
+
+def _level_block(table, T1):
+    """A (width, n) level table viewed as (width, 1, ..., 1, n), so that
+    it broadcasts against a (..., 1) temperature column into a
+    level-first (width, ..., n) block."""
+    return table.reshape(table.shape[:1] + (1,) * (T1.ndim - 1)
+                         + table.shape[1:])
+
+
+def _sum_levels(block):
+    """Sum a level-first block over its levels, in level order.
+
+    ``np.add.reduce`` over the leading axis adds whole (..., n) rows one
+    after the other, as the per-species ``np.sum`` over the level axis
+    and a column loop from 0.0 do, so the sums are bitwise equal
+    (DESIGN §26.2).
+    """
+    return np.add.reduce(block, axis=0)
 
 
 class ThermoSet:
@@ -253,11 +279,14 @@ class ThermoSet:
     species — the short, vectorised axis).
 
     Each property is one array pass over the whole set: the per-species
-    constants of :class:`SpeciesThermo` are gathered into (n,) columns, the
-    vibrational modes and electronic levels padded with degeneracy 0, and
-    every method accumulates (..., n) arrays column by column with the same
-    expressions in the same order — so results are bitwise equal to looping
-    ``SpeciesThermo`` over :attr:`each` (DESIGN §11).
+    constants of :class:`SpeciesThermo` are gathered into (n,) vectors and
+    the vibrational modes and electronic levels into (width, n) level
+    tables padded with degeneracy 0.  A pass evaluates every mode or
+    level at once as a level-first (width, ..., n) block, with the same
+    expressions in the same order as :class:`SpeciesThermo`, in place
+    after its first allocation, and sums the levels in order — so results
+    are bitwise equal to looping ``SpeciesThermo`` over :attr:`each`
+    (DESIGN §11, §26).
     """
 
     def __init__(self, db: SpeciesDB):
@@ -272,67 +301,83 @@ class ThermoSet:
         self._ln_qtr = np.array([st._ln_qtr_pref for st in self.each])
         self._c_rot = self._a_rot * _R
         self._c_tr_rot = (2.5 + self._a_rot) * _R
-        self._vib = _padded_columns([st._vib for st in self.each])
-        self._elec = _padded_columns([tuple(zip(st._th_el, st._g_el))
-                                      for st in self.each])
+        th, g = _padded_levels([st._vib for st in self.each])
+        # the per-mode factors of SpeciesThermo's expressions, formed
+        # once: g R θ (energy), g R (cv) and -g (ln q_vib)
+        self._vib_th, self._vib_gR = th, g * _R
+        self._vib_gRth, self._vib_neg_g = g * _R * th, -g
+        self._el_th, self._el_g = _padded_levels(
+            [tuple(zip(st._th_el, st._g_el)) for st in self.each])
         cp_tr_rot = self._c_tr_rot / db.molar_mass
         cp_tr_rot.flags.writeable = False
         self._cp_tr_rot_mass = cp_tr_rot
 
-    # -- column passes over (..., 1) temperatures ----------------------------
+    # -- level-first passes over (..., 1) temperatures -----------------------
+
+    def _vib_x(self, T1, hi):
+        """θ/T clamped to [1e-12, hi], a fresh (modes, ..., n) block."""
+        x = np.divide(_level_block(self._vib_th, T1), T1)
+        np.maximum(x, 1e-12, out=x)
+        return np.minimum(x, hi, out=x)
 
     def _vib_energy(self, T1):
         """Vibrational energy above the zero point [J/mol], (..., n)."""
-        e = 0.0
-        for th, g in self._vib:
-            x = np.minimum(np.maximum(th / T1, 1e-12), 500.0)
-            e += g * _R * th / np.expm1(x)
-        return e
+        x = self._vib_x(T1, 500.0)
+        np.expm1(x, out=x)
+        return _sum_levels(np.divide(_level_block(self._vib_gRth, T1), x,
+                                     out=x))
 
     def _vib_energy_lnq(self, T1):
         """Vibrational energy [J/mol] and ln q_vib from one pass."""
-        e = lnq = 0.0
-        for th, g in self._vib:
-            x = np.minimum(np.maximum(th / T1, 1e-12), 500.0)
-            e += g * _R * th / np.expm1(x)
-            # -expm1(-x) >= 1e-12 (x >= 1e-12), so the floor never binds
-            lnq += -g * np.log(np.maximum(-np.expm1(-x), 1e-300))
-        return e, lnq
+        x = self._vib_x(T1, 500.0)
+        b = np.expm1(x)
+        e = _sum_levels(np.divide(_level_block(self._vib_gRth, T1), b,
+                                  out=b))
+        # -g ln(-expm1(-x)); -expm1(-x) >= 1e-12 (x >= 1e-12), so the
+        # floor never binds
+        np.negative(x, out=x)
+        np.expm1(x, out=x)
+        np.negative(x, out=x)
+        np.log(np.maximum(x, 1e-300, out=x), out=x)
+        return e, _sum_levels(np.multiply(_level_block(self._vib_neg_g, T1),
+                                          x, out=x))
 
     def _vib_heat_capacity(self, T1):
         """Vibrational cv [J/(mol K)], (..., n)."""
-        cv = 0.0
-        for th, g in self._vib:
-            x = np.minimum(np.maximum(th / T1, 1e-12), 250.0)
-            ex = np.exp(x)
-            cv += g * _R * x * x * ex / (ex - 1.0) ** 2
-        return cv
+        x = self._vib_x(T1, 250.0)
+        # catlint: disable=CAT004 -- x = θ/T lies in [1e-12, 250]
+        ex = np.exp(x)
+        # g R x x eˣ / (eˣ - 1)²
+        cv = np.multiply(_level_block(self._vib_gR, T1), x)
+        cv *= x
+        cv *= ex
+        ex -= 1.0
+        return _sum_levels(np.divide(cv, np.square(ex, out=ex), out=cv))
 
     def _elec_weights(self, T1):
-        """Boltzmann weight g exp(-θ/T) of each level column, in order."""
-        for th, g in self._elec:
-            # catlint: disable=CAT004 -- the exponent lies in [-500, 0]
-            yield th, g * np.exp(-np.minimum(np.maximum(th / T1, 0.0), 500.0))
+        """θ and the Boltzmann weights g exp(-θ/T) of every level, as
+        (levels, ..., n) blocks; the weights block is fresh."""
+        th = _level_block(self._el_th, T1)
+        w = np.divide(th, T1)
+        np.maximum(w, 0.0, out=w)
+        np.minimum(w, 500.0, out=w)
+        np.negative(w, out=w)
+        # catlint: disable=CAT004 -- the exponent lies in [-500, 0]
+        np.exp(w, out=w)
+        return th, np.multiply(_level_block(self._el_g, T1), w, out=w)
 
     def _elec_q_m1(self, T1):
-        """Electronic (q_el, <θ>) per species, (..., n).
-
-        Levels are summed in order, as ``np.sum`` reduces the level axis
-        of :meth:`SpeciesThermo._elec_moments`.
-        """
-        q = s1 = 0.0
-        for th, w in self._elec_weights(T1):
-            q += w
-            s1 += w * th
-        return q, s1 / q
+        """Electronic (q_el, <θ>) per species, (..., n)."""
+        th, w = self._elec_weights(T1)
+        q = _sum_levels(w)
+        return q, _sum_levels(np.multiply(w, th, out=w)) / q
 
     def _elec_m1_cv(self, T1):
         """Electronic <θ> and cv = R (<θ²> - <θ>²) / T² from one pass."""
-        q = s1 = s2 = 0.0
-        for th, w in self._elec_weights(T1):
-            q += w
-            s1 += w * th
-            s2 += w * th * th
+        th, w = self._elec_weights(T1)
+        q = _sum_levels(w)
+        s1 = _sum_levels(np.multiply(w, th, out=w))
+        s2 = _sum_levels(np.multiply(w, th, out=w))
         m1 = s1 / q
         return m1, _R * (s2 / q - m1 * m1) / T1**2
 
@@ -341,7 +386,8 @@ class ThermoSet:
                 + e_vib + _R * m1)
 
     def _h_s0(self, T):
-        """(T1, h, s0) from one vibrational and one electronic pass."""
+        """(T1, h, s0, e_vib, <θ>_el) from one vibrational and one
+        electronic pass."""
         T1 = _as_T(np.asarray(T)[..., None])
         e_vib, lnq = self._vib_energy_lnq(T1)
         q, m1 = self._elec_q_m1(T1)
@@ -354,7 +400,7 @@ class ThermoSet:
         # q >= g_ground exp(-500) > 1e-300, so the floor never binds
         s_el = _R * np.log(np.maximum(q, 1e-300)) + _R * m1 / T1
         return (T1, self._h_molar(T1, e_vib, m1),
-                s_tr + s_rot + s_vib + s_el)
+                s_tr + s_rot + s_vib + s_el, e_vib, m1)
 
     # -- public API -----------------------------------------------------------
 
@@ -379,13 +425,22 @@ class ThermoSet:
 
     def g0(self, T):
         """Standard-state Gibbs per species, shape (..., n)."""
-        T1, h, s = self._h_s0(T)
+        T1, h, s = self._h_s0(T)[:3]
         return h - T1 * s
 
     def g0_over_RT(self, T):
         """Dimensionless standard Gibbs g0/(R T), shape (..., n)."""
         T = np.asarray(T, dtype=float)
         return self.g0(T) / (_R * T[..., None])
+
+    def g0_over_RT_e_vib_el_mass(self, T):
+        """(g0_over_RT, e_vib_el_mass) at one temperature from one
+        vibrational and one electronic pass: the backward rates' g0/RT
+        and the Landau–Teller e_v,s(T) of a two-temperature source."""
+        T = np.asarray(T, dtype=float)
+        T1, h, s, e_vib, m1 = self._h_s0(T)
+        return ((h - T1 * s) / (_R * T[..., None]),
+                (e_vib + _R * m1) / self.db.molar_mass)
 
     def h_mass(self, T):
         """Specific enthalpy per species [J/kg], shape (..., n)."""

@@ -15,7 +15,15 @@ The model supplies
 * the Landau–Teller translational-vibrational energy-exchange source term,
 * ``sources``: the production rates and the pool source (Landau–Teller
   plus the pool energy that created/destroyed molecules carry) from one
-  ``wdot`` call and one e_v,s(Tv) pass (DESIGN §16).
+  ``wdot`` call and one species pass at T, which gives both the backward
+  rates' g0/RT and the Landau–Teller e_v,s(T) (DESIGN §16, §26).
+
+The Newton hands its last evaluation on: ``Tv_from_ev(..., pool=d)``
+leaves the per-species pool energies at the Tv it returns in
+``d["Tv"]``, and ``sources(..., pool=d)`` takes them from there instead
+of a pass of its own, and leaves its e_v,s(T) in ``d["T"]`` — so a
+relaxation step evaluates each temperature's species thermodynamics
+once.
 """
 
 from __future__ import annotations
@@ -46,6 +54,10 @@ class TwoTemperatureGas:
     def __init__(self, db: SpeciesDB | str,
                  mechanism: ReactionMechanism | None = None):
         self.db = db if isinstance(db, SpeciesDB) else species_set(db)
+        if mechanism is not None and mechanism.db.names != self.db.names:
+            # ``sources`` hands the mechanism this set's g0/RT
+            raise InputError("the mechanism's species set differs from "
+                             "the gas's")
         self.thermo = ThermoSet(self.db)
         self.relax = VibrationalRelaxation(self.db)
         self.mechanism = mechanism
@@ -97,24 +109,35 @@ class TwoTemperatureGas:
     # inversions
     # ------------------------------------------------------------------
 
-    def Tv_from_ev(self, ev, y, *, Tv_guess=None, tol=1e-9, max_iter=80):
-        """Invert the vibrational-electronic pool for Tv (batched Newton)."""
+    def Tv_from_ev(self, ev, y, *, Tv_guess=None, tol=1e-9, max_iter=80,
+                   pool=None):
+        """Invert the vibrational-electronic pool for Tv (batched Newton).
+
+        ``pool``, when given, is a dict that receives ``pool["Tv"]``: the
+        per-species pool energies e_v,s [J/kg] at the returned Tv, from
+        the Newton's last evaluation, for :meth:`sources`.
+        """
         ev = np.asarray(ev, dtype=float)
         y = np.asarray(y, dtype=float)
         Tv = _start(2000.0 if Tv_guess is None else Tv_guess, ev, y)
         scale = np.maximum(np.abs(ev), 1e2)
         for _ in range(max_iter):
             e_s, cv_s = self.thermo.e_cv_vib_el_mass(Tv)
-            f = np.sum(y * e_s, axis=-1) - ev
+            f = np.add.reduce(y * e_s, axis=-1) - ev
             if np.all(np.abs(f) <= tol * scale):
-                return Tv
-            cv = np.maximum(np.sum(y * cv_s, axis=-1), 1e-3)
+                break
+            cv = np.maximum(np.add.reduce(y * cv_s, axis=-1), 1e-3)
             dTv = np.minimum(np.maximum(-f / cv, -0.5 * Tv), 2.0 * Tv)
             Tv = np.minimum(np.maximum(Tv + dTv, 10.0), 1.0e5)
-        f = np.abs(self.e_vib_el(Tv, y) - ev)
-        if np.any(f > 1e-4 * scale):
-            raise ConvergenceError("Tv_from_ev failed", iterations=max_iter,
-                                   residual=float(np.max(f / scale)))
+        else:
+            e_s = self.thermo.e_vib_el_mass(Tv)
+            f = np.abs(np.add.reduce(y * e_s, axis=-1) - ev)
+            if np.any(f > 1e-4 * scale):
+                raise ConvergenceError("Tv_from_ev failed",
+                                       iterations=max_iter,
+                                       residual=float(np.max(f / scale)))
+        if pool is not None:
+            pool["Tv"] = e_s
         return Tv
 
     def T_from_e_ev(self, e, ev, y, *, T_guess=None, tol=1e-9, max_iter=80):
@@ -151,40 +174,49 @@ class TwoTemperatureGas:
         effective electronic-translational channel (without it the pool
         could never equilibrate in fully dissociated gas).
         """
-        return self._landau_teller(rho, T, y, self.thermo.e_vib_el_mass(Tv))
+        return self._landau_teller(rho, T, y, self.thermo.e_vib_el_mass(T),
+                                   self.thermo.e_vib_el_mass(Tv))
 
-    def _landau_teller(self, rho, T, y, ev_Tv):
-        """Q_TV given the per-species pool energies ``ev_Tv`` at Tv."""
+    def _landau_teller(self, rho, T, y, ev_T, ev_Tv):
+        """Q_TV given the per-species pool energies at T and at Tv."""
         rho = np.asarray(rho, dtype=float)
         y = np.asarray(y, dtype=float)
-        ev_T = self.thermo.e_vib_el_mass(T)
         idx = self.relax.vib_idx
         tau = self.relax.times(rho, T, y)
-        q = np.sum(rho[..., None] * y[..., idx]
-                   * (ev_T[..., idx] - ev_Tv[..., idx]) / tau, axis=-1)
+        q = np.add.reduce(rho[..., None] * y[..., idx]
+                          * (ev_T[..., idx] - ev_Tv[..., idx]) / tau,
+                          axis=-1)
         # electronic relaxation of non-vibrating species
         el_idx = self._el_idx
         if el_idx.size:
-            n_total = (rho * np.sum(y / self.db.molar_mass, axis=-1)
+            n_total = (rho * np.add.reduce(y / self.db.molar_mass, axis=-1)
                        * N_AVOGADRO)
             tau_el = park_correction_time(
                 np.asarray(T, float)[..., None], n_total[..., None],
                 self.db.molar_mass[el_idx])
-            q = q + np.sum(rho[..., None] * y[..., el_idx]
-                           * (ev_T[..., el_idx] - ev_Tv[..., el_idx])
-                           / tau_el, axis=-1)
+            q = q + np.add.reduce(rho[..., None] * y[..., el_idx]
+                                  * (ev_T[..., el_idx] - ev_Tv[..., el_idx])
+                                  / tau_el, axis=-1)
         return q
 
-    def sources(self, rho, T, Tv, y):
+    def sources(self, rho, T, Tv, y, *, pool=None):
         """``(wdot, q_v)``: production rates [kg/(m^3 s)] and d(rho e_v)/dt.
 
         q_v [W/m^3] is the Landau–Teller exchange plus what each species
         produced (destroyed) adds (removes) at its pool energy at Tv
-        (non-preferential model); both terms share one e_v,s(Tv) pass.
+        (non-preferential model).  One species pass at T gives the
+        backward rates' g0/RT and the Landau–Teller e_v,s(T); both
+        terms share one e_v,s(Tv).  ``pool`` is the dict that the
+        :meth:`Tv_from_ev` call which returned this Tv filled: its
+        ``"Tv"`` entry stands in for the e_v,s(Tv) pass, and ``pool["T"]``
+        receives e_v,s(T).
         """
         if self.mechanism is None:
             raise InputError("sources needs a reaction mechanism")
-        wdot = self.mechanism.wdot(rho, T, y, Tv)
-        ev_Tv = self.thermo.e_vib_el_mass(Tv)
-        q = self._landau_teller(rho, T, y, ev_Tv)
-        return wdot, q + np.sum(wdot * ev_Tv, axis=-1)
+        pool = {} if pool is None else pool
+        g0_rt, pool["T"] = self.thermo.g0_over_RT_e_vib_el_mass(T)
+        wdot = self.mechanism.wdot(rho, T, y, Tv, g0_rt=g0_rt)
+        if "Tv" not in pool:
+            pool["Tv"] = self.thermo.e_vib_el_mass(Tv)
+        q = self._landau_teller(rho, T, y, pool["T"], pool["Tv"])
+        return wdot, q + np.add.reduce(wdot * pool["Tv"], axis=-1)

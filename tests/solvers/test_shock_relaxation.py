@@ -96,19 +96,23 @@ class TestWorkPerRHS:
     def test_one_evaluation_of_each_quantity(self, monkeypatch):
         # per RHS one wdot (the production rates and the pool source
         # share it), three Arrhenius passes per wdot (k(T) feeds kf and
-        # kb) and, inside the Tv Newton, one electronic-level pass per
-        # e_v evaluation (e_v and c_v,v come from the same pass); each
-        # inversion starts from the last Tv, so it takes at most three
-        # e_v evaluations on average (6.3 from the cold 2,000 K start)
-        counts = {"closure": 0, "wdot": 0, "arrhenius": 0,
-                  "newton_e": 0, "newton_elec": 0, "inversions": 0}
+        # kb) and one species pass at T (the backward rates' g0/RT and
+        # the Landau–Teller e_v,s(T)); inside the Tv Newton, one
+        # electronic-level pass per e_v evaluation (e_v and c_v,v come
+        # from the same pass), and the Newton's last e_v,s(Tv) feeds the
+        # sources, so no pool pass runs outside it; each inversion
+        # starts from the last Tv, so it takes at most three e_v
+        # evaluations on average (6.3 from the cold 2,000 K start)
+        counts = {"closure": 0, "wdot": 0, "arrhenius": 0, "T_pass": 0,
+                  "newton_e": 0, "newton_elec": 0, "elec": 0, "vib": 0,
+                  "pool_outside": 0, "inversions": 0}
         in_newton = []
 
-        def count(cls, name, key, only_in_newton=False):
+        def count(cls, name, key, where=None):
             fn = getattr(cls, name)
 
             def counted(self, *a, **kw):
-                if in_newton or not only_in_newton:
+                if where is None or bool(in_newton) == (where == "in"):
                     counts[key] += 1
                 return fn(self, *a, **kw)
             monkeypatch.setattr(cls, name, counted)
@@ -116,9 +120,14 @@ class TestWorkPerRHS:
         count(ShockRelaxationSolver, "_closure", "closure")
         count(ReactionMechanism, "wdot", "wdot")
         count(ReactionMechanism, "_arrhenius", "arrhenius")
-        count(ThermoSet, "_elec_weights", "newton_elec", True)
+        count(ThermoSet, "_h_s0", "T_pass")
+        count(ThermoSet, "_elec_weights", "elec")
+        count(ThermoSet, "_elec_weights", "newton_elec", "in")
+        count(ThermoSet, "_vib_x", "vib")
         for name in ("e_vib_el_mass", "e_cv_vib_el_mass"):
-            count(ThermoSet, name, "newton_e", True)
+            count(ThermoSet, name, "newton_e", "in")
+        for name in ("e_vib_el_mass", "e_cv_vib_el_mass", "cv_vib_el_mass"):
+            count(ThermoSet, name, "pool_outside", "out")
         newton = TwoTemperatureGas.Tv_from_ev
 
         def tracked(self, *a, **kw):
@@ -137,9 +146,19 @@ class TestWorkPerRHS:
         assert counts["inversions"] == counts["closure"]
         assert counts["wdot"] == rhs_evals
         assert counts["arrhenius"] == 3 * counts["wdot"]
+        assert counts["T_pass"] == rhs_evals
+        # the one pool pass outside the Newton is the upstream e_v(T1)
+        # of the solve's set-up; the sources take the Newton's
+        assert counts["pool_outside"] == 1
         assert counts["inversions"] < counts["newton_e"]
         assert counts["newton_e"] <= 3 * counts["inversions"]
         assert counts["newton_elec"] == counts["newton_e"]
+        # every other species pass is a Newton e_v evaluation (one
+        # electronic and two vibrational passes), an RHS's T pass or
+        # the set-up's e_v(T1)
+        passes = counts["newton_e"], counts["T_pass"] + 1
+        assert counts["elec"] == passes[0] + passes[1]
+        assert counts["vib"] == 2 * passes[0] + passes[1]
 
 
 class TestWarmStart:

@@ -174,7 +174,7 @@ class TestPNS:
 
 class TestStationFallback:
     """A station whose T(s, p) inversion fails: the resilient march
-    carries the upstream edge temperature, a strict one names it."""
+    carries the upstream edge state, a strict one names it."""
 
     @staticmethod
     def fail_station(monkeypatch, station, targets):
@@ -205,6 +205,10 @@ class TestStationFallback:
         assert len(targets) == 15 and len(set(targets)) == 1
         assert res.degraded_stations == [station]
         assert res.T_e[station] == res.T_e[station - 1]
+        # the station carries its neighbour's ρ_e, u_e, μ_e and heating,
+        # not the zero of T0 at its own, lower p_e
+        assert res.u_e[station] == res.u_e[station - 1]
+        assert res.q[station] == res.q[station - 1] > 0.0
         assert np.all(np.isfinite(res.q))
         s_stag = targets[0]
         for i in range(15):

@@ -86,6 +86,57 @@ class TestEarthUS76:
         assert 1e5 < Re < 1e7  # Orbiter-length Re in the expected decade
 
 
+class TestOneLookup:
+    """T, p and density come from one layer lookup, in one path for
+    scalars and arrays."""
+
+    #: each layer base ± 1 m (geometric), and above the 86 km table top
+    H = np.array([_geometric(hb) + d for hb in (0.0, 11000.0, 20000.0,
+                                                 32000.0, 47000.0, 51000.0,
+                                                 71000.0, 84852.0)
+                  for d in (-1.0, 1.0)] + [86.5e3, 90e3, 105e3, 125e3])
+
+    def test_scalar_and_array_temperature_agree_bit_for_bit(self, earth):
+        batch = earth.temperature(self.H)
+        assert batch.shape == self.H.shape
+        for k, h in enumerate(self.H):
+            assert (np.asarray(earth.temperature(float(h))).tobytes()
+                    == np.asarray(batch[k]).tobytes()), h
+
+    @pytest.mark.parametrize("name", ["pressure", "density"])
+    def test_scalar_and_array_agree_to_a_few_ulp(self, earth, name):
+        # the same expressions, but NumPy hands a 0-d input's ``**`` to
+        # its scalar math (libm pow), while an array's may run a SIMD
+        # power loop: with AVX-512, pressure differs at 188 of fig 1's
+        # 4,704 RHS altitudes (by 1-2 ulp) and density at 175 (by 1-4
+        # ulp), both as before the shared lookup (DESIGN §26.5)
+        f = getattr(earth, name)
+        batch = f(self.H)
+        assert batch.shape == self.H.shape
+        scalar = np.array([f(float(h)) for h in self.H])
+        np.testing.assert_array_max_ulp(scalar, batch, maxulp=4)
+
+    def test_density_makes_one_layer_lookup(self, earth, monkeypatch):
+        calls = []
+        lookup = EarthAtmosphere._layer_index
+
+        def counted(self, hgp):
+            calls.append(np.shape(hgp))
+            return lookup(self, hgp)
+        monkeypatch.setattr(EarthAtmosphere, "_layer_index", counted)
+        rho = earth.density(65500.0)
+        assert calls == [()]
+        rho_batch = earth.density(self.H)
+        assert calls == [(), self.H.shape]
+        monkeypatch.undo()
+        # the ideal-gas law on the same T and p, bit for bit
+        assert rho == earth.pressure(65500.0) / (
+            earth.gas_constant * earth.temperature(65500.0))
+        np.testing.assert_array_equal(
+            rho_batch, earth.pressure(self.H)
+            / (earth.gas_constant * earth.temperature(self.H)))
+
+
 class TestTitan:
     def test_surface(self, titan):
         assert float(titan.temperature(0.0)) == pytest.approx(94.0)

@@ -46,6 +46,9 @@ PER_SPECIES = {
     "e_cv_vib_el_mass": lambda st_, T: (st_.e_vib_el_mass(T),
                                         st_.cv_vib_el_mass(T)),
     "h_tr_rot_mass": lambda st_, T: st_.h_tr_rot(T) / st_.M,
+    # the shared pass at T of a two-temperature source, also a pair
+    "g0_over_RT_e_vib_el_mass": lambda st_, T: (st_.g0(T) / (R * T),
+                                                st_.e_vib_el_mass(T)),
 }
 
 

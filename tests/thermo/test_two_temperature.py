@@ -218,6 +218,28 @@ class TestChemistryCoupling:
         chem = np.sum(wdot * tt.thermo.e_vib_el_mass(Tv), axis=-1)
         np.testing.assert_array_equal(total, lt + chem)
 
+    @pytest.mark.parametrize("guess", [None, 3000.0], ids=["cold", "warm"])
+    def test_pool_hand_off_is_bitwise(self, tt, air11, guess):
+        # the Newton's last e_v,s(Tv) and the sources' e_v,s(T) are the
+        # passes a caller would otherwise make at the same temperatures
+        y = np.repeat(frozen_air(air11), 3, axis=0)
+        rho, T = np.array([0.01, 0.02, 0.05]), np.array([8e3, 6e3, 9e3])
+        ev = tt.e_vib_el(np.array([4e3, 2.5e3, 7e3]), y)
+        pool = {}
+        Tv = tt.Tv_from_ev(ev, y, Tv_guess=guess, pool=pool)
+        np.testing.assert_array_equal(pool["Tv"],
+                                      tt.thermo.e_vib_el_mass(Tv))
+        handed = tt.sources(rho, T, Tv, y, pool=pool)
+        np.testing.assert_array_equal(pool["T"], tt.thermo.e_vib_el_mass(T))
+        for got, fresh in zip(handed, tt.sources(rho, T, Tv, y)):
+            np.testing.assert_array_equal(got, fresh)
+
+    def test_mechanism_of_another_set_is_input_error(self, air11):
+        # ``sources`` hands the mechanism the gas's g0/RT, species by
+        # species, so the two must share one species set
+        with pytest.raises(InputError):
+            TwoTemperatureGas(air11, park_air_mechanism("air5"))
+
     def test_sources_without_mechanism_is_input_error(self, air11):
         # a missing mechanism is a set-up error, not a numerical failure
         # for the march supervisor to retry
