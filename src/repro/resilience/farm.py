@@ -133,21 +133,42 @@ def _job_solver_case(payload: dict, ctx: dict) -> dict:
     ``payload["faults"]`` (a :meth:`FaultInjector.to_json` schedule, a
     chaos round's) is armed on the first attempt only: a fault is a
     transient upset, and a retried attempt resumes clean from the
-    snapshots the killed one left."""
+    snapshots the killed one left.  When none of them verifies, the
+    attempt moves them aside to ``ckpt-damaged-<attempt>`` beside
+    ``ckpt`` and marches a fresh solver from the start: the march is
+    deterministic, so it ends on the state a resume would have."""
+    from repro.errors import CheckpointError
     from repro.resilience.chaos import CASES
     from repro.resilience.faults import FaultInjector
-    from repro.resilience.persistence import PersistencePolicy
+    from repro.resilience.persistence import (PersistencePolicy,
+                                              SnapshotStore)
     factory, run_kwargs, _, _ = CASES[payload["case"]]
     faults = payload.get("faults")
-    solver = factory()
     kwargs = dict(run_kwargs)
     kwargs.update(payload.get("run_kwargs") or {})
-    solver.run(**kwargs, persist=PersistencePolicy(
+    policy = PersistencePolicy(
         dir=ctx["ckpt_dir"],
-        every_n_steps=int(payload.get("every_n_steps", 3))),
-        faults=(FaultInjector.from_json(faults)
-                if faults and ctx["attempt"] == 1 else None),
-        watchdog=True)
+        every_n_steps=int(payload.get("every_n_steps", 3)))
+
+    def march():
+        solver = factory()
+        solver.run(**kwargs, persist=policy,
+                   faults=(FaultInjector.from_json(faults)
+                           if faults and ctx["attempt"] == 1 else None),
+                   watchdog=True)
+        return solver
+
+    try:
+        solver = march()
+    except CheckpointError as err:
+        # only a store whose every generation failed verification; a
+        # fingerprint mismatch (another run's directory) still fails
+        damaged = sorted(r["seq"] for r in err.recovery_log)
+        if not damaged or damaged != SnapshotStore(policy).sequences():
+            raise
+        os.rename(ctx["ckpt_dir"], os.path.join(
+            ctx["workdir"], f"ckpt-damaged-{ctx['attempt']}"))
+        solver = march()
     return {"case": payload["case"], "steps": int(solver.steps),
             "state_sha256": state_fingerprint(solver)}
 

@@ -9,8 +9,12 @@ equations at an axisymmetric stagnation point::
 with C = (rho mu)/(rho_e mu_e) evaluated along the layer from the local
 enthalpy at the (constant) edge pressure — for the equilibrium-air gas
 model this is a numerical Fay–Riddell calculation.  Solved by shooting
-on (f''(0), g'(0)).  Downstream heating built on the stagnation solution
-is Lees local similarity (:func:`repro.heating.lees.lees_distribution`).
+on (f''(0), g'(0)): Broyden's quasi-Newton method (C. G. Broyden, Math.
+Comp. 19, 1965) from a start read as the wall fluxes C_w f''(0) and
+C_w g'(0), with a finite-difference Jacobian at the first step and
+after any step that does not reduce the residual.  Downstream heating
+built on the stagnation solution is Lees local similarity
+(:func:`repro.heating.lees.lees_distribution`).
 
 The system is integrated in flux form, on (f, f', tau, g, q) with the
 shear flux tau = C f'' and the heat flux q = C g'/Pr::
@@ -331,7 +335,7 @@ def solve_falkner_skan(beta, *, Pr=0.71, gw=1.0, C_table=None,
     closure at strictly increasing knots g (linear between knots,
     constant beyond them); omitted, C = 1.  Strongly cooled real-gas
     walls (gw << 1, C far from 1) are reached by parameter continuation
-    from an easy nearby problem when the direct Newton fails.
+    from an easy nearby problem when the direct shot fails.
 
     Returns a :class:`BLSolution`.
     """
@@ -352,8 +356,30 @@ def solve_falkner_skan(beta, *, Pr=0.71, gw=1.0, C_table=None,
         return sol
 
 
+def _step(J, r1, r2):
+    """The quasi-Newton step ``-J^-1 r``, or None for a singular J."""
+    try:
+        return np.linalg.solve(J, -np.array([r1, r2])).tolist()
+    except np.linalg.LinAlgError:
+        return None
+
+
 def _shoot(beta, Pr, gw, table, eta_max, tol, max_iter, guess=None):
-    """One direct Newton shooting solve."""
+    """One direct shooting solve on (f''(0), g'(0)) by Broyden's method.
+
+    Each iteration integrates once for the residual (f'(eta_max) - 1,
+    g(eta_max) - 1) and stops when both parts are below ``tol``.  The
+    first step takes a finite-difference Jacobian (two integrations);
+    after a step that reduces max|r| the Jacobian gets Broyden's rank-one
+    secant update on the step actually taken (after the step limit),
+    J += (dr - J ds) ds^T / (ds^T ds), and after one that does not, or
+    when the update leaves J singular, a fresh finite-difference Jacobian
+    at the new point.  Only a singular finite-difference Jacobian raises.
+    Without ``guess`` the start reads the empirical 0.47 + 0.62 beta and
+    0.35 (1 - gw) as the wall fluxes C_w f''(0) = tau(0) and
+    C_w g'(0) = Pr q(0), which leaves C = 1 where it was and starts a
+    cold real-gas wall (C_w of 2-3) near its answer.
+    """
     # Python floats throughout: numpy float64 scalars run the kernel ~2x
     # slower
     beta, Pr, gw, eta_max = float(beta), float(Pr), float(gw), float(eta_max)
@@ -371,27 +397,38 @@ def _shoot(beta, Pr, gw, table, eta_max, tol, max_iter, guess=None):
     if guess is not None:
         fpp0, gp0 = (float(v) for v in guess)
     else:
-        # empirical starting guesses across the beta/cooling range
-        fpp0 = 0.47 + 0.62 * beta
-        gp0 = max(0.35 * (1.0 - gw), 1e-4)
-    for it in range(max_iter):
+        # empirical wall fluxes across the beta/cooling range
+        fpp0 = (0.47 + 0.62 * beta) / Cw
+        gp0 = max(0.35 * (1.0 - gw), 1e-4) / Cw
+    J = None                   # taken by finite differences on first use
+    for _ in range(max_iter):
         r1, r2 = residual(fpp0, gp0)
         if abs(r1) < tol and abs(r2) < tol:
             return _profile(rhs, start(fpp0, gp0), table, Pr, fpp0, gp0,
                             eta_max)
-        # numerical Jacobian on the two shooting parameters
-        d1, d2 = max(1e-6, 1e-4 * abs(fpp0)), max(1e-7, 1e-4 * abs(gp0))
-        a1, a2 = residual(fpp0 + d1, gp0)
-        b1, b2 = residual(fpp0, gp0 + d2)
-        J = np.array([[(a1 - r1) / d1, (b1 - r1) / d2],
-                      [(a2 - r2) / d1, (b2 - r2) / d2]])
-        try:
-            s1, s2 = np.linalg.solve(J, -np.array([r1, r2])).tolist()
-        except np.linalg.LinAlgError:
-            raise ConvergenceError("singular shooting Jacobian") from None
+        step = None
+        if J is not None and max(abs(r1), abs(r2)) < r_max:
+            # Broyden's rank-one secant update on the step taken
+            ds = np.array([ds1, ds2])
+            J += np.outer(np.array([r1 - q1, r2 - q2]) - J @ ds,
+                          ds) / (ds @ ds)
+            step = _step(J, r1, r2)
+        if step is None:
+            # numerical Jacobian on the two shooting parameters
+            d1, d2 = max(1e-6, 1e-4 * abs(fpp0)), max(1e-7, 1e-4 * abs(gp0))
+            a1, a2 = residual(fpp0 + d1, gp0)
+            b1, b2 = residual(fpp0, gp0 + d2)
+            J = np.array([[(a1 - r1) / d1, (b1 - r1) / d2],
+                          [(a2 - r2) / d1, (b2 - r2) / d2]])
+            step = _step(J, r1, r2)
+            if step is None:
+                raise ConvergenceError("singular shooting Jacobian")
         lim = 0.5 * max(abs(fpp0), 0.2)
-        fpp0 += min(max(s1, -lim), lim)
-        gp0 += min(max(s2, -lim), lim)
+        ds1 = min(max(step[0], -lim), lim)
+        ds2 = min(max(step[1], -lim), lim)
+        fpp0 += ds1
+        gp0 += ds2
+        q1, q2, r_max = r1, r2, max(abs(r1), abs(r2))
     raise ConvergenceError("BL shooting failed to converge",
                            iterations=max_iter)
 

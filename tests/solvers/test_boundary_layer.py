@@ -369,6 +369,89 @@ class TestFluxForm:
         assert len(calls) <= 3500
 
 
+def _analytic_end(calls):
+    """A stand-in for ``_dopri45_end``: the end state of the start state
+    (0, 0, tau(0), gw, q(0)) is an analytic map whose residual
+    (f'(eta_max) - 1, g(eta_max) - 1) vanishes at tau(0) = 1.2,
+    q(0) = 0.6.  Each call appends (tau(0), q(0), max|r|) to ``calls``."""
+
+    def end(rhs, y, t_end):
+        tau, q = y[2], y[4]
+        r1 = math.tanh(4.0 * (tau - 1.2)) + 0.3 * (q - 0.6)
+        r2 = (q - 0.6) + 0.5 * (tau - 1.2) ** 2
+        calls.append((tau, q, max(abs(r1), abs(r2))))
+        return [0.0, 1.0 + r1, 0.0, 1.0 + r2, 0.0]
+
+    return end
+
+
+def _iterates(calls):
+    """Split a shooting solve's integrations into its iterates: returns
+    max|r| per iterate and the iterates followed by a finite-difference
+    Jacobian (two probes, one per wall slope, from the iterate)."""
+    r, fresh, i = [], [], 0
+    while i < len(calls):
+        tau, q, r_max = calls[i]
+        r.append(r_max)
+        probes = calls[i + 1:i + 3]
+        if (len(probes) == 2 and probes[0][0] > tau and probes[0][1] == q
+                and probes[1][0] == tau and probes[1][1] > q):
+            fresh.append(len(r) - 1)
+            i += 3
+        else:
+            i += 1
+    return r, fresh
+
+
+class TestBroydenShooting:
+    def test_update_and_refresh_on_an_analytic_map(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(boundary_layer, "_dopri45_end",
+                            _analytic_end(calls))
+        sol = solve_falkner_skan(0.5, Pr=0.71, gw=0.5)
+        # C = 1: tau(0) = f''(0) and q(0) = g'(0)/Pr
+        assert sol.fpp0 == pytest.approx(1.2, abs=1e-5)
+        assert sol.gp0 / 0.71 == pytest.approx(0.6, abs=1e-5)
+        r, fresh = _iterates(calls)
+        assert r[-1] < 1e-6 and min(r[:-1]) >= 1e-6
+        # a finite-difference Jacobian at the start and after each step
+        # that does not reduce max|r|; every other iteration integrates
+        # once, on a Broyden-updated Jacobian
+        assert fresh == [0] + [k for k in range(1, len(r) - 1)
+                               if r[k] >= r[k - 1]]
+        assert len(calls) == len(r) + 2 * len(fresh)
+        # the map makes the first Broyden step overshoot, so both
+        # branches run
+        assert fresh == [0, 2]
+        assert len(r) - 1 - len(fresh) >= 3
+
+    def test_stagnation_figs_integration_budget(self, monkeypatch):
+        # perfbench's stagnation-figs solves: fig 2 quick at two points,
+        # figs 3 and 6 quick (65 integrations with Newton shooting, 40
+        # with Broyden updates from the flux-form start)
+        from repro.experiments import (fig2_titan_heating,
+                                       fig3_species_profiles,
+                                       fig6_windward_heating)
+        shots = []
+        kernel, shoot = boundary_layer._dopri45_end, boundary_layer._shoot
+
+        def counted_kernel(*args):
+            shots[-1] += 1
+            return kernel(*args)
+
+        def counted_shoot(*args, **kwargs):
+            shots.append(0)
+            return shoot(*args, **kwargs)
+
+        monkeypatch.setattr(boundary_layer, "_dopri45_end", counted_kernel)
+        monkeypatch.setattr(boundary_layer, "_shoot", counted_shoot)
+        fig2_titan_heating.run(quick=True, n_points=2)
+        fig3_species_profiles.run(quick=True)
+        fig6_windward_heating.run(quick=True)
+        assert len(shots) == 5      # one direct shot each: no ladder rung
+        assert sum(shots) <= 45, shots
+
+
 class TestSafeguards:
     def test_continuation_ladder_returns_the_direct_answer(self, monkeypatch):
         shot_gw = []

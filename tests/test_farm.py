@@ -36,6 +36,7 @@ import pytest
 
 from repro.errors import InputError
 from repro.resilience.chaos import CASES
+from repro.resilience.faults import FaultInjector
 from repro.resilience import farm as farm_module
 from repro.resilience.farm import (JOB_KINDS, Farm, FarmPolicy,
                                    WorkerKillPlan, audit_exactly_once,
@@ -396,6 +397,29 @@ class TestKillAndResume:
             assert res is not None, q.state(f"case-{n}")
             assert res["result"]["state_sha256"] == ref[n], \
                 f"{n}: resumed state differs from unkilled reference"
+
+    def test_a_march_with_no_loadable_generation_restarts(self, tmp_path,
+                                                          silent):
+        """The first attempt truncates its only generation (step 0) and
+        crashes at step 1, so no retry can resume: the next attempt sets
+        the damaged generation aside and marches a fresh solver, which
+        ends on the unkilled reference state."""
+        ref = _reference_fingerprints(["euler1d"])["euler1d"]
+        faults = (FaultInjector().inject_io_fault(kind="truncate", write=0)
+                  .inject_crash(step=1))
+        jobs = [Job(id="case", kind="solver_case", max_attempts=3,
+                    payload={"case": "euler1d",
+                             "faults": faults.to_json()})]
+        run_campaign(tmp_path / "q", jobs, policy=fast_policy(n_workers=1),
+                     stream=silent)
+        q = WorkQueue(tmp_path / "q")
+        res = q.result("case")
+        assert res is not None, q.state("case")
+        assert res["result"]["state_sha256"] == ref
+        assert q.state("case")["attempts"] == 2
+        aside = os.path.join(q.job_workdir("case"), "ckpt-damaged-2")
+        assert sorted(os.listdir(aside)) == ["ckpt-00000000.json",
+                                             "ckpt-00000000.npz"]
 
     def test_a_due_kill_spares_a_sandbox_that_has_exited(self, tmp_path,
                                                          silent):
